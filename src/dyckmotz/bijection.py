@@ -9,77 +9,78 @@ down step:
     phi(alpha UD)              = phi(alpha) F
     phi(alpha U UbetaD gamma D) = phi(alpha) phi(gamma) U phi(beta) D
 
-No closed-form inverse is implemented; the map is inverted by tabulating
-the forward image of the whole family at each needed size, which is
-exact and cheap at the sizes this package targets. The table bound
-guards against accidentally enumerating a huge family.
+Unfolded, phi maps the top-level blocks one by one: a block UD becomes
+F, and a block U UbetaD gamma D becomes phi(gamma) U phi(beta) D. Both
+directions are single stack passes, so path length is limited only by
+memory. The inverse reads a Motzkin word as top-level atoms, each F or
+an arch U Y D, and weighs each atom by the height of the block it closes:
+1 for F, 2 plus the largest weight among Y's atoms for an arch. Block
+heights never increase along a level, while the atoms of gamma are all
+lower than the arch after them, so each atom closes one block and takes
+as its gamma the longest run of lower atoms just before it.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Union
 
 from .enumeration import enumerate_constrained, motzkin_number
-from .paths import (
-    CaseAUD,
-    DyckPath,
-    MotzkinPath,
-    is_constrained,
-    last_arch_decompose,
-)
-
-DEFAULT_TABLE_BOUND = 14
+from .paths import DyckPath, MotzkinPath, constrained_matching
 
 
 class NotConstrainedError(ValueError):
     """phi was applied to a Dyck path outside the constrained family."""
 
 
-class LengthBeyondTableBoundError(ValueError):
-    """phi_inverse was asked for a length above the configured bound."""
-
-
 def phi(p: Union[str, DyckPath]) -> MotzkinPath:
     """Image of a constrained Dyck path. Raises NotConstrainedError when
     the precondition fails; the map is only bijective on the family."""
     p = p if isinstance(p, DyckPath) else DyckPath(p)
-    if not is_constrained(p):
+    match = constrained_matching(p)
+    if match is None:
         raise NotConstrainedError(f"not in the constrained family: {str(p)!r}")
-    return MotzkinPath(_phi(str(p)))
+    out = []
+    # popped in output order: a range [a, b) of whole blocks, or a step
+    work = [(0, len(p))]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        a, b = item
+        if a == b:
+            continue
+        e = match[a]
+        if e == a + 1:
+            work += [(e + 1, b), "F"]
+        else:
+            # the block is U UbetaD gamma D with UbetaD = p[a+1..j]
+            j = match[a + 1]
+            work += [(e + 1, b), "D", (a + 2, j), "U", (j + 1, e)]
+    return MotzkinPath("".join(out))
 
 
-@lru_cache(maxsize=None)
-def _phi(p: str) -> str:
-    # sub-paths of a constrained path are constrained, so no re-check here
-    if not p:
-        return ""
-    case = last_arch_decompose(p)
-    if isinstance(case, CaseAUD):
-        return _phi(str(case.alpha)) + "F"
-    return (_phi(str(case.alpha)) + _phi(str(case.gamma))
-            + "U" + _phi(str(case.beta)) + "D")
-
-
-_inverse_tables: dict = {}
-
-
-def _inverse_table(n: int) -> dict:
-    table = _inverse_tables.get(n)
-    if table is None:
-        table = {_phi(str(p)): str(p) for p in enumerate_constrained(n)}
-        _inverse_tables[n] = table
-    return table
-
-
-def phi_inverse(m: Union[str, MotzkinPath],
-                table_bound: int = DEFAULT_TABLE_BOUND) -> DyckPath:
+def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:
     """The unique family member mapping to m under phi."""
     m = m if isinstance(m, MotzkinPath) else MotzkinPath(m)
-    n = len(m)
-    if n > table_bound:
-        raise LengthBeyondTableBoundError(
-            f"length {n} exceeds the inverse table bound {table_bound}")
-    return DyckPath(_inverse_table(n)[str(m)])
+    # per open arch, the blocks decoded on its level as (height, text);
+    # heights never increase along a level
+    levels = [[]]
+    for c in m:
+        if c == "U":
+            levels.append([])
+        elif c == "F":
+            levels[-1].append((1, "UD"))
+        else:
+            inner = levels.pop()
+            h = 2 + (inner[0][0] if inner else 0)
+            blocks = levels[-1]
+            k = len(blocks)
+            while k and blocks[k - 1][0] < h:
+                k -= 1
+            beta = "".join(text for _, text in inner)
+            gamma = "".join(text for _, text in blocks[k:])
+            blocks[k:] = [(h, "UU" + beta + "D" + gamma + "D")]
+    return DyckPath("".join(text for _, text in levels[0]))
 
 
 def check_bijectivity(n: int) -> dict:

@@ -14,12 +14,7 @@ import json
 import os
 import sys
 
-from .bijection import (
-    LengthBeyondTableBoundError,
-    NotConstrainedError,
-    phi,
-    phi_inverse,
-)
+from .bijection import NotConstrainedError, phi, phi_inverse
 from .enumeration import enumerate_constrained, enumerate_dyck, enumerate_motzkin
 from .genfun import (
     DEFAULT_TRUNCATION,
@@ -282,7 +277,7 @@ _COMMANDS = {
 }
 
 _INPUT_ERRORS = (PathSyntaxError, PatternSyntaxError, NotConstrainedError,
-                 LengthBeyondTableBoundError, KeyError, ValueError)
+                 KeyError, ValueError)
 
 
 def main(argv=None) -> int:

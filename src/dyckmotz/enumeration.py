@@ -128,29 +128,40 @@ def enumerate_constrained(n: int) -> Iterator[DyckPath]:
     return walk(0, 0, _NO_CAP)
 
 
-@lru_cache(maxsize=None)
 def count_constrained_by_height(n: int, h: int) -> int:
     """Number of family members of semilength n with height exactly h.
 
     Kernel of the grammar: the first block U alpha D has height exactly h
     (so alpha has height h - 1) and the tail beta has height at most h.
-    Summing over h recovers the Motzkin number M_n.
+    Summing over h recovers the Motzkin number M_n. Filled bottom-up over
+    heights 0..h; the tables of the last few semilengths asked for are
+    kept and grown, so a sweep over h costs one fill.
     """
     if n < 0 or h < 0:
         raise ValueError("arguments must be nonnegative")
-    if n == 0:
-        return 1 if h == 0 else 0
-    if h == 0:
+    if h > n:
         return 0
-    total = 0
-    for b in range(n):
-        left = count_constrained_by_height(n - 1 - b, h - 1)
-        if left:
-            total += left * _count_constrained_up_to(b, h)
-    return total
+    table = _at_most_table(n)
+    while len(table) <= h:
+        _add_height(table)
+    return table[h][n] - (table[h - 1][n] if h else 0)
 
 
-@lru_cache(maxsize=None)
-def _count_constrained_up_to(n: int, h: int) -> int:
-    # members of semilength n with height at most h
-    return sum(count_constrained_by_height(n, j) for j in range(min(n, h) + 1))
+@lru_cache(maxsize=4)
+def _at_most_table(n: int) -> list:
+    # table[h][k] = members of semilength k <= n with height at most h,
+    # one column per height, grown on demand by _add_height
+    return [[1] + [0] * n]
+
+
+def _add_height(table: list) -> None:
+    # column h from columns h - 1 and h - 2, bottom-up over semilength k:
+    # first block of height exactly h, then a tail of height at most h
+    h = len(table)
+    below = table[-1]
+    exact = [a - b for a, b in zip(below, table[-2])] if h > 1 else below
+    col = below[:]
+    for k in range(h, len(col)):
+        # exact[k - 1 - b] is 0 unless k - 1 - b >= h - 1
+        col[k] += sum(exact[k - 1 - b] * col[b] for b in range(k - h + 1))
+    table.append(col)

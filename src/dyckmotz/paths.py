@@ -8,7 +8,6 @@ use sort_key when sorting path strings).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 U, D, F = "U", "D", "F"
@@ -119,6 +118,9 @@ def first_return_decompose(p: Union[str, DyckPath]):
     h = 0
     for i, c in enumerate(p):
         h += STEP_HEIGHT[c]
+        if h < 0:
+            raise NotADyckPathError(
+                f"dips below the axis at position {i} in {str(p)!r}")
         if h == 0:
             return DyckPath(p[1:i]), DyckPath(p[i + 1:])
     raise NotADyckPathError(f"path never returns to the axis: {str(p)!r}")
@@ -128,55 +130,41 @@ def is_constrained(p: Union[str, DyckPath]) -> bool:
     """Membership in the constrained family.
 
     A Dyck path belongs iff it is empty, or p = U alpha D beta with
-    h(U alpha D) >= h(beta) and both alpha and beta belong recursively.
-    Recursion depth is at most the semilength.
+    h(U alpha D) >= h(beta) and both alpha and beta belong recursively;
+    equivalently, at every nesting level the heights of consecutive
+    blocks never increase. Input that is not a Dyck path raises the
+    DyckPath validation error.
     """
-    if not p:
-        return True
-    alpha, beta = first_return_decompose(p)
-    if height(alpha) + 1 < height(beta):
-        return False
-    return is_constrained(alpha) and is_constrained(beta)
+    p = p if isinstance(p, DyckPath) else DyckPath(p)
+    return constrained_matching(p) is not None
 
 
-@dataclass(frozen=True)
-class CaseAUD:
-    """p = alpha UD where the final D is matched by the U right before it."""
-    alpha: DyckPath
+def constrained_matching(p: str):
+    """Match the steps of a Dyck word and test family membership, in one
+    stack pass.
 
-
-@dataclass(frozen=True)
-class CaseInner:
-    """p = alpha UU beta D gamma D: the final D matches an up step that is
-    itself followed by U, and U beta D gamma is the first-return
-    decomposition of the matched interior."""
-    alpha: DyckPath
-    beta: DyckPath
-    gamma: DyckPath
-
-
-def _matching_up(p: str) -> int:
-    # index of the U matching the final D, by right-to-left balance scan
-    bal = 0
-    for i in range(len(p) - 1, -1, -1):
-        bal += STEP_HEIGHT[p[i]]
-        if bal == 0 and p[i] == U:
-            return i
-    raise NotADyckPathError(f"final D has no matching U in {str(p)!r}")
-
-
-def last_arch_decompose(p: Union[str, DyckPath]):
-    """Decompose a nonempty Dyck path around the arch closed by its final D.
-
-    Returns CaseAUD(alpha) when the path ends with a UD peak whose steps
-    match each other, else CaseInner(alpha, beta, gamma).
+    Returns a list whose entry i is the index of the step paired with
+    step i, or None when p is outside the constrained family. p must
+    already be a valid Dyck word. Since the blocks on a level never grow,
+    a block is one higher than its first inner block.
     """
-    if not p:
-        raise EmptyPathError("cannot decompose the empty path")
-    if p.endswith(U + D):
-        return CaseAUD(DyckPath(p[:-2]))
-    i = _matching_up(p)
-    interior = p[i + 1:-1]
-    # interior is nonempty here, otherwise the path would end with UD
-    beta, gamma = first_return_decompose(interior)
-    return CaseInner(DyckPath(p[:i]), beta, gamma)
+    match = [0] * len(p)
+    opened = []
+    # per open level: [height of its first closed block, of its latest one];
+    # a level with no closed block yet has no ceiling
+    levels = [[0, len(p)]]
+    for i, c in enumerate(p):
+        if c == U:
+            opened.append(i)
+            levels.append([0, len(p)])
+            continue
+        j = opened.pop()
+        match[i], match[j] = j, i
+        h = levels.pop()[0] + 1
+        level = levels[-1]
+        if h > level[1]:
+            return None
+        level[1] = h
+        if not level[0]:
+            level[0] = h
+    return match

@@ -17,6 +17,7 @@ report consistency notices instead.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -442,7 +443,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     avoiders = [closed_series["DUU"].coefficient(n, 0)
                 for n in range(1, min(max_n, 9) + 1)]
     powers = [2 ** (n - 1) for n in range(1, len(avoiders) + 1)]
-    squares = all(round(a ** 0.5) ** 2 == a for a in avoiders)
+    squares = all(math.isqrt(a) ** 2 == a for a in avoiders)
     _add(checks, "info:DUU-avoider-shape", "info",
          f"zero-occurrence counts for DUU at n=1..{len(avoiders)} are "
          f"{', '.join(map(str, avoiders))}: "

@@ -1,13 +1,16 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckmotz import (
-    DEFAULT_TABLE_BOUND,
-    LengthBeyondTableBoundError,
     MotzkinPath,
     NotAMotzkinPathError,
     NotConstrainedError,
     check_bijectivity,
     enumerate_constrained,
+    enumerate_motzkin,
     motzkin_number,
     phi,
     phi_inverse,
@@ -61,15 +64,34 @@ def test_round_trip_both_ways():
             seen.add(str(m))
             assert phi_inverse(m) == p
         assert len(seen) == motzkin_number(n)
+    for length in range(11):
+        for m in enumerate_motzkin(length):
+            assert phi(phi_inverse(m)) == m
 
 
-def test_inverse_table_bound():
-    with pytest.raises(LengthBeyondTableBoundError):
-        phi_inverse("F" * (DEFAULT_TABLE_BOUND + 1))
-    # an explicit bound overrides the default, in both directions
-    assert phi_inverse("FFF", table_bound=3) == "UDUDUD"
-    with pytest.raises(LengthBeyondTableBoundError):
-        phi_inverse("FFF", table_bound=2)
+def _random_motzkin(length, rng):
+    # uniform choice among the steps that can still return to the axis
+    out, level = [], 0
+    for remaining in range(length, 0, -1):
+        steps = (("U" if level + 1 < remaining else "")
+                 + ("D" if level else "")
+                 + ("F" if level < remaining else ""))
+        c = rng.choice(steps)
+        level += {"U": 1, "D": -1, "F": 0}[c]
+        out.append(c)
+    return "".join(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2000, 3000), st.integers(0, 2 ** 32))
+def test_long_motzkin_words_round_trip(length, seed):
+    m = _random_motzkin(length, random.Random(seed))
+    assert phi(phi_inverse(m)) == m
+
+
+def test_long_extreme_shapes_round_trip():
+    for p in ("UD" * 5000, "U" * 5000 + "D" * 5000):
+        assert phi_inverse(phi(p)) == p
 
 
 def test_inverse_rejects_bad_input():

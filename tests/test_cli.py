@@ -44,6 +44,14 @@ def test_map_csv_keeps_input_column(capsys):
     assert capsys.readouterr().out.splitlines() == ["input,image", "UD,F"]
 
 
+def test_map_long_paths(capsys):
+    assert main(["map", "UD" * 1200, "U" * 1000 + "D" * 1000]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "F" * 1200, "U" * 500 + "D" * 500]
+    assert main(["map", "--direction", "inverse", "F" * 1200]) == 0
+    assert capsys.readouterr().out.splitlines() == ["UD" * 1200]
+
+
 def test_map_rejects_bad_path(capsys):
     assert main(["map", "UDUUDD"]) == 2
     assert "dyckmotz:" in capsys.readouterr().err

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import product
 
 from dyckmotz import (
@@ -90,3 +93,15 @@ def test_height_refined_row_sums_reach_motzkin():
     for n in range(15):
         assert sum(count_constrained_by_height(n, h)
                    for h in range(n + 1)) == motzkin_number(n)
+
+
+def test_height_refined_counts_cold_and_deep():
+    # a fresh interpreter, so nothing computed by another test is warm
+    code = ("from dyckmotz import count_constrained_by_height as c, motzkin_number\n"
+            "c(300, 5)\n"
+            "assert sum(c(300, h) for h in range(301)) == motzkin_number(300)\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr

@@ -1,8 +1,6 @@
 import pytest
 
 from dyckmotz import (
-    CaseAUD,
-    CaseInner,
     DyckPath,
     EmptyPathError,
     LatticePath,
@@ -13,7 +11,6 @@ from dyckmotz import (
     first_return_decompose,
     height,
     is_constrained,
-    last_arch_decompose,
     validate_motzkin,
 )
 
@@ -74,6 +71,8 @@ def test_first_return_decompose():
         first_return_decompose("")
     with pytest.raises(NotADyckPathError):
         first_return_decompose("UU")
+    with pytest.raises(NotADyckPathError):
+        first_return_decompose("DU")
 
 
 def test_is_constrained():
@@ -87,30 +86,11 @@ def test_is_constrained():
     # the condition applies inside blocks too
     assert not is_constrained("UUDUUDDD")
     assert is_constrained("UUUDDDUUDD")
-
-
-def test_last_arch_decompose_peak_case():
-    assert last_arch_decompose("UD") == CaseAUD("")
-    assert last_arch_decompose("UDUD") == CaseAUD("UD")
-    assert last_arch_decompose("UUDDUD") == CaseAUD("UUDD")
-
-
-def test_last_arch_decompose_inner_case():
-    assert last_arch_decompose("UUDD") == CaseInner("", "", "")
-    assert last_arch_decompose("UUDUDD") == CaseInner("", "", "UD")
-    assert last_arch_decompose("UUUDDD") == CaseInner("", "UD", "")
-    assert last_arch_decompose("UDUUDD") == CaseInner("UD", "", "")
-    with pytest.raises(EmptyPathError):
-        last_arch_decompose("")
-
-
-def test_last_arch_reassembles_the_path():
-    from dyckmotz import enumerate_dyck
-
-    for n in range(1, 7):
-        for p in enumerate_dyck(n):
-            d = last_arch_decompose(p)
-            if isinstance(d, CaseAUD):
-                assert d.alpha + "UD" == p
-            else:
-                assert d.alpha + "U" + "U" + d.beta + "D" + d.gamma + "D" == p
+    assert is_constrained("U" * 3000 + "D" * 3000)
+    # input is validated as a Dyck path, naming the first bad position
+    with pytest.raises(NotAMotzkinPathError) as exc:
+        is_constrained("DU")
+    assert exc.value.position == 0
+    with pytest.raises(PathSyntaxError) as exc:
+        is_constrained("UXD")
+    assert exc.value.position == 1
