@@ -20,6 +20,7 @@ from .genfun import (
     DEFAULT_TRUNCATION,
     FIXED_POINT_PATTERNS,
     PATTERNS,
+    RouteCheckError,
     distribution_brute_force,
     distribution_gf_closed,
     distribution_gf_fixed_point,
@@ -284,7 +285,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (NetworkUnavailableError, MalformedBFileError, FileNotFoundError) as exc:
+    except (NetworkUnavailableError, MalformedBFileError, FileNotFoundError,
+            RouteCheckError) as exc:
         print(f"dyckmotz: {exc}", file=sys.stderr)
         return 1
     except _INPUT_ERRORS as exc:

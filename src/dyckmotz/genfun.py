@@ -46,6 +46,10 @@ class NoConvergenceError(ArithmeticError):
     """Fixed-point iteration failed to stabilize within the bound."""
 
 
+class RouteCheckError(ValueError):
+    """A route's series failed a shape check or a cross-route identity."""
+
+
 @dataclass(frozen=True)
 class GfResult:
     pattern: str
@@ -62,14 +66,14 @@ def _canon(pattern: str) -> str:
 
 def _validate_distribution(series: TruncatedSeries, pattern: str, method: str):
     if series.y_poly(0) != [1]:
-        raise ValueError(f"{pattern}/{method}: constant term is not 1")
+        raise RouteCheckError(f"{pattern}/{method}: constant term is not 1")
     for n in range(series.trunc_x + 1):
         poly = series.y_poly(n)
         if any(not isinstance(c, int) or c < 0 for c in poly):
-            raise ValueError(
+            raise RouteCheckError(
                 f"{pattern}/{method}: non-integer or negative coefficient at x^{n}")
         if sum(poly) != motzkin_number(n):
-            raise ValueError(
+            raise RouteCheckError(
                 f"{pattern}/{method}: row sum at x^{n} is {sum(poly)}, "
                 f"want M_{n} = {motzkin_number(n)}")
 
@@ -171,26 +175,26 @@ def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> GfResul
 # functional equations ----------------------------------------------------
 # Single-unknown forms iterate one series; the two-unknown systems
 # iterate (A, B) jointly with F written as 1 + A + B inside every right
-# hand side, which keeps each pass worth one more correct x-order.
+# hand side. x^k of a right hand side needs only lower orders, so pass k
+# at truncation k settles x^k; up to three passes at N then confirm.
+
+def _fixed_point(N: int, *rhs):
+    ms = [TruncatedSeries.zero(0)] * len(rhs)
+    for k in range(N + 4):
+        nxt = [f(*ms) for f in rhs]
+        if k >= N and nxt == ms:
+            return ms
+        t = min(k + 1, N)  # zero-extend to the next truncation
+        ms = [TruncatedSeries(t, m.coeffs[:t + 1] + [[]] * (t - m.trunc_x)) for m in nxt]
+    raise NoConvergenceError(f"no fixed point within {N + 4} passes")
+
 
 def _fp_single(N: int, rhs) -> TruncatedSeries:
-    m = TruncatedSeries.zero(N)
-    for _ in range(N + 3):
-        nxt = rhs(m)
-        if nxt == m:
-            return m
-        m = nxt
-    raise NoConvergenceError(f"no fixed point within {N + 2} iterations")
+    return _fixed_point(N, rhs)[0]
 
 
 def _fp_pair(N: int, rhs_a, rhs_b):
-    a = b = TruncatedSeries.zero(N)
-    for _ in range(N + 3):
-        na, nb = rhs_a(a, b), rhs_b(a, b)
-        if na == a and nb == b:
-            return a, b
-        a, b = na, nb
-    raise NoConvergenceError(f"no fixed point within {N + 2} iterations")
+    return tuple(_fixed_point(N, rhs_a, rhs_b))
 
 
 def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> GfResult:
@@ -302,7 +306,7 @@ def popularity_gf(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     if pattern in ("UD", "UU", "DD", "DU"):
         printed = _pop_closed_length2(pattern, N)
         if printed != derived:
-            raise ValueError(
+            raise RouteCheckError(
                 f"popularity closed form for {pattern} disagrees with the "
                 f"derivative route")
     return derived
@@ -315,5 +319,5 @@ def du_from_ud(N: int = DEFAULT_TRUNCATION) -> GfResult:
     series = 1 + (f_ud - f_ud.eval_y(0)).div_exact_monomial(0, 1)
     direct = distribution_gf_closed("DU", N).series
     if series != direct:
-        raise ValueError("DU-from-UD identity disagrees with the DU closed form")
+        raise RouteCheckError("DU-from-UD identity disagrees with the DU closed form")
     return _result("DU", "closed_form", series)

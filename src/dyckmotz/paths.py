@@ -101,7 +101,7 @@ def validate_motzkin(p: Union[str, LatticePath]) -> MotzkinPath:
 def height(p: Union[str, LatticePath]) -> int:
     """Maximal level reached by the path (0 for the empty path)."""
     h = best = 0
-    for c in p:
+    for c in LatticePath(p):  # validates the letters first
         h += STEP_HEIGHT[c]
         if h > best:
             best = h
@@ -116,7 +116,7 @@ def first_return_decompose(p: Union[str, DyckPath]):
     if not p:
         raise EmptyPathError("cannot decompose the empty path")
     h = 0
-    for i, c in enumerate(p):
+    for i, c in enumerate(LatticePath(p)):  # validates the letters first
         h += STEP_HEIGHT[c]
         if h < 0:
             raise NotADyckPathError(

@@ -11,8 +11,9 @@ order is visible in the result rather than silently wrong.
 Operator overloading covers +, -, *, /, ** and mixing with ints and
 Fractions, so algebraic formulas can be transcribed directly. Division
 accepts any divisor whose lowest x-degree slice is a single monomial
-c*y^m (unit divisors are the m = 0, valuation 0 case); square roots use
-Newton iteration and require constant term exactly 1.
+c*y^m (unit divisors are the m = 0, valuation 0 case). Square roots
+require constant term exactly 1 and solve s*s = f one x-order at a time:
+s_n = (f_n - sum_{0<i<n} s_i s_{n-i}) / 2, with no series division.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ class NonSquareConstantTermError(ValueError):
 
 
 def _norm(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 
@@ -54,9 +55,6 @@ def _padd(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
         out[i] = _norm(out[i] + c)
     return _trim(out)
 
-
-def _pneg(a: List[Scalar]) -> List[Scalar]:
-    return [-c for c in a]
 
 def _pmul(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
     if not a or not b:
@@ -178,7 +176,7 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.trunc_x, [_pneg(p) for p in self.coeffs])
+        return TruncatedSeries(self.trunc_x, [_pscale(p, -1) for p in self.coeffs])
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -278,17 +276,19 @@ class TruncatedSeries:
         return _div(self, other)
 
     def sqrt_unit(self) -> "TruncatedSeries":
-        """Newton square root; requires constant term exactly 1."""
+        """Square root, one x-order at a time: s_0 = 1 and
+        2 s_n = f_n - sum_{0<i<n} s_i s_{n-i}. Needs constant term 1."""
         if self.coeffs[0] != [1]:
             raise NonSquareConstantTermError(
                 "square root requires constant term exactly 1")
-        s = TruncatedSeries.one(self.trunc_x)
-        correct = 1
-        half = Fraction(1, 2)
-        while correct <= self.trunc_x:
-            s = (s + _div(self, s)) * half
-            correct *= 2
-        return s
+        s = [[1]]
+        for n in range(1, self.trunc_x + 1):
+            acc = list(self.coeffs[n])
+            for i in range(1, n // 2 + 1):  # terms i and n - i at once
+                w = -1 if 2 * i == n else -2
+                acc = _padd(acc, _pscale(_pmul(s[i], s[n - i]), w))
+            s.append(_pscale(acc, Fraction(1, 2)))
+        return TruncatedSeries(self.trunc_x, s)
 
 
 def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -322,7 +322,7 @@ def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         acc = list(num[n])
         for i in range(1, min(n, len(den) - 1) + 1):
             if den[i] and quot[n - i]:
-                acc = _padd(acc, _pneg(_pmul(den[i], quot[n - i])))
+                acc = _padd(acc, _pscale(_pmul(den[i], quot[n - i]), -1))
         if any(acc[:m]):
             k = next(k for k, cc in enumerate(acc[:m]) if cc)
             raise InexactDivisionError(

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from dyckmotz import genfun
 from dyckmotz.cli import main
 
 
@@ -106,6 +107,13 @@ def test_gf_all_methods_agree(capsys):
 def test_gf_fixed_unavailable(capsys):
     assert main(["gf", "--pattern", "UUD", "--method", "fixed"]) == 2
     assert "no fixed-point system" in capsys.readouterr().err
+
+
+def test_gf_failed_route_check_exits_1(capsys, monkeypatch):
+    # a wrong closed form is a failed check, not bad input
+    monkeypatch.setitem(genfun._CLOSED_FORMS, "UD", lambda x, y: 1 + x)
+    assert main(["gf", "--pattern", "UD", "--method", "closed"]) == 1
+    assert "row sum at x^2" in capsys.readouterr().err
 
 
 def test_popularity_formats(capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from dyckmotz import (
     FIXED_POINT_PATTERNS,
+    NoConvergenceError,
     PATTERNS,
     PathProfile,
     distribution_brute_force,
@@ -13,6 +14,7 @@ from dyckmotz import (
     parse_pattern,
     popularity_gf,
 )
+from dyckmotz.genfun import _fp_pair, _fp_single
 
 N = 10
 
@@ -49,6 +51,19 @@ def test_fixed_points_agree_with_brute_force():
         if fixed.components:
             total = 1 + fixed.components["A"] + fixed.components["B"]
             assert total == fixed.series, pattern
+
+
+def test_closed_forms_equal_fixed_points_deep():
+    for pattern in FIXED_POINT_PATTERNS:
+        closed = distribution_gf_closed(pattern, 40).series
+        assert distribution_gf_fixed_point(pattern, 40).series == closed, pattern
+
+
+def test_fixed_point_without_convergence_raises():
+    with pytest.raises(NoConvergenceError):
+        _fp_single(8, lambda M: M + 1)
+    with pytest.raises(NoConvergenceError):
+        _fp_pair(8, lambda A, B: B + 1, lambda A, B: A)
 
 
 def test_fixed_point_requires_known_pattern():

@@ -61,6 +61,9 @@ def test_height():
     assert height("UDUD") == 1
     assert height("UUDUDD") == 2
     assert height(DyckPath("UUUDDD")) == 3
+    with pytest.raises(PathSyntaxError) as exc:
+        height("UXD")
+    assert exc.value.position == 1
 
 
 def test_first_return_decompose():
@@ -73,6 +76,9 @@ def test_first_return_decompose():
         first_return_decompose("UU")
     with pytest.raises(NotADyckPathError):
         first_return_decompose("DU")
+    with pytest.raises(PathSyntaxError) as exc:
+        first_return_decompose("UXD")
+    assert exc.value.position == 1
 
 
 def test_is_constrained():

@@ -110,6 +110,24 @@ def test_sqrt_unit_catalan():
     assert [cat.coefficient(n) for n in range(T)] == expected
 
 
+def test_sqrt_unit_binomial_fractions():
+    # (1 + x)^(1/2) = sum binom(1/2, n) x^n
+    root = (ONE + X).sqrt_unit()
+    assert [root.coefficient(n) for n in range(5)] == [
+        1, Fraction(1, 2), Fraction(-1, 8), Fraction(1, 16), Fraction(-5, 128)]
+    assert isinstance(root.coefficient(0), int)
+    assert root * root == ONE + X
+
+
+def test_sqrt_unit_y_dependent_radical_deep():
+    # the radical of the UD closed form, far past the campaign's truncation
+    x, y = TruncatedSeries.x_var(96), TruncatedSeries.y_var(96)
+    rad = -4 * x ** 2 + (x ** 2 * (y - 1) + x * y - 1) ** 2
+    root = rad.sqrt_unit()
+    assert root.trunc_x == 96
+    assert root * root == rad
+
+
 def test_derivative_and_eval():
     s = ONE + X * Y + 3 * X * X * Y ** 2
     d = s.d_dy()
