@@ -92,19 +92,25 @@ def check_bijectivity(n: int) -> dict:
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
+    return _bijectivity_report(n, ((p, phi(p)) for p in enumerate_constrained(n)))
+
+
+def _bijectivity_report(n: int, pairs) -> dict:
+    """check_bijectivity's report from the (member, image) pairs of the
+    whole family at semilength n, the images already computed by phi."""
     expected = motzkin_number(n)
     domain = 0
     images: dict = {}
     collisions = []
     roundtrip_failures = []
-    for p in enumerate_constrained(n):
+    for p, m in pairs:
         domain += 1
-        m = phi(p)
-        prev = images.setdefault(str(m), str(p))
-        if prev != str(p):
-            collisions.append((prev, str(p), str(m)))
-        if str(phi_inverse(m)) != str(p):
-            roundtrip_failures.append(str(p))
+        p = str(p)
+        prev = images.setdefault(str(m), p)
+        if prev != p:
+            collisions.append((prev, p, str(m)))
+        if str(phi_inverse(m)) != p:
+            roundtrip_failures.append(p)
     report = {
         "n": n,
         "domain": domain,

@@ -30,8 +30,9 @@ from .oeis import MalformedBFileError, NetworkUnavailableError, oeis_fetch
 from .paths import PathSyntaxError
 from .patterns import (
     PatternSyntaxError,
-    check_transport,
+    TransportSweep,
     count_occurrences,
+    family_pairs,
     parse_pattern,
     transport_rule,
     transport_rules,
@@ -176,19 +177,16 @@ def _cmd_count(args) -> int:
 def _cmd_check_transport(args) -> int:
     max_n = args.max_n if args.max_n is not None else 10
     rules = transport_rules() if args.all_rules else [transport_rule(args.rule)]
+    sweep = TransportSweep(rules)
+    for n in range(max_n + 1):
+        sweep.add(n, family_pairs(n))
     failed = False
-    for rule in rules:
-        counterexample = None
-        total = 0
-        for n in range(rule.min_n, max_n + 1):
-            result = check_transport(rule, n)
-            total += result["checked"]
-            if not result["ok"]:
-                counterexample = result["counterexample"]
-                break
+    for result in sweep.results:
+        rule = result["rule"]
+        counterexample = result["counterexample"]
         if counterexample is None:
             print(f"ok    {rule.name:<4} = {rule.motzkin_side.text}  "
-                  f"({total} paths, n={rule.min_n}..{max_n})")
+                  f"({result['checked']} paths, n={rule.min_n}..{max_n})")
         else:
             failed = True
             print(f"FAIL  {rule.name:<4} at {counterexample['path']} -> "
@@ -283,6 +281,10 @@ _INPUT_ERRORS = (PathSyntaxError, PatternSyntaxError, NotConstrainedError,
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.max_n is not None and args.max_n < 0:
+        print(f"dyckmotz: --max-n must be nonnegative, not {args.max_n}",
+              file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except (NetworkUnavailableError, MalformedBFileError, FileNotFoundError,

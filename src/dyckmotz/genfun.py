@@ -254,13 +254,12 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Gf
 
 # brute force --------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _distribution_row(n: int) -> dict:
-    """pattern -> {occurrence count -> paths}, one enumeration pass."""
+def _distribution_row(profiles) -> dict:
+    """pattern -> {occurrence count -> paths}, counted path by path over
+    the Dyck profiles of one semilength."""
     pats = {p: parse_pattern(p) for p in PATTERNS}
     rows: dict = {p: {} for p in PATTERNS}
-    for path in enumerate_constrained(n):
-        prof = PathProfile(path)
+    for prof in profiles:
         for name, pat in pats.items():
             k = prof.count(pat)
             row = rows[name]
@@ -268,16 +267,24 @@ def _distribution_row(n: int) -> dict:
     return rows
 
 
+# holds more semilengths than a brute-force sweep can reach, so a sweep
+# repeated for another pattern does not walk the family again
+@lru_cache(maxsize=DEFAULT_TRUNCATION + 1)
+def _family_row(n: int) -> dict:
+    return _distribution_row(PathProfile(p) for p in enumerate_constrained(n))
+
+
+def _brute_force(pattern: str, rows) -> GfResult:
+    """The brute-force series of pattern from the _distribution_row of
+    each semilength 0, 1, ..., N in turn."""
+    coeffs = [[row[pattern].get(k, 0) for k in range(max(row[pattern]) + 1)]
+              for row in rows]
+    return _result(pattern, "brute_force", TruncatedSeries(len(coeffs) - 1, coeffs))
+
+
 def distribution_brute_force(pattern: str, N: int) -> GfResult:
     pattern = _canon(pattern)
-    coeffs = []
-    for n in range(N + 1):
-        row = _distribution_row(n)[pattern]
-        poly = [0] * (max(row) + 1)
-        for k, cnt in row.items():
-            poly[k] = cnt
-        coeffs.append(poly)
-    return _result(pattern, "brute_force", TruncatedSeries(N, coeffs))
+    return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
 
 # popularity ---------------------------------------------------------------

@@ -316,18 +316,20 @@ def transport_rule(name: str) -> TransportRule:
                        f"known: {', '.join(sorted(_RULES_BY_NAME))}") from None
 
 
-def _default_pairs(n: int):
-    for p in enumerate_constrained(n):
-        yield PathProfile(p), PathProfile(phi(p))
+def family_pairs(n: int) -> list:
+    """(dyck PathProfile, image PathProfile) for every family member of
+    semilength n, in enumeration order. This is the one pass over the
+    family that a campaign builds per semilength and hands to every
+    check that reads the family."""
+    return [(PathProfile(p), PathProfile(phi(p))) for p in enumerate_constrained(n)]
 
 
 def check_transport(rule: Union[TransportRule, str], n: int,
                     pairs=None) -> dict:
     """Exhaustively verify one rule at semilength n.
 
-    pairs may supply prebuilt (dyck PathProfile, motzkin PathProfile)
-    tuples so a verification campaign can share one enumeration pass
-    across many rules.
+    pairs may supply the family_pairs(n) list so a verification campaign
+    can share one enumeration pass across many rules.
     """
     if isinstance(rule, str):
         rule = transport_rule(rule)
@@ -335,7 +337,7 @@ def check_transport(rule: Union[TransportRule, str], n: int,
         raise ValueError(f"rule {rule.name} is claimed only for n >= {rule.min_n}")
     checked = 0
     counterexample = None
-    for dyck_prof, motz_prof in (pairs if pairs is not None else _default_pairs(n)):
+    for dyck_prof, motz_prof in (pairs if pairs is not None else family_pairs(n)):
         checked += 1
         lhs = evaluate_statistic(dyck_prof.path, rule.dyck_side, dyck_prof)
         rhs = evaluate_statistic(motz_prof.path, rule.motzkin_side, motz_prof)
@@ -354,3 +356,22 @@ def check_transport(rule: Union[TransportRule, str], n: int,
         "ok": counterexample is None,
         "counterexample": counterexample,
     }
+
+
+class TransportSweep:
+    """check_transport for several rules from n = rule.min_n up, fed one
+    family_pairs(n) at a time in increasing n. results holds per rule the
+    paths checked in total and the first counterexample (with its n), at
+    which the rule stops, or None."""
+
+    def __init__(self, rules):
+        self.results = [{"rule": rule, "checked": 0, "counterexample": None}
+                        for rule in rules]
+
+    def add(self, n: int, pairs) -> None:
+        for r in self.results:
+            if r["counterexample"] is None and n >= r["rule"].min_n:
+                result = check_transport(r["rule"], n, pairs=pairs)
+                r["checked"] += result["checked"]
+                if not result["ok"]:
+                    r["counterexample"] = {"n": n, **result["counterexample"]}

@@ -23,24 +23,21 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .bijection import check_bijectivity, phi
-from .enumeration import (
-    enumerate_constrained,
-    enumerate_dyck,
-    enumerate_motzkin,
-    motzkin_number,
-)
+from .bijection import _bijectivity_report
+from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_number
 from .genfun import (
     FIXED_POINT_PATTERNS,
     PATTERNS,
-    distribution_brute_force,
+    _brute_force,
+    _distribution_row,
     distribution_gf_closed,
     distribution_gf_fixed_point,
     du_from_ud,
     popularity_gf,
 )
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
-from .patterns import PathProfile, evaluate_statistic, parse_statistic, transport_rules
+from .patterns import (PathProfile, TransportSweep, evaluate_statistic,
+                       family_pairs, parse_statistic, transport_rules)
 
 DEFAULT_MAX_N = 12
 
@@ -61,10 +58,10 @@ DYCK_IDENTITIES = (
 )
 
 MOTZKIN_IDENTITIES = (
-    ("U", "D"),
-    ("U + F + D", "n"),
-    ("UF", "UF+D + UF+U"),
-    ("F", "F$ + FF + FD + FUU + FUD + FUF"),
+    ("U", "D", 0),
+    ("U + F + D", "n", 0),
+    ("UF", "UF+D + UF+U", 0),
+    ("F", "F$ + FF + FD + FUU + FUD + FUF", 0),
 )
 
 
@@ -192,6 +189,12 @@ def _add(checks, name, status, details, counterexample=None):
     checks.append(record)
 
 
+def _judge(checks, name, details, counterexample):
+    # a check passes exactly when it has no counterexample to show
+    _add(checks, name, "pass" if counterexample is None else "fail",
+         details, counterexample)
+
+
 def run_full_verification(max_n: int = DEFAULT_MAX_N,
                           seed_tables: Optional[str] = None,
                           oeis_cache_dir: Optional[str] = None) -> dict:
@@ -202,122 +205,99 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     touches the network: sequence references use transcribed terms
     unless a cached b-file is present in oeis_cache_dir.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, not {max_n}")
     t_start = time.monotonic()
     golden = load_golden_tables(seed_tables)
     checks: list = []
 
-    # shared per-size context: (dyck profile, image profile) pairs
-    pairs = {}
+    # one pass over the family per semilength: cardinality, bijectivity,
+    # transport, the brute-force rows and the structural check all read it
+    counts, rows = [], []
+    bad = structural_worst = None
+    transport = TransportSweep(transport_rules())
+    duu = parse_statistic("DUU", "dyck")
+    uud = parse_statistic("UUD", "dyck")
     for n in range(max_n + 1):
-        pairs[n] = [(PathProfile(p), PathProfile(phi(p)))
-                    for p in enumerate_constrained(n)]
+        pairs = family_pairs(n)
+        counts.append(len(pairs))
+        if bad is None:
+            report = _bijectivity_report(n, ((d.path, m.path) for d, m in pairs))
+            bad = None if report["ok"] else report
+        transport.add(n, pairs)
+        rows.append(_distribution_row(d for d, _ in pairs))
+        for d, _ in (pairs if structural_worst is None else ()):
+            k = evaluate_statistic(d.path, uud, d)
+            if k > 1 and evaluate_statistic(d.path, duu, d) == 0:
+                structural_worst = {"n": n, "path": d.text, "UUD": k}
+                break
+        del pairs  # before the next, larger pass is built
 
     # (1) cardinality
-    counts = [len(pairs[n]) for n in range(max_n + 1)]
     wanted = [motzkin_number(n) for n in range(max_n + 1)]
-    _add(checks, "cardinality",
-         "pass" if counts == wanted else "fail",
-         f"family sizes for n=0..{max_n}: {', '.join(map(str, counts))}",
-         None if counts == wanted else {"computed": counts, "expected": wanted})
+    _judge(checks, "cardinality",
+           f"family sizes for n=0..{max_n}: {', '.join(map(str, counts))}",
+           None if counts == wanted else {"computed": counts, "expected": wanted})
 
     # (2) bijectivity
-    bad = None
-    for n in range(max_n + 1):
-        report = check_bijectivity(n)
-        if not report["ok"]:
-            bad = report
-            break
-    _add(checks, "bijectivity",
-         "pass" if bad is None else "fail",
-         f"injective with full Motzkin image and exact round trip for n=0..{max_n}",
-         bad)
+    _judge(checks, "bijectivity",
+           f"injective with full Motzkin image and exact round trip for n=0..{max_n}",
+           bad)
 
     # (3) transport rules
-    for rule in transport_rules():
-        worst = None
-        total = 0
-        for n in range(rule.min_n, max_n + 1):
-            checked = 0
-            for dyck_prof, motz_prof in pairs[n]:
-                checked += 1
-                lhs = evaluate_statistic(dyck_prof.path, rule.dyck_side, dyck_prof)
-                rhs = evaluate_statistic(motz_prof.path, rule.motzkin_side, motz_prof)
-                if lhs != rhs:
-                    worst = {"n": n, "path": dyck_prof.text,
-                             "image": motz_prof.text, "lhs": lhs, "rhs": rhs}
-                    break
-            total += checked
-            if worst:
-                break
-        _add(checks, f"transport:{rule.name}",
-             "pass" if worst is None else "fail",
-             f"{rule.name} -> {rule.motzkin_side.text} over {total} paths, "
-             f"n={rule.min_n}..{max_n}", worst)
+    for result in transport.results:
+        rule = result["rule"]
+        _judge(checks, f"transport:{rule.name}",
+               f"{rule.name} -> {rule.motzkin_side.text} over {result['checked']} "
+               f"paths, n={rule.min_n}..{max_n}", result["counterexample"])
 
     # (4) identity systems on unrestricted paths (sizes are tiny; the
     # Catalan explosion makes larger exhaustive sweeps pointless here)
     id_bound = min(max_n, 8)
-    dyck_profiles = [(n, PathProfile(p))
-                     for n in range(id_bound + 1) for p in enumerate_dyck(n)]
-    for lhs_text, rhs_text, min_n in DYCK_IDENTITIES:
-        lhs_e = parse_statistic(lhs_text, "dyck")
-        rhs_e = parse_statistic(rhs_text, "dyck")
-        worst = None
-        for n, prof in dyck_profiles:
-            if n < min_n:
-                continue
-            a = evaluate_statistic(prof.path, lhs_e, prof)
-            b = evaluate_statistic(prof.path, rhs_e, prof)
-            if a != b:
-                worst = {"path": prof.text, "lhs": a, "rhs": b}
-                break
-        _add(checks, f"identity:dyck:{lhs_text} = {rhs_text}",
-             "pass" if worst is None else "fail",
-             f"all Dyck paths, n={min_n}..{id_bound}", worst)
-    motz_profiles = [PathProfile(p)
-                     for n in range(id_bound + 1) for p in enumerate_motzkin(n)]
-    for lhs_text, rhs_text in MOTZKIN_IDENTITIES:
-        lhs_e = parse_statistic(lhs_text, "motzkin")
-        rhs_e = parse_statistic(rhs_text, "motzkin")
-        worst = None
-        for prof in motz_profiles:
-            a = evaluate_statistic(prof.path, lhs_e, prof)
-            b = evaluate_statistic(prof.path, rhs_e, prof)
-            if a != b:
-                worst = {"path": prof.text, "lhs": a, "rhs": b}
-                break
-        _add(checks, f"identity:motzkin:{lhs_text} = {rhs_text}",
-             "pass" if worst is None else "fail",
-             f"all Motzkin paths, n=0..{id_bound}", worst)
+    for side, walk, identities in (("Dyck", enumerate_dyck, DYCK_IDENTITIES),
+                                   ("Motzkin", enumerate_motzkin, MOTZKIN_IDENTITIES)):
+        profiles = [(n, PathProfile(p)) for n in range(id_bound + 1) for p in walk(n)]
+        for lhs_text, rhs_text, min_n in identities:
+            lhs_e = parse_statistic(lhs_text, side.lower())
+            rhs_e = parse_statistic(rhs_text, side.lower())
+            worst = None
+            for n, prof in profiles:
+                if n < min_n:
+                    continue
+                a = evaluate_statistic(prof.path, lhs_e, prof)
+                b = evaluate_statistic(prof.path, rhs_e, prof)
+                if a != b:
+                    worst = {"path": prof.text, "lhs": a, "rhs": b}
+                    break
+            _judge(checks, f"identity:{side.lower()}:{lhs_text} = {rhs_text}",
+                   f"all {side} paths, n={min_n}..{id_bound}", worst)
 
     # (5) three-way generating function agreement
     closed_series = {}
     brute_series = {}
+    fixed_series = {}
     for pattern in PATTERNS:
         closed = distribution_gf_closed(pattern, max_n).series
-        brute = distribution_brute_force(pattern, max_n).series
+        brute = _brute_force(pattern, rows).series
         closed_series[pattern] = closed
         brute_series[pattern] = brute
         routes = {"closed=brute": closed == brute}
         if pattern in FIXED_POINT_PATTERNS:
             fixed = distribution_gf_fixed_point(pattern, max_n)
+            fixed_series[pattern] = fixed.series
             routes["fixed=brute"] = fixed.series == brute
             if fixed.components:
                 routes["1+A+B=F"] = (
                     1 + fixed.components["A"] + fixed.components["B"] == fixed.series)
-        ok = all(routes.values())
-        _add(checks, f"three-way:{pattern}",
-             "pass" if ok else "fail",
-             f"routes over n<=..{max_n}: " + ", ".join(
-                 f"{k} {'ok' if v else 'DISAGREE'}" for k, v in routes.items()),
-             None if ok else routes)
-    du_ok = True
+        _judge(checks, f"three-way:{pattern}",
+               f"routes over n<=..{max_n}: " + ", ".join(
+                   f"{k} {'ok' if v else 'DISAGREE'}" for k, v in routes.items()),
+               None if all(routes.values()) else routes)
     try:
         du_from_ud(max_n)
     except ValueError as exc:
-        du_ok = False
         _add(checks, "three-way:DU-from-UD", "fail", str(exc))
-    if du_ok:
+    else:
         _add(checks, "three-way:DU-from-UD", "pass",
              "peak-free-strip identity rebuilds the DU series exactly")
 
@@ -326,8 +306,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         series_routes = [("closed", closed_series[table.pattern]),
                          ("brute", brute_series[table.pattern])]
         if table.pattern in FIXED_POINT_PATTERNS:
-            series_routes.append(
-                ("fixed", distribution_gf_fixed_point(table.pattern, max_n).series))
+            series_routes.append(("fixed", fixed_series[table.pattern]))
         worst = None
         in_range = 0
         for n, k, value in table.cells:
@@ -342,10 +321,9 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                     break
             if worst:
                 break
-        _add(checks, f"golden:{label}",
-             "pass" if worst is None else "fail",
-             f"{in_range} transcribed cells (of {len(table.cells)}) against "
-             f"{len(series_routes)} routes", worst)
+        _judge(checks, f"golden:{label}",
+               f"{in_range} transcribed cells (of {len(table.cells)}) against "
+               f"{len(series_routes)} routes", worst)
     worst = None
     in_range = 0
     for label, n, value in golden.sums:
@@ -356,9 +334,8 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         if got != value or motzkin_number(n) != value:
             worst = {"label": label, "n": n, "printed": value, "computed": got}
             break
-    _add(checks, "golden:sum-row",
-         "pass" if worst is None else "fail",
-         f"{in_range} column sums against row totals and M_n", worst)
+    _judge(checks, "golden:sum-row",
+           f"{in_range} column sums against row totals and M_n", worst)
 
     # (7) popularity rows, with the misprint protocol
     pop_series = {p: popularity_gf(p, max_n) for p in PATTERNS}
@@ -391,18 +368,11 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
             elif computed != cell.printed:
                 pop_failures.setdefault(key, []).append(
                     {"n": cell.n, "printed": cell.printed, "computed": computed})
-    seen = []
-    for cell in golden.popularity:
-        for pattern in cell.patterns:
-            key = f"{cell.source}:{pattern}"
-            if key in seen:
-                continue
-            seen.append(key)
-            bad_cells = pop_failures.get(key)
-            _add(checks, f"golden:pop:{key}",
-                 "pass" if not bad_cells else "fail",
-                 f"{pop_counts.get(key, 0)} transcribed terms against "
-                 f"the derivative route", bad_cells)
+    for key in dict.fromkeys(f"{cell.source}:{pattern}"
+                             for cell in golden.popularity for pattern in cell.patterns):
+        _judge(checks, f"golden:pop:{key}",
+               f"{pop_counts.get(key, 0)} transcribed terms against "
+               f"the derivative route", pop_failures.get(key))
     for note in notices:
         _add(checks, "misprint-notice", "notice", note)
     try:
@@ -415,30 +385,14 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         _add(checks, "popularity-closed-forms", "fail", str(exc))
 
     # structural facts and informational items
-    worst = None
-    two_occ = []
-    for n in range(max_n + 1):
-        duu = parse_statistic("DUU", "dyck")
-        uud = parse_statistic("UUD", "dyck")
-        count_two = 0
-        for dyck_prof, _ in pairs[n]:
-            uud_count = evaluate_statistic(dyck_prof.path, uud, dyck_prof)
-            if uud_count == 2:
-                count_two += 1
-            if (worst is None and uud_count > 1
-                    and evaluate_statistic(dyck_prof.path, duu, dyck_prof) == 0):
-                worst = {"n": n, "path": dyck_prof.text, "UUD": uud_count}
-        two_occ.append(count_two)
-    _add(checks, "structural:DUU-avoiders-have-at-most-one-UUD",
-         "pass" if worst is None else "fail",
-         f"exhaustive over n=0..{max_n}", worst)
+    _judge(checks, "structural:DUU-avoiders-have-at-most-one-UUD",
+           f"exhaustive over n=0..{max_n}", structural_worst)
     expected_two = [1, 5, 18, 56, 160, 432]
-    got_two = two_occ[4:10] if max_n >= 9 else two_occ[4:]
-    ok = got_two == expected_two[:len(got_two)]
-    _add(checks, "column:UUD-exactly-twice",
-         "pass" if ok else "fail",
-         f"n=4..{min(max_n, 9)}: {', '.join(map(str, got_two))}",
-         None if ok else {"computed": got_two, "expected": expected_two})
+    got_two = [row["UUD"].get(2, 0) for row in rows[4:10]]
+    _judge(checks, "column:UUD-exactly-twice",
+           f"n=4..{min(max_n, 9)}: {', '.join(map(str, got_two))}",
+           None if got_two == expected_two[:len(got_two)]
+           else {"computed": got_two, "expected": expected_two})
 
     avoiders = [closed_series["DUU"].coefficient(n, 0)
                 for n in range(1, min(max_n, 9) + 1)]
@@ -466,6 +420,10 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         refs = tuple(refreshed)
     for ref in refs:
         computed = _resolve_target(ref, closed_series, pop_series, max_n)
+        if not computed:
+            _add(checks, f"oeis:{ref.oeis_id}:{ref.target}", "info",
+                 f"no terms up to n = {max_n}; not compared")
+            continue
         result = compare_sequence(computed, ref)
         if ref.status == "conjectured":
             status = ("conjecture-consistent" if result["matched"]

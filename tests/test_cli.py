@@ -79,9 +79,23 @@ def test_check_transport_single(capsys):
 
 def test_check_transport_all(capsys):
     assert main(["check-transport", "--all", "--max-n", "5"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 15
-    assert all(line.startswith("ok") for line in lines)
+    assert capsys.readouterr().out.splitlines() == [
+        "ok    U    = U + D + F  (38 paths, n=0..5)",
+        "ok    D    = U + D + F  (38 paths, n=0..5)",
+        "ok    UD   = F + UD  (38 paths, n=0..5)",
+        "ok    UU   = U + UU + UF  (38 paths, n=0..5)",
+        "ok    DU   = FF + FU + DF + DU  (38 paths, n=0..5)",
+        "ok    UUD  = UF+D + UD  (38 paths, n=0..5)",
+        "ok    UUU  = UF+D + 2*UF+U + 2*UU  (38 paths, n=0..5)",
+        "ok    DUU  = UF+D + UD + delta - 1  (37 paths, n=1..5)",
+        "ok    DUD  = F - UF+D - delta  (37 paths, n=1..5)",
+        "ok    UDU  = FF + FUD  (38 paths, n=0..5)",
+        "ok    UDD  = FD + UD + FUU + FUF  (38 paths, n=0..5)",
+        "ok    DDU  = DF + DU + FUU + FUF  (38 paths, n=0..5)",
+        "ok    DDD  = 2*UU + 2*UF - FD - FUU - FUF  (38 paths, n=0..5)",
+        "ok    ^UD  = delta  (37 paths, n=1..5)",
+        "ok    ^UU  = 1 - delta  (37 paths, n=1..5)",
+    ]
 
 
 def test_check_transport_unknown_rule(capsys):
@@ -134,6 +148,20 @@ def test_verify_json(capsys):
     assert main(["verify", "--max-n", "4", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["max_n"] == 4
+
+
+def test_verify_smallest_campaign(capsys):
+    assert main(["verify", "--max-n", "0"]) == 0
+    assert "RESULT: OK" in capsys.readouterr().out
+
+
+def test_negative_max_n_exits_2(capsys):
+    for argv in (["verify"], ["gf", "--pattern", "UD"],
+                 ["popularity", "--pattern", "UD"], ["check-transport", "--all"]):
+        assert main(argv + ["--max-n", "-1"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "dyckmotz: --max-n must be nonnegative, not -1\n"
 
 
 def test_verify_failure_exit_code(tmp_path, capsys):

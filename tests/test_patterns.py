@@ -7,17 +7,20 @@ from dyckmotz import (
     EmptyPatternError,
     PathProfile,
     PatternSyntaxError,
+    TransportRule,
     check_transport,
     count_occurrences,
     enumerate_dyck,
     enumerate_motzkin,
     evaluate_statistic,
+    family_pairs,
     parse_pattern,
     parse_statistic,
     phi,
     transport_rule,
     transport_rules,
 )
+from dyckmotz.patterns import TransportSweep
 
 
 def test_parse_pattern_basic_forms():
@@ -185,6 +188,20 @@ def test_check_transport_accepts_explicit_pairs():
              for p in ["UUDD", "UDUD"]]
     result = check_transport(rule, 2, pairs=pairs)
     assert result["ok"] and result["checked"] == 2
+
+
+def test_transport_sweep_stops_at_first_counterexample():
+    wrong = TransportRule("UDU", parse_statistic("UDU", "dyck"),
+                          parse_statistic("FF", "motzkin"))
+    sweep = TransportSweep([transport_rule("DUU"), wrong])
+    for n in range(7):
+        sweep.add(n, family_pairs(n))
+    right, broken = sweep.results
+    assert right["counterexample"] is None
+    assert right["checked"] == sum(len(family_pairs(n)) for n in range(1, 7))
+    assert broken["counterexample"] == {"n": 3, "path": "UUDUDD", "image": "FUD",
+                                        "lhs": 1, "rhs": 0}
+    assert broken["checked"] == 1 + 1 + 2 + 2  # stops at the failing path
 
 
 def test_dyck_statistic_systems():

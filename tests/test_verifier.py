@@ -1,5 +1,9 @@
+import sys
+from collections import Counter
+
 import pytest
 
+import dyckmotz
 from dyckmotz import (
     SequenceRef,
     compare_sequence,
@@ -80,6 +84,38 @@ def test_full_campaign_small():
     assert "transport:UD" in names
     assert "three-way:DDD" in names
     assert "oeis:A004148:avoid:UDU" in names
+
+
+def test_campaign_walks_each_semilength_once(monkeypatch):
+    real = dyckmotz.enumerate_constrained
+    walked = Counter()
+
+    def counting(n):
+        walked[n] += 1
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "dyckmotz"
+                and getattr(module, "enumerate_constrained", None) is real):
+            monkeypatch.setattr(module, "enumerate_constrained", counting)
+    assert run_full_verification(max_n=6)["ok"]
+    assert walked == {n: 1 for n in range(7)}
+
+
+def test_small_campaigns_pass():
+    for max_n in range(4):
+        report = run_full_verification(max_n=max_n)
+        assert report["ok"], [c for c in report["checks"] if c["status"] == "fail"]
+    # the reference starts at n = 4: nothing to compare at n <= 3
+    record = next(c for c in report["checks"]
+                  if c["check"] == "oeis:A001793:row:UUD:2")
+    assert record["status"] == "info"
+    assert record["details"] == "no terms up to n = 3; not compared"
+
+
+def test_negative_max_n_rejected():
+    with pytest.raises(ValueError):
+        run_full_verification(max_n=-1)
 
 
 def test_misprint_annotation_produces_notice(tmp_path):
