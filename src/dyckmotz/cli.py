@@ -31,6 +31,7 @@ from .paths import PathSyntaxError
 from .patterns import (
     PatternSyntaxError,
     TransportSweep,
+    check_transport,
     count_occurrences,
     family_pairs,
     parse_pattern,
@@ -177,6 +178,8 @@ def _cmd_count(args) -> int:
 def _cmd_check_transport(args) -> int:
     max_n = args.max_n if args.max_n is not None else 10
     rules = transport_rules() if args.all_rules else [transport_rule(args.rule)]
+    if not args.all_rules and rules[0].min_n > max_n:
+        check_transport(rules[0], max_n)  # raises: nothing is claimed up to max_n
     sweep = TransportSweep(rules)
     for n in range(max_n + 1):
         sweep.add(n, family_pairs(n))
@@ -184,7 +187,10 @@ def _cmd_check_transport(args) -> int:
     for result in sweep.results:
         rule = result["rule"]
         counterexample = result["counterexample"]
-        if counterexample is None:
+        if rule.min_n > max_n:
+            print(f"skip  {rule.name:<4} = {rule.motzkin_side.text}  (claimed only "
+                  f"for n >= {rule.min_n}; nothing to check up to n = {max_n})")
+        elif counterexample is None:
             print(f"ok    {rule.name:<4} = {rule.motzkin_side.text}  "
                   f"({result['checked']} paths, n={rule.min_n}..{max_n})")
         else:

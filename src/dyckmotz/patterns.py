@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Union
 
 from .bijection import phi
 from .enumeration import enumerate_constrained
-from .paths import DyckPath, LatticePath, MotzkinPath
+from .paths import LatticePath
 
 
 class PatternSyntaxError(ValueError):
@@ -51,14 +52,19 @@ class PatternExpr:
     end_anchor: bool = False
     dirac: bool = False
     text: str = ""
+    # a PathProfile table holds this pattern's count under its text
+    in_profile: bool = False
 
     def __str__(self) -> str:
         return self.text
 
 
-DIRAC = PatternExpr(atoms=(), dirac=True, text="delta")
+DIRAC = PatternExpr(atoms=(), dirac=True, text="delta", in_profile=True)
 
 _ATOM_RE = re.compile(r"([UDF])(\+?)")
+# the texts a PathProfile table counts: an unanchored word of <= 3 plain
+# letters, or a run XY+Z with X != Y and Z != Y (one term per maximal run)
+_PROFILED_RE = re.compile(r"[UDF]{1,3}|([UDF])(?!\1)([UDF])\+(?!\2)[UDF]")
 
 
 def parse_pattern(text: str) -> PatternExpr:
@@ -84,7 +90,8 @@ def parse_pattern(text: str) -> PatternExpr:
         pos = m.end()
     if not atoms:
         raise EmptyPatternError(f"no atoms in pattern {text!r}")
-    return PatternExpr(tuple(atoms), start_anchor, end_anchor, False, text)
+    return PatternExpr(tuple(atoms), start_anchor, end_anchor, False, text,
+                       _PROFILED_RE.fullmatch(text) is not None)
 
 
 def _match_ways(p: str, atoms, start: int) -> dict:
@@ -130,48 +137,31 @@ def count_occurrences(p: Union[str, LatticePath], pat: PatternExpr) -> int:
 class PathProfile:
     """One-pass digest of a path for constant-time pattern counts.
 
-    Holds counts of all factors of length 1..3, plus every maximal
-    letter run keyed by (left flank, letter, right flank). Patterns the
-    digest cannot answer fall back to the generic counter.
+    table counts, keyed by pattern text, every factor of length 1..3,
+    "XY+Z" for every maximal run of Y flanked by X and Z, and "delta"
+    when the path is all flat. count answers a pattern that parse_pattern
+    marked in_profile by one lookup and any other by the generic counter.
     """
 
-    __slots__ = ("path", "text", "grams", "run_sites", "all_flat")
+    __slots__ = ("path", "text", "table")
 
-    def __init__(self, path: LatticePath):
+    def __init__(self, path: Union[str, LatticePath]):
+        if not isinstance(path, LatticePath):
+            path = LatticePath(path)
         self.path = path
-        s = str(path)
-        self.text = s
-        grams: Counter = Counter()
-        for size in (1, 2, 3):
-            for i in range(len(s) - size + 1):
-                grams[s[i:i + size]] += 1
-        self.grams = grams
-        runs: Counter = Counter()
-        i = 0
-        prev = ""
-        while i < len(s):
-            j = i
-            while j < len(s) and s[j] == s[i]:
-                j += 1
-            runs[(prev, s[i], s[j] if j < len(s) else "")] += 1
-            prev = s[i]
-            i = j
-        self.run_sites = runs
-        self.all_flat = s == "F" * len(s)
+        s = self.text = str(path)
+        table = Counter(s)
+        for size in (2, 3):
+            table.update(s[i:i + size] for i in range(len(s) - size + 1))
+        runs = [step for step, _ in groupby(s)]
+        table.update(x + y + "+" + z for x, y, z in zip(runs, runs[1:], runs[2:]))
+        if s == "F" * len(s):
+            table["delta"] = 1
+        self.table = table
 
     def count(self, pat: PatternExpr) -> int:
-        if pat.dirac:
-            return int(self.all_flat)
-        if not (pat.start_anchor or pat.end_anchor):
-            if all(not rep for _, rep in pat.atoms):
-                if len(pat.atoms) <= 3:
-                    return self.grams["".join(step for step, _ in pat.atoms)]
-            elif (len(pat.atoms) == 3
-                  and [rep for _, rep in pat.atoms] == [False, True, False]):
-                a, x, b = (step for step, _ in pat.atoms)
-                if a != x and b != x:
-                    # summed repetitions of a flanked run hit each site once
-                    return self.run_sites[(a, x, b)]
+        if pat.in_profile:
+            return self.table[pat.text]
         return count_occurrences(self.path, pat)
 
 
@@ -240,13 +230,8 @@ def evaluate_statistic(p: Union[str, LatticePath], e: StatisticExpr,
     """Value of the statistic on one path. A prebuilt PathProfile for p
     makes repeated evaluation over the same path cheap."""
     if profile is None:
-        if not isinstance(p, LatticePath):
-            p = LatticePath(p)
-        size = len(p)
-        counter = lambda pat: count_occurrences(p, pat)
-    else:
-        size = len(profile.text)
-        counter = profile.count
+        profile = PathProfile(p)
+    size = len(profile.text)
     n_value = size // 2 if e.side == "dyck" else size
     total = 0
     for coeff, term in e.terms:
@@ -255,7 +240,7 @@ def evaluate_statistic(p: Union[str, LatticePath], e: StatisticExpr,
         elif term is N:
             total += coeff * n_value
         else:
-            total += coeff * counter(term)
+            total += coeff * profile.count(term)
     return total
 
 

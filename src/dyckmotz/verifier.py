@@ -247,6 +247,10 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     # (3) transport rules
     for result in transport.results:
         rule = result["rule"]
+        if rule.min_n > max_n:
+            _add(checks, f"transport:{rule.name}", "info",
+                 f"claimed only for n >= {rule.min_n}; nothing to check up to n = {max_n}")
+            continue
         _judge(checks, f"transport:{rule.name}",
                f"{rule.name} -> {rule.motzkin_side.text} over {result['checked']} "
                f"paths, n={rule.min_n}..{max_n}", result["counterexample"])

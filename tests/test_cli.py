@@ -98,6 +98,21 @@ def test_check_transport_all(capsys):
     ]
 
 
+def test_check_transport_nothing_claimed(capsys):
+    # DUU is claimed only from n = 1: an empty range is bad input, not a pass
+    assert main(["check-transport", "--rule", "DUU", "--max-n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "dyckmotz: rule DUU is claimed only for n >= 1\n"
+    assert main(["check-transport", "--all", "--max-n", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 15
+    assert [line.split()[1] for line in lines if not line.startswith("ok ")] == [
+        "DUU", "DUD", "^UD", "^UU"]
+    assert lines[7] == ("skip  DUU  = UF+D + UD + delta - 1  (claimed only "
+                        "for n >= 1; nothing to check up to n = 0)")
+
+
 def test_check_transport_unknown_rule(capsys):
     assert main(["check-transport", "--rule", "FFF"]) == 2
 

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from dyckmotz import (
     DIRAC,
     EmptyPatternError,
+    LatticePath,
     PathProfile,
+    PathSyntaxError,
     PatternSyntaxError,
     TransportRule,
     check_transport,
@@ -20,7 +22,7 @@ from dyckmotz import (
     transport_rule,
     transport_rules,
 )
-from dyckmotz.patterns import TransportSweep
+from dyckmotz.patterns import PatternExpr, TransportSweep
 
 
 def test_parse_pattern_basic_forms():
@@ -117,21 +119,43 @@ def test_count_matches_expansion_oracle(word, atoms, anchor):
     elif anchor == "$":
         text = text + "$"
     expr = parse_pattern(text)
-    assert count_occurrences(word, expr) == _oracle(
-        word, atoms, anchor == "^", anchor == "$")
+    expected = _oracle(word, atoms, anchor == "^", anchor == "$")
+    assert count_occurrences(word, expr) == expected
+    assert PathProfile(word).count(expr) == expected
 
 
 def test_profile_count_agrees_with_direct_count():
     texts = ["U", "D", "F", "UD", "UU", "DD", "DU", "UF", "FD", "FF",
              "UUU", "UUD", "DUU", "DUD", "UDU", "UDD", "DDU", "DDD",
              "FUU", "FUD", "FUF", "UF+D", "UF+U", "^UU", "^UD", "DD$",
-             "UD$", "F$", "delta"]
+             "UD$", "F$", "delta",
+             # shapes the profile's table must not answer
+             "UU+D", "FF+D", "F+D", "U+", "UUUU", "^U+", "FUD$"]
     exprs = [parse_pattern(t) for t in texts]
-    for n in range(6):
-        for p in enumerate_motzkin(n):
-            prof = PathProfile(p)
-            for e in exprs:
-                assert prof.count(e) == count_occurrences(p, e), (str(p), e.text)
+    assert [e.text for e in exprs if not e.in_profile] == [
+        "^UU", "^UD", "DD$", "UD$", "F$",
+        "UU+D", "FF+D", "F+D", "U+", "UUUU", "^U+", "FUD$"]
+    # built by hand, without text: the generic counter answers it
+    exprs.append(PatternExpr((("U", False), ("D", False))))
+    paths = [p for n in range(6) for p in enumerate_motzkin(n)]
+    paths += [p for n in range(6) for p in enumerate_dyck(n)]
+    for p in paths:
+        prof = PathProfile(p)
+        for e in exprs:
+            assert prof.count(e) == count_occurrences(p, e), (str(p), e.text)
+
+
+def test_profile_validates_plain_strings():
+    with pytest.raises(PathSyntaxError) as info:
+        PathProfile("UXD")
+    assert info.value.position == 1
+    e = parse_statistic("UD", "dyck")
+    with pytest.raises(PathSyntaxError):
+        evaluate_statistic("UXD", e)
+    # a LatticePath is taken as it is
+    p = LatticePath("UFD")
+    assert PathProfile(p).path is p
+    assert evaluate_statistic("UD", e, PathProfile("UD")) == 1
 
 
 def test_parse_statistic_and_evaluate():

@@ -113,6 +113,20 @@ def test_small_campaigns_pass():
     assert record["details"] == "no terms up to n = 3; not compared"
 
 
+def test_campaign_records_unclaimed_rules_as_info():
+    report = run_full_verification(max_n=0)
+    records = {c["check"]: c for c in report["checks"]
+               if c["check"].startswith("transport:")}
+    assert len(records) == 15
+    unclaimed = {name for name, c in records.items() if c["status"] != "pass"}
+    assert unclaimed == {"transport:DUU", "transport:DUD",
+                         "transport:^UD", "transport:^UU"}
+    for name in unclaimed:
+        assert records[name]["status"] == "info"
+        assert records[name]["details"] == (
+            "claimed only for n >= 1; nothing to check up to n = 0")
+
+
 def test_negative_max_n_rejected():
     with pytest.raises(ValueError):
         run_full_verification(max_n=-1)
