@@ -12,8 +12,10 @@ non-increasing. That local form drives a depth-first walk over step
 prefixes: a prefix dies as soon as some open block is forced to exceed
 the height ceiling set by its closed left sibling, and every surviving
 prefix can be completed (close all open blocks, then pad with UD pairs),
-so the walk touches only viable prefixes. Memory is proportional to the
-path length, never to the family size.
+so the walk touches only viable prefixes. The walk is iterative: one
+explicit stack of pending prefixes, shared by all three families, so it
+has no depth limit. Memory is proportional to the path length, never to
+the family size.
 """
 from __future__ import annotations
 
@@ -39,93 +41,59 @@ def enumerate_motzkin(n: int) -> Iterator[MotzkinPath]:
     """All Motzkin paths of length n, lexicographically (U < D < F)."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    steps = [""] * n
-
-    def walk(i: int, level: int) -> Iterator[MotzkinPath]:
-        if i == n:
-            yield MotzkinPath("".join(steps))
-            return
-        remaining = n - i
-        if level + 1 <= remaining - 1:
-            steps[i] = "U"
-            yield from walk(i + 1, level + 1)
-        if level >= 1:
-            steps[i] = "D"
-            yield from walk(i + 1, level - 1)
-        if level <= remaining - 1:
-            steps[i] = "F"
-            yield from walk(i + 1, level)
-
-    return walk(0, 0)
+    return _walk(n, flat=True, capped=False)
 
 
 def enumerate_dyck(n: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength n, lexicographically (U < D)."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    total = 2 * n
-    steps = [""] * total
-
-    def walk(i: int, level: int) -> Iterator[DyckPath]:
-        if i == total:
-            yield DyckPath("".join(steps))
-            return
-        remaining = total - i
-        if level + 1 <= remaining - 1:
-            steps[i] = "U"
-            yield from walk(i + 1, level + 1)
-        if level >= 1:
-            steps[i] = "D"
-            yield from walk(i + 1, level - 1)
-
-    return walk(0, 0)
+    return _walk(2 * n, flat=False, capped=False)
 
 
 def enumerate_constrained(n: int) -> Iterator[DyckPath]:
-    """All members of the constrained family of semilength n, lexicographically.
-
-    One frame per open block tracks [base level, max level seen inside,
-    height of the last inner block closed directly inside, ceiling in
-    force before this block opened]. A sentinel frame carries the
-    top-level state. The running ceiling is the lowest absolute level
-    any open block may not exceed, given the heights of closed left
-    siblings. The current level always equals the number of open blocks,
-    so every D closes the deepest one.
-    """
+    """All members of the constrained family of semilength n, lexicographically."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    total = 2 * n
-    steps = [""] * total
-    stack = [[-1, 0, _NO_CAP, _NO_CAP]]
+    return _walk(2 * n, flat=False, capped=True)
 
-    def walk(i: int, level: int, ceiling) -> Iterator[DyckPath]:
+
+def _walk(total: int, flat: bool, capped: bool) -> Iterator[MotzkinPath]:
+    """Every path of total steps, depth first in U < D < F order, with F
+    steps only when flat and under the family's ceiling rule when capped.
+
+    A pending node (i, step, level, ceiling, blocks) places step as step
+    i and carries the state after it. The ceiling is the lowest level no
+    open block may exceed, given the heights of closed left siblings.
+    blocks is an immutable chain of the open blocks, innermost first:
+    (base level, max level seen inside, height of the last inner block
+    closed, ceiling in force before it opened, enclosing block), ending
+    in a sentinel for the top level. The level equals the number of open
+    blocks, so every D closes the innermost one.
+    """
+    make = MotzkinPath if flat else DyckPath
+    steps = [""] * (total + 1)  # steps[0] stays empty: the root's slot
+    todo = [(0, "", 0, _NO_CAP, (-1, 0, _NO_CAP, _NO_CAP, None))]
+    while todo:
+        i, step, level, ceiling, blocks = todo.pop()
+        steps[i] = step
         if i == total:
-            yield DyckPath("".join(steps))
-            return
-        remaining = total - i
-        if level + 1 <= remaining - 1:
-            # new block may not outgrow its closed left sibling
-            cap = stack[-1][2]
-            new_ceiling = min(ceiling, level + cap)
-            if level + 1 <= new_ceiling:
-                steps[i] = "U"
-                stack.append([level, level + 1, _NO_CAP, ceiling])
-                yield from walk(i + 1, level + 1, new_ceiling)
-                stack.pop()
-        if level >= 1:
-            steps[i] = "D"
-            frame = stack.pop()
-            base, hmax, _inner, saved_ceiling = frame
-            parent = stack[-1]
-            old_inner, old_hmax = parent[2], parent[1]
-            parent[2] = hmax - base
-            if hmax > parent[1]:
-                parent[1] = hmax
-            yield from walk(i + 1, level - 1, saved_ceiling)
-            parent[2], parent[1] = old_inner, old_hmax
-            stack.append(frame)
-
-    return walk(0, 0, _NO_CAP)
+            yield make("".join(steps))
+            continue
+        room = total - i - 1  # steps left after the next one
+        # pushed in reverse order, so U is taken first
+        if flat and level <= room:
+            todo.append((i + 1, "F", level, ceiling, blocks))
+        if level:
+            base, top, _, saved, (pbase, ptop, _, psaved, outer) = blocks
+            todo.append((i + 1, "D", level - 1, saved,
+                         (pbase, max(top, ptop), top - base, psaved, outer)))
+        if level < room:
+            # a new block may not outgrow its closed left sibling
+            cap = min(ceiling, level + blocks[2]) if capped else ceiling
+            if level < cap:
+                todo.append((i + 1, "U", level + 1, cap,
+                             (level, level + 1, _NO_CAP, ceiling, blocks)))
 
 
 def count_constrained_by_height(n: int, h: int) -> int:

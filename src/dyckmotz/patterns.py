@@ -94,25 +94,6 @@ def parse_pattern(text: str) -> PatternExpr:
                        _PROFILED_RE.fullmatch(text) is not None)
 
 
-def _match_ways(p: str, atoms, start: int) -> dict:
-    """End position -> number of repetition choices matching at start."""
-    frontier = {start: 1}
-    for step, repeated in atoms:
-        nxt: dict = {}
-        for j, ways in frontier.items():
-            if repeated:
-                t = j
-                while t < len(p) and p[t] == step:
-                    t += 1
-                    nxt[t] = nxt.get(t, 0) + ways
-            elif j < len(p) and p[j] == step:
-                nxt[j + 1] = nxt.get(j + 1, 0) + ways
-        if not nxt:
-            return {}
-        frontier = nxt
-    return frontier
-
-
 def count_occurrences(p: Union[str, LatticePath], pat: PatternExpr) -> int:
     """Number of occurrences of pat in p under the module's semantics."""
     if not isinstance(p, LatticePath):
@@ -120,17 +101,38 @@ def count_occurrences(p: Union[str, LatticePath], pat: PatternExpr) -> int:
     s = str(p)
     if pat.dirac:
         return int(all(c == "F" for c in s))
-    if pat.start_anchor:
-        return int(bool(_match_ways(s, pat.atoms, 0)))
     if pat.end_anchor:
-        n = len(s)
-        for start in range(n):
-            if _match_ways(s, pat.atoms, start).get(n):
-                return 1
-        return 0
+        # a match ending at the last step starts at step 0 of the reversal
+        return _count_matches(s[::-1], pat.atoms[::-1], True)
+    return _count_matches(s, pat.atoms, pat.start_anchor)
+
+
+def _count_matches(s: str, atoms, anchored: bool) -> int:
+    """Matches of atoms in s in one left-to-right pass; when anchored,
+    only those starting at step 0, as 0 or 1.
+
+    ends[j] counts the ways the first j atoms match ending at the current
+    step; ends[0] is a match opening at the next step.
+    """
+    k = len(atoms)
+    ends = [1] + [0] * k
     total = 0
-    for start in range(len(s)):
-        total += sum(_match_ways(s, pat.atoms, start).values())
+    for c in s:
+        for j in range(k, 0, -1):
+            step, repeated = atoms[j - 1]
+            if c != step:
+                ends[j] = 0
+            elif repeated:  # the atom also runs on from the previous step
+                ends[j] += ends[j - 1]
+            else:
+                ends[j] = ends[j - 1]
+        if anchored:
+            if ends[k]:
+                return 1
+            ends[0] = 0
+            if not any(ends):
+                return 0
+        total += ends[k]
     return total
 
 

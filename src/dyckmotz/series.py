@@ -124,14 +124,12 @@ class TruncatedSeries:
     # inspection -------------------------------------------------------
     def coefficient(self, n: int, k: int = 0) -> Scalar:
         """Exact coefficient of x^n y^k."""
-        if n > self.trunc_x:
-            raise ValueError(f"x-degree {n} beyond truncation {self.trunc_x}")
-        poly = self.coeffs[n]
+        poly = self.y_poly(n)
         return poly[k] if 0 <= k < len(poly) else 0
 
     def y_poly(self, n: int) -> List[Scalar]:
-        if n > self.trunc_x:
-            raise ValueError(f"x-degree {n} beyond truncation {self.trunc_x}")
+        if not 0 <= n <= self.trunc_x:
+            raise ValueError(f"x-degree {n} outside 0..{self.trunc_x}")
         return list(self.coeffs[n])
 
     def is_zero(self) -> bool:

@@ -77,6 +77,15 @@ def test_constrained_lex_order_small_case():
     assert list(map(str, enumerate_constrained(0))) == [""]
 
 
+def test_enumerators_have_no_depth_limit():
+    # the first member in U < D < F order is the pyramid (plus F)
+    for k in (600, 5000):
+        pyramid = "U" * k + "D" * k
+        assert next(enumerate_constrained(k)) == pyramid
+        assert next(enumerate_dyck(k)) == pyramid
+        assert next(enumerate_motzkin(2 * k + 1)) == pyramid + "F"
+
+
 def test_height_refined_counts():
     from dyckmotz import height
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +124,18 @@ def test_count_matches_expansion_oracle(word, atoms, anchor):
     expected = _oracle(word, atoms, anchor == "^", anchor == "$")
     assert count_occurrences(word, expr) == expected
     assert PathProfile(word).count(expr) == expected
+
+
+def test_count_is_one_linear_pass():
+    # one pass over the word: the all-F word has n(n+1)/2 runs, and an
+    # end anchor is decided from the last step backwards
+    n = 20000
+    start = time.perf_counter()
+    assert count_occurrences("F" * n, parse_pattern("F+")) == n * (n + 1) // 2
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert count_occurrences("F" * n + "U", parse_pattern("F+U$")) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_profile_count_agrees_with_direct_count():

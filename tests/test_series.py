@@ -23,6 +23,11 @@ def test_constructors_and_coefficients():
     assert s.coefficient(1, 0) == 2
     assert s.coefficient(1, 1) == 3
     assert s.coefficient(2, 5) == 0
+    for bad in (-1, -T - 1, T + 1):
+        with pytest.raises(ValueError):
+            s.coefficient(bad)
+        with pytest.raises(ValueError):
+            s.y_poly(bad)
     assert TruncatedSeries.zero(T).is_zero()
     assert not s.is_zero()
 
