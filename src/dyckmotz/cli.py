@@ -5,7 +5,7 @@ through the bijection, count pattern occurrences, check transport rules,
 print distribution and popularity series, run the verification campaign,
 and fetch sequence b-files. Global flags may appear before or after the
 subcommand. Exit status: 0 success, 1 a check or fetch failed, 2 bad
-usage or bad input data.
+usage or bad input data, 141 output closed early (as by `| head`).
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .genfun import (
     FIXED_POINT_PATTERNS,
     PATTERNS,
     RouteCheckError,
+    cross_check_routes,
     distribution_brute_force,
     distribution_gf_closed,
     distribution_gf_fixed_point,
@@ -216,15 +217,13 @@ def _cmd_gf(args) -> int:
               f"have: {', '.join(FIXED_POINT_PATTERNS)}", file=sys.stderr)
         return 2
     if args.method == "all":
-        methods = ["closed", "brute"]
-        if args.pattern in FIXED_POINT_PATTERNS:
-            methods.append("fixed")
-        series = [_series_for(args.pattern, m, max_n).series for m in methods]
-        if any(s != series[0] for s in series[1:]):
+        routes, agree = cross_check_routes(
+            args.pattern, max_n, distribution_brute_force(args.pattern, max_n).series)
+        if not all(agree.values()):
             print(f"routes disagree for {args.pattern}", file=sys.stderr)
             return 1
-        result = series[0]
-        print(f"# routes agree: {', '.join(methods)}")
+        result = routes["closed"]
+        print(f"# routes agree: {', '.join(routes)}")
     else:
         result = _series_for(args.pattern, args.method, max_n).series
     if args.format == "text":
@@ -293,6 +292,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # reader gone (`| head`): devnull takes the flush at exit; 128 + SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (NetworkUnavailableError, MalformedBFileError, FileNotFoundError,
             RouteCheckError) as exc:
         print(f"dyckmotz: {exc}", file=sys.stderr)

@@ -287,6 +287,17 @@ def distribution_brute_force(pattern: str, N: int) -> GfResult:
     return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
 
+def cross_check_routes(pattern: str, N: int, brute_series: TruncatedSeries):
+    """{route: series} for closed, brute and (where on record) fixed, in
+    that order, and {route: equals brute_series} for the other routes."""
+    routes = {"closed": distribution_gf_closed(pattern, N).series,
+              "brute": brute_series}
+    if pattern in FIXED_POINT_PATTERNS:
+        routes["fixed"] = distribution_gf_fixed_point(pattern, N).series
+    agree = {name: s == brute_series for name, s in routes.items() if name != "brute"}
+    return routes, agree
+
+
 # popularity ---------------------------------------------------------------
 # Printed closed forms exist for the length-2 patterns only; they share
 # the radical R = sqrt(-3x^2 - 2x + 1).

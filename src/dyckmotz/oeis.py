@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-import urllib.error
-import urllib.request
 from typing import Callable, Optional
 
 
@@ -71,6 +69,9 @@ def parse_bfile(text: str):
 
 
 def _default_opener(url: str) -> str:
+    # imported here: urllib.request is about a third of `import dyckmotz`
+    import urllib.error
+    import urllib.request
     try:
         with urllib.request.urlopen(url, timeout=30) as resp:
             return resp.read().decode("utf-8")

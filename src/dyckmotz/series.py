@@ -56,15 +56,22 @@ def _padd(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
     return _trim(out)
 
 
-def _pmul(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
+def _mac(acc: List[Scalar], pairs, w: Scalar = 1) -> List[Scalar]:
+    """acc + w * sum(a * b for a, b in pairs), for y-polynomials: one
+    accumulator, normalised and trimmed once."""
+    total: List[Scalar] = []
+    for a, b in pairs:
+        if a and b:
+            total.extend([0] * (len(a) + len(b) - 1 - len(total)))
+            for i, ca in enumerate(a):
+                if ca:
+                    for k, cb in enumerate(b, i):
+                        total[k] += ca * cb
+    if not total:  # acc is a ring slice, already in lowest terms
+        return list(acc)
+    out = list(acc) + [0] * (len(total) - len(acc))
+    for k, c in enumerate(total):
+        out[k] += w * c
     return _trim([_norm(c) for c in out])
 
 
@@ -92,9 +99,11 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value: Scalar, trunc_x: int) -> "TruncatedSeries":
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"constant must be an int or a Fraction, not {value!r}")
         s = cls(trunc_x)
         if value != 0:
-            s.coeffs[0] = [_norm(Fraction(value) if not isinstance(value, int) else value)]
+            s.coeffs[0] = [_norm(value)]
         return s
 
     @classmethod
@@ -148,9 +157,6 @@ class TruncatedSeries:
             return NotImplemented
         return self.trunc_x == other.trunc_x and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.trunc_x, tuple(tuple(p) for p in self.coeffs)))
-
     def dump(self) -> str:
         """One line per x-degree: `n: c0 c1 c2` with rationals as p/q."""
         lines = []
@@ -190,16 +196,10 @@ class TruncatedSeries:
         if other is NotImplemented:
             return NotImplemented
         n = min(self.trunc_x, other.trunc_x)
-        out = [[] for _ in range(n + 1)]
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = _padd(out[i + j], _pmul(a, b))
-        return TruncatedSeries(n, out)
+        a = [(i, p) for i, p in enumerate(self.coeffs[:n + 1]) if p]  # often sparse
+        b = other.coeffs
+        return TruncatedSeries(n, [_mac([], ((p, b[k - i]) for i, p in a if i <= k))
+                                   for k in range(n + 1)])
 
     __rmul__ = __mul__
 
@@ -248,22 +248,10 @@ class TruncatedSeries:
         """Divide by x^x_shift y^y_shift, exactly. Lowers trunc_x by x_shift."""
         if x_shift < 0 or y_shift < 0:
             raise ValueError("shifts must be nonnegative")
-        for n in range(min(x_shift, self.trunc_x + 1)):
-            if self.coeffs[n]:
-                raise InexactDivisionError(
-                    f"nonzero coefficient at x^{n}, below x-shift {x_shift}")
-        if x_shift > self.trunc_x:
-            raise InexactDivisionError(
-                f"x-shift {x_shift} exceeds truncation {self.trunc_x}")
-        out = []
-        for n in range(x_shift, self.trunc_x + 1):
-            poly = self.coeffs[n]
-            if any(poly[:y_shift]):
-                k = next(k for k, c in enumerate(poly[:y_shift]) if c)
-                raise InexactDivisionError(
-                    f"term x^{n} y^{k} not divisible by y^{y_shift}")
-            out.append(list(poly[y_shift:]))
-        return TruncatedSeries(self.trunc_x - x_shift, out)
+        # room for x^x_shift; _div raises when it passes the truncation
+        monomial = TruncatedSeries(max(x_shift, self.trunc_x))
+        monomial.coeffs[x_shift] = [0] * y_shift + [1]
+        return _div(self, monomial)
 
     def div_unit(self, other: "TruncatedSeries") -> "TruncatedSeries":
         other = self._lift(other)
@@ -281,10 +269,11 @@ class TruncatedSeries:
                 "square root requires constant term exactly 1")
         s = [[1]]
         for n in range(1, self.trunc_x + 1):
-            acc = list(self.coeffs[n])
-            for i in range(1, n // 2 + 1):  # terms i and n - i at once
-                w = -1 if 2 * i == n else -2
-                acc = _padd(acc, _pscale(_pmul(s[i], s[n - i]), w))
+            # terms i and n - i at once, then the middle term of an even n
+            acc = _mac(self.coeffs[n],
+                       ((s[i], s[n - i]) for i in range(1, (n + 1) // 2)), -2)
+            if n % 2 == 0:
+                acc = _mac(acc, [(s[n // 2], s[n // 2])], -1)
             s.append(_pscale(acc, Fraction(1, 2)))
         return TruncatedSeries(self.trunc_x, s)
 
@@ -295,7 +284,6 @@ def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     The truncation drops by b's x-valuation. Exactness of every y-shift
     is enforced; anything the divisor cannot divide raises.
     """
-    n_out = min(a.trunc_x, b.trunc_x)
     val = next((n for n in range(b.trunc_x + 1) if b.coeffs[n]), None)
     if val is None:
         raise NonUnitDivisorError("division by the zero series")
@@ -304,23 +292,20 @@ def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if len(lead) != m + 1:
         raise NonUnitDivisorError(
             "divisor's lowest x-slice must be a single y-monomial")
-    c = Fraction(lead[m])
     for n in range(min(val, a.trunc_x + 1)):
         if a.coeffs[n]:
             raise InexactDivisionError(
                 f"numerator has x-degree {n} below divisor valuation {val}")
-    n_out -= val
+    n_out = min(a.trunc_x, b.trunc_x) - val
     if n_out < 0:
         raise InexactDivisionError("divisor valuation exceeds truncation")
-    num = [a.coeffs[n + val] for n in range(n_out + 1)]
-    den = [b.coeffs[n + val] for n in range(min(b.trunc_x - val, n_out) + 1)]
-    inv_c = 1 / c
+    den = b.coeffs[val:val + n_out + 1]
+    # a unit lead keeps monomial and unit quotients on plain ints
+    inv_c = lead[m] if lead[m] in (1, -1) else 1 / Fraction(lead[m])
     quot: List[List[Scalar]] = []
     for n in range(n_out + 1):
-        acc = list(num[n])
-        for i in range(1, min(n, len(den) - 1) + 1):
-            if den[i] and quot[n - i]:
-                acc = _padd(acc, _pscale(_pmul(den[i], quot[n - i]), -1))
+        acc = _mac(a.coeffs[n + val],
+                   ((den[i], quot[n - i]) for i in range(1, min(n + 1, len(den)))), -1)
         if any(acc[:m]):
             k = next(k for k, cc in enumerate(acc[:m]) if cc)
             raise InexactDivisionError(

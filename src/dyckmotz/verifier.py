@@ -4,9 +4,10 @@ Runs, in order: family cardinality against Motzkin numbers, exhaustive
 bijectivity, every transport rule, the step-pattern identity systems on
 unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
-popularity row, and sequence cross-references. Failures never raise;
-they land in the report, one record per check, so a single run gives the
-complete picture.
+popularity row, and sequence cross-references. A failed comparison
+lands in the report, one record per check, so a single run gives the
+complete picture; a route whose series fails its own shape check raises
+RouteCheckError instead (the CLI exits 1).
 
 Golden data is loaded from the packaged reference file (overridable) and
 is never regenerated: cells marked with a misprint tag are expected to
@@ -25,16 +26,8 @@ from typing import Optional
 
 from .bijection import _bijectivity_report
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_number
-from .genfun import (
-    FIXED_POINT_PATTERNS,
-    PATTERNS,
-    _brute_force,
-    _distribution_row,
-    distribution_gf_closed,
-    distribution_gf_fixed_point,
-    du_from_ud,
-    popularity_gf,
-)
+from .genfun import (PATTERNS, _brute_force, _distribution_row,
+                     cross_check_routes, du_from_ud, popularity_gf)
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
 from .patterns import (PathProfile, TransportSweep, evaluate_statistic,
                        family_pairs, parse_statistic, transport_rules)
@@ -142,10 +135,10 @@ def load_golden_tables(path: Optional[str] = None) -> GoldenData:
 
 def embedded_prefixes(golden: Optional[GoldenData] = None) -> dict:
     """id -> (offset, terms) from the transcribed reference rows, for
-    offline sequence lookups."""
+    offline sequence lookups. An id listed twice keeps its first row."""
     golden = golden or load_golden_tables()
     return {ref.oeis_id: (ref.offset, list(ref.known_terms))
-            for ref in golden.seq_refs}
+            for ref in reversed(golden.seq_refs)}
 
 
 def compare_sequence(computed, ref: SequenceRef) -> dict:
@@ -276,27 +269,16 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
             _judge(checks, f"identity:{side.lower()}:{lhs_text} = {rhs_text}",
                    f"all {side} paths, n={min_n}..{id_bound}", worst)
 
-    # (5) three-way generating function agreement
-    closed_series = {}
-    brute_series = {}
-    fixed_series = {}
+    # (5) three-way generating function agreement, one route table per pattern
+    routes = {}
     for pattern in PATTERNS:
-        closed = distribution_gf_closed(pattern, max_n).series
-        brute = _brute_force(pattern, rows).series
-        closed_series[pattern] = closed
-        brute_series[pattern] = brute
-        routes = {"closed=brute": closed == brute}
-        if pattern in FIXED_POINT_PATTERNS:
-            fixed = distribution_gf_fixed_point(pattern, max_n)
-            fixed_series[pattern] = fixed.series
-            routes["fixed=brute"] = fixed.series == brute
-            if fixed.components:
-                routes["1+A+B=F"] = (
-                    1 + fixed.components["A"] + fixed.components["B"] == fixed.series)
+        routes[pattern], agree = cross_check_routes(
+            pattern, max_n, _brute_force(pattern, rows).series)
+        verdicts = {f"{name}=brute": ok for name, ok in agree.items()}
         _judge(checks, f"three-way:{pattern}",
                f"routes over n<=..{max_n}: " + ", ".join(
-                   f"{k} {'ok' if v else 'DISAGREE'}" for k, v in routes.items()),
-               None if all(routes.values()) else routes)
+                   f"{k} {'ok' if v else 'DISAGREE'}" for k, v in verdicts.items()),
+               None if all(verdicts.values()) else verdicts)
     try:
         du_from_ud(max_n)
     except ValueError as exc:
@@ -307,17 +289,13 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
 
     # (6) golden distribution cells
     for label, table in sorted(golden.tables.items()):
-        series_routes = [("closed", closed_series[table.pattern]),
-                         ("brute", brute_series[table.pattern])]
-        if table.pattern in FIXED_POINT_PATTERNS:
-            series_routes.append(("fixed", fixed_series[table.pattern]))
         worst = None
         in_range = 0
         for n, k, value in table.cells:
             if n > max_n:
                 continue
             in_range += 1
-            for route_name, series in series_routes:
+            for route_name, series in routes[table.pattern].items():
                 if series.coefficient(n, k) != value:
                     worst = {"n": n, "k": k, "printed": value,
                              "computed": series.coefficient(n, k),
@@ -327,14 +305,14 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                 break
         _judge(checks, f"golden:{label}",
                f"{in_range} transcribed cells (of {len(table.cells)}) against "
-               f"{len(series_routes)} routes", worst)
+               f"{len(routes[table.pattern])} routes", worst)
     worst = None
     in_range = 0
     for label, n, value in golden.sums:
         if n > max_n:
             continue
         in_range += 1
-        got = sum(brute_series["UD"].y_poly(n))
+        got = sum(routes["UD"]["brute"].y_poly(n))
         if got != value or motzkin_number(n) != value:
             worst = {"label": label, "n": n, "printed": value, "computed": got}
             break
@@ -398,7 +376,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
            None if got_two == expected_two[:len(got_two)]
            else {"computed": got_two, "expected": expected_two})
 
-    avoiders = [closed_series["DUU"].coefficient(n, 0)
+    avoiders = [routes["DUU"]["closed"].coefficient(n, 0)
                 for n in range(1, min(max_n, 9) + 1)]
     powers = [2 ** (n - 1) for n in range(1, len(avoiders) + 1)]
     squares = all(math.isqrt(a) ** 2 == a for a in avoiders)
@@ -423,7 +401,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                 refreshed.append(ref)
         refs = tuple(refreshed)
     for ref in refs:
-        computed = _resolve_target(ref, closed_series, pop_series, max_n)
+        computed = _resolve_target(ref, routes, pop_series, max_n)
         if not computed:
             _add(checks, f"oeis:{ref.oeis_id}:{ref.target}", "info",
                  f"no terms up to n = {max_n}; not compared")
@@ -449,20 +427,20 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     }
 
 
-def _resolve_target(ref: SequenceRef, closed_series, pop_series, max_n):
+def _resolve_target(ref: SequenceRef, routes, pop_series, max_n):
     kind, rest = ref.target.split(":", 1)
     if kind == "pop":
         return [pop_series[rest].coefficient(n) for n in range(1, max_n + 1)]
     if kind == "avoid":
-        return [closed_series[rest].coefficient(n, 0)
+        return [routes[rest]["closed"].coefficient(n, 0)
                 for n in range(1, max_n + 1)]
     if kind == "row":
         pattern, k = rest.rsplit(":", 1)
-        return [closed_series[pattern].coefficient(n, int(k))
+        return [routes[pattern]["closed"].coefficient(n, int(k))
                 for n in range(ref.offset, max_n + 1)]
     if kind == "diag":
         pattern, j = rest.rsplit(":", 1)
-        return [closed_series[pattern].coefficient(n, n - int(j))
+        return [routes[pattern]["closed"].coefficient(n, n - int(j))
                 for n in range(ref.offset, max_n + 1)]
     raise ValueError(f"unknown sequence target {ref.target!r}")
 

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -191,6 +193,9 @@ def test_oeis_fetch_offline_embedded(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1 1"
     assert lines[4] == "5 8"
+    # A025566 is listed for pop:UD and, shifted, for pop:UDU: the first row wins
+    assert main(["oeis-fetch", "A025566", "--offline"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == ["1 1", "2 3", "3 8"]
 
 
 def test_oeis_fetch_offline_miss(capsys):
@@ -214,3 +219,18 @@ def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_closed_pipe_exits_141_quietly():
+    # `dyckmotz enumerate ... | head -n 1`: 15,511 lines overfill the pipe
+    src = os.path.dirname(os.path.dirname(genfun.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dyckmotz.cli", "enumerate", "--family", "motzkin",
+         "--n", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.readline().strip() == b"UUUUUUDDDDDD"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

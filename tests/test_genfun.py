@@ -14,7 +14,7 @@ from dyckmotz import (
     parse_pattern,
     popularity_gf,
 )
-from dyckmotz.genfun import _fp_pair, _fp_single
+from dyckmotz.genfun import _fp_pair, _fp_single, cross_check_routes
 
 N = 10
 
@@ -51,6 +51,17 @@ def test_fixed_points_agree_with_brute_force():
         if fixed.components:
             total = 1 + fixed.components["A"] + fixed.components["B"]
             assert total == fixed.series, pattern
+
+
+def test_cross_check_routes():
+    brute = distribution_brute_force("UDU", 6).series
+    routes, agree = cross_check_routes("UDU", 6, brute)
+    assert list(routes) == ["closed", "brute", "fixed"]
+    assert routes["brute"] is brute
+    assert agree == {"closed": True, "fixed": True}
+    routes, agree = cross_check_routes("UD", 6, brute)  # the wrong pattern's series
+    assert list(routes) == ["closed", "brute"]
+    assert agree == {"closed": False}
 
 
 def test_closed_forms_equal_fixed_points_deep():

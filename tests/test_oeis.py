@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import dyckmotz
 from dyckmotz import (
     CacheMissError,
     MalformedBFileError,
@@ -103,3 +106,14 @@ def test_network_error_wrapping():
 
     with pytest.raises(NetworkUnavailableError):
         oeis_fetch("A001006", opener=opener)
+
+
+def test_import_leaves_urllib_request_unloaded():
+    # only a download needs it, and it is about a third of the import time
+    src = os.path.dirname(os.path.dirname(dyckmotz.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dyckmotz; print('urllib.request' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"

@@ -30,6 +30,10 @@ def test_constructors_and_coefficients():
             s.y_poly(bad)
     assert TruncatedSeries.zero(T).is_zero()
     assert not s.is_zero()
+    assert TruncatedSeries.constant(Fraction(1, 10), 2).coefficient(0) == Fraction(1, 10)
+    for bad in (0.1, 2.0, "1"):
+        with pytest.raises(TypeError):
+            TruncatedSeries.constant(bad, 2)
 
 
 def test_ring_arithmetic():

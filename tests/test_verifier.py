@@ -127,6 +127,22 @@ def test_campaign_records_unclaimed_rules_as_info():
             "claimed only for n >= 1; nothing to check up to n = 0")
 
 
+def test_campaign_reads_cached_bfiles(tmp_path):
+    offset, terms = embedded_prefixes()["A004148"]
+    (tmp_path / "A004148.txt").write_text(
+        "".join(f"{offset + i} {t}\n" for i, t in enumerate(terms)))
+    (tmp_path / "A026418.txt").write_text("1 1\n2 two\n")
+    report = run_full_verification(max_n=6, oeis_cache_dir=str(tmp_path))
+    assert report["ok"]
+    records = {c["check"]: c for c in report["checks"]}
+    read = records["oeis:A004148:avoid:UDU"]
+    assert read["status"] == "pass"
+    assert "b-file terms" in read["details"]
+    fallback = records["oeis:A026418:avoid:DDD"]
+    assert fallback["status"] == "pass"
+    assert "table terms" in fallback["details"]
+
+
 def test_negative_max_n_rejected():
     with pytest.raises(ValueError):
         run_full_verification(max_n=-1)
