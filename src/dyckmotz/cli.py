@@ -18,7 +18,6 @@ from .bijection import NotConstrainedError, phi, phi_inverse
 from .enumeration import enumerate_constrained, enumerate_dyck, enumerate_motzkin
 from .genfun import (
     DEFAULT_TRUNCATION,
-    FIXED_POINT_PATTERNS,
     PATTERNS,
     RouteCheckError,
     cross_check_routes,
@@ -212,10 +211,6 @@ def _series_for(pattern: str, method: str, max_n: int):
 
 def _cmd_gf(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_TRUNCATION // 2
-    if args.method == "fixed" and args.pattern not in FIXED_POINT_PATTERNS:
-        print(f"no fixed-point system for {args.pattern}; "
-              f"have: {', '.join(FIXED_POINT_PATTERNS)}", file=sys.stderr)
-        return 2
     if args.method == "all":
         routes, agree = cross_check_routes(
             args.pattern, max_n, distribution_brute_force(args.pattern, max_n).series)
@@ -303,7 +298,9 @@ def main(argv=None) -> int:
         print(f"dyckmotz: {exc}", file=sys.stderr)
         return 1
     except _INPUT_ERRORS as exc:
-        print(f"dyckmotz: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"dyckmotz: {message}", file=sys.stderr)
         return 2
 
 

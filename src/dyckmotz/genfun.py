@@ -7,9 +7,10 @@ to the number of family members of semilength n containing p exactly k
 times. The three routes are:
 
   closed form   algebraic expression evaluated in the exact series ring
-  fixed point   functional equation (or 2-unknown system) iterated to a
-                coefficient-exact fixed point, where such an equation is
-                on record (UU, UUU, UDU, UDD, DDU, DDD)
+  fixed point   functional equation (or 2-unknown system) solved one
+                x-order at a time with online series, then confirmed in
+                the series ring, where such an equation is on record
+                (UU, UUU, UDU, UDD, DDU, DDD)
   brute force   one enumeration pass per semilength, counting
                 occurrences path by path
 
@@ -29,7 +30,7 @@ from functools import lru_cache
 
 from .enumeration import enumerate_constrained, motzkin_number
 from .patterns import PathProfile, parse_pattern
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _OnlineSeries
 
 DEFAULT_TRUNCATION = 24
 
@@ -43,7 +44,7 @@ _GUARD = 2
 
 
 class NoConvergenceError(ArithmeticError):
-    """Fixed-point iteration failed to stabilize within the bound."""
+    """A fixed-point system does not determine its solution order by order."""
 
 
 class RouteCheckError(ValueError):
@@ -173,20 +174,47 @@ def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> GfResul
 
 
 # functional equations ----------------------------------------------------
-# Single-unknown forms iterate one series; the two-unknown systems
-# iterate (A, B) jointly with F written as 1 + A + B inside every right
-# hand side. x^k of a right hand side needs only lower orders, so pass k
-# at truncation k settles x^k; up to three passes at N then confirm.
+# Single-unknown forms solve for one series; the two-unknown systems solve
+# for (A, B) jointly with F written as 1 + A + B inside every right hand
+# side. Each right hand side is called once on online unknowns, which
+# turns it into a graph of _OnlineSeries nodes; x^k of a right hand side
+# needs only lower orders of the unknowns, so settling x^0, x^1, ..., x^N
+# in turn computes every order of every node once. One eager pass in the
+# TruncatedSeries ring then confirms the solution at N.
+
+def _settle(equation):
+    """An unknown's order function: x^k of its equation, which may not
+    ask for x^k of the unknown itself."""
+    busy = False
+
+    def order(k):
+        nonlocal busy
+        if busy:
+            raise NoConvergenceError(f"x^{k} of an unknown depends on itself")
+        busy = True
+        try:
+            return equation.row(k)
+        finally:
+            busy = False
+    return order
+
 
 def _fixed_point(N: int, *rhs):
-    ms = [TruncatedSeries.zero(0)] * len(rhs)
-    for k in range(N + 4):
-        nxt = [f(*ms) for f in rhs]
-        if k >= N and nxt == ms:
-            return ms
-        t = min(k + 1, N)  # zero-extend to the next truncation
-        ms = [TruncatedSeries(t, m.coeffs[:t + 1] + [[]] * (t - m.trunc_x)) for m in nxt]
-    raise NoConvergenceError(f"no fixed point within {N + 4} passes")
+    unknowns = [_OnlineSeries(0) for _ in rhs]
+    try:
+        for u, f in zip(unknowns, rhs):
+            u.order = _settle(_OnlineSeries.lift(f(*unknowns)))
+        for k in range(N + 1):
+            for u in unknowns:
+                u.row(k)
+        # copied: a row may be a constant operand's own list
+        ms = [TruncatedSeries(N, [list(p) for p in u.rows]) for u in unknowns]
+    finally:
+        for u in unknowns:  # unknowns and equations form a cycle: free it now
+            u.order = None
+    if [f(*ms) for f in rhs] != ms:
+        raise NoConvergenceError(f"the solution misses its equations at x^{N}")
+    return ms
 
 
 def _fp_single(N: int, rhs) -> TruncatedSeries:
@@ -200,7 +228,7 @@ def _fp_pair(N: int, rhs_a, rhs_b):
 def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> GfResult:
     pattern = _canon(pattern)
     if pattern not in FIXED_POINT_PATTERNS:
-        raise KeyError(f"no functional equation on record for {pattern!r}; "
+        raise KeyError(f"no fixed-point system for {pattern}; "
                        f"have: {', '.join(FIXED_POINT_PATTERNS)}")
     x = TruncatedSeries.x_var(N)
     y = TruncatedSeries.y_var(N)

@@ -14,6 +14,9 @@ accepts any divisor whose lowest x-degree slice is a single monomial
 c*y^m (unit divisors are the m = 0, valuation 0 case). Square roots
 require constant term exactly 1 and solve s*s = f one x-order at a time:
 s_n = (f_n - sum_{0<i<n} s_i s_{n-i}) / 2, with no series division.
+
+The private _OnlineSeries computes a series one x-order at a time from
+the same kernels; the fixed-point route builds its equations from it.
 """
 from __future__ import annotations
 
@@ -81,6 +84,117 @@ def _pscale(a: List[Scalar], s: Scalar) -> List[Scalar]:
     return _trim([_norm(c * s) for c in a])
 
 
+def _require_exact(value, what: str) -> None:
+    # bool is an int subclass, but True as a coefficient prints as True
+    if type(value) is bool or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} must be an int or a Fraction, not {value!r}")
+
+
+class _OnlineSeries:
+    """A series known one x-order at a time, for solving fixed points.
+
+    row(k) builds the y-polynomial of x^k once, from rows of the operands,
+    and keeps it. val is a lower bound on the x-valuation, taken from the
+    constant operands: a product reads rows val(a)..k-val(b) of a and the
+    matching rows of b, so in x^2*M row k asks M for orders below k only.
+    A TruncatedSeries or scalar operand becomes a constant node; its rows
+    past its truncation read as zero (the solver's eager confirmation
+    rejects a right-hand side truncated below the solve). An unknown is
+    made with no order function; its solver sets one once the unknown's
+    equation is built.
+    """
+    __slots__ = ("val", "order", "rows")
+
+    def __init__(self, val: int, order=None):
+        self.val = val
+        self.order = order  # k -> row k, called for k = 0, 1, 2, ... in turn
+        self.rows: List[List[Scalar]] = []
+
+    def row(self, k: int) -> List[Scalar]:
+        rows = self.rows
+        while len(rows) <= k:
+            rows.append(self.order(len(rows)))
+        return rows[k]
+
+    @classmethod
+    def lift(cls, other):
+        if isinstance(other, cls):
+            return other
+        if isinstance(other, (int, Fraction)):
+            other = TruncatedSeries.constant(other, 0)
+        elif not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        rows = other.coeffs
+        return cls(next((k for k, p in enumerate(rows) if p), len(rows)),
+                   lambda k: rows[k] if k < len(rows) else [])
+
+    def __add__(self, other):
+        other = self.lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _OnlineSeries(min(self.val, other.val),
+                             lambda k: _padd(self.row(k), other.row(k)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _OnlineSeries(self.val, lambda k: _pscale(self.row(k), -1))
+
+    def __sub__(self, other):
+        other = self.lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self.lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        va, vb = self.val, other.val
+
+        def order(k):
+            if k < va + vb:
+                return []
+            self.row(k - vb)  # fills the rows of both factors that row k reads
+            other.row(k - va)
+            a, b = self.rows, other.rows
+            return _mac([], ((a[i], b[k - i]) for i in range(va, k - vb + 1)))
+        return _OnlineSeries(va + vb, order)
+
+    def __rmul__(self, other):
+        # a constant's short rows as the outer loop of _mac
+        other = self.lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("only nonnegative integer powers")
+        result = self if k else self.lift(1)
+        for _ in range(k - 1):
+            result = result * self
+        return result
+
+    def div_exact_monomial(self, x_shift: int, y_shift: int) -> "_OnlineSeries":
+        """Divide by y^y_shift, exactly. Dividing by a power of x would
+        need rows above the order being built, so x_shift must be 0."""
+        if x_shift != 0 or y_shift < 0:
+            raise ValueError("an online series divides by y^b, b >= 0, only")
+
+        def order(k):
+            row = self.row(k)
+            if any(row[:y_shift]):
+                j = next(j for j, c in enumerate(row) if c)
+                raise InexactDivisionError(
+                    f"term x^{k} y^{j} not divisible by divisor lead y^{y_shift}")
+            return row[y_shift:]
+        return _OnlineSeries(self.val, order)
+
+
 class TruncatedSeries:
     __slots__ = ("trunc_x", "coeffs")
 
@@ -99,8 +213,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value: Scalar, trunc_x: int) -> "TruncatedSeries":
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"constant must be an int or a Fraction, not {value!r}")
+        _require_exact(value, "constant")
         s = cls(trunc_x)
         if value != 0:
             s.coeffs[0] = [_norm(value)]
@@ -235,6 +348,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.trunc_x, out)
 
     def eval_y(self, value: Scalar) -> "TruncatedSeries":
+        _require_exact(value, "y")
         out = []
         for poly in self.coeffs:
             acc: Scalar = 0

@@ -117,6 +117,9 @@ def test_check_transport_nothing_claimed(capsys):
 
 def test_check_transport_unknown_rule(capsys):
     assert main(["check-transport", "--rule", "FFF"]) == 2
+    # a KeyError's message reaches the user without str()'s quotes
+    assert capsys.readouterr().err.startswith(
+        "dyckmotz: no transport rule named 'FFF'; known: ")
 
 
 def test_gf_csv(capsys):

@@ -14,7 +14,9 @@ from dyckmotz import (
     parse_pattern,
     popularity_gf,
 )
+from dyckmotz import genfun
 from dyckmotz.genfun import _fp_pair, _fp_single, cross_check_routes
+from dyckmotz.series import InexactDivisionError, TruncatedSeries
 
 N = 10
 
@@ -75,6 +77,49 @@ def test_fixed_point_without_convergence_raises():
         _fp_single(8, lambda M: M + 1)
     with pytest.raises(NoConvergenceError):
         _fp_pair(8, lambda A, B: B + 1, lambda A, B: A)
+
+
+def test_fixed_point_calls_each_equation_twice(monkeypatch):
+    # one call builds the online solve and one confirms it, at any N
+    class Counted:
+        def __init__(self, f):
+            self.f, self.calls = f, 0
+
+        def __call__(self, *unknowns):
+            self.calls += 1
+            return self.f(*unknowns)
+
+    equations = []
+
+    def counting(solve):
+        def run(N, *rhs):
+            equations[:] = [Counted(f) for f in rhs]
+            return solve(N, *equations)
+        return run
+
+    monkeypatch.setattr(genfun, "_fp_single", counting(_fp_single))
+    monkeypatch.setattr(genfun, "_fp_pair", counting(_fp_pair))
+    for n in (8, 40):
+        for pattern in FIXED_POINT_PATTERNS:
+            distribution_gf_fixed_point(pattern, n)
+            unknowns = 1 if pattern in ("UU", "UUU") else 2
+            assert [f.calls for f in equations] == [2] * unknowns, (pattern, n)
+
+
+def test_online_division_stays_exact():
+    x = TruncatedSeries.x_var(4)
+    y = TruncatedSeries.y_var(4)
+    geo = _fp_single(4, lambda M: 1 + (x*y*M).div_exact_monomial(0, 1))
+    assert [geo.y_poly(n) for n in range(5)] == [[1]] * 5
+    with pytest.raises(InexactDivisionError):  # x*M has a y^0 term at x^1
+        _fp_single(4, lambda M: 1 + (x*M).div_exact_monomial(0, 1))
+
+
+def test_fixed_point_confirms_at_full_truncation():
+    # x is known only to x^4, so the solve at 6 cannot be confirmed
+    x = TruncatedSeries.x_var(4)
+    with pytest.raises(NoConvergenceError):
+        _fp_single(6, lambda M: 1 + x*M)
 
 
 def test_fixed_point_requires_known_pattern():

@@ -10,6 +10,7 @@ from dyckmotz import (
     NonUnitDivisorError,
     TruncatedSeries,
 )
+from dyckmotz.series import _OnlineSeries
 
 T = 12
 X = TruncatedSeries.x_var(T)
@@ -31,7 +32,7 @@ def test_constructors_and_coefficients():
     assert TruncatedSeries.zero(T).is_zero()
     assert not s.is_zero()
     assert TruncatedSeries.constant(Fraction(1, 10), 2).coefficient(0) == Fraction(1, 10)
-    for bad in (0.1, 2.0, "1"):
+    for bad in (0.1, 2.0, "1", True, False):
         with pytest.raises(TypeError):
             TruncatedSeries.constant(bad, 2)
 
@@ -93,6 +94,10 @@ def test_div_exact_monomial():
         (X + Y * X).div_exact_monomial(0, 1)
     with pytest.raises(InexactDivisionError):
         X.div_exact_monomial(2, 0)
+    online = _OnlineSeries.lift(X + Y * X).div_exact_monomial(0, 1)
+    assert online.row(0) == []
+    with pytest.raises(InexactDivisionError):
+        online.row(1)
 
 
 def test_div_unit():
@@ -145,6 +150,10 @@ def test_derivative_and_eval():
     assert s.eval_y(1).coefficient(2) == 3
     assert s.eval_y(0) == ONE
     assert s.eval_y(2).coefficient(2) == 12
+    assert s.eval_y(Fraction(1, 2)).coefficient(2) == Fraction(3, 4)
+    for bad in (0.5, 1.0, True, "1"):
+        with pytest.raises(TypeError):
+            s.eval_y(bad)
 
 
 def test_dump_format():
@@ -185,3 +194,17 @@ def test_division_round_trip(a_rows, b_rows):
     a = _build(a_rows)
     b = _build([[1]] + b_rows)  # unit head so division is defined
     assert (a * b) / b == a.truncate((a * b).trunc_x)
+
+
+@settings(max_examples=50, deadline=None)
+@given(COEFFS, COEFFS)
+def test_online_series_matches_the_ring(a_rows, b_rows):
+    # the nodes the fixed-point route solves with, against the eager ring
+    a, b = _build(a_rows), _build(b_rows)
+    y = TruncatedSeries.y_var(a.trunc_x)
+    oa = _OnlineSeries.lift(a)
+    cases = [(oa + b, a + b), (oa - b, a - b), (3 - oa, 3 - a), (-oa, -a),
+             (b * oa, b * a), (oa * oa, a * a), (oa ** 0, a ** 0), (oa ** 3, a ** 3),
+             ((oa * y ** 2).div_exact_monomial(0, 2), a)]
+    for online, eager in cases:
+        assert [online.row(k) for k in range(a.trunc_x + 1)] == eager.coeffs
