@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .bijection import NotConstrainedError, phi, phi_inverse
+from .bijection import phi, phi_inverse
 from .enumeration import enumerate_constrained, enumerate_dyck, enumerate_motzkin
 from .genfun import (
     DEFAULT_TRUNCATION,
@@ -27,10 +27,9 @@ from .genfun import (
     popularity_gf,
 )
 from .oeis import MalformedBFileError, NetworkUnavailableError, oeis_fetch
-from .paths import PathSyntaxError
 from .patterns import (
-    PatternSyntaxError,
     TransportSweep,
+    _unchecked,
     check_transport,
     count_occurrences,
     family_pairs,
@@ -38,7 +37,8 @@ from .patterns import (
     transport_rule,
     transport_rules,
 )
-from .verifier import embedded_prefixes, render_text, run_full_verification
+from .verifier import (DEFAULT_MAX_N, embedded_prefixes, render_text,
+                       run_full_verification)
 
 _FAMILIES = {
     "motzkin": enumerate_motzkin,
@@ -178,18 +178,18 @@ def _cmd_count(args) -> int:
 def _cmd_check_transport(args) -> int:
     max_n = args.max_n if args.max_n is not None else 10
     rules = transport_rules() if args.all_rules else [transport_rule(args.rule)]
-    if not args.all_rules and rules[0].min_n > max_n:
-        check_transport(rules[0], max_n)  # raises: nothing is claimed up to max_n
     sweep = TransportSweep(rules)
     for n in range(max_n + 1):
         sweep.add(n, family_pairs(n))
+    if not args.all_rules and not sweep.results[0]["checked"]:
+        check_transport(rules[0], max_n)  # raises: nothing is claimed up to max_n
     failed = False
     for result in sweep.results:
         rule = result["rule"]
         counterexample = result["counterexample"]
-        if rule.min_n > max_n:
-            print(f"skip  {rule.name:<4} = {rule.motzkin_side.text}  (claimed only "
-                  f"for n >= {rule.min_n}; nothing to check up to n = {max_n})")
+        if not result["checked"]:
+            print(f"skip  {rule.name:<4} = {rule.motzkin_side.text}  "
+                  f"({_unchecked(rule, max_n)})")
         elif counterexample is None:
             print(f"ok    {rule.name:<4} = {rule.motzkin_side.text}  "
                   f"({result['checked']} paths, n={rule.min_n}..{max_n})")
@@ -213,14 +213,14 @@ def _cmd_gf(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_TRUNCATION // 2
     if args.method == "all":
         routes, agree = cross_check_routes(
-            args.pattern, max_n, distribution_brute_force(args.pattern, max_n).series)
+            args.pattern, max_n, distribution_brute_force(args.pattern, max_n))
         if not all(agree.values()):
             print(f"routes disagree for {args.pattern}", file=sys.stderr)
             return 1
         result = routes["closed"]
         print(f"# routes agree: {', '.join(routes)}")
     else:
-        result = _series_for(args.pattern, args.method, max_n).series
+        result = _series_for(args.pattern, args.method, max_n)
     if args.format == "text":
         print(result.dump())
     else:
@@ -243,7 +243,7 @@ def _cmd_popularity(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_n = args.max_n if args.max_n is not None else 12
+    max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_N
     cache = args.oeis_cache or os.environ.get("DYCKMOTZ_OEIS_CACHE")
     report = run_full_verification(max_n=max_n, seed_tables=args.seed_tables,
                                    oeis_cache_dir=cache)
@@ -275,8 +275,7 @@ _COMMANDS = {
     "oeis-fetch": _cmd_oeis_fetch,
 }
 
-_INPUT_ERRORS = (PathSyntaxError, PatternSyntaxError, NotConstrainedError,
-                 KeyError, ValueError)
+_INPUT_ERRORS = (KeyError, ValueError)
 
 
 def main(argv=None) -> int:

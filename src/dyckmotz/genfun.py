@@ -8,24 +8,23 @@ times. The three routes are:
 
   closed form   algebraic expression evaluated in the exact series ring
   fixed point   functional equation (or 2-unknown system) solved one
-                x-order at a time with online series, then confirmed in
-                the series ring, where such an equation is on record
-                (UU, UUU, UDU, UDD, DDU, DDD)
+                x-order at a time with online series (+, -, * and **
+                only), then confirmed in the series ring, where such an
+                equation is on record (UU, UUU, UDU, UDD, DDU, DDD)
   brute force   one enumeration pass per semilength, counting
                 occurrences path by path
 
-Each route validates the same shape invariants before returning:
-constant term 1, nonnegative integer coefficients, row sums equal to
-Motzkin numbers. Popularity (total occurrence count over the family) is
-the y-derivative at y = 1, with independently printed closed forms for
-the length-2 patterns checked against the derivative route.
+Each route returns its TruncatedSeries after validating the same shape
+invariants: constant term 1, nonnegative integer coefficients, row sums
+equal to Motzkin numbers. Popularity (total occurrence count over the
+family) is the y-derivative at y = 1, with independently printed closed
+forms for the length-2 patterns checked against the derivative route.
 
 DD shares the UU distribution; the brute-force route still counts DD
 literally so the alias is itself testable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .enumeration import enumerate_constrained, motzkin_number
@@ -51,21 +50,15 @@ class RouteCheckError(ValueError):
     """A route's series failed a shape check or a cross-route identity."""
 
 
-@dataclass(frozen=True)
-class GfResult:
-    pattern: str
-    method: str  # closed_form | fixed_point | brute_force
-    series: TruncatedSeries
-    components: dict = field(default_factory=dict)
-
-
 def _canon(pattern: str) -> str:
     if pattern not in PATTERNS:
         raise KeyError(f"unknown pattern id {pattern!r}; known: {', '.join(PATTERNS)}")
     return pattern
 
 
-def _validate_distribution(series: TruncatedSeries, pattern: str, method: str):
+def _validate_distribution(series: TruncatedSeries, pattern: str,
+                           method: str) -> TruncatedSeries:
+    """series, once it passes the shape checks of a distribution."""
     if series.y_poly(0) != [1]:
         raise RouteCheckError(f"{pattern}/{method}: constant term is not 1")
     for n in range(series.trunc_x + 1):
@@ -77,12 +70,7 @@ def _validate_distribution(series: TruncatedSeries, pattern: str, method: str):
             raise RouteCheckError(
                 f"{pattern}/{method}: row sum at x^{n} is {sum(poly)}, "
                 f"want M_{n} = {motzkin_number(n)}")
-
-
-def _result(pattern: str, method: str, series: TruncatedSeries,
-            components=None) -> GfResult:
-    _validate_distribution(series, pattern, method)
-    return GfResult(pattern, method, series, components or {})
+    return series
 
 
 # closed forms -----------------------------------------------------------
@@ -165,12 +153,12 @@ _CLOSED_FORMS = {
 }
 
 
-def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> GfResult:
+def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     pattern = _canon(pattern)
     x = TruncatedSeries.x_var(N + _GUARD)
     y = TruncatedSeries.y_var(N + _GUARD)
-    series = _CLOSED_FORMS[pattern](x, y).truncate(N)
-    return _result(pattern, "closed_form", series)
+    return _validate_distribution(
+        _CLOSED_FORMS[pattern](x, y).truncate(N), pattern, "closed")
 
 
 # functional equations ----------------------------------------------------
@@ -225,7 +213,7 @@ def _fp_pair(N: int, rhs_a, rhs_b):
     return tuple(_fixed_point(N, rhs_a, rhs_b))
 
 
-def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> GfResult:
+def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     pattern = _canon(pattern)
     if pattern not in FIXED_POINT_PATTERNS:
         raise KeyError(f"no fixed-point system for {pattern}; "
@@ -237,13 +225,13 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Gf
 
     if pattern == "UU":
         m = _fp_single(N, lambda M: 1 + x*M + x2*y*M + x2*y**2*(M - 1)*M)
-        return _result(pattern, "fixed_point", m)
+        return _validate_distribution(m, pattern, "fixed")
 
     if pattern == "UUU":
         geo = one / (one - x)  # paths of the shape (UD)^j, j >= 0
         m = _fp_single(
             N, lambda F: 1 + x*F + x2*F + x2*y*(x*geo)*F + x2*y**2*(F - geo)*F)
-        return _result(pattern, "fixed_point", m)
+        return _validate_distribution(m, pattern, "fixed")
 
     if pattern == "UDU":
         ra = lambda A, B: x + x*y*A + x*B
@@ -269,15 +257,11 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Gf
         def rb(A, B):
             F = 1 + A + B
             y2 = y**2
-            return (x2*F + x2*y2*B
-                    + (x2*y2*A).div_exact_monomial(0, 1)
-                    + (x2*y2*A**2).div_exact_monomial(0, 2)
-                    + (x2*y2*A*B).div_exact_monomial(0, 1)
-                    + x2*y2*B**2
-                    + (x2*y2*A*B).div_exact_monomial(0, 1))
+            return (x2*F + x2*y2*B + x2*y*A + x2*A**2
+                    + 2*x2*y*A*B + x2*y2*B**2)
         a, b = _fp_pair(N, ra, rb)
 
-    return _result(pattern, "fixed_point", 1 + a + b, {"A": a, "B": b})
+    return _validate_distribution(1 + a + b, pattern, "fixed")
 
 
 # brute force --------------------------------------------------------------
@@ -302,15 +286,16 @@ def _family_row(n: int) -> dict:
     return _distribution_row(PathProfile(p) for p in enumerate_constrained(n))
 
 
-def _brute_force(pattern: str, rows) -> GfResult:
+def _brute_force(pattern: str, rows) -> TruncatedSeries:
     """The brute-force series of pattern from the _distribution_row of
     each semilength 0, 1, ..., N in turn."""
     coeffs = [[row[pattern].get(k, 0) for k in range(max(row[pattern]) + 1)]
               for row in rows]
-    return _result(pattern, "brute_force", TruncatedSeries(len(coeffs) - 1, coeffs))
+    return _validate_distribution(
+        TruncatedSeries(len(coeffs) - 1, coeffs), pattern, "brute")
 
 
-def distribution_brute_force(pattern: str, N: int) -> GfResult:
+def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:
     pattern = _canon(pattern)
     return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
@@ -318,28 +303,36 @@ def distribution_brute_force(pattern: str, N: int) -> GfResult:
 def cross_check_routes(pattern: str, N: int, brute_series: TruncatedSeries):
     """{route: series} for closed, brute and (where on record) fixed, in
     that order, and {route: equals brute_series} for the other routes."""
-    routes = {"closed": distribution_gf_closed(pattern, N).series,
+    routes = {"closed": distribution_gf_closed(pattern, N),
               "brute": brute_series}
     if pattern in FIXED_POINT_PATTERNS:
-        routes["fixed"] = distribution_gf_fixed_point(pattern, N).series
+        routes["fixed"] = distribution_gf_fixed_point(pattern, N)
     agree = {name: s == brute_series for name, s in routes.items() if name != "brute"}
     return routes, agree
 
 
 # popularity ---------------------------------------------------------------
 # Printed closed forms exist for the length-2 patterns only; they share
-# the radical R = sqrt(-3x^2 - 2x + 1).
+# the radical R = sqrt(-3x^2 - 2x + 1). DD shares the UU form.
 
-def _pop_closed_length2(pattern: str, N: int) -> TruncatedSeries:
-    x = TruncatedSeries.x_var(N + _GUARD)
-    r = (-3*x**2 - 2*x + 1).sqrt_unit()
-    if pattern == "UD":
-        g = ((x - 1)*r - 3*x**2 - 2*x + 1) / (2*x*(3*x - 1))
-    elif pattern in ("UU", "DD"):
-        g = (r*(x**2 + 2*x - 2) + x**3 - 3*x**2 - 4*x + 2) / (2*x**2*r)
-    else:  # DU
-        g = ((x**2 - 1)*r - x**3 - 3*x**2 - x + 1) / (2*x**2*r)
-    return g.truncate(N)
+def _pop_ud(x, r):
+    return ((x - 1)*r - 3*x**2 - 2*x + 1) / (2*x*(3*x - 1))
+
+
+def _pop_uu(x, r):
+    return (r*(x**2 + 2*x - 2) + x**3 - 3*x**2 - 4*x + 2) / (2*x**2*r)
+
+
+def _pop_du(x, r):
+    return ((x**2 - 1)*r - x**3 - 3*x**2 - x + 1) / (2*x**2*r)
+
+
+_pop_closed_length2 = {"UD": _pop_ud, "UU": _pop_uu, "DD": _pop_uu, "DU": _pop_du}
+
+
+def _popularity(distribution: TruncatedSeries) -> TruncatedSeries:
+    """Total occurrences by semilength: the y-derivative at y = 1."""
+    return distribution.d_dy().eval_y(1)
 
 
 def popularity_gf(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
@@ -348,22 +341,22 @@ def popularity_gf(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     length-2 patterns the printed closed form is evaluated as well and
     must agree."""
     pattern = _canon(pattern)
-    derived = distribution_gf_closed(pattern, N).series.d_dy().eval_y(1)
-    if pattern in ("UD", "UU", "DD", "DU"):
-        printed = _pop_closed_length2(pattern, N)
-        if printed != derived:
+    derived = _popularity(distribution_gf_closed(pattern, N))
+    if pattern in _pop_closed_length2:
+        x = TruncatedSeries.x_var(N + _GUARD)
+        r = (-3*x**2 - 2*x + 1).sqrt_unit()
+        if _pop_closed_length2[pattern](x, r).truncate(N) != derived:
             raise RouteCheckError(
                 f"popularity closed form for {pattern} disagrees with the "
                 f"derivative route")
     return derived
 
 
-def du_from_ud(N: int = DEFAULT_TRUNCATION) -> GfResult:
+def du_from_ud(N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """F_DU rebuilt from F_UD by stripping peak-free terms and shifting
     one y-degree down; must agree with the direct DU closed form."""
-    f_ud = distribution_gf_closed("UD", N).series
+    f_ud = distribution_gf_closed("UD", N)
     series = 1 + (f_ud - f_ud.eval_y(0)).div_exact_monomial(0, 1)
-    direct = distribution_gf_closed("DU", N).series
-    if series != direct:
+    if series != distribution_gf_closed("DU", N):
         raise RouteCheckError("DU-from-UD identity disagrees with the DU closed form")
-    return _result("DU", "closed_form", series)
+    return _validate_distribution(series, "DU", "closed")

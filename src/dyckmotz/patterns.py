@@ -311,6 +311,12 @@ def family_pairs(n: int) -> list:
     return [(PathProfile(p), PathProfile(phi(p))) for p in enumerate_constrained(n)]
 
 
+def _unchecked(rule: TransportRule, max_n: int) -> str:
+    """Why a rule that a TransportSweep up to max_n never checked has no
+    verdict: every semilength in its claimed range has a member."""
+    return f"claimed only for n >= {rule.min_n}; nothing to check up to n = {max_n}"
+
+
 def check_transport(rule: Union[TransportRule, str], n: int,
                     pairs=None) -> dict:
     """Exhaustively verify one rule at semilength n.

@@ -16,7 +16,8 @@ require constant term exactly 1 and solve s*s = f one x-order at a time:
 s_n = (f_n - sum_{0<i<n} s_i s_{n-i}) / 2, with no series division.
 
 The private _OnlineSeries computes a series one x-order at a time from
-the same kernels; the fixed-point route builds its equations from it.
+the same kernels; the fixed-point route builds its equations from it,
+with +, -, * and ** only.
 """
 from __future__ import annotations
 
@@ -92,6 +93,7 @@ def _require_exact(value, what: str) -> None:
 
 class _OnlineSeries:
     """A series known one x-order at a time, for solving fixed points.
+    It supports +, -, * and ** only: no division.
 
     row(k) builds the y-polynomial of x^k once, from rows of the operands,
     and keeps it. val is a lower bound on the x-valuation, taken from the
@@ -178,21 +180,6 @@ class _OnlineSeries:
         for _ in range(k - 1):
             result = result * self
         return result
-
-    def div_exact_monomial(self, x_shift: int, y_shift: int) -> "_OnlineSeries":
-        """Divide by y^y_shift, exactly. Dividing by a power of x would
-        need rows above the order being built, so x_shift must be 0."""
-        if x_shift != 0 or y_shift < 0:
-            raise ValueError("an online series divides by y^b, b >= 0, only")
-
-        def order(k):
-            row = self.row(k)
-            if any(row[:y_shift]):
-                j = next(j for j, c in enumerate(row) if c)
-                raise InexactDivisionError(
-                    f"term x^{k} y^{j} not divisible by divisor lead y^{y_shift}")
-            return row[y_shift:]
-        return _OnlineSeries(self.val, order)
 
 
 class TruncatedSeries:
@@ -366,14 +353,6 @@ class TruncatedSeries:
         monomial = TruncatedSeries(max(x_shift, self.trunc_x))
         monomial.coeffs[x_shift] = [0] * y_shift + [1]
         return _div(self, monomial)
-
-    def div_unit(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        other = self._lift(other)
-        head = other.coeffs[0]
-        if len(head) != 1 or head[0] == 0:
-            raise NonUnitDivisorError(
-                "divisor constant term must be a nonzero rational of y-degree 0")
-        return _div(self, other)
 
     def sqrt_unit(self) -> "TruncatedSeries":
         """Square root, one x-order at a time: s_0 = 1 and

