@@ -26,7 +26,7 @@ from .genfun import (
     distribution_gf_fixed_point,
     popularity_gf,
 )
-from .oeis import MalformedBFileError, NetworkUnavailableError, oeis_fetch
+from .oeis import CacheMissError, MalformedBFileError, NetworkUnavailableError, oeis_fetch
 from .patterns import (
     TransportSweep,
     _unchecked,
@@ -275,7 +275,8 @@ _COMMANDS = {
     "oeis-fetch": _cmd_oeis_fetch,
 }
 
-_INPUT_ERRORS = (KeyError, ValueError)
+# OSError: an input file that cannot be read (fetch failures are caught first)
+_INPUT_ERRORS = (KeyError, ValueError, OSError)
 
 
 def main(argv=None) -> int:
@@ -292,7 +293,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (NetworkUnavailableError, MalformedBFileError, FileNotFoundError,
+    except (NetworkUnavailableError, MalformedBFileError, CacheMissError,
             RouteCheckError) as exc:
         print(f"dyckmotz: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .enumeration import enumerate_constrained, motzkin_number
 from .patterns import PathProfile, parse_pattern
-from .series import TruncatedSeries, _OnlineSeries
+from .series import NoConvergenceError, TruncatedSeries, _OnlineSeries
 
 DEFAULT_TRUNCATION = 24
 
@@ -40,10 +40,6 @@ FIXED_POINT_PATTERNS = ("UU", "UUU", "UDU", "UDD", "DDU", "DDD")
 # denominators all have x-valuation 2, so closed forms are built with
 # two guard orders and land exactly on the requested truncation
 _GUARD = 2
-
-
-class NoConvergenceError(ArithmeticError):
-    """A fixed-point system does not determine its solution order by order."""
 
 
 class RouteCheckError(ValueError):
@@ -165,33 +161,18 @@ def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> Truncat
 # Single-unknown forms solve for one series; the two-unknown systems solve
 # for (A, B) jointly with F written as 1 + A + B inside every right hand
 # side. Each right hand side is called once on online unknowns, which
-# turns it into a graph of _OnlineSeries nodes; x^k of a right hand side
-# needs only lower orders of the unknowns, so settling x^0, x^1, ..., x^N
-# in turn computes every order of every node once. One eager pass in the
-# TruncatedSeries ring then confirms the solution at N.
-
-def _settle(equation):
-    """An unknown's order function: x^k of its equation, which may not
-    ask for x^k of the unknown itself."""
-    busy = False
-
-    def order(k):
-        nonlocal busy
-        if busy:
-            raise NoConvergenceError(f"x^{k} of an unknown depends on itself")
-        busy = True
-        try:
-            return equation.row(k)
-        finally:
-            busy = False
-    return order
-
+# turns it into a graph of _OnlineSeries nodes whose top node gives its
+# unknown's orders. x^k of a right hand side needs only lower orders of
+# the unknowns (a node read for the order it computes raises
+# NoConvergenceError), so settling x^0, x^1, ..., x^N in turn computes
+# every order of every node once. One eager pass in the TruncatedSeries
+# ring then confirms the solution at N.
 
 def _fixed_point(N: int, *rhs):
     unknowns = [_OnlineSeries(0) for _ in rhs]
     try:
         for u, f in zip(unknowns, rhs):
-            u.order = _settle(_OnlineSeries.lift(f(*unknowns)))
+            u.order = _OnlineSeries.lift(f(*unknowns)).row
         for k in range(N + 1):
             for u in unknowns:
                 u.row(k)
@@ -356,7 +337,7 @@ def du_from_ud(N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     """F_DU rebuilt from F_UD by stripping peak-free terms and shifting
     one y-degree down; must agree with the direct DU closed form."""
     f_ud = distribution_gf_closed("UD", N)
-    series = 1 + (f_ud - f_ud.eval_y(0)).div_exact_monomial(0, 1)
+    series = 1 + (f_ud - f_ud.eval_y(0)) / TruncatedSeries.y_var(N)
     if series != distribution_gf_closed("DU", N):
         raise RouteCheckError("DU-from-UD identity disagrees with the DU closed form")
     return _validate_distribution(series, "DU", "closed")

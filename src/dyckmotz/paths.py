@@ -8,11 +8,13 @@ use sort_key when sorting path strings).
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Union
 
 U, D, F = "U", "D", "F"
 STEP_HEIGHT = {U: 1, D: -1, F: 0}
 _SORT_TABLE = str.maketrans("UDF", "012")
+_DROP_STEPS = str.maketrans("", "", "UDF")
 
 
 class PathSyntaxError(ValueError):
@@ -46,18 +48,14 @@ class LatticePath(str):
 
     def __new__(cls, steps: object = ""):
         s = str(steps)
-        for i, c in enumerate(s):
-            if c not in STEP_HEIGHT:
-                raise PathSyntaxError(s, i)
+        bad = s.translate(_DROP_STEPS)
+        if bad:
+            raise PathSyntaxError(s, s.index(bad[0]))
         return super().__new__(cls, s)
 
     def heights(self) -> list:
-        """Prefix sums of step heights, one entry per step."""
-        out, h = [], 0
-        for c in self:
-            h += STEP_HEIGHT[c]
-            out.append(h)
-        return out
+        """Prefix sums of step heights, one entry per step: the only height scan."""
+        return list(accumulate(map(STEP_HEIGHT.__getitem__, self)))
 
     def sort_key(self) -> str:
         return self.translate(_SORT_TABLE)
@@ -68,13 +66,9 @@ class MotzkinPath(LatticePath):
 
     def __new__(cls, steps: object = ""):
         p = super().__new__(cls, steps)
-        h = 0
-        for i, c in enumerate(p):
-            h += STEP_HEIGHT[c]
-            if h < 0:
-                raise NotAMotzkinPathError(str(p), i)
-        if h != 0:
-            raise NotAMotzkinPathError(str(p), len(p) - 1)
+        hs = p.heights()
+        if -1 in hs or hs and hs[-1]:  # steps move by one: a first dip is to -1
+            raise NotAMotzkinPathError(str(p), hs.index(-1) if -1 in hs else len(p) - 1)
         return p
 
 
@@ -99,31 +93,30 @@ def validate_motzkin(p: Union[str, LatticePath]) -> MotzkinPath:
 
 
 def height(p: Union[str, LatticePath]) -> int:
-    """Maximal level reached by the path (0 for the empty path)."""
-    h = best = 0
-    for c in LatticePath(p):  # validates the letters first
-        h += STEP_HEIGHT[c]
-        if h > best:
-            best = h
-    return best
+    """Maximal level reached by the path, counting the start at level 0."""
+    return max([0, *LatticePath(p).heights()])
 
 
 def first_return_decompose(p: Union[str, DyckPath]):
     """Split a nonempty Dyck path as U alpha D beta at its first return to 0.
 
-    Returns (alpha, beta) as DyckPath values.
-    """
+    Returns (alpha, beta) as DyckPath values; a non-Dyck input raises
+    NotADyckPathError naming a position in it."""
     if not p:
         raise EmptyPathError("cannot decompose the empty path")
-    h = 0
-    for i, c in enumerate(LatticePath(p)):  # validates the letters first
-        h += STEP_HEIGHT[c]
-        if h < 0:
-            raise NotADyckPathError(
-                f"dips below the axis at position {i} in {str(p)!r}")
-        if h == 0:
-            return DyckPath(p[1:i]), DyckPath(p[i + 1:])
-    raise NotADyckPathError(f"path never returns to the axis: {str(p)!r}")
+    p = LatticePath(p)  # validates the letters first
+    hs = p.heights()
+    if -1 in hs:
+        problem, i = "dips below the axis", hs.index(-1)
+    elif F in p:
+        problem, i = "flat step", p.index(F)
+    elif hs[-1]:
+        problem = "ends off the axis" if 0 in hs else "never returns to the axis"
+        i = len(p) - 1
+    else:
+        i = hs.index(0)
+        return DyckPath(p[1:i]), DyckPath(p[i + 1:])
+    raise NotADyckPathError(f"{problem} at position {i} in {str(p)!r}")
 
 
 def is_constrained(p: Union[str, DyckPath]) -> bool:

@@ -9,15 +9,16 @@ positive x-valuation lowers the truncation by that valuation, so a lost
 order is visible in the result rather than silently wrong.
 
 Operator overloading covers +, -, *, /, ** and mixing with ints and
-Fractions, so algebraic formulas can be transcribed directly. Division
-accepts any divisor whose lowest x-degree slice is a single monomial
-c*y^m (unit divisors are the m = 0, valuation 0 case). Square roots
+Fractions, so algebraic formulas can be transcribed directly. / is the
+one division; its divisor's lowest x-degree slice must be one monomial
+c*y^m, which a unit (m = 0) and a monomial such as x^2*y both are. Square roots
 require constant term exactly 1 and solve s*s = f one x-order at a time:
 s_n = (f_n - sum_{0<i<n} s_i s_{n-i}) / 2, with no series division.
 
 The private _OnlineSeries computes a series one x-order at a time from
 the same kernels; the fixed-point route builds its equations from it,
-with +, -, * and ** only.
+with +, -, * and ** only; a node read for the order it is computing
+raises NoConvergenceError.
 """
 from __future__ import annotations
 
@@ -37,6 +38,10 @@ class InexactDivisionError(ArithmeticError):
 
 class NonSquareConstantTermError(ValueError):
     """sqrt_unit needs constant term exactly 1."""
+
+
+class NoConvergenceError(ArithmeticError):
+    """A fixed-point system does not determine its solution order by order."""
 
 
 def _norm(c: Scalar) -> Scalar:
@@ -85,6 +90,16 @@ def _pscale(a: List[Scalar], s: Scalar) -> List[Scalar]:
     return _trim([_norm(c * s) for c in a])
 
 
+def _power(base, k: int, lift):
+    """base ** k as k - 1 products from base (exponents here are small)."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("only nonnegative integer powers")
+    result = base if k else lift(1)
+    for _ in range(k - 1):
+        result = result * base
+    return result
+
+
 def _require_exact(value, what: str) -> None:
     # bool is an int subclass, but True as a coefficient prints as True
     if type(value) is bool or not isinstance(value, (int, Fraction)):
@@ -103,7 +118,8 @@ class _OnlineSeries:
     past its truncation read as zero (the solver's eager confirmation
     rejects a right-hand side truncated below the solve). An unknown is
     made with no order function; its solver sets one once the unknown's
-    equation is built.
+    equation is built. row holds the order function aside while it runs,
+    so a read of the order being computed raises NoConvergenceError.
     """
     __slots__ = ("val", "order", "rows")
 
@@ -113,9 +129,16 @@ class _OnlineSeries:
         self.rows: List[List[Scalar]] = []
 
     def row(self, k: int) -> List[Scalar]:
-        rows = self.rows
-        while len(rows) <= k:
-            rows.append(self.order(len(rows)))
+        rows, order = self.rows, self.order
+        if len(rows) <= k:
+            if order is None:  # held aside: this order is being computed
+                raise NoConvergenceError(f"x^{len(rows)} of a series depends on itself")
+            self.order = None
+            try:
+                while len(rows) <= k:
+                    rows.append(order(len(rows)))
+            finally:
+                self.order = order
         return rows[k]
 
     @classmethod
@@ -174,12 +197,7 @@ class _OnlineSeries:
         return other * self
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = self if k else self.lift(1)
-        for _ in range(k - 1):
-            result = result * self
-        return result
+        return _power(self, k, self.lift)
 
 
 class TruncatedSeries:
@@ -241,9 +259,6 @@ class TruncatedSeries:
             raise ValueError(f"x-degree {n} outside 0..{self.trunc_x}")
         return list(self.coeffs[n])
 
-    def is_zero(self) -> bool:
-        return all(not poly for poly in self.coeffs)
-
     def truncate(self, trunc_x: int) -> "TruncatedSeries":
         """Copy restricted to a lower (or equal) truncation order."""
         if trunc_x > self.trunc_x:
@@ -304,16 +319,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = TruncatedSeries.one(self.trunc_x)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, self._lift)
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -344,16 +350,7 @@ class TruncatedSeries:
             out.append([acc] if acc != 0 else [])
         return TruncatedSeries(self.trunc_x, out)
 
-    # division tower -----------------------------------------------------
-    def div_exact_monomial(self, x_shift: int, y_shift: int) -> "TruncatedSeries":
-        """Divide by x^x_shift y^y_shift, exactly. Lowers trunc_x by x_shift."""
-        if x_shift < 0 or y_shift < 0:
-            raise ValueError("shifts must be nonnegative")
-        # room for x^x_shift; _div raises when it passes the truncation
-        monomial = TruncatedSeries(max(x_shift, self.trunc_x))
-        monomial.coeffs[x_shift] = [0] * y_shift + [1]
-        return _div(self, monomial)
-
+    # square root ------------------------------------------------------
     def sqrt_unit(self) -> "TruncatedSeries":
         """Square root, one x-order at a time: s_0 = 1 and
         2 s_n = f_n - sum_{0<i<n} s_i s_{n-i}. Needs constant term 1."""

@@ -191,6 +191,16 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert "RESULT: FAILED" in capsys.readouterr().out
 
 
+def test_verify_unreadable_seed_tables_exits_2(tmp_path, capsys):
+    # a file that cannot be read is bad input, not a failed check
+    for seed in (tmp_path / "missing.txt", tmp_path):
+        assert main(["verify", "--max-n", "2", "--seed-tables", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dyckmotz: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_oeis_fetch_offline_embedded(capsys):
     assert main(["oeis-fetch", "A004148", "--offline"]) == 0
     lines = capsys.readouterr().out.splitlines()

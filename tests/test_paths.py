@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyckmotz import (
     DyckPath,
@@ -79,6 +81,15 @@ def test_first_return_decompose():
     with pytest.raises(PathSyntaxError) as exc:
         first_return_decompose("UXD")
     assert exc.value.position == 1
+    # anything else that is not a Dyck path is named at its place in the input
+    for word, message in (("F", "flat step at position 0 in 'F'"),
+                          ("FUD", "flat step at position 0 in 'FUD'"),
+                          ("UDF", "flat step at position 2 in 'UDF'"),
+                          ("UDDU", "dips below the axis at position 2 in 'UDDU'"),
+                          ("UDU", "ends off the axis at position 2 in 'UDU'")):
+        with pytest.raises(NotADyckPathError) as exc:
+            first_return_decompose(word)
+        assert str(exc.value) == message
 
 
 def test_is_constrained():
@@ -100,3 +111,78 @@ def test_is_constrained():
     with pytest.raises(PathSyntaxError) as exc:
         is_constrained("UXD")
     assert exc.value.position == 1
+
+
+_STEP = {"U": 1, "D": -1, "F": 0}
+
+
+def _reference(word):
+    """What each path check must give on word, from a plain scan of one
+    character at a time: {check: value, or (exception class, position)}."""
+    heights, h, dip = [], 0, None
+    for i, c in enumerate(word):
+        if c not in _STEP:
+            bad = (PathSyntaxError, i)
+            return dict.fromkeys(("lattice", "heights", "height", "motzkin",
+                                  "dyck", "constrained"), bad)
+        h += _STEP[c]
+        heights.append(h)
+        if h < 0 and dip is None:
+            dip = i
+    out = {"lattice": word, "heights": heights, "height": _top(word)}
+    if dip is not None or h != 0:
+        out["motzkin"] = (NotAMotzkinPathError,
+                          dip if dip is not None else len(word) - 1)
+        out["dyck"] = out["constrained"] = out["motzkin"]
+        return out
+    out["motzkin"] = word
+    if "F" in word:
+        out["dyck"] = out["constrained"] = (NotADyckPathError, None)
+        return out
+    out["dyck"] = word
+    out["constrained"] = _reference_constrained(word)
+    return out
+
+
+def _top(word):
+    top = h = 0
+    for c in word:
+        h += _STEP[c]
+        top = max(top, h)
+    return top
+
+
+def _reference_constrained(word):
+    # U alpha D beta at the first return, h(U alpha D) >= h(beta), recursively
+    if not word:
+        return True
+    h = 0
+    for i, c in enumerate(word):
+        h += _STEP[c]
+        if h == 0:
+            break
+    beta = word[i + 1:]
+    return (_top(word[:i + 1]) >= _top(beta) and _reference_constrained(word[1:i])
+            and _reference_constrained(beta))
+
+
+def _outcome(check, word):
+    try:
+        value = check(word)
+    except (PathSyntaxError, NotAMotzkinPathError, NotADyckPathError) as exc:
+        return type(exc), getattr(exc, "position", None)
+    return str(value) if isinstance(value, str) else value
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text("UDFX", max_size=12) | st.text("UD", max_size=12))
+def test_path_checks_match_a_per_character_scan(word):
+    checks = {"lattice": LatticePath,
+              "heights": lambda w: LatticePath(w).heights(),
+              "height": height,
+              "motzkin": MotzkinPath,
+              "dyck": DyckPath,
+              "constrained": is_constrained}
+    expected = _reference(word)
+    for name, check in checks.items():
+        assert _outcome(check, word) == expected[name], name
