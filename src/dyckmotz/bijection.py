@@ -92,37 +92,45 @@ def check_bijectivity(n: int) -> dict:
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    return _bijectivity_report(n, ((p, phi(p)) for p in enumerate_constrained(n)))
+    tally = _BijectivityTally(n)
+    for p in enumerate_constrained(n):
+        tally.add(p, phi(p))
+    return tally.report()
 
 
-def _bijectivity_report(n: int, pairs) -> dict:
-    """check_bijectivity's report from the (member, image) pairs of the
-    whole family at semilength n, the images already computed by phi."""
-    expected = motzkin_number(n)
-    domain = 0
-    images: dict = {}
-    collisions = []
-    roundtrip_failures = []
-    for p, m in pairs:
-        domain += 1
+class _BijectivityTally:
+    """check_bijectivity's report for semilength n, tallied one (member,
+    image) pair of the family at a time, the image already computed by
+    phi. Of the pairs it keeps only the image set and the failures."""
+
+    def __init__(self, n: int):
+        self.n, self.domain, self.images = n, 0, {}  # image -> first member
+        self.collisions, self.roundtrip_failures = [], []
+
+    def add(self, p, m) -> None:
+        self.domain += 1
         p = str(p)
-        prev = images.setdefault(str(m), p)
+        prev = self.images.setdefault(str(m), p)
         if prev != p:
-            collisions.append((prev, p, str(m)))
+            self.collisions.append((prev, p, str(m)))
         if str(phi_inverse(m)) != p:
-            roundtrip_failures.append(p)
-    report = {
-        "n": n,
-        "domain": domain,
-        "image": len(images),
-        "collisions": len(collisions),
-        "missing": expected - len(images),
-        "roundtrip_failures": len(roundtrip_failures),
-        "ok": (not collisions and not roundtrip_failures
-               and len(images) == expected and domain == expected),
-    }
-    if collisions:
-        report["collision_examples"] = collisions[:3]
-    if roundtrip_failures:
-        report["roundtrip_examples"] = roundtrip_failures[:3]
-    return report
+            self.roundtrip_failures.append(p)
+
+    def report(self) -> dict:
+        expected, image = motzkin_number(self.n), len(self.images)
+        collisions, roundtrip_failures = self.collisions, self.roundtrip_failures
+        report = {
+            "n": self.n,
+            "domain": self.domain,
+            "image": image,
+            "collisions": len(collisions),
+            "missing": expected - image,
+            "roundtrip_failures": len(roundtrip_failures),
+            "ok": (not collisions and not roundtrip_failures
+                   and image == expected and self.domain == expected),
+        }
+        if collisions:
+            report["collision_examples"] = collisions[:3]
+        if roundtrip_failures:
+            report["roundtrip_examples"] = roundtrip_failures[:3]
+        return report

@@ -25,6 +25,7 @@ literally so the alias is itself testable.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from .enumeration import enumerate_constrained, motzkin_number
@@ -151,6 +152,8 @@ _CLOSED_FORMS = {
 
 def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     pattern = _canon(pattern)
+    if N < 0:  # before the guard orders would make it a valid size
+        raise ValueError("truncation order must be nonnegative")
     x = TruncatedSeries.x_var(N + _GUARD)
     y = TruncatedSeries.y_var(N + _GUARD)
     return _validate_distribution(
@@ -247,17 +250,22 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
 
 # brute force --------------------------------------------------------------
 
+_PATTERN_EXPRS = {p: parse_pattern(p) for p in PATTERNS}
+
+
 def _distribution_row(profiles) -> dict:
     """pattern -> {occurrence count -> paths}, counted path by path over
     the Dyck profiles of one semilength."""
-    pats = {p: parse_pattern(p) for p in PATTERNS}
-    rows: dict = {p: {} for p in PATTERNS}
+    row = {p: Counter() for p in PATTERNS}
     for prof in profiles:
-        for name, pat in pats.items():
-            k = prof.count(pat)
-            row = rows[name]
-            row[k] = row.get(k, 0) + 1
-    return rows
+        _count_into_row(row, prof)
+    return row
+
+
+def _count_into_row(row: dict, prof: PathProfile) -> None:
+    """Count one more Dyck profile into a _distribution_row."""
+    for name, pat in _PATTERN_EXPRS.items():
+        row[name][prof.count(pat)] += 1
 
 
 # holds more semilengths than a brute-force sweep can reach, so a sweep

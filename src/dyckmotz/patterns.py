@@ -26,7 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .bijection import phi
 from .enumeration import enumerate_constrained
@@ -303,12 +303,13 @@ def transport_rule(name: str) -> TransportRule:
                        f"known: {', '.join(sorted(_RULES_BY_NAME))}") from None
 
 
-def family_pairs(n: int) -> list:
-    """(dyck PathProfile, image PathProfile) for every family member of
-    semilength n, in enumeration order. This is the one pass over the
-    family that a campaign builds per semilength and hands to every
-    check that reads the family."""
-    return [(PathProfile(p), PathProfile(phi(p))) for p in enumerate_constrained(n)]
+def family_pairs(n: int) -> Iterator:
+    """Yield (dyck PathProfile, image PathProfile) for every family
+    member of semilength n, in enumeration order: the one pass over the
+    family per semilength, each pair built when reached and handed to
+    every check that reads it, so no semilength is held in memory."""
+    for p in enumerate_constrained(n):
+        yield PathProfile(p), PathProfile(phi(p))
 
 
 def _unchecked(rule: TransportRule, max_n: int) -> str:
@@ -321,50 +322,47 @@ def check_transport(rule: Union[TransportRule, str], n: int,
                     pairs=None) -> dict:
     """Exhaustively verify one rule at semilength n.
 
-    pairs may supply the family_pairs(n) list so a verification campaign
-    can share one enumeration pass across many rules.
+    pairs, any iterable of the family_pairs(n) items, is read once;
+    checked counts pairs up to and including the first counterexample.
     """
     if isinstance(rule, str):
         rule = transport_rule(rule)
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
     if n < rule.min_n:
         raise ValueError(f"rule {rule.name} is claimed only for n >= {rule.min_n}")
-    checked = 0
-    counterexample = None
-    for dyck_prof, motz_prof in (pairs if pairs is not None else family_pairs(n)):
-        checked += 1
-        lhs = evaluate_statistic(dyck_prof.path, rule.dyck_side, dyck_prof)
-        rhs = evaluate_statistic(motz_prof.path, rule.motzkin_side, motz_prof)
-        if lhs != rhs:
-            counterexample = {
-                "path": dyck_prof.text,
-                "image": motz_prof.text,
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-            break
-    return {
-        "rule": rule.name,
-        "n": n,
-        "checked": checked,
-        "ok": counterexample is None,
-        "counterexample": counterexample,
-    }
+    sweep = TransportSweep([rule])
+    sweep.add(n, family_pairs(n) if pairs is None else pairs)
+    (result,) = sweep.results
+    counterexample = result["counterexample"]
+    if counterexample is not None:
+        del counterexample["n"]
+    return {"rule": rule.name, "n": n, "checked": result["checked"],
+            "ok": counterexample is None, "counterexample": counterexample}
 
 
 class TransportSweep:
-    """check_transport for several rules from n = rule.min_n up, fed one
-    family_pairs(n) at a time in increasing n. results holds per rule the
-    paths checked in total and the first counterexample (with its n), at
-    which the rule stops, or None."""
+    """check_transport for several rules from n = rule.min_n up, fed in
+    increasing n one family pair at a time by check, or an iterable of
+    them read once by add. results holds per rule the paths checked in
+    total and the first counterexample (with its n), at which the rule
+    stops, or None."""
 
     def __init__(self, rules):
         self.results = [{"rule": rule, "checked": 0, "counterexample": None}
                         for rule in rules]
 
     def add(self, n: int, pairs) -> None:
+        for dyck, motz in pairs:
+            self.check(n, dyck, motz)
+
+    def check(self, n: int, dyck: PathProfile, motz: PathProfile) -> None:
         for r in self.results:
-            if r["counterexample"] is None and n >= r["rule"].min_n:
-                result = check_transport(r["rule"], n, pairs=pairs)
-                r["checked"] += result["checked"]
-                if not result["ok"]:
-                    r["counterexample"] = {"n": n, **result["counterexample"]}
+            rule = r["rule"]
+            if r["counterexample"] is None and n >= rule.min_n:
+                r["checked"] += 1
+                lhs = evaluate_statistic(dyck.path, rule.dyck_side, dyck)
+                rhs = evaluate_statistic(motz.path, rule.motzkin_side, motz)
+                if lhs != rhs:
+                    r["counterexample"] = {"n": n, "path": dyck.text,
+                                           "image": motz.text, "lhs": lhs, "rhs": rhs}

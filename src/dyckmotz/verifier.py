@@ -4,9 +4,11 @@ Runs, in order: family cardinality against Motzkin numbers, exhaustive
 bijectivity, every transport rule, the step-pattern identity systems on
 unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
-popularity row, and sequence cross-references. A failed comparison
-lands in the report, one record per check, so a single run gives the
-complete picture; a route whose series fails its own shape check raises
+popularity row, and sequence cross-references. The family checks share
+one streamed pass per semilength and hold only their tallies and the
+image set that injectivity needs. A failed comparison lands in the
+report, one record per check, so a single run gives the complete
+picture; a route whose series fails its own shape check raises
 RouteCheckError instead (the CLI exits 1).
 
 Golden data is loaded from the packaged reference file (overridable) and
@@ -24,11 +26,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .bijection import _bijectivity_report
+from .bijection import _BijectivityTally
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_number
-from .genfun import (PATTERNS, _brute_force, _distribution_row,
-                     _pop_closed_length2, _popularity, cross_check_routes,
-                     du_from_ud, popularity_gf)
+from .genfun import (PATTERNS, _brute_force, _count_into_row,
+                     _distribution_row, _pop_closed_length2, _popularity,
+                     cross_check_routes, du_from_ud, popularity_gf)
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
 from .patterns import (PathProfile, TransportSweep, _unchecked,
                        evaluate_statistic, family_pairs, parse_statistic,
@@ -206,27 +208,31 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     golden = load_golden_tables(seed_tables)
     checks: list = []
 
-    # one pass over the family per semilength: cardinality, bijectivity,
-    # transport, the brute-force rows and the structural check all read it
+    # one streamed pass over the family per semilength: cardinality,
+    # bijectivity, transport, the brute-force rows and the structural
+    # check each read every pair as it goes by
     counts, rows = [], []
     bad = structural_worst = None
     transport = TransportSweep(transport_rules())
-    duu = parse_statistic("DUU", "dyck")
-    uud = parse_statistic("UUD", "dyck")
+    duu, uud = parse_statistic("DUU", "dyck"), parse_statistic("UUD", "dyck")
     for n in range(max_n + 1):
-        pairs = family_pairs(n)
-        counts.append(len(pairs))
-        if bad is None:
-            report = _bijectivity_report(n, ((d.path, m.path) for d, m in pairs))
-            bad = None if report["ok"] else report
-        transport.add(n, pairs)
-        rows.append(_distribution_row(d for d, _ in pairs))
-        for d, _ in (pairs if structural_worst is None else ()):
-            k = evaluate_statistic(d.path, uud, d)
-            if k > 1 and evaluate_statistic(d.path, duu, d) == 0:
-                structural_worst = {"n": n, "path": d.text, "UUD": k}
-                break
-        del pairs  # before the next, larger pass is built
+        # a semilength after the first failing one is not tallied
+        tally = _BijectivityTally(n) if bad is None else None
+        row = _distribution_row(())
+        count = 0
+        for count, (d, m) in enumerate(family_pairs(n), 1):
+            if tally is not None:
+                tally.add(d.path, m.path)
+            transport.check(n, d, m)
+            _count_into_row(row, d)
+            if structural_worst is None:
+                k = evaluate_statistic(d.path, uud, d)
+                if k > 1 and evaluate_statistic(d.path, duu, d) == 0:
+                    structural_worst = {"n": n, "path": d.text, "UUD": k}
+        counts.append(count)
+        rows.append(row)
+        if tally is not None and not tally.report()["ok"]:
+            bad = tally.report()
 
     # (1) cardinality
     wanted = [motzkin_number(n) for n in range(max_n + 1)]
@@ -254,21 +260,21 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     id_bound = min(max_n, 8)
     for side, walk, identities in (("Dyck", enumerate_dyck, DYCK_IDENTITIES),
                                    ("Motzkin", enumerate_motzkin, MOTZKIN_IDENTITIES)):
-        profiles = [(n, PathProfile(p)) for n in range(id_bound + 1) for p in walk(n)]
-        for lhs_text, rhs_text, min_n in identities:
-            lhs_e = parse_statistic(lhs_text, side.lower())
-            rhs_e = parse_statistic(rhs_text, side.lower())
-            worst = None
-            for n, prof in profiles:
-                if n < min_n:
-                    continue
-                a = evaluate_statistic(prof.path, lhs_e, prof)
-                b = evaluate_statistic(prof.path, rhs_e, prof)
-                if a != b:
-                    worst = {"path": prof.text, "lhs": a, "rhs": b}
-                    break
+        parsed = [(parse_statistic(a, side.lower()), parse_statistic(b, side.lower()), k)
+                  for a, b, k in identities]
+        worst = [None] * len(parsed)  # each identity's first counterexample
+        for n in range(id_bound + 1):
+            for p in walk(n):
+                prof = PathProfile(p)
+                for i, (lhs_e, rhs_e, min_n) in enumerate(parsed):
+                    if worst[i] is None and n >= min_n:
+                        a = evaluate_statistic(prof.path, lhs_e, prof)
+                        b = evaluate_statistic(prof.path, rhs_e, prof)
+                        if a != b:
+                            worst[i] = {"path": prof.text, "lhs": a, "rhs": b}
+        for (lhs_text, rhs_text, min_n), counterexample in zip(identities, worst):
             _judge(checks, f"identity:{side.lower()}:{lhs_text} = {rhs_text}",
-                   f"all {side} paths, n={min_n}..{id_bound}", worst)
+                   f"all {side} paths, n={min_n}..{id_bound}", counterexample)
 
     # (5) three-way generating function agreement, one route table per pattern
     routes = {}

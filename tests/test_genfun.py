@@ -180,6 +180,15 @@ def test_du_series_rebuilt_from_ud():
     assert du_from_ud(N) == distribution_gf_closed("DU", N)
 
 
+@pytest.mark.parametrize("N", [-1, -2])
+def test_negative_truncation_is_a_value_error(N):
+    # the guard orders must not turn a negative size into a valid one
+    for route in (lambda: distribution_gf_closed("UD", N),
+                  lambda: popularity_gf("UU", N), lambda: du_from_ud(N)):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            route()
+
+
 def test_distribution_starts_at_one():
     for pattern in PATTERNS:
         series = distribution_gf_closed(pattern, 5)

@@ -1,4 +1,5 @@
 import time
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from dyckmotz import (
     enumerate_motzkin,
     evaluate_statistic,
     family_pairs,
+    motzkin_number,
     parse_pattern,
     parse_statistic,
     phi,
@@ -228,6 +230,39 @@ def test_check_transport_accepts_explicit_pairs():
     assert result["ok"] and result["checked"] == 2
 
 
+def test_check_transport_counts_up_to_the_counterexample():
+    wrong = TransportRule("UDU", parse_statistic("UDU", "dyck"),
+                          parse_statistic("FF", "motzkin"))
+    result = check_transport(wrong, 3, pairs=family_pairs(3))
+    assert result == {"rule": "UDU", "n": 3, "checked": 2, "ok": False,
+                      "counterexample": {"path": "UUDUDD", "image": "FUD",
+                                         "lhs": 1, "rhs": 0}}
+
+
+def test_check_transport_rejects_a_negative_semilength():
+    for rule in ("UD", "DUU"):
+        with pytest.raises(ValueError, match="^semilength must be nonnegative$"):
+            check_transport(rule, -1)
+
+
+def test_family_pairs_streams():
+    assert isinstance(family_pairs(3), Iterator)
+    # the first of M_200 members comes without building the others
+    start = time.perf_counter()
+    dyck, motz = next(family_pairs(200))
+    assert dyck.text == "U" * 200 + "D" * 200
+    assert motz.text == str(phi(dyck.path))
+    assert time.perf_counter() - start < 5
+
+
+def test_transport_sweep_reads_a_one_shot_iterator_once():
+    pairs = list(family_pairs(5))
+    sweep = TransportSweep(transport_rules())
+    sweep.add(5, iter(pairs))
+    assert [r["checked"] for r in sweep.results] == [len(pairs)] * 15
+    assert all(r["counterexample"] is None for r in sweep.results)
+
+
 def test_transport_sweep_stops_at_first_counterexample():
     wrong = TransportRule("UDU", parse_statistic("UDU", "dyck"),
                           parse_statistic("FF", "motzkin"))
@@ -236,7 +271,7 @@ def test_transport_sweep_stops_at_first_counterexample():
         sweep.add(n, family_pairs(n))
     right, broken = sweep.results
     assert right["counterexample"] is None
-    assert right["checked"] == sum(len(family_pairs(n)) for n in range(1, 7))
+    assert right["checked"] == sum(motzkin_number(n) for n in range(1, 7))
     assert broken["counterexample"] == {"n": 3, "path": "UUDUDD", "image": "FUD",
                                         "lhs": 1, "rhs": 0}
     assert broken["checked"] == 1 + 1 + 2 + 2  # stops at the failing path

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -100,6 +101,28 @@ def test_campaign_walks_each_semilength_once(monkeypatch):
             monkeypatch.setattr(module, "enumerate_constrained", counting)
     assert run_full_verification(max_n=6)["ok"]
     assert walked == {n: 1 for n in range(7)}
+
+
+def test_campaign_holds_no_semilength_in_memory():
+    tracemalloc.start()
+    try:
+        assert run_full_verification(max_n=9)["ok"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # bytes; the 835 pairs of n = 9 as a list take more
+
+
+def test_campaign_reports_each_identity_on_its_own(monkeypatch):
+    before = run_full_verification(max_n=4)["checks"]
+    monkeypatch.setattr(dyckmotz.verifier, "DYCK_IDENTITIES",
+                        dyckmotz.verifier.DYCK_IDENTITIES + (("UD", "DU", 0),))
+    after = run_full_verification(max_n=4)["checks"]
+    failed = [c for c in after if c["status"] == "fail"]
+    assert failed == [{"check": "identity:dyck:UD = DU", "status": "fail",
+                       "details": "all Dyck paths, n=0..4",
+                       "counterexample": {"path": "UD", "lhs": 1, "rhs": 0}}]
+    assert [c for c in after if c is not failed[0]] == before
 
 
 def test_small_campaigns_pass():
