@@ -62,6 +62,11 @@ def phi(p: Union[str, DyckPath]) -> MotzkinPath:
 def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:
     """The unique family member mapping to m under phi."""
     m = m if isinstance(m, MotzkinPath) else MotzkinPath(m)
+    return DyckPath(_phi_inverse(str(m)))
+
+
+def _phi_inverse(m: str) -> str:
+    """phi_inverse on the text of a Motzkin path, unchecked."""
     # per open arch, the blocks decoded on its level as (height, text);
     # heights never increase along a level
     levels = [[]]
@@ -80,40 +85,40 @@ def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:
             beta = "".join(text for _, text in inner)
             gamma = "".join(text for _, text in blocks[k:])
             blocks[k:] = [(h, "UU" + beta + "D" + gamma + "D")]
-    return DyckPath("".join(text for _, text in levels[0]))
+    return "".join(text for _, text in levels[0])
 
 
 def check_bijectivity(n: int) -> dict:
     """Exhaustively verify that phi is a bijection at semilength n.
 
     Walks the whole family, checking injectivity, image size against the
-    Motzkin count, and the round trip phi_inverse(phi(p)) == p through
-    the public entry points. Failures are report contents, not raises.
+    Motzkin count, and the round trip phi_inverse(phi(p)) == p on the
+    texts. Failures are report contents, not raises.
     """
     if n < 0:
         raise ValueError("semilength must be nonnegative")
     tally = _BijectivityTally(n)
     for p in enumerate_constrained(n):
-        tally.add(p, phi(p))
+        tally.add(str(p), str(phi(p)))
     return tally.report()
 
 
 class _BijectivityTally:
     """check_bijectivity's report for semilength n, tallied one (member,
-    image) pair of the family at a time, the image already computed by
-    phi. Of the pairs it keeps only the image set and the failures."""
+    image) pair of the family at a time as plain texts, the image already
+    computed by phi. Of the pairs it keeps only the image set and the
+    failures."""
 
     def __init__(self, n: int):
         self.n, self.domain, self.images = n, 0, {}  # image -> first member
         self.collisions, self.roundtrip_failures = [], []
 
-    def add(self, p, m) -> None:
+    def add(self, p: str, m: str) -> None:
         self.domain += 1
-        p = str(p)
-        prev = self.images.setdefault(str(m), p)
+        prev = self.images.setdefault(m, p)
         if prev != p:
-            self.collisions.append((prev, p, str(m)))
-        if str(phi_inverse(m)) != p:
+            self.collisions.append((prev, p, m))
+        if _phi_inverse(m) != p:
             self.roundtrip_failures.append(p)
 
     def report(self) -> dict:

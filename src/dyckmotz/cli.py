@@ -180,6 +180,8 @@ def _cmd_check_transport(args) -> int:
     rules = transport_rules() if args.all_rules else [transport_rule(args.rule)]
     sweep = TransportSweep(rules)
     for n in range(max_n + 1):
+        if sweep.done:
+            break
         sweep.add(n, family_pairs(n))
     if not args.all_rules and not sweep.results[0]["checked"]:
         check_transport(rules[0], max_n)  # raises: nothing is claimed up to max_n

@@ -12,7 +12,8 @@ times. The three routes are:
                 only), then confirmed in the series ring, where such an
                 equation is on record (UU, UUU, UDU, UDD, DDU, DDD)
   brute force   one enumeration pass per semilength, counting
-                occurrences path by path
+                occurrences path by path and tallying the paths by
+                their vector of twelve counts
 
 Each route returns its TruncatedSeries after validating the same shape
 invariants: constant term 1, nonnegative integer coefficients, row sums
@@ -27,9 +28,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import repeat
 
 from .enumeration import enumerate_constrained, motzkin_number
-from .patterns import PathProfile, parse_pattern
+from .patterns import PathProfile
 from .series import NoConvergenceError, TruncatedSeries, _OnlineSeries
 
 DEFAULT_TRUNCATION = 24
@@ -250,29 +252,28 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
 
 # brute force --------------------------------------------------------------
 
-_PATTERN_EXPRS = {p: parse_pattern(p) for p in PATTERNS}
+def _pattern_counts(prof: PathProfile) -> tuple:
+    """The occurrence count of each of PATTERNS in one Dyck profile, in
+    order; every one is a table entry."""
+    return tuple(map(prof.table.get, PATTERNS, repeat(0)))
 
 
-def _distribution_row(profiles) -> dict:
-    """pattern -> {occurrence count -> paths}, counted path by path over
-    the Dyck profiles of one semilength."""
+def _distribution_row(tallies: Counter) -> dict:
+    """pattern -> {occurrence count -> paths} for one semilength, from a
+    Counter of the _pattern_counts of its Dyck profiles."""
     row = {p: Counter() for p in PATTERNS}
-    for prof in profiles:
-        _count_into_row(row, prof)
+    for counts, paths in tallies.items():
+        for column, k in zip(row.values(), counts):
+            column[k] += paths
     return row
-
-
-def _count_into_row(row: dict, prof: PathProfile) -> None:
-    """Count one more Dyck profile into a _distribution_row."""
-    for name, pat in _PATTERN_EXPRS.items():
-        row[name][prof.count(pat)] += 1
 
 
 # holds more semilengths than a brute-force sweep can reach, so a sweep
 # repeated for another pattern does not walk the family again
 @lru_cache(maxsize=DEFAULT_TRUNCATION + 1)
 def _family_row(n: int) -> dict:
-    return _distribution_row(PathProfile(p) for p in enumerate_constrained(n))
+    return _distribution_row(Counter(
+        _pattern_counts(PathProfile(p)) for p in enumerate_constrained(n)))
 
 
 def _brute_force(pattern: str, rows) -> TruncatedSeries:

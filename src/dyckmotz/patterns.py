@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import dataclass, field
+from itertools import chain, groupby, repeat
+from operator import add
 from typing import Iterator, Optional, Union
 
 from .bijection import phi
@@ -62,9 +63,11 @@ class PatternExpr:
 DIRAC = PatternExpr(atoms=(), dirac=True, text="delta", in_profile=True)
 
 _ATOM_RE = re.compile(r"([UDF])(\+?)")
-# the texts a PathProfile table counts: an unanchored word of <= 3 plain
-# letters, or a run XY+Z with X != Y and Z != Y (one term per maximal run)
-_PROFILED_RE = re.compile(r"[UDF]{1,3}|([UDF])(?!\1)([UDF])\+(?!\2)[UDF]")
+# the texts a PathProfile table counts: a word of <= 3 plain letters,
+# unanchored or with one anchor, or a run XY+Z with X != Y and Z != Y
+# (one term per maximal run)
+_PROFILED_RE = re.compile(
+    r"\^?[UDF]{1,3}|[UDF]{1,3}\$|([UDF])(?!\1)([UDF])\+(?!\2)[UDF]")
 
 
 def parse_pattern(text: str) -> PatternExpr:
@@ -140,9 +143,10 @@ class PathProfile:
     """One-pass digest of a path for constant-time pattern counts.
 
     table counts, keyed by pattern text, every factor of length 1..3,
-    "XY+Z" for every maximal run of Y flanked by X and Z, and "delta"
-    when the path is all flat. count answers a pattern that parse_pattern
-    marked in_profile by one lookup and any other by the generic counter.
+    "^W" and "W$" for the prefix and suffix W of each length 1..3, "XY+Z"
+    for every maximal run of Y flanked by X and Z, and "delta" when the
+    path is all flat. count answers a pattern that parse_pattern marked
+    in_profile by one lookup and any other by the generic counter.
     """
 
     __slots__ = ("path", "text", "table")
@@ -152,18 +156,21 @@ class PathProfile:
             path = LatticePath(path)
         self.path = path
         s = self.text = str(path)
-        table = Counter(s)
-        for size in (2, 3):
-            table.update(s[i:i + size] for i in range(len(s) - size + 1))
+        pairs = list(map(add, s, s[1:]))
         runs = [step for step, _ in groupby(s)]
-        table.update(x + y + "+" + z for x, y, z in zip(runs, runs[1:], runs[2:]))
+        size = len(s)  # a path shorter than 3 has fewer prefixes and suffixes
+        table = Counter(chain(
+            s, pairs, map(add, pairs, s[2:]),
+            map(add, map(add, runs, map(add, runs[1:], repeat("+"))), runs[2:]),
+            ("^" + s[:1], "^" + s[:2], "^" + s[:3])[:size],
+            (s[-1:] + "$", s[-2:] + "$", s[-3:] + "$")[:size]))
         if s == "F" * len(s):
             table["delta"] = 1
         self.table = table
 
     def count(self, pat: PatternExpr) -> int:
         if pat.in_profile:
-            return self.table[pat.text]
+            return self.table.get(pat.text, 0)
         return count_occurrences(self.path, pat)
 
 
@@ -186,6 +193,29 @@ class StatisticExpr:
     terms: tuple  # of (int coefficient, PatternExpr | ONE | N)
     side: str  # "dyck" or "motzkin": fixes what n means
     text: str = ""
+    # compiled from terms once: the value is const + n_coeff * n plus
+    # coefficient times count over the PathProfile table keys in lookups
+    # and the patterns in generic, which the table cannot answer
+    const: int = field(init=False, repr=False, compare=False)
+    n_coeff: int = field(init=False, repr=False, compare=False)
+    lookups: tuple = field(init=False, repr=False, compare=False)
+    generic: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        const = n_coeff = 0
+        lookups, generic = [], []
+        for coeff, term in self.terms:
+            if term is ONE:
+                const += coeff
+            elif term is N:
+                n_coeff += coeff
+            elif term.in_profile:
+                lookups.append((term.text, coeff))
+            else:
+                generic.append((term, coeff))
+        for name, value in (("const", const), ("n_coeff", n_coeff),
+                            ("lookups", tuple(lookups)), ("generic", tuple(generic))):
+            object.__setattr__(self, name, value)
 
     def __str__(self) -> str:
         return self.text
@@ -234,15 +264,12 @@ def evaluate_statistic(p: Union[str, LatticePath], e: StatisticExpr,
     if profile is None:
         profile = PathProfile(p)
     size = len(profile.text)
-    n_value = size // 2 if e.side == "dyck" else size
-    total = 0
-    for coeff, term in e.terms:
-        if term is ONE:
-            total += coeff
-        elif term is N:
-            total += coeff * n_value
-        else:
-            total += coeff * profile.count(term)
+    total = e.const + e.n_coeff * (size // 2 if e.side == "dyck" else size)
+    get = profile.table.get
+    for key, coeff in e.lookups:
+        total += coeff * get(key, 0)
+    for pat, coeff in e.generic:
+        total += coeff * count_occurrences(profile.path, pat)
     return total
 
 
@@ -322,8 +349,9 @@ def check_transport(rule: Union[TransportRule, str], n: int,
                     pairs=None) -> dict:
     """Exhaustively verify one rule at semilength n.
 
-    pairs, any iterable of the family_pairs(n) items, is read once;
-    checked counts pairs up to and including the first counterexample.
+    pairs, any iterable of the family_pairs(n) items, is read once, up
+    to and including the first counterexample; checked counts the pairs
+    read.
     """
     if isinstance(rule, str):
         rule = transport_rule(rule)
@@ -344,25 +372,84 @@ def check_transport(rule: Union[TransportRule, str], n: int,
 class TransportSweep:
     """check_transport for several rules from n = rule.min_n up, fed in
     increasing n one family pair at a time by check, or an iterable of
-    them read once by add. results holds per rule the paths checked in
-    total and the first counterexample (with its n), at which the rule
-    stops, or None."""
+    them by add, which stops reading once every rule has failed. results
+    holds per rule the paths checked in total and the first
+    counterexample (with its n), at which the rule stops, or None.
+
+    A rule's two sides read only the counts in a pair's count vector: the
+    two path lengths, which give n, then the table entries and generic
+    counts of every rule's Dyck side on the member and of every Motzkin
+    side on the image. Two pairs with equal vectors give every rule the
+    same values, so within one semilength (the judged vectors are kept
+    for the current one only) the open rules are evaluated on the first
+    pair of each vector, and a later pair with a vector already judged
+    passes every rule still open. checked comes from the number of
+    pairs read.
+    """
 
     def __init__(self, rules):
-        self.results = [{"rule": rule, "checked": 0, "counterexample": None}
-                        for rule in rules]
+        self._results = [{"rule": rule, "checked": 0, "counterexample": None}
+                         for rule in rules]
+        self._open = list(self._results)  # no counterexample yet
+        self._live = []  # open and claimed at the current semilength
+        self._n, self._seen, self._pending = None, set(), 0
+        self._reads = [_reads([r.dyck_side for r in rules]),
+                       _reads([r.motzkin_side for r in rules])]
+
+    @property
+    def results(self) -> list:
+        self._settle()
+        return self._results
+
+    @property
+    def done(self) -> bool:
+        """Every rule has its counterexample: nothing is left to check."""
+        return not self._open
+
+    def _settle(self) -> None:
+        # the pairs read since the last settle passed every live rule
+        for r in self._live:
+            r["checked"] += self._pending
+        self._pending = 0
 
     def add(self, n: int, pairs) -> None:
         for dyck, motz in pairs:
             self.check(n, dyck, motz)
+            if self.done:
+                break
 
     def check(self, n: int, dyck: PathProfile, motz: PathProfile) -> None:
-        for r in self.results:
+        if n != self._n:
+            self._settle()
+            self._n, self._seen = n, set()
+            self._live = [r for r in self._open if n >= r["rule"].min_n]
+        if not self._live:
+            return
+        self._pending += 1
+        (dkeys, dgeneric), (mkeys, mgeneric) = self._reads
+        vector = (len(dyck.text), len(motz.text),
+                  *map(dyck.table.get, dkeys, repeat(0)),
+                  *map(motz.table.get, mkeys, repeat(0)))
+        if dgeneric or mgeneric:
+            vector += (*(count_occurrences(dyck.path, p) for p in dgeneric),
+                       *(count_occurrences(motz.path, p) for p in mgeneric))
+        if vector in self._seen:
+            return
+        self._seen.add(vector)
+        for r in list(self._live):
             rule = r["rule"]
-            if r["counterexample"] is None and n >= rule.min_n:
-                r["checked"] += 1
-                lhs = evaluate_statistic(dyck.path, rule.dyck_side, dyck)
-                rhs = evaluate_statistic(motz.path, rule.motzkin_side, motz)
-                if lhs != rhs:
-                    r["counterexample"] = {"n": n, "path": dyck.text,
-                                           "image": motz.text, "lhs": lhs, "rhs": rhs}
+            lhs = evaluate_statistic(dyck.path, rule.dyck_side, dyck)
+            rhs = evaluate_statistic(motz.path, rule.motzkin_side, motz)
+            if lhs != rhs:
+                self._settle()
+                r["counterexample"] = {"n": n, "path": dyck.text,
+                                       "image": motz.text, "lhs": lhs, "rhs": rhs}
+                self._open.remove(r)
+                self._live.remove(r)
+
+
+def _reads(sides) -> tuple:
+    """The table keys and the generic patterns that the statistics in
+    sides read, each once."""
+    return (tuple(dict.fromkeys(key for e in sides for key, _ in e.lookups)),
+            tuple(dict.fromkeys(p for e in sides for p, _ in e.generic)))

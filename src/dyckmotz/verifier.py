@@ -6,7 +6,11 @@ unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
 one streamed pass per semilength and hold only their tallies and the
-image set that injectivity needs. A failed comparison lands in the
+image set that injectivity needs. Within a semilength they judge each
+distinct vector of counts once: the transport sweep evaluates its rules
+on the first pair of each count vector, and the brute-force rows tally
+members by their twelve pattern counts, the structural check reading
+the first member of each. A failed comparison lands in the
 report, one record per check, so a single run gives the complete
 picture; a route whose series fails its own shape check raises
 RouteCheckError instead (the CLI exits 1).
@@ -22,14 +26,15 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
 from .bijection import _BijectivityTally
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_number
-from .genfun import (PATTERNS, _brute_force, _count_into_row,
-                     _distribution_row, _pop_closed_length2, _popularity,
+from .genfun import (PATTERNS, _brute_force, _distribution_row,
+                     _pattern_counts, _pop_closed_length2, _popularity,
                      cross_check_routes, du_from_ud, popularity_gf)
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
 from .patterns import (PathProfile, TransportSweep, _unchecked,
@@ -37,6 +42,8 @@ from .patterns import (PathProfile, TransportSweep, _unchecked,
                        transport_rules)
 
 DEFAULT_MAX_N = 12
+# where the structural check finds its two counts in a _pattern_counts vector
+_UUD, _DUU = PATTERNS.index("UUD"), PATTERNS.index("DUU")
 
 # identity systems that hold on every *unrestricted* Dyck path; the
 # anchored terms classify each occurrence by its left or right neighbor
@@ -214,23 +221,24 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     counts, rows = [], []
     bad = structural_worst = None
     transport = TransportSweep(transport_rules())
-    duu, uud = parse_statistic("DUU", "dyck"), parse_statistic("UUD", "dyck")
     for n in range(max_n + 1):
         # a semilength after the first failing one is not tallied
         tally = _BijectivityTally(n) if bad is None else None
-        row = _distribution_row(())
+        tallies = Counter()  # _pattern_counts vector -> paths
         count = 0
         for count, (d, m) in enumerate(family_pairs(n), 1):
             if tally is not None:
-                tally.add(d.path, m.path)
+                tally.add(d.text, m.text)
             transport.check(n, d, m)
-            _count_into_row(row, d)
-            if structural_worst is None:
-                k = evaluate_statistic(d.path, uud, d)
-                if k > 1 and evaluate_statistic(d.path, duu, d) == 0:
+            vector = _pattern_counts(d)
+            # the first path of each vector, in enumeration order
+            if structural_worst is None and vector not in tallies:
+                k = vector[_UUD]
+                if k > 1 and vector[_DUU] == 0:
                     structural_worst = {"n": n, "path": d.text, "UUD": k}
+            tallies[vector] += 1
         counts.append(count)
-        rows.append(row)
+        rows.append(_distribution_row(tallies))
         if tally is not None and not tally.report()["ok"]:
             bad = tally.report()
 

@@ -26,6 +26,7 @@ from dyckmotz import (
     transport_rule,
     transport_rules,
 )
+from dyckmotz import patterns
 from dyckmotz.patterns import PatternExpr, TransportSweep
 
 
@@ -144,13 +145,12 @@ def test_profile_count_agrees_with_direct_count():
     texts = ["U", "D", "F", "UD", "UU", "DD", "DU", "UF", "FD", "FF",
              "UUU", "UUD", "DUU", "DUD", "UDU", "UDD", "DDU", "DDD",
              "FUU", "FUD", "FUF", "UF+D", "UF+U", "^UU", "^UD", "DD$",
-             "UD$", "F$", "delta",
+             "UD$", "F$", "FUD$", "delta",
              # shapes the profile's table must not answer
-             "UU+D", "FF+D", "F+D", "U+", "UUUU", "^U+", "FUD$"]
+             "UU+D", "FF+D", "F+D", "U+", "UUUU", "^U+"]
     exprs = [parse_pattern(t) for t in texts]
     assert [e.text for e in exprs if not e.in_profile] == [
-        "^UU", "^UD", "DD$", "UD$", "F$",
-        "UU+D", "FF+D", "F+D", "U+", "UUUU", "^U+", "FUD$"]
+        "UU+D", "FF+D", "F+D", "U+", "UUUU", "^U+"]
     # built by hand, without text: the generic counter answers it
     exprs.append(PatternExpr((("U", False), ("D", False))))
     paths = [p for n in range(6) for p in enumerate_motzkin(n)]
@@ -275,6 +275,98 @@ def test_transport_sweep_stops_at_first_counterexample():
     assert broken["counterexample"] == {"n": 3, "path": "UUDUDD", "image": "FUD",
                                         "lhs": 1, "rhs": 0}
     assert broken["checked"] == 1 + 1 + 2 + 2  # stops at the failing path
+
+
+def _wrong_rule(name, motzkin_text):
+    return TransportRule(name, parse_statistic(name, "dyck"),
+                         parse_statistic(motzkin_text, "motzkin"))
+
+
+def test_transport_sweep_stops_reading_once_every_rule_failed():
+    pairs_read = 0
+
+    def counting(pairs):
+        nonlocal pairs_read
+        for pair in pairs:
+            pairs_read += 1
+            yield pair
+
+    wrong = _wrong_rule("UDU", "FF")
+    result = check_transport(wrong, 11, pairs=counting(family_pairs(11)))
+    assert not result["ok"] and result["checked"] == 2
+    assert pairs_read == 2
+    sweep = TransportSweep([wrong])
+    assert not sweep.done
+    sweep.add(3, family_pairs(3))
+    assert sweep.done
+
+
+def test_memoised_sweep_matches_a_naive_per_pair_loop():
+    rules = transport_rules() + [
+        _wrong_rule("UDU", "FF"),
+        _wrong_rule("UUU", "UF+D + 2*UF+U + UU"),
+        _wrong_rule("UD", "F + UD + UUUU"),  # UUUU: a generic-counter term
+    ]
+    families = [list(family_pairs(n)) for n in range(10)]
+    naive = []
+    for rule in rules:
+        checked, counterexample = 0, None
+        for n in range(rule.min_n, 10):
+            for dyck, motz in families[n]:
+                checked += 1
+                lhs = evaluate_statistic(dyck.path, rule.dyck_side, dyck)
+                rhs = evaluate_statistic(motz.path, rule.motzkin_side, motz)
+                if lhs != rhs:
+                    counterexample = {"n": n, "path": dyck.text, "image": motz.text,
+                                      "lhs": lhs, "rhs": rhs}
+                    break
+            if counterexample is not None:
+                break
+        naive.append((checked, counterexample))
+    sweep = TransportSweep(rules)
+    for n, pairs in enumerate(families):
+        sweep.add(n, pairs)
+    assert [(r["checked"], r["counterexample"]) for r in sweep.results] == naive
+    assert naive[-1][0] == 217 and naive[-1][1]["n"] == 8
+    assert [c is None for _, c in naive] == [True] * 15 + [False] * 3
+
+
+def test_sweep_memo_keys_on_each_pairs_own_size():
+    # no pattern term: only the path lengths tell the two pairs apart
+    rule = TransportRule("n", parse_statistic("n", "dyck"),
+                         parse_statistic("1", "motzkin"))
+    pairs = [(PathProfile("UD"), PathProfile("F")),
+             (PathProfile("UDUD"), PathProfile("FF"))]
+    result = check_transport(rule, 1, pairs=pairs)
+    assert result["checked"] == 2
+    assert result["counterexample"] == {"path": "UDUD", "image": "FF",
+                                        "lhs": 2, "rhs": 1}
+
+
+def test_sweep_evaluates_each_count_vector_once_per_semilength(monkeypatch):
+    rules = transport_rules()
+    terms = [[t for r in rules for _, t in getattr(r, side).terms
+              if isinstance(t, PatternExpr)] for side in ("dyck_side", "motzkin_side")]
+    families = [list(family_pairs(n)) for n in range(10)]
+    vectors = sum(len({(tuple(dyck.count(t) for t in terms[0]),
+                        tuple(motz.count(t) for t in terms[1]))
+                       for dyck, motz in pairs})
+                  for pairs in families)
+    assert (vectors, sum(map(len, families))) == (536, 1374)
+    calls = 0
+    real = patterns.evaluate_statistic
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(patterns, "evaluate_statistic", counting)
+    sweep = TransportSweep(rules)
+    for n, pairs in enumerate(families):
+        sweep.add(n, pairs)
+    assert all(r["counterexample"] is None for r in sweep.results)
+    assert 0 < calls <= 30 * vectors
 
 
 def test_dyck_statistic_systems():
