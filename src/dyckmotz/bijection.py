@@ -11,20 +11,24 @@ down step:
 
 Unfolded, phi maps the top-level blocks one by one: a block UD becomes
 F, and a block U UbetaD gamma D becomes phi(gamma) U phi(beta) D. Both
-directions are single stack passes, so path length is limited only by
-memory. The inverse reads a Motzkin word as top-level atoms, each F or
-an arch U Y D, and weighs each atom by the height of the block it closes:
-1 for F, 2 plus the largest weight among Y's atoms for an arch. Block
-heights never increase along a level, while the atoms of gamma are all
-lower than the arch after them, so each atom closes one block and takes
-as its gamma the longest run of lower atoms just before it.
+directions are single left-to-right stack passes, so path length is
+limited only by memory. The forward pass keeps one frame per open block
+and hands each closed block's image to its parent's frame; it checks
+membership as it goes, stopping at the first block taller than its
+closed left sibling. The inverse reads a Motzkin word as top-level
+atoms, each F or an arch U Y D, and weighs each atom by the height of
+the block it closes: 1 for F, 2 plus the largest weight among Y's atoms
+for an arch. Block heights never increase along a level, while the
+atoms of gamma are all lower than the arch after them, so each atom
+closes one block and takes as its gamma the longest run of lower atoms
+just before it.
 """
 from __future__ import annotations
 
 from typing import Union
 
 from .enumeration import enumerate_constrained, motzkin_number
-from .paths import DyckPath, MotzkinPath, constrained_matching
+from .paths import DyckPath, MotzkinPath
 
 
 class NotConstrainedError(ValueError):
@@ -35,28 +39,33 @@ def phi(p: Union[str, DyckPath]) -> MotzkinPath:
     """Image of a constrained Dyck path. Raises NotConstrainedError when
     the precondition fails; the map is only bijective on the family."""
     p = p if isinstance(p, DyckPath) else DyckPath(p)
-    match = constrained_matching(p)
-    if match is None:
-        raise NotConstrainedError(f"not in the constrained family: {str(p)!r}")
-    out = []
-    # popped in output order: a range [a, b) of whole blocks, or a step
-    work = [(0, len(p))]
-    while work:
-        item = work.pop()
-        if isinstance(item, str):
-            out.append(item)
+    # the open block's frame: the heights of its first and latest inner
+    # blocks, the first one's image and content image, the later images
+    # joined; the frames of the enclosing blocks wait on the stack
+    first_h = last_h = 0
+    first = content = later = ""
+    stack = []
+    for c in p:
+        if c == "U":
+            stack.append((first_h, last_h, first, content, later))
+            first_h = last_h = 0
+            first = content = later = ""
             continue
-        a, b = item
-        if a == b:
-            continue
-        e = match[a]
-        if e == a + 1:
-            work += [(e + 1, b), "F"]
+        if first_h:  # the block is U UbetaD gamma D, with phi(beta) = content
+            image, content = later + "U" + content + "D", first + later
+        else:  # the block is UD, and its content image is empty
+            image = "F"
+        h = first_h + 1
+        first_h, last_h, first, parent_content, later = stack.pop()
+        if not first_h:  # the parent's first inner block: keep its content image
+            first_h, first = h, image
+        elif h > last_h:
+            raise NotConstrainedError(f"not in the constrained family: {str(p)!r}")
         else:
-            # the block is U UbetaD gamma D with UbetaD = p[a+1..j]
-            j = match[a + 1]
-            work += [(e + 1, b), "D", (a + 2, j), "U", (j + 1, e)]
-    return MotzkinPath("".join(out))
+            later += image
+            content = parent_content
+        last_h = h
+    return MotzkinPath(first + later)
 
 
 def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:
@@ -67,25 +76,26 @@ def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:
 
 def _phi_inverse(m: str) -> str:
     """phi_inverse on the text of a Motzkin path, unchecked."""
-    # per open arch, the blocks decoded on its level as (height, text);
-    # heights never increase along a level
-    levels = [[]]
+    # the open arch's level as parallel lists of decoded block heights and
+    # texts; heights never increase along a level
+    heights, texts, stack = [], [], []
     for c in m:
         if c == "U":
-            levels.append([])
+            stack.append((heights, texts))
+            heights, texts = [], []
         elif c == "F":
-            levels[-1].append((1, "UD"))
+            heights.append(1)
+            texts.append("UD")
         else:
-            inner = levels.pop()
-            h = 2 + (inner[0][0] if inner else 0)
-            blocks = levels[-1]
-            k = len(blocks)
-            while k and blocks[k - 1][0] < h:
+            h = 2 + (heights[0] if heights else 0)
+            beta = "".join(texts)
+            heights, texts = stack.pop()
+            k = len(heights)
+            while k and heights[k - 1] < h:
                 k -= 1
-            beta = "".join(text for _, text in inner)
-            gamma = "".join(text for _, text in blocks[k:])
-            blocks[k:] = [(h, "UU" + beta + "D" + gamma + "D")]
-    return "".join(text for _, text in levels[0])
+            texts[k:] = ["UU" + beta + "D" + "".join(texts[k:]) + "D"]
+            heights[k:] = [h]
+    return "".join(texts)
 
 
 def check_bijectivity(n: int) -> dict:

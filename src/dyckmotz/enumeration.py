@@ -78,7 +78,8 @@ def _walk(total: int, flat: bool, capped: bool) -> Iterator[MotzkinPath]:
         i, step, level, ceiling, blocks = todo.pop()
         steps[i] = step
         if i == total:
-            yield make("".join(steps))
+            # valid by construction, so the validating constructor is skipped
+            yield str.__new__(make, "".join(steps))
             continue
         room = total - i - 1  # steps left after the next one
         # pushed in reverse order, so U is taken first

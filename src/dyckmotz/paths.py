@@ -129,35 +129,20 @@ def is_constrained(p: Union[str, DyckPath]) -> bool:
     DyckPath validation error.
     """
     p = p if isinstance(p, DyckPath) else DyckPath(p)
-    return constrained_matching(p) is not None
-
-
-def constrained_matching(p: str):
-    """Match the steps of a Dyck word and test family membership, in one
-    stack pass.
-
-    Returns a list whose entry i is the index of the step paired with
-    step i, or None when p is outside the constrained family. p must
-    already be a valid Dyck word. Since the blocks on a level never grow,
-    a block is one higher than its first inner block.
-    """
-    match = [0] * len(p)
-    opened = []
-    # per open level: [height of its first closed block, of its latest one];
-    # a level with no closed block yet has no ceiling
-    levels = [[0, len(p)]]
-    for i, c in enumerate(p):
+    # one stack pass over the heights of the open block's first (so
+    # tallest) and latest closed inner blocks, 0 before one closes
+    first_h = last_h = 0
+    stack = []
+    for c in p:
         if c == U:
-            opened.append(i)
-            levels.append([0, len(p)])
+            stack.append((first_h, last_h))
+            first_h = last_h = 0
             continue
-        j = opened.pop()
-        match[i], match[j] = j, i
-        h = levels.pop()[0] + 1
-        level = levels[-1]
-        if h > level[1]:
-            return None
-        level[1] = h
-        if not level[0]:
-            level[0] = h
-    return match
+        h = first_h + 1
+        first_h, last_h = stack.pop()
+        if not first_h:
+            first_h = h
+        elif h > last_h:
+            return False
+        last_h = h
+    return True

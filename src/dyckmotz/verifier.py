@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-from .bijection import _BijectivityTally
+from .bijection import NotConstrainedError, _BijectivityTally
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_number
 from .genfun import (PATTERNS, _brute_force, _distribution_row,
                      _pattern_counts, _pop_closed_length2, _popularity,
@@ -226,20 +226,24 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         tally = _BijectivityTally(n) if bad is None else None
         tallies = Counter()  # _pattern_counts vector -> paths
         count = 0
-        for count, (d, m) in enumerate(family_pairs(n), 1):
-            if tally is not None:
-                tally.add(d.text, m.text)
-            transport.check(n, d, m)
-            vector = _pattern_counts(d)
-            # the first path of each vector, in enumeration order
-            if structural_worst is None and vector not in tallies:
-                k = vector[_UUD]
-                if k > 1 and vector[_DUU] == 0:
-                    structural_worst = {"n": n, "path": d.text, "UUD": k}
-            tallies[vector] += 1
+        try:
+            for count, (d, m) in enumerate(family_pairs(n), 1):
+                if tally is not None:
+                    tally.add(d.text, m.text)
+                transport.check(n, d, m)
+                vector = _pattern_counts(d)
+                # the first path of each vector, in enumeration order
+                if structural_worst is None and vector not in tallies:
+                    k = vector[_UUD]
+                    if k > 1 and vector[_DUU] == 0:
+                        structural_worst = {"n": n, "path": d.text, "UUD": k}
+                tallies[vector] += 1
+        except NotConstrainedError as exc:
+            # the walker yielded a path phi rejects: the pass at n ends there
+            bad = bad or {"n": n, "error": str(exc)}
         counts.append(count)
         rows.append(_distribution_row(tallies))
-        if tally is not None and not tally.report()["ok"]:
+        if bad is None and not tally.report()["ok"]:
             bad = tally.report()
 
     # (1) cardinality

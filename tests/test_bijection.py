@@ -10,7 +10,9 @@ from dyckmotz import (
     NotConstrainedError,
     check_bijectivity,
     enumerate_constrained,
+    enumerate_dyck,
     enumerate_motzkin,
+    is_constrained,
     motzkin_number,
     phi,
     phi_inverse,
@@ -45,6 +47,45 @@ def test_phi_rejects_paths_outside_the_family():
         phi("UDUUDD")
     with pytest.raises(NotAMotzkinPathError):
         phi("DU")
+
+
+def _phi_by_definition(p):
+    """phi read off its definition on the arch closed by the last step:
+    phi(alpha UD) = phi(alpha) F and
+    phi(alpha U UbetaD gamma D) = phi(alpha) phi(gamma) U phi(beta) D."""
+    if not p:
+        return ""
+    level = 0
+    for a in range(len(p) - 1, -1, -1):  # back to the last arch's U
+        level += 1 if p[a] == "D" else -1
+        if not level:
+            break
+    alpha, inner = p[:a], p[a + 1:-1]
+    if not inner:
+        return _phi_by_definition(alpha) + "F"
+    for j in range(len(inner)):  # inner = U beta D gamma, split at its first return
+        level += 1 if inner[j] == "U" else -1
+        if not level:
+            break
+    beta, gamma = inner[1:j], inner[j + 1:]
+    return (_phi_by_definition(alpha) + _phi_by_definition(gamma)
+            + "U" + _phi_by_definition(beta) + "D")
+
+
+def test_phi_matches_its_recursive_definition():
+    for n in range(10):
+        for p in enumerate_constrained(n):
+            assert str(phi(p)) == _phi_by_definition(str(p))
+
+
+def test_phi_rejects_exactly_the_non_members():
+    for n in range(10):
+        for p in enumerate_dyck(n):
+            if is_constrained(p):
+                phi(p)
+            else:
+                with pytest.raises(NotConstrainedError):
+                    phi(p)
 
 
 def test_image_length_is_semilength():

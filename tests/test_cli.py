@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dyckmotz import genfun
+from dyckmotz import genfun, patterns
 from dyckmotz.cli import main
 
 
@@ -189,6 +189,23 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     seed.write_text("dist dist:UD UD 3 0 999\n")
     assert main(["verify", "--max-n", "4", "--seed-tables", str(seed)]) == 1
     assert "RESULT: FAILED" in capsys.readouterr().out
+
+
+def test_verify_reports_a_walker_defect_as_a_failed_check(capsys, monkeypatch):
+    # a non-member from the walker is a defect in the program, not bad input
+    real = patterns.enumerate_constrained
+
+    def walk_with_extra(n):
+        yield from real(n)
+        if n == 3:
+            yield "UDUUDD"
+
+    monkeypatch.setattr(patterns, "enumerate_constrained", walk_with_extra)
+    assert main(["verify", "--max-n", "4", "--format", "json"]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["bijectivity"]["status"] == "fail"
+    assert checks["bijectivity"]["counterexample"] == {
+        "n": 3, "error": "not in the constrained family: 'UDUUDD'"}
 
 
 def test_verify_unreadable_seed_tables_exits_2(tmp_path, capsys):

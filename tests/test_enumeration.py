@@ -4,7 +4,9 @@ import sys
 from itertools import product
 
 from dyckmotz import (
+    DyckPath,
     LatticePath,
+    MotzkinPath,
     catalan_number,
     count_constrained_by_height,
     enumerate_constrained,
@@ -75,6 +77,17 @@ def test_constrained_lex_order_small_case():
         "UDUDUD",
     ]
     assert list(map(str, enumerate_constrained(0))) == [""]
+
+
+def test_walked_paths_survive_the_validating_constructor():
+    # the walker builds its leaves without validating them
+    for n in range(9):
+        for walk, kind in ((enumerate_motzkin, MotzkinPath), (enumerate_dyck, DyckPath),
+                           (enumerate_constrained, DyckPath)):
+            for p in walk(n):
+                rebuilt = kind(str(p))
+                assert type(p) is type(rebuilt) is kind
+                assert str(p) == str(rebuilt)
 
 
 def test_enumerators_have_no_depth_limit():
