@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .bijection import phi, phi_inverse
+from .bijection import NotConstrainedError, phi, phi_inverse
 from .enumeration import enumerate_constrained, enumerate_dyck, enumerate_motzkin
 from .genfun import (
     DEFAULT_TRUNCATION,
@@ -182,7 +182,11 @@ def _cmd_check_transport(args) -> int:
     for n in range(max_n + 1):
         if sweep.done:
             break
-        sweep.add(n, family_pairs(n))
+        try:
+            sweep.add(n, family_pairs(n))
+        except NotConstrainedError as exc:  # a walker defect, not bad input
+            print(f"FAIL  family at n={n}: {exc}")
+            return 1
     if not args.all_rules and not sweep.results[0]["checked"]:
         check_transport(rules[0], max_n)  # raises: nothing is claimed up to max_n
     failed = False

@@ -177,7 +177,7 @@ def _fixed_point(N: int, *rhs):
     unknowns = [_OnlineSeries(0) for _ in rhs]
     try:
         for u, f in zip(unknowns, rhs):
-            u.order = _OnlineSeries.lift(f(*unknowns)).row
+            u.order = _OnlineSeries._lift(f(*unknowns)).row
         for k in range(N + 1):
             for u in unknowns:
                 u.row(k)
@@ -191,14 +191,6 @@ def _fixed_point(N: int, *rhs):
     return ms
 
 
-def _fp_single(N: int, rhs) -> TruncatedSeries:
-    return _fixed_point(N, rhs)[0]
-
-
-def _fp_pair(N: int, rhs_a, rhs_b):
-    return tuple(_fixed_point(N, rhs_a, rhs_b))
-
-
 def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     pattern = _canon(pattern)
     if pattern not in FIXED_POINT_PATTERNS:
@@ -210,12 +202,12 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
     x2 = x * x
 
     if pattern == "UU":
-        m = _fp_single(N, lambda M: 1 + x*M + x2*y*M + x2*y**2*(M - 1)*M)
+        (m,) = _fixed_point(N, lambda M: 1 + x*M + x2*y*M + x2*y**2*(M - 1)*M)
         return _validate_distribution(m, pattern, "fixed")
 
     if pattern == "UUU":
         geo = one / (one - x)  # paths of the shape (UD)^j, j >= 0
-        m = _fp_single(
+        (m,) = _fixed_point(
             N, lambda F: 1 + x*F + x2*F + x2*y*(x*geo)*F + x2*y**2*(F - geo)*F)
         return _validate_distribution(m, pattern, "fixed")
 
@@ -224,20 +216,20 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
         def rb(A, B):
             F = 1 + A + B
             return x2 + x2*y*A + x2*B + x2*F*(F - 1)
-        a, b = _fp_pair(N, ra, rb)
+        a, b = _fixed_point(N, ra, rb)
     elif pattern == "UDD":
         ra = lambda A, B: x * (1 + A + B)
         def rb(A, B):
             F = 1 + A + B
             return (x2*y*F + x2*y*A + x2*B + x2*B**2
                     + x2*y*A*B + x2*y**2*A**2 + x2*y*A*B)
-        a, b = _fp_pair(N, ra, rb)
+        a, b = _fixed_point(N, ra, rb)
     elif pattern == "DDU":
         ra = lambda A, B: x + x*A + x*y*B
         def rb(A, B):
             F = 1 + A + B
             return x2*F + x2*y*A*(F - 1) + x2*A + x2*y*B*F
-        a, b = _fp_pair(N, ra, rb)
+        a, b = _fixed_point(N, ra, rb)
     else:  # DDD
         ra = lambda A, B: x * (1 + A + B)
         def rb(A, B):
@@ -245,7 +237,7 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
             y2 = y**2
             return (x2*F + x2*y2*B + x2*y*A + x2*A**2
                     + 2*x2*y*A*B + x2*y2*B**2)
-        a, b = _fp_pair(N, ra, rb)
+        a, b = _fixed_point(N, ra, rb)
 
     return _validate_distribution(1 + a + b, pattern, "fixed")
 

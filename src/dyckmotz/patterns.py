@@ -174,18 +174,7 @@ class PathProfile:
         return count_occurrences(self.path, pat)
 
 
-class _One:
-    def __repr__(self):
-        return "1"
-
-
-class _PathSize:
-    def __repr__(self):
-        return "n"
-
-
-ONE = _One()
-N = _PathSize()
+ONE, N = "1", "n"  # the constant and size terms of a statistic
 
 
 @dataclass(frozen=True)
@@ -205,9 +194,9 @@ class StatisticExpr:
         const = n_coeff = 0
         lookups, generic = [], []
         for coeff, term in self.terms:
-            if term is ONE:
+            if term == ONE:
                 const += coeff
-            elif term is N:
+            elif term == N:
                 n_coeff += coeff
             elif term.in_profile:
                 lookups.append((term.text, coeff))
@@ -345,14 +334,10 @@ def _unchecked(rule: TransportRule, max_n: int) -> str:
     return f"claimed only for n >= {rule.min_n}; nothing to check up to n = {max_n}"
 
 
-def check_transport(rule: Union[TransportRule, str], n: int,
-                    pairs=None) -> dict:
-    """Exhaustively verify one rule at semilength n.
-
-    pairs, any iterable of the family_pairs(n) items, is read once, up
-    to and including the first counterexample; checked counts the pairs
-    read.
-    """
+def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
+    """Exhaustively verify one rule at semilength n, reading family_pairs(n)
+    up to and including the first counterexample; checked counts the
+    pairs read. TransportSweep takes any other stream of pairs."""
     if isinstance(rule, str):
         rule = transport_rule(rule)
     if n < 0:
@@ -360,7 +345,7 @@ def check_transport(rule: Union[TransportRule, str], n: int,
     if n < rule.min_n:
         raise ValueError(f"rule {rule.name} is claimed only for n >= {rule.min_n}")
     sweep = TransportSweep([rule])
-    sweep.add(n, family_pairs(n) if pairs is None else pairs)
+    sweep.add(n, family_pairs(n))
     (result,) = sweep.results
     counterexample = result["counterexample"]
     if counterexample is not None:

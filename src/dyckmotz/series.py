@@ -18,7 +18,9 @@ s_n = (f_n - sum_{0<i<n} s_i s_{n-i}) / 2, with no series division.
 The private _OnlineSeries computes a series one x-order at a time from
 the same kernels; the fixed-point route builds its equations from it,
 with +, -, * and ** only; a node read for the order it is computing
-raises NoConvergenceError.
+raises NoConvergenceError. Both rings derive from the private base
+_Ring, which writes reflected +, both -'s and ** once from the four
+methods a ring supplies: _lift, __add__, __neg__ and __mul__.
 """
 from __future__ import annotations
 
@@ -90,23 +92,42 @@ def _pscale(a: List[Scalar], s: Scalar) -> List[Scalar]:
     return _trim([_norm(c * s) for c in a])
 
 
-def _power(base, k: int, lift):
-    """base ** k as k - 1 products from base (exponents here are small)."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("only nonnegative integer powers")
-    result = base if k else lift(1)
-    for _ in range(k - 1):
-        result = result * base
-    return result
-
-
 def _require_exact(value, what: str) -> None:
     # bool is an int subclass, but True as a coefficient prints as True
     if type(value) is bool or not isinstance(value, (int, Fraction)):
         raise TypeError(f"{what} must be an int or a Fraction, not {value!r}")
 
 
-class _OnlineSeries:
+class _Ring:
+    """The operators both rings share, written once over the four methods
+    a ring supplies: _lift (an int, Fraction or series operand as one of
+    the ring's own series, or NotImplemented), __add__, __neg__ and
+    __mul__."""
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, k: int):
+        """self ** k as k - 1 products (exponents here are small)."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("only nonnegative integer powers")
+        result = self if k else self._lift(1)
+        for _ in range(k - 1):
+            result = result * self
+        return result
+
+
+class _OnlineSeries(_Ring):
     """A series known one x-order at a time, for solving fixed points.
     It supports +, -, * and ** only: no division.
 
@@ -142,7 +163,7 @@ class _OnlineSeries:
         return rows[k]
 
     @classmethod
-    def lift(cls, other):
+    def _lift(cls, other):
         if isinstance(other, cls):
             return other
         if isinstance(other, (int, Fraction)):
@@ -154,28 +175,17 @@ class _OnlineSeries:
                    lambda k: rows[k] if k < len(rows) else [])
 
     def __add__(self, other):
-        other = self.lift(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         return _OnlineSeries(min(self.val, other.val),
                              lambda k: _padd(self.row(k), other.row(k)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _OnlineSeries(self.val, lambda k: _pscale(self.row(k), -1))
 
-    def __sub__(self, other):
-        other = self.lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        other = self.lift(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         va, vb = self.val, other.val
@@ -191,16 +201,13 @@ class _OnlineSeries:
 
     def __rmul__(self, other):
         # a constant's short rows as the outer loop of _mac
-        other = self.lift(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         return other * self
 
-    def __pow__(self, k: int):
-        return _power(self, k, self.lift)
 
-
-class TruncatedSeries:
+class TruncatedSeries(_Ring):
     __slots__ = ("trunc_x", "coeffs")
 
     def __init__(self, trunc_x: int, coeffs=None):
@@ -292,19 +299,8 @@ class TruncatedSeries:
         return TruncatedSeries(
             n, [_padd(self.coeffs[i], other.coeffs[i]) for i in range(n + 1)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncatedSeries(self.trunc_x, [_pscale(p, -1) for p in self.coeffs])
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -317,9 +313,6 @@ class TruncatedSeries:
                                    for k in range(n + 1)])
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return _power(self, k, self._lift)
 
     def __truediv__(self, other):
         other = self._lift(other)

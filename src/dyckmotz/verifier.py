@@ -222,14 +222,11 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     bad = structural_worst = None
     transport = TransportSweep(transport_rules())
     for n in range(max_n + 1):
-        # a semilength after the first failing one is not tallied
-        tally = _BijectivityTally(n) if bad is None else None
+        tally = _BijectivityTally(n)
         tallies = Counter()  # _pattern_counts vector -> paths
-        count = 0
         try:
-            for count, (d, m) in enumerate(family_pairs(n), 1):
-                if tally is not None:
-                    tally.add(d.text, m.text)
+            for d, m in family_pairs(n):
+                tally.add(d.text, m.text)
                 transport.check(n, d, m)
                 vector = _pattern_counts(d)
                 # the first path of each vector, in enumeration order
@@ -241,7 +238,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         except NotConstrainedError as exc:
             # the walker yielded a path phi rejects: the pass at n ends there
             bad = bad or {"n": n, "error": str(exc)}
-        counts.append(count)
+        counts.append(tally.domain)
         rows.append(_distribution_row(tallies))
         if bad is None and not tally.report()["ok"]:
             bad = tally.report()
@@ -307,36 +304,24 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
              "peak-free-strip identity rebuilds the DU series exactly")
 
     # (6) golden distribution cells
+    # each record counts its in-range cells and shows its first mismatch
     for label, table in sorted(golden.tables.items()):
-        worst = None
-        in_range = 0
-        for n, k, value in table.cells:
-            if n > max_n:
-                continue
-            in_range += 1
-            for route_name, series in routes[table.pattern].items():
-                if series.coefficient(n, k) != value:
-                    worst = {"n": n, "k": k, "printed": value,
-                             "computed": series.coefficient(n, k),
-                             "route": route_name}
-                    break
-            if worst:
-                break
+        cells = [cell for cell in table.cells if cell[0] <= max_n]
+        worst = next(({"n": n, "k": k, "printed": value,
+                       "computed": series.coefficient(n, k), "route": route_name}
+                      for n, k, value in cells
+                      for route_name, series in routes[table.pattern].items()
+                      if series.coefficient(n, k) != value), None)
         _judge(checks, f"golden:{label}",
-               f"{in_range} transcribed cells (of {len(table.cells)}) against "
+               f"{len(cells)} transcribed cells (of {len(table.cells)}) against "
                f"{len(routes[table.pattern])} routes", worst)
-    worst = None
-    in_range = 0
-    for label, n, value in golden.sums:
-        if n > max_n:
-            continue
-        in_range += 1
-        got = sum(routes["UD"]["brute"].y_poly(n))
-        if got != value or motzkin_number(n) != value:
-            worst = {"label": label, "n": n, "printed": value, "computed": got}
-            break
+    sums = [cell for cell in golden.sums if cell[1] <= max_n]
+    row_total = lambda n: sum(routes["UD"]["brute"].y_poly(n))
+    worst = next(({"label": label, "n": n, "printed": value, "computed": row_total(n)}
+                  for label, n, value in sums
+                  if row_total(n) != value or motzkin_number(n) != value), None)
     _judge(checks, "golden:sum-row",
-           f"{in_range} column sums against row totals and M_n", worst)
+           f"{len(sums)} column sums against row totals and M_n", worst)
 
     # (7) popularity rows, with the misprint protocol
     pop_series = {p: _popularity(routes[p]["closed"]) for p in PATTERNS}

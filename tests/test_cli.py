@@ -191,7 +191,8 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     assert "RESULT: FAILED" in capsys.readouterr().out
 
 
-def test_verify_reports_a_walker_defect_as_a_failed_check(capsys, monkeypatch):
+@pytest.fixture
+def faulty_walker(monkeypatch):
     # a non-member from the walker is a defect in the program, not bad input
     real = patterns.enumerate_constrained
 
@@ -201,11 +202,22 @@ def test_verify_reports_a_walker_defect_as_a_failed_check(capsys, monkeypatch):
             yield "UDUUDD"
 
     monkeypatch.setattr(patterns, "enumerate_constrained", walk_with_extra)
+
+
+def test_verify_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker):
     assert main(["verify", "--max-n", "4", "--format", "json"]) == 1
     checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["bijectivity"]["status"] == "fail"
     assert checks["bijectivity"]["counterexample"] == {
         "n": 3, "error": "not in the constrained family: 'UDUUDD'"}
+
+
+def test_check_transport_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker):
+    assert main(["check-transport", "--all", "--max-n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "FAIL  family at n=3: not in the constrained family: 'UDUUDD'"]
+    assert captured.err == ""
 
 
 def test_verify_unreadable_seed_tables_exits_2(tmp_path, capsys):

@@ -15,7 +15,7 @@ from dyckmotz import (
     popularity_gf,
 )
 from dyckmotz import genfun
-from dyckmotz.genfun import _fp_pair, _fp_single, cross_check_routes
+from dyckmotz.genfun import _fixed_point, cross_check_routes
 from dyckmotz.series import TruncatedSeries
 
 N = 10
@@ -70,9 +70,9 @@ def test_closed_forms_equal_fixed_points_deep():
 
 def test_fixed_point_without_convergence_raises():
     with pytest.raises(NoConvergenceError):
-        _fp_single(8, lambda M: M + 1)
+        _fixed_point(8, lambda M: M + 1)
     with pytest.raises(NoConvergenceError):
-        _fp_pair(8, lambda A, B: B + 1, lambda A, B: A)
+        _fixed_point(8, lambda A, B: B + 1, lambda A, B: A)
 
 
 def test_fixed_point_calls_each_equation_twice(monkeypatch):
@@ -93,8 +93,7 @@ def test_fixed_point_calls_each_equation_twice(monkeypatch):
             return solve(N, *equations)
         return run
 
-    monkeypatch.setattr(genfun, "_fp_single", counting(_fp_single))
-    monkeypatch.setattr(genfun, "_fp_pair", counting(_fp_pair))
+    monkeypatch.setattr(genfun, "_fixed_point", counting(_fixed_point))
     for n in (8, 40):
         for pattern in FIXED_POINT_PATTERNS:
             distribution_gf_fixed_point(pattern, n)
@@ -106,7 +105,7 @@ def test_fixed_point_confirms_at_full_truncation():
     # x is known only to x^4, so the solve at 6 cannot be confirmed
     x = TruncatedSeries.x_var(4)
     with pytest.raises(NoConvergenceError):
-        _fp_single(6, lambda M: 1 + x*M)
+        _fixed_point(6, lambda M: 1 + x*M)
 
 
 def test_fixed_point_requires_known_pattern():

@@ -222,18 +222,10 @@ def test_check_transport_respects_min_n():
         check_transport(rule, 0)
 
 
-def test_check_transport_accepts_explicit_pairs():
-    rule = transport_rule("UD")
-    pairs = [(PathProfile(p), PathProfile(phi(p)))
-             for p in ["UUDD", "UDUD"]]
-    result = check_transport(rule, 2, pairs=pairs)
-    assert result["ok"] and result["checked"] == 2
-
-
 def test_check_transport_counts_up_to_the_counterexample():
     wrong = TransportRule("UDU", parse_statistic("UDU", "dyck"),
                           parse_statistic("FF", "motzkin"))
-    result = check_transport(wrong, 3, pairs=family_pairs(3))
+    result = check_transport(wrong, 3)
     assert result == {"rule": "UDU", "n": 3, "checked": 2, "ok": False,
                       "counterexample": {"path": "UUDUDD", "image": "FUD",
                                          "lhs": 1, "rhs": 0}}
@@ -292,8 +284,10 @@ def test_transport_sweep_stops_reading_once_every_rule_failed():
             yield pair
 
     wrong = _wrong_rule("UDU", "FF")
-    result = check_transport(wrong, 11, pairs=counting(family_pairs(11)))
-    assert not result["ok"] and result["checked"] == 2
+    sweep = TransportSweep([wrong])
+    sweep.add(11, counting(family_pairs(11)))
+    (result,) = sweep.results
+    assert result["counterexample"] is not None and result["checked"] == 2
     assert pairs_read == 2
     sweep = TransportSweep([wrong])
     assert not sweep.done
@@ -337,9 +331,11 @@ def test_sweep_memo_keys_on_each_pairs_own_size():
                          parse_statistic("1", "motzkin"))
     pairs = [(PathProfile("UD"), PathProfile("F")),
              (PathProfile("UDUD"), PathProfile("FF"))]
-    result = check_transport(rule, 1, pairs=pairs)
+    sweep = TransportSweep([rule])
+    sweep.add(1, pairs)
+    (result,) = sweep.results
     assert result["checked"] == 2
-    assert result["counterexample"] == {"path": "UDUD", "image": "FF",
+    assert result["counterexample"] == {"n": 1, "path": "UDUD", "image": "FF",
                                         "lhs": 2, "rhs": 1}
 
 

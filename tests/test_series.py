@@ -195,8 +195,13 @@ def test_division_round_trip(a_rows, b_rows):
 def test_online_series_matches_the_ring(a_rows, b_rows):
     # the nodes the fixed-point route solves with, against the eager ring
     a, b = _build(a_rows), _build(b_rows)
-    oa = _OnlineSeries.lift(a)
+    oa = _OnlineSeries._lift(a)
     cases = [(oa + b, a + b), (oa - b, a - b), (3 - oa, 3 - a), (-oa, -a),
+             (2 + oa, 2 + a), (b - oa, b - a),
              (b * oa, b * a), (oa * oa, a * a), (oa ** 0, a ** 0), (oa ** 3, a ** 3)]
     for online, eager in cases:
         assert [online.row(k) for k in range(a.trunc_x + 1)] == eager.coeffs
+    for series in (a, oa):  # both rings share one power operator
+        for k in (-1, 1.5):
+            with pytest.raises(ValueError, match="nonnegative integer powers"):
+                series ** k

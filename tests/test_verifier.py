@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -231,6 +232,25 @@ def test_plain_golden_mismatch_fails(tmp_path):
     failing = [c for c in report["checks"] if c["status"] == "fail"]
     assert failing[0]["check"] == "golden:dist:UD"
     assert failing[0]["counterexample"]["printed"] == 999
+
+
+def test_failed_golden_record_counts_all_its_cells(tmp_path):
+    # one wrong cell in a record of 29 and one wrong sum of 9, both early
+    wrong = {"dist dist:UUD UUD 2 1 1": "dist dist:UUD UUD 2 1 7",
+             "sum dist:UD 2 2": "sum dist:UD 2 3"}
+    lines = (resources.files("dyckmotz") / "data/golden_tables.txt").read_text().splitlines()
+    assert sum(line in wrong for line in lines) == 2
+    seed = tmp_path / "seed.txt"
+    seed.write_text("\n".join(wrong.get(line, line) for line in lines) + "\n")
+    report = run_full_verification(max_n=9, seed_tables=str(seed))
+    checks = {c["check"]: c for c in report["checks"]}
+    assert checks["golden:dist:UUD"]["details"].startswith(
+        "29 transcribed cells (of 29)")
+    assert checks["golden:dist:UUD"]["counterexample"] == {
+        "n": 2, "k": 1, "printed": 7, "computed": 1, "route": "closed"}
+    assert checks["golden:sum-row"]["details"].startswith("9 column sums")
+    assert checks["golden:sum-row"]["counterexample"] == {
+        "label": "dist:UD", "n": 2, "printed": 3, "computed": 2}
 
 
 def test_unknown_golden_record_kind_rejected(tmp_path):
