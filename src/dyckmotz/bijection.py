@@ -1,5 +1,6 @@
 """Structure-preserving map from the constrained Dyck family onto Motzkin
-paths, with its inverse and an exhaustive bijectivity checker.
+paths, with its inverse, family membership and an exhaustive
+bijectivity checker.
 
 The forward map phi sends a constrained path of semilength n to a
 Motzkin path of length n by recursion on the arch closed by the final
@@ -15,13 +16,13 @@ directions are single left-to-right stack passes, so path length is
 limited only by memory. The forward pass keeps one frame per open block
 and hands each closed block's image to its parent's frame; it checks
 membership as it goes, stopping at the first block taller than its
-closed left sibling. The inverse reads a Motzkin word as top-level
-atoms, each F or an arch U Y D, and weighs each atom by the height of
-the block it closes: 1 for F, 2 plus the largest weight among Y's atoms
-for an arch. Block heights never increase along a level, while the
-atoms of gamma are all lower than the arch after them, so each atom
-closes one block and takes as its gamma the longest run of lower atoms
-just before it.
+closed left sibling, so is_constrained is phi's pass. The inverse
+reads a Motzkin word as top-level atoms, each F or an arch U Y D, and
+weighs each atom by the height of the block it closes: 1 for F, 2 plus
+the largest weight among Y's atoms for an arch. Block heights never
+increase along a level, while the atoms of gamma are all lower than the
+arch after them, so each atom closes one block and takes as its gamma
+the longest run of lower atoms just before it.
 """
 from __future__ import annotations
 
@@ -66,6 +67,16 @@ def phi(p: Union[str, DyckPath]) -> MotzkinPath:
             content = parent_content
         last_h = h
     return MotzkinPath(first + later)
+
+
+def is_constrained(p: Union[str, DyckPath]) -> bool:
+    """Membership in the constrained family, by phi's own scan. Input that
+    is not a Dyck path raises the DyckPath validation error."""
+    try:
+        phi(p)
+    except NotConstrainedError:
+        return False
+    return True
 
 
 def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:

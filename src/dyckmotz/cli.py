@@ -281,6 +281,9 @@ _COMMANDS = {
     "oeis-fetch": _cmd_oeis_fetch,
 }
 
+# the subcommands that cannot write every --format value
+_FORMATS = {"check-transport": ("text",), "verify": ("text", "json")}
+
 # OSError: an input file that cannot be read (fetch failures are caught first)
 _INPUT_ERRORS = (KeyError, ValueError, OSError)
 
@@ -290,6 +293,11 @@ def main(argv=None) -> int:
     if args.max_n is not None and args.max_n < 0:
         print(f"dyckmotz: --max-n must be nonnegative, not {args.max_n}",
               file=sys.stderr)
+        return 2
+    formats = _FORMATS.get(args.command)
+    if formats and args.format not in formats:
+        print(f"dyckmotz: {args.command} writes --format {' or '.join(formats)}, "
+              f"not {args.format}", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args)

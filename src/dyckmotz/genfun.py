@@ -198,7 +198,6 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
                        f"have: {', '.join(FIXED_POINT_PATTERNS)}")
     x = TruncatedSeries.x_var(N)
     y = TruncatedSeries.y_var(N)
-    one = TruncatedSeries.one(N)
     x2 = x * x
 
     if pattern == "UU":
@@ -206,7 +205,7 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
         return _validate_distribution(m, pattern, "fixed")
 
     if pattern == "UUU":
-        geo = one / (one - x)  # paths of the shape (UD)^j, j >= 0
+        geo = 1 / (1 - x)  # paths of the shape (UD)^j, j >= 0
         (m,) = _fixed_point(
             N, lambda F: 1 + x*F + x2*F + x2*y*(x*geo)*F + x2*y**2*(F - geo)*F)
         return _validate_distribution(m, pattern, "fixed")

@@ -4,7 +4,8 @@ Paths are immutable strings of step letters: U goes up (+1), D goes down
 (-1), F is flat (0). The canonical text form of a path is the bare letter
 string, with the empty path written as the empty string. Step order for
 all canonical path orderings is U < D < F (which is not ASCII order, so
-use sort_key when sorting path strings).
+use sort_key when sorting path strings). Membership in the constrained
+family is checked by phi's own pass (bijection.is_constrained).
 """
 from __future__ import annotations
 
@@ -118,31 +119,3 @@ def first_return_decompose(p: Union[str, DyckPath]):
         return DyckPath(p[1:i]), DyckPath(p[i + 1:])
     raise NotADyckPathError(f"{problem} at position {i} in {str(p)!r}")
 
-
-def is_constrained(p: Union[str, DyckPath]) -> bool:
-    """Membership in the constrained family.
-
-    A Dyck path belongs iff it is empty, or p = U alpha D beta with
-    h(U alpha D) >= h(beta) and both alpha and beta belong recursively;
-    equivalently, at every nesting level the heights of consecutive
-    blocks never increase. Input that is not a Dyck path raises the
-    DyckPath validation error.
-    """
-    p = p if isinstance(p, DyckPath) else DyckPath(p)
-    # one stack pass over the heights of the open block's first (so
-    # tallest) and latest closed inner blocks, 0 before one closes
-    first_h = last_h = 0
-    stack = []
-    for c in p:
-        if c == U:
-            stack.append((first_h, last_h))
-            first_h = last_h = 0
-            continue
-        h = first_h + 1
-        first_h, last_h = stack.pop()
-        if not first_h:
-            first_h = h
-        elif h > last_h:
-            return False
-        last_h = h
-    return True

@@ -219,18 +219,17 @@ def parse_statistic(text: str, side: str) -> StatisticExpr:
     stripped = text.strip()
     if not stripped:
         raise EmptyPatternError("empty statistic expression")
-    pieces = _TERM_SPLIT.split(stripped)
-    terms = []
-    sign = 1
-    for i, piece in enumerate(pieces):
-        if i % 2:  # separator
-            sign = 1 if piece == "+" else -1
-            continue
-        terms.append(_parse_term(piece, sign, text))
+    # each term with its sign and its offset in text
+    offset = len(text) - len(text.lstrip())
+    terms, sign, start = [], 1, 0
+    for sep in _TERM_SPLIT.finditer(stripped):
+        terms.append(_parse_term(stripped[start:sep.start()], sign, text, offset + start))
+        sign, start = (1 if sep.group(1) == "+" else -1), sep.end()
+    terms.append(_parse_term(stripped[start:], sign, text, offset + start))
     return StatisticExpr(tuple(terms), side, stripped)
 
 
-def _parse_term(token: str, sign: int, whole: str):
+def _parse_term(token: str, sign: int, whole: str, position: int):
     if token.startswith("-"):
         sign = -sign
         token = token[1:]
@@ -238,7 +237,7 @@ def _parse_term(token: str, sign: int, whole: str):
     coeff = sign * (int(m.group(1)) if m.group(1) else 1)
     body = m.group(2)
     if not body:
-        raise PatternSyntaxError(whole, whole.find(token), "empty term")
+        raise PatternSyntaxError(whole, position, "empty term")
     if body == "1":
         return coeff, ONE
     if body in ("n", "N"):
@@ -368,34 +367,23 @@ class TransportSweep:
     same values, so within one semilength (the judged vectors are kept
     for the current one only) the open rules are evaluated on the first
     pair of each vector, and a later pair with a vector already judged
-    passes every rule still open. checked comes from the number of
-    pairs read.
+    passes every rule still open. Each pair read adds 1 to checked for
+    every open rule claimed at its n, before the vector lookup.
     """
 
     def __init__(self, rules):
-        self._results = [{"rule": rule, "checked": 0, "counterexample": None}
-                         for rule in rules]
-        self._open = list(self._results)  # no counterexample yet
+        self.results = [{"rule": rule, "checked": 0, "counterexample": None}
+                        for rule in rules]
+        self._open = list(self.results)  # no counterexample yet
         self._live = []  # open and claimed at the current semilength
-        self._n, self._seen, self._pending = None, set(), 0
+        self._n, self._seen = None, set()
         self._reads = [_reads([r.dyck_side for r in rules]),
                        _reads([r.motzkin_side for r in rules])]
-
-    @property
-    def results(self) -> list:
-        self._settle()
-        return self._results
 
     @property
     def done(self) -> bool:
         """Every rule has its counterexample: nothing is left to check."""
         return not self._open
-
-    def _settle(self) -> None:
-        # the pairs read since the last settle passed every live rule
-        for r in self._live:
-            r["checked"] += self._pending
-        self._pending = 0
 
     def add(self, n: int, pairs) -> None:
         for dyck, motz in pairs:
@@ -405,12 +393,10 @@ class TransportSweep:
 
     def check(self, n: int, dyck: PathProfile, motz: PathProfile) -> None:
         if n != self._n:
-            self._settle()
             self._n, self._seen = n, set()
             self._live = [r for r in self._open if n >= r["rule"].min_n]
-        if not self._live:
-            return
-        self._pending += 1
+        for r in self._live:
+            r["checked"] += 1
         (dkeys, dgeneric), (mkeys, mgeneric) = self._reads
         vector = (len(dyck.text), len(motz.text),
                   *map(dyck.table.get, dkeys, repeat(0)),
@@ -426,7 +412,6 @@ class TransportSweep:
             lhs = evaluate_statistic(dyck.path, rule.dyck_side, dyck)
             rhs = evaluate_statistic(motz.path, rule.motzkin_side, motz)
             if lhs != rhs:
-                self._settle()
                 r["counterexample"] = {"n": n, "path": dyck.text,
                                        "image": motz.text, "lhs": lhs, "rhs": rhs}
                 self._open.remove(r)

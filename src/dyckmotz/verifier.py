@@ -103,74 +103,78 @@ class GoldenData:
     seq_refs: tuple  # of SequenceRef
 
 
+# fields per golden record; a pop record may carry tags after its five
+_FIELDS = {"dist": 6, "sum": 4, "pop": 5, "seq": 6}
+
+
 def load_golden_tables(path: Optional[str] = None) -> GoldenData:
     if path is None:
         text = (resources.files("dyckmotz") / "data/golden_tables.txt").read_text()
     else:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    cells: dict = {}
-    sums = []
-    pops = []
-    seqs = []
-    for raw in text.splitlines():
+    cells, sums, pops, seqs = {}, [], [], []
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         kind = parts[0]
-        if kind == "dist":
-            _, label, pattern, n, k, value = parts[:6]
-            cells.setdefault((label, pattern), []).append((int(n), int(k), int(value)))
-        elif kind == "sum":
-            _, label, n, value = parts
-            sums.append((label, int(n), int(value)))
-        elif kind == "pop":
-            _, label, patterns, n, value = parts[:5]
-            mis = None
-            for tag in parts[5:]:
-                if tag.startswith("misprint:"):
-                    mis = int(tag.split(":", 1)[1])
-            pops.append(PopularityCell(label, tuple(patterns.split(",")),
-                                       int(n), int(value), mis))
-        elif kind == "seq":
-            _, sid, status, target, first_n = parts[:5]
-            terms = tuple(int(t) for t in parts[5].split(","))
-            seqs.append(SequenceRef(sid, status, target, int(first_n), terms))
-        else:
-            raise ValueError(f"unknown golden record kind {kind!r}: {line}")
+        try:  # int() and the checks below name the line through the except
+            if kind not in _FIELDS:
+                raise ValueError(f"unknown record kind {kind!r}")
+            if not (len(parts) == _FIELDS[kind] or (kind == "pop" and len(parts) > 5)):
+                raise ValueError(f"a {kind} record has {_FIELDS[kind]} fields, "
+                                 f"not {len(parts)}")
+            names = {"dist": [parts[2]], "pop": parts[2].split(",")}.get(kind, [])
+            for name in names:
+                if name not in PATTERNS:
+                    raise ValueError(f"unknown pattern {name!r}")
+            if kind == "dist":
+                _, label, pattern, n, k, value = parts
+                cells.setdefault((label, pattern), []).append((int(n), int(k), int(value)))
+            elif kind == "sum":
+                _, label, n, value = parts
+                sums.append((label, int(n), int(value)))
+            elif kind == "pop":
+                _, label, _, n, value = parts[:5]
+                mis = None
+                for tag in parts[5:]:
+                    if tag.startswith("misprint:"):
+                        mis = int(tag.split(":", 1)[1])
+                pops.append(PopularityCell(label, tuple(names), int(n), int(value), mis))
+            else:
+                _, sid, status, target, first_n, terms = parts
+                if status not in ("stated", "conjectured"):
+                    raise ValueError(f"status {status!r} is not stated or conjectured")
+                seqs.append(SequenceRef(sid, status, target, int(first_n),
+                                        tuple(map(int, terms.split(",")))))
+        except ValueError as exc:
+            raise ValueError(f"golden record on line {number}: {exc}: {line}") from None
     tables = {label: GoldenTable(pattern, label, tuple(tableCells))
               for (label, pattern), tableCells in cells.items()}
     return GoldenData(tables, tuple(sums), tuple(pops), tuple(seqs))
 
 
-def embedded_prefixes(golden: Optional[GoldenData] = None) -> dict:
-    """id -> (offset, terms) from the transcribed reference rows, for
+def embedded_prefixes() -> dict:
+    """id -> (offset, terms) from the packaged reference rows, for
     offline sequence lookups. An id listed twice keeps its first row."""
-    golden = golden or load_golden_tables()
     return {ref.oeis_id: (ref.offset, list(ref.known_terms))
-            for ref in reversed(golden.seq_refs)}
+            for ref in reversed(load_golden_tables().seq_refs)}
 
 
 def compare_sequence(computed, ref: SequenceRef) -> dict:
     """Align computed terms against the reference within a small shift
     window and judge the overlap. Conjectured references downgrade any
     verdict to a notice."""
-    best = None
-    for shift in range(-2, 3):
-        pairs = 0
-        agree = True
-        for i, value in enumerate(computed):
-            j = i + shift
-            if 0 <= j < len(ref.known_terms):
-                pairs += 1
-                if value != ref.known_terms[j]:
-                    agree = False
-        candidate = (agree and pairs > 0, pairs, -abs(shift), shift)
-        if best is None or candidate > best:
-            best = candidate
-    floor = min(6, len(computed), len(ref.known_terms))
-    matched = bool(best and best[0] and best[1] >= floor)
+    known = ref.known_terms
+    # shift s pairs computed[i] with known[i + s]
+    overlaps = {shift: list(zip(computed[max(0, -shift):], known[max(0, shift):]))
+                for shift in range(-2, 3)}
+    agrees, overlap, _, alignment = max(
+        (0 < len(pairs) == sum(a == b for a, b in pairs), len(pairs), -abs(shift), shift)
+        for shift, pairs in overlaps.items())
+    matched = agrees and overlap >= min(6, len(computed), len(known))
     if ref.status == "conjectured":
         verdict = "CONJECTURE-CONSISTENT" if matched else "CONJECTURE-BROKEN"
     else:
@@ -179,8 +183,8 @@ def compare_sequence(computed, ref: SequenceRef) -> dict:
         "id": ref.oeis_id,
         "target": ref.target,
         "provenance": ref.provenance,
-        "alignment": best[3] if best else 0,
-        "overlap": best[1] if best else 0,
+        "alignment": alignment,
+        "overlap": overlap,
         "matched": matched,
         "verdict": verdict,
     }
@@ -412,13 +416,10 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                  f"no terms up to n = {max_n}; not compared")
             continue
         result = compare_sequence(computed, ref)
-        if ref.status == "conjectured":
-            status = ("conjecture-consistent" if result["matched"]
-                      else "conjecture-broken")
-        else:
-            status = "pass" if result["matched"] else "fail"
+        verdict = result["verdict"]
+        status = {"MATCH": "pass", "MISMATCH": "fail"}.get(verdict, verdict.lower())
         _add(checks, f"oeis:{ref.oeis_id}:{ref.target}", status,
-             f"{result['verdict']} ({ref.provenance} terms, "
+             f"{verdict} ({ref.provenance} terms, "
              f"alignment {result['alignment']:+d}, overlap {result['overlap']})",
              None if result["matched"] else {"computed": computed,
                                              "known": list(ref.known_terms)})

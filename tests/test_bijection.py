@@ -12,11 +12,11 @@ from dyckmotz import (
     enumerate_constrained,
     enumerate_dyck,
     enumerate_motzkin,
-    is_constrained,
     motzkin_number,
     phi,
     phi_inverse,
 )
+from dyckmotz.bijection import _BijectivityTally
 
 GOLDEN = {
     "UDUDUD": "FFF",
@@ -79,9 +79,11 @@ def test_phi_matches_its_recursive_definition():
 
 
 def test_phi_rejects_exactly_the_non_members():
+    # the walker generates the family on its own, so it is the oracle
     for n in range(10):
+        members = set(map(str, enumerate_constrained(n)))
         for p in enumerate_dyck(n):
-            if is_constrained(p):
+            if str(p) in members:
                 phi(p)
             else:
                 with pytest.raises(NotConstrainedError):
@@ -148,3 +150,21 @@ def test_check_bijectivity_report():
     assert report["collisions"] == 0
     assert report["missing"] == 0
     assert report["roundtrip_failures"] == 0
+
+
+def test_bijectivity_tally_reports_collisions_and_broken_round_trips():
+    collided = _BijectivityTally(2)
+    collided.add("UUDD", "UD")
+    collided.add("UDUD", "UD")  # a second member on UUDD's image
+    assert collided.report() == {
+        "n": 2, "domain": 2, "image": 1, "collisions": 1, "missing": 1,
+        "roundtrip_failures": 1, "ok": False,
+        "collision_examples": [("UUDD", "UDUD", "UD")],
+        "roundtrip_examples": ["UDUD"]}
+    swapped = _BijectivityTally(2)  # injective and onto, but the images swapped
+    swapped.add("UUDD", "FF")
+    swapped.add("UDUD", "UD")
+    assert swapped.report() == {
+        "n": 2, "domain": 2, "image": 2, "collisions": 0, "missing": 0,
+        "roundtrip_failures": 2, "ok": False,
+        "roundtrip_examples": ["UUDD", "UDUD"]}

@@ -220,6 +220,57 @@ def test_check_transport_reports_a_walker_defect_as_a_failed_check(capsys, fault
     assert captured.err == ""
 
 
+def test_check_transport_reports_a_wrong_rule(capsys, monkeypatch):
+    monkeypatch.setattr("dyckmotz.cli.transport_rules",
+                        lambda: [patterns._rule("UDU", "FF")])
+    assert main(["check-transport", "--all", "--max-n", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  UDU  at UUDUDD -> FUD: 1 != 0"]
+
+
+def test_popularity_json(capsys):
+    assert main(["popularity", "--pattern", "UD", "--max-n", "3",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {"n": 1, "value": 1}, {"n": 2, "value": 3}, {"n": 3, "value": 8}]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-transport", "--all", "--format", "json"],
+     "check-transport writes --format text, not json"),
+    (["--format", "csv", "check-transport", "--rule", "UD"],
+     "check-transport writes --format text, not csv"),
+    (["verify", "--format", "csv"], "verify writes --format text or json, not csv"),
+    (["--format", "csv", "verify"], "verify writes --format text or json, not csv"),
+])
+def test_unwritable_format_exits_2(argv, message, capsys):
+    assert main(argv + ["--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dyckmotz: {message}\n"
+
+
+@pytest.mark.parametrize("record, reason", [
+    ("seq A000001 stated pop:UD 1", "a seq record has 6 fields, not 5"),
+    ("seq A000001 maybe pop:UD 1 1,3", "status 'maybe' is not stated or conjectured"),
+    ("seq A000001 stated pop:UD 1 1,,3", "invalid literal"),
+    ("dist dist:UD UD 2", "a dist record has 6 fields, not 4"),
+    ("dist dist:UD QQ 2 1 1", "unknown pattern 'QQ'"),
+    ("pop pop2 UD x 3", "invalid literal"),
+    ("pop pop2 UD,QQ 3 8", "unknown pattern 'QQ'"),
+    ("pop pop2 UD 3 8 misprint:x", "invalid literal"),
+    ("sum dist:UD 2 2 9", "a sum record has 4 fields, not 5"),
+])
+def test_verify_rejects_a_malformed_seed_record(tmp_path, capsys, record, reason):
+    seed = tmp_path / "seed.txt"
+    seed.write_text(f"# one good record, then a bad one\ndist dist:UD UD 1 1 1\n{record}\n")
+    assert main(["verify", "--max-n", "2", "--seed-tables", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("dyckmotz: golden record on line 3: ")
+    assert reason in captured.err and record in captured.err
+
+
 def test_verify_unreadable_seed_tables_exits_2(tmp_path, capsys):
     # a file that cannot be read is bad input, not a failed check
     for seed in (tmp_path / "missing.txt", tmp_path):

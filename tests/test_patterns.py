@@ -196,6 +196,15 @@ def test_parse_statistic_rejects_garbage():
         parse_statistic("UU", "sideways")
 
 
+@pytest.mark.parametrize("text, position", [
+    ("UD + 2*UD + 2*", 12), ("UD - -", 5), ("  UD + -", 7), ("2* + UD", 0)])
+def test_empty_statistic_term_is_reported_where_it_starts(text, position):
+    with pytest.raises(PatternSyntaxError) as info:
+        parse_statistic(text, "dyck")
+    assert info.value.position == position
+    assert str(info.value) == f"empty term at position {position} in {text!r}"
+
+
 def test_transport_rule_lookup():
     rules = transport_rules()
     assert len(rules) == 15
