@@ -37,6 +37,14 @@ def motzkin_number(n: int) -> int:
     return sum(comb(n, 2 * k) * catalan_number(k) for k in range(n // 2 + 1))
 
 
+def motzkin_numbers(n: int) -> list:
+    """M_0, ..., M_n from (k + 2) M_k = (2k + 1) M_(k-1) + 3(k - 1) M_(k-2)."""
+    m = [1, 1][:n + 1]
+    for k in range(2, n + 1):
+        m.append(((2 * k + 1) * m[-1] + 3 * (k - 1) * m[-2]) // (k + 2))
+    return m
+
+
 def enumerate_motzkin(n: int) -> Iterator[MotzkinPath]:
     """All Motzkin paths of length n, lexicographically (U < D < F)."""
     if n < 0:

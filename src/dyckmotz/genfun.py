@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
 
-from .enumeration import enumerate_constrained, motzkin_number
-from .patterns import PathProfile
+from .enumeration import enumerate_constrained, motzkin_numbers
+from .patterns import PathProfile, _keys, parse_pattern
 from .series import NoConvergenceError, TruncatedSeries, _OnlineSeries
 
 DEFAULT_TRUNCATION = 24
@@ -60,15 +59,15 @@ def _validate_distribution(series: TruncatedSeries, pattern: str,
     """series, once it passes the shape checks of a distribution."""
     if series.y_poly(0) != [1]:
         raise RouteCheckError(f"{pattern}/{method}: constant term is not 1")
-    for n in range(series.trunc_x + 1):
+    for n, total in enumerate(motzkin_numbers(series.trunc_x)):
         poly = series.y_poly(n)
         if any(not isinstance(c, int) or c < 0 for c in poly):
             raise RouteCheckError(
                 f"{pattern}/{method}: non-integer or negative coefficient at x^{n}")
-        if sum(poly) != motzkin_number(n):
+        if sum(poly) != total:
             raise RouteCheckError(
                 f"{pattern}/{method}: row sum at x^{n} is {sum(poly)}, "
-                f"want M_{n} = {motzkin_number(n)}")
+                f"want M_{n} = {total}")
     return series
 
 
@@ -243,16 +242,22 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
 
 # brute force --------------------------------------------------------------
 
+# PATTERNS as one PathProfile.read key set: a _pattern_counts vector
+# holds their counts in _COUNTED order, the border-free words first
+_READ = _keys(map(parse_pattern, PATTERNS))
+_COUNTED = (*_READ[0], *(p.text for p in _READ[1]))
+
+
 def _pattern_counts(prof: PathProfile) -> tuple:
     """The occurrence count of each of PATTERNS in one Dyck profile, in
-    order; every one is a table entry."""
-    return tuple(map(prof.table.get, PATTERNS, repeat(0)))
+    _COUNTED order, from one bulk read, which the profile keeps."""
+    return tuple(prof.read(_READ))
 
 
 def _distribution_row(tallies: Counter) -> dict:
     """pattern -> {occurrence count -> paths} for one semilength, from a
     Counter of the _pattern_counts of its Dyck profiles."""
-    row = {p: Counter() for p in PATTERNS}
+    row = {p: Counter() for p in _COUNTED}
     for counts, paths in tallies.items():
         for column, k in zip(row.values(), counts):
             column[k] += paths

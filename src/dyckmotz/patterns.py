@@ -23,11 +23,8 @@ which side it lives on.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, groupby, repeat
-from operator import add
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .bijection import phi
 from .enumeration import enumerate_constrained
@@ -53,21 +50,45 @@ class PatternExpr:
     end_anchor: bool = False
     dirac: bool = False
     text: str = ""
-    # a PathProfile table holds this pattern's count under its text
-    in_profile: bool = False
+    # the exact count on a path's text, compiled by parse_pattern for the
+    # shapes _PROFILED_RE admits; PathProfile.count stores what it returns
+    counter: Optional[Callable] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return self.text
 
 
-DIRAC = PatternExpr(atoms=(), dirac=True, text="delta", in_profile=True)
+DIRAC = PatternExpr(atoms=(), dirac=True, text="delta",
+                    counter=lambda s: int(not s.strip("F")))
 
 _ATOM_RE = re.compile(r"([UDF])(\+?)")
-# the texts a PathProfile table counts: a word of <= 3 plain letters,
+# the texts that get a compiled counter: a word of <= 3 plain letters,
 # unanchored or with one anchor, or a run XY+Z with X != Y and Z != Y
 # (one term per maximal run)
 _PROFILED_RE = re.compile(
     r"\^?[UDF]{1,3}|[UDF]{1,3}\$|([UDF])(?!\1)([UDF])\+(?!\2)[UDF]")
+
+
+def _border_free(text: str) -> bool:
+    """text is a plain word with no proper prefix that is also a suffix:
+    it cannot overlap itself, so str.count, which counts without
+    overlaps, is exact for it (Knuth, Morris & Pratt 1977)."""
+    return (not text.strip("UDF")
+            and all(text[:i] != text[-i:] for i in range(1, len(text))))
+
+
+def _counter(text: str) -> Callable[[str], int]:
+    """The exact counter of a pattern _PROFILED_RE admits."""
+    if text[0] == "^":
+        return lambda s, w=text[1:]: int(s.startswith(w))
+    if text[-1] == "$":
+        return lambda s, w=text[:-1]: int(s.endswith(w))
+    if _border_free(text):
+        return lambda s: s.count(text)
+    # a bordered word or a flanked run XY+Z: every start of a match counts,
+    # overlapping ones too (two runs share a flank when X = Z)
+    find = re.compile(f"(?={text})").findall
+    return lambda s: len(find(s))
 
 
 def parse_pattern(text: str) -> PatternExpr:
@@ -94,7 +115,7 @@ def parse_pattern(text: str) -> PatternExpr:
     if not atoms:
         raise EmptyPatternError(f"no atoms in pattern {text!r}")
     return PatternExpr(tuple(atoms), start_anchor, end_anchor, False, text,
-                       _PROFILED_RE.fullmatch(text) is not None)
+                       _counter(text) if _PROFILED_RE.fullmatch(text) else None)
 
 
 def count_occurrences(p: Union[str, LatticePath], pat: PatternExpr) -> int:
@@ -140,38 +161,48 @@ def _count_matches(s: str, atoms, anchored: bool) -> int:
 
 
 class PathProfile:
-    """One-pass digest of a path for constant-time pattern counts.
+    """A path with the pattern counts read from it so far.
 
-    table counts, keyed by pattern text, every factor of length 1..3,
-    "^W" and "W$" for the prefix and suffix W of each length 1..3, "XY+Z"
-    for every maximal run of Y flanked by X and Z, and "delta" when the
-    path is all flat. count answers a pattern that parse_pattern marked
-    in_profile by one lookup and any other by the generic counter.
+    count answers a pattern that parse_pattern compiled a counter for by
+    running the counter on text once and storing the count under the
+    pattern's text; any other pattern goes to the generic counter every
+    time. read counts a _keys key set in bulk and stores it the same way,
+    so a later count of one of its patterns is a dict read.
     """
 
-    __slots__ = ("path", "text", "table")
+    __slots__ = ("path", "text", "counts")
 
     def __init__(self, path: Union[str, LatticePath]):
         if not isinstance(path, LatticePath):
             path = LatticePath(path)
         self.path = path
-        s = self.text = str(path)
-        pairs = list(map(add, s, s[1:]))
-        runs = [step for step, _ in groupby(s)]
-        size = len(s)  # a path shorter than 3 has fewer prefixes and suffixes
-        table = Counter(chain(
-            s, pairs, map(add, pairs, s[2:]),
-            map(add, map(add, runs, map(add, runs[1:], repeat("+"))), runs[2:]),
-            ("^" + s[:1], "^" + s[:2], "^" + s[:3])[:size],
-            (s[-1:] + "$", s[-2:] + "$", s[-3:] + "$")[:size]))
-        if s == "F" * len(s):
-            table["delta"] = 1
-        self.table = table
+        self.text = str(path)
+        self.counts = {}
 
     def count(self, pat: PatternExpr) -> int:
-        if pat.in_profile:
-            return self.table.get(pat.text, 0)
-        return count_occurrences(self.path, pat)
+        if pat.counter is None:
+            return count_occurrences(self.path, pat)
+        value = self.counts.get(pat.text)
+        if value is None:
+            value = self.counts[pat.text] = pat.counter(self.text)
+        return value
+
+    def read(self, keys: tuple) -> list:
+        """The counts of a _keys key set, in its order, each stored."""
+        words, others = keys
+        values = list(map(self.text.count, words))
+        self.counts.update(zip(words, values))
+        values += map(self.count, others)
+        return values
+
+
+def _keys(patterns) -> tuple:
+    """patterns, each once, compiled for PathProfile.read: the texts of
+    the border-free words, which one map(text.count, ...) counts, then
+    every other pattern, each counted by PathProfile.count."""
+    pats = dict.fromkeys(patterns)
+    words = [p for p in pats if p.counter and _border_free(p.text)]
+    return (tuple(p.text for p in words), tuple(p for p in pats if p not in words))
 
 
 ONE, N = "1", "n"  # the constant and size terms of a statistic
@@ -183,27 +214,22 @@ class StatisticExpr:
     side: str  # "dyck" or "motzkin": fixes what n means
     text: str = ""
     # compiled from terms once: the value is const + n_coeff * n plus
-    # coefficient times count over the PathProfile table keys in lookups
-    # and the patterns in generic, which the table cannot answer
+    # coefficient times PathProfile.count over the patterns in lookups
     const: int = field(init=False, repr=False, compare=False)
     n_coeff: int = field(init=False, repr=False, compare=False)
     lookups: tuple = field(init=False, repr=False, compare=False)
-    generic: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        const = n_coeff = 0
-        lookups, generic = [], []
+        const, n_coeff, lookups = 0, 0, []
         for coeff, term in self.terms:
             if term == ONE:
                 const += coeff
             elif term == N:
                 n_coeff += coeff
-            elif term.in_profile:
-                lookups.append((term.text, coeff))
             else:
-                generic.append((term, coeff))
+                lookups.append((term, coeff))
         for name, value in (("const", const), ("n_coeff", n_coeff),
-                            ("lookups", tuple(lookups)), ("generic", tuple(generic))):
+                            ("lookups", tuple(lookups))):
             object.__setattr__(self, name, value)
 
     def __str__(self) -> str:
@@ -248,16 +274,15 @@ def _parse_term(token: str, sign: int, whole: str, position: int):
 def evaluate_statistic(p: Union[str, LatticePath], e: StatisticExpr,
                        profile: Optional[PathProfile] = None) -> int:
     """Value of the statistic on one path. A prebuilt PathProfile for p
-    makes repeated evaluation over the same path cheap."""
+    keeps the counts it has read, so repeated evaluation over the same
+    path counts each pattern once."""
     if profile is None:
         profile = PathProfile(p)
     size = len(profile.text)
     total = e.const + e.n_coeff * (size // 2 if e.side == "dyck" else size)
-    get = profile.table.get
-    for key, coeff in e.lookups:
-        total += coeff * get(key, 0)
-    for pat, coeff in e.generic:
-        total += coeff * count_occurrences(profile.path, pat)
+    count = profile.count
+    for pat, coeff in e.lookups:
+        total += coeff * count(pat)
     return total
 
 
@@ -361,13 +386,14 @@ class TransportSweep:
     counterexample (with its n), at which the rule stops, or None.
 
     A rule's two sides read only the counts in a pair's count vector: the
-    two path lengths, which give n, then the table entries and generic
-    counts of every rule's Dyck side on the member and of every Motzkin
+    two path lengths, which give n, then one PathProfile.read of the
+    patterns of every Dyck side on the member and one of every Motzkin
     side on the image. Two pairs with equal vectors give every rule the
     same values, so within one semilength (the judged vectors are kept
-    for the current one only) the open rules are evaluated on the first
-    pair of each vector, and a later pair with a vector already judged
-    passes every rule still open. Each pair read adds 1 to checked for
+    for the current one only) the open rules are evaluated, on the
+    counts the two profiles stored, for the first pair of each vector,
+    and a later pair with a vector already judged passes every rule
+    still open. Each pair read adds 1 to checked for
     every open rule claimed at its n, before the vector lookup.
     """
 
@@ -377,8 +403,8 @@ class TransportSweep:
         self._open = list(self.results)  # no counterexample yet
         self._live = []  # open and claimed at the current semilength
         self._n, self._seen = None, set()
-        self._reads = [_reads([r.dyck_side for r in rules]),
-                       _reads([r.motzkin_side for r in rules])]
+        self._keys = [_keys(p for r in rules for p, _ in r.dyck_side.lookups),
+                      _keys(p for r in rules for p, _ in r.motzkin_side.lookups)]
 
     @property
     def done(self) -> bool:
@@ -397,13 +423,8 @@ class TransportSweep:
             self._live = [r for r in self._open if n >= r["rule"].min_n]
         for r in self._live:
             r["checked"] += 1
-        (dkeys, dgeneric), (mkeys, mgeneric) = self._reads
-        vector = (len(dyck.text), len(motz.text),
-                  *map(dyck.table.get, dkeys, repeat(0)),
-                  *map(motz.table.get, mkeys, repeat(0)))
-        if dgeneric or mgeneric:
-            vector += (*(count_occurrences(dyck.path, p) for p in dgeneric),
-                       *(count_occurrences(motz.path, p) for p in mgeneric))
+        dkeys, mkeys = self._keys
+        vector = (len(dyck.text), len(motz.text), *dyck.read(dkeys), *motz.read(mkeys))
         if vector in self._seen:
             return
         self._seen.add(vector)
@@ -417,9 +438,3 @@ class TransportSweep:
                 self._open.remove(r)
                 self._live.remove(r)
 
-
-def _reads(sides) -> tuple:
-    """The table keys and the generic patterns that the statistics in
-    sides read, each once."""
-    return (tuple(dict.fromkeys(key for e in sides for key, _ in e.lookups)),
-            tuple(dict.fromkeys(p for e in sides for p, _ in e.generic)))

@@ -32,8 +32,8 @@ from importlib import resources
 from typing import Optional
 
 from .bijection import NotConstrainedError, _BijectivityTally
-from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_number
-from .genfun import (PATTERNS, _brute_force, _distribution_row,
+from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
+from .genfun import (PATTERNS, _COUNTED, _brute_force, _distribution_row,
                      _pattern_counts, _pop_closed_length2, _popularity,
                      cross_check_routes, du_from_ud, popularity_gf)
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
@@ -43,7 +43,7 @@ from .patterns import (PathProfile, TransportSweep, _unchecked,
 
 DEFAULT_MAX_N = 12
 # where the structural check finds its two counts in a _pattern_counts vector
-_UUD, _DUU = PATTERNS.index("UUD"), PATTERNS.index("DUU")
+_UUD, _DUU = _COUNTED.index("UUD"), _COUNTED.index("DUU")
 
 # identity systems that hold on every *unrestricted* Dyck path; the
 # anchored terms classify each occurrence by its left or right neighbor
@@ -248,7 +248,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
             bad = tally.report()
 
     # (1) cardinality
-    wanted = [motzkin_number(n) for n in range(max_n + 1)]
+    wanted = motzkin_numbers(max_n)
     _judge(checks, "cardinality",
            f"family sizes for n=0..{max_n}: {', '.join(map(str, counts))}",
            None if counts == wanted else {"computed": counts, "expected": wanted})
@@ -323,7 +323,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     row_total = lambda n: sum(routes["UD"]["brute"].y_poly(n))
     worst = next(({"label": label, "n": n, "printed": value, "computed": row_total(n)}
                   for label, n, value in sums
-                  if row_total(n) != value or motzkin_number(n) != value), None)
+                  if row_total(n) != value or wanted[n] != value), None)
     _judge(checks, "golden:sum-row",
            f"{len(sums)} column sums against row totals and M_n", worst)
 

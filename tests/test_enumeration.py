@@ -15,6 +15,7 @@ from dyckmotz import (
     is_constrained,
     motzkin_number,
 )
+from dyckmotz.enumeration import motzkin_numbers
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835, 113634]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -37,6 +38,11 @@ def _brute_motzkin(n):
 def test_number_helpers():
     assert [motzkin_number(n) for n in range(15)] == MOTZKIN
     assert [catalan_number(n) for n in range(10)] == CATALAN
+
+
+def test_motzkin_table_equals_the_binomial_sum():
+    assert motzkin_numbers(0) == [1]
+    assert motzkin_numbers(300) == [motzkin_number(n) for n in range(301)]
 
 
 def test_motzkin_enumeration_matches_brute_force():

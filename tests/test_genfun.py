@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from dyckmotz import (
@@ -15,7 +17,8 @@ from dyckmotz import (
     popularity_gf,
 )
 from dyckmotz import genfun
-from dyckmotz.genfun import _fixed_point, cross_check_routes
+from dyckmotz.enumeration import motzkin_numbers
+from dyckmotz.genfun import RouteCheckError, _fixed_point, cross_check_routes
 from dyckmotz.series import TruncatedSeries
 
 N = 10
@@ -119,6 +122,18 @@ def test_row_sums_are_motzkin_numbers():
     series = distribution_gf_closed("DUD", N)
     for n in range(N + 1):
         assert sum(series.y_poly(n)) == motzkin_number(n)
+
+
+def test_row_sums_of_a_long_series_are_checked_fast():
+    # one row [M_n] per n: every row sum is compared with M_n
+    rows = [[m] for m in motzkin_numbers(1000)]
+    series = TruncatedSeries(1000, rows)
+    start = time.perf_counter()
+    assert genfun._validate_distribution(series, "UD", "brute") is series
+    assert time.perf_counter() - start < 1.0
+    rows[1000] = [rows[1000][0] + 1]
+    with pytest.raises(RouteCheckError, match="row sum at x"):
+        genfun._validate_distribution(series, "UD", "brute")
 
 
 def test_specific_distribution_cells():

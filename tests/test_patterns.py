@@ -146,19 +146,31 @@ def test_profile_count_agrees_with_direct_count():
              "UUU", "UUD", "DUU", "DUD", "UDU", "UDD", "DDU", "DDD",
              "FUU", "FUD", "FUF", "UF+D", "UF+U", "^UU", "^UD", "DD$",
              "UD$", "F$", "FUD$", "delta",
-             # shapes the profile's table must not answer
+             # shapes that get no compiled counter
              "UU+D", "FF+D", "F+D", "U+", "UUUU", "^U+"]
     exprs = [parse_pattern(t) for t in texts]
-    assert [e.text for e in exprs if not e.in_profile] == [
+    assert [e.text for e in exprs if e.counter is None] == [
         "UU+D", "FF+D", "F+D", "U+", "UUUU", "^U+"]
     # built by hand, without text: the generic counter answers it
     exprs.append(PatternExpr((("U", False), ("D", False))))
     paths = [p for n in range(6) for p in enumerate_motzkin(n)]
     paths += [p for n in range(6) for p in enumerate_dyck(n)]
+    # lattice words on which runs and bordered words overlap themselves,
+    # a prefix, and the two shortest paths
+    paths += ["UDUDU", "DUDUD", "UFUFU", "FUFUF", "UUUU", "DDDD", "FFFF",
+              "UF", "F", ""]
+    # one bulk read lists the border-free words first, then the rest
+    keys = patterns._keys(exprs)
+    order = [parse_pattern(t) for t in keys[0]] + list(keys[1])
     for p in paths:
         prof = PathProfile(p)
         for e in exprs:
             assert prof.count(e) == count_occurrences(p, e), (str(p), e.text)
+        assert PathProfile(p).read(keys) == [count_occurrences(p, e) for e in order]
+    # where a count without overlaps would be wrong
+    for word, text, expected in (("UUUDDD", "UU", 2), ("UDUDUD", "UDU", 2),
+                                 ("UFUFU", "UF+U", 2), ("", "delta", 1)):
+        assert PathProfile(word).count(parse_pattern(text)) == expected
 
 
 def test_profile_validates_plain_strings():
