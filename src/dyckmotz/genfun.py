@@ -30,7 +30,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .enumeration import enumerate_constrained, motzkin_numbers
-from .patterns import PathProfile, _keys, parse_pattern
+from .patterns import _reader, parse_pattern
 from .series import NoConvergenceError, TruncatedSeries, _OnlineSeries
 
 DEFAULT_TRUNCATION = 24
@@ -242,25 +242,20 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
 
 # brute force --------------------------------------------------------------
 
-# PATTERNS as one PathProfile.read key set: a _pattern_counts vector
-# holds their counts in _COUNTED order, the border-free words first
-_READ = _keys(map(parse_pattern, PATTERNS))
-_COUNTED = (*_READ[0], *(p.text for p in _READ[1]))
+# the texts and the reader of PATTERNS: a read tuple holds their counts on
+# one Dyck text in _COUNTED order
+_COUNTED, _read_patterns = _reader(map(parse_pattern, PATTERNS))
 
 
-def _pattern_counts(prof: PathProfile) -> tuple:
-    """The occurrence count of each of PATTERNS in one Dyck profile, in
-    _COUNTED order, from one bulk read, which the profile keeps."""
-    return tuple(prof.read(_READ))
-
-
-def _distribution_row(tallies: Counter) -> dict:
+def _distribution_row(tallies: Counter, keys: tuple = _COUNTED) -> dict:
     """pattern -> {occurrence count -> paths} for one semilength, from a
-    Counter of the _pattern_counts of its Dyck profiles."""
-    row = {p: Counter() for p in _COUNTED}
+    Counter of the count tuples of its Dyck texts read over keys, which
+    hold every one of PATTERNS."""
+    row = {p: Counter() for p in PATTERNS}
+    columns = [keys.index(p) for p in PATTERNS]
     for counts, paths in tallies.items():
-        for column, k in zip(row.values(), counts):
-            column[k] += paths
+        for column, i in zip(row.values(), columns):
+            column[counts[i]] += paths
     return row
 
 
@@ -268,8 +263,7 @@ def _distribution_row(tallies: Counter) -> dict:
 # repeated for another pattern does not walk the family again
 @lru_cache(maxsize=DEFAULT_TRUNCATION + 1)
 def _family_row(n: int) -> dict:
-    return _distribution_row(Counter(
-        _pattern_counts(PathProfile(p)) for p in enumerate_constrained(n)))
+    return _distribution_row(Counter(map(_read_patterns, enumerate_constrained(n))))
 
 
 def _brute_force(pattern: str, rows) -> TruncatedSeries:

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from itertools import repeat
+from typing import Iterator, Optional, Union
 
 from .bijection import phi
 from .enumeration import enumerate_constrained
@@ -50,16 +51,15 @@ class PatternExpr:
     end_anchor: bool = False
     dirac: bool = False
     text: str = ""
-    # the exact count on a path's text, compiled by parse_pattern for the
-    # shapes _PROFILED_RE admits; PathProfile.count stores what it returns
-    counter: Optional[Callable] = field(default=None, compare=False, repr=False)
+    # the exact counter compiled by parse_pattern for the shapes _PROFILED_RE
+    # admits: a border-free word for str.count, or a regex for len(findall)
+    counter: Union[str, re.Pattern, None] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return self.text
 
 
-DIRAC = PatternExpr(atoms=(), dirac=True, text="delta",
-                    counter=lambda s: int(not s.strip("F")))
+DIRAC = PatternExpr(atoms=(), dirac=True, text="delta", counter=re.compile(r"\AF*\Z"))
 
 _ATOM_RE = re.compile(r"([UDF])(\+?)")
 # the texts that get a compiled counter: a word of <= 3 plain letters,
@@ -69,26 +69,21 @@ _PROFILED_RE = re.compile(
     r"\^?[UDF]{1,3}|[UDF]{1,3}\$|([UDF])(?!\1)([UDF])\+(?!\2)[UDF]")
 
 
-def _border_free(text: str) -> bool:
-    """text is a plain word with no proper prefix that is also a suffix:
-    it cannot overlap itself, so str.count, which counts without
-    overlaps, is exact for it (Knuth, Morris & Pratt 1977)."""
-    return (not text.strip("UDF")
-            and all(text[:i] != text[-i:] for i in range(1, len(text))))
-
-
-def _counter(text: str) -> Callable[[str], int]:
+def _counter(text: str) -> Union[str, re.Pattern]:
     """The exact counter of a pattern _PROFILED_RE admits."""
     if text[0] == "^":
-        return lambda s, w=text[1:]: int(s.startswith(w))
+        return re.compile(rf"\A{text[1:]}")
     if text[-1] == "$":
-        return lambda s, w=text[:-1]: int(s.endswith(w))
-    if _border_free(text):
-        return lambda s: s.count(text)
+        return re.compile(rf"{text[:-1]}\Z")
+    # a plain word with no proper prefix that is also a suffix cannot
+    # overlap itself, so str.count, which counts without overlaps, is
+    # exact for it (Knuth, Morris & Pratt 1977)
+    if "+" not in text and all(text[:i] != text[-i:] for i in range(1, len(text))):
+        return text
     # a bordered word or a flanked run XY+Z: every start of a match counts,
-    # overlapping ones too (two runs share a flank when X = Z)
-    find = re.compile(f"(?={text})").findall
-    return lambda s: len(find(s))
+    # overlapping ones too (two runs share a flank when X = Z), as the
+    # first letter is all a match takes
+    return re.compile(f"{text[0]}(?={text[1:]})")
 
 
 def parse_pattern(text: str) -> PatternExpr:
@@ -166,8 +161,7 @@ class PathProfile:
     count answers a pattern that parse_pattern compiled a counter for by
     running the counter on text once and storing the count under the
     pattern's text; any other pattern goes to the generic counter every
-    time. read counts a _keys key set in bulk and stores it the same way,
-    so a later count of one of its patterns is a dict read.
+    time.
     """
 
     __slots__ = ("path", "text", "counts")
@@ -180,29 +174,34 @@ class PathProfile:
         self.counts = {}
 
     def count(self, pat: PatternExpr) -> int:
-        if pat.counter is None:
+        counter = pat.counter
+        if counter is None:
             return count_occurrences(self.path, pat)
         value = self.counts.get(pat.text)
         if value is None:
-            value = self.counts[pat.text] = pat.counter(self.text)
+            value = self.counts[pat.text] = (
+                self.text.count(counter) if type(counter) is str
+                else len(counter.findall(self.text)))
         return value
 
-    def read(self, keys: tuple) -> list:
-        """The counts of a _keys key set, in its order, each stored."""
-        words, others = keys
-        values = list(map(self.text.count, words))
-        self.counts.update(zip(words, values))
-        values += map(self.count, others)
-        return values
 
-
-def _keys(patterns) -> tuple:
-    """patterns, each once, compiled for PathProfile.read: the texts of
-    the border-free words, which one map(text.count, ...) counts, then
-    every other pattern, each counted by PathProfile.count."""
+def _reader(patterns) -> tuple:
+    """patterns, each once, compiled into (texts, read): read(text) is the
+    tuple of their counts on a path's text, in texts order, from one
+    map(text.count, ...) over the border-free words and one map of
+    findall over the other compiled counters; a pattern without a
+    counter, last, goes to the generic counter."""
     pats = dict.fromkeys(patterns)
-    words = [p for p in pats if p.counter and _border_free(p.text)]
-    return (tuple(p.text for p in words), tuple(p for p in pats if p not in words))
+    words = [p.counter for p in pats if type(p.counter) is str]
+    found = [p for p in pats if isinstance(p.counter, re.Pattern)]
+    rest = [p for p in pats if p.counter is None]
+    regexes, findall = [p.counter for p in found], re.Pattern.findall
+
+    def read(text: str) -> tuple:
+        return (*map(text.count, words), *map(len, map(findall, regexes, repeat(text))),
+                *[count_occurrences(text, p) for p in rest])
+
+    return (*words, *(p.text for p in found + rest)), read
 
 
 ONE, N = "1", "n"  # the constant and size terms of a statistic
@@ -344,12 +343,12 @@ def transport_rule(name: str) -> TransportRule:
 
 
 def family_pairs(n: int) -> Iterator:
-    """Yield (dyck PathProfile, image PathProfile) for every family
-    member of semilength n, in enumeration order: the one pass over the
-    family per semilength, each pair built when reached and handed to
-    every check that reads it, so no semilength is held in memory."""
+    """Yield (member, image) as plain texts for every family member of
+    semilength n, in enumeration order: the one pass over the family per
+    semilength, each pair built when reached and handed to every check
+    that reads it, so no semilength is held in memory."""
     for p in enumerate_constrained(n):
-        yield PathProfile(p), PathProfile(phi(p))
+        yield str(p), str(phi(p))
 
 
 def _unchecked(rule: TransportRule, max_n: int) -> str:
@@ -380,31 +379,34 @@ def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
 
 class TransportSweep:
     """check_transport for several rules from n = rule.min_n up, fed in
-    increasing n one family pair at a time by check, or an iterable of
-    them by add, which stops reading once every rule has failed. results
-    holds per rule the paths checked in total and the first
-    counterexample (with its n), at which the rule stops, or None.
+    increasing n one family pair of texts at a time by check, or an
+    iterable of them by add, which stops reading once every rule has
+    failed. results holds per rule the paths checked in total and the
+    first counterexample (with its n), at which the rule stops, or None.
 
-    A rule's two sides read only the counts in a pair's count vector: the
-    two path lengths, which give n, then one PathProfile.read of the
-    patterns of every Dyck side on the member and one of every Motzkin
-    side on the image. Two pairs with equal vectors give every rule the
-    same values, so within one semilength (the judged vectors are kept
-    for the current one only) the open rules are evaluated, on the
-    counts the two profiles stored, for the first pair of each vector,
-    and a later pair with a vector already judged passes every rule
-    still open. Each pair read adds 1 to checked for
-    every open rule claimed at its n, before the vector lookup.
+    A rule's two sides read only a pair's count vector: the two path
+    lengths, which give n, then the count tuple of read_dyck (every Dyck
+    side plus dyck_patterns) on the member and of read_motzkin (every
+    Motzkin side) on the image. A caller holding read_dyck's tuple of the
+    member passes it to check as counts, so the member is read once.
+    Pairs with equal vectors give every rule the same values, so within
+    one semilength (the judged vectors are kept for the current one
+    only) only the first pair of each vector gets PathProfiles and has
+    the open rules evaluated, and a later one passes every rule still
+    open. Each pair read adds 1 to checked for every open rule claimed
+    at its n, before the vector lookup.
     """
 
-    def __init__(self, rules):
+    def __init__(self, rules, dyck_patterns=()):
         self.results = [{"rule": rule, "checked": 0, "counterexample": None}
                         for rule in rules]
         self._open = list(self.results)  # no counterexample yet
         self._live = []  # open and claimed at the current semilength
         self._n, self._seen = None, set()
-        self._keys = [_keys(p for r in rules for p, _ in r.dyck_side.lookups),
-                      _keys(p for r in rules for p, _ in r.motzkin_side.lookups)]
+        self.dyck_keys, self.read_dyck = _reader(
+            [*(p for r in rules for p, _ in r.dyck_side.lookups), *dyck_patterns])
+        self.motzkin_keys, self.read_motzkin = _reader(
+            p for r in rules for p, _ in r.motzkin_side.lookups)
 
     @property
     def done(self) -> bool:
@@ -417,24 +419,24 @@ class TransportSweep:
             if self.done:
                 break
 
-    def check(self, n: int, dyck: PathProfile, motz: PathProfile) -> None:
+    def check(self, n: int, dyck: str, motz: str, counts: Optional[tuple] = None) -> None:
         if n != self._n:
             self._n, self._seen = n, set()
             self._live = [r for r in self._open if n >= r["rule"].min_n]
         for r in self._live:
             r["checked"] += 1
-        dkeys, mkeys = self._keys
-        vector = (len(dyck.text), len(motz.text), *dyck.read(dkeys), *motz.read(mkeys))
+        vector = (len(dyck), len(motz), *(counts or self.read_dyck(dyck)),
+                  *self.read_motzkin(motz))
         if vector in self._seen:
             return
         self._seen.add(vector)
+        dyck_profile, motz_profile = PathProfile(dyck), PathProfile(motz)
         for r in list(self._live):
             rule = r["rule"]
-            lhs = evaluate_statistic(dyck.path, rule.dyck_side, dyck)
-            rhs = evaluate_statistic(motz.path, rule.motzkin_side, motz)
+            lhs = evaluate_statistic(dyck, rule.dyck_side, dyck_profile)
+            rhs = evaluate_statistic(motz, rule.motzkin_side, motz_profile)
             if lhs != rhs:
-                r["counterexample"] = {"n": n, "path": dyck.text,
-                                       "image": motz.text, "lhs": lhs, "rhs": rhs}
+                r["counterexample"] = {"n": n, "path": dyck_profile.text,
+                                       "image": motz_profile.text, "lhs": lhs, "rhs": rhs}
                 self._open.remove(r)
                 self._live.remove(r)
-

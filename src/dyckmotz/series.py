@@ -86,10 +86,11 @@ def _mac(acc: List[Scalar], pairs, w: Scalar = 1) -> List[Scalar]:
     return _trim([_norm(c) for c in out])
 
 
-def _pscale(a: List[Scalar], s: Scalar) -> List[Scalar]:
-    if s == 0:
-        return []
-    return _trim([_norm(c * s) for c in a])
+def _pdiv(a: List[Scalar], d: Scalar) -> List[Scalar]:
+    """a / d for a nonzero d: an int that an int d divides stays an int,
+    and a Fraction is built only for any other coefficient."""
+    return [c // d if type(c) is int and type(d) is int and not c % d
+            else _norm(Fraction(c, d)) for c in a]
 
 
 def _require_exact(value, what: str) -> None:
@@ -182,7 +183,7 @@ class _OnlineSeries(_Ring):
                              lambda k: _padd(self.row(k), other.row(k)))
 
     def __neg__(self):
-        return _OnlineSeries(self.val, lambda k: _pscale(self.row(k), -1))
+        return _OnlineSeries(self.val, lambda k: [-c for c in self.row(k)])
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -300,7 +301,7 @@ class TruncatedSeries(_Ring):
             n, [_padd(self.coeffs[i], other.coeffs[i]) for i in range(n + 1)])
 
     def __neg__(self):
-        return TruncatedSeries(self.trunc_x, [_pscale(p, -1) for p in self.coeffs])
+        return TruncatedSeries(self.trunc_x, [[-c for c in p] for p in self.coeffs])
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -357,7 +358,7 @@ class TruncatedSeries(_Ring):
                        ((s[i], s[n - i]) for i in range(1, (n + 1) // 2)), -2)
             if n % 2 == 0:
                 acc = _mac(acc, [(s[n // 2], s[n // 2])], -1)
-            s.append(_pscale(acc, Fraction(1, 2)))
+            s.append(_pdiv(acc, 2))
         return TruncatedSeries(self.trunc_x, s)
 
 
@@ -383,8 +384,7 @@ def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     if n_out < 0:
         raise InexactDivisionError("divisor valuation exceeds truncation")
     den = b.coeffs[val:val + n_out + 1]
-    # a unit lead keeps monomial and unit quotients on plain ints
-    inv_c = lead[m] if lead[m] in (1, -1) else 1 / Fraction(lead[m])
+    c = lead[m]
     quot: List[List[Scalar]] = []
     for n in range(n_out + 1):
         acc = _mac(a.coeffs[n + val],
@@ -393,5 +393,5 @@ def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
             k = next(k for k, cc in enumerate(acc[:m]) if cc)
             raise InexactDivisionError(
                 f"term x^{n} y^{k} not divisible by divisor lead y^{m}")
-        quot.append(_pscale(acc[m:], inv_c))
+        quot.append(_pdiv(acc[m:], c))
     return TruncatedSeries(n_out, quot)

@@ -5,15 +5,16 @@ bijectivity, every transport rule, the step-pattern identity systems on
 unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
-one streamed pass per semilength and hold only their tallies and the
-image set that injectivity needs. Within a semilength they judge each
-distinct vector of counts once: the transport sweep evaluates its rules
-on the first pair of each count vector, and the brute-force rows tally
-members by their twelve pattern counts, the structural check reading
-the first member of each. A failed comparison lands in the
-report, one record per check, so a single run gives the complete
-picture; a route whose series fails its own shape check raises
-RouteCheckError instead (the CLI exits 1).
+one streamed pass per semilength over plain texts and hold only their
+tallies and the image set that injectivity needs. One read of each
+member gives the count tuple of every rule's Dyck side and of the twelve
+patterns, which the transport sweep, the brute-force rows and the
+structural check share; within a semilength the sweep evaluates its
+rules on the first pair of each count vector only, and the rows tally
+members by their tuples. A failed comparison lands in the report, one
+record per check, so a single run gives the complete picture; a route
+whose series fails its own shape check raises RouteCheckError instead
+(the CLI exits 1).
 
 Golden data is loaded from the packaged reference file (overridable) and
 is never regenerated: cells marked with a misprint tag are expected to
@@ -33,17 +34,15 @@ from typing import Optional
 
 from .bijection import NotConstrainedError, _BijectivityTally
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
-from .genfun import (PATTERNS, _COUNTED, _brute_force, _distribution_row,
-                     _pattern_counts, _pop_closed_length2, _popularity,
-                     cross_check_routes, du_from_ud, popularity_gf)
+from .genfun import (PATTERNS, _brute_force, _distribution_row,
+                     _pop_closed_length2, _popularity, cross_check_routes,
+                     du_from_ud, popularity_gf)
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
 from .patterns import (PathProfile, TransportSweep, _unchecked,
-                       evaluate_statistic, family_pairs, parse_statistic,
-                       transport_rules)
+                       evaluate_statistic, family_pairs, parse_pattern,
+                       parse_statistic, transport_rules)
 
 DEFAULT_MAX_N = 12
-# where the structural check finds its two counts in a _pattern_counts vector
-_UUD, _DUU = _COUNTED.index("UUD"), _COUNTED.index("DUU")
 
 # identity systems that hold on every *unrestricted* Dyck path; the
 # anchored terms classify each occurrence by its left or right neighbor
@@ -221,29 +220,31 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
 
     # one streamed pass over the family per semilength: cardinality,
     # bijectivity, transport, the brute-force rows and the structural
-    # check each read every pair as it goes by
+    # check each read every pair of texts as it goes by, and the last
+    # three share one read of the member
     counts, rows = [], []
     bad = structural_worst = None
-    transport = TransportSweep(transport_rules())
+    transport = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
+    uud, duu = map(transport.dyck_keys.index, ("UUD", "DUU"))
     for n in range(max_n + 1):
         tally = _BijectivityTally(n)
-        tallies = Counter()  # _pattern_counts vector -> paths
+        tallies = Counter()  # read_dyck count tuple -> paths
         try:
             for d, m in family_pairs(n):
-                tally.add(d.text, m.text)
-                transport.check(n, d, m)
-                vector = _pattern_counts(d)
+                tally.add(d, m)
+                vector = transport.read_dyck(d)
+                transport.check(n, d, m, vector)
                 # the first path of each vector, in enumeration order
                 if structural_worst is None and vector not in tallies:
-                    k = vector[_UUD]
-                    if k > 1 and vector[_DUU] == 0:
-                        structural_worst = {"n": n, "path": d.text, "UUD": k}
+                    k = vector[uud]
+                    if k > 1 and vector[duu] == 0:
+                        structural_worst = {"n": n, "path": d, "UUD": k}
                 tallies[vector] += 1
         except NotConstrainedError as exc:
             # the walker yielded a path phi rejects: the pass at n ends there
             bad = bad or {"n": n, "error": str(exc)}
         counts.append(tally.domain)
-        rows.append(_distribution_row(tallies))
+        rows.append(_distribution_row(tallies, transport.dyck_keys))
         if bad is None and not tally.report()["ok"]:
             bad = tally.report()
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dyckmotz import (
     DIRAC,
+    PATTERNS,
     EmptyPatternError,
     LatticePath,
     PathProfile,
@@ -159,18 +160,61 @@ def test_profile_count_agrees_with_direct_count():
     # a prefix, and the two shortest paths
     paths += ["UDUDU", "DUDUD", "UFUFU", "FUFUF", "UUUU", "DDDD", "FFFF",
               "UF", "F", ""]
-    # one bulk read lists the border-free words first, then the rest
-    keys = patterns._keys(exprs)
-    order = [parse_pattern(t) for t in keys[0]] + list(keys[1])
+    # one read lists the border-free words first, then the other compiled
+    # counters, then the patterns the generic counter answers
+    keys, read = patterns._reader(exprs)
+    by_text = {e.text: e for e in exprs}
+    order = [by_text[t] for t in keys]
+    assert len(order) == len(exprs) and order[-7:] == exprs[-7:]
     for p in paths:
         prof = PathProfile(p)
         for e in exprs:
             assert prof.count(e) == count_occurrences(p, e), (str(p), e.text)
-        assert PathProfile(p).read(keys) == [count_occurrences(p, e) for e in order]
+        assert read(str(p)) == tuple(count_occurrences(p, e) for e in order)
     # where a count without overlaps would be wrong
     for word, text, expected in (("UUUDDD", "UU", 2), ("UDUDUD", "UDU", 2),
                                  ("UFUFU", "UF+U", 2), ("", "delta", 1)):
         assert PathProfile(word).count(parse_pattern(text)) == expected
+
+
+def _campaign_readers():
+    """The campaign's two readers, built as run_full_verification builds
+    them: every rule's Dyck side plus PATTERNS, and every Motzkin side."""
+    sweep = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
+    return [(sweep.dyck_keys, sweep.read_dyck),
+            (sweep.motzkin_keys, sweep.read_motzkin)]
+
+
+def _assert_reads_exactly(words):
+    for keys, read in _campaign_readers():
+        exprs = [parse_pattern(t) for t in keys]
+        for word in words:
+            assert read(word) == tuple(count_occurrences(word, e) for e in exprs), word
+
+
+def test_campaign_readers_are_exact():
+    (dyck_keys, _), (motzkin_keys, _) = _campaign_readers()
+    assert set(PATTERNS) <= set(dyck_keys) and "DD" in dyck_keys
+    assert {"UF+D", "UF+U", "delta"} <= set(motzkin_keys)
+    paths = [str(p) for n in range(9) for p in enumerate_dyck(n)]
+    paths += [str(p) for n in range(9) for p in enumerate_motzkin(n)]
+    # the empty text, all-flat words, and flanked runs sharing a flank
+    edges = ["", "F", "FF", "FFFFF", "UFFUFD", "DUFUD", "UFUFU", "UFUFD"]
+    _assert_reads_exactly(paths + edges)
+    (_, read_dyck), (_, read_motzkin) = _campaign_readers()
+    counts = dict(zip(motzkin_keys, read_motzkin("UFFUFD")))
+    assert (counts["UF+U"], counts["UF+D"], counts["FUF"]) == (1, 1, 1)
+    counts = dict(zip(motzkin_keys, read_motzkin("DUFUD")))
+    assert (counts["UF+U"], counts["FUD"], counts["delta"]) == (1, 1, 0)
+    assert dict(zip(motzkin_keys, read_motzkin("")))["delta"] == 1
+    assert dict(zip(motzkin_keys, read_motzkin("FFFF")))["FF"] == 3
+    assert dict(zip(dyck_keys, read_dyck("UUUDDD")))["DD"] == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="UDF", max_size=30))
+def test_campaign_readers_match_the_generic_counter(word):
+    _assert_reads_exactly([word])
 
 
 def test_profile_validates_plain_strings():
@@ -263,8 +307,9 @@ def test_family_pairs_streams():
     # the first of M_200 members comes without building the others
     start = time.perf_counter()
     dyck, motz = next(family_pairs(200))
-    assert dyck.text == "U" * 200 + "D" * 200
-    assert motz.text == str(phi(dyck.path))
+    assert type(dyck) is str and type(motz) is str
+    assert dyck == "U" * 200 + "D" * 200
+    assert motz == str(phi(dyck))
     assert time.perf_counter() - start < 5
 
 
@@ -323,11 +368,12 @@ def test_memoised_sweep_matches_a_naive_per_pair_loop():
         _wrong_rule("UD", "F + UD + UUUU"),  # UUUU: a generic-counter term
     ]
     families = [list(family_pairs(n)) for n in range(10)]
+    profiled = [[(PathProfile(d), PathProfile(m)) for d, m in pairs] for pairs in families]
     naive = []
     for rule in rules:
         checked, counterexample = 0, None
         for n in range(rule.min_n, 10):
-            for dyck, motz in families[n]:
+            for dyck, motz in profiled[n]:
                 checked += 1
                 lhs = evaluate_statistic(dyck.path, rule.dyck_side, dyck)
                 rhs = evaluate_statistic(motz.path, rule.motzkin_side, motz)
@@ -350,8 +396,7 @@ def test_sweep_memo_keys_on_each_pairs_own_size():
     # no pattern term: only the path lengths tell the two pairs apart
     rule = TransportRule("n", parse_statistic("n", "dyck"),
                          parse_statistic("1", "motzkin"))
-    pairs = [(PathProfile("UD"), PathProfile("F")),
-             (PathProfile("UDUD"), PathProfile("FF"))]
+    pairs = [("UD", "F"), ("UDUD", "FF")]
     sweep = TransportSweep([rule])
     sweep.add(1, pairs)
     (result,) = sweep.results
@@ -365,8 +410,8 @@ def test_sweep_evaluates_each_count_vector_once_per_semilength(monkeypatch):
     terms = [[t for r in rules for _, t in getattr(r, side).terms
               if isinstance(t, PatternExpr)] for side in ("dyck_side", "motzkin_side")]
     families = [list(family_pairs(n)) for n in range(10)]
-    vectors = sum(len({(tuple(dyck.count(t) for t in terms[0]),
-                        tuple(motz.count(t) for t in terms[1]))
+    vectors = sum(len({(tuple(map(PathProfile(dyck).count, terms[0])),
+                        tuple(map(PathProfile(motz).count, terms[1])))
                        for dyck, motz in pairs})
                   for pairs in families)
     assert (vectors, sum(map(len, families))) == (536, 1374)

@@ -8,11 +8,16 @@ import pytest
 import dyckmotz
 from dyckmotz import (
     SequenceRef,
+    TransportRule,
+    check_transport,
     compare_sequence,
     embedded_prefixes,
     load_golden_tables,
+    motzkin_number,
+    parse_statistic,
     render_text,
     run_full_verification,
+    transport_rule,
 )
 
 
@@ -112,6 +117,52 @@ def test_campaign_holds_no_semilength_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # bytes; the 835 pairs of n = 9 as a list take more
+
+
+def test_campaign_finds_a_wrong_rule_where_check_transport_does(monkeypatch):
+    # UUFFUU has no compiled counter; the UUU rule's terms all have one
+    wrong = [TransportRule("U", parse_statistic("U", "dyck"),
+                           parse_statistic("U + D + F + UUFFUU", "motzkin")),
+             TransportRule("UUU", parse_statistic("UUU", "dyck"),
+                           parse_statistic("UF+D + 2*UF+U + UU", "motzkin"))]
+    monkeypatch.setattr(dyckmotz.verifier, "transport_rules",
+                        lambda: wrong + [transport_rule("DUU")])
+    report = run_full_verification(max_n=10)
+    records = {c["check"]: c for c in report["checks"]}
+    assert not report["ok"] and records["transport:DUU"]["status"] == "pass"
+    for rule, first_n in zip(wrong, (10, 4)):
+        record = records[f"transport:{rule.name}"]
+        alone = check_transport(rule, first_n)
+        assert record["counterexample"] == {"n": first_n, **alone["counterexample"]}
+        checked = sum(map(motzkin_number, range(first_n))) + alone["checked"]
+        assert record["details"] == (f"{rule.name} -> {rule.motzkin_side.text} "
+                                     f"over {checked} paths, n=0..10")
+
+
+def test_campaign_transport_records_at_10_are_frozen():
+    records = [(c["check"], c["status"], c["details"])
+               for c in run_full_verification(max_n=10)["checks"]
+               if c["check"].startswith("transport:")]
+    assert records == [
+        ("transport:U", "pass", "U -> U + D + F over 3562 paths, n=0..10"),
+        ("transport:D", "pass", "D -> U + D + F over 3562 paths, n=0..10"),
+        ("transport:UD", "pass", "UD -> F + UD over 3562 paths, n=0..10"),
+        ("transport:UU", "pass", "UU -> U + UU + UF over 3562 paths, n=0..10"),
+        ("transport:DU", "pass", "DU -> FF + FU + DF + DU over 3562 paths, n=0..10"),
+        ("transport:UUD", "pass", "UUD -> UF+D + UD over 3562 paths, n=0..10"),
+        ("transport:UUU", "pass",
+         "UUU -> UF+D + 2*UF+U + 2*UU over 3562 paths, n=0..10"),
+        ("transport:DUU", "pass",
+         "DUU -> UF+D + UD + delta - 1 over 3561 paths, n=1..10"),
+        ("transport:DUD", "pass", "DUD -> F - UF+D - delta over 3561 paths, n=1..10"),
+        ("transport:UDU", "pass", "UDU -> FF + FUD over 3562 paths, n=0..10"),
+        ("transport:UDD", "pass", "UDD -> FD + UD + FUU + FUF over 3562 paths, n=0..10"),
+        ("transport:DDU", "pass", "DDU -> DF + DU + FUU + FUF over 3562 paths, n=0..10"),
+        ("transport:DDD", "pass",
+         "DDD -> 2*UU + 2*UF - FD - FUU - FUF over 3562 paths, n=0..10"),
+        ("transport:^UD", "pass", "^UD -> delta over 3561 paths, n=1..10"),
+        ("transport:^UU", "pass", "^UU -> 1 - delta over 3561 paths, n=1..10"),
+    ]
 
 
 def test_campaign_reports_each_identity_on_its_own(monkeypatch):
