@@ -379,22 +379,21 @@ def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
 
 class TransportSweep:
     """check_transport for several rules from n = rule.min_n up, fed in
-    increasing n one family pair of texts at a time by check, or an
-    iterable of them by add, which stops reading once every rule has
-    failed. results holds per rule the paths checked in total and the
-    first counterexample (with its n), at which the rule stops, or None.
+    increasing n one pair of texts at a time by check, or an iterable of
+    them by add, which stops reading once every rule has failed. A rule's
+    dyck_side reads a pair's first text (a member, or an identity's path)
+    and its motzkin_side the second (the image, or the same path). results
+    holds per rule the paths checked in total and the first counterexample
+    (with its n), at which the rule stops, or None.
 
-    A rule's two sides read only a pair's count vector: the two path
-    lengths, which give n, then the count tuple of read_dyck (every Dyck
-    side plus dyck_patterns) on the member and of read_motzkin (every
-    Motzkin side) on the image. A caller holding read_dyck's tuple of the
-    member passes it to check as counts, so the member is read once.
-    Pairs with equal vectors give every rule the same values, so within
-    one semilength (the judged vectors are kept for the current one
-    only) only the first pair of each vector gets PathProfiles and has
-    the open rules evaluated, and a later one passes every rule still
-    open. Each pair read adds 1 to checked for every open rule claimed
-    at its n, before the vector lookup.
+    A pair's count vector is the two text lengths, which give n, and the
+    count tuples of read_dyck (every Dyck side plus dyck_patterns) on the
+    first text and read_motzkin (every Motzkin side) on the second; check
+    returns the read_dyck tuple. Equal vectors give every rule the same
+    values, so within a semilength only the first pair of each vector has
+    the open rules evaluated, on PathProfiles holding those tuples, and a
+    later one passes every rule still open. Each pair read adds 1 to
+    checked for every open rule claimed at its n, before the vector lookup.
     """
 
     def __init__(self, rules, dyck_patterns=()):
@@ -419,18 +418,21 @@ class TransportSweep:
             if self.done:
                 break
 
-    def check(self, n: int, dyck: str, motz: str, counts: Optional[tuple] = None) -> None:
+    def check(self, n: int, dyck: str, motz: str) -> tuple:
         if n != self._n:
             self._n, self._seen = n, set()
             self._live = [r for r in self._open if n >= r["rule"].min_n]
         for r in self._live:
             r["checked"] += 1
-        vector = (len(dyck), len(motz), *(counts or self.read_dyck(dyck)),
-                  *self.read_motzkin(motz))
+        counts, motz_counts = self.read_dyck(dyck), self.read_motzkin(motz)
+        # nested: CPython 3.11 never reuses the freed 20-tuples a flat one made
+        vector = (len(dyck), len(motz), counts, motz_counts)
         if vector in self._seen:
-            return
+            return counts
         self._seen.add(vector)
         dyck_profile, motz_profile = PathProfile(dyck), PathProfile(motz)
+        dyck_profile.counts = dict(zip(self.dyck_keys, counts))
+        motz_profile.counts = dict(zip(self.motzkin_keys, motz_counts))
         for r in list(self._live):
             rule = r["rule"]
             lhs = evaluate_statistic(dyck, rule.dyck_side, dyck_profile)
@@ -440,3 +442,4 @@ class TransportSweep:
                                        "image": motz_profile.text, "lhs": lhs, "rhs": rhs}
                 self._open.remove(r)
                 self._live.remove(r)
+        return counts

@@ -6,15 +6,14 @@ unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
 one streamed pass per semilength over plain texts and hold only their
-tallies and the image set that injectivity needs. One read of each
-member gives the count tuple of every rule's Dyck side and of the twelve
-patterns, which the transport sweep, the brute-force rows and the
-structural check share; within a semilength the sweep evaluates its
-rules on the first pair of each count vector only, and the rows tally
-members by their tuples. A failed comparison lands in the report, one
-record per check, so a single run gives the complete picture; a route
-whose series fails its own shape check raises RouteCheckError instead
-(the CLI exits 1).
+tallies and the image set that injectivity needs. TransportSweep judges
+every linear claim: the transport rules on that pass, where it reads
+each member once and hands back the count tuple that the brute-force
+rows and the structural check share, and the identities, each path fed
+as both texts of a pair. A failed comparison lands in the report, one
+record per check (info when nothing was compared), so a single run
+gives the complete picture; a route whose series fails its own shape
+check raises RouteCheckError instead (the CLI exits 1).
 
 Golden data is loaded from the packaged reference file (overridable) and
 is never regenerated: cells marked with a misprint tag are expected to
@@ -38,9 +37,8 @@ from .genfun import (PATTERNS, _brute_force, _distribution_row,
                      _pop_closed_length2, _popularity, cross_check_routes,
                      du_from_ud, popularity_gf)
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
-from .patterns import (PathProfile, TransportSweep, _unchecked,
-                       evaluate_statistic, family_pairs, parse_pattern,
-                       parse_statistic, transport_rules)
+from .patterns import (TransportRule, TransportSweep, _unchecked, family_pairs,
+                       parse_pattern, parse_statistic, transport_rules)
 
 DEFAULT_MAX_N = 12
 
@@ -196,10 +194,10 @@ def _add(checks, name, status, details, counterexample=None):
     checks.append(record)
 
 
-def _judge(checks, name, details, counterexample):
-    # a check passes exactly when it has no counterexample to show
-    _add(checks, name, "pass" if counterexample is None else "fail",
-         details, counterexample)
+def _judge(checks, name, details, counterexample, compared=1):
+    # a counterexample fails a check; with none, it passes if it compared anything
+    status = "fail" if counterexample is not None else "pass" if compared else "info"
+    _add(checks, name, status, details, counterexample)
 
 
 def run_full_verification(max_n: int = DEFAULT_MAX_N,
@@ -232,8 +230,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         try:
             for d, m in family_pairs(n):
                 tally.add(d, m)
-                vector = transport.read_dyck(d)
-                transport.check(n, d, m, vector)
+                vector = transport.check(n, d, m)
                 # the first path of each vector, in enumeration order
                 if structural_worst is None and vector not in tallies:
                     k = vector[uud]
@@ -245,8 +242,9 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
             bad = bad or {"n": n, "error": str(exc)}
         counts.append(tally.domain)
         rows.append(_distribution_row(tallies, transport.dyck_keys))
-        if bad is None and not tally.report()["ok"]:
-            bad = tally.report()
+        report = tally.report()
+        if bad is None and not report["ok"]:
+            bad = report
 
     # (1) cardinality
     wanted = motzkin_numbers(max_n)
@@ -261,34 +259,30 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
 
     # (3) transport rules
     for result in transport.results:
-        rule = result["rule"]
-        if not result["checked"]:
-            _add(checks, f"transport:{rule.name}", "info", _unchecked(rule, max_n))
-            continue
+        rule, checked = result["rule"], result["checked"]
         _judge(checks, f"transport:{rule.name}",
-               f"{rule.name} -> {rule.motzkin_side.text} over {result['checked']} "
-               f"paths, n={rule.min_n}..{max_n}", result["counterexample"])
+               f"{rule.name} -> {rule.motzkin_side.text} over {checked} paths, "
+               f"n={rule.min_n}..{max_n}" if checked else _unchecked(rule, max_n),
+               result["counterexample"], checked)
 
-    # (4) identity systems on unrestricted paths (sizes are tiny; the
-    # Catalan explosion makes larger exhaustive sweeps pointless here)
+    # (4) identity systems on unrestricted paths, one sweep per side fed each
+    # path as both texts of a pair (sizes are tiny; the Catalan explosion
+    # makes larger exhaustive sweeps pointless here)
     id_bound = min(max_n, 8)
-    for side, walk, identities in (("Dyck", enumerate_dyck, DYCK_IDENTITIES),
-                                   ("Motzkin", enumerate_motzkin, MOTZKIN_IDENTITIES)):
-        parsed = [(parse_statistic(a, side.lower()), parse_statistic(b, side.lower()), k)
-                  for a, b, k in identities]
-        worst = [None] * len(parsed)  # each identity's first counterexample
+    for side, walk, identities in (("dyck", enumerate_dyck, DYCK_IDENTITIES),
+                                   ("motzkin", enumerate_motzkin, MOTZKIN_IDENTITIES)):
+        sweep = TransportSweep([
+            TransportRule(f"{lhs} = {rhs}", parse_statistic(lhs, side),
+                          parse_statistic(rhs, side), min_n)
+            for lhs, rhs, min_n in identities])
         for n in range(id_bound + 1):
-            for p in walk(n):
-                prof = PathProfile(p)
-                for i, (lhs_e, rhs_e, min_n) in enumerate(parsed):
-                    if worst[i] is None and n >= min_n:
-                        a = evaluate_statistic(prof.path, lhs_e, prof)
-                        b = evaluate_statistic(prof.path, rhs_e, prof)
-                        if a != b:
-                            worst[i] = {"path": prof.text, "lhs": a, "rhs": b}
-        for (lhs_text, rhs_text, min_n), counterexample in zip(identities, worst):
-            _judge(checks, f"identity:{side.lower()}:{lhs_text} = {rhs_text}",
-                   f"all {side} paths, n={min_n}..{id_bound}", counterexample)
+            sweep.add(n, ((t, t) for t in map(str, walk(n))))
+        for result in sweep.results:
+            rule, bad_path = result["rule"], result["counterexample"]
+            _judge(checks, f"identity:{side}:{rule.name}",
+                   f"all {side.capitalize()} paths, n={rule.min_n}..{id_bound}",
+                   bad_path and {key: bad_path[key] for key in ("path", "lhs", "rhs")},
+                   result["checked"])
 
     # (5) three-way generating function agreement, one route table per pattern
     routes = {}
@@ -319,14 +313,14 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                       if series.coefficient(n, k) != value), None)
         _judge(checks, f"golden:{label}",
                f"{len(cells)} transcribed cells (of {len(table.cells)}) against "
-               f"{len(routes[table.pattern])} routes", worst)
+               f"{len(routes[table.pattern])} routes", worst, len(cells))
     sums = [cell for cell in golden.sums if cell[1] <= max_n]
     row_total = lambda n: sum(routes["UD"]["brute"].y_poly(n))
     worst = next(({"label": label, "n": n, "printed": value, "computed": row_total(n)}
                   for label, n, value in sums
                   if row_total(n) != value or wanted[n] != value), None)
     _judge(checks, "golden:sum-row",
-           f"{len(sums)} column sums against row totals and M_n", worst)
+           f"{len(sums)} column sums against row totals and M_n", worst, len(sums))
 
     # (7) popularity rows, with the misprint protocol
     pop_series = {p: _popularity(routes[p]["closed"]) for p in PATTERNS}
@@ -361,9 +355,10 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                     {"n": cell.n, "printed": cell.printed, "computed": computed})
     for key in dict.fromkeys(f"{cell.source}:{pattern}"
                              for cell in golden.popularity for pattern in cell.patterns):
+        compared = pop_counts.get(key, 0)
         _judge(checks, f"golden:pop:{key}",
-               f"{pop_counts.get(key, 0)} transcribed terms against "
-               f"the derivative route", pop_failures.get(key))
+               f"{compared} transcribed terms against the derivative route",
+               pop_failures.get(key), compared)
     for note in notices:
         _add(checks, "misprint-notice", "notice", note)
     printed_n = max(24, max_n)
@@ -384,7 +379,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     _judge(checks, "column:UUD-exactly-twice",
            f"n=4..{min(max_n, 9)}: {', '.join(map(str, got_two))}",
            None if got_two == expected_two[:len(got_two)]
-           else {"computed": got_two, "expected": expected_two})
+           else {"computed": got_two, "expected": expected_two}, len(got_two))
 
     avoiders = [routes["DUU"]["closed"].coefficient(n, 0)
                 for n in range(1, min(max_n, 9) + 1)]

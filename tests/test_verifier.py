@@ -7,6 +7,7 @@ import pytest
 
 import dyckmotz
 from dyckmotz import (
+    RouteCheckError,
     SequenceRef,
     TransportRule,
     check_transport,
@@ -200,6 +201,58 @@ def test_campaign_records_unclaimed_rules_as_info():
         assert records[name]["status"] == "info"
         assert records[name]["details"] == (
             "claimed only for n >= 1; nothing to check up to n = 0")
+
+
+def test_a_check_that_compared_nothing_reads_info():
+    records = {c["check"]: c for c in run_full_verification(max_n=0)["checks"]}
+    empty = ["identity:dyck:DU = UD - 1", "golden:sum-row", "column:UUD-exactly-twice",
+             *(name for name in records if name.startswith(("golden:dist:", "golden:pop:")))]
+    assert len(empty) == 24
+    for name in empty:
+        assert records[name]["status"] == "info" and "counterexample" not in records[name]
+    assert records["identity:dyck:DU = UD - 1"]["details"] == "all Dyck paths, n=1..0"
+    assert records["golden:dist:UD"]["details"].startswith("0 transcribed cells")
+    assert records["golden:sum-row"]["details"].startswith("0 column sums")
+    assert records["golden:pop:pop2:UD"]["details"].startswith("0 transcribed terms")
+    assert records["identity:dyck:UU = DD"]["status"] == "pass"
+    for max_n in (3, 4):
+        column = next(c for c in run_full_verification(max_n=max_n)["checks"]
+                      if c["check"] == "column:UUD-exactly-twice")
+        assert column["status"] == ("info" if max_n == 3 else "pass")
+        assert column["details"] == ("n=4..3: " if max_n == 3 else "n=4..4: 1")
+
+
+def test_wrong_printed_popularity_term_fails(tmp_path):
+    seed = tmp_path / "seed.txt"
+    seed.write_text("pop pop2 UD 3 9\n")
+    report = run_full_verification(max_n=4, seed_tables=str(seed))
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert not report["ok"] and [c["check"] for c in failed] == ["golden:pop:pop2:UD"]
+    assert failed[0]["counterexample"] == [{"n": 3, "printed": 9, "computed": 8}]
+
+
+def test_campaign_records_a_failed_du_from_ud_route(monkeypatch):
+    def broken(max_n):
+        raise RouteCheckError("DU-from-UD identity disagrees with the DU closed form")
+
+    monkeypatch.setattr(dyckmotz.verifier, "du_from_ud", broken)
+    report = run_full_verification(max_n=4)
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert not report["ok"]
+    assert failed == [{"check": "three-way:DU-from-UD", "status": "fail",
+                       "details": "DU-from-UD identity disagrees with the DU closed form"}]
+
+
+def test_campaign_records_a_broken_round_trip(monkeypatch):
+    real = dyckmotz.bijection._phi_inverse
+    monkeypatch.setattr(dyckmotz.bijection, "_phi_inverse",
+                        lambda m: "" if m == "FF" else real(m))
+    report = run_full_verification(max_n=4)
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert not report["ok"] and [c["check"] for c in failed] == ["bijectivity"]
+    counterexample = failed[0]["counterexample"]
+    assert counterexample["n"] == 2 and counterexample["roundtrip_failures"] >= 1
+    assert not counterexample["ok"] and counterexample["roundtrip_examples"] == ["UDUD"]
 
 
 def test_campaign_records_a_wrong_printed_popularity_form(monkeypatch):
