@@ -110,16 +110,12 @@ def _phi_inverse(m: str) -> str:
 
 
 def check_bijectivity(n: int) -> dict:
-    """Exhaustively verify that phi is a bijection at semilength n.
-
-    Walks the whole family, checking injectivity, image size against the
-    Motzkin count, and the round trip phi_inverse(phi(p)) == p on the
-    texts. Failures are report contents, not raises.
-    """
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    """Exhaustively verify that phi is a bijection at semilength n from
+    the walker's order, the round trip phi_inverse(phi(p)) == p on the
+    texts and the family size against the Motzkin count, which suffice
+    (see _BijectivityTally). Failures are report contents, not raises."""
     tally = _BijectivityTally(n)
-    for p in enumerate_constrained(n):
+    for p in enumerate_constrained(n):  # raises on a negative n
         tally.add(str(p), str(phi(p)))
     return tally.report()
 
@@ -127,36 +123,47 @@ def check_bijectivity(n: int) -> dict:
 class _BijectivityTally:
     """check_bijectivity's report for semilength n, tallied one (member,
     image) pair of the family at a time as plain texts, the image already
-    computed by phi. Of the pairs it keeps only the image set and the
-    failures."""
+    computed by phi. It keeps counts, the last member and the first three
+    members of each kind of failure, and no image set, as the proof needs
+    none:
+
+    - Distinct members: the pairs come in the walker's order, strictly
+      increasing with U < D (see enumeration), which on words of one
+      length is strictly decreasing str order, as 'D' < 'U'. So p < last
+      is the whole check; a change in the walker's order would give a
+      false alarm, never a false proof.
+    - Injective, into length n: phi returns a validated Motzkin path, and
+      _phi_inverse writes two letters per letter read (F is UD, an arch's
+      U...D is UU...D...D), so a round trip forces len(m) == n and makes
+      phi injective on the members. phi keeps its validation, as a round
+      trip admits non-paths too: _phi_inverse("FU") == "UD".
+    - Onto: domain == M_n distinct images of length n are all of them.
+    An image set would catch nothing more: two members on one image break
+    the later one's round trip, and a repeated member breaks the order.
+    """
 
     def __init__(self, n: int):
-        self.n, self.domain, self.images = n, 0, {}  # image -> first member
-        self.collisions, self.roundtrip_failures = [], []
+        self.n, self.domain, self.last = n, 0, "V"  # 'V' > every U/D word
+        self.failures = {"out_of_order": 0, "roundtrip_failures": 0}
+        self.examples = {"out_of_order_examples": [], "roundtrip_examples": []}
+
+    def _fail(self, kind: str, examples: str, p: str) -> None:
+        self.failures[kind] += 1
+        if self.failures[kind] <= 3:
+            self.examples[examples].append(p)
 
     def add(self, p: str, m: str) -> None:
         self.domain += 1
-        prev = self.images.setdefault(m, p)
-        if prev != p:
-            self.collisions.append((prev, p, m))
+        if not p < self.last:
+            self._fail("out_of_order", "out_of_order_examples", p)
+        self.last = p
         if _phi_inverse(m) != p:
-            self.roundtrip_failures.append(p)
+            self._fail("roundtrip_failures", "roundtrip_examples", p)
 
     def report(self) -> dict:
-        expected, image = motzkin_number(self.n), len(self.images)
-        collisions, roundtrip_failures = self.collisions, self.roundtrip_failures
-        report = {
-            "n": self.n,
-            "domain": self.domain,
-            "image": image,
-            "collisions": len(collisions),
-            "missing": expected - image,
-            "roundtrip_failures": len(roundtrip_failures),
-            "ok": (not collisions and not roundtrip_failures
-                   and image == expected and self.domain == expected),
-        }
-        if collisions:
-            report["collision_examples"] = collisions[:3]
-        if roundtrip_failures:
-            report["roundtrip_examples"] = roundtrip_failures[:3]
+        expected = motzkin_number(self.n)
+        report = {"n": self.n, "domain": self.domain, "expected": expected,
+                  **self.failures,
+                  "ok": not any(self.failures.values()) and self.domain == expected}
+        report.update((key, found) for key, found in self.examples.items() if found)
         return report

@@ -282,7 +282,8 @@ _COMMANDS = {
 }
 
 # the subcommands that cannot write every --format value
-_FORMATS = {"check-transport": ("text",), "verify": ("text", "json")}
+_FORMATS = {"check-transport": ("text",), "count": ("text", "json"),
+            "verify": ("text", "json")}
 
 # OSError: an input file that cannot be read (fetch failures are caught first)
 _INPUT_ERRORS = (KeyError, ValueError, OSError)

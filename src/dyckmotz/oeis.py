@@ -89,8 +89,9 @@ def oeis_fetch(oeis_id: str,
 
     Resolution order: fresh cache file, then (online) download, then for
     offline mode the caller-supplied embedded prefixes. The download is
-    parsed before it is cached so a malformed body never poisons the
-    cache. `embedded` maps id -> (offset, terms).
+    parsed, then written to a temporary file renamed into place, so
+    neither a malformed body nor a torn write poisons the cache.
+    `embedded` maps id -> (offset, terms).
     """
     _check_id(oeis_id)
     cache_path = os.path.join(cache_dir, f"{oeis_id}.txt") if cache_dir else None
@@ -105,6 +106,12 @@ def oeis_fetch(oeis_id: str,
     parsed = parse_bfile(text)
     if cache_path:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(cache_path, "w", encoding="utf-8") as f:
-            f.write(text)
+        tmp = f"{cache_path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as f:
+                f.write(text)
+            os.replace(tmp, cache_path)
+        finally:
+            if os.path.exists(tmp):  # the write or the rename failed
+                os.remove(tmp)
     return parsed

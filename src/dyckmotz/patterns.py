@@ -115,9 +115,7 @@ def parse_pattern(text: str) -> PatternExpr:
 
 def count_occurrences(p: Union[str, LatticePath], pat: PatternExpr) -> int:
     """Number of occurrences of pat in p under the module's semantics."""
-    if not isinstance(p, LatticePath):
-        p = LatticePath(p)
-    s = str(p)
+    s = str(p if isinstance(p, LatticePath) else LatticePath(p))
     if pat.dirac:
         return int(all(c == "F" for c in s))
     if pat.end_anchor:
@@ -167,10 +165,8 @@ class PathProfile:
     __slots__ = ("path", "text", "counts")
 
     def __init__(self, path: Union[str, LatticePath]):
-        if not isinstance(path, LatticePath):
-            path = LatticePath(path)
-        self.path = path
-        self.text = str(path)
+        self.path = path if isinstance(path, LatticePath) else LatticePath(path)
+        self.text = str(self.path)
         self.counts = {}
 
     def count(self, pat: PatternExpr) -> int:

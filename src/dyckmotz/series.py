@@ -282,11 +282,8 @@ class TruncatedSeries(_Ring):
 
     def dump(self) -> str:
         """One line per x-degree: `n: c0 c1 c2` with rationals as p/q."""
-        lines = []
-        for n, poly in enumerate(self.coeffs):
-            body = " ".join(str(c) for c in poly) if poly else "0"
-            lines.append(f"{n}: {body}")
-        return "\n".join(lines)
+        return "\n".join(f"{n}: {' '.join(map(str, poly)) if poly else '0'}"
+                         for n, poly in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"TruncatedSeries(trunc_x={self.trunc_x})"
@@ -329,10 +326,8 @@ class TruncatedSeries(_Ring):
 
     # calculus and substitution ----------------------------------------
     def d_dy(self) -> "TruncatedSeries":
-        out = []
-        for poly in self.coeffs:
-            out.append(_trim([_norm(k * c) for k, c in enumerate(poly)][1:]))
-        return TruncatedSeries(self.trunc_x, out)
+        return TruncatedSeries(self.trunc_x, [
+            _trim([_norm(k * c) for k, c in enumerate(poly)][1:]) for poly in self.coeffs])
 
     def eval_y(self, value: Scalar) -> "TruncatedSeries":
         _require_exact(value, "y")

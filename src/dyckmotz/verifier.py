@@ -6,7 +6,7 @@ unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
 one streamed pass per semilength over plain texts and hold only their
-tallies and the image set that injectivity needs. TransportSweep judges
+tallies, so memory does not grow with the family. TransportSweep judges
 every linear claim: the transport rules on that pass, where it reads
 each member once and hands back the count tuple that the brute-force
 rows and the structural check share, and the identities, each path fed
@@ -324,38 +324,31 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
 
     # (7) popularity rows, with the misprint protocol
     pop_series = {p: _popularity(routes[p]["closed"]) for p in PATTERNS}
-    pop_failures = {}
-    pop_counts = {}
-    notices = []
+    pop_failures, pop_counts, notices = {}, Counter(), []
     for cell in golden.popularity:
         if cell.n > max_n:
             continue
         for pattern in cell.patterns:
             computed = pop_series[pattern].coefficient(cell.n)
             key = f"{cell.source}:{pattern}"
-            pop_counts[key] = pop_counts.get(key, 0) + 1
-            if cell.misprint_computed is not None:
-                if computed != cell.misprint_computed:
-                    pop_failures.setdefault(key, []).append(
-                        {"n": cell.n, "printed": cell.printed,
-                         "computed": computed,
-                         "annotated": cell.misprint_computed,
-                         "reason": "computation disagrees with misprint annotation"})
-                elif cell.printed == computed:
-                    pop_failures.setdefault(key, []).append(
-                        {"n": cell.n, "printed": cell.printed,
-                         "computed": computed,
-                         "reason": "stale misprint tag: printed value matches"})
-                else:
-                    notices.append(
-                        f"{key} n={cell.n}: printed {cell.printed}, "
-                        f"computed {computed} (annotated misprint)")
-            elif computed != cell.printed:
-                pop_failures.setdefault(key, []).append(
-                    {"n": cell.n, "printed": cell.printed, "computed": computed})
+            pop_counts[key] += 1
+            failure = {"n": cell.n, "printed": cell.printed, "computed": computed}
+            if cell.misprint_computed is None:
+                if computed == cell.printed:
+                    continue
+            elif computed != cell.misprint_computed:
+                failure.update(annotated=cell.misprint_computed,
+                               reason="computation disagrees with misprint annotation")
+            elif computed == cell.printed:
+                failure["reason"] = "stale misprint tag: printed value matches"
+            else:
+                notices.append(f"{key} n={cell.n}: printed {cell.printed}, "
+                               f"computed {computed} (annotated misprint)")
+                continue
+            pop_failures.setdefault(key, []).append(failure)
     for key in dict.fromkeys(f"{cell.source}:{pattern}"
                              for cell in golden.popularity for pattern in cell.patterns):
-        compared = pop_counts.get(key, 0)
+        compared = pop_counts[key]
         _judge(checks, f"golden:pop:{key}",
                f"{compared} transcribed terms against the derivative route",
                pop_failures.get(key), compared)

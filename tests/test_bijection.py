@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from dyckmotz import (
     enumerate_constrained,
     enumerate_dyck,
     enumerate_motzkin,
+    family_pairs,
     motzkin_number,
     phi,
     phi_inverse,
@@ -146,9 +148,8 @@ def test_check_bijectivity_report():
     report = check_bijectivity(8)
     assert report["ok"]
     assert report["n"] == 8
-    assert report["domain"] == report["image"] == motzkin_number(8)
-    assert report["collisions"] == 0
-    assert report["missing"] == 0
+    assert report["domain"] == report["expected"] == motzkin_number(8)
+    assert report["out_of_order"] == 0
     assert report["roundtrip_failures"] == 0
 
 
@@ -157,14 +158,45 @@ def test_bijectivity_tally_reports_collisions_and_broken_round_trips():
     collided.add("UUDD", "UD")
     collided.add("UDUD", "UD")  # a second member on UUDD's image
     assert collided.report() == {
-        "n": 2, "domain": 2, "image": 1, "collisions": 1, "missing": 1,
+        "n": 2, "domain": 2, "expected": 2, "out_of_order": 0,
         "roundtrip_failures": 1, "ok": False,
-        "collision_examples": [("UUDD", "UDUD", "UD")],
         "roundtrip_examples": ["UDUD"]}
     swapped = _BijectivityTally(2)  # injective and onto, but the images swapped
     swapped.add("UUDD", "FF")
     swapped.add("UDUD", "UD")
     assert swapped.report() == {
-        "n": 2, "domain": 2, "image": 2, "collisions": 0, "missing": 0,
+        "n": 2, "domain": 2, "expected": 2, "out_of_order": 0,
         "roundtrip_failures": 2, "ok": False,
         "roundtrip_examples": ["UUDD", "UDUD"]}
+
+
+def test_bijectivity_tally_reports_members_out_of_order():
+    repeated = _BijectivityTally(2)  # both round trips hold
+    repeated.add("UUDD", "UD")
+    repeated.add("UUDD", "UD")
+    assert repeated.report() == {
+        "n": 2, "domain": 2, "expected": 2, "out_of_order": 1,
+        "roundtrip_failures": 0, "ok": False,
+        "out_of_order_examples": ["UUDD"]}
+
+
+def test_bijectivity_tally_keeps_at_most_three_examples():
+    tally = _BijectivityTally(3)
+    for _ in range(5):
+        tally.add("UUUDDD", "FF")
+    report = tally.report()
+    assert (report["out_of_order"], report["roundtrip_failures"]) == (4, 5)
+    assert report["out_of_order_examples"] == report["roundtrip_examples"] == ["UUUDDD"] * 3
+
+
+def test_bijectivity_tally_holds_no_image_set():
+    tracemalloc.start()
+    try:
+        tally = _BijectivityTally(10)
+        for p, m in family_pairs(10):
+            tally.add(p, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tally.report()["ok"]
+    assert peak < 32 << 10  # bytes; the 2,188 images of n = 10 as a set take more

@@ -242,6 +242,8 @@ def test_popularity_json(capsys):
      "check-transport writes --format text, not csv"),
     (["verify", "--format", "csv"], "verify writes --format text or json, not csv"),
     (["--format", "csv", "verify"], "verify writes --format text or json, not csv"),
+    (["count", "--pattern", "UD", "--path", "UDUD", "--format", "csv"],
+     "count writes --format text or json, not csv"),
 ])
 def test_unwritable_format_exits_2(argv, message, capsys):
     assert main(argv + ["--max-n", "2"]) == 2

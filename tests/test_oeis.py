@@ -80,6 +80,39 @@ def test_fetch_does_not_cache_malformed_bodies(tmp_path):
     assert not os.path.exists(os.path.join(cache, "A001006.txt"))
 
 
+def test_fetch_leaves_no_cache_after_a_torn_write(tmp_path, monkeypatch):
+    real_open = open
+
+    class TornFile:
+        """A write handle that writes part of its text, then fails."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[:len(text) // 2])
+            raise OSError("no space left on device")
+
+    def torn_open(path, mode="r", **kwargs):
+        f = real_open(path, mode, **kwargs)
+        return TornFile(f) if "w" in mode else f
+
+    cache = str(tmp_path / "oeis")
+    monkeypatch.setattr(dyckmotz.oeis, "open", torn_open, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        oeis_fetch("A001006", cache_dir=cache, opener=lambda url: "1 1\n2 2\n3 12345\n")
+    monkeypatch.undo()
+    with pytest.raises(CacheMissError):
+        oeis_fetch("A001006", cache_dir=cache, offline=True)
+    assert os.listdir(cache) == []
+
+
 def test_fetch_offline(tmp_path):
     cache = str(tmp_path / "oeis")
     with pytest.raises(CacheMissError):

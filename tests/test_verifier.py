@@ -7,6 +7,7 @@ import pytest
 
 import dyckmotz
 from dyckmotz import (
+    MotzkinPath,
     RouteCheckError,
     SequenceRef,
     TransportRule,
@@ -253,6 +254,35 @@ def test_campaign_records_a_broken_round_trip(monkeypatch):
     counterexample = failed[0]["counterexample"]
     assert counterexample["n"] == 2 and counterexample["roundtrip_failures"] >= 1
     assert not counterexample["ok"] and counterexample["roundtrip_examples"] == ["UDUD"]
+
+
+def test_campaign_catches_a_walker_that_repeats_a_member(monkeypatch):
+    # member 2 of n = 3 stands in for member 3: the size stays M_3
+    real = dyckmotz.patterns.enumerate_constrained
+
+    def repeating(n):
+        members = list(real(n))
+        if n == 3:
+            members[2] = members[1]
+        return iter(members)
+
+    monkeypatch.setattr(dyckmotz.patterns, "enumerate_constrained", repeating)
+    report = run_full_verification(max_n=4)
+    checks = {c["check"]: c for c in report["checks"]}
+    assert checks["cardinality"]["status"] == "pass"
+    bijectivity = checks["bijectivity"]
+    assert bijectivity["status"] == "fail" and not report["ok"]
+    assert bijectivity["counterexample"]["out_of_order_examples"] == ["UUDUDD"]
+
+
+def test_campaign_catches_two_members_on_one_image(monkeypatch):
+    real = dyckmotz.patterns.phi
+    monkeypatch.setattr(dyckmotz.patterns, "phi",
+                        lambda p: MotzkinPath("UD") if p == "UDUD" else real(p))
+    report = run_full_verification(max_n=4)
+    (bijectivity,) = [c for c in report["checks"] if c["check"] == "bijectivity"]
+    assert bijectivity["status"] == "fail" and not report["ok"]
+    assert bijectivity["counterexample"]["roundtrip_examples"] == ["UDUD"]
 
 
 def test_campaign_records_a_wrong_printed_popularity_form(monkeypatch):
