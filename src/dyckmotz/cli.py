@@ -58,8 +58,9 @@ def _global_flags() -> argparse.ArgumentParser:
     g.add_argument("--seed-tables", metavar="FILE", default=argparse.SUPPRESS,
                    help="alternate golden reference file for verify")
     g.add_argument("--oeis-cache", metavar="DIR", default=argparse.SUPPRESS,
-                   help="b-file cache directory "
-                        "(default $DYCKMOTZ_OEIS_CACHE or ~/.cache/dyckmotz/oeis)")
+                   help="b-file cache directory (default $DYCKMOTZ_OEIS_CACHE; "
+                        "then oeis-fetch uses ~/.cache/dyckmotz/oeis and "
+                        "verify reads no cache)")
     g.add_argument("--offline", action="store_true", default=argparse.SUPPRESS,
                    help="never touch the network; use cache or packaged terms")
     return p
@@ -224,7 +225,8 @@ def _cmd_gf(args) -> int:
             print(f"routes disagree for {args.pattern}", file=sys.stderr)
             return 1
         result = routes["closed"]
-        print(f"# routes agree: {', '.join(routes)}")
+        if args.format == "text":  # csv and json carry the rows alone
+            print(f"# routes agree: {', '.join(routes)}")
     else:
         result = _series_for(args.pattern, args.method, max_n)
     if args.format == "text":

@@ -242,18 +242,21 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
 
 # brute force --------------------------------------------------------------
 
-# the texts and the reader of PATTERNS: a read tuple holds their counts on
-# one Dyck text in _COUNTED order
-_COUNTED, _read_patterns = _reader(map(parse_pattern, PATTERNS))
+# the texts, the reader and the counts of PATTERNS: a read tuple's values
+# are their counts on one Dyck text in _COUNTED order
+_COUNTED, _read_patterns, _count_patterns = _reader(map(parse_pattern, PATTERNS))
 
 
-def _distribution_row(tallies: Counter, keys: tuple = _COUNTED) -> dict:
+def _distribution_row(tallies: Counter, keys: tuple = _COUNTED,
+                      values=_count_patterns) -> dict:
     """pattern -> {occurrence count -> paths} for one semilength, from a
-    Counter of the count tuples of its Dyck texts read over keys, which
-    hold every one of PATTERNS."""
+    Counter of the raw read tuples of its Dyck texts, whose values are
+    counts over keys, which hold every one of PATTERNS; each distinct
+    tuple is converted once."""
     row = {p: Counter() for p in PATTERNS}
     columns = [keys.index(p) for p in PATTERNS]
-    for counts, paths in tallies.items():
+    for raw, paths in tallies.items():
+        counts = values(raw)
         for column, i in zip(row.values(), columns):
             column[counts[i]] += paths
     return row

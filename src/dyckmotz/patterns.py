@@ -23,8 +23,8 @@ which side it lives on.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterator, Optional, Union
 
 from .bijection import phi
@@ -51,15 +51,31 @@ class PatternExpr:
     end_anchor: bool = False
     dirac: bool = False
     text: str = ""
-    # the exact counter compiled by parse_pattern for the shapes _PROFILED_RE
-    # admits: a border-free word for str.count, or a regex for len(findall)
-    counter: Union[str, re.Pattern, None] = field(default=None, compare=False, repr=False)
+    # the exact counter parse_pattern compiles for the shapes _PROFILED_RE
+    # admits: ((read, coefficient), ...), where a read (f, arg) is
+    # f(text, arg) and the count is the sum of coefficient * read
+    counter: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return self.text
 
 
-DIRAC = PatternExpr(atoms=(), dirac=True, text="delta", counter=re.compile(r"\AF*\Z"))
+def _only(text: str, letters: str) -> bool:
+    """text holds no letter outside letters (true on the empty text)."""
+    return not text.strip(letters)
+
+
+def _ends_run(text: str, xy: str) -> bool:
+    """text ends with a run X Y+."""
+    return text.endswith(xy[1]) and text.rstrip(xy[1]).endswith(xy[0])
+
+
+def _runs(text: str, regex: re.Pattern) -> int:
+    """Matches of a flanked run XY+Z with X != Z, which cannot overlap."""
+    return len(regex.findall(text))
+
+
+DIRAC = PatternExpr(atoms=(), dirac=True, text="delta", counter=(((_only, "F"), 1),))
 
 _ATOM_RE = re.compile(r"([UDF])(\+?)")
 # the texts that get a compiled counter: a word of <= 3 plain letters,
@@ -69,21 +85,34 @@ _PROFILED_RE = re.compile(
     r"\^?[UDF]{1,3}|[UDF]{1,3}\$|([UDF])(?!\1)([UDF])\+(?!\2)[UDF]")
 
 
-def _counter(text: str) -> Union[str, re.Pattern]:
-    """The exact counter of a pattern _PROFILED_RE admits."""
+def _counter(text: str) -> Counter:
+    """read -> coefficient for a pattern _PROFILED_RE admits, by the border
+    argument of Knuth, Morris & Pratt (1977); each identity holds on
+    every U/D/F text."""
     if text[0] == "^":
-        return re.compile(rf"\A{text[1:]}")
+        return Counter({(str.startswith, text[1:]): 1})
     if text[-1] == "$":
-        return re.compile(rf"{text[:-1]}\Z")
-    # a plain word with no proper prefix that is also a suffix cannot
-    # overlap itself, so str.count, which counts without overlaps, is
-    # exact for it (Knuth, Morris & Pratt 1977)
-    if "+" not in text and all(text[:i] != text[-i:] for i in range(1, len(text))):
-        return text
-    # a bordered word or a flanked run XY+Z: every start of a match counts,
-    # overlapping ones too (two runs share a flank when X = Z), as the
-    # first letter is all a match takes
-    return re.compile(f"{text[0]}(?={text[1:]})")
+        return Counter({(str.endswith, text[:-1]): 1})
+    if "+" in text:
+        x, y, z = text[0], text[1], text[-1]
+        if x != z:
+            return Counter({(_runs, re.compile(text)): 1})
+        # a run after XY is followed by X, by the third letter Z or by nothing
+        z = "UDF".replace(x, "").replace(y, "")
+        return Counter({(str.count, x + y): 1, (_ends_run, x + y): -1,
+                        (_runs, re.compile(f"{x}{y}+{z}")): -1})
+    # a word with no proper prefix that is also a suffix cannot overlap
+    # itself, so str.count, which counts without overlaps, is exact for it
+    if all(text[:i] != text[-i:] for i in range(1, len(text))):
+        return Counter({(str.count, text): 1})
+    # each occurrence of head = w minus its last letter is followed by
+    # that letter, by another letter or by nothing
+    head, last = text[:-1], text[-1]
+    counter = _counter(head)
+    counter[(str.endswith, head)] -= 1
+    for c in "UDF".replace(last, ""):
+        counter.subtract(_counter(head + c))
+    return counter
 
 
 def parse_pattern(text: str) -> PatternExpr:
@@ -110,7 +139,7 @@ def parse_pattern(text: str) -> PatternExpr:
     if not atoms:
         raise EmptyPatternError(f"no atoms in pattern {text!r}")
     return PatternExpr(tuple(atoms), start_anchor, end_anchor, False, text,
-                       _counter(text) if _PROFILED_RE.fullmatch(text) else None)
+                       tuple(_counter(text).items()) if _PROFILED_RE.fullmatch(text) else None)
 
 
 def count_occurrences(p: Union[str, LatticePath], pat: PatternExpr) -> int:
@@ -157,9 +186,9 @@ class PathProfile:
     """A path with the pattern counts read from it so far.
 
     count answers a pattern that parse_pattern compiled a counter for by
-    running the counter on text once and storing the count under the
-    pattern's text; any other pattern goes to the generic counter every
-    time.
+    summing the counter's reads of text once and storing the count under
+    the pattern's text; any other pattern goes to the generic counter
+    every time.
     """
 
     __slots__ = ("path", "text", "counts")
@@ -175,29 +204,41 @@ class PathProfile:
             return count_occurrences(self.path, pat)
         value = self.counts.get(pat.text)
         if value is None:
-            value = self.counts[pat.text] = (
-                self.text.count(counter) if type(counter) is str
-                else len(counter.findall(self.text)))
+            text = self.text
+            value = self.counts[pat.text] = sum(c * f(text, arg) for (f, arg), c in counter)
         return value
 
 
+_BULK = (str.count, str.startswith, str.endswith)  # one map per text each
+
+
 def _reader(patterns) -> tuple:
-    """patterns, each once, compiled into (texts, read): read(text) is the
-    tuple of their counts on a path's text, in texts order, from one
-    map(text.count, ...) over the border-free words and one map of
-    findall over the other compiled counters; a pattern without a
-    counter, last, goes to the generic counter."""
+    """patterns, each once, compiled into (keys, read, values). read(text)
+    is the raw tuple of every distinct read their counters make, from
+    one map(text.count, ...) over the border-free words, one map each of
+    startswith and endswith over the boundary words and a call for each
+    other read (a pattern without a counter is one read of the generic
+    counter); values(raw) is the tuple of the patterns' counts, in keys
+    order. Counting from a raw tuple is a few integer sums, so a caller
+    that has seen a raw tuple before need not count again."""
     pats = dict.fromkeys(patterns)
-    words = [p.counter for p in pats if type(p.counter) is str]
-    found = [p for p in pats if isinstance(p.counter, re.Pattern)]
-    rest = [p for p in pats if p.counter is None]
-    regexes, findall = [p.counter for p in found], re.Pattern.findall
+    counters = [p.counter or (((count_occurrences, p), 1),) for p in pats]
+    # every distinct read, those of one string method together, in _BULK order
+    reads = sorted(dict.fromkeys(read for counter in counters for read, _ in counter),
+                   key=lambda read: _BULK.index(read[0]) if read[0] in _BULK else len(_BULK))
+    words, starts, ends = ([arg for f, arg in reads if f is method] for method in _BULK)
+    others = reads[len(words) + len(starts) + len(ends):]
+    index = {read: i for i, read in enumerate(reads)}
+    sums = [[(index[read], c) for read, c in counter] for counter in counters]
 
     def read(text: str) -> tuple:
-        return (*map(text.count, words), *map(len, map(findall, regexes, repeat(text))),
-                *[count_occurrences(text, p) for p in rest])
+        return (*map(text.count, words), *map(text.startswith, starts),
+                *map(text.endswith, ends), *[f(text, arg) for f, arg in others])
 
-    return (*words, *(p.text for p in found + rest)), read
+    def values(raw: tuple) -> tuple:
+        return tuple([sum([c * raw[i] for i, c in terms]) for terms in sums])
+
+    return tuple(p.text for p in pats), read, values
 
 
 ONE, N = "1", "n"  # the constant and size terms of a statistic
@@ -382,31 +423,56 @@ class TransportSweep:
     holds per rule the paths checked in total and the first counterexample
     (with its n), at which the rule stops, or None.
 
-    A pair's count vector is the two text lengths, which give n, and the
-    count tuples of read_dyck (every Dyck side plus dyck_patterns) on the
-    first text and read_motzkin (every Motzkin side) on the second; check
-    returns the read_dyck tuple. Equal vectors give every rule the same
-    values, so within a semilength only the first pair of each vector has
-    the open rules evaluated, on PathProfiles holding those tuples, and a
-    later one passes every rule still open. Each pair read adds 1 to
-    checked for every open rule claimed at its n, before the vector lookup.
+    A pair's vector is the two text lengths, which give n, and the raw
+    tuples of read_dyck (every Dyck side plus dyck_patterns) on the first
+    text and read_motzkin (every Motzkin side) on the second; check
+    returns the read_dyck tuple, whose counts dyck_counts gives. Equal
+    vectors give every rule the same values, so within a semilength only
+    the first pair of each vector has its counts computed and the open
+    rules evaluated on PathProfiles holding them, and a later one passes
+    every rule still open. checked is settled per semilength: the pairs
+    of the current one are added to every open rule claimed there when
+    the semilength changes, when a rule fails (its pair included) and
+    when results is read.
     """
 
     def __init__(self, rules, dyck_patterns=()):
-        self.results = [{"rule": rule, "checked": 0, "counterexample": None}
-                        for rule in rules]
-        self._open = list(self.results)  # no counterexample yet
+        self._results = [{"rule": rule, "checked": 0, "counterexample": None}
+                         for rule in rules]
+        self._open = list(self._results)  # no counterexample yet
         self._live = []  # open and claimed at the current semilength
-        self._n, self._seen = None, set()
-        self.dyck_keys, self.read_dyck = _reader(
+        self._n, self._seen, self._firsts, self._pairs = None, set(), {}, 0
+        self.dyck_keys, self.read_dyck, self.dyck_values = _reader(
             [*(p for r in rules for p, _ in r.dyck_side.lookups), *dyck_patterns])
-        self.motzkin_keys, self.read_motzkin = _reader(
+        self.motzkin_keys, self.read_motzkin, self.motzkin_values = _reader(
             p for r in rules for p, _ in r.motzkin_side.lookups)
 
     @property
     def done(self) -> bool:
         """Every rule has its counterexample: nothing is left to check."""
         return not self._open
+
+    @property
+    def results(self) -> list:
+        self._settle()
+        return self._results
+
+    def _settle(self) -> None:
+        for r in self._live:
+            r["checked"] += self._pairs
+        self._pairs = 0
+
+    def _first(self, raw: tuple) -> tuple:
+        """(the semilength's first read_dyck tuple equal to raw, its counts)"""
+        entry = self._firsts.get(raw)
+        if entry is None:
+            entry = self._firsts[raw] = raw, self.dyck_values(raw)
+        return entry
+
+    def dyck_counts(self, raw: tuple) -> tuple:
+        """The counts, in dyck_keys order, of a read_dyck tuple of the
+        current semilength; each distinct tuple is converted once."""
+        return self._first(raw)[1]
 
     def add(self, n: int, pairs) -> None:
         for dyck, motz in pairs:
@@ -416,26 +482,29 @@ class TransportSweep:
 
     def check(self, n: int, dyck: str, motz: str) -> tuple:
         if n != self._n:
-            self._n, self._seen = n, set()
+            self._settle()
+            self._n, self._seen, self._firsts = n, set(), {}
             self._live = [r for r in self._open if n >= r["rule"].min_n]
-        for r in self._live:
-            r["checked"] += 1
-        counts, motz_counts = self.read_dyck(dyck), self.read_motzkin(motz)
+        self._pairs += 1
+        raw = self.read_dyck(dyck)
         # nested: CPython 3.11 never reuses the freed 20-tuples a flat one made
-        vector = (len(dyck), len(motz), counts, motz_counts)
+        vector = (len(dyck), len(motz), raw, self.read_motzkin(motz))
         if vector in self._seen:
-            return counts
-        self._seen.add(vector)
+            return raw
+        # the set keeps one tuple per distinct raw, not one per vector
+        raw, counts = self._first(raw)
+        self._seen.add((*vector[:2], raw, vector[3]))
         dyck_profile, motz_profile = PathProfile(dyck), PathProfile(motz)
         dyck_profile.counts = dict(zip(self.dyck_keys, counts))
-        motz_profile.counts = dict(zip(self.motzkin_keys, motz_counts))
+        motz_profile.counts = dict(zip(self.motzkin_keys, self.motzkin_values(vector[3])))
         for r in list(self._live):
             rule = r["rule"]
             lhs = evaluate_statistic(dyck, rule.dyck_side, dyck_profile)
             rhs = evaluate_statistic(motz, rule.motzkin_side, motz_profile)
             if lhs != rhs:
+                self._settle()
                 r["counterexample"] = {"n": n, "path": dyck_profile.text,
                                        "image": motz_profile.text, "lhs": lhs, "rhs": rhs}
                 self._open.remove(r)
                 self._live.remove(r)
-        return counts
+        return raw

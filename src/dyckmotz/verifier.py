@@ -8,7 +8,7 @@ popularity row, and sequence cross-references. The family checks share
 one streamed pass per semilength over plain texts and hold only their
 tallies, so memory does not grow with the family. TransportSweep judges
 every linear claim: the transport rules on that pass, where it reads
-each member once and hands back the count tuple that the brute-force
+each member once and hands back the raw read tuple that the brute-force
 rows and the structural check share, and the identities, each path fed
 as both texts of a pair. A failed comparison lands in the report, one
 record per check (info when nothing was compared), so a single run
@@ -226,22 +226,24 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     uud, duu = map(transport.dyck_keys.index, ("UUD", "DUU"))
     for n in range(max_n + 1):
         tally = _BijectivityTally(n)
-        tallies = Counter()  # read_dyck count tuple -> paths
+        tallies = Counter()  # read_dyck raw tuple -> paths
         try:
             for d, m in family_pairs(n):
                 tally.add(d, m)
-                vector = transport.check(n, d, m)
-                # the first path of each vector, in enumeration order
-                if structural_worst is None and vector not in tallies:
+                raw = transport.check(n, d, m)
+                # the first path of each raw tuple, in enumeration order
+                if structural_worst is None and raw not in tallies:
+                    vector = transport.dyck_counts(raw)
                     k = vector[uud]
                     if k > 1 and vector[duu] == 0:
                         structural_worst = {"n": n, "path": d, "UUD": k}
-                tallies[vector] += 1
+                tallies[raw] += 1
         except NotConstrainedError as exc:
             # the walker yielded a path phi rejects: the pass at n ends there
             bad = bad or {"n": n, "error": str(exc)}
         counts.append(tally.domain)
-        rows.append(_distribution_row(tallies, transport.dyck_keys))
+        rows.append(_distribution_row(tallies, transport.dyck_keys,
+                                      transport.dyck_counts))
         report = tally.report()
         if bad is None and not report["ok"]:
             bad = report

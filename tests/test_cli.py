@@ -138,6 +138,15 @@ def test_gf_all_methods_agree(capsys):
     assert out.startswith("# routes agree: closed, brute, fixed")
 
 
+def test_gf_all_methods_writes_bare_csv_and_json(capsys):
+    argv = ["gf", "--pattern", "UD", "--method", "all", "--max-n", "3"]
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {"n": 3, "k": 3, "count": 1} in rows  # UDUDUD alone
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "n,k,count"
+
+
 def test_gf_fixed_unavailable(capsys):
     assert main(["gf", "--pattern", "UUD", "--method", "fixed"]) == 2
     assert "no fixed-point system" in capsys.readouterr().err
@@ -305,6 +314,20 @@ def test_oeis_cache_env_var(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("DYCKMOTZ_OEIS_CACHE", str(cache))
     assert main(["oeis-fetch", "A000001", "--offline"]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 5", "1 6"]
+
+
+def test_verify_reads_no_cache_under_home(capsys, monkeypatch, tmp_path):
+    # a wrong b-file where oeis-fetch would look by default
+    cache = tmp_path / ".cache" / "dyckmotz" / "oeis"
+    os.makedirs(cache)
+    (cache / "A025566.txt").write_text("".join(f"{n} 7\n" for n in range(1, 13)))
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.delenv("DYCKMOTZ_OEIS_CACHE", raising=False)
+    assert main(["verify", "--max-n", "6", "--format", "json"]) == 0
+    records = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert "table terms" in records["oeis:A025566:pop:UD"]["details"]
+    assert main(["oeis-fetch", "A025566", "--offline"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1 7"
 
 
 def test_bad_usage_exits_2():

@@ -1,5 +1,6 @@
 import time
 from collections.abc import Iterator
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from dyckmotz import (
     parse_pattern,
     parse_statistic,
     phi,
+    phi_inverse,
     transport_rule,
     transport_rules,
 )
@@ -160,9 +162,9 @@ def test_profile_count_agrees_with_direct_count():
     # a prefix, and the two shortest paths
     paths += ["UDUDU", "DUDUD", "UFUFU", "FUFUF", "UUUU", "DDDD", "FFFF",
               "UF", "F", ""]
-    # one read lists the border-free words first, then the other compiled
-    # counters, then the patterns the generic counter answers
-    keys, read = patterns._reader(exprs)
+    # keys keep the patterns' order: the seven the generic counter answers
+    # come last here
+    keys, read, values = patterns._reader(exprs)
     by_text = {e.text: e for e in exprs}
     order = [by_text[t] for t in keys]
     assert len(order) == len(exprs) and order[-7:] == exprs[-7:]
@@ -170,7 +172,7 @@ def test_profile_count_agrees_with_direct_count():
         prof = PathProfile(p)
         for e in exprs:
             assert prof.count(e) == count_occurrences(p, e), (str(p), e.text)
-        assert read(str(p)) == tuple(count_occurrences(p, e) for e in order)
+        assert values(read(str(p))) == tuple(count_occurrences(p, e) for e in order)
     # where a count without overlaps would be wrong
     for word, text, expected in (("UUUDDD", "UU", 2), ("UDUDUD", "UDU", 2),
                                  ("UFUFU", "UF+U", 2), ("", "delta", 1)):
@@ -181,19 +183,20 @@ def _campaign_readers():
     """The campaign's two readers, built as run_full_verification builds
     them: every rule's Dyck side plus PATTERNS, and every Motzkin side."""
     sweep = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
-    return [(sweep.dyck_keys, sweep.read_dyck),
-            (sweep.motzkin_keys, sweep.read_motzkin)]
+    return [(sweep.dyck_keys, sweep.read_dyck, sweep.dyck_values),
+            (sweep.motzkin_keys, sweep.read_motzkin, sweep.motzkin_values)]
 
 
 def _assert_reads_exactly(words):
-    for keys, read in _campaign_readers():
+    for keys, read, values in _campaign_readers():
         exprs = [parse_pattern(t) for t in keys]
         for word in words:
-            assert read(word) == tuple(count_occurrences(word, e) for e in exprs), word
+            assert values(read(word)) == tuple(count_occurrences(word, e)
+                                               for e in exprs), word
 
 
 def test_campaign_readers_are_exact():
-    (dyck_keys, _), (motzkin_keys, _) = _campaign_readers()
+    (dyck_keys, *_), (motzkin_keys, *_) = _campaign_readers()
     assert set(PATTERNS) <= set(dyck_keys) and "DD" in dyck_keys
     assert {"UF+D", "UF+U", "delta"} <= set(motzkin_keys)
     paths = [str(p) for n in range(9) for p in enumerate_dyck(n)]
@@ -201,20 +204,57 @@ def test_campaign_readers_are_exact():
     # the empty text, all-flat words, and flanked runs sharing a flank
     edges = ["", "F", "FF", "FFFFF", "UFFUFD", "DUFUD", "UFUFU", "UFUFD"]
     _assert_reads_exactly(paths + edges)
-    (_, read_dyck), (_, read_motzkin) = _campaign_readers()
-    counts = dict(zip(motzkin_keys, read_motzkin("UFFUFD")))
+    (_, read_dyck, dyck_values), (_, read_motzkin, motzkin_values) = _campaign_readers()
+    motzkin_counts = lambda text: dict(zip(motzkin_keys, motzkin_values(read_motzkin(text))))
+    counts = motzkin_counts("UFFUFD")
     assert (counts["UF+U"], counts["UF+D"], counts["FUF"]) == (1, 1, 1)
-    counts = dict(zip(motzkin_keys, read_motzkin("DUFUD")))
+    counts = motzkin_counts("DUFUD")
     assert (counts["UF+U"], counts["FUD"], counts["delta"]) == (1, 1, 0)
-    assert dict(zip(motzkin_keys, read_motzkin("")))["delta"] == 1
-    assert dict(zip(motzkin_keys, read_motzkin("FFFF")))["FF"] == 3
-    assert dict(zip(dyck_keys, read_dyck("UUUDDD")))["DD"] == 2
+    assert motzkin_counts("")["delta"] == 1
+    assert motzkin_counts("FFFF")["FF"] == 3
+    assert dict(zip(dyck_keys, dyck_values(read_dyck("UUUDDD"))))["DD"] == 2
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="UDF", max_size=30))
 def test_campaign_readers_match_the_generic_counter(word):
     _assert_reads_exactly([word])
+
+
+# every shape parse_pattern compiles a counter for: 39 plain words, each
+# anchored at either end, the 12 flanked runs XY+Z with X != Y != Z, delta
+_WORDS = ["".join(w) for k in (1, 2, 3) for w in product("UDF", repeat=k)]
+_COMPILED = [*_WORDS, *("^" + w for w in _WORDS), *(w + "$" for w in _WORDS),
+             *(f"{x}{y}+{z}" for y in "UDF" for x in "UDF" for z in "UDF"
+               if y not in (x, z)),
+             "delta"]
+
+
+def _assert_compiled_counters_exact(texts):
+    exprs = [parse_pattern(t) for t in _COMPILED]
+    keys, read, values = patterns._reader(exprs)
+    assert keys == tuple(_COMPILED)
+    for text in texts:
+        path = LatticePath(text)  # validated once for the generic counter
+        expected = tuple(count_occurrences(path, e) for e in exprs)
+        profile = PathProfile(path)
+        assert tuple(map(profile.count, exprs)) == expected, text
+        assert values(read(text)) == expected, text
+
+
+def test_compiled_counters_are_exact_on_every_short_word():
+    assert (len(_WORDS), len(_COMPILED)) == (39, 130)
+    assert all(parse_pattern(t).counter is not None for t in _COMPILED)
+    words = ["".join(w) for k in range(9) for w in product("UDF", repeat=k)]
+    assert len(words) == 9841
+    _assert_compiled_counters_exact(words)
+
+
+def test_compiled_counters_are_exact_on_a_long_member_and_its_image():
+    image = ("UFUFFDDFUUFDUDDFF" "UFFFDUD") * 50
+    member = str(phi_inverse(image))
+    assert (len(member), str(phi(member))) == (2400, image)
+    _assert_compiled_counters_exact([member, image])
 
 
 def test_profile_validates_plain_strings():
