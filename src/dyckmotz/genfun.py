@@ -244,7 +244,7 @@ def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> Tr
 
 # the texts, the reader and the counts of PATTERNS: a read tuple's values
 # are their counts on one Dyck text in _COUNTED order
-_COUNTED, _read_patterns, _count_patterns = _reader(map(parse_pattern, PATTERNS))
+_COUNTED, _read_patterns, _count_patterns, _ = _reader(map(parse_pattern, PATTERNS))
 
 
 def _distribution_row(tallies: Counter, keys: tuple = _COUNTED,

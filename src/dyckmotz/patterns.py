@@ -212,16 +212,19 @@ class PathProfile:
 _BULK = (str.count, str.startswith, str.endswith)  # one map per text each
 
 
-def _reader(patterns) -> tuple:
-    """patterns, each once, compiled into (keys, read, values). read(text)
-    is the raw tuple of every distinct read their counters make, from
-    one map(text.count, ...) over the border-free words, one map each of
-    startswith and endswith over the boundary words and a call for each
-    other read (a pattern without a counter is one read of the generic
-    counter); values(raw) is the tuple of the patterns' counts, in keys
-    order. Counting from a raw tuple is a few integer sums, so a caller
-    that has seen a raw tuple before need not count again."""
-    pats = dict.fromkeys(patterns)
+def _reader(patterns, statistics=()) -> tuple:
+    """The patterns of statistics, then patterns, each once, compiled into
+    (keys, read, values, sides). read(text) is the raw tuple of every
+    distinct read their counters make: one map(text.count, ...) over the
+    border-free words, one map each of startswith and endswith over the
+    boundary words and a call for each other read (a pattern without a
+    counter is one read of the generic counter). values(raw) is the tuple
+    of the patterns' counts, in keys order; sides(raw, size) that of the
+    statistics on a text of length size, each compiled once into a form
+    const + n_coeff * n + sum of coefficient * raw[read index], with n
+    size // 2 on a Dyck statistic and size on a Motzkin one."""
+    statistics = list(statistics)
+    pats = dict.fromkeys([*(p for s in statistics for p, _ in s.lookups), *patterns])
     counters = [p.counter or (((count_occurrences, p), 1),) for p in pats]
     # every distinct read, those of one string method together, in _BULK order
     reads = sorted(dict.fromkeys(read for counter in counters for read, _ in counter),
@@ -229,16 +232,27 @@ def _reader(patterns) -> tuple:
     words, starts, ends = ([arg for f, arg in reads if f is method] for method in _BULK)
     others = reads[len(words) + len(starts) + len(ends):]
     index = {read: i for i, read in enumerate(reads)}
-    sums = [[(index[read], c) for read, c in counter] for counter in counters]
+    sums = {p: [(index[read], c) for read, c in counter] for p, counter in zip(pats, counters)}
+    forms = []  # n is size >> shift, by the statistic's side, not its slot
+    for s in statistics:
+        terms = Counter()
+        for p, coeff in s.lookups:
+            terms.update({i: coeff * c for i, c in sums[p]})
+        forms.append((s.const, s.n_coeff, int(s.side == "dyck"),
+                      tuple((i, c) for i, c in terms.items() if c)))
 
     def read(text: str) -> tuple:
         return (*map(text.count, words), *map(text.startswith, starts),
                 *map(text.endswith, ends), *[f(text, arg) for f, arg in others])
 
     def values(raw: tuple) -> tuple:
-        return tuple([sum([c * raw[i] for i, c in terms]) for terms in sums])
+        return tuple([sum([c * raw[i] for i, c in terms]) for terms in sums.values()])
 
-    return tuple(p.text for p in pats), read, values
+    def sides(raw: tuple, size: int) -> tuple:
+        return tuple([const + n_coeff * (size >> shift) + sum([c * raw[i] for i, c in terms])
+                      for const, n_coeff, shift, terms in forms])
+
+    return tuple(p.text for p in pats), read, values, sides
 
 
 ONE, N = "1", "n"  # the constant and size terms of a statistic
@@ -423,29 +437,30 @@ class TransportSweep:
     holds per rule the paths checked in total and the first counterexample
     (with its n), at which the rule stops, or None.
 
-    A pair's vector is the two text lengths, which give n, and the raw
-    tuples of read_dyck (every Dyck side plus dyck_patterns) on the first
-    text and read_motzkin (every Motzkin side) on the second; check
-    returns the read_dyck tuple, whose counts dyck_counts gives. Equal
-    vectors give every rule the same values, so within a semilength only
-    the first pair of each vector has its counts computed and the open
-    rules evaluated on PathProfiles holding them, and a later one passes
-    every rule still open. checked is settled per semilength: the pairs
-    of the current one are added to every open rule claimed there when
-    the semilength changes, when a rule fails (its pair included) and
-    when results is read.
+    Each rule side compiles once into an integer linear form over its
+    reader's raw tuple (_reader): read_dyck reads every Dyck side plus
+    dyck_patterns from the first text, read_motzkin every Motzkin side
+    from the second, and dyck_sides(raw, size) and motzkin_sides(raw,
+    size) value every rule at once. check returns the read_dyck tuple,
+    whose counts dyck_values gives in dyck_keys order. A pair's vector is
+    its two lengths and two raw tuples. Equal vectors give every rule the
+    same values, so within a semilength only the first pair of each
+    vector is judged and a later one passes every rule still open.
+    checked is settled per semilength: the pairs of the current one are
+    added to every open rule claimed there when the semilength changes,
+    when a rule fails (its pair included) and when results is read.
     """
 
     def __init__(self, rules, dyck_patterns=()):
         self._results = [{"rule": rule, "checked": 0, "counterexample": None}
                          for rule in rules]
-        self._open = list(self._results)  # no counterexample yet
+        self._open = list(enumerate(self._results))  # no counterexample yet
         self._live = []  # open and claimed at the current semilength
-        self._n, self._seen, self._firsts, self._pairs = None, set(), {}, 0
-        self.dyck_keys, self.read_dyck, self.dyck_values = _reader(
-            [*(p for r in rules for p, _ in r.dyck_side.lookups), *dyck_patterns])
-        self.motzkin_keys, self.read_motzkin, self.motzkin_values = _reader(
-            p for r in rules for p, _ in r.motzkin_side.lookups)
+        self._n, self._seen, self._raws, self._pairs = None, set(), {}, 0
+        self.dyck_keys, self.read_dyck, self.dyck_values, self.dyck_sides = _reader(
+            dyck_patterns, (r["rule"].dyck_side for r in self._results))
+        _, self.read_motzkin, _, self.motzkin_sides = _reader(
+            (), (r["rule"].motzkin_side for r in self._results))
 
     @property
     def done(self) -> bool:
@@ -458,21 +473,9 @@ class TransportSweep:
         return self._results
 
     def _settle(self) -> None:
-        for r in self._live:
+        for _, r in self._live:
             r["checked"] += self._pairs
         self._pairs = 0
-
-    def _first(self, raw: tuple) -> tuple:
-        """(the semilength's first read_dyck tuple equal to raw, its counts)"""
-        entry = self._firsts.get(raw)
-        if entry is None:
-            entry = self._firsts[raw] = raw, self.dyck_values(raw)
-        return entry
-
-    def dyck_counts(self, raw: tuple) -> tuple:
-        """The counts, in dyck_keys order, of a read_dyck tuple of the
-        current semilength; each distinct tuple is converted once."""
-        return self._first(raw)[1]
 
     def add(self, n: int, pairs) -> None:
         for dyck, motz in pairs:
@@ -483,8 +486,8 @@ class TransportSweep:
     def check(self, n: int, dyck: str, motz: str) -> tuple:
         if n != self._n:
             self._settle()
-            self._n, self._seen, self._firsts = n, set(), {}
-            self._live = [r for r in self._open if n >= r["rule"].min_n]
+            self._n, self._seen, self._raws = n, set(), {}
+            self._live = [(k, r) for k, r in self._open if n >= r["rule"].min_n]
         self._pairs += 1
         raw = self.read_dyck(dyck)
         # nested: CPython 3.11 never reuses the freed 20-tuples a flat one made
@@ -492,19 +495,15 @@ class TransportSweep:
         if vector in self._seen:
             return raw
         # the set keeps one tuple per distinct raw, not one per vector
-        raw, counts = self._first(raw)
+        raw = self._raws.setdefault(raw, raw)
         self._seen.add((*vector[:2], raw, vector[3]))
-        dyck_profile, motz_profile = PathProfile(dyck), PathProfile(motz)
-        dyck_profile.counts = dict(zip(self.dyck_keys, counts))
-        motz_profile.counts = dict(zip(self.motzkin_keys, self.motzkin_values(vector[3])))
-        for r in list(self._live):
-            rule = r["rule"]
-            lhs = evaluate_statistic(dyck, rule.dyck_side, dyck_profile)
-            rhs = evaluate_statistic(motz, rule.motzkin_side, motz_profile)
-            if lhs != rhs:
+        lhs = self.dyck_sides(raw, vector[0])
+        rhs = self.motzkin_sides(vector[3], vector[1])
+        for k, r in list(self._live):
+            if lhs[k] != rhs[k]:
                 self._settle()
-                r["counterexample"] = {"n": n, "path": dyck_profile.text,
-                                       "image": motz_profile.text, "lhs": lhs, "rhs": rhs}
-                self._open.remove(r)
-                self._live.remove(r)
+                r["counterexample"] = {"n": n, "path": dyck, "image": motz,
+                                       "lhs": lhs[k], "rhs": rhs[k]}
+                self._open.remove((k, r))
+                self._live.remove((k, r))
         return raw

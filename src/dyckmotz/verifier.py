@@ -7,13 +7,14 @@ agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
 one streamed pass per semilength over plain texts and hold only their
 tallies, so memory does not grow with the family. TransportSweep judges
-every linear claim: the transport rules on that pass, where it reads
-each member once and hands back the raw read tuple that the brute-force
-rows and the structural check share, and the identities, each path fed
-as both texts of a pair. A failed comparison lands in the report, one
-record per check (info when nothing was compared), so a single run
-gives the complete picture; a route whose series fails its own shape
-check raises RouteCheckError instead (the CLI exits 1).
+every linear claim as integer linear forms over raw read tuples: the
+transport rules on that pass, where it reads each member once and hands
+back the raw tuple whose counts (dyck_values) the brute-force rows and
+the structural check share, and the identities, each path fed as both
+texts of a pair. A failed comparison lands in the report, one record per
+check (info when nothing was compared), so a single run gives the
+complete picture; a route whose series fails its own shape check raises
+RouteCheckError instead (the CLI exits 1).
 
 Golden data is loaded from the packaged reference file (overridable) and
 is never regenerated: cells marked with a misprint tag are expected to
@@ -233,7 +234,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                 raw = transport.check(n, d, m)
                 # the first path of each raw tuple, in enumeration order
                 if structural_worst is None and raw not in tallies:
-                    vector = transport.dyck_counts(raw)
+                    vector = transport.dyck_values(raw)
                     k = vector[uud]
                     if k > 1 and vector[duu] == 0:
                         structural_worst = {"n": n, "path": d, "UUD": k}
@@ -243,7 +244,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
             bad = bad or {"n": n, "error": str(exc)}
         counts.append(tally.domain)
         rows.append(_distribution_row(tallies, transport.dyck_keys,
-                                      transport.dyck_counts))
+                                      transport.dyck_values))
         report = tally.report()
         if bad is None and not report["ok"]:
             bad = report

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from collections.abc import Iterator
 from itertools import product
 
@@ -164,7 +165,7 @@ def test_profile_count_agrees_with_direct_count():
               "UF", "F", ""]
     # keys keep the patterns' order: the seven the generic counter answers
     # come last here
-    keys, read, values = patterns._reader(exprs)
+    keys, read, values, _ = patterns._reader(exprs)
     by_text = {e.text: e for e in exprs}
     order = [by_text[t] for t in keys]
     assert len(order) == len(exprs) and order[-7:] == exprs[-7:]
@@ -181,10 +182,12 @@ def test_profile_count_agrees_with_direct_count():
 
 def _campaign_readers():
     """The campaign's two readers, built as run_full_verification builds
-    them: every rule's Dyck side plus PATTERNS, and every Motzkin side."""
-    sweep = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
-    return [(sweep.dyck_keys, sweep.read_dyck, sweep.dyck_values),
-            (sweep.motzkin_keys, sweep.read_motzkin, sweep.motzkin_values)]
+    them: every rule's Dyck side plus PATTERNS, and every Motzkin side
+    (read_motzkin of the same sweep comes from this _reader call)."""
+    rules = transport_rules()
+    sweep = TransportSweep(rules, map(parse_pattern, PATTERNS))
+    motzkin = patterns._reader((), [r.motzkin_side for r in rules])
+    return [(sweep.dyck_keys, sweep.read_dyck, sweep.dyck_values), motzkin[:3]]
 
 
 def _assert_reads_exactly(words):
@@ -232,7 +235,7 @@ _COMPILED = [*_WORDS, *("^" + w for w in _WORDS), *(w + "$" for w in _WORDS),
 
 def _assert_compiled_counters_exact(texts):
     exprs = [parse_pattern(t) for t in _COMPILED]
-    keys, read, values = patterns._reader(exprs)
+    keys, read, values, _ = patterns._reader(exprs)
     assert keys == tuple(_COMPILED)
     for text in texts:
         path = LatticePath(text)  # validated once for the generic counter
@@ -455,20 +458,41 @@ def test_sweep_evaluates_each_count_vector_once_per_semilength(monkeypatch):
                        for dyck, motz in pairs})
                   for pairs in families)
     assert (vectors, sum(map(len, families))) == (536, 1374)
-    calls = 0
-    real = patterns.evaluate_statistic
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def refuse(*args):
+        raise AssertionError("the sweep judges with its compiled forms alone")
 
-    monkeypatch.setattr(patterns, "evaluate_statistic", counting)
+    monkeypatch.setattr(patterns, "PathProfile", refuse)
+    monkeypatch.setattr(patterns, "evaluate_statistic", refuse)
     sweep = TransportSweep(rules)
+    calls = Counter()
+    for side in ("dyck_sides", "motzkin_sides"):
+        def counting(raw, size, side=side, real=getattr(sweep, side)):
+            calls[side] += 1
+            return real(raw, size)
+        setattr(sweep, side, counting)
     for n, pairs in enumerate(families):
         sweep.add(n, pairs)
     assert all(r["counterexample"] is None for r in sweep.results)
-    assert 0 < calls <= 30 * vectors
+    # one call per side per distinct vector, each judging every rule
+    assert calls == {"dyck_sides": vectors, "motzkin_sides": vectors}
+
+
+def test_sweep_sizes_n_by_each_statistics_own_side():
+    # an identity system puts a Dyck statistic in the Motzkin slot: its n
+    # is the semilength of the text it reads, not that text's length
+    def sweep_dyck_paths(rhs_side):
+        sweep = TransportSweep([TransportRule(
+            "UU + UD = n", parse_statistic("UU + UD", "dyck"),
+            parse_statistic("n", rhs_side))])
+        for n in range(7):
+            sweep.add(n, ((t, t) for t in map(str, enumerate_dyck(n))))
+        (result,) = sweep.results
+        return result["checked"], result["counterexample"]
+
+    assert sweep_dyck_paths("dyck") == (1 + 1 + 2 + 5 + 14 + 42 + 132, None)
+    assert sweep_dyck_paths("motzkin") == (1 + 1, {"n": 1, "path": "UD", "image": "UD",
+                                                   "lhs": 1, "rhs": 2})
 
 
 def test_dyck_statistic_systems():
