@@ -22,11 +22,14 @@ weighs each atom by the height of the block it closes: 1 for F, 2 plus
 the largest weight among Y's atoms for an arch. Block heights never
 increase along a level, while the atoms of gamma are all lower than the
 arch after them, so each atom closes one block and takes as its gamma
-the longest run of lower atoms just before it.
+the longest run of lower atoms just before it. phi and phi_inverse
+validate their paths; their cores _phi and _phi_inverse map plain
+texts, and the family pass leaves each image's validation to the round
+trip (see _BijectivityTally).
 """
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 from .enumeration import enumerate_constrained, motzkin_number
 from .paths import DyckPath, MotzkinPath
@@ -37,9 +40,15 @@ class NotConstrainedError(ValueError):
 
 
 def phi(p: Union[str, DyckPath]) -> MotzkinPath:
-    """Image of a constrained Dyck path. Raises NotConstrainedError when
-    the precondition fails; the map is only bijective on the family."""
-    p = p if isinstance(p, DyckPath) else DyckPath(p)
+    """Image of a constrained Dyck path, validated as a MotzkinPath. Raises
+    NotConstrainedError when the precondition fails; the map is only
+    bijective on the family."""
+    return MotzkinPath(_phi(p if isinstance(p, DyckPath) else DyckPath(p)))
+
+
+def _phi(p: str) -> str:
+    """phi on the text of a Dyck path, with no path validation; a
+    non-member still raises NotConstrainedError."""
     # the open block's frame: the heights of its first and latest inner
     # blocks, the first one's image and content image, the later images
     # joined; the frames of the enclosing blocks wait on the stack
@@ -66,14 +75,14 @@ def phi(p: Union[str, DyckPath]) -> MotzkinPath:
             later += image
             content = parent_content
         last_h = h
-    return MotzkinPath(first + later)
+    return first + later
 
 
 def is_constrained(p: Union[str, DyckPath]) -> bool:
     """Membership in the constrained family, by phi's own scan. Input that
     is not a Dyck path raises the DyckPath validation error."""
     try:
-        phi(p)
+        _phi(p if isinstance(p, DyckPath) else DyckPath(p))
     except NotConstrainedError:
         return False
     return True
@@ -85,8 +94,9 @@ def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:
     return DyckPath(_phi_inverse(str(m)))
 
 
-def _phi_inverse(m: str) -> str:
-    """phi_inverse on the text of a Motzkin path, unchecked."""
+def _phi_inverse(m: str) -> Optional[str]:
+    """phi_inverse on a text, unvalidated but strict: None unless m is a
+    Motzkin word."""
     # the open arch's level as parallel lists of decoded block heights and
     # texts; heights never increase along a level
     heights, texts, stack = [], [], []
@@ -97,6 +107,8 @@ def _phi_inverse(m: str) -> str:
         elif c == "F":
             heights.append(1)
             texts.append("UD")
+        elif c != "D" or not stack:
+            return None
         else:
             h = 2 + (heights[0] if heights else 0)
             beta = "".join(texts)
@@ -106,7 +118,7 @@ def _phi_inverse(m: str) -> str:
                 k -= 1
             texts[k:] = ["UU" + beta + "D" + "".join(texts[k:]) + "D"]
             heights[k:] = [h]
-    return "".join(texts)
+    return None if stack else "".join(texts)
 
 
 def check_bijectivity(n: int) -> dict:
@@ -116,27 +128,28 @@ def check_bijectivity(n: int) -> dict:
     (see _BijectivityTally). Failures are report contents, not raises."""
     tally = _BijectivityTally(n)
     for p in enumerate_constrained(n):  # raises on a negative n
-        tally.add(str(p), str(phi(p)))
+        tally.add(str(p), _phi(p))
     return tally.report()
 
 
 class _BijectivityTally:
     """check_bijectivity's report for semilength n, tallied one (member,
     image) pair of the family at a time as plain texts, the image already
-    computed by phi. It keeps counts, the last member and the first three
-    members of each kind of failure, and no image set, as the proof needs
-    none:
+    computed by _phi and not validated. It keeps counts, the last member
+    and the first three members of each kind of failure, and no image
+    set, as the proof needs none:
 
     - Distinct members: the pairs come in the walker's order, strictly
       increasing with U < D (see enumeration), which on words of one
       length is strictly decreasing str order, as 'D' < 'U'. So p < last
       is the whole check; a change in the walker's order would give a
       false alarm, never a false proof.
-    - Injective, into length n: phi returns a validated Motzkin path, and
-      _phi_inverse writes two letters per letter read (F is UD, an arch's
-      U...D is UU...D...D), so a round trip forces len(m) == n and makes
-      phi injective on the members. phi keeps its validation, as a round
-      trip admits non-paths too: _phi_inverse("FU") == "UD".
+    - Injective, into Motzkin words of length n: _phi_inverse gives a
+      member only for a Motzkin word (None for a stray letter, a D with
+      no open arch or an arch left open), and it writes two letters per
+      letter read (F is UD, an arch's U...D is UU...D...D). So a round
+      trip _phi_inverse(m) == p proves m a Motzkin word of length n, the
+      image's only validation, and makes phi injective on the members.
     - Onto: domain == M_n distinct images of length n are all of them.
     An image set would catch nothing more: two members on one image break
     the later one's round trip, and a repeated member breaks the order.

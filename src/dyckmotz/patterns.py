@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .bijection import phi
+from .bijection import _phi
 from .enumeration import enumerate_constrained
 from .paths import LatticePath
 
@@ -209,28 +209,31 @@ class PathProfile:
         return value
 
 
-_BULK = (str.count, str.startswith, str.endswith)  # one map per text each
+def _form(terms, const=0, n_coeff=0, shift=0) -> str:
+    """Source of const + n_coeff * (size >> shift) + the sum of c * raw[i]
+    over terms ((i, c), ...): integers and the names raw and size only."""
+    parts = [f"{c:d}*raw[{i:d}]" for i, c in terms if c]
+    parts += [f"{n_coeff:d}*(size >> {shift:d})"] if n_coeff else []
+    parts += [f"{const:d}"] if const else []
+    return " + ".join(parts) or "0"
 
 
 def _reader(patterns, statistics=()) -> tuple:
     """The patterns of statistics, then patterns, each once, compiled into
-    (keys, read, values, sides). read(text) is the raw tuple of every
-    distinct read their counters make: one map(text.count, ...) over the
-    border-free words, one map each of startswith and endswith over the
-    boundary words and a call for each other read (a pattern without a
-    counter is one read of the generic counter). values(raw) is the tuple
-    of the patterns' counts, in keys order; sides(raw, size) that of the
-    statistics on a text of length size, each compiled once into a form
-    const + n_coeff * n + sum of coefficient * raw[read index], with n
-    size // 2 on a Dyck statistic and size on a Motzkin one."""
+    (keys, read, values, sides), three straight-line lambdas generated
+    once, as dataclasses generates __init__. read(text) is the raw tuple
+    (r0(text, a0), r1(text, a1), ...) of every distinct read (f, arg)
+    their counters make (a pattern without a counter is one read of the
+    generic counter). values(raw) is the tuple of the patterns' counts, in
+    keys order; sides(raw, size) that of the statistics on a text of
+    length size, each a form const + n_coeff * n + sum of coefficient *
+    raw[read index], with n size // 2 on a Dyck statistic and size on a
+    Motzkin one. Every function and argument reaches the source through
+    the namespace, so no pattern text is ever spliced into it."""
     statistics = list(statistics)
     pats = dict.fromkeys([*(p for s in statistics for p, _ in s.lookups), *patterns])
     counters = [p.counter or (((count_occurrences, p), 1),) for p in pats]
-    # every distinct read, those of one string method together, in _BULK order
-    reads = sorted(dict.fromkeys(read for counter in counters for read, _ in counter),
-                   key=lambda read: _BULK.index(read[0]) if read[0] in _BULK else len(_BULK))
-    words, starts, ends = ([arg for f, arg in reads if f is method] for method in _BULK)
-    others = reads[len(words) + len(starts) + len(ends):]
+    reads = list(dict.fromkeys(read for counter in counters for read, _ in counter))
     index = {read: i for i, read in enumerate(reads)}
     sums = {p: [(index[read], c) for read, c in counter] for p, counter in zip(pats, counters)}
     forms = []  # n is size >> shift, by the statistic's side, not its slot
@@ -238,21 +241,18 @@ def _reader(patterns, statistics=()) -> tuple:
         terms = Counter()
         for p, coeff in s.lookups:
             terms.update({i: coeff * c for i, c in sums[p]})
-        forms.append((s.const, s.n_coeff, int(s.side == "dyck"),
-                      tuple((i, c) for i, c in terms.items() if c)))
+        forms.append(_form(terms.items(), s.const, s.n_coeff, int(s.side == "dyck")))
+    namespace = {"__builtins__": {}}
+    for i, (f, arg) in enumerate(reads):
+        namespace[f"r{i}"], namespace[f"a{i}"] = f, arg
 
-    def read(text: str) -> tuple:
-        return (*map(text.count, words), *map(text.startswith, starts),
-                *map(text.endswith, ends), *[f(text, arg) for f, arg in others])
+    def tuple_lambda(args, exprs):
+        return eval(f"lambda {args}: ({''.join(e + ', ' for e in exprs)})", namespace)
 
-    def values(raw: tuple) -> tuple:
-        return tuple([sum([c * raw[i] for i, c in terms]) for terms in sums.values()])
-
-    def sides(raw: tuple, size: int) -> tuple:
-        return tuple([const + n_coeff * (size >> shift) + sum([c * raw[i] for i, c in terms])
-                      for const, n_coeff, shift, terms in forms])
-
-    return tuple(p.text for p in pats), read, values, sides
+    return (tuple(p.text for p in pats),
+            tuple_lambda("t", (f"r{i}(t, a{i})" for i in range(len(reads)))),
+            tuple_lambda("raw", map(_form, sums.values())),
+            tuple_lambda("raw, size", forms))
 
 
 ONE, N = "1", "n"  # the constant and size terms of a statistic
@@ -397,9 +397,11 @@ def family_pairs(n: int) -> Iterator:
     """Yield (member, image) as plain texts for every family member of
     semilength n, in enumeration order: the one pass over the family per
     semilength, each pair built when reached and handed to every check
-    that reads it, so no semilength is held in memory."""
+    that reads it, so no semilength is held in memory. The image comes
+    from the unvalidated _phi: the bijectivity tally's round trip is what
+    proves it a Motzkin word of length n."""
     for p in enumerate_constrained(n):
-        yield str(p), str(phi(p))
+        yield str(p), _phi(p)
 
 
 def _unchecked(rule: TransportRule, max_n: int) -> str:

@@ -6,15 +6,19 @@ unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
 one streamed pass per semilength over plain texts and hold only their
-tallies, so memory does not grow with the family. TransportSweep judges
-every linear claim as integer linear forms over raw read tuples: the
-transport rules on that pass, where it reads each member once and hands
-back the raw tuple whose counts (dyck_values) the brute-force rows and
-the structural check share, and the identities, each path fed as both
-texts of a pair. A failed comparison lands in the report, one record per
-check (info when nothing was compared), so a single run gives the
-complete picture; a route whose series fails its own shape check raises
-RouteCheckError instead (the CLI exits 1).
+tallies, so memory does not grow with the family. Each image comes from
+the unvalidated _phi, and the bijectivity tally's round trip is its one
+validation. TransportSweep judges every linear claim as integer linear
+forms over raw read tuples, its reads and forms generated once as
+straight-line functions (patterns._reader): the transport rules on that
+pass, where it reads each member once and hands back the raw tuple whose
+counts (dyck_values) the brute-force rows and the structural check
+share, and the identities, each path fed as both texts of a pair. A
+failed comparison lands in the report, one record per check (info when
+nothing was compared), so a single run gives the complete picture; a
+route whose series fails its own shape check raises RouteCheckError
+instead (the CLI exits 1). The report's stages time each part of the
+campaign, and render_text names the two slowest.
 
 Golden data is loaded from the packaged reference file (overridable) and
 is never regenerated: cells marked with a misprint tag are expected to
@@ -30,6 +34,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import pairwise
 from typing import Optional
 
 from .bijection import NotConstrainedError, _BijectivityTally
@@ -206,16 +211,22 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                           oeis_cache_dir: Optional[str] = None) -> dict:
     """Execute the whole campaign up to semilength max_n.
 
-    Returns {"max_n", "ok", "elapsed_seconds", "checks"}; ok means no
-    check failed (notices and conjecture verdicts never count). Never
-    touches the network: sequence references use transcribed terms
-    unless a cached b-file is present in oeis_cache_dir.
+    Returns {"max_n", "ok", "elapsed_seconds", "stages", "checks"}; ok
+    means no check failed (notices and conjecture verdicts never count).
+    stages gives the seconds of each stage, in run order, once the golden
+    tables are loaded: family (the family pass, which cardinality,
+    bijectivity and transport read), identities, routes (the three-way
+    agreement), golden (the distribution cells), popularity (with the
+    structural facts after it) and sequences. Never touches the network:
+    sequence references use transcribed terms unless a cached b-file is
+    present in oeis_cache_dir.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, not {max_n}")
     t_start = time.monotonic()
     golden = load_golden_tables(seed_tables)
     checks: list = []
+    laps = [(None, time.monotonic())]  # (stage, its end), after a start mark
 
     # one streamed pass over the family per semilength: cardinality,
     # bijectivity, transport, the brute-force rows and the structural
@@ -268,6 +279,8 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                f"n={rule.min_n}..{max_n}" if checked else _unchecked(rule, max_n),
                result["counterexample"], checked)
 
+    laps.append(("family", time.monotonic()))
+
     # (4) identity systems on unrestricted paths, one sweep per side fed each
     # path as both texts of a pair (sizes are tiny; the Catalan explosion
     # makes larger exhaustive sweeps pointless here)
@@ -287,6 +300,8 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                    bad_path and {key: bad_path[key] for key in ("path", "lhs", "rhs")},
                    result["checked"])
 
+    laps.append(("identities", time.monotonic()))
+
     # (5) three-way generating function agreement, one route table per pattern
     routes = {}
     for pattern in PATTERNS:
@@ -304,6 +319,8 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     else:
         _add(checks, "three-way:DU-from-UD", "pass",
              "peak-free-strip identity rebuilds the DU series exactly")
+
+    laps.append(("routes", time.monotonic()))
 
     # (6) golden distribution cells
     # each record counts its in-range cells and shows its first mismatch
@@ -324,6 +341,8 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                   if row_total(n) != value or wanted[n] != value), None)
     _judge(checks, "golden:sum-row",
            f"{len(sums)} column sums against row totals and M_n", worst, len(sums))
+
+    laps.append(("golden", time.monotonic()))
 
     # (7) popularity rows, with the misprint protocol
     pop_series = {p: _popularity(routes[p]["closed"]) for p in PATTERNS}
@@ -388,6 +407,8 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
          + ("; also all perfect squares" if squares
             else "; not all perfect squares"))
 
+    laps.append(("popularity", time.monotonic()))
+
     # (8) sequence cross-references
     refs = golden.seq_refs
     if oeis_cache_dir:
@@ -416,11 +437,14 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
              None if result["matched"] else {"computed": computed,
                                              "known": list(ref.known_terms)})
 
+    laps.append(("sequences", time.monotonic()))
+
     ok = all(c["status"] != "fail" for c in checks)
     return {
         "max_n": max_n,
         "ok": ok,
         "elapsed_seconds": round(time.monotonic() - t_start, 3),
+        "stages": {stage: round(end - start, 3) for (_, start), (stage, end) in pairwise(laps)},
         "checks": checks,
     }
 
@@ -453,4 +477,8 @@ def render_text(report: dict) -> str:
         if c.get("counterexample") is not None:
             lines.append(f"{'':>24}counterexample: {c['counterexample']}")
     lines.append("RESULT: " + ("OK" if report["ok"] else "FAILED"))
+    stages = report.get("stages")
+    if stages:
+        slowest = sorted(stages, key=stages.get, reverse=True)[:2]
+        lines.append("slowest stages: " + ", ".join(f"{s} {stages[s]}s" for s in slowest))
     return "\n".join(lines)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from dyckmotz import (
     MotzkinPath,
+    NotADyckPathError,
     NotAMotzkinPathError,
     NotConstrainedError,
+    PathSyntaxError,
     check_bijectivity,
     enumerate_constrained,
     enumerate_dyck,
@@ -18,7 +20,7 @@ from dyckmotz import (
     phi,
     phi_inverse,
 )
-from dyckmotz.bijection import _BijectivityTally
+from dyckmotz.bijection import _BijectivityTally, _phi_inverse
 
 GOLDEN = {
     "UDUDUD": "FFF",
@@ -144,6 +146,30 @@ def test_inverse_rejects_bad_input():
         phi_inverse("UDU")
 
 
+def test_inverse_core_gives_no_member_for_a_non_motzkin_word():
+    # a stray letter, a D with no open arch, an arch left open: "FUFF"
+    # would decode to "UDUD" if the end closed the arch
+    for word in ("FU", "FUFF", "D", "UX", "DU", "UUD", "FFD"):
+        assert _phi_inverse(word) is None, word
+    for m in ("", "F", "UD", "UFD", "UUDDFUFD"):
+        assert _phi_inverse(m) == phi_inverse(m)
+
+
+def test_public_map_errors_are_unchanged():
+    for apply, text, error, message in (
+            (phi_inverse, "FU", NotAMotzkinPathError, "first violation at position 1 in 'FU'"),
+            (phi_inverse, "FUFF", NotAMotzkinPathError, "first violation at position 3 in 'FUFF'"),
+            (phi_inverse, "D", NotAMotzkinPathError, "first violation at position 0 in 'D'"),
+            (phi_inverse, "UX", PathSyntaxError, "invalid step 'X' at position 1 in 'UX'"),
+            (phi, "UX", PathSyntaxError, "invalid step 'X' at position 1 in 'UX'"),
+            (phi, "DU", NotAMotzkinPathError, "first violation at position 0 in 'DU'"),
+            (phi, "UFD", NotADyckPathError, "flat step at position 1 in 'UFD'"),
+            (phi, "UDUUDD", NotConstrainedError, "not in the constrained family: 'UDUUDD'")):
+        with pytest.raises(error) as caught:
+            apply(text)
+        assert str(caught.value).endswith(message), (text, str(caught.value))
+
+
 def test_check_bijectivity_report():
     report = check_bijectivity(8)
     assert report["ok"]
@@ -168,6 +194,17 @@ def test_bijectivity_tally_reports_collisions_and_broken_round_trips():
         "n": 2, "domain": 2, "expected": 2, "out_of_order": 0,
         "roundtrip_failures": 2, "ok": False,
         "roundtrip_examples": ["UUDD", "UDUD"]}
+
+
+def test_bijectivity_tally_rejects_an_image_that_is_no_motzkin_word():
+    # "FUFF" leaves an arch open and has length 4, yet its letters decode
+    # to the member: only a strict inverse keeps it from round-tripping
+    for image in ("FUFF", "FU", "FFX"):
+        tally = _BijectivityTally(2)
+        tally.add("UUDD", "UD")
+        tally.add("UDUD", image)
+        report = tally.report()
+        assert not report["ok"] and report["roundtrip_examples"] == ["UDUD"], image
 
 
 def test_bijectivity_tally_reports_members_out_of_order():

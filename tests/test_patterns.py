@@ -260,6 +260,28 @@ def test_compiled_counters_are_exact_on_a_long_member_and_its_image():
     _assert_compiled_counters_exact([member, image])
 
 
+def test_reader_source_holds_no_read_argument():
+    # built by hand, bypassing parse_pattern: the words carry quotes, a
+    # backslash and text that would run if it were spliced into source
+    def occurrences(text, word):
+        return text.count(word)
+
+    hostile = "'), __import__('os').getcwd(), ('"
+    counter = (((str.count, "U'\"\\"), 2), ((str.startswith, "\\'"), -1),
+               ((str.endswith, '"D'), 3), ((occurrences, hostile), 5))
+    pat = PatternExpr((("U", False),), text="quoted", counter=counter)
+    stat = patterns.StatisticExpr(((4, pat), (-2, patterns.ONE), (3, patterns.N)), "dyck")
+    keys, read, values, sides = patterns._reader([pat], [stat])
+    assert keys == ("quoted",)
+    for f in (read, values, sides):
+        assert not any(isinstance(c, str) for c in f.__code__.co_consts)
+    for text in ("", "UD", "U'\"\\U'\"\\", "\\'x\"D", hostile * 2 + '"D'):
+        count = sum(c * f(text, arg) for (f, arg), c in counter)
+        raw = read(text)
+        assert values(raw) == (count,), text
+        assert sides(raw, len(text)) == (4 * count - 2 + 3 * (len(text) // 2),), text
+
+
 def test_profile_validates_plain_strings():
     with pytest.raises(PathSyntaxError) as info:
         PathProfile("UXD")

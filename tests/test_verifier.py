@@ -7,7 +7,6 @@ import pytest
 
 import dyckmotz
 from dyckmotz import (
-    MotzkinPath,
     RouteCheckError,
     SequenceRef,
     TransportRule,
@@ -276,12 +275,26 @@ def test_campaign_catches_a_walker_that_repeats_a_member(monkeypatch):
 
 
 def test_campaign_catches_two_members_on_one_image(monkeypatch):
-    real = dyckmotz.patterns.phi
-    monkeypatch.setattr(dyckmotz.patterns, "phi",
-                        lambda p: MotzkinPath("UD") if p == "UDUD" else real(p))
+    real = dyckmotz.patterns._phi
+    monkeypatch.setattr(dyckmotz.patterns, "_phi",
+                        lambda p: "UD" if p == "UDUD" else real(p))
     report = run_full_verification(max_n=4)
     (bijectivity,) = [c for c in report["checks"] if c["check"] == "bijectivity"]
     assert bijectivity["status"] == "fail" and not report["ok"]
+    assert bijectivity["counterexample"]["roundtrip_examples"] == ["UDUD"]
+
+
+@pytest.mark.parametrize("image", ["FU", "FUFF"])
+def test_campaign_fails_a_malformed_image_instead_of_raising(monkeypatch, image):
+    # the family pass leaves the image's validation to the round trip;
+    # "FUFF" leaves an arch open, yet its letters decode to UDUD
+    real = dyckmotz.patterns._phi
+    monkeypatch.setattr(dyckmotz.patterns, "_phi",
+                        lambda p: image if p == "UDUD" else real(p))
+    report = run_full_verification(max_n=4)
+    (bijectivity,) = [c for c in report["checks"] if c["check"] == "bijectivity"]
+    assert bijectivity["status"] == "fail" and not report["ok"]
+    assert bijectivity["counterexample"]["n"] == 2
     assert bijectivity["counterexample"]["roundtrip_examples"] == ["UDUD"]
 
 
@@ -405,3 +418,18 @@ def test_render_text():
     rendered = render_text(fake)
     assert "RESULT: FAILED" in rendered
     assert "counterexample" in rendered
+
+
+def test_report_times_each_stage_and_the_text_names_the_two_slowest():
+    report = run_full_verification(max_n=4)
+    stages = report["stages"]
+    assert list(stages) == ["family", "identities", "routes", "golden",
+                            "popularity", "sequences"]
+    assert all(seconds >= 0 for seconds in stages.values())
+    assert sum(stages.values()) <= report["elapsed_seconds"] + 0.01
+    assert render_text(report).splitlines()[-1].startswith("slowest stages: ")
+    fake = {"max_n": 4, "ok": True, "elapsed_seconds": 1.0,
+            "stages": {"family": 0.2, "identities": 0.5, "routes": 0.1},
+            "checks": [{"check": "demo", "status": "pass", "details": "d"}]}
+    assert render_text(fake).splitlines()[-2:] == [
+        "RESULT: OK", "slowest stages: identities 0.5s, family 0.2s"]
