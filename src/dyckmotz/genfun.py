@@ -181,7 +181,7 @@ def _fixed_point(N: int, *rhs):
             for u in unknowns:
                 u.row(k)
         # copied: a row may be a constant operand's own list
-        ms = [TruncatedSeries(N, [list(p) for p in u.rows]) for u in unknowns]
+        ms = [TruncatedSeries._of(N, [list(p) for p in u.rows]) for u in unknowns]
     finally:
         for u in unknowns:  # unknowns and equations form a cycle: free it now
             u.order = None
@@ -275,7 +275,7 @@ def _brute_force(pattern: str, rows) -> TruncatedSeries:
     coeffs = [[row[pattern].get(k, 0) for k in range(max(row[pattern]) + 1)]
               for row in rows]
     return _validate_distribution(
-        TruncatedSeries(len(coeffs) - 1, coeffs), pattern, "brute")
+        TruncatedSeries._of(len(coeffs) - 1, coeffs), pattern, "brute")
 
 
 def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:

@@ -15,16 +15,19 @@ c*y^m, which a unit (m = 0) and a monomial such as x^2*y both are. Square roots
 require constant term exactly 1 and solve s*s = f one x-order at a time:
 s_n = (f_n - sum_{0<i<n} s_i s_{n-i}) / 2, with no series division.
 
-The private _OnlineSeries computes a series one x-order at a time from
-the same kernels; the fixed-point route builds its equations from it,
-with +, -, * and ** only; a node read for the order it is computing
-raises NoConvergenceError. Both rings derive from the private base
-_Ring, which writes reflected +, both -'s and ** once from the four
-methods a ring supplies: _lift, __add__, __neg__ and __mul__.
+Products of y-polynomials are Kronecker substitutions: rows pack once to
+their values at y = 2^W, big-integer products are summed, and the signed
+W-bit digits of a sum are its coefficients (_Packed.fit proves W wide
+enough). The private _OnlineSeries computes a series one x-order at a
+time with the same kernel; the fixed-point route builds its equations
+from it, with +, -, * and ** only; a node read for the order it is
+computing raises NoConvergenceError. Both rings derive from _Ring, which
+writes reflected +, both -'s and ** once from _lift, __add__, __neg__, __mul__.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Union
 
 Scalar = Union[int, Fraction]
@@ -67,23 +70,65 @@ def _padd(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
     return _trim(out)
 
 
-def _mac(acc: List[Scalar], pairs, w: Scalar = 1) -> List[Scalar]:
-    """acc + w * sum(a * b for a, b in pairs), for y-polynomials: one
-    accumulator, normalised and trimmed once."""
-    total: List[Scalar] = []
-    for a, b in pairs:
-        if a and b:
-            total.extend([0] * (len(a) + len(b) - 1 - len(total)))
-            for i, ca in enumerate(a):
-                if ca:
-                    for k, cb in enumerate(b, i):
-                        total[k] += ca * cb
-    if not total:  # acc is a ring slice, already in lowest terms
-        return list(acc)
-    out = list(acc) + [0] * (len(total) - len(acc))
-    for k, c in enumerate(total):
-        out[k] += w * c
-    return _trim([_norm(c) for c in out])
+class _Packed:
+    """A series' rows for the kernel: ints[i] is row i at y = 2^width with
+    each c as the integer c*den, den the lcm of the denominators seen; bits
+    bounds every |c*den|, length every row's length. Appended rows are packed
+    once; a new den or a new width (64 or more) repacks them."""
+    __slots__ = ("rows", "ints", "seen", "width", "den", "bits", "length")
+
+    def __init__(self, rows: List[List[Scalar]]):
+        self.rows, self.ints, self.seen = rows, [], 0
+        self.width, self.den, self.bits, self.length = 0, 1, 0, 0
+
+    def fit(self, other: "_Packed", k: int, k_other: int, p: int) -> int:
+        """Pack rows 0..k of self and 0..k_other of other at one width W
+        that holds any sum of p products of them; return W. This bound is the
+        kernel's correctness argument, as a narrower W corrupts coefficients
+        silently: a coefficient of the sum adds at most p*L products, L =
+        min(self.length, other.length), each below 2^(self.bits + other.bits),
+        so it is below 2^(W - 1), and _unpack exact, when W >= self.bits +
+        other.bits + (p*L).bit_length() + 1; a root's doubled half-sum has p terms."""
+        for s, top in ((self, k), (other, k_other)):
+            if top < s.seen:
+                continue
+            rows = s.rows[s.seen:top + 1]
+            coeffs = [c for row in rows for c in row]
+            if coeffs:
+                den = (s.den if type(sum(coeffs)) is int else  # ints sum to an int
+                       lcm(s.den, *(c.denominator for c in coeffs)))
+                if den != s.den:  # repacked below, on the new denominator
+                    s.ints, s.bits, s.den = [], s.bits + (den // s.den).bit_length(), den
+                s.bits = max(s.bits, (max(map(abs, coeffs)) * den).numerator.bit_length())
+                s.length = max(s.length, *map(len, rows))
+            s.seen = top + 1
+        need = self.bits + other.bits + (p * min(self.length, other.length)).bit_length() + 1
+        width = max(self.width, other.width)
+        if need > width:
+            width = max(64, (need + (32 if width else 0) + 7) & -8)
+        for s in (self, other):
+            if width != s.width:
+                s.width, s.ints = width, []
+            for row in s.rows[len(s.ints):s.seen]:
+                v = 0
+                for c in reversed(row if s.den == 1 else
+                                  [c.numerator * (s.den // c.denominator) for c in row]):
+                    v = (v << width) + c
+                s.ints.append(v)
+        return width
+
+
+def _unpack(total: int, width: int, den: int) -> List[Scalar]:
+    """The y-polynomial sum_i d_i y^i / den, trimmed and in lowest terms, of
+    total = sum_i d_i 2^(width*i), every |d_i| < 2^(width - 1): d_i is chunk
+    i of total's two's complement read signed, plus chunk i - 1's borrow."""
+    step, poly, borrow = width // 8, [], 0
+    raw = total.to_bytes((total.bit_length() // width + 1) * step, "little", signed=True)
+    for i in range(0, len(raw), step):
+        d = int.from_bytes(raw[i:i + step], "little", signed=True)
+        poly.append(d + borrow)
+        borrow = d < 0
+    return _trim(poly) if den == 1 else _pdiv(_trim(poly), den)
 
 
 def _pdiv(a: List[Scalar], d: Scalar) -> List[Scalar]:
@@ -143,12 +188,13 @@ class _OnlineSeries(_Ring):
     equation is built. row holds the order function aside while it runs,
     so a read of the order being computed raises NoConvergenceError.
     """
-    __slots__ = ("val", "order", "rows")
+    __slots__ = ("val", "order", "rows", "packed")
 
     def __init__(self, val: int, order=None):
         self.val = val
         self.order = order  # k -> row k, called for k = 0, 1, 2, ... in turn
         self.rows: List[List[Scalar]] = []
+        self.packed = _Packed(self.rows)  # the rows as products read them
 
     def row(self, k: int) -> List[Scalar]:
         rows, order = self.rows, self.order
@@ -190,34 +236,48 @@ class _OnlineSeries(_Ring):
         if other is NotImplemented:
             return NotImplemented
         va, vb = self.val, other.val
+        a, b = self.packed, other.packed
 
         def order(k):
             if k < va + vb:
                 return []
             self.row(k - vb)  # fills the rows of both factors that row k reads
             other.row(k - va)
-            a, b = self.rows, other.rows
-            return _mac([], ((a[i], b[k - i]) for i in range(va, k - vb + 1)))
+            width = a.fit(b, k - vb, k - va, k - va - vb + 1)
+            return _unpack(sum(a.ints[i] * b.ints[k - i] for i in range(va, k - vb + 1)),
+                           width, a.den * b.den)
         return _OnlineSeries(va + vb, order)
 
-    def __rmul__(self, other):
-        # a constant's short rows as the outer loop of _mac
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
+    __rmul__ = __mul__
 
 
 class TruncatedSeries(_Ring):
     __slots__ = ("trunc_x", "coeffs")
 
     def __init__(self, trunc_x: int, coeffs=None):
+        """The series with rows coeffs[0..trunc_x] (zero when None); each
+        entry must be an int or a Fraction, and each row is trimmed and
+        normalised here, the one entry point that takes rows from outside."""
         if trunc_x < 0:
             raise ValueError("truncation order must be nonnegative")
         self.trunc_x = trunc_x
         if coeffs is None:
-            coeffs = [[] for _ in range(trunc_x + 1)]
-        self.coeffs = coeffs
+            self.coeffs = [[] for _ in range(trunc_x + 1)]
+            return
+        if len(coeffs) != trunc_x + 1:
+            raise ValueError(f"{len(coeffs)} rows for truncation order {trunc_x}, "
+                             f"not {trunc_x + 1}")
+        for c in (c for row in coeffs for c in row):
+            _require_exact(c, "coefficient")
+        self.coeffs = [_trim([_norm(c) for c in row]) for row in coeffs]
+
+    @classmethod
+    def _of(cls, trunc_x: int, coeffs: List[List[Scalar]]) -> "TruncatedSeries":
+        """A series on rows already trimmed and in lowest terms, unchecked:
+        the ring's own results and genfun's internal series."""
+        s = cls.__new__(cls)
+        s.trunc_x, s.coeffs = trunc_x, coeffs
+        return s
 
     # construction -----------------------------------------------------
     @classmethod
@@ -272,7 +332,7 @@ class TruncatedSeries(_Ring):
         if trunc_x > self.trunc_x:
             raise ValueError(
                 f"cannot extend truncation {self.trunc_x} to {trunc_x}")
-        return TruncatedSeries(trunc_x, [list(p) for p in self.coeffs[:trunc_x + 1]])
+        return TruncatedSeries._of(trunc_x, [list(p) for p in self.coeffs[:trunc_x + 1]])
 
     def __eq__(self, other) -> bool:
         other = self._lift(other)
@@ -294,21 +354,27 @@ class TruncatedSeries(_Ring):
         if other is NotImplemented:
             return NotImplemented
         n = min(self.trunc_x, other.trunc_x)
-        return TruncatedSeries(
+        return TruncatedSeries._of(
             n, [_padd(self.coeffs[i], other.coeffs[i]) for i in range(n + 1)])
 
     def __neg__(self):
-        return TruncatedSeries(self.trunc_x, [[-c for c in p] for p in self.coeffs])
+        return TruncatedSeries._of(self.trunc_x, [[-c for c in p] for p in self.coeffs])
 
     def __mul__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         n = min(self.trunc_x, other.trunc_x)
-        a = [(i, p) for i, p in enumerate(self.coeffs[:n + 1]) if p]  # often sparse
-        b = other.coeffs
-        return TruncatedSeries(n, [_mac([], ((p, b[k - i]) for i, p in a if i <= k))
-                                   for k in range(n + 1)])
+        ia, ib = ([i for i in range(n + 1) if f.coeffs[i]] for f in (self, other))
+        a, b = _Packed([self.coeffs[i] for i in ia]), _Packed([other.coeffs[j] for j in ib])
+        width, totals = a.fit(b, n, n, min(len(ia), len(ib))), [0] * (n + 1)
+        for i, v in zip(ia, a.ints):  # the nonzero rows only: operands are often sparse
+            for j, u in zip(ib, b.ints):
+                if i + j > n:
+                    break
+                totals[i + j] += v * u
+        return TruncatedSeries._of(n, [_unpack(t, width, a.den * b.den) if t else []
+                                       for t in totals])
 
     __rmul__ = __mul__
 
@@ -326,7 +392,7 @@ class TruncatedSeries(_Ring):
 
     # calculus and substitution ----------------------------------------
     def d_dy(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.trunc_x, [
+        return TruncatedSeries._of(self.trunc_x, [
             _trim([_norm(k * c) for k, c in enumerate(poly)][1:]) for poly in self.coeffs])
 
     def eval_y(self, value: Scalar) -> "TruncatedSeries":
@@ -337,7 +403,7 @@ class TruncatedSeries(_Ring):
             for c in reversed(poly):
                 acc = _norm(acc * value + c)
             out.append([acc] if acc != 0 else [])
-        return TruncatedSeries(self.trunc_x, out)
+        return TruncatedSeries._of(self.trunc_x, out)
 
     # square root ------------------------------------------------------
     def sqrt_unit(self) -> "TruncatedSeries":
@@ -346,15 +412,14 @@ class TruncatedSeries(_Ring):
         if self.coeffs[0] != [1]:
             raise NonSquareConstantTermError(
                 "square root requires constant term exactly 1")
-        s = [[1]]
+        s = _Packed([[1]])
         for n in range(1, self.trunc_x + 1):
-            # terms i and n - i at once, then the middle term of an even n
-            acc = _mac(self.coeffs[n],
-                       ((s[i], s[n - i]) for i in range(1, (n + 1) // 2)), -2)
-            if n % 2 == 0:
-                acc = _mac(acc, [(s[n // 2], s[n // 2])], -1)
-            s.append(_pdiv(acc, 2))
-        return TruncatedSeries(self.trunc_x, s)
+            # the n - 1 products s_i s_{n-i}: i and n - i at once, then a middle one
+            width, r = s.fit(s, n - 1, n - 1, n - 1), s.ints
+            total = 2 * sum(r[i] * r[n - i] for i in range(1, (n + 1) // 2))
+            total += 0 if n % 2 else r[n // 2] ** 2
+            s.rows.append(_pdiv(_padd(self.coeffs[n], _unpack(-total, width, s.den ** 2)), 2))
+        return TruncatedSeries._of(self.trunc_x, s.rows)
 
 
 def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -378,15 +443,17 @@ def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n_out = min(a.trunc_x, b.trunc_x) - val
     if n_out < 0:
         raise InexactDivisionError("divisor valuation exceeds truncation")
-    den = b.coeffs[val:val + n_out + 1]
     c = lead[m]
-    quot: List[List[Scalar]] = []
+    den, quot = _Packed(b.coeffs[val:val + n_out + 1]), _Packed([])
+    terms = [i for i in range(1, len(den.rows)) if den.rows[i]]
     for n in range(n_out + 1):
-        acc = _mac(a.coeffs[n + val],
-                   ((den[i], quot[n - i]) for i in range(1, min(n + 1, len(den)))), -1)
+        used = [i for i in terms if i <= n]  # the products den_i quot_{n-i}
+        width = den.fit(quot, n, n - used[0], len(used)) if used else 8  # any fits 0
+        acc = _padd(a.coeffs[n + val], _unpack(-sum(
+            den.ints[i] * quot.ints[n - i] for i in used), width, den.den * quot.den))
         if any(acc[:m]):
             k = next(k for k, cc in enumerate(acc[:m]) if cc)
             raise InexactDivisionError(
                 f"term x^{n} y^{k} not divisible by divisor lead y^{m}")
-        quot.append(_pdiv(acc[m:], c))
-    return TruncatedSeries(n_out, quot)
+        quot.rows.append(_pdiv(acc[m:], c))
+    return TruncatedSeries._of(n_out, quot.rows)

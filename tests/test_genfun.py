@@ -131,7 +131,7 @@ def test_row_sums_of_a_long_series_are_checked_fast():
     start = time.perf_counter()
     assert genfun._validate_distribution(series, "UD", "brute") is series
     assert time.perf_counter() - start < 1.0
-    rows[1000] = [rows[1000][0] + 1]
+    series.coeffs[1000] = [rows[1000][0] + 1]  # the series' own row, not the caller's
     with pytest.raises(RouteCheckError, match="row sum at x"):
         genfun._validate_distribution(series, "UD", "brute")
 

@@ -205,3 +205,186 @@ def test_online_series_matches_the_ring(a_rows, b_rows):
         for k in (-1, 1.5):
             with pytest.raises(ValueError, match="nonnegative integer powers"):
                 series ** k
+
+
+def test_constructor_rejects_rows_the_ring_cannot_use():
+    for rows in ([[1]], [[1], [], [], [], []], []):
+        with pytest.raises(ValueError, match="rows for truncation order 3"):
+            TruncatedSeries(3, rows)
+    for bad in (1.5, 2.0, True, "1", None):
+        with pytest.raises(TypeError, match="coefficient must be an int or a Fraction"):
+            TruncatedSeries(1, [[bad], []])
+        with pytest.raises(TypeError):
+            TruncatedSeries(1, [[1], [0, bad]])
+
+
+def test_constructor_trims_and_normalises_rows():
+    padded = TruncatedSeries(2, [[1, 0], [0, 0], [2, Fraction(4, 2), Fraction(0, 3)]])
+    assert padded == TruncatedSeries(2, [[1], [], [2, 2]])
+    assert padded.coeffs == [[1], [], [2, 2]]
+    assert type(padded.coefficient(2, 1)) is int
+    rows = [(1,), [Fraction(1, 2)]]  # any sequences, copied into the series' own lists
+    s = TruncatedSeries(1, rows)
+    rows[1].append(5)
+    assert s.coeffs == [[1], [Fraction(1, 2)]]
+    # every operation works on what the constructor accepted
+    t = TruncatedSeries(3, [[1], [0, 0], [], [0, 1]])
+    assert t + t == 2 * t
+    assert (t * t).y_poly(3) == [0, 2]
+    assert t.sqrt_unit() * t.sqrt_unit() == t
+
+
+# An independent oracle for the packed kernel: schoolbook y-convolution,
+# written here with no code shared with the ring.
+
+def _oracle_poly(terms):
+    """The trimmed y-polynomial of a {degree: coefficient} dict."""
+    top = max((e for e, c in terms.items() if c), default=-1)
+    return [terms.get(e, 0) for e in range(top + 1)]
+
+
+def _oracle_product(a, b, n):
+    """Rows 0..n of the product of two lists of y-polynomial rows."""
+    out = []
+    for k in range(n + 1):
+        terms = {}
+        for i in range(k + 1):
+            if i < len(a) and k - i < len(b):
+                for s, c in enumerate(a[i]):
+                    for t, d in enumerate(b[k - i]):
+                        terms[s + t] = terms.get(s + t, 0) + c * d
+        out.append(_oracle_poly(terms))
+    return out
+
+
+def _oracle_quotient(a, b, n):
+    """Rows 0..n of a / b for a divisor whose row 0 is one nonzero entry c."""
+    (c,) = b[0]
+    quot = []
+    for k in range(n + 1):
+        terms = dict(enumerate(a[k]))
+        for i in range(1, min(k, len(b) - 1) + 1):
+            for s, x in enumerate(b[i]):
+                for t, q in enumerate(quot[k - i]):
+                    terms[s + t] = terms.get(s + t, 0) - x * q
+        quot.append(_oracle_poly({e: Fraction(v) / c for e, v in terms.items()}))
+    return quot
+
+
+def _assert_canonical(rows):
+    """Trimmed rows whose integral entries are ints."""
+    for row in rows:
+        assert not row or row[-1] != 0
+        for c in row:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+BIG = 2 ** 200
+ENTRY = st.one_of(
+    st.integers(-BIG, BIG),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 2 ** 40)),
+    st.sampled_from([BIG - 1, 1 - BIG, 2 ** 64 - 1, 1 - 2 ** 64, 0]))
+ROW = st.lists(ENTRY, max_size=40)
+
+
+def _rows(count):
+    return st.lists(ROW, min_size=count, max_size=count)
+
+
+def _series(rows):
+    return TruncatedSeries(len(rows) - 1, rows)
+
+
+def _online_rows(node, n):
+    return [node.row(k) for k in range(n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(_rows(n + 1), _rows(n + 1))))
+def test_products_match_the_oracle(pair):
+    a, b = (_series(rows) for rows in pair)
+    n = a.trunc_x
+    want = _oracle_product(a.coeffs, b.coeffs, n)
+    for got in ((a * b).coeffs, (b * a).coeffs,
+                _online_rows(_OnlineSeries._lift(a) * b, n),
+                _online_rows(b * _OnlineSeries._lift(a), n)):
+        assert got == want
+        _assert_canonical(got)
+    # an online node shared by two products of different widths
+    oa, ob = _OnlineSeries._lift(a), _OnlineSeries._lift(b)
+    ab, aa = oa * ob, oa * oa
+    assert _online_rows(ab * oa, n) == _oracle_product(want, a.coeffs, n)
+    assert _online_rows(aa, n) == _oracle_product(a.coeffs, a.coeffs, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: _rows(n)))
+def test_square_roots_match_the_oracle(rows):
+    f = _series([[1]] + rows)
+    root = f.sqrt_unit()
+    _assert_canonical(root.coeffs)
+    assert root.coeffs[0] == [1]
+    assert _oracle_product(root.coeffs, root.coeffs, f.trunc_x) == f.coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(_rows(n + 1), _rows(n))),
+       ENTRY.filter(bool), st.integers(0, 3))
+def test_quotients_match_the_oracle(pair, lead, m):
+    a_rows, b_rows = pair
+    a, unit = _series(a_rows), _series([[lead]] + b_rows)
+    got = (a / unit).coeffs
+    assert got == _oracle_quotient(a.coeffs, unit.coeffs, a.trunc_x)
+    _assert_canonical(got)
+    # a lead y^m: the numerator is the oracle's product of a known quotient
+    b = _series([[0] * m + [lead]] + b_rows)
+    got = (_series(_oracle_product(a.coeffs, b.coeffs, a.trunc_x)) / b).coeffs
+    assert got == a.coeffs
+    _assert_canonical(got)
+
+
+@pytest.mark.parametrize("bits", [29, 30, 61, 62, 200])
+@pytest.mark.parametrize("count, length", [(3, 5), (5, 3), (4, 4), (2, 16), (7, 9), (15, 17)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_kernel_at_its_width_bound(bits, count, length, sign):
+    # count rows of length entries 2^bits - 1 against count rows of
+    # sign * (2^bits - 1): the middle entry of the last product row sums
+    # P*L = count*length products of the largest size, with P*L next to or
+    # at a power of two, where (P*L).bit_length() steps
+    top = 2 ** bits - 1
+    a = _series([[top] * length for _ in range(count)])
+    b = _series([[sign * top] * length for _ in range(count)])
+    n = count - 1
+    want = _oracle_product(a.coeffs, b.coeffs, n)
+    assert want[n][length - 1] == sign * count * length * top * top
+    assert (a * b).coeffs == want
+    assert _online_rows(_OnlineSeries._lift(a) * _OnlineSeries._lift(b), n) == want
+    # the same rows as a root and as a quotient
+    root = _series([[1]] + b.coeffs[1:])
+    assert _series(_oracle_product(root.coeffs, root.coeffs, n)).sqrt_unit() == root
+    assert _series(_oracle_product(a.coeffs, root.coeffs, n)) / root == a
+
+
+def test_every_kernel_user_is_exact_over_q():
+    root = (ONE - 2 * X * Y).sqrt_unit()
+    # sqrt(1 - 2t) = 1 - t - t^2/2 - t^3/2 - 5t^4/8 - ..., t = xy
+    assert [root.coefficient(n, n) for n in range(5)] == [
+        1, -1, Fraction(-1, 2), Fraction(-1, 2), Fraction(-5, 8)]
+    assert root * root == ONE - 2 * X * Y
+    num = ONE + 3 * X * Y - Fraction(5, 7) * X ** 2 + X ** 3 * Y ** 2
+    den = Fraction(2, 3) + X
+    quotient = num / den
+    assert quotient.coeffs == _oracle_quotient(num.coeffs, den.coeffs, T)
+    assert quotient * den == num
+    walk = ONE + X * Y + 2 * X ** 2 + Fraction(3, 2) * X ** 3 * Y
+    online = _OnlineSeries._lift(walk)
+    for scale in (Fraction(1, 3), Fraction(4, 2), Fraction(-6, 4)):
+        eager = walk * scale
+        assert _online_rows(online * scale, T) == eager.coeffs
+        assert _online_rows(scale * online, T) == eager.coeffs
+        assert _online_rows(online * _OnlineSeries._lift(eager), T) == (walk * eager).coeffs
+    results = [root, quotient, root * root, quotient * den, walk * Fraction(4, 2),
+               (walk * Fraction(2, 3)) * Fraction(3, 2)]
+    for series in results:
+        _assert_canonical(series.coeffs)
+    assert type(results[-1].coefficient(0)) is int
