@@ -89,9 +89,12 @@ def is_constrained(p: Union[str, DyckPath]) -> bool:
 
 
 def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:
-    """The unique family member mapping to m under phi."""
-    m = m if isinstance(m, MotzkinPath) else MotzkinPath(m)
-    return DyckPath(_phi_inverse(str(m)))
+    """The unique family member mapping to m under phi, validated by the strict core's pass."""
+    back = _phi_inverse(str(m))
+    if back is None:
+        MotzkinPath(m)  # raises the error that names the fault
+        raise RuntimeError(f"_phi_inverse refused the Motzkin path {str(m)!r}")
+    return DyckPath(back)
 
 
 def _phi_inverse(m: str) -> Optional[str]:
@@ -111,13 +114,16 @@ def _phi_inverse(m: str) -> Optional[str]:
             return None
         else:
             h = 2 + (heights[0] if heights else 0)
-            beta = "".join(texts)
+            arch = "".join(["UU", *texts, "D"])  # U U beta D, then gamma D
             heights, texts = stack.pop()
             k = len(heights)
             while k and heights[k - 1] < h:
                 k -= 1
-            texts[k:] = ["UU" + beta + "D" + "".join(texts[k:]) + "D"]
-            heights[k:] = [h]
+            if k < len(heights):  # the lower atoms just before the arch are its gamma
+                arch += "".join(texts[k:])
+                del texts[k:], heights[k:]
+            texts.append(arch + "D")
+            heights.append(h)
     return None if stack else "".join(texts)
 
 

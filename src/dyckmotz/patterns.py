@@ -36,7 +36,7 @@ class PatternSyntaxError(ValueError):
     """Malformed pattern or statistic text."""
 
     def __init__(self, text: str, position: int, reason: str = "invalid character"):
-        self.position = position
+        self.position, self.reason = position, reason
         super().__init__(f"{reason} at position {position} in {text!r}")
 
 
@@ -182,37 +182,44 @@ def _count_matches(s: str, atoms, anchored: bool) -> int:
     return total
 
 
-class PathProfile:
-    """A path with the pattern counts read from it so far.
+def _reads(pat: PatternExpr) -> tuple:
+    """pat's counter, or the one read of the generic counter."""
+    return pat.counter or (((count_occurrences, pat), 1),)
 
-    count answers a pattern that parse_pattern compiled a counter for by
-    summing the counter's reads of text once and storing the count under
-    the pattern's text; any other pattern goes to the generic counter
-    every time.
+
+class PathProfile:
+    """A path with the raw reads made of it so far.
+
+    A read (f, arg) is f(path, arg), made once and kept; value sums a
+    linear form ((read, coefficient), ...) over them, so each distinct
+    read runs once per path whichever pattern or statistic asks for it.
+    count values a pattern's counter (see _reads).
     """
 
-    __slots__ = ("path", "text", "counts")
+    __slots__ = ("path", "text", "reads")
 
     def __init__(self, path: Union[str, LatticePath]):
         self.path = path if isinstance(path, LatticePath) else LatticePath(path)
         self.text = str(self.path)
-        self.counts = {}
+        self.reads = {}
+
+    def value(self, form: tuple) -> int:
+        reads, total = self.reads, 0
+        for read, c in form:
+            got = reads.get(read)
+            if got is None:
+                got = reads[read] = read[0](self.path, read[1])
+            total += c * got
+        return total
 
     def count(self, pat: PatternExpr) -> int:
-        counter = pat.counter
-        if counter is None:
-            return count_occurrences(self.path, pat)
-        value = self.counts.get(pat.text)
-        if value is None:
-            text = self.text
-            value = self.counts[pat.text] = sum(c * f(text, arg) for (f, arg), c in counter)
-        return value
+        return self.value(_reads(pat))
 
 
-def _form(terms, const=0, n_coeff=0, shift=0) -> str:
-    """Source of const + n_coeff * (size >> shift) + the sum of c * raw[i]
-    over terms ((i, c), ...): integers and the names raw and size only."""
-    parts = [f"{c:d}*raw[{i:d}]" for i, c in terms if c]
+def _form(terms, index, const=0, n_coeff=0, shift=0) -> str:
+    """Source of const + n_coeff * (size >> shift) + the sum of c * raw[index[read]]
+    over terms ((read, c), ...): integers and the names raw and size only."""
+    parts = [f"{c:d}*raw[{index[read]:d}]" for read, c in terms if c]
     parts += [f"{n_coeff:d}*(size >> {shift:d})"] if n_coeff else []
     parts += [f"{const:d}"] if const else []
     return " + ".join(parts) or "0"
@@ -226,22 +233,18 @@ def _reader(patterns, statistics=()) -> tuple:
     their counters make (a pattern without a counter is one read of the
     generic counter). values(raw) is the tuple of the patterns' counts, in
     keys order; sides(raw, size) that of the statistics on a text of
-    length size, each a form const + n_coeff * n + sum of coefficient *
-    raw[read index], with n size // 2 on a Dyck statistic and size on a
-    Motzkin one. Every function and argument reaches the source through
+    length size, each const + n_coeff * n plus its form over raw by read
+    index, with n size // 2 on a Dyck statistic and size on a Motzkin
+    one. Every function and argument reaches the source through
     the namespace, so no pattern text is ever spliced into it."""
     statistics = list(statistics)
-    pats = dict.fromkeys([*(p for s in statistics for p, _ in s.lookups), *patterns])
-    counters = [p.counter or (((count_occurrences, p), 1),) for p in pats]
+    pats = dict.fromkeys([*(t for s in statistics for _, t in s.terms if t not in (ONE, N)),
+                          *patterns])
+    counters = list(map(_reads, pats))
     reads = list(dict.fromkeys(read for counter in counters for read, _ in counter))
     index = {read: i for i, read in enumerate(reads)}
-    sums = {p: [(index[read], c) for read, c in counter] for p, counter in zip(pats, counters)}
-    forms = []  # n is size >> shift, by the statistic's side, not its slot
-    for s in statistics:
-        terms = Counter()
-        for p, coeff in s.lookups:
-            terms.update({i: coeff * c for i, c in sums[p]})
-        forms.append(_form(terms.items(), s.const, s.n_coeff, int(s.side == "dyck")))
+    # n is size >> shift, by the statistic's side, not its slot
+    forms = [_form(s.form, index, s.const, s.n_coeff, int(s.side == "dyck")) for s in statistics]
     namespace = {"__builtins__": {}}
     for i, (f, arg) in enumerate(reads):
         namespace[f"r{i}"], namespace[f"a{i}"] = f, arg
@@ -251,7 +254,7 @@ def _reader(patterns, statistics=()) -> tuple:
 
     return (tuple(p.text for p in pats),
             tuple_lambda("t", (f"r{i}(t, a{i})" for i in range(len(reads)))),
-            tuple_lambda("raw", map(_form, sums.values())),
+            tuple_lambda("raw", (_form(counter, index) for counter in counters)),
             tuple_lambda("raw, size", forms))
 
 
@@ -263,23 +266,23 @@ class StatisticExpr:
     terms: tuple  # of (int coefficient, PatternExpr | ONE | N)
     side: str  # "dyck" or "motzkin": fixes what n means
     text: str = ""
-    # compiled from terms once: the value is const + n_coeff * n plus
-    # coefficient times PathProfile.count over the patterns in lookups
+    # compiled from terms once: the value is const + n_coeff * n plus form,
+    # the pattern terms' reads merged ((read, coefficient), ...), no zero term
     const: int = field(init=False, repr=False, compare=False)
     n_coeff: int = field(init=False, repr=False, compare=False)
-    lookups: tuple = field(init=False, repr=False, compare=False)
+    form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        const, n_coeff, lookups = 0, 0, []
+        const, n_coeff, form = 0, 0, Counter()
         for coeff, term in self.terms:
             if term == ONE:
                 const += coeff
             elif term == N:
                 n_coeff += coeff
             else:
-                lookups.append((term, coeff))
+                form.update({read: coeff * c for read, c in _reads(term)})
         for name, value in (("const", const), ("n_coeff", n_coeff),
-                            ("lookups", tuple(lookups))):
+                            ("form", tuple((r, c) for r, c in form.items() if c))):
             object.__setattr__(self, name, value)
 
     def __str__(self) -> str:
@@ -306,6 +309,7 @@ def parse_statistic(text: str, side: str) -> StatisticExpr:
 
 
 def _parse_term(token: str, sign: int, whole: str, position: int):
+    end = position + len(token)  # the term's end in whole
     if token.startswith("-"):
         sign = -sign
         token = token[1:]
@@ -318,22 +322,23 @@ def _parse_term(token: str, sign: int, whole: str, position: int):
         return coeff, ONE
     if body in ("n", "N"):
         return coeff, N
-    return coeff, parse_pattern(body)
+    try:
+        return coeff, parse_pattern(body)
+    except PatternSyntaxError as e:  # placed in the whole statistic
+        raise PatternSyntaxError(whole, end - len(body) + e.position, e.reason) from None
 
 
 def evaluate_statistic(p: Union[str, LatticePath], e: StatisticExpr,
                        profile: Optional[PathProfile] = None) -> int:
-    """Value of the statistic on one path. A prebuilt PathProfile for p
-    keeps the counts it has read, so repeated evaluation over the same
-    path counts each pattern once."""
+    """Value of the statistic on one path: its form valued by the profile
+    of p, a prebuilt one keeping its reads for the next statistic."""
     if profile is None:
         profile = PathProfile(p)
+    elif p is not profile.path and profile.text != p:
+        raise ValueError(f"the profile is of another path than {str(p)!r}")
     size = len(profile.text)
-    total = e.const + e.n_coeff * (size // 2 if e.side == "dyck" else size)
-    count = profile.count
-    for pat, coeff in e.lookups:
-        total += coeff * count(pat)
-    return total
+    return (e.const + e.n_coeff * (size // 2 if e.side == "dyck" else size)
+            + profile.value(e.form))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyckmotz import (
+    DyckPath,
     MotzkinPath,
     NotADyckPathError,
     NotAMotzkinPathError,
@@ -144,6 +145,37 @@ def test_long_extreme_shapes_round_trip():
 def test_inverse_rejects_bad_input():
     with pytest.raises(NotAMotzkinPathError):
         phi_inverse("UDU")
+
+
+@pytest.mark.parametrize("word", ["FX", "D", "U", "UF", "FUDD", "DU", "UDX"])
+def test_inverse_raises_the_motzkin_path_error(word):
+    # the core's pass validates; MotzkinPath only words the refusal
+    with pytest.raises(ValueError) as expected:
+        MotzkinPath(word)
+    with pytest.raises(ValueError) as caught:
+        phi_inverse(word)
+    assert type(caught.value) is type(expected.value)
+    assert str(caught.value) == str(expected.value)
+    assert caught.value.position == expected.value.position
+
+
+def test_inverse_reports_a_core_that_refuses_a_motzkin_path(monkeypatch):
+    monkeypatch.setattr("dyckmotz.bijection._phi_inverse", lambda m: None)
+    with pytest.raises(RuntimeError, match="refused the Motzkin path 'FUD'"):
+        phi_inverse("FUD")
+
+
+def test_inverse_round_trips_every_image_to_12_and_a_long_pyramid():
+    assert phi_inverse("") == "" and isinstance(phi_inverse(""), DyckPath)
+    images = 0
+    for n in range(13):
+        for p in enumerate_constrained(n):
+            back = phi_inverse(phi(p))
+            assert back == p and isinstance(back, DyckPath)
+            images += 1
+    assert images == 24871 == sum(map(motzkin_number, range(13)))
+    pyramid = "U" * 3000 + "D" * 3000
+    assert phi_inverse(str(phi(pyramid))) == pyramid
 
 
 def test_inverse_core_gives_no_member_for_a_non_motzkin_word():

@@ -326,6 +326,103 @@ def test_empty_statistic_term_is_reported_where_it_starts(text, position):
     assert str(info.value) == f"empty term at position {position} in {text!r}"
 
 
+@pytest.mark.parametrize("text, position, reason", [
+    ("UD + UX", 6, "invalid character"), ("UU - 3", 5, "invalid character"),
+    ("  2*UD - -3*UX", 13, "invalid character"), ("UD + ^UD$", 8, "both anchors on one pattern"),
+    ("-UX", 2, "invalid character")])
+def test_pattern_error_in_a_statistic_is_placed_in_the_whole_text(text, position, reason):
+    with pytest.raises(PatternSyntaxError) as info:
+        parse_statistic(text, "dyck")
+    assert info.value.position == position
+    assert str(info.value) == f"{reason} at position {position} in {text!r}"
+
+
+def test_evaluate_statistic_refuses_another_paths_profile():
+    e = parse_statistic("UU", "dyck")
+    with pytest.raises(ValueError, match="another path"):
+        evaluate_statistic("UD", e, PathProfile("UUDD"))
+    # the same text, or the profile's own path object, is its path
+    profile = PathProfile("UUDD")
+    assert evaluate_statistic("UUDD", e, profile) == 1
+    assert evaluate_statistic(profile.path, e, profile) == 1
+    assert evaluate_statistic(LatticePath("UUDD"), e, profile) == 1
+
+
+# generic patterns: no compiled counter, one read of count_occurrences each
+_GENERIC = ["UUUU", "UU+D", "^U+", "F+D$"]
+_TERMS = st.lists(st.tuples(st.sampled_from("+-"), st.integers(0, 4),
+                            st.sampled_from([*_COMPILED, *_GENERIC, "1", "n"])),
+                  min_size=1, max_size=5)
+
+
+def _statistic(terms, side):
+    """The statistic text of terms [(sign, coefficient, body), ...] and the
+    value it must have on a word, straight from count_occurrences."""
+    text = " ".join(f"{sign} {c}*{body}" for sign, c, body in terms)[2:]
+    if terms[0][0] == "-":
+        text = "-" + text
+
+    def value(word):
+        n = len(word) // 2 if side == "dyck" else len(word)
+        return sum((1 if sign == "+" else -1) * c
+                   * (1 if body == "1" else n if body == "n"
+                      else count_occurrences(word, parse_pattern(body)))
+                   for sign, c, body in terms)
+    return parse_statistic(text, side), value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TERMS, min_size=1, max_size=4), st.sampled_from(["dyck", "motzkin"]),
+       st.text(alphabet="UDF", max_size=40), st.randoms(use_true_random=False))
+def test_one_form_serves_every_caller(terms, side, word, rng):
+    stats, oracles = zip(*(_statistic(t, side) for t in terms))
+    expected = [value(word) for value in oracles]
+    assert [evaluate_statistic(word, s) for s in stats] == expected
+    assert [evaluate_statistic(word, s, PathProfile(word)) for s in stats] == expected
+    shared, order = PathProfile(word), list(range(len(stats)))
+    rng.shuffle(order)
+    assert {k: evaluate_statistic(word, stats[k], shared) for k in order} == dict(
+        enumerate(expected))
+    _, read, _, sides = patterns._reader((), stats)
+    assert list(sides(read(word), len(word))) == expected
+
+
+def test_a_shared_profile_makes_each_read_once():
+    calls = Counter()
+
+    def spy(f):
+        def read(text, arg):
+            calls[read, arg] += 1
+            return f(text, arg)
+        return read
+
+    spies = {}
+
+    def spied(pat):
+        counter = tuple(((spies.setdefault(f, spy(f)), arg), c) for (f, arg), c in patterns._reads(pat))
+        return PatternExpr(pat.atoms, pat.start_anchor, pat.end_anchor, pat.dirac, pat.text, counter)
+
+    def rebuilt(s):
+        terms = tuple((c, spied(t) if isinstance(t, PatternExpr) else t) for c, t in s.terms)
+        return patterns.StatisticExpr(terms, s.side, s.text)
+
+    generic = parse_statistic("UUUU - 2*UU+D + n", "dyck")
+    sides = [(rebuilt(r.dyck_side), rebuilt(r.motzkin_side)) for r in transport_rules()]
+    sides.append((rebuilt(generic), rebuilt(generic)))
+    member = "UUUDUDDUDD" * 3
+    image = str(phi(member))
+    for text, k in ((member, 0), (image, 1)):
+        profile = PathProfile(text)
+        calls.clear()
+        values = [evaluate_statistic(text, s[k], profile) for s in sides]
+        values += [evaluate_statistic(text, s[k], profile) for s in reversed(sides)]
+        assert values[:len(sides)] == values[len(sides):][::-1]
+        reads = {read for s in sides for read, _ in s[k].form}
+        assert set(calls) == reads and set(calls.values()) == {1}, text
+    assert [evaluate_statistic(member, s, PathProfile(member)) for s, _ in sides[:-1]] == [
+        evaluate_statistic(image, s, PathProfile(image)) for _, s in sides[:-1]]
+
+
 def test_transport_rule_lookup():
     rules = transport_rules()
     assert len(rules) == 15
