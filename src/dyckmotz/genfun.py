@@ -280,6 +280,8 @@ def _brute_force(pattern: str, rows) -> TruncatedSeries:
 
 def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:
     pattern = _canon(pattern)
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
     return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
 

@@ -441,8 +441,9 @@ class TransportSweep:
     them by add, which stops reading once every rule has failed. A rule's
     dyck_side reads a pair's first text (a member, or an identity's path)
     and its motzkin_side the second (the image, or the same path). results
-    holds per rule the paths checked in total and the first counterexample
-    (with its n), at which the rule stops, or None.
+    holds per rule its first counterexample (with its n), at which the rule
+    stops, or None, and checked: the pairs read from the first pair of the
+    rule's first claimed semilength up to that counterexample, or up to now.
 
     Each rule side compiles once into an integer linear form over its
     reader's raw tuple (_reader): read_dyck reads every Dyck side plus
@@ -453,17 +454,14 @@ class TransportSweep:
     its two lengths and two raw tuples. Equal vectors give every rule the
     same values, so within a semilength only the first pair of each
     vector is judged and a later one passes every rule still open.
-    checked is settled per semilength: the pairs of the current one are
-    added to every open rule claimed there when the semilength changes,
-    when a rule fails (its pair included) and when results is read.
     """
 
     def __init__(self, rules, dyck_patterns=()):
         self._results = [{"rule": rule, "checked": 0, "counterexample": None}
                          for rule in rules]
-        self._open = list(enumerate(self._results))  # no counterexample yet
-        self._live = []  # open and claimed at the current semilength
-        self._n, self._seen, self._raws, self._pairs = None, set(), {}, 0
+        # per rule, the pairs read when its first claimed semilength began (None before)
+        self._starts = [None] * len(self._results)
+        self._open, self._read, self._n, self._seen = len(self._results), 0, None, set()
         self.dyck_keys, self.read_dyck, self.dyck_values, self.dyck_sides = _reader(
             dyck_patterns, (r["rule"].dyck_side for r in self._results))
         _, self.read_motzkin, _, self.motzkin_sides = _reader(
@@ -476,13 +474,10 @@ class TransportSweep:
 
     @property
     def results(self) -> list:
-        self._settle()
+        for r, start in zip(self._results, self._starts):
+            if start is not None and r["counterexample"] is None:
+                r["checked"] = self._read - start
         return self._results
-
-    def _settle(self) -> None:
-        for _, r in self._live:
-            r["checked"] += self._pairs
-        self._pairs = 0
 
     def add(self, n: int, pairs) -> None:
         for dyck, motz in pairs:
@@ -492,25 +487,25 @@ class TransportSweep:
 
     def check(self, n: int, dyck: str, motz: str) -> tuple:
         if n != self._n:
-            self._settle()
-            self._n, self._seen, self._raws = n, set(), {}
-            self._live = [(k, r) for k, r in self._open if n >= r["rule"].min_n]
-        self._pairs += 1
+            self._n, self._seen = n, set()
+            self._starts = [self._read if start is None and n >= r["rule"].min_n else start
+                            for r, start in zip(self._results, self._starts)]
+        self._read += 1
         raw = self.read_dyck(dyck)
         # nested: CPython 3.11 never reuses the freed 20-tuples a flat one made
         vector = (len(dyck), len(motz), raw, self.read_motzkin(motz))
         if vector in self._seen:
             return raw
-        # the set keeps one tuple per distinct raw, not one per vector
-        raw = self._raws.setdefault(raw, raw)
-        self._seen.add((*vector[:2], raw, vector[3]))
+        self._seen.add(vector)
         lhs = self.dyck_sides(raw, vector[0])
         rhs = self.motzkin_sides(vector[3], vector[1])
-        for k, r in list(self._live):
-            if lhs[k] != rhs[k]:
-                self._settle()
-                r["counterexample"] = {"n": n, "path": dyck, "image": motz,
-                                       "lhs": lhs[k], "rhs": rhs[k]}
-                self._open.remove((k, r))
-                self._live.remove((k, r))
+        for k, start in enumerate(self._starts):
+            # a rule not yet claimed has no start; a failed one stays frozen
+            if lhs[k] == rhs[k] or start is None or self._results[k]["counterexample"]:
+                continue
+            r = self._results[k]
+            r["checked"] = self._read - start
+            r["counterexample"] = {"n": n, "path": dyck, "image": motz,
+                                   "lhs": lhs[k], "rhs": rhs[k]}
+            self._open -= 1
         return raw

@@ -329,6 +329,8 @@ class TruncatedSeries(_Ring):
 
     def truncate(self, trunc_x: int) -> "TruncatedSeries":
         """Copy restricted to a lower (or equal) truncation order."""
+        if trunc_x < 0:
+            raise ValueError("truncation order must be nonnegative")
         if trunc_x > self.trunc_x:
             raise ValueError(
                 f"cannot extend truncation {self.trunc_x} to {trunc_x}")

@@ -30,6 +30,7 @@ report consistency notices instead.
 from __future__ import annotations
 
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -108,6 +109,8 @@ class GoldenData:
 
 # fields per golden record; a pop record may carry tags after its five
 _FIELDS = {"dist": 6, "sum": 4, "pop": 5, "seq": 6}
+# the sequence targets _resolve_target reads, each naming one pattern
+_TARGET_RE = re.compile(r"(?:pop|avoid):([^:]+)|(?:row|diag):([^:]+):\d+")
 
 
 def load_golden_tables(path: Optional[str] = None) -> GoldenData:
@@ -130,6 +133,12 @@ def load_golden_tables(path: Optional[str] = None) -> GoldenData:
                 raise ValueError(f"a {kind} record has {_FIELDS[kind]} fields, "
                                  f"not {len(parts)}")
             names = {"dist": [parts[2]], "pop": parts[2].split(",")}.get(kind, [])
+            if kind == "seq":
+                target = _TARGET_RE.fullmatch(parts[3])
+                if target is None:
+                    raise ValueError(f"sequence target {parts[3]!r} is not pop:P, "
+                                     f"avoid:P, row:P:k or diag:P:j")
+                names = [target.group(1) or target.group(2)]
             for name in names:
                 if name not in PATTERNS:
                     raise ValueError(f"unknown pattern {name!r}")

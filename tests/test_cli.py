@@ -271,6 +271,12 @@ def test_unwritable_format_exits_2(argv, message, capsys):
     ("pop pop2 UD,QQ 3 8", "unknown pattern 'QQ'"),
     ("pop pop2 UD 3 8 misprint:x", "invalid literal"),
     ("sum dist:UD 2 2 9", "a sum record has 4 fields, not 5"),
+    ("seq A000001 stated pop:XX 1 1,3", "unknown pattern 'XX'"),
+    ("seq A000001 stated avoid:UD,DU 1 1,3", "unknown pattern 'UD,DU'"),
+    ("seq A000001 stated row:UD:x 1 1,3", "sequence target 'row:UD:x' is not"),
+    ("seq A000001 stated diag:UD 1 1,3", "sequence target 'diag:UD' is not"),
+    ("seq A000001 stated foo:UD 1 1,3", "sequence target 'foo:UD' is not"),
+    ("seq A000001 stated UD 1 1,3", "sequence target 'UD' is not"),
 ])
 def test_verify_rejects_a_malformed_seed_record(tmp_path, capsys, record, reason):
     seed = tmp_path / "seed.txt"

@@ -198,6 +198,8 @@ def test_du_series_rebuilt_from_ud():
 def test_negative_truncation_is_a_value_error(N):
     # the guard orders must not turn a negative size into a valid one
     for route in (lambda: distribution_gf_closed("UD", N),
+                  lambda: distribution_gf_fixed_point("UU", N),
+                  lambda: distribution_brute_force("UD", N),
                   lambda: popularity_gf("UU", N), lambda: du_from_ud(N)):
         with pytest.raises(ValueError, match="truncation order must be nonnegative"):
             route()

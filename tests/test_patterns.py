@@ -528,30 +528,57 @@ def test_memoised_sweep_matches_a_naive_per_pair_loop():
         _wrong_rule("UDU", "FF"),
         _wrong_rule("UUU", "UF+D + 2*UF+U + UU"),
         _wrong_rule("UD", "F + UD + UUUU"),  # UUUU: a generic-counter term
+        TransportRule("UDU", parse_statistic("UDU", "dyck"),  # claimed inside a gap
+                      parse_statistic("FF", "motzkin"), min_n=4),
     ]
-    families = [list(family_pairs(n)) for n in range(10)]
-    profiled = [[(PathProfile(d), PathProfile(m)) for d, m in pairs] for pairs in families]
-    naive = []
-    for rule in rules:
-        checked, counterexample = 0, None
-        for n in range(rule.min_n, 10):
-            for dyck, motz in profiled[n]:
+    # every pair of n <= 9 with each rule's two values on it
+    stream = []
+    for n in range(10):
+        for dyck, motz in family_pairs(n):
+            d, m = PathProfile(dyck), PathProfile(motz)
+            stream.append((n, dyck, motz, [(evaluate_statistic(dyck, r.dyck_side, d),
+                                            evaluate_statistic(motz, r.motzkin_side, m))
+                                           for r in rules]))
+
+    def naive(pairs):
+        results = []
+        for k, rule in enumerate(rules):
+            checked, counterexample = 0, None
+            for n, dyck, motz, values in pairs:
+                if n < rule.min_n:
+                    continue
                 checked += 1
-                lhs = evaluate_statistic(dyck.path, rule.dyck_side, dyck)
-                rhs = evaluate_statistic(motz.path, rule.motzkin_side, motz)
+                lhs, rhs = values[k]
                 if lhs != rhs:
-                    counterexample = {"n": n, "path": dyck.text, "image": motz.text,
+                    counterexample = {"n": n, "path": dyck, "image": motz,
                                       "lhs": lhs, "rhs": rhs}
                     break
-            if counterexample is not None:
-                break
-        naive.append((checked, counterexample))
+            results.append((checked, counterexample))
+        return results
+
+    def read(sweep):
+        return [(r["checked"], r["counterexample"]) for r in sweep.results]
+
     sweep = TransportSweep(rules)
-    for n, pairs in enumerate(families):
-        sweep.add(n, pairs)
-    assert [(r["checked"], r["counterexample"]) for r in sweep.results] == naive
-    assert naive[-1][0] == 217 and naive[-1][1]["n"] == 8
-    assert [c is None for _, c in naive] == [True] * 15 + [False] * 3
+    for n in range(10):
+        sweep.add(n, ((dyck, motz) for k, dyck, motz, _ in stream if k == n))
+    whole = naive(stream)
+    assert read(sweep) == whole
+    assert whole[17][0] == 217 and whole[17][1]["n"] == 8
+    assert [c is None for _, c in whole] == [True] * 15 + [False] * 4
+    # semilengths with gaps, and results read within a semilength: after
+    # each of the first 17 pairs and on each side of every failing pair
+    gaps = [pair for pair in stream if pair[0] in (0, 1, 2, 5, 6, 9)]
+    for pairs in (stream, gaps):
+        failing = {(c["n"], c["path"]) for _, c in naive(pairs) if c}
+        fails = [t for t, (n, dyck, *_) in enumerate(pairs, 1) if (n, dyck) in failing]
+        reads = set(range(1, 18)) | {t + d for t in fails for d in (-1, 0, 1)}
+        sweep = TransportSweep(rules)
+        for t, (n, dyck, motz, _) in enumerate(pairs, 1):
+            sweep.check(n, dyck, motz)
+            if t in reads:
+                assert read(sweep) == naive(pairs[:t]), t
+        assert read(sweep) == naive(pairs)
 
 
 def test_sweep_memo_keys_on_each_pairs_own_size():

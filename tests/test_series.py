@@ -218,6 +218,14 @@ def test_constructor_rejects_rows_the_ring_cannot_use():
             TruncatedSeries(1, [[1], [0, bad]])
 
 
+def test_truncate_rejects_a_negative_order():
+    s = TruncatedSeries.one(3) + TruncatedSeries.x_var(3)
+    for order in (-1, -2):
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            s.truncate(order)
+    assert s.truncate(0) == TruncatedSeries.one(0)
+
+
 def test_constructor_trims_and_normalises_rows():
     padded = TruncatedSeries(2, [[1, 0], [0, 0], [2, Fraction(4, 2), Fraction(0, 3)]])
     assert padded == TruncatedSeries(2, [[1], [], [2, 2]])
