@@ -2,153 +2,32 @@
 height-constrained Dyck family, with a structure bijection between the
 constrained family and Motzkin paths, pattern statistics, and truncated
 generating function machinery."""
+from types import ModuleType as _ModuleType
 
-from .paths import (
-    DyckPath,
-    EmptyPathError,
-    LatticePath,
-    MotzkinPath,
-    NotADyckPathError,
-    NotAMotzkinPathError,
-    PathSyntaxError,
-    first_return_decompose,
-    height,
-    validate_motzkin,
-)
-from .enumeration import (
-    catalan_number,
-    count_constrained_by_height,
-    enumerate_constrained,
-    enumerate_dyck,
-    enumerate_motzkin,
-    motzkin_number,
-)
-from .bijection import (
-    NotConstrainedError,
-    check_bijectivity,
-    is_constrained,
-    phi,
-    phi_inverse,
-)
-from .patterns import (
-    DIRAC,
-    EmptyPatternError,
-    PathProfile,
-    PatternExpr,
-    PatternSyntaxError,
-    StatisticExpr,
-    TransportRule,
-    check_transport,
-    count_occurrences,
-    evaluate_statistic,
-    family_pairs,
-    parse_pattern,
-    parse_statistic,
-    transport_rule,
-    transport_rules,
-)
-from .series import (
-    InexactDivisionError,
-    NoConvergenceError,
-    NonSquareConstantTermError,
-    NonUnitDivisorError,
-    TruncatedSeries,
-)
-from .genfun import (
-    DEFAULT_TRUNCATION,
-    FIXED_POINT_PATTERNS,
-    RouteCheckError,
-    PATTERNS,
-    distribution_brute_force,
-    distribution_gf_closed,
-    distribution_gf_fixed_point,
-    du_from_ud,
-    popularity_gf,
-)
-from .oeis import (
-    CacheMissError,
-    MalformedBFileError,
-    NetworkUnavailableError,
-    bfile_url,
-    oeis_fetch,
-    parse_bfile,
-)
-from .verifier import (
-    GoldenData,
-    GoldenTable,
-    PopularityCell,
-    SequenceRef,
-    compare_sequence,
-    embedded_prefixes,
-    load_golden_tables,
-    render_text,
-    run_full_verification,
-)
+from .paths import (DyckPath, EmptyPathError, LatticePath, MotzkinPath,
+                    NotADyckPathError, NotAMotzkinPathError, PathSyntaxError,
+                    first_return_decompose, height, validate_motzkin)
+from .enumeration import (catalan_number, count_constrained_by_height,
+                          enumerate_constrained, enumerate_dyck, enumerate_motzkin,
+                          motzkin_number)
+from .bijection import (NotConstrainedError, check_bijectivity, is_constrained, phi,
+                        phi_inverse)
+from .patterns import (DIRAC, EmptyPatternError, PathProfile, PatternExpr,
+                       PatternSyntaxError, StatisticExpr, TransportRule,
+                       check_transport, count_occurrences, evaluate_statistic,
+                       family_pairs, parse_pattern, parse_statistic, transport_rule,
+                       transport_rules)
+from .series import (InexactDivisionError, NoConvergenceError,
+                     NonSquareConstantTermError, NonUnitDivisorError, TruncatedSeries)
+from .genfun import (DEFAULT_TRUNCATION, FIXED_POINT_PATTERNS, RouteCheckError,
+                     PATTERNS, distribution_brute_force, distribution_gf_closed,
+                     distribution_gf_fixed_point, du_from_ud, popularity_gf)
+from .oeis import (CacheMissError, MalformedBFileError, NetworkUnavailableError,
+                   bfile_url, oeis_fetch, parse_bfile)
+from .verifier import (GoldenData, GoldenTable, PopularityCell, SequenceRef,
+                       compare_sequence, embedded_prefixes, load_golden_tables,
+                       render_text, run_full_verification)
 
-__all__ = [
-    "LatticePath",
-    "MotzkinPath",
-    "DyckPath",
-    "PathSyntaxError",
-    "NotAMotzkinPathError",
-    "NotADyckPathError",
-    "EmptyPathError",
-    "validate_motzkin",
-    "height",
-    "first_return_decompose",
-    "is_constrained",
-    "enumerate_motzkin",
-    "enumerate_dyck",
-    "enumerate_constrained",
-    "count_constrained_by_height",
-    "motzkin_number",
-    "catalan_number",
-    "phi",
-    "phi_inverse",
-    "check_bijectivity",
-    "NotConstrainedError",
-    "parse_pattern",
-    "count_occurrences",
-    "PatternExpr",
-    "PatternSyntaxError",
-    "EmptyPatternError",
-    "DIRAC",
-    "PathProfile",
-    "parse_statistic",
-    "evaluate_statistic",
-    "StatisticExpr",
-    "TransportRule",
-    "transport_rule",
-    "transport_rules",
-    "check_transport",
-    "family_pairs",
-    "TruncatedSeries",
-    "NonUnitDivisorError",
-    "InexactDivisionError",
-    "NonSquareConstantTermError",
-    "PATTERNS",
-    "FIXED_POINT_PATTERNS",
-    "DEFAULT_TRUNCATION",
-    "NoConvergenceError",
-    "RouteCheckError",
-    "distribution_gf_closed",
-    "distribution_gf_fixed_point",
-    "distribution_brute_force",
-    "popularity_gf",
-    "du_from_ud",
-    "oeis_fetch",
-    "parse_bfile",
-    "bfile_url",
-    "NetworkUnavailableError",
-    "MalformedBFileError",
-    "CacheMissError",
-    "GoldenData",
-    "GoldenTable",
-    "PopularityCell",
-    "SequenceRef",
-    "load_golden_tables",
-    "embedded_prefixes",
-    "compare_sequence",
-    "run_full_verification",
-    "render_text",
-]
+# every name imported above, in one list
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

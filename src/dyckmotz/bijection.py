@@ -22,10 +22,19 @@ weighs each atom by the height of the block it closes: 1 for F, 2 plus
 the largest weight among Y's atoms for an arch. Block heights never
 increase along a level, while the atoms of gamma are all lower than the
 arch after them, so each atom closes one block and takes as its gamma
-the longest run of lower atoms just before it. phi and phi_inverse
-validate their paths; their cores _phi and _phi_inverse map plain
-texts, and the family pass leaves each image's validation to the round
-trip (see _BijectivityTally).
+the longest run of lower atoms just before it.
+
+Each public map validates its path once, in the pass that maps it. phi
+and is_constrained count the letters first (only U and D, as many of
+each), and then _phi's pass finds a dip as a D with no open block. The
+inverse's strict core _phi_inverse gives no member for a word that is
+not a Motzkin word. The validating constructors run only on a refusal,
+to word it. The outputs are valid by construction and typed without a
+second scan: _phi writes F or phi(gamma) U phi(beta) D per block, a
+Motzkin word of half the path's length, and _phi_inverse writes UD per
+F and UU...D...D per arch, a Dyck word of twice the word's length. The
+family pass calls the cores on plain texts and leaves each image's
+validation to the round trip (see _BijectivityTally).
 """
 from __future__ import annotations
 
@@ -40,15 +49,34 @@ class NotConstrainedError(ValueError):
 
 
 def phi(p: Union[str, DyckPath]) -> MotzkinPath:
-    """Image of a constrained Dyck path, validated as a MotzkinPath. Raises
-    NotConstrainedError when the precondition fails; the map is only
-    bijective on the family."""
-    return MotzkinPath(_phi(p if isinstance(p, DyckPath) else DyckPath(p)))
+    """Image of a constrained Dyck path, validated in phi's own pass.
+    Raises NotConstrainedError when the precondition fails; the map is
+    only bijective on the family."""
+    return str.__new__(MotzkinPath, _member_image(p))
+
+
+def _member_image(p: Union[str, DyckPath]) -> str:
+    """_phi on p's text, which this call validates as a Dyck path: only
+    U and D, as many of each, and no D that closes no block (a pop from
+    _phi's empty stack). A refusal is worded by DyckPath, whose fault
+    wins over a NotConstrainedError found before it."""
+    t, refusal = str(p), None
+    if len(t) == 2 * t.count("U") == 2 * t.count("D"):
+        try:
+            return _phi(t)
+        except IndexError:  # a dip below the axis
+            pass
+        except NotConstrainedError as exc:
+            refusal = exc
+    DyckPath(t)  # raises the error that names a fault of the Dyck path
+    raise refusal or RuntimeError(f"_phi refused the Dyck path {t!r}")
 
 
 def _phi(p: str) -> str:
     """phi on the text of a Dyck path, with no path validation; a
-    non-member still raises NotConstrainedError."""
+    non-member still raises NotConstrainedError. It writes F or
+    phi(gamma) U phi(beta) D per block, one letter per U/D pair, so the
+    image of a Dyck path is a Motzkin word of half its length."""
     # the open block's frame: the heights of its first and latest inner
     # blocks, the first one's image and content image, the later images
     # joined; the frames of the enclosing blocks wait on the stack
@@ -79,27 +107,31 @@ def _phi(p: str) -> str:
 
 
 def is_constrained(p: Union[str, DyckPath]) -> bool:
-    """Membership in the constrained family, by phi's own scan. Input that
+    """Membership in the constrained family, by phi's own pass. Input that
     is not a Dyck path raises the DyckPath validation error."""
     try:
-        _phi(p if isinstance(p, DyckPath) else DyckPath(p))
+        _member_image(p)
     except NotConstrainedError:
         return False
     return True
 
 
 def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:
-    """The unique family member mapping to m under phi, validated by the strict core's pass."""
+    """The unique family member mapping to m under phi, validated by the
+    strict core's pass and, as that core writes only Dyck words, not
+    scanned again."""
     back = _phi_inverse(str(m))
     if back is None:
         MotzkinPath(m)  # raises the error that names the fault
         raise RuntimeError(f"_phi_inverse refused the Motzkin path {str(m)!r}")
-    return DyckPath(back)
+    return str.__new__(DyckPath, back)
 
 
 def _phi_inverse(m: str) -> Optional[str]:
     """phi_inverse on a text, unvalidated but strict: None unless m is a
-    Motzkin word."""
+    Motzkin word. It writes UD per F and UU...D...D per arch, two letters
+    per letter read, so a member it gives is a Dyck word of twice m's
+    length."""
     # the open arch's level as parallel lists of decoded block heights and
     # texts; heights never increase along a level
     heights, texts, stack = [], [], []

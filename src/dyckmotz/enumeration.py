@@ -32,17 +32,17 @@ def catalan_number(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def motzkin_number(n: int) -> int:
-    # binomial sum over the number of paired steps; exact and division-free
-    return sum(comb(n, 2 * k) * catalan_number(k) for k in range(n // 2 + 1))
-
-
 def motzkin_numbers(n: int) -> list:
     """M_0, ..., M_n from (k + 2) M_k = (2k + 1) M_(k-1) + 3(k - 1) M_(k-2)."""
     m = [1, 1][:n + 1]
     for k in range(2, n + 1):
         m.append(((2 * k + 1) * m[-1] + 3 * (k - 1) * m[-2]) // (k + 2))
     return m
+
+
+def motzkin_number(n: int) -> int:
+    """M_n, the last entry of motzkin_numbers(n); 0 for a negative n."""
+    return motzkin_numbers(n)[-1] if n >= 0 else 0
 
 
 def enumerate_motzkin(n: int) -> Iterator[MotzkinPath]:

@@ -6,6 +6,11 @@ string, with the empty path written as the empty string. Step order for
 all canonical path orderings is U < D < F (which is not ASCII order, so
 use sort_key when sorting path strings). Membership in the constrained
 family is checked by phi's own pass (bijection.is_constrained).
+
+The constructors validate; code that builds a path valid by construction
+(the enumeration walker, phi and phi_inverse) types it with
+str.__new__(cls, text) and skips the scan. The maps call a constructor
+only on a refusal, to word the error.
 """
 from __future__ import annotations
 

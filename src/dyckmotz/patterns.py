@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .bijection import _phi
+from .bijection import NotConstrainedError, _phi
 from .enumeration import enumerate_constrained
 from .paths import LatticePath
 
@@ -398,15 +398,24 @@ def transport_rule(name: str) -> TransportRule:
                        f"known: {', '.join(sorted(_RULES_BY_NAME))}") from None
 
 
-def family_pairs(n: int) -> Iterator:
+def family_pairs(n: int, rejected: Optional[list] = None) -> Iterator:
     """Yield (member, image) as plain texts for every family member of
     semilength n, in enumeration order: the one pass over the family per
     semilength, each pair built when reached and handed to every check
     that reads it, so no semilength is held in memory. The image comes
     from the unvalidated _phi: the bijectivity tally's round trip is what
-    proves it a Motzkin word of length n."""
+    proves it a Motzkin word of length n. A walker output that _phi
+    refuses raises NotConstrainedError, or, given a list rejected, has
+    the error's message appended to it and is skipped."""
     for p in enumerate_constrained(n):
-        yield str(p), _phi(p)
+        try:
+            m = _phi(p)
+        except NotConstrainedError as exc:
+            if rejected is None:
+                raise
+            rejected.append(str(exc))
+            continue
+        yield str(p), m
 
 
 def _unchecked(rule: TransportRule, max_n: int) -> str:

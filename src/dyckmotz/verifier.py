@@ -38,7 +38,7 @@ from importlib import resources
 from itertools import pairwise
 from typing import Optional
 
-from .bijection import NotConstrainedError, _BijectivityTally
+from .bijection import _BijectivityTally
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
 from .genfun import (PATTERNS, _brute_force, _distribution_row,
                      _pop_closed_length2, _popularity, cross_check_routes,
@@ -246,23 +246,21 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     transport = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
     uud, duu = map(transport.dyck_keys.index, ("UUD", "DUU"))
     for n in range(max_n + 1):
-        tally = _BijectivityTally(n)
+        tally, rejected = _BijectivityTally(n), []
         tallies = Counter()  # read_dyck raw tuple -> paths
-        try:
-            for d, m in family_pairs(n):
-                tally.add(d, m)
-                raw = transport.check(n, d, m)
-                # the first path of each raw tuple, in enumeration order
-                if structural_worst is None and raw not in tallies:
-                    vector = transport.dyck_values(raw)
-                    k = vector[uud]
-                    if k > 1 and vector[duu] == 0:
-                        structural_worst = {"n": n, "path": d, "UUD": k}
-                tallies[raw] += 1
-        except NotConstrainedError as exc:
-            # the walker yielded a path phi rejects: the pass at n ends there
-            bad = bad or {"n": n, "error": str(exc)}
-        counts.append(tally.domain)
+        for d, m in family_pairs(n, rejected):
+            tally.add(d, m)
+            raw = transport.check(n, d, m)
+            # the first path of each raw tuple, in enumeration order
+            if structural_worst is None and raw not in tallies:
+                vector = transport.dyck_values(raw)
+                k = vector[uud]
+                if k > 1 and vector[duu] == 0:
+                    structural_worst = {"n": n, "path": d, "UUD": k}
+            tallies[raw] += 1
+        if rejected:  # the walker yielded paths phi rejects; the pass skipped them
+            bad = bad or {"n": n, "error": rejected[0]}
+        counts.append(tally.domain + len(rejected))
         rows.append(_distribution_row(tallies, transport.dyck_keys,
                                       transport.dyck_values))
         report = tally.report()

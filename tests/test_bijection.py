@@ -17,6 +17,7 @@ from dyckmotz import (
     enumerate_dyck,
     enumerate_motzkin,
     family_pairs,
+    is_constrained,
     motzkin_number,
     phi,
     phi_inverse,
@@ -134,7 +135,11 @@ def _random_motzkin(length, rng):
 @given(st.integers(2000, 3000), st.integers(0, 2 ** 32))
 def test_long_motzkin_words_round_trip(length, seed):
     m = _random_motzkin(length, random.Random(seed))
-    assert phi(phi_inverse(m)) == m
+    # the maps type their outputs without a scan: the constructors agree
+    back = phi_inverse(m)
+    assert DyckPath(back) == back
+    image = phi(back)
+    assert MotzkinPath(image) == image == m
 
 
 def test_long_extreme_shapes_round_trip():
@@ -166,16 +171,21 @@ def test_inverse_reports_a_core_that_refuses_a_motzkin_path(monkeypatch):
 
 
 def test_inverse_round_trips_every_image_to_12_and_a_long_pyramid():
+    # the maps type their outputs without a scan: the constructors agree
     assert phi_inverse("") == "" and isinstance(phi_inverse(""), DyckPath)
     images = 0
     for n in range(13):
         for p in enumerate_constrained(n):
-            back = phi_inverse(phi(p))
-            assert back == p and isinstance(back, DyckPath)
+            m = phi(p)
+            back = phi_inverse(m)
+            assert MotzkinPath(m) == m and DyckPath(back) == back == p
+            assert type(m) is MotzkinPath and type(back) is DyckPath
             images += 1
     assert images == 24871 == sum(map(motzkin_number, range(13)))
-    pyramid = "U" * 3000 + "D" * 3000
-    assert phi_inverse(str(phi(pyramid))) == pyramid
+    for p in ("U" * 5000 + "D" * 5000, "UD" * 5000):
+        m = phi(p)
+        back = phi_inverse(str(m))
+        assert MotzkinPath(m) == m and DyckPath(back) == back == p
 
 
 def test_inverse_core_gives_no_member_for_a_non_motzkin_word():
@@ -187,6 +197,15 @@ def test_inverse_core_gives_no_member_for_a_non_motzkin_word():
         assert _phi_inverse(m) == phi_inverse(m)
 
 
+# a block taller than its left sibling comes before each later fault at 6
+MIXED_FAULTS = (
+    ("UDUUDDDU", NotAMotzkinPathError, "first violation at position 6 in 'UDUUDDDU'"),
+    ("UDUUDDD", NotAMotzkinPathError, "first violation at position 6 in 'UDUUDDD'"),
+    ("UUDUDDU", NotAMotzkinPathError, "first violation at position 6 in 'UUDUDDU'"),
+    ("UDUUDDF", NotADyckPathError, "flat step at position 6 in 'UDUUDDF'"),
+    ("UDUUDDX", PathSyntaxError, "invalid step 'X' at position 6 in 'UDUUDDX'"))
+
+
 def test_public_map_errors_are_unchanged():
     for apply, text, error, message in (
             (phi_inverse, "FU", NotAMotzkinPathError, "first violation at position 1 in 'FU'"),
@@ -196,10 +215,14 @@ def test_public_map_errors_are_unchanged():
             (phi, "UX", PathSyntaxError, "invalid step 'X' at position 1 in 'UX'"),
             (phi, "DU", NotAMotzkinPathError, "first violation at position 0 in 'DU'"),
             (phi, "UFD", NotADyckPathError, "flat step at position 1 in 'UFD'"),
-            (phi, "UDUUDD", NotConstrainedError, "not in the constrained family: 'UDUUDD'")):
+            (phi, "UDUUDD", NotConstrainedError, "not in the constrained family: 'UDUUDD'"),
+            *((apply, *fault) for apply in (phi, is_constrained) for fault in MIXED_FAULTS)):
         with pytest.raises(error) as caught:
             apply(text)
+        assert type(caught.value) is error, (text, caught.value)
         assert str(caught.value).endswith(message), (text, str(caught.value))
+        if hasattr(caught.value, "position"):
+            assert f"position {caught.value.position} in" in str(caught.value)
 
 
 def test_check_bijectivity_report():

@@ -221,6 +221,34 @@ def test_verify_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker)
         "n": 3, "error": "not in the constrained family: 'UDUUDD'"}
 
 
+@pytest.fixture
+def walker_defect_mid_semilength(monkeypatch):
+    # the non-member comes second at n = 3, before three real members
+    real = patterns.enumerate_constrained
+
+    def walk_with_extra(n):
+        members = real(n)
+        if n == 3:
+            yield next(members)
+            yield "UDUUDD"
+        yield from members
+
+    monkeypatch.setattr(patterns, "enumerate_constrained", walk_with_extra)
+
+
+def test_verify_reports_a_walker_defect_mid_semilength(capsys, walker_defect_mid_semilength):
+    # the pass skips the non-member and walks on: the report is complete
+    assert main(["verify", "--max-n", "4", "--format", "json"]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["bijectivity"]["status"] == "fail"
+    assert checks["bijectivity"]["counterexample"] == {
+        "n": 3, "error": "not in the constrained family: 'UDUUDD'"}
+    assert checks["cardinality"]["counterexample"] == {
+        "computed": [1, 1, 2, 5, 9], "expected": [1, 1, 2, 4, 9]}
+    assert {name for name, c in checks.items() if c["status"] == "fail"} == {
+        "cardinality", "bijectivity"}
+
+
 def test_check_transport_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker):
     assert main(["check-transport", "--all", "--max-n", "4"]) == 1
     captured = capsys.readouterr()

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from itertools import product
+from math import comb
 
 from dyckmotz import (
     DyckPath,
@@ -40,9 +41,15 @@ def test_number_helpers():
     assert [catalan_number(n) for n in range(10)] == CATALAN
 
 
+def _motzkin_by_binomial_sum(n):
+    # the independent oracle: a sum over the number of paired steps
+    return sum(comb(n, 2 * k) * catalan_number(k) for k in range(n // 2 + 1))
+
+
 def test_motzkin_table_equals_the_binomial_sum():
     assert motzkin_numbers(0) == [1]
-    assert motzkin_numbers(300) == [motzkin_number(n) for n in range(301)]
+    assert motzkin_numbers(300) == [_motzkin_by_binomial_sum(n) for n in range(301)]
+    assert [motzkin_number(n) for n in range(301)] == motzkin_numbers(300)
 
 
 def test_motzkin_enumeration_matches_brute_force():
