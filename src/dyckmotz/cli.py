@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .bijection import NotConstrainedError, phi, phi_inverse
+from .bijection import phi, phi_inverse
 from .enumeration import enumerate_constrained, enumerate_dyck, enumerate_motzkin
 from .genfun import (
     DEFAULT_TRUNCATION,
@@ -183,10 +183,10 @@ def _cmd_check_transport(args) -> int:
     for n in range(max_n + 1):
         if sweep.done:
             break
-        try:
-            sweep.add(n, family_pairs(n))
-        except NotConstrainedError as exc:  # a walker defect, not bad input
-            print(f"FAIL  family at n={n}: {exc}")
+        rejected = []
+        sweep.add(n, family_pairs(n, rejected))
+        if rejected:  # a walker defect, not bad input
+            print(f"FAIL  family at n={n}: {rejected[0]}")
             return 1
     if not args.all_rules and not sweep.results[0]["checked"]:
         check_transport(rules[0], max_n)  # raises: nothing is claimed up to max_n

@@ -21,6 +21,12 @@ equal to Motzkin numbers. Popularity (total occurrence count over the
 family) is the y-derivative at y = 1, with independently printed closed
 forms for the length-2 patterns checked against the derivative route.
 
+Each printed form is evaluated once per truncation order per process,
+in the memo _printed keyed by the form itself, which the fixed-point and
+brute-force routes never read. The module caches are all bounded:
+_printed (32 forms), _family_row (25 semilengths) and
+enumeration._at_most_table (4 tables).
+
 DD shares the UU distribution; the brute-force route still counts DD
 literally so the alias is itself testable.
 """
@@ -151,14 +157,25 @@ _CLOSED_FORMS = {
 }
 
 
+# holds one truncation order's 11 closed and 3 popularity forms twice over
+@lru_cache(maxsize=32)
+def _printed(form, N: int, popularity: bool) -> TruncatedSeries:
+    """form on x and y, or on x and the popularity radical, at x-order
+    N + _GUARD; callers read it through truncate, which copies the rows."""
+    x = TruncatedSeries.x_var(N + _GUARD)
+    if popularity:
+        return form(x, (-3*x**2 - 2*x + 1).sqrt_unit())
+    return form(x, TruncatedSeries.y_var(N + _GUARD))
+
+
 def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
+    """The printed closed form through x^N: evaluated once per N per
+    process (_printed), copied and validated on every call."""
     pattern = _canon(pattern)
     if N < 0:  # before the guard orders would make it a valid size
         raise ValueError("truncation order must be nonnegative")
-    x = TruncatedSeries.x_var(N + _GUARD)
-    y = TruncatedSeries.y_var(N + _GUARD)
     return _validate_distribution(
-        _CLOSED_FORMS[pattern](x, y).truncate(N), pattern, "closed")
+        _printed(_CLOSED_FORMS[pattern], N, False).truncate(N), pattern, "closed")
 
 
 # functional equations ----------------------------------------------------
@@ -287,9 +304,11 @@ def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:
 
 def cross_check_routes(pattern: str, N: int, brute_series: TruncatedSeries):
     """{route: series} for closed, brute and (where on record) fixed, in
-    that order, and {route: equals brute_series} for the other routes."""
-    routes = {"closed": distribution_gf_closed(pattern, N),
-              "brute": brute_series}
+    that order, and {route: equals brute_series} for the other routes; a
+    brute_series of None leaves brute out and agrees with nothing."""
+    routes = {"closed": distribution_gf_closed(pattern, N)}
+    if brute_series is not None:
+        routes["brute"] = brute_series
     if pattern in FIXED_POINT_PATTERNS:
         routes["fixed"] = distribution_gf_fixed_point(pattern, N)
     agree = {name: s == brute_series for name, s in routes.items() if name != "brute"}
@@ -328,9 +347,7 @@ def popularity_gf(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     pattern = _canon(pattern)
     derived = _popularity(distribution_gf_closed(pattern, N))
     if pattern in _pop_closed_length2:
-        x = TruncatedSeries.x_var(N + _GUARD)
-        r = (-3*x**2 - 2*x + 1).sqrt_unit()
-        if _pop_closed_length2[pattern](x, r).truncate(N) != derived:
+        if _printed(_pop_closed_length2[pattern], N, True).truncate(N) != derived:
             raise RouteCheckError(
                 f"popularity closed form for {pattern} disagrees with the "
                 f"derivative route")

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .bijection import NotConstrainedError, _phi
+from .bijection import NotConstrainedError, _member_image, _phi
 from .enumeration import enumerate_constrained
 from .paths import LatticePath
 
@@ -405,16 +405,20 @@ def family_pairs(n: int, rejected: Optional[list] = None) -> Iterator:
     that reads it, so no semilength is held in memory. The image comes
     from the unvalidated _phi: the bijectivity tally's round trip is what
     proves it a Motzkin word of length n. A walker output that _phi
-    refuses raises NotConstrainedError, or, given a list rejected, has
-    the error's message appended to it and is skipped."""
+    refuses (a non-member, or a dip below the axis) raises the error
+    that phi would, or, given a list rejected, has its message appended
+    to it and is skipped."""
     for p in enumerate_constrained(n):
         try:
             m = _phi(p)
-        except NotConstrainedError as exc:
-            if rejected is None:
-                raise
-            rejected.append(str(exc))
-            continue
+        except (NotConstrainedError, IndexError):
+            try:
+                _member_image(p)  # raises the refusal, worded
+            except ValueError as exc:
+                if rejected is None:
+                    raise
+                rejected.append(str(exc))
+                continue
         yield str(p), m
 
 

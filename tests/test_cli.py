@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dyckmotz import genfun, patterns
+from dyckmotz import PATTERNS, genfun, patterns, phi
 from dyckmotz.cli import main
 
 
@@ -247,6 +247,80 @@ def test_verify_reports_a_walker_defect_mid_semilength(capsys, walker_defect_mid
         "computed": [1, 1, 2, 5, 9], "expected": [1, 1, 2, 4, 9]}
     assert {name for name, c in checks.items() if c["status"] == "fail"} == {
         "cardinality", "bijectivity"}
+
+
+@pytest.fixture
+def walker_with_a_dip(monkeypatch):
+    # DUUD, a word with a dip below the axis, comes second at n = 2
+    real = patterns.enumerate_constrained
+
+    def walk_with_dip(n):
+        members = real(n)
+        if n == 2:
+            yield next(members)
+            yield "DUUD"
+        yield from members
+
+    monkeypatch.setattr(patterns, "enumerate_constrained", walk_with_dip)
+
+
+def test_verify_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip):
+    # the dip is refused with phi's own error, not a crash in the pass
+    assert main(["verify", "--max-n", "4", "--format", "json"]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["bijectivity"]["counterexample"] == {
+        "n": 2, "error": "not a Motzkin path: first violation at position 0 in 'DUUD'"}
+    assert checks["cardinality"]["counterexample"] == {
+        "computed": [1, 1, 3, 4, 9], "expected": [1, 1, 2, 4, 9]}
+    assert {name for name, c in checks.items() if c["status"] == "fail"} == {
+        "cardinality", "bijectivity"}
+
+
+def test_family_pairs_raises_phis_error_on_a_dip(walker_with_a_dip):
+    with pytest.raises(ValueError) as refusal:
+        list(patterns.family_pairs(2))
+    with pytest.raises(ValueError) as expected:
+        phi("DUUD")
+    assert type(refusal.value) is type(expected.value)
+    assert str(refusal.value) == str(expected.value)
+
+
+def test_check_transport_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip):
+    assert main(["check-transport", "--all", "--max-n", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  family at n=2: not a Motzkin path: first violation at position 0 in 'DUUD'"]
+
+
+@pytest.fixture
+def walker_dropping_a_member(monkeypatch):
+    # the second member of n = 3 is never yielded
+    real = patterns.enumerate_constrained
+
+    def walk_without(n):
+        members = real(n)
+        if n == 3:
+            yield next(members)
+            next(members)
+        yield from members
+
+    monkeypatch.setattr(patterns, "enumerate_constrained", walk_without)
+
+
+def test_verify_reports_a_walker_that_drops_a_member(capsys, walker_dropping_a_member):
+    # the short brute-force rows fail each three-way record; the report is complete
+    assert main(["verify", "--max-n", "4", "--format", "json"]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    three_way = {f"three-way:{p}" for p in PATTERNS}
+    assert {name for name, c in checks.items() if c["status"] == "fail"} == {
+        "cardinality", "bijectivity", *three_way}
+    for name in three_way:
+        pattern = name.split(":")[1]
+        assert checks[name]["details"] == f"{pattern}/brute: row sum at x^3 is 3, want M_3 = 4"
+    assert checks["cardinality"]["counterexample"] == {
+        "computed": [1, 1, 2, 3, 9], "expected": [1, 1, 2, 4, 9]}
+    # the golden records compare the routes that exist: closed, and fixed for UDU
+    assert checks["golden:dist:UDU"]["details"].endswith("against 2 routes")
+    assert checks["golden:sum-row"]["status"] == "pass"
 
 
 def test_check_transport_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker):

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import pytest
 
@@ -209,3 +210,49 @@ def test_distribution_starts_at_one():
     for pattern in PATTERNS:
         series = distribution_gf_closed(pattern, 5)
         assert series.y_poly(0) == [1]
+
+
+# the memo of printed forms ---------------------------------------------------
+
+def _counting(form, calls):
+    def counted(x, y):
+        calls[form.__name__, x.trunc_x] += 1
+        return form(x, y)
+    return counted
+
+
+def test_each_printed_form_is_evaluated_once_per_truncation(monkeypatch):
+    calls = Counter()
+    for pattern in ("UD", "DU"):
+        monkeypatch.setitem(genfun._CLOSED_FORMS, pattern,
+                            _counting(genfun._CLOSED_FORMS[pattern], calls))
+    distribution_gf_closed("UD", 20)
+    popularity_gf("UD", 20)
+    du_from_ud(20)
+    assert calls == {("_cf_ud", 22): 1, ("_cf_du", 22): 1}
+
+
+def test_memoised_series_are_copies():
+    first = distribution_gf_closed("UDU", 8)
+    true_rows = [first.y_poly(n) for n in range(9)]
+    for n in range(9):
+        first.coeffs[n].append(7)
+        first.coeffs[n][0] += 1
+    second = distribution_gf_closed("UDU", 8)
+    assert [second.y_poly(n) for n in range(9)] == true_rows
+    assert second == distribution_gf_fixed_point("UDU", 8)
+
+
+def test_memo_is_keyed_by_the_form_not_the_pattern(monkeypatch):
+    uud = distribution_gf_closed("UUD", 9)
+    monkeypatch.setitem(genfun._CLOSED_FORMS, "UUD", genfun._cf_duu)
+    swapped = distribution_gf_closed("UUD", 9)
+    assert swapped == distribution_gf_closed("DUU", 9) and swapped != uud
+
+
+def test_memo_is_bounded():
+    maxsize = genfun._printed.cache_info().maxsize
+    assert maxsize is not None
+    for N in range(maxsize + 3):
+        distribution_gf_closed("UD", N)
+    assert genfun._printed.cache_info().currsize <= maxsize
