@@ -15,7 +15,8 @@ import os
 import sys
 
 from .bijection import phi, phi_inverse
-from .enumeration import enumerate_constrained, enumerate_dyck, enumerate_motzkin
+from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzkin,
+                          motzkin_numbers)
 from .genfun import (
     DEFAULT_TRUNCATION,
     PATTERNS,
@@ -216,8 +217,17 @@ def _series_for(pattern: str, method: str, max_n: int):
     return distribution_gf_fixed_point(pattern, max_n)
 
 
+# a brute-force walk over more family members than this is announced first
+_LONG_WALK = 10 ** 7
+
+
 def _cmd_gf(args) -> int:
     max_n = args.max_n if args.max_n is not None else DEFAULT_TRUNCATION // 2
+    if args.method in ("brute", "all"):
+        members = sum(motzkin_numbers(max_n))  # the family has M_n members at n
+        if members > _LONG_WALK:
+            print(f"dyckmotz: the brute-force route walks {members} family members "
+                  f"(n = 0..{max_n})", file=sys.stderr)
     if args.method == "all":
         routes, agree = cross_check_routes(
             args.pattern, max_n, distribution_brute_force(args.pattern, max_n))

@@ -33,12 +33,13 @@ class PathSyntaxError(ValueError):
 
 
 class NotAMotzkinPathError(ValueError):
-    """The step sequence dips below the axis or does not end on it."""
+    """The step sequence dips below the axis or does not end on it; kind
+    names the path class that refused it (Motzkin, or Dyck for a DyckPath)."""
 
-    def __init__(self, steps: str, position: int):
+    def __init__(self, steps: str, position: int, kind: str = "Motzkin"):
         self.position = position
         super().__init__(
-            f"not a Motzkin path: first violation at position {position} in {steps!r}")
+            f"not a {kind} path: first violation at position {position} in {steps!r}")
 
 
 class NotADyckPathError(ValueError):
@@ -69,17 +70,20 @@ class LatticePath(str):
 
 class MotzkinPath(LatticePath):
     """A lattice path that never goes below the x-axis and ends on it."""
+    _kind = "Motzkin"  # the path a refusal names
 
     def __new__(cls, steps: object = ""):
         p = super().__new__(cls, steps)
         hs = p.heights()
         if -1 in hs or hs and hs[-1]:  # steps move by one: a first dip is to -1
-            raise NotAMotzkinPathError(str(p), hs.index(-1) if -1 in hs else len(p) - 1)
+            raise NotAMotzkinPathError(str(p), hs.index(-1) if -1 in hs else len(p) - 1,
+                                       cls._kind)
         return p
 
 
 class DyckPath(MotzkinPath):
     """A Motzkin path with no flat steps; its semilength is length / 2."""
+    _kind = "Dyck"
 
     def __new__(cls, steps: object = ""):
         p = super().__new__(cls, steps)

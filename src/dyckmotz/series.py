@@ -23,6 +23,11 @@ time with the same kernel; the fixed-point route builds its equations
 from it, with +, -, * and ** only; a node read for the order it is
 computing raises NoConvergenceError. Both rings derive from _Ring, which
 writes reflected +, both -'s and ** once from _lift, __add__, __neg__, __mul__.
+
+A product with a monomial factor c*x^e*y^m (one nonzero row, holding one
+entry) skips the kernel in both rings: its row k is the other factor's row
+k - e shifted m places up and scaled by c (_scale). Every other product
+is packed.
 """
 from __future__ import annotations
 
@@ -131,6 +136,24 @@ def _unpack(total: int, width: int, den: int) -> List[Scalar]:
     return _trim(poly) if den == 1 else _pdiv(_trim(poly), den)
 
 
+def _monomial(rows: List[List[Scalar]], nonzero: List[int]):
+    """(e, c, m) when the only nonzero row of rows, at x^e, is c*y^m;
+    nonzero lists the indices of the nonzero rows. Otherwise None."""
+    if len(nonzero) == 1:
+        row = rows[nonzero[0]]
+        if not any(row[:-1]):
+            return nonzero[0], row[-1], len(row) - 1
+    return None
+
+
+def _scale(row: List[Scalar], c: Scalar, m: int) -> List[Scalar]:
+    """c*y^m*row for a nonzero c, trimmed and in lowest terms as row is."""
+    out = [c * v for v in row]
+    if type(sum(out)) is not int:  # a Fraction among them: ints sum to an int
+        out = list(map(_norm, out))
+    return [0] * m + out if out else []
+
+
 def _pdiv(a: List[Scalar], d: Scalar) -> List[Scalar]:
     """a / d for a nonzero d: an int that an int d divides stays an int,
     and a Fraction is built only for any other coefficient."""
@@ -188,10 +211,10 @@ class _OnlineSeries(_Ring):
     equation is built. row holds the order function aside while it runs,
     so a read of the order being computed raises NoConvergenceError.
     """
-    __slots__ = ("val", "order", "rows", "packed")
+    __slots__ = ("val", "order", "rows", "packed", "monomial")
 
-    def __init__(self, val: int, order=None):
-        self.val = val
+    def __init__(self, val: int, order=None, monomial=None):
+        self.val, self.monomial = val, monomial  # (e, c, m) of a constant c*x^e*y^m
         self.order = order  # k -> row k, called for k = 0, 1, 2, ... in turn
         self.rows: List[List[Scalar]] = []
         self.packed = _Packed(self.rows)  # the rows as products read them
@@ -218,8 +241,9 @@ class _OnlineSeries(_Ring):
         elif not isinstance(other, TruncatedSeries):
             return NotImplemented
         rows = other.coeffs
-        return cls(next((k for k, p in enumerate(rows) if p), len(rows)),
-                   lambda k: rows[k] if k < len(rows) else [])
+        nonzero = [k for k, p in enumerate(rows) if p]
+        return cls(nonzero[0] if nonzero else len(rows),
+                   lambda k: rows[k] if k < len(rows) else [], _monomial(rows, nonzero))
 
     def __add__(self, other):
         other = self._lift(other)
@@ -236,6 +260,14 @@ class _OnlineSeries(_Ring):
         if other is NotImplemented:
             return NotImplemented
         va, vb = self.val, other.val
+        mono, dense = self.monomial, other
+        if not mono:
+            mono, dense = other.monomial, self
+        if mono:
+            e, c, m = mono
+            # the dense row the packed kernel reads too: a self-reference still raises
+            return _OnlineSeries(va + vb, lambda k: _scale(dense.row(k - e), c, m)
+                                 if k >= va + vb else [])
         a, b = self.packed, other.packed
 
         def order(k):
@@ -368,6 +400,13 @@ class TruncatedSeries(_Ring):
             return NotImplemented
         n = min(self.trunc_x, other.trunc_x)
         ia, ib = ([i for i in range(n + 1) if f.coeffs[i]] for f in (self, other))
+        mono, dense = _monomial(self.coeffs, ia), other
+        if not mono:
+            mono, dense = _monomial(other.coeffs, ib), self
+        if mono:
+            e, c, m = mono
+            return TruncatedSeries._of(n, [[] for _ in range(e)] + [
+                _scale(dense.coeffs[k], c, m) for k in range(n + 1 - e)])
         a, b = _Packed([self.coeffs[i] for i in ia]), _Packed([other.coeffs[j] for j in ib])
         width, totals = a.fit(b, n, n, min(len(ia), len(ib))), [0] * (n + 1)
         for i, v in zip(ia, a.ints):  # the nonzero rows only: operands are often sparse

@@ -228,7 +228,9 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     agreement), golden (the distribution cells), popularity (with the
     structural facts after it) and sequences. Never touches the network:
     sequence references use transcribed terms unless a cached b-file is
-    present in oeis_cache_dir.
+    present in oeis_cache_dir. Each three-way:<pattern> record also gives
+    elapsed_seconds, the time of that pattern's routes, and truncation
+    (max_n).
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, not {max_n}")
@@ -312,19 +314,22 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     # (5) three-way generating function agreement, one route table per pattern
     routes = {}
     for pattern in PATTERNS:
+        start = time.perf_counter()
         try:
             brute, short = _brute_force(pattern, rows), None
         except RouteCheckError as exc:  # a walker that dropped a member
             brute, short = None, str(exc)
         routes[pattern], agree = cross_check_routes(pattern, max_n, brute)
+        elapsed = time.perf_counter() - start
         if short:
             _add(checks, f"three-way:{pattern}", "fail", short)
-            continue
-        verdicts = {f"{name}=brute": ok for name, ok in agree.items()}
-        _judge(checks, f"three-way:{pattern}",
-               f"routes over n<=..{max_n}: " + ", ".join(
-                   f"{k} {'ok' if v else 'DISAGREE'}" for k, v in verdicts.items()),
-               None if all(verdicts.values()) else verdicts)
+        else:
+            verdicts = {f"{name}=brute": ok for name, ok in agree.items()}
+            _judge(checks, f"three-way:{pattern}",
+                   f"routes over n<=..{max_n}: " + ", ".join(
+                       f"{k} {'ok' if v else 'DISAGREE'}" for k, v in verdicts.items()),
+                   None if all(verdicts.values()) else verdicts)
+        checks[-1].update(elapsed_seconds=round(elapsed, 4), truncation=max_n)
     try:
         du_from_ud(max_n)
     except ValueError as exc:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dyckmotz import PATTERNS, genfun, patterns, phi
+from dyckmotz import PATTERNS, cli, genfun, patterns, phi
 from dyckmotz.cli import main
 
 
@@ -159,6 +159,20 @@ def test_gf_failed_route_check_exits_1(capsys, monkeypatch):
     assert "row sum at x^2" in capsys.readouterr().err
 
 
+def test_gf_announces_a_long_brute_force_walk(capsys, monkeypatch):
+    # sum M_n over n <= 18 is 10,237,540, the first sum past 10^7; the walk
+    # is replaced by the closed form, so only the announcement is timed
+    monkeypatch.setattr(cli, "distribution_brute_force", genfun.distribution_gf_closed)
+    for method, max_n, err in (
+            ("brute", 18, "dyckmotz: the brute-force route walks 10237540 family members "
+                          "(n = 0..18)\n"),
+            ("all", 18, "dyckmotz: the brute-force route walks 10237540 family members "
+                        "(n = 0..18)\n"),
+            ("brute", 17, ""), ("all", 17, ""), ("closed", 18, ""), ("fixed", 18, "")):
+        assert main(["gf", "--pattern", "UU", "--method", method, "--max-n", str(max_n)]) == 0
+        assert capsys.readouterr().err == err, (method, max_n)
+
+
 def test_popularity_formats(capsys):
     assert main(["popularity", "--pattern", "UD", "--max-n", "5"]) == 0
     assert capsys.readouterr().out.strip() == "1, 3, 8, 22, 61"
@@ -269,7 +283,7 @@ def test_verify_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip
     assert main(["verify", "--max-n", "4", "--format", "json"]) == 1
     checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["bijectivity"]["counterexample"] == {
-        "n": 2, "error": "not a Motzkin path: first violation at position 0 in 'DUUD'"}
+        "n": 2, "error": "not a Dyck path: first violation at position 0 in 'DUUD'"}
     assert checks["cardinality"]["counterexample"] == {
         "computed": [1, 1, 3, 4, 9], "expected": [1, 1, 2, 4, 9]}
     assert {name for name, c in checks.items() if c["status"] == "fail"} == {
@@ -288,7 +302,18 @@ def test_family_pairs_raises_phis_error_on_a_dip(walker_with_a_dip):
 def test_check_transport_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip):
     assert main(["check-transport", "--all", "--max-n", "4"]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "FAIL  family at n=2: not a Motzkin path: first violation at position 0 in 'DUUD'"]
+        "FAIL  family at n=2: not a Dyck path: first violation at position 0 in 'DUUD'"]
+
+
+def test_verify_times_each_patterns_routes(capsys):
+    assert main(["verify", "--max-n", "5", "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    timed = [c for c in checks if "elapsed_seconds" in c]
+    assert [c["check"] for c in timed] == [f"three-way:{p}" for p in PATTERNS]
+    for c in timed:
+        assert c["truncation"] == 5, c["check"]
+        assert c["elapsed_seconds"] >= 0, c["check"]
+    assert all("truncation" not in c for c in checks if c not in timed)
 
 
 @pytest.fixture
@@ -316,6 +341,7 @@ def test_verify_reports_a_walker_that_drops_a_member(capsys, walker_dropping_a_m
     for name in three_way:
         pattern = name.split(":")[1]
         assert checks[name]["details"] == f"{pattern}/brute: row sum at x^3 is 3, want M_3 = 4"
+        assert checks[name]["truncation"] == 4  # a failed record is timed too
     assert checks["cardinality"]["counterexample"] == {
         "computed": [1, 1, 2, 3, 9], "expected": [1, 1, 2, 4, 9]}
     # the golden records compare the routes that exist: closed, and fixed for UDU

@@ -112,6 +112,16 @@ def test_fixed_point_confirms_at_full_truncation():
         _fixed_point(6, lambda M: 1 + x*M)
 
 
+def test_fixed_point_through_a_monomial_factor():
+    # y*M reads M's own order: still a self-reference on the monomial path
+    x, y = TruncatedSeries.x_var(8), TruncatedSeries.y_var(8)
+    with pytest.raises(NoConvergenceError, match="depends on itself"):
+        _fixed_point(8, lambda M: 1 + y*M)
+    (m,) = _fixed_point(8, lambda M: 1 + x*M)
+    assert m == 1 / (1 - x)
+    assert m.coeffs == [[1]] * 9
+
+
 def test_fixed_point_requires_known_pattern():
     with pytest.raises(KeyError):
         distribution_gf_fixed_point("UUD", 6)

@@ -325,6 +325,33 @@ def test_products_match_the_oracle(pair):
     assert _online_rows(aa, n) == _oracle_product(a.coeffs, a.coeffs, n)
 
 
+MONOMIAL_COEFF = st.one_of(
+    st.integers(1, 9), st.integers(-9, -1), st.sampled_from([BIG, -BIG]),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 9)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(MONOMIAL_COEFF, st.integers(0, 6), st.integers(0, 2), st.integers(0, 3),
+       st.integers(1, 6).flatmap(_rows))
+def test_monomial_products_match_the_oracle(c, e, extra, m, b_rows):
+    # c*x^e*y^m against a series of another truncation, e below, at or
+    # above the product's; multiples of c's denominator make some products
+    # Fractions that must come back as ints
+    a = _series([[]] * e + [[0] * m + [c]] + [[]] * extra)
+    b = _series([[v * Fraction(c).denominator for v in row] for row in b_rows])
+    assert _OnlineSeries._lift(a).monomial == (e, c, m)
+    n = min(a.trunc_x, b.trunc_x)
+    want = _oracle_product(a.coeffs, b.coeffs, n)
+    for got in ((a * b).coeffs, (b * a).coeffs,
+                _online_rows(_OnlineSeries._lift(a) * b, n),
+                _online_rows(b * _OnlineSeries._lift(a), n)):
+        assert got == want
+        _assert_canonical(got)
+    square = (a * a).coeffs
+    assert square == _oracle_product(a.coeffs, a.coeffs, a.trunc_x)
+    _assert_canonical(square)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda n: _rows(n)))
 def test_square_roots_match_the_oracle(rows):

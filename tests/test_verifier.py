@@ -175,7 +175,10 @@ def test_campaign_reports_each_identity_on_its_own(monkeypatch):
     assert failed == [{"check": "identity:dyck:UD = DU", "status": "fail",
                        "details": "all Dyck paths, n=0..4",
                        "counterexample": {"path": "UD", "lhs": 1, "rhs": 0}}]
-    assert [c for c in after if c is not failed[0]] == before
+
+    def untimed(checks):  # the three-way records' route timings vary run to run
+        return [{k: v for k, v in c.items() if k != "elapsed_seconds"} for c in checks]
+    assert untimed(c for c in after if c is not failed[0]) == untimed(before)
 
 
 def test_small_campaigns_pass():
