@@ -4,9 +4,8 @@ constrained family and Motzkin paths, pattern statistics, and truncated
 generating function machinery."""
 from types import ModuleType as _ModuleType
 
-from .paths import (DyckPath, EmptyPathError, LatticePath, MotzkinPath,
-                    NotADyckPathError, NotAMotzkinPathError, PathSyntaxError,
-                    first_return_decompose, height, validate_motzkin)
+from .paths import (DyckPath, LatticePath, MotzkinPath, NotADyckPathError,
+                    NotAMotzkinPathError, PathSyntaxError, height)
 from .enumeration import (catalan_number, count_constrained_by_height,
                           enumerate_constrained, enumerate_dyck, enumerate_motzkin,
                           motzkin_number)

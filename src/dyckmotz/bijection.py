@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .enumeration import enumerate_constrained, motzkin_number
+from .enumeration import motzkin_number
 from .paths import DyckPath, MotzkinPath
 
 
@@ -160,14 +160,20 @@ def _phi_inverse(m: str) -> Optional[str]:
 
 
 def check_bijectivity(n: int) -> dict:
-    """Exhaustively verify that phi is a bijection at semilength n from
-    the walker's order, the round trip phi_inverse(phi(p)) == p on the
-    texts and the family size against the Motzkin count, which suffice
-    (see _BijectivityTally). Failures are report contents, not raises."""
-    tally = _BijectivityTally(n)
-    for p in enumerate_constrained(n):  # raises on a negative n
-        tally.add(str(p), _phi(p))
-    return tally.report()
+    """Exhaustively verify that phi is a bijection at semilength n on the
+    pairs of patterns.family_pairs, from the walker's order, the round
+    trip phi_inverse(phi(p)) == p and the family size against the Motzkin
+    count, which suffice (see _BijectivityTally). Failures are report
+    contents, not raises: a walker output that phi refuses fails the
+    report, with phi's first three refusals under rejected_examples."""
+    from .patterns import family_pairs  # patterns imports this module
+    tally, rejected = _BijectivityTally(n), []
+    for p, m in family_pairs(n, rejected):  # raises on a negative n
+        tally.add(p, m)
+    report = tally.report()
+    if rejected:
+        report.update(ok=False, rejected_examples=rejected[:3])
+    return report
 
 
 class _BijectivityTally:

@@ -74,14 +74,14 @@ def _walk(total: int, flat: bool, capped: bool) -> Iterator[MotzkinPath]:
     i and carries the state after it. The ceiling is the lowest level no
     open block may exceed, given the heights of closed left siblings.
     blocks is an immutable chain of the open blocks, innermost first:
-    (base level, max level seen inside, height of the last inner block
-    closed, ceiling in force before it opened, enclosing block), ending
-    in a sentinel for the top level. The level equals the number of open
-    blocks, so every D closes the innermost one.
+    (max level seen inside, height of the last inner block closed,
+    ceiling in force before it opened, enclosing block), ending in a
+    sentinel for the top level. The level equals the number of open
+    blocks, so every D closes the innermost one, of height top - level + 1.
     """
     make = MotzkinPath if flat else DyckPath
     steps = [""] * (total + 1)  # steps[0] stays empty: the root's slot
-    todo = [(0, "", 0, _NO_CAP, (-1, 0, _NO_CAP, _NO_CAP, None))]
+    todo = [(0, "", 0, _NO_CAP, (0, _NO_CAP, _NO_CAP, None))]
     while todo:
         i, step, level, ceiling, blocks = todo.pop()
         steps[i] = step
@@ -94,15 +94,15 @@ def _walk(total: int, flat: bool, capped: bool) -> Iterator[MotzkinPath]:
         if flat and level <= room:
             todo.append((i + 1, "F", level, ceiling, blocks))
         if level:
-            base, top, _, saved, (pbase, ptop, _, psaved, outer) = blocks
+            top, _, saved, (ptop, _, psaved, outer) = blocks
             todo.append((i + 1, "D", level - 1, saved,
-                         (pbase, max(top, ptop), top - base, psaved, outer)))
+                         (max(top, ptop), top - level + 1, psaved, outer)))
         if level < room:
             # a new block may not outgrow its closed left sibling
-            cap = min(ceiling, level + blocks[2]) if capped else ceiling
+            cap = min(ceiling, level + blocks[1]) if capped else ceiling
             if level < cap:
                 todo.append((i + 1, "U", level + 1, cap,
-                             (level, level + 1, _NO_CAP, ceiling, blocks)))
+                             (level + 1, _NO_CAP, ceiling, blocks)))
 
 
 def count_constrained_by_height(n: int, h: int) -> int:

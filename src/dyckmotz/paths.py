@@ -3,9 +3,9 @@
 Paths are immutable strings of step letters: U goes up (+1), D goes down
 (-1), F is flat (0). The canonical text form of a path is the bare letter
 string, with the empty path written as the empty string. Step order for
-all canonical path orderings is U < D < F (which is not ASCII order, so
-use sort_key when sorting path strings). Membership in the constrained
-family is checked by phi's own pass (bijection.is_constrained).
+all canonical path orderings is U < D < F, which is not ASCII order.
+Membership in the constrained family is checked by phi's own pass
+(bijection.is_constrained).
 
 The constructors validate; code that builds a path valid by construction
 (the enumeration walker, phi and phi_inverse) types it with
@@ -19,7 +19,6 @@ from typing import Union
 
 U, D, F = "U", "D", "F"
 STEP_HEIGHT = {U: 1, D: -1, F: 0}
-_SORT_TABLE = str.maketrans("UDF", "012")
 _DROP_STEPS = str.maketrans("", "", "UDF")
 
 
@@ -46,10 +45,6 @@ class NotADyckPathError(ValueError):
     pass
 
 
-class EmptyPathError(ValueError):
-    pass
-
-
 class LatticePath(str):
     """A raw step sequence. No axis condition is imposed at this level."""
 
@@ -63,9 +58,6 @@ class LatticePath(str):
     def heights(self) -> list:
         """Prefix sums of step heights, one entry per step: the only height scan."""
         return list(accumulate(map(STEP_HEIGHT.__getitem__, self)))
-
-    def sort_key(self) -> str:
-        return self.translate(_SORT_TABLE)
 
 
 class MotzkinPath(LatticePath):
@@ -97,34 +89,7 @@ class DyckPath(MotzkinPath):
         return len(self) // 2
 
 
-def validate_motzkin(p: Union[str, LatticePath]) -> MotzkinPath:
-    """Return p as a MotzkinPath, or raise NotAMotzkinPathError."""
-    return MotzkinPath(p)
-
-
 def height(p: Union[str, LatticePath]) -> int:
     """Maximal level reached by the path, counting the start at level 0."""
     return max([0, *LatticePath(p).heights()])
-
-
-def first_return_decompose(p: Union[str, DyckPath]):
-    """Split a nonempty Dyck path as U alpha D beta at its first return to 0.
-
-    Returns (alpha, beta) as DyckPath values; a non-Dyck input raises
-    NotADyckPathError naming a position in it."""
-    if not p:
-        raise EmptyPathError("cannot decompose the empty path")
-    p = LatticePath(p)  # validates the letters first
-    hs = p.heights()
-    if -1 in hs:
-        problem, i = "dips below the axis", hs.index(-1)
-    elif F in p:
-        problem, i = "flat step", p.index(F)
-    elif hs[-1]:
-        problem = "ends off the axis" if 0 in hs else "never returns to the axis"
-        i = len(p) - 1
-    else:
-        i = hs.index(0)
-        return DyckPath(p[1:i]), DyckPath(p[i + 1:])
-    raise NotADyckPathError(f"{problem} at position {i} in {str(p)!r}")
 

@@ -22,6 +22,7 @@ from dyckmotz import (
     phi,
     phi_inverse,
 )
+from dyckmotz import patterns
 from dyckmotz.bijection import _BijectivityTally, _phi_inverse
 
 GOLDEN = {
@@ -232,6 +233,49 @@ def test_check_bijectivity_report():
     assert report["domain"] == report["expected"] == motzkin_number(8)
     assert report["out_of_order"] == 0
     assert report["roundtrip_failures"] == 0
+
+
+def _walker_adding(monkeypatch, n, extra):
+    # the walker yields extra second at semilength n, a defect in the program
+    real = patterns.enumerate_constrained
+
+    def walk_with_extra(k):
+        members = real(k)
+        if k == n:
+            yield next(members)
+            yield extra
+        yield from members
+
+    monkeypatch.setattr(patterns, "enumerate_constrained", walk_with_extra)
+
+
+@pytest.mark.parametrize("n, extra, message", [
+    (2, "DUUD", "not a Dyck path: first violation at position 0 in 'DUUD'"),
+    (3, "UDUUDD", "not in the constrained family: 'UDUUDD'")], ids=["dip", "non-member"])
+def test_check_bijectivity_reports_a_walker_output_phi_refuses(monkeypatch, n, extra, message):
+    _walker_adding(monkeypatch, n, extra)
+    with pytest.raises(ValueError) as refusal:
+        phi(extra)
+    assert str(refusal.value) == message
+    # the refused path is skipped: the members alone pass every other step
+    assert check_bijectivity(n) == {
+        "n": n, "domain": motzkin_number(n), "expected": motzkin_number(n),
+        "out_of_order": 0, "roundtrip_failures": 0, "ok": False,
+        "rejected_examples": [message]}
+    # a passing report keeps its keys, with no rejected_examples
+    assert check_bijectivity(n + 1) == {
+        "n": n + 1, "domain": motzkin_number(n + 1), "expected": motzkin_number(n + 1),
+        "out_of_order": 0, "roundtrip_failures": 0, "ok": True}
+
+
+def test_check_bijectivity_keeps_at_most_three_refusals(monkeypatch):
+    real = patterns.enumerate_constrained
+    monkeypatch.setattr(patterns, "enumerate_constrained",
+                        lambda k: [*real(k), *(["DU" * k] * 5)])
+    report = check_bijectivity(2)
+    assert not report["ok"]
+    assert report["rejected_examples"] == [
+        "not a Dyck path: first violation at position 0 in 'DUDU'"] * 3
 
 
 def test_bijectivity_tally_reports_collisions_and_broken_round_trips():

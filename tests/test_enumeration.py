@@ -6,7 +6,6 @@ from math import comb
 
 from dyckmotz import (
     DyckPath,
-    LatticePath,
     MotzkinPath,
     catalan_number,
     count_constrained_by_height,
@@ -57,7 +56,7 @@ def test_motzkin_enumeration_matches_brute_force():
         got = list(enumerate_motzkin(n))
         assert len(got) == motzkin_number(n)
         assert set(map(str, got)) == set(_brute_motzkin(n))
-        keys = [LatticePath(p).sort_key() for p in got]
+        keys = [p.translate(str.maketrans("UDF", "012")) for p in got]
         assert keys == sorted(keys)
 
 
@@ -66,7 +65,7 @@ def test_dyck_enumeration():
         got = list(enumerate_dyck(n))
         assert len(got) == catalan_number(n)
         assert all("F" not in p for p in got)
-        keys = [LatticePath(p).sort_key() for p in got]
+        keys = [p.translate(str.maketrans("UDF", "012")) for p in got]
         assert keys == sorted(keys)
 
 

@@ -4,16 +4,13 @@ from hypothesis import strategies as st
 
 from dyckmotz import (
     DyckPath,
-    EmptyPathError,
     LatticePath,
     MotzkinPath,
     NotADyckPathError,
     NotAMotzkinPathError,
     PathSyntaxError,
-    first_return_decompose,
     height,
     is_constrained,
-    validate_motzkin,
 )
 
 
@@ -31,12 +28,6 @@ def test_heights_are_prefix_sums():
     assert LatticePath("").heights() == []
 
 
-def test_sort_key_orders_u_before_d_before_f():
-    words = ["FUD", "DU", "UD", "UF", "UU"]
-    ordered = sorted(words, key=lambda w: LatticePath(w).sort_key())
-    assert ordered == ["UU", "UD", "UF", "DU", "FUD"]
-
-
 def test_motzkin_path_validation():
     assert MotzkinPath("UFDFF") == "UFDFF"
     assert MotzkinPath("") == ""
@@ -45,7 +36,6 @@ def test_motzkin_path_validation():
     assert exc.value.position == 2
     with pytest.raises(NotAMotzkinPathError):
         MotzkinPath("UUD")  # ends above the axis
-    assert validate_motzkin("FUDF") == "FUDF"
 
 
 def test_dyck_path_validation():
@@ -66,30 +56,6 @@ def test_height():
     with pytest.raises(PathSyntaxError) as exc:
         height("UXD")
     assert exc.value.position == 1
-
-
-def test_first_return_decompose():
-    assert first_return_decompose("UD") == ("", "")
-    assert first_return_decompose("UUDDUD") == ("UD", "UD")
-    assert first_return_decompose("UDUUDD") == ("", "UUDD")
-    with pytest.raises(EmptyPathError):
-        first_return_decompose("")
-    with pytest.raises(NotADyckPathError):
-        first_return_decompose("UU")
-    with pytest.raises(NotADyckPathError):
-        first_return_decompose("DU")
-    with pytest.raises(PathSyntaxError) as exc:
-        first_return_decompose("UXD")
-    assert exc.value.position == 1
-    # anything else that is not a Dyck path is named at its place in the input
-    for word, message in (("F", "flat step at position 0 in 'F'"),
-                          ("FUD", "flat step at position 0 in 'FUD'"),
-                          ("UDF", "flat step at position 2 in 'UDF'"),
-                          ("UDDU", "dips below the axis at position 2 in 'UDDU'"),
-                          ("UDU", "ends off the axis at position 2 in 'UDU'")):
-        with pytest.raises(NotADyckPathError) as exc:
-            first_return_decompose(word)
-        assert str(exc.value) == message
 
 
 def test_is_constrained():
