@@ -65,14 +65,14 @@ def _validate_distribution(series: TruncatedSeries, pattern: str,
     """series, once it passes the shape checks of a distribution."""
     if series.y_poly(0) != [1]:
         raise RouteCheckError(f"{pattern}/{method}: constant term is not 1")
-    for n, total in enumerate(motzkin_numbers(series.trunc_x)):
-        poly = series.y_poly(n)
-        if any(not isinstance(c, int) or c < 0 for c in poly):
+    for n, (poly, total) in enumerate(zip(series.coeffs, motzkin_numbers(series.trunc_x))):
+        row_sum = sum(poly)  # ints sum to an int; a Fraction among them does not
+        if type(row_sum) is not int or min(poly, default=0) < 0:
             raise RouteCheckError(
                 f"{pattern}/{method}: non-integer or negative coefficient at x^{n}")
-        if sum(poly) != total:
+        if row_sum != total:
             raise RouteCheckError(
-                f"{pattern}/{method}: row sum at x^{n} is {sum(poly)}, "
+                f"{pattern}/{method}: row sum at x^{n} is {row_sum}, "
                 f"want M_{n} = {total}")
     return series
 

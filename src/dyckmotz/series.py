@@ -24,10 +24,15 @@ from it, with +, -, * and ** only; a node read for the order it is
 computing raises NoConvergenceError. Both rings derive from _Ring, which
 writes reflected +, both -'s and ** once from _lift, __add__, __neg__, __mul__.
 
-A product with a monomial factor c*x^e*y^m (one nonzero row, holding one
-entry) skips the kernel in both rings: its row k is the other factor's row
-k - e shifted m places up and scaled by c (_scale). Every other product
-is packed.
+The work follows the nonzero coefficients. A monomial factor c*x^e*y^m (one
+nonzero row, holding one entry) skips the kernel in both rings: row k is the
+other factor's row k - e shifted m places up and scaled by c (_scale), and
+the eager ring scales only the other factor's nonzero rows. _padd returns at
+once on an empty row. A square f * f, and sqrt_unit, sum each pair i < j
+once, doubled, plus the middle term (_sym). A divisor of a lead monomial and
+at most one other term is divided row by row with _scale and _padd; a longer
+tail stays packed, as a scale per tail term and row costs more than one
+packed sum. Every other product and quotient is packed.
 """
 from __future__ import annotations
 
@@ -67,12 +72,20 @@ def _trim(poly: List[Scalar]) -> List[Scalar]:
 
 
 def _padd(a: List[Scalar], b: List[Scalar]) -> List[Scalar]:
+    if not (a and b):
+        return a + b
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
         out[i] = _norm(out[i] + c)
     return _trim(out)
+
+
+def _sym(r: List[int], lo: int, hi: int, k: int) -> int:
+    """sum r[i]*r[k - i] over lo <= i, k - i <= hi: each pair i < k - i once, doubled."""
+    total = 2 * sum(r[i] * r[k - i] for i in range(max(lo, k - hi), (k + 1) // 2))
+    return total + r[k // 2] ** 2 if k % 2 == 0 and lo <= k // 2 <= hi else total
 
 
 class _Packed:
@@ -149,7 +162,7 @@ def _monomial(rows: List[List[Scalar]], nonzero: List[int]):
 def _scale(row: List[Scalar], c: Scalar, m: int) -> List[Scalar]:
     """c*y^m*row for a nonzero c, trimmed and in lowest terms as row is."""
     out = [c * v for v in row]
-    if type(sum(out)) is not int:  # a Fraction among them: ints sum to an int
+    if not {int}.issuperset(map(type, out)):  # a Fraction among them
         out = list(map(_norm, out))
     return [0] * m + out if out else []
 
@@ -276,8 +289,9 @@ class _OnlineSeries(_Ring):
             self.row(k - vb)  # fills the rows of both factors that row k reads
             other.row(k - va)
             width = a.fit(b, k - vb, k - va, k - va - vb + 1)
-            return _unpack(sum(a.ints[i] * b.ints[k - i] for i in range(va, k - vb + 1)),
-                           width, a.den * b.den)
+            total = (_sym(a.ints, va, k - va, k) if a is b else
+                     sum(a.ints[i] * b.ints[k - i] for i in range(va, k - vb + 1)))
+            return _unpack(total, width, a.den * b.den)
         return _OnlineSeries(va + vb, order)
 
     __rmul__ = __mul__
@@ -387,9 +401,8 @@ class TruncatedSeries(_Ring):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        n = min(self.trunc_x, other.trunc_x)
-        return TruncatedSeries._of(
-            n, [_padd(self.coeffs[i], other.coeffs[i]) for i in range(n + 1)])
+        return TruncatedSeries._of(min(self.trunc_x, other.trunc_x), [
+            _padd(p, q) for p, q in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         return TruncatedSeries._of(self.trunc_x, [[-c for c in p] for p in self.coeffs])
@@ -400,20 +413,29 @@ class TruncatedSeries(_Ring):
             return NotImplemented
         n = min(self.trunc_x, other.trunc_x)
         ia, ib = ([i for i in range(n + 1) if f.coeffs[i]] for f in (self, other))
-        mono, dense = _monomial(self.coeffs, ia), other
+        mono, dense, nonzero = _monomial(self.coeffs, ia), other, ib
         if not mono:
-            mono, dense = _monomial(other.coeffs, ib), self
+            mono, dense, nonzero = _monomial(other.coeffs, ib), self, ia
         if mono:
             e, c, m = mono
-            return TruncatedSeries._of(n, [[] for _ in range(e)] + [
-                _scale(dense.coeffs[k], c, m) for k in range(n + 1 - e)])
-        a, b = _Packed([self.coeffs[i] for i in ia]), _Packed([other.coeffs[j] for j in ib])
-        width, totals = a.fit(b, n, n, min(len(ia), len(ib))), [0] * (n + 1)
-        for i, v in zip(ia, a.ints):  # the nonzero rows only: operands are often sparse
-            for j, u in zip(ib, b.ints):
-                if i + j > n:
-                    break
-                totals[i + j] += v * u
+            out = [[] for _ in range(n + 1)]
+            for k in nonzero:  # the other factor's nonzero rows only
+                if k + e <= n:
+                    out[k + e] = _scale(dense.coeffs[k], c, m)
+            return TruncatedSeries._of(n, out)
+        if other is self and ia:  # a square: _sym reads rows lo..hi by x-degree, an empty one as 0
+            lo, hi = ia[0], ia[-1]
+            a = b = _Packed(self.coeffs[:hi + 1])
+            width, totals = a.fit(a, hi, hi, len(ia)), [0] * (n + 1)
+            totals[:2 * hi + 1] = [_sym(a.ints, lo, hi, k) for k in range(min(n, 2 * hi) + 1)]
+        else:  # the nonzero rows only: operands are often sparse
+            a, b = _Packed([self.coeffs[i] for i in ia]), _Packed([other.coeffs[j] for j in ib])
+            width, totals = a.fit(b, n, n, min(len(ia), len(ib))), [0] * (n + 1)
+            for i, v in zip(ia, a.ints):
+                for j, u in zip(ib, b.ints):
+                    if i + j > n:
+                        break
+                    totals[i + j] += v * u
         return TruncatedSeries._of(n, [_unpack(t, width, a.den * b.den) if t else []
                                        for t in totals])
 
@@ -456,9 +478,8 @@ class TruncatedSeries(_Ring):
         s = _Packed([[1]])
         for n in range(1, self.trunc_x + 1):
             # the n - 1 products s_i s_{n-i}: i and n - i at once, then a middle one
-            width, r = s.fit(s, n - 1, n - 1, n - 1), s.ints
-            total = 2 * sum(r[i] * r[n - i] for i in range(1, (n + 1) // 2))
-            total += 0 if n % 2 else r[n // 2] ** 2
+            width = s.fit(s, n - 1, n - 1, n - 1)
+            total = _sym(s.ints, 1, n - 1, n)
             s.rows.append(_pdiv(_padd(self.coeffs[n], _unpack(-total, width, s.den ** 2)), 2))
         return TruncatedSeries._of(self.trunc_x, s.rows)
 
@@ -487,11 +508,16 @@ def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     c = lead[m]
     den, quot = _Packed(b.coeffs[val:val + n_out + 1]), _Packed([])
     terms = [i for i in range(1, len(den.rows)) if den.rows[i]]
+    tail = _monomial(den.rows, terms)  # (e, d, t) of a binomial's second term d*x^e*y^t
     for n in range(n_out + 1):
-        used = [i for i in terms if i <= n]  # the products den_i quot_{n-i}
-        width = den.fit(quot, n, n - used[0], len(used)) if used else 8  # any fits 0
-        acc = _padd(a.coeffs[n + val], _unpack(-sum(
-            den.ints[i] * quot.ints[n - i] for i in used), width, den.den * quot.den))
+        used, acc = [i for i in terms if i <= n], a.coeffs[n + val]  # den_i quot_{n-i}
+        if used and tail:  # scaled, not packed
+            e, d, t = tail
+            acc = _padd(acc, _scale(quot.rows[n - e], -d, t))
+        elif used:
+            width = den.fit(quot, n, n - used[0], len(used))
+            acc = _padd(acc, _unpack(-sum(den.ints[i] * quot.ints[n - i] for i in used),
+                                     width, den.den * quot.den))
         if any(acc[:m]):
             k = next(k for k, cc in enumerate(acc[:m]) if cc)
             raise InexactDivisionError(

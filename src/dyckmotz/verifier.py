@@ -228,9 +228,9 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     agreement), golden (the distribution cells), popularity (with the
     structural facts after it) and sequences. Never touches the network:
     sequence references use transcribed terms unless a cached b-file is
-    present in oeis_cache_dir. Each three-way:<pattern> record also gives
-    elapsed_seconds, the time of that pattern's routes, and truncation
-    (max_n).
+    present in oeis_cache_dir. Each three-way and popularity-closed-forms
+    record also gives elapsed_seconds, the time of its routes, and truncation
+    (max_n; max(24, max_n) for the printed popularity forms).
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, not {max_n}")
@@ -330,6 +330,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                        f"{k} {'ok' if v else 'DISAGREE'}" for k, v in verdicts.items()),
                    None if all(verdicts.values()) else verdicts)
         checks[-1].update(elapsed_seconds=round(elapsed, 4), truncation=max_n)
+    start = time.perf_counter()
     try:
         du_from_ud(max_n)
     except ValueError as exc:
@@ -337,6 +338,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     else:
         _add(checks, "three-way:DU-from-UD", "pass",
              "peak-free-strip identity rebuilds the DU series exactly")
+    checks[-1].update(elapsed_seconds=round(time.perf_counter() - start, 4), truncation=max_n)
 
     laps.append(("routes", time.monotonic()))
 
@@ -395,7 +397,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                pop_failures.get(key), compared)
     for note in notices:
         _add(checks, "misprint-notice", "notice", note)
-    printed_n = max(24, max_n)
+    printed_n, start = max(24, max_n), time.perf_counter()
     try:
         for pattern in _pop_closed_length2:
             popularity_gf(pattern, printed_n)
@@ -404,6 +406,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
              f"route through x^{printed_n}")
     except ValueError as exc:
         _add(checks, "popularity-closed-forms", "fail", str(exc))
+    checks[-1].update(elapsed_seconds=round(time.perf_counter() - start, 4), truncation=printed_n)
 
     # structural facts and informational items
     _judge(checks, "structural:DUU-avoiders-have-at-most-one-UUD",

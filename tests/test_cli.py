@@ -309,9 +309,10 @@ def test_verify_times_each_patterns_routes(capsys):
     assert main(["verify", "--max-n", "5", "--format", "json"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     timed = [c for c in checks if "elapsed_seconds" in c]
-    assert [c["check"] for c in timed] == [f"three-way:{p}" for p in PATTERNS]
-    for c in timed:
-        assert c["truncation"] == 5, c["check"]
+    assert [c["check"] for c in timed] == [f"three-way:{p}" for p in PATTERNS] + [
+        "three-way:DU-from-UD", "popularity-closed-forms"]
+    for c in timed:  # the printed popularity forms are checked through x^24
+        assert c["truncation"] == (24 if c is timed[-1] else 5), c["check"]
         assert c["elapsed_seconds"] >= 0, c["check"]
     assert all("truncation" not in c for c in checks if c not in timed)
 

@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -145,6 +146,20 @@ def test_row_sums_of_a_long_series_are_checked_fast():
     series.coeffs[1000] = [rows[1000][0] + 1]  # the series' own row, not the caller's
     with pytest.raises(RouteCheckError, match="row sum at x"):
         genfun._validate_distribution(series, "UD", "brute")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[2], [1], [1, 1]], "UD/closed: constant term is not 1"),
+    ([[1], [1], [Fraction(3, 2), Fraction(1, 2)]],
+     "UD/closed: non-integer or negative coefficient at x^2"),
+    ([[1], [1], [3, -1]], "UD/closed: non-integer or negative coefficient at x^2"),
+    ([[1], [1], [1, 2]], "UD/closed: row sum at x^2 is 3, want M_2 = 2"),
+])
+def test_each_shape_check_names_its_fault(rows, message):
+    series = TruncatedSeries(2, rows)
+    with pytest.raises(RouteCheckError) as raised:
+        genfun._validate_distribution(series, "UD", "closed")
+    assert str(raised.value) == message
 
 
 def test_specific_distribution_cells():

@@ -322,7 +322,14 @@ def test_products_match_the_oracle(pair):
     oa, ob = _OnlineSeries._lift(a), _OnlineSeries._lift(b)
     ab, aa = oa * ob, oa * oa
     assert _online_rows(ab * oa, n) == _oracle_product(want, a.coeffs, n)
-    assert _online_rows(aa, n) == _oracle_product(a.coeffs, a.coeffs, n)
+    square = _oracle_product(a.coeffs, a.coeffs, n)
+    cube = _oracle_product(square, a.coeffs, n)
+    # squares, and the first product of a power, are summed by symmetry
+    for got, want in ((_online_rows(aa, n), square), ((a * a).coeffs, square),
+                      ((a ** 2).coeffs, square), ((a ** 3).coeffs, cube),
+                      (_online_rows(oa ** 3, n), cube)):
+        assert got == want
+        _assert_canonical(got)
 
 
 MONOMIAL_COEFF = st.one_of(
@@ -364,18 +371,32 @@ def test_square_roots_match_the_oracle(rows):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 4).flatmap(lambda n: st.tuples(_rows(n + 1), _rows(n))),
-       ENTRY.filter(bool), st.integers(0, 3))
-def test_quotients_match_the_oracle(pair, lead, m):
+       ENTRY.filter(bool), st.integers(0, 3), ENTRY.filter(bool), st.integers(1, 5),
+       st.integers(0, 3))
+def test_quotients_match_the_oracle(pair, lead, m, d, e, t):
     a_rows, b_rows = pair
-    a, unit = _series(a_rows), _series([[lead]] + b_rows)
-    got = (a / unit).coeffs
-    assert got == _oracle_quotient(a.coeffs, unit.coeffs, a.trunc_x)
-    _assert_canonical(got)
-    # a lead y^m: the numerator is the oracle's product of a known quotient
-    b = _series([[0] * m + [lead]] + b_rows)
-    got = (_series(_oracle_product(a.coeffs, b.coeffs, a.trunc_x)) / b).coeffs
-    assert got == a.coeffs
-    _assert_canonical(got)
+    n = len(b_rows)
+    # b_rows as drawn (packed), and a binomial lead*y^m + d*x^e*y^t (scaled
+    # row by row; a monomial when e > n) with the same lead
+    binomial = [[0] * t + [d] if i == e else [] for i in range(1, n + 1)]
+    for tail in (b_rows, binomial):
+        a, unit = _series(a_rows), _series([[lead]] + tail)
+        got = (a / unit).coeffs
+        assert got == _oracle_quotient(a.coeffs, unit.coeffs, n)
+        _assert_canonical(got)
+        # a lead y^m: the numerator is the oracle's product of a known quotient
+        b = _series([[0] * m + [lead]] + tail)
+        num = _oracle_product(a.coeffs, b.coeffs, n)
+        got = (_series(num) / b).coeffs
+        assert got == a.coeffs
+        _assert_canonical(got)
+        if m:  # one more y^(m-1) in the last row: both paths refuse it alike
+            num[n] = num[n] + [0] * (m - len(num[n]))
+            num[n][m - 1] += 1
+            with pytest.raises(InexactDivisionError) as raised:
+                _series(num) / b
+            assert str(raised.value) == (
+                f"term x^{n} y^{m - 1} not divisible by divisor lead y^{m}")
 
 
 @pytest.mark.parametrize("bits", [29, 30, 61, 62, 200])
@@ -394,10 +415,33 @@ def test_kernel_at_its_width_bound(bits, count, length, sign):
     assert want[n][length - 1] == sign * count * length * top * top
     assert (a * b).coeffs == want
     assert _online_rows(_OnlineSeries._lift(a) * _OnlineSeries._lift(b), n) == want
+    # a square sums the same P*L products, its cross pairs once and doubled
+    for f in (a, b):
+        square = _oracle_product(f.coeffs, f.coeffs, n)
+        assert square[n][length - 1] == count * length * top * top
+        assert (f * f).coeffs == square
+        of = _OnlineSeries._lift(f)
+        assert _online_rows(of * of, n) == square
     # the same rows as a root and as a quotient
     root = _series([[1]] + b.coeffs[1:])
     assert _series(_oracle_product(root.coeffs, root.coeffs, n)).sqrt_unit() == root
     assert _series(_oracle_product(a.coeffs, root.coeffs, n)) / root == a
+
+
+def test_results_own_their_rows():
+    # a result never hands out an operand's row, not even for an empty row
+    a = _series([[1, 2], [], [Fraction(1, 2)], [], [3]])
+    b = _series([[], [4], [], [], [0, 5]])
+    x, y = TruncatedSeries.x_var(4), TruncatedSeries.y_var(4)
+    divisors = [1 - x, 1 - x - x * y ** 2, 2 * x * (3 * x - 1), 2 * x ** 2 * y ** 2, y]
+    operands = [a, b, *divisors]
+    before = [[list(row) for row in s.coeffs] for s in operands]
+    results = [a + b, a - b, b - a, -a, a + 0, 3 * x ** 2 * y * a, a * 3, a * a, b * b]
+    results += [a * x ** 2 * y ** 2 / d for d in divisors]
+    for result in results:
+        for row in result.coeffs:
+            row.append(7)
+    assert [s.coeffs for s in operands] == before
 
 
 def test_every_kernel_user_is_exact_over_q():

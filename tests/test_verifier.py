@@ -242,8 +242,20 @@ def test_campaign_records_a_failed_du_from_ud_route(monkeypatch):
     report = run_full_verification(max_n=4)
     failed = [c for c in report["checks"] if c["status"] == "fail"]
     assert not report["ok"]
-    assert failed == [{"check": "three-way:DU-from-UD", "status": "fail",
-                       "details": "DU-from-UD identity disagrees with the DU closed form"}]
+    # a failed record is timed too; every key but the time is compared
+    assert [{k: v for k, v in c.items() if k != "elapsed_seconds"} for c in failed] == [
+        {"check": "three-way:DU-from-UD", "status": "fail",
+         "details": "DU-from-UD identity disagrees with the DU closed form", "truncation": 4}]
+    assert failed[0]["elapsed_seconds"] >= 0
+
+
+def test_campaign_times_the_du_route_and_the_printed_popularity_forms():
+    # the printed popularity forms are checked through x^max(24, max_n)
+    checks = {c["check"]: c for c in run_full_verification(max_n=4)["checks"]
+              if c["check"] in ("three-way:DU-from-UD", "popularity-closed-forms")}
+    assert [(c["status"], c["truncation"]) for c in checks.values()] == [
+        ("pass", 4), ("pass", 24)]
+    assert all(c["elapsed_seconds"] >= 0 for c in checks.values())
 
 
 def test_campaign_records_a_broken_round_trip(monkeypatch):
