@@ -20,6 +20,7 @@ from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzk
 from .genfun import (
     DEFAULT_TRUNCATION,
     PATTERNS,
+    NoConvergenceError,
     RouteCheckError,
     cross_check_routes,
     distribution_brute_force,
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except (NetworkUnavailableError, MalformedBFileError, CacheMissError,
-            RouteCheckError) as exc:
+            RouteCheckError, NoConvergenceError) as exc:
         print(f"dyckmotz: {exc}", file=sys.stderr)
         return 1
     except _INPUT_ERRORS as exc:

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 from .enumeration import enumerate_constrained, motzkin_numbers
 from .patterns import _reader, parse_pattern
-from .series import NoConvergenceError, TruncatedSeries, _OnlineSeries
+from .series import NoConvergenceError, TruncatedSeries, _OnlineSeries, _unpack
 
 DEFAULT_TRUNCATION = 24
 
@@ -181,27 +181,33 @@ def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> Truncat
 # functional equations ----------------------------------------------------
 # Single-unknown forms solve for one series; the two-unknown systems solve
 # for (A, B) jointly with F written as 1 + A + B inside every right hand
-# side. Each right hand side is called once on online unknowns, which
-# turns it into a graph of _OnlineSeries nodes whose top node gives its
-# unknown's orders. x^k of a right hand side needs only lower orders of
-# the unknowns (a node read for the order it computes raises
-# NoConvergenceError), so settling x^0, x^1, ..., x^N in turn computes
-# every order of every node once. One eager pass in the TruncatedSeries
-# ring then confirms the solution at N.
+# side. Each right hand side is called on online unknowns, which turns it
+# into a graph of _OnlineSeries nodes whose top node gives its unknown's
+# orders. x^k needs only lower orders of the unknowns (a node read for the
+# order it computes raises NoConvergenceError), so settling x^0, ..., x^N
+# in turn computes each order of each node once: _solve does so for a
+# majorant, whose largest row bounds every coefficient, and then at y = 2^w
+# for a w that bound allows. One eager pass in the TruncatedSeries ring
+# confirms the solution at N.
 
-def _fixed_point(N: int, *rhs):
-    unknowns = [_OnlineSeries(0) for _ in rhs]
+def _solve(N: int, w, rhs):
+    unknowns = [_OnlineSeries(0, w) for _ in rhs]
     try:
         for u, f in zip(unknowns, rhs):
-            u.order = _OnlineSeries._lift(f(*unknowns)).row
+            u.order = u._lift(f(*unknowns)).row
         for k in range(N + 1):
             for u in unknowns:
                 u.row(k)
-        # copied: a row may be a constant operand's own list
-        ms = [TruncatedSeries._of(N, [list(p) for p in u.rows]) for u in unknowns]
     finally:
         for u in unknowns:  # unknowns and equations form a cycle: free it now
             u.order = None
+    return [u.rows for u in unknowns]
+
+
+def _fixed_point(N: int, *rhs):
+    # whole bytes, with room for the sign: every coefficient is below 2^(w - 1)
+    w = (max(map(max, _solve(N, None, rhs))).bit_length() + 8) & -8
+    ms = [TruncatedSeries._of(N, [_unpack(v, w, 1) for v in rows]) for rows in _solve(N, w, rhs)]
     if [f(*ms) for f in rhs] != ms:
         raise NoConvergenceError(f"the solution misses its equations at x^{N}")
     return ms
@@ -302,14 +308,14 @@ def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:
     return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
 
-def cross_check_routes(pattern: str, N: int, brute_series: TruncatedSeries):
-    """{route: series} for closed, brute and (where on record) fixed, in
-    that order, and {route: equals brute_series} for the other routes; a
+def cross_check_routes(pattern: str, N: int, brute_series: TruncatedSeries, fixed=True):
+    """{route: series} for closed, brute and (where on record, and if fixed)
+    fixed, in that order, and {route: equals brute_series} for the others; a
     brute_series of None leaves brute out and agrees with nothing."""
     routes = {"closed": distribution_gf_closed(pattern, N)}
     if brute_series is not None:
         routes["brute"] = brute_series
-    if pattern in FIXED_POINT_PATTERNS:
+    if fixed and pattern in FIXED_POINT_PATTERNS:
         routes["fixed"] = distribution_gf_fixed_point(pattern, N)
     agree = {name: s == brute_series for name, s in routes.items() if name != "brute"}
     return routes, agree

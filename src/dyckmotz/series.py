@@ -12,27 +12,28 @@ Operator overloading covers +, -, *, /, ** and mixing with ints and
 Fractions, so algebraic formulas can be transcribed directly. / is the
 one division; its divisor's lowest x-degree slice must be one monomial
 c*y^m, which a unit (m = 0) and a monomial such as x^2*y both are. Square roots
-require constant term exactly 1 and solve s*s = f one x-order at a time:
-s_n = (f_n - sum_{0<i<n} s_i s_{n-i}) / 2, with no series division.
+require constant term exactly 1 and follow 2 f s' = f' s: order m is one
+packed sum over f's nonzero rows j, 2m s_m = sum_j (3j - 2m) f_j s_{m-j}.
 
 Products of y-polynomials are Kronecker substitutions: rows pack once to
 their values at y = 2^W, big-integer products are summed, and the signed
 W-bit digits of a sum are its coefficients (_Packed.fit proves W wide
 enough). The private _OnlineSeries computes a series one x-order at a
-time with the same kernel; the fixed-point route builds its equations
-from it, with +, -, * and ** only; a node read for the order it is
-computing raises NoConvergenceError. Both rings derive from _Ring, which
-writes reflected +, both -'s and ** once from _lift, __add__, __neg__, __mul__.
+time, each row one int at y = 2^w that the fixed-point route decodes only
+for its unknowns; its equations use +, -, * and ** only, and a node read
+for the order it is computing raises NoConvergenceError. Both rings derive
+from _Ring, which writes reflected +, both -'s and ** once from _lift,
+__add__, __neg__, __mul__.
 
-The work follows the nonzero coefficients. A monomial factor c*x^e*y^m (one
-nonzero row, holding one entry) skips the kernel in both rings: row k is the
-other factor's row k - e shifted m places up and scaled by c (_scale), and
-the eager ring scales only the other factor's nonzero rows. _padd returns at
-once on an empty row. A square f * f, and sqrt_unit, sum each pair i < j
-once, doubled, plus the middle term (_sym). A divisor of a lead monomial and
-at most one other term is divided row by row with _scale and _padd; a longer
-tail stays packed, as a scale per tail term and row costs more than one
-packed sum. Every other product and quotient is packed.
+The work follows the nonzero coefficients. An eager product with a monomial
+factor c*x^e*y^m (one nonzero row, holding one entry) skips the kernel: row k
+is the other factor's nonzero row k - e shifted m places up and scaled by c
+(_scale); an online product reads a constant factor at its nonzero rows.
+_padd returns at once on an empty row. A square f * f, in both rings, sums
+each pair i < j once, doubled, plus the middle term (_sym). A divisor of a
+lead monomial and at most one other term is divided row by row with _scale
+and _padd; a longer tail stays packed, as a scale per tail term and row
+costs more than one packed sum. Every other product and quotient is packed.
 """
 from __future__ import annotations
 
@@ -113,7 +114,7 @@ class _Packed:
             rows = s.rows[s.seen:top + 1]
             coeffs = [c for row in rows for c in row]
             if coeffs:
-                den = (s.den if type(sum(coeffs)) is int else  # ints sum to an int
+                den = (s.den if {int}.issuperset(map(type, coeffs)) else
                        lcm(s.den, *(c.denominator for c in coeffs)))
                 if den != s.den:  # repacked below, on the new denominator
                     s.ints, s.bits, s.den = [], s.bits + (den // s.den).bit_length(), den
@@ -213,26 +214,26 @@ class _OnlineSeries(_Ring):
     """A series known one x-order at a time, for solving fixed points.
     It supports +, -, * and ** only: no division.
 
-    row(k) builds the y-polynomial of x^k once, from rows of the operands,
-    and keeps it. val is a lower bound on the x-valuation, taken from the
-    constant operands: a product reads rows val(a)..k-val(b) of a and the
-    matching rows of b, so in x^2*M row k asks M for orders below k only.
-    A TruncatedSeries or scalar operand becomes a constant node; its rows
-    past its truncation read as zero (the solver's eager confirmation
-    rejects a right-hand side truncated below the solve). An unknown is
-    made with no order function; its solver sets one once the unknown's
-    equation is built. row holds the order function aside while it runs,
-    so a read of the order being computed raises NoConvergenceError.
+    Row k is one int, x^k's y-polynomial at y = 2^w; for w None it is the sum
+    of the coefficients' sizes, a majorant in which - is the identity. row(k)
+    builds row k once, from rows of the operands, and keeps it. val is a lower
+    bound on the x-valuation, taken from the constant operands: a product reads
+    rows val(a)..k-val(b) of a and the matching rows of b, so in x^2*M row k
+    asks M for orders below k only. A TruncatedSeries or scalar operand with
+    int coefficients becomes a constant node, read by products at its nonzero
+    rows only and as zero past its truncation (the solver's eager confirmation
+    rejects a right-hand side truncated below the solve). An unknown is made
+    with no order function; its solver sets one once the unknown's equation is
+    built. row holds the order function aside while it runs, so a read of the
+    order being computed raises NoConvergenceError.
     """
-    __slots__ = ("val", "order", "rows", "packed", "monomial")
+    __slots__ = ("val", "w", "order", "rows", "nonzero")
 
-    def __init__(self, val: int, order=None, monomial=None):
-        self.val, self.monomial = val, monomial  # (e, c, m) of a constant c*x^e*y^m
-        self.order = order  # k -> row k, called for k = 0, 1, 2, ... in turn
-        self.rows: List[List[Scalar]] = []
-        self.packed = _Packed(self.rows)  # the rows as products read them
+    def __init__(self, val: int, w, order=None, rows=None, nonzero=None):
+        self.val, self.w, self.order = val, w, order  # order: k -> row k, for k = 0, 1, ...
+        self.rows, self.nonzero = rows or [], nonzero  # nonzero: a constant's nonzero rows
 
-    def row(self, k: int) -> List[Scalar]:
+    def row(self, k: int) -> int:
         rows, order = self.rows, self.order
         if len(rows) <= k:
             if order is None:  # held aside: this order is being computed
@@ -245,54 +246,51 @@ class _OnlineSeries(_Ring):
                 self.order = order
         return rows[k]
 
-    @classmethod
-    def _lift(cls, other):
-        if isinstance(other, cls):
+    def _lift(self, other):
+        """other as a node at self's point: a constant unless it is a node."""
+        if isinstance(other, _OnlineSeries):
             return other
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(other, 0)
         elif not isinstance(other, TruncatedSeries):
             return NotImplemented
-        rows = other.coeffs
-        nonzero = [k for k, p in enumerate(rows) if p]
-        return cls(nonzero[0] if nonzero else len(rows),
-                   lambda k: rows[k] if k < len(rows) else [], _monomial(rows, nonzero))
+        if not {int}.issuperset(type(c) for row in other.coeffs for c in row):
+            raise TypeError("an online constant must have integer coefficients")
+        w = self.w
+        rows = [sum(map(abs, row)) if w is None else sum(c << w * i for i, c in enumerate(row))
+                for row in other.coeffs]
+        nonzero = [k for k, v in enumerate(rows) if v]
+        return _OnlineSeries(min(nonzero, default=len(rows)), w, lambda k: 0, rows, nonzero)
 
     def __add__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return _OnlineSeries(min(self.val, other.val),
-                             lambda k: _padd(self.row(k), other.row(k)))
+        return _OnlineSeries(min(self.val, other.val), self.w,
+                             lambda k: self.row(k) + other.row(k))
 
-    def __neg__(self):
-        return _OnlineSeries(self.val, lambda k: [-c for c in self.row(k)])
+    def __neg__(self):  # the identity on a majorant
+        return self if self.w is None else _OnlineSeries(self.val, self.w, lambda k: -self.row(k))
 
     def __mul__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        va, vb = self.val, other.val
-        mono, dense = self.monomial, other
-        if not mono:
-            mono, dense = other.monomial, self
-        if mono:
-            e, c, m = mono
-            # the dense row the packed kernel reads too: a self-reference still raises
-            return _OnlineSeries(va + vb, lambda k: _scale(dense.row(k - e), c, m)
-                                 if k >= va + vb else [])
-        a, b = self.packed, other.packed
+        va, vb, a, b = self.val, other.val, self.rows, other.rows
+        const, dense = (other, self) if other.nonzero is not None else (self, other)
+        if const.nonzero is not None:
+            vd, nonzero = dense.val, const.nonzero
+            return _OnlineSeries(va + vb, self.w, lambda k: sum(
+                const.rows[j] * dense.row(k - j) for j in nonzero if j <= k - vd))
 
         def order(k):
             if k < va + vb:
-                return []
+                return 0
             self.row(k - vb)  # fills the rows of both factors that row k reads
             other.row(k - va)
-            width = a.fit(b, k - vb, k - va, k - va - vb + 1)
-            total = (_sym(a.ints, va, k - va, k) if a is b else
-                     sum(a.ints[i] * b.ints[k - i] for i in range(va, k - vb + 1)))
-            return _unpack(total, width, a.den * b.den)
-        return _OnlineSeries(va + vb, order)
+            return (_sym(a, va, k - va, k) if self is other else
+                    sum(a[i] * b[k - i] for i in range(va, k - vb + 1)))
+        return _OnlineSeries(va + vb, self.w, order)
 
     __rmul__ = __mul__
 
@@ -470,17 +468,18 @@ class TruncatedSeries(_Ring):
 
     # square root ------------------------------------------------------
     def sqrt_unit(self) -> "TruncatedSeries":
-        """Square root, one x-order at a time: s_0 = 1 and
-        2 s_n = f_n - sum_{0<i<n} s_i s_{n-i}. Needs constant term 1."""
+        """Square root by the radical's differential equation: s = sqrt(f)
+        has 2 f s' = f' s, so s_0 = 1 and 2m s_m = sum_j (3j - 2m) f_j s_{m-j}
+        over f's nonzero rows 0 < j <= m. Needs constant term 1."""
         if self.coeffs[0] != [1]:
             raise NonSquareConstantTermError(
                 "square root requires constant term exactly 1")
-        s = _Packed([[1]])
-        for n in range(1, self.trunc_x + 1):
-            # the n - 1 products s_i s_{n-i}: i and n - i at once, then a middle one
-            width = s.fit(s, n - 1, n - 1, n - 1)
-            total = _sym(s.ints, 1, n - 1, n)
-            s.rows.append(_pdiv(_padd(self.coeffs[n], _unpack(-total, width, s.den ** 2)), 2))
+        f, s = _Packed(self.coeffs), _Packed([[1]])
+        for m in range(1, self.trunc_x + 1):
+            used = [j for j in range(1, m + 1) if self.coeffs[j]]
+            width = f.fit(s, m, m - 1, 2 * m * len(used)) if used else 0  # |3j - 2m| < 2m
+            total = sum((3 * j - 2 * m) * f.ints[j] * s.ints[m - j] for j in used)
+            s.rows.append(_unpack(total, width, 2 * m * f.den * s.den) if total else [])
         return TruncatedSeries._of(self.trunc_x, s.rows)
 
 

@@ -80,8 +80,9 @@ def test_fixed_point_without_convergence_raises():
         _fixed_point(8, lambda A, B: B + 1, lambda A, B: A)
 
 
-def test_fixed_point_calls_each_equation_twice(monkeypatch):
-    # one call builds the online solve and one confirms it, at any N
+def test_fixed_point_calls_each_equation_three_times(monkeypatch):
+    # one call builds the majorant solve, one the solve at y = 2^w and one
+    # confirms the solution, at any N
     class Counted:
         def __init__(self, f):
             self.f, self.calls = f, 0
@@ -103,7 +104,7 @@ def test_fixed_point_calls_each_equation_twice(monkeypatch):
         for pattern in FIXED_POINT_PATTERNS:
             distribution_gf_fixed_point(pattern, n)
             unknowns = 1 if pattern in ("UU", "UUU") else 2
-            assert [f.calls for f in equations] == [2] * unknowns, (pattern, n)
+            assert [f.calls for f in equations] == [3] * unknowns, (pattern, n)
 
 
 def test_fixed_point_confirms_at_full_truncation():
@@ -121,6 +122,31 @@ def test_fixed_point_through_a_monomial_factor():
     (m,) = _fixed_point(8, lambda M: 1 + x*M)
     assert m == 1 / (1 - x)
     assert m.coeffs == [[1]] * 9
+
+
+@pytest.mark.parametrize("c", [127, 128, 255, 256, -127, -128, -255, 2 ** 63 - 1, -2 ** 63])
+def test_fixed_point_width_holds_the_sign(c):
+    # M = c + x*M has every row c: at 8 bits 128..255 read back negative, so
+    # the width must count the sign bit and round up to whole bytes
+    x, y = TruncatedSeries.x_var(6), TruncatedSeries.y_var(6)
+    (m,) = _fixed_point(6, lambda M: c + x*M)
+    assert m.coeffs == [[c]] * 7
+    # and the same entry above y^0, where a misread digit borrows from the next
+    (m,) = _fixed_point(6, lambda M: c*y + x*M)
+    assert m.coeffs == [[0, c]] * 7
+
+
+def test_fixed_point_takes_integer_constants_only():
+    # a Fraction is refused while the equations are built, before any order
+    x, calls = TruncatedSeries.x_var(6), []
+    def rhs(M):
+        calls.append(M)
+        return Fraction(1, 2) + x*M
+    with pytest.raises(TypeError, match="integer coefficients"):
+        _fixed_point(6, rhs)
+    assert len(calls) == 1 and calls[0].rows == []
+    (m,) = _fixed_point(6, lambda M: Fraction(4, 2) + x*M)  # the int 2
+    assert m.coeffs == [[2]] * 7
 
 
 def test_fixed_point_requires_known_pattern():

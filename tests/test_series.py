@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from dyckmotz import (
     NonUnitDivisorError,
     TruncatedSeries,
 )
-from dyckmotz.series import _OnlineSeries
+from dyckmotz.series import _OnlineSeries, _unpack
 
 T = 12
 X = TruncatedSeries.x_var(T)
@@ -195,12 +197,11 @@ def test_division_round_trip(a_rows, b_rows):
 def test_online_series_matches_the_ring(a_rows, b_rows):
     # the nodes the fixed-point route solves with, against the eager ring
     a, b = _build(a_rows), _build(b_rows)
-    oa = _OnlineSeries._lift(a)
-    cases = [(oa + b, a + b), (oa - b, a - b), (3 - oa, 3 - a), (-oa, -a),
-             (2 + oa, 2 + a), (b - oa, b - a),
-             (b * oa, b * a), (oa * oa, a * a), (oa ** 0, a ** 0), (oa ** 3, a ** 3)]
-    for online, eager in cases:
-        assert [online.row(k) for k in range(a.trunc_x + 1)] == eager.coeffs
+    cases = lambda s: (s + b, s - b, 3 - s, -s, 2 + s, b - s, b * s, s * s, s ** 0, s ** 3)
+    for kind in range(2):  # a constant node, and one whose products read every row
+        _assert_online(lambda w: cases(_nodes(a, w)[kind]), [c.coeffs for c in cases(a)],
+                       a.trunc_x)
+    oa = _OnlineSeries(0, None)._lift(a)
     for series in (a, oa):  # both rings share one power operator
         for k in (-1, 1.5):
             with pytest.raises(ValueError, match="nonnegative integer powers"):
@@ -303,8 +304,43 @@ def _series(rows):
     return TruncatedSeries(len(rows) - 1, rows)
 
 
-def _online_rows(node, n):
-    return [node.row(k) for k in range(n + 1)]
+def _nodes(series, w):
+    """series on the online ring at y = 2^w (a majorant when w is None): as a
+    constant, which products read at its nonzero rows, and as a node whose
+    products read every row."""
+    constant = _OnlineSeries(0, w)._lift(series)
+    return constant, _OnlineSeries(constant.val, w, constant.row)
+
+
+def _assert_online(build, wants, n):
+    """build(w) gives online nodes at y = 2^w, one per rows in wants: each
+    decodes to its rows at the fixed-point solver's width, and its majorant
+    (w None) bounds the sum of each row's absolute values."""
+    top = max((abs(c) for want in wants for row in want for c in row), default=0)
+    w = (top.bit_length() + 8) & -8
+    for node, want in zip(build(w), wants, strict=True):
+        assert [_unpack(node.row(k), w, 1) for k in range(n + 1)] == want
+    for node, want in zip(build(None), wants, strict=True):
+        assert all(node.row(k) >= sum(map(abs, want[k])) for k in range(n + 1))
+
+
+def _integral(*series):
+    return all(type(c) is int for s in series for row in s.coeffs for c in row)
+
+
+def _whole(series):
+    """series times the lcm of its denominators: its rows over the integers."""
+    return series * lcm(*(Fraction(c).denominator for row in series.coeffs for c in row))
+
+
+def _assert_online_refuses(a, b):
+    # the online ring takes integer constants only: a Fraction is refused
+    # before anything is computed, at either point
+    for w in (None, 64):
+        with pytest.raises(TypeError, match="integer coefficients"):
+            _OnlineSeries(0, w)._lift(a) * b
+        with pytest.raises(TypeError, match="integer coefficients"):
+            b * _OnlineSeries(0, w)._lift(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,23 +349,29 @@ def test_products_match_the_oracle(pair):
     a, b = (_series(rows) for rows in pair)
     n = a.trunc_x
     want = _oracle_product(a.coeffs, b.coeffs, n)
-    for got in ((a * b).coeffs, (b * a).coeffs,
-                _online_rows(_OnlineSeries._lift(a) * b, n),
-                _online_rows(b * _OnlineSeries._lift(a), n)):
+    for got in ((a * b).coeffs, (b * a).coeffs):
         assert got == want
         _assert_canonical(got)
-    # an online node shared by two products of different widths
-    oa, ob = _OnlineSeries._lift(a), _OnlineSeries._lift(b)
-    ab, aa = oa * ob, oa * oa
-    assert _online_rows(ab * oa, n) == _oracle_product(want, a.coeffs, n)
     square = _oracle_product(a.coeffs, a.coeffs, n)
     cube = _oracle_product(square, a.coeffs, n)
     # squares, and the first product of a power, are summed by symmetry
-    for got, want in ((_online_rows(aa, n), square), ((a * a).coeffs, square),
-                      ((a ** 2).coeffs, square), ((a ** 3).coeffs, cube),
-                      (_online_rows(oa ** 3, n), cube)):
-        assert got == want
+    for got, want_rows in (((a * a).coeffs, square), ((a ** 2).coeffs, square),
+                           ((a ** 3).coeffs, cube)):
+        assert got == want_rows
         _assert_canonical(got)
+    if not _integral(a, b):
+        _assert_online_refuses(a, b)
+        a, b = _whole(a), _whole(b)  # the online cases on the same rows over the integers
+        want = _oracle_product(a.coeffs, b.coeffs, n)
+        square = _oracle_product(a.coeffs, a.coeffs, n)
+        cube = _oracle_product(square, a.coeffs, n)
+    # an online node shared by two products, and online squares and cubes
+    for ka, kb in product(range(2), repeat=2):
+        def build(w):
+            oa, ob = _nodes(a, w)[ka], _nodes(b, w)[kb]
+            return oa * b, b * oa, oa * ob, (oa * ob) * oa, oa * oa, oa ** 3
+        _assert_online(build, [want, want, want, _oracle_product(want, a.coeffs, n),
+                               square, cube], n)
 
 
 MONOMIAL_COEFF = st.one_of(
@@ -346,17 +388,21 @@ def test_monomial_products_match_the_oracle(c, e, extra, m, b_rows):
     # Fractions that must come back as ints
     a = _series([[]] * e + [[0] * m + [c]] + [[]] * extra)
     b = _series([[v * Fraction(c).denominator for v in row] for row in b_rows])
-    assert _OnlineSeries._lift(a).monomial == (e, c, m)
     n = min(a.trunc_x, b.trunc_x)
     want = _oracle_product(a.coeffs, b.coeffs, n)
-    for got in ((a * b).coeffs, (b * a).coeffs,
-                _online_rows(_OnlineSeries._lift(a) * b, n),
-                _online_rows(b * _OnlineSeries._lift(a), n)):
+    for got in ((a * b).coeffs, (b * a).coeffs):
         assert got == want
         _assert_canonical(got)
     square = (a * a).coeffs
     assert square == _oracle_product(a.coeffs, a.coeffs, a.trunc_x)
     _assert_canonical(square)
+    if not _integral(a, b):
+        _assert_online_refuses(a, b)
+        a, b = _whole(a), _whole(b)  # the online cases on the same rows over the integers
+        want = _oracle_product(a.coeffs, b.coeffs, n)
+    assert _OnlineSeries(0, 64)._lift(a).nonzero == [e]  # a product reads one row
+    for kind in range(2):
+        _assert_online(lambda w: (_nodes(a, w)[kind] * b, b * _nodes(a, w)[kind]), [want] * 2, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -414,18 +460,34 @@ def test_kernel_at_its_width_bound(bits, count, length, sign):
     want = _oracle_product(a.coeffs, b.coeffs, n)
     assert want[n][length - 1] == sign * count * length * top * top
     assert (a * b).coeffs == want
-    assert _online_rows(_OnlineSeries._lift(a) * _OnlineSeries._lift(b), n) == want
+    for ka, kb in product(range(2), repeat=2):
+        _assert_online(lambda w: [_nodes(a, w)[ka] * _nodes(b, w)[kb]], [want], n)
     # a square sums the same P*L products, its cross pairs once and doubled
     for f in (a, b):
         square = _oracle_product(f.coeffs, f.coeffs, n)
         assert square[n][length - 1] == count * length * top * top
         assert (f * f).coeffs == square
-        of = _OnlineSeries._lift(f)
-        assert _online_rows(of * of, n) == square
+        for kind in range(2):
+            _assert_online(lambda w: [_nodes(f, w)[kind] ** 2], [square], n)
     # the same rows as a root and as a quotient
     root = _series([[1]] + b.coeffs[1:])
     assert _series(_oracle_product(root.coeffs, root.coeffs, n)).sqrt_unit() == root
     assert _series(_oracle_product(a.coeffs, root.coeffs, n)) / root == a
+
+
+@pytest.mark.parametrize("e", [4, 8, 16])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_root_at_its_width_bound(e, sign):
+    # f = 1 + c*x^e: the first order the root computes is e, where the sum
+    # is e*c, weight e on one term; with c of 61 bits the bound's p = 2e
+    # widens the kernel's first width past 64, and p = 1 would leave it at
+    # 64, which cannot hold 8c or 16c
+    c = sign * (2 ** 61 - 1)
+    f = _series([[1]] + [[]] * (e - 1) + [[c]] + [[]] * e)
+    root = f.sqrt_unit()
+    assert root.coeffs[e] == [Fraction(c, 2)]
+    assert _oracle_product(root.coeffs, root.coeffs, f.trunc_x) == f.coeffs
+    _assert_canonical(root.coeffs)
 
 
 def test_results_own_their_rows():
@@ -456,12 +518,19 @@ def test_every_kernel_user_is_exact_over_q():
     assert quotient.coeffs == _oracle_quotient(num.coeffs, den.coeffs, T)
     assert quotient * den == num
     walk = ONE + X * Y + 2 * X ** 2 + Fraction(3, 2) * X ** 3 * Y
-    online = _OnlineSeries._lift(walk)
+    _assert_online_refuses(walk, ONE)
+    whole = walk * 2  # the same walk on the online ring, which holds ints only
     for scale in (Fraction(1, 3), Fraction(4, 2), Fraction(-6, 4)):
-        eager = walk * scale
-        assert _online_rows(online * scale, T) == eager.coeffs
-        assert _online_rows(scale * online, T) == eager.coeffs
-        assert _online_rows(online * _OnlineSeries._lift(eager), T) == (walk * eager).coeffs
+        eager = whole * scale
+        if _integral(eager):  # 4/2 is the int 2
+            _assert_online(lambda w: (_nodes(whole, w)[0] * scale, scale * _nodes(whole, w)[0],
+                                      _nodes(whole, w)[1] * _nodes(eager, w)[0]),
+                           [eager.coeffs, eager.coeffs, (whole * eager).coeffs], T)
+        else:
+            _assert_online_refuses(eager, whole)
+            for w in (None, 64):
+                with pytest.raises(TypeError, match="integer coefficients"):
+                    _OnlineSeries(0, w)._lift(whole) * scale
     results = [root, quotient, root * root, quotient * den, walk * Fraction(4, 2),
                (walk * Fraction(2, 3)) * Fraction(3, 2)]
     for series in results:
