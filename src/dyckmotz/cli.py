@@ -48,6 +48,10 @@ _FAMILIES = {
     "constrained": enumerate_constrained,
 }
 
+# gf --method: the series routes, each called as route(pattern, max_n)
+_ROUTES = {"closed": distribution_gf_closed, "fixed": distribution_gf_fixed_point,
+           "brute": distribution_brute_force}
+
 
 def _global_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gf", parents=[_global_flags()],
                        help="distribution series rows n,k,count (default n<=12)")
     p.add_argument("--pattern", required=True, choices=PATTERNS)
-    p.add_argument("--method", choices=("closed", "fixed", "brute", "all"),
+    p.add_argument("--method", choices=(*_ROUTES, "all"),
                    default="closed")
 
     p = sub.add_parser("popularity", parents=[_global_flags()],
@@ -210,14 +214,6 @@ def _cmd_check_transport(args) -> int:
     return 1 if failed else 0
 
 
-def _series_for(pattern: str, method: str, max_n: int):
-    if method == "closed":
-        return distribution_gf_closed(pattern, max_n)
-    if method == "brute":
-        return distribution_brute_force(pattern, max_n)
-    return distribution_gf_fixed_point(pattern, max_n)
-
-
 # a brute-force walk over more family members than this is announced first
 _LONG_WALK = 10 ** 7
 
@@ -231,7 +227,7 @@ def _cmd_gf(args) -> int:
                   f"(n = 0..{max_n})", file=sys.stderr)
     if args.method == "all":
         routes, agree = cross_check_routes(
-            args.pattern, max_n, distribution_brute_force(args.pattern, max_n))
+            args.pattern, max_n, _ROUTES["brute"](args.pattern, max_n))
         if not all(agree.values()):
             print(f"routes disagree for {args.pattern}", file=sys.stderr)
             return 1
@@ -239,7 +235,7 @@ def _cmd_gf(args) -> int:
         if args.format == "text":  # csv and json carry the rows alone
             print(f"# routes agree: {', '.join(routes)}")
     else:
-        result = _series_for(args.pattern, args.method, max_n)
+        result = _ROUTES[args.method](args.pattern, max_n)
     if args.format == "text":
         print(result.dump())
     else:

@@ -7,10 +7,10 @@ to the number of family members of semilength n containing p exactly k
 times. The three routes are:
 
   closed form   algebraic expression evaluated in the exact series ring
-  fixed point   functional equation (or 2-unknown system) solved one
-                x-order at a time with online series (+, -, * and **
-                only), then confirmed in the series ring, where such an
-                equation is on record (UU, UUU, UDU, UDD, DDU, DDD)
+  fixed point   functional equation (or 2-unknown system) from the table
+                _SYSTEMS, solved one x-order at a time and confirmed in
+                the series ring by series.solve_fixed_point, where such
+                an equation is on record (UU, UUU, UDU, UDD, DDU, DDD)
   brute force   one enumeration pass per semilength, counting
                 occurrences path by path and tallying the paths by
                 their vector of twelve counts
@@ -37,13 +37,12 @@ from functools import lru_cache
 
 from .enumeration import enumerate_constrained, motzkin_numbers
 from .patterns import _reader, parse_pattern
-from .series import NoConvergenceError, TruncatedSeries, _OnlineSeries, _unpack
+from .series import NoConvergenceError, TruncatedSeries, solve_fixed_point
 
 DEFAULT_TRUNCATION = 24
 
 PATTERNS = ("UD", "UU", "DD", "DU",
             "UUU", "UUD", "DUU", "DUD", "UDU", "UDD", "DDU", "DDD")
-FIXED_POINT_PATTERNS = ("UU", "UUU", "UDU", "UDD", "DDU", "DDD")
 
 # denominators all have x-valuation 2, so closed forms are built with
 # two guard orders and land exactly on the requested truncation
@@ -157,6 +156,48 @@ _CLOSED_FORMS = {
 }
 
 
+# functional equations ----------------------------------------------------
+# Each entry maps the ring generators and its unknowns to the tuple of their
+# right-hand sides, for series.solve_fixed_point. One unknown is F itself;
+# a pair (A, B) is solved jointly, with F = 1 + A + B built once per call.
+
+def _fp_uu(x, y, M):
+    x2 = x * x
+    return (1 + x*M + x2*y*M + x2*y**2*(M - 1)*M,)
+
+
+def _fp_uuu(x, y, F):
+    x2, geo = x * x, 1 / (1 - x)  # geo: paths of the shape (UD)^j, j >= 0
+    return (1 + x*F + x2*F + x2*y*(x*geo)*F + x2*y**2*(F - geo)*F,)
+
+
+def _fp_udu(x, y, A, B):
+    x2, F = x * x, 1 + A + B
+    return x + x*y*A + x*B, x2 + x2*y*A + x2*B + x2*F*(F - 1)
+
+
+def _fp_udd(x, y, A, B):
+    x2, F = x * x, 1 + A + B
+    return x*F, (x2*y*F + x2*y*A + x2*B + x2*B**2
+                 + x2*y*A*B + x2*y**2*A**2 + x2*y*A*B)
+
+
+def _fp_ddu(x, y, A, B):
+    x2, F = x * x, 1 + A + B
+    return x + x*A + x*y*B, x2*F + x2*y*A*(F - 1) + x2*A + x2*y*B*F
+
+
+def _fp_ddd(x, y, A, B):
+    x2, y2, F = x * x, y**2, 1 + A + B
+    return x*F, (x2*F + x2*y2*B + x2*y*A + x2*A**2
+                 + 2*x2*y*A*B + x2*y2*B**2)
+
+
+_SYSTEMS = {"UU": _fp_uu, "UUU": _fp_uuu, "UDU": _fp_udu,
+            "UDD": _fp_udd, "DDU": _fp_ddu, "DDD": _fp_ddd}
+FIXED_POINT_PATTERNS = tuple(_SYSTEMS)
+
+
 # holds one truncation order's 11 closed and 3 popularity forms twice over
 @lru_cache(maxsize=32)
 def _printed(form, N: int, popularity: bool) -> TruncatedSeries:
@@ -178,89 +219,18 @@ def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> Truncat
         _printed(_CLOSED_FORMS[pattern], N, False).truncate(N), pattern, "closed")
 
 
-# functional equations ----------------------------------------------------
-# Single-unknown forms solve for one series; the two-unknown systems solve
-# for (A, B) jointly with F written as 1 + A + B inside every right hand
-# side. Each right hand side is called on online unknowns, which turns it
-# into a graph of _OnlineSeries nodes whose top node gives its unknown's
-# orders. x^k needs only lower orders of the unknowns (a node read for the
-# order it computes raises NoConvergenceError), so settling x^0, ..., x^N
-# in turn computes each order of each node once: _solve does so for a
-# majorant, whose largest row bounds every coefficient, and then at y = 2^w
-# for a w that bound allows. One eager pass in the TruncatedSeries ring
-# confirms the solution at N.
-
-def _solve(N: int, w, rhs):
-    unknowns = [_OnlineSeries(0, w) for _ in rhs]
-    try:
-        for u, f in zip(unknowns, rhs):
-            u.order = u._lift(f(*unknowns)).row
-        for k in range(N + 1):
-            for u in unknowns:
-                u.row(k)
-    finally:
-        for u in unknowns:  # unknowns and equations form a cycle: free it now
-            u.order = None
-    return [u.rows for u in unknowns]
-
-
-def _fixed_point(N: int, *rhs):
-    # whole bytes, with room for the sign: every coefficient is below 2^(w - 1)
-    w = (max(map(max, _solve(N, None, rhs))).bit_length() + 8) & -8
-    ms = [TruncatedSeries._of(N, [_unpack(v, w, 1) for v in rows]) for rows in _solve(N, w, rhs)]
-    if [f(*ms) for f in rhs] != ms:
-        raise NoConvergenceError(f"the solution misses its equations at x^{N}")
-    return ms
-
-
 def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
+    """Pattern's system in _SYSTEMS solved through x^N, validated."""
     pattern = _canon(pattern)
-    if pattern not in FIXED_POINT_PATTERNS:
+    if pattern not in _SYSTEMS:
         raise KeyError(f"no fixed-point system for {pattern}; "
                        f"have: {', '.join(FIXED_POINT_PATTERNS)}")
-    x = TruncatedSeries.x_var(N)
-    y = TruncatedSeries.y_var(N)
-    x2 = x * x
-
-    if pattern == "UU":
-        (m,) = _fixed_point(N, lambda M: 1 + x*M + x2*y*M + x2*y**2*(M - 1)*M)
-        return _validate_distribution(m, pattern, "fixed")
-
-    if pattern == "UUU":
-        geo = 1 / (1 - x)  # paths of the shape (UD)^j, j >= 0
-        (m,) = _fixed_point(
-            N, lambda F: 1 + x*F + x2*F + x2*y*(x*geo)*F + x2*y**2*(F - geo)*F)
-        return _validate_distribution(m, pattern, "fixed")
-
-    if pattern == "UDU":
-        ra = lambda A, B: x + x*y*A + x*B
-        def rb(A, B):
-            F = 1 + A + B
-            return x2 + x2*y*A + x2*B + x2*F*(F - 1)
-        a, b = _fixed_point(N, ra, rb)
-    elif pattern == "UDD":
-        ra = lambda A, B: x * (1 + A + B)
-        def rb(A, B):
-            F = 1 + A + B
-            return (x2*y*F + x2*y*A + x2*B + x2*B**2
-                    + x2*y*A*B + x2*y**2*A**2 + x2*y*A*B)
-        a, b = _fixed_point(N, ra, rb)
-    elif pattern == "DDU":
-        ra = lambda A, B: x + x*A + x*y*B
-        def rb(A, B):
-            F = 1 + A + B
-            return x2*F + x2*y*A*(F - 1) + x2*A + x2*y*B*F
-        a, b = _fixed_point(N, ra, rb)
-    else:  # DDD
-        ra = lambda A, B: x * (1 + A + B)
-        def rb(A, B):
-            F = 1 + A + B
-            y2 = y**2
-            return (x2*F + x2*y2*B + x2*y*A + x2*A**2
-                    + 2*x2*y*A*B + x2*y2*B**2)
-        a, b = _fixed_point(N, ra, rb)
-
-    return _validate_distribution(1 + a + b, pattern, "fixed")
+    system = _SYSTEMS[pattern]
+    x, y = TruncatedSeries.x_var(N), TruncatedSeries.y_var(N)
+    count = system.__code__.co_argcount - 2  # the unknowns after x and y
+    solution = solve_fixed_point(N, lambda *unknowns: system(x, y, *unknowns), count)
+    return _validate_distribution(solution[0] if count == 1 else 1 + sum(solution),
+                                  pattern, "fixed")
 
 
 # brute force --------------------------------------------------------------

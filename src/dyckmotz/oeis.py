@@ -27,11 +27,11 @@ class CacheMissError(FileNotFoundError):
     """Offline fetch with no cached copy and no embedded fallback."""
 
 
-_ID_RE = re.compile(r"^A\d{6}$")
+_ID_RE = re.compile(r"A\d{6}")
 
 
 def _check_id(oeis_id: str) -> str:
-    if not _ID_RE.match(oeis_id):
+    if not _ID_RE.fullmatch(oeis_id):  # "^A\d{6}$" would pass "A000001\n"
         raise ValueError(f"bad OEIS id {oeis_id!r}; expected like A025566")
     return oeis_id
 

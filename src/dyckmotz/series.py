@@ -18,12 +18,12 @@ packed sum over f's nonzero rows j, 2m s_m = sum_j (3j - 2m) f_j s_{m-j}.
 Products of y-polynomials are Kronecker substitutions: rows pack once to
 their values at y = 2^W, big-integer products are summed, and the signed
 W-bit digits of a sum are its coefficients (_Packed.fit proves W wide
-enough). The private _OnlineSeries computes a series one x-order at a
-time, each row one int at y = 2^w that the fixed-point route decodes only
-for its unknowns; its equations use +, -, * and ** only, and a node read
-for the order it is computing raises NoConvergenceError. Both rings derive
-from _Ring, which writes reflected +, both -'s and ** once from _lift,
-__add__, __neg__, __mul__.
+enough). solve_fixed_point solves U = system(*U) through x^N in the
+private _OnlineSeries, one x-order at a time, each row one int at y = 2^w
+decoded only for the unknowns, and confirms it in the eager ring; a node
+read for the order it is computing raises NoConvergenceError. Both rings
+derive from _Ring, which writes reflected +, both -'s and ** once from
+_lift, __add__, __neg__, __mul__.
 
 The work follows the nonzero coefficients. An eager product with a monomial
 factor c*x^e*y^m (one nonzero row, holding one entry) skips the kernel: row k
@@ -523,3 +523,34 @@ def _div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
                 f"term x^{n} y^{k} not divisible by divisor lead y^{m}")
         quot.rows.append(_pdiv(acc[m:], c))
     return TruncatedSeries._of(n_out, quot.rows)
+
+
+def _solve(N: int, w, system, count: int) -> List[List[int]]:
+    """Rows 0..N of each unknown at y = 2^w, or as a majorant for w None."""
+    unknowns = [_OnlineSeries(0, w) for _ in range(count)]
+    try:
+        for u, f in zip(unknowns, system(*unknowns)):
+            u.order = u._lift(f).row
+        for k in range(N + 1):
+            for u in unknowns:
+                u.row(k)
+    finally:
+        for u in unknowns:  # unknowns and equations form a cycle: free it now
+            u.order = None
+    return [u.rows for u in unknowns]
+
+
+def solve_fixed_point(N: int, system, count: int) -> List[TruncatedSeries]:
+    """The count unknowns U = system(*U) through x^N. system maps unknowns to
+    the tuple of their right-hand sides, built with +, -, * and ** from
+    constants of int coefficients; x^k of each may read only lower orders of
+    the unknowns, else NoConvergenceError. Solved as a majorant, whose largest
+    row bounds every coefficient, then at y = 2^w for a w that bound allows,
+    each order of each node once, and confirmed by one eager pass."""
+    # whole bytes, with room for the sign: every coefficient is below 2^(w - 1)
+    w = (max(map(max, _solve(N, None, system, count))).bit_length() + 8) & -8
+    ms = [TruncatedSeries._of(N, [_unpack(v, w, 1) for v in rows])
+          for rows in _solve(N, w, system, count)]
+    if list(system(*ms)) != ms:
+        raise NoConvergenceError(f"the solution misses its equations at x^{N}")
+    return ms

@@ -162,7 +162,7 @@ def test_gf_failed_route_check_exits_1(capsys, monkeypatch):
 def test_gf_announces_a_long_brute_force_walk(capsys, monkeypatch):
     # sum M_n over n <= 18 is 10,237,540, the first sum past 10^7; the walk
     # is replaced by the closed form, so only the announcement is timed
-    monkeypatch.setattr(cli, "distribution_brute_force", genfun.distribution_gf_closed)
+    monkeypatch.setitem(cli._ROUTES, "brute", genfun.distribution_gf_closed)
     for method, max_n, err in (
             ("brute", 18, "dyckmotz: the brute-force route walks 10237540 family members "
                           "(n = 0..18)\n"),
@@ -440,6 +440,12 @@ def test_oeis_fetch_offline_embedded(capsys):
 def test_oeis_fetch_offline_miss(capsys):
     assert main(["oeis-fetch", "A000001", "--offline"]) == 1
     assert "no cached b-file" in capsys.readouterr().err
+
+
+def test_oeis_fetch_refuses_an_id_with_a_trailing_newline(capsys, tmp_path):
+    # bad input, not a cache miss: exit 2 before any cache is read
+    assert main(["oeis-fetch", "A000001\n", "--offline", "--oeis-cache", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "dyckmotz: bad OEIS id 'A000001\\n'; expected like A025566\n"
 
 
 def test_oeis_cache_env_var(capsys, monkeypatch, tmp_path):

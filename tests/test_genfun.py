@@ -20,8 +20,8 @@ from dyckmotz import (
 )
 from dyckmotz import genfun
 from dyckmotz.enumeration import motzkin_numbers
-from dyckmotz.genfun import RouteCheckError, _fixed_point, cross_check_routes
-from dyckmotz.series import TruncatedSeries
+from dyckmotz.genfun import RouteCheckError, cross_check_routes
+from dyckmotz.series import TruncatedSeries, solve_fixed_point
 
 N = 10
 
@@ -75,51 +75,44 @@ def test_closed_forms_equal_fixed_points_deep():
 
 def test_fixed_point_without_convergence_raises():
     with pytest.raises(NoConvergenceError):
-        _fixed_point(8, lambda M: M + 1)
+        solve_fixed_point(8, lambda M: (M + 1,), 1)
     with pytest.raises(NoConvergenceError):
-        _fixed_point(8, lambda A, B: B + 1, lambda A, B: A)
+        solve_fixed_point(8, lambda A, B: (B + 1, A), 2)
 
 
 def test_fixed_point_calls_each_equation_three_times(monkeypatch):
-    # one call builds the majorant solve, one the solve at y = 2^w and one
-    # confirms the solution, at any N
-    class Counted:
-        def __init__(self, f):
-            self.f, self.calls = f, 0
+    # one call of the system builds the majorant solve, one the solve at
+    # y = 2^w and one confirms the solution, at any N
+    calls = []
 
-        def __call__(self, *unknowns):
-            self.calls += 1
-            return self.f(*unknowns)
+    def counting(N, system, count):
+        def counted(*unknowns):
+            calls.append(len(unknowns))
+            return system(*unknowns)
+        return solve_fixed_point(N, counted, count)
 
-    equations = []
-
-    def counting(solve):
-        def run(N, *rhs):
-            equations[:] = [Counted(f) for f in rhs]
-            return solve(N, *equations)
-        return run
-
-    monkeypatch.setattr(genfun, "_fixed_point", counting(_fixed_point))
+    monkeypatch.setattr(genfun, "solve_fixed_point", counting)
     for n in (8, 40):
         for pattern in FIXED_POINT_PATTERNS:
+            calls.clear()
             distribution_gf_fixed_point(pattern, n)
             unknowns = 1 if pattern in ("UU", "UUU") else 2
-            assert [f.calls for f in equations] == [3] * unknowns, (pattern, n)
+            assert calls == [unknowns] * 3, (pattern, n)
 
 
 def test_fixed_point_confirms_at_full_truncation():
     # x is known only to x^4, so the solve at 6 cannot be confirmed
     x = TruncatedSeries.x_var(4)
     with pytest.raises(NoConvergenceError):
-        _fixed_point(6, lambda M: 1 + x*M)
+        solve_fixed_point(6, lambda M: (1 + x*M,), 1)
 
 
 def test_fixed_point_through_a_monomial_factor():
     # y*M reads M's own order: still a self-reference on the monomial path
     x, y = TruncatedSeries.x_var(8), TruncatedSeries.y_var(8)
     with pytest.raises(NoConvergenceError, match="depends on itself"):
-        _fixed_point(8, lambda M: 1 + y*M)
-    (m,) = _fixed_point(8, lambda M: 1 + x*M)
+        solve_fixed_point(8, lambda M: (1 + y*M,), 1)
+    (m,) = solve_fixed_point(8, lambda M: (1 + x*M,), 1)
     assert m == 1 / (1 - x)
     assert m.coeffs == [[1]] * 9
 
@@ -129,23 +122,23 @@ def test_fixed_point_width_holds_the_sign(c):
     # M = c + x*M has every row c: at 8 bits 128..255 read back negative, so
     # the width must count the sign bit and round up to whole bytes
     x, y = TruncatedSeries.x_var(6), TruncatedSeries.y_var(6)
-    (m,) = _fixed_point(6, lambda M: c + x*M)
+    (m,) = solve_fixed_point(6, lambda M: (c + x*M,), 1)
     assert m.coeffs == [[c]] * 7
     # and the same entry above y^0, where a misread digit borrows from the next
-    (m,) = _fixed_point(6, lambda M: c*y + x*M)
+    (m,) = solve_fixed_point(6, lambda M: (c*y + x*M,), 1)
     assert m.coeffs == [[0, c]] * 7
 
 
 def test_fixed_point_takes_integer_constants_only():
     # a Fraction is refused while the equations are built, before any order
     x, calls = TruncatedSeries.x_var(6), []
-    def rhs(M):
+    def system(M):
         calls.append(M)
-        return Fraction(1, 2) + x*M
+        return (Fraction(1, 2) + x*M,)
     with pytest.raises(TypeError, match="integer coefficients"):
-        _fixed_point(6, rhs)
+        solve_fixed_point(6, system, 1)
     assert len(calls) == 1 and calls[0].rows == []
-    (m,) = _fixed_point(6, lambda M: Fraction(4, 2) + x*M)  # the int 2
+    (m,) = solve_fixed_point(6, lambda M: (Fraction(4, 2) + x*M,), 1)  # the int 2
     assert m.coeffs == [[2]] * 7
 
 

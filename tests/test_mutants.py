@@ -1,14 +1,17 @@
-"""The series-route slice of the campaign's mutation matrix: each mutant
-is a monkeypatch of one printed form or of the fixed-point solver, with the
-exact set of records of run_full_verification(8) whose status it turns. Every mutant runs on a
-cold memo of printed forms and again right after an unmutated campaign
-has filled it; a memo that served a replaced form's old series would
-turn fewer records on the warm run."""
+"""The series-route, rule and identity slice of the campaign's mutation
+matrix: each mutant is a monkeypatch of one printed form, one fixed-point
+system, the fixed-point solver, one transport rule or one identity, with the
+exact set of records of run_full_verification(8) whose status it turns.
+Every mutant of a form, a system or the solver runs on a cold memo of
+printed forms and again right after an unmutated campaign has filled it; a
+memo that served a replaced form's old series would turn fewer records on
+the warm run. The rule and identity mutants read no printed form and run
+once."""
 import json
 
 import pytest
 
-from dyckmotz import cli, genfun, run_full_verification, series
+from dyckmotz import cli, genfun, patterns, run_full_verification, series, verifier
 
 MAX_N = 8
 
@@ -25,9 +28,29 @@ def _printed_du_plus_one(monkeypatch):
     monkeypatch.setitem(genfun._pop_closed_length2, "DU", lambda x, r: du(x, r) + 1)
 
 
+def _systems(**systems):
+    def mutate(monkeypatch):
+        for pattern, system in systems.items():
+            monkeypatch.setitem(genfun._SYSTEMS, pattern, system)
+    return mutate
+
+
+def _uu_y_for_y2(x, y, M):
+    x2 = x * x
+    return (1 + x*M + x2*y*M + x2*y*(M - 1)*M,)
+
+
+def _ddd_one_ab(x, y, A, B):
+    x2, y2, F = x * x, y**2, 1 + A + B
+    return x*F, x2*F + x2*y2*B + x2*y*A + x2*A**2 + x2*y*A*B + x2*y2*B**2
+
+
 def _narrow_decode(monkeypatch):
-    # each solution row read one byte narrower than the width its majorant proves
-    monkeypatch.setattr(genfun, "_unpack", lambda v, w, den: series._unpack(v, w - 8, den))
+    # each solution row built one byte wider than the width its majorant
+    # proves, and so decoded one byte narrow
+    solve = series._solve
+    monkeypatch.setattr(series, "_solve", lambda N, w, system, count: solve(
+        N, None if w is None else w + 8, system, count))
 
 
 MUTANTS = [
@@ -43,9 +66,40 @@ MUTANTS = [
      {"three-way:DD", "golden:pop:pop2:DD", "popularity-closed-forms"}),
     ("printed DU popularity plus 1", _printed_du_plus_one,
      {"popularity-closed-forms"}),
+    ("UU's system with y for y**2", _systems(UU=_uu_y_for_y2), {"three-way:UU"}),
+    ("DDD's system with x2*y*A*B for 2*x2*y*A*B", _systems(DDD=_ddd_one_ab),
+     {"three-way:DDD"}),
     # a solution that misses its equations fails its record; the report goes on
-    ("_fixed_point decodes one byte narrow", _narrow_decode,
+    ("solve_fixed_point decodes one byte narrow", _narrow_decode,
      {f"three-way:{p}" for p in genfun.FIXED_POINT_PATTERNS}),
+]
+
+
+def _rule(name, motzkin_text):
+    def mutate(monkeypatch):
+        rules = [patterns._rule(name, motzkin_text) if r.name == name else r
+                 for r in patterns.transport_rules()]
+        monkeypatch.setattr(verifier, "transport_rules", lambda: rules)
+    return mutate
+
+
+def _dyck_identity(old, new):
+    def mutate(monkeypatch):
+        monkeypatch.setattr(verifier, "DYCK_IDENTITIES", tuple(
+            new if identity == old else identity for identity in verifier.DYCK_IDENTITIES))
+    return mutate
+
+
+# each turned record with its new status; a record is named by its
+# identity's text, so a changed identity's record leaves (None) under its old
+# name and comes back under its new one
+MEMO_FREE_MUTANTS = [
+    ("rule UDU to FF", _rule("UDU", "FF"), {"transport:UDU": "fail"}),
+    ("rule DDD plus 1", _rule("DDD", "2*UU + 2*UF - FD - FUU - FUF + 1"),
+     {"transport:DDD": "fail"}),
+    ("identity DU = DDU + UDU to DDU + UDD",
+     _dyck_identity(("DU", "DDU + UDU", 0), ("DU", "DDU + UDD", 0)),
+     {"identity:dyck:DU = DDU + UDU": None, "identity:dyck:DU = DDU + UDD": "fail"}),
 ]
 
 
@@ -77,6 +131,15 @@ def test_mutant_turns_exactly_its_records(monkeypatch, unmutated, mutate, turned
     statuses = _statuses()
     assert statuses.keys() == unmutated.keys()
     assert {name for name, status in statuses.items() if status != unmutated[name]} == turned
+
+
+@pytest.mark.parametrize("mutate, turned", [row[1:] for row in MEMO_FREE_MUTANTS],
+                         ids=[row[0] for row in MEMO_FREE_MUTANTS])
+def test_memo_free_mutant_turns_exactly_its_records(monkeypatch, unmutated, mutate, turned):
+    mutate(monkeypatch)
+    statuses = _statuses()
+    assert {name: statuses.get(name) for name in statuses.keys() | unmutated.keys()
+            if statuses.get(name) != unmutated.get(name)} == turned
 
 
 def test_a_failed_fixed_point_still_gives_the_report(monkeypatch, capsys):

@@ -31,6 +31,17 @@ def test_bfile_url():
         bfile_url("001006")
 
 
+def test_an_id_with_a_trailing_newline_is_refused(tmp_path):
+    # "$" also matches before a final newline: the id must match in full
+    with pytest.raises(ValueError):
+        bfile_url("A000001\n")
+    calls = []
+    with pytest.raises(ValueError):
+        oeis_fetch("A000001\n", cache_dir=str(tmp_path),
+                   opener=lambda url: calls.append(url) or SAMPLE)
+    assert calls == [] and list(tmp_path.iterdir()) == []  # nothing fetched or cached
+
+
 def test_parse_bfile():
     assert parse_bfile(SAMPLE) == (0, [1, 1, 2, 4])
     assert parse_bfile("5 10\n6 20\n") == (5, [10, 20])
