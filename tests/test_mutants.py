@@ -70,7 +70,7 @@ MUTANTS = [
     ("DDD's system with x2*y*A*B for 2*x2*y*A*B", _systems(DDD=_ddd_one_ab),
      {"three-way:DDD"}),
     # a solution that misses its equations fails its record; the report goes on
-    ("solve_fixed_point decodes one byte narrow", _narrow_decode,
+    ("_fixed_point decodes one byte narrow", _narrow_decode,
      {f"three-way:{p}" for p in genfun.FIXED_POINT_PATTERNS}),
 ]
 
