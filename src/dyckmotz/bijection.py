@@ -34,7 +34,7 @@ second scan: _phi writes F or phi(gamma) U phi(beta) D per block, a
 Motzkin word of half the path's length, and _phi_inverse writes UD per
 F and UU...D...D per arch, a Dyck word of twice the word's length. The
 family pass calls the cores on plain texts and leaves each image's
-validation to the round trip (see _BijectivityTally).
+validation to the round trip (see _bijectivity_report).
 """
 from __future__ import annotations
 
@@ -159,35 +159,34 @@ def _phi_inverse(m: str) -> Optional[str]:
     return None if stack else "".join(texts)
 
 
+def _refusal(p: str) -> str:
+    """The error phi gives a walker output that _phi refuses, worded."""
+    try:
+        _member_image(p)
+    except ValueError as exc:
+        return str(exc)
+
+
 def check_bijectivity(n: int) -> dict:
-    """Exhaustively verify that phi is a bijection at semilength n on the
-    pairs of patterns.family_pairs, from the walker's order, the round
-    trip phi_inverse(phi(p)) == p and the family size against the Motzkin
-    count, which suffice (see _BijectivityTally). Failures are report
+    """Exhaustively verify that phi is a bijection at semilength n on its
+    family reduction (see _bijectivity_report). Failures are report
     contents, not raises: a walker output that phi refuses fails the
     report, with phi's first three refusals under rejected_examples."""
-    from .patterns import family_pairs  # patterns imports this module
-    tally, rejected = _BijectivityTally(n), []
-    for p, m in family_pairs(n, rejected):  # raises on a negative n
-        tally.add(p, m)
-    report = tally.report()
-    if rejected:
-        report.update(ok=False, rejected_examples=rejected[:3])
-    return report
+    from .patterns import family_reductions  # patterns imports this module
+    ((_, reduction),) = family_reductions([n])  # raises on a negative n
+    return _bijectivity_report(n, reduction)
 
 
-class _BijectivityTally:
-    """check_bijectivity's report for semilength n, tallied one (member,
-    image) pair of the family at a time as plain texts, the image already
-    computed by _phi and not validated. It keeps counts, the last member
-    and the first three members of each kind of failure, and no image
-    set, as the proof needs none:
+def _bijectivity_report(n: int, reduction: dict) -> dict:
+    """check_bijectivity's report for semilength n from its reduction,
+    whose images _phi made unvalidated: counts, and the first three
+    members of each kind of failure. The proof needs no image set:
 
     - Distinct members: the pairs come in the walker's order, strictly
       increasing with U < D (see enumeration), which on words of one
-      length is strictly decreasing str order, as 'D' < 'U'. So p < last
-      is the whole check; a change in the walker's order would give a
-      false alarm, never a false proof.
+      length is strictly decreasing str order, as 'D' < 'U'. So each
+      member below the one before it is the whole check; a change in the
+      walker's order would give a false alarm, never a false proof.
     - Injective, into Motzkin words of length n: _phi_inverse gives a
       member only for a Motzkin word (None for a stray letter, a D with
       no open arch or an arch left open), and it writes two letters per
@@ -198,29 +197,13 @@ class _BijectivityTally:
     An image set would catch nothing more: two members on one image break
     the later one's round trip, and a repeated member breaks the order.
     """
-
-    def __init__(self, n: int):
-        self.n, self.domain, self.last = n, 0, "V"  # 'V' > every U/D word
-        self.failures = {"out_of_order": 0, "roundtrip_failures": 0}
-        self.examples = {"out_of_order_examples": [], "roundtrip_examples": []}
-
-    def _fail(self, kind: str, examples: str, p: str) -> None:
-        self.failures[kind] += 1
-        if self.failures[kind] <= 3:
-            self.examples[examples].append(p)
-
-    def add(self, p: str, m: str) -> None:
-        self.domain += 1
-        if not p < self.last:
-            self._fail("out_of_order", "out_of_order_examples", p)
-        self.last = p
-        if _phi_inverse(m) != p:
-            self._fail("roundtrip_failures", "roundtrip_examples", p)
-
-    def report(self) -> dict:
-        expected = motzkin_number(self.n)
-        report = {"n": self.n, "domain": self.domain, "expected": expected,
-                  **self.failures,
-                  "ok": not any(self.failures.values()) and self.domain == expected}
-        report.update((key, found) for key, found in self.examples.items() if found)
-        return report
+    domain, expected = sum(reduction["counts"].values()), motzkin_number(n)
+    order, roundtrip, refused = (reduction[key] for key in ("order", "roundtrip", "refused"))
+    report = {"n": n, "domain": domain, "expected": expected, "out_of_order": len(order),
+              "roundtrip_failures": len(roundtrip),
+              "ok": not (order or roundtrip or refused) and domain == expected}
+    report.update((key, [p for _, p in found[:3]]) for key, found in (
+        ("out_of_order_examples", order), ("roundtrip_examples", roundtrip)) if found)
+    if refused:
+        report["rejected_examples"] = [_refusal(p) for _, p in refused[:3]]
+    return report

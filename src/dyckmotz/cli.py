@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .bijection import phi, phi_inverse
+from .bijection import _refusal, phi, phi_inverse
 from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzkin,
                           motzkin_numbers)
 from .genfun import (
@@ -34,7 +34,7 @@ from .patterns import (
     _unchecked,
     check_transport,
     count_occurrences,
-    family_pairs,
+    family_reductions,
     parse_pattern,
     transport_rule,
     transport_rules,
@@ -186,14 +186,14 @@ def _cmd_check_transport(args) -> int:
     max_n = args.max_n if args.max_n is not None else 10
     rules = transport_rules() if args.all_rules else [transport_rule(args.rule)]
     sweep = TransportSweep(rules)
-    for n in range(max_n + 1):
+    for n, reduction in family_reductions(range(max_n + 1), sweep.read_dyck,
+                                          sweep.read_motzkin):
+        if reduction["refused"]:  # a walker defect, not bad input
+            print(f"FAIL  family at n={n}: {_refusal(reduction['refused'][0][1])}")
+            return 1
+        sweep.judge(n, reduction)
         if sweep.done:
             break
-        rejected = []
-        sweep.add(n, family_pairs(n, rejected))
-        if rejected:  # a walker defect, not bad input
-            print(f"FAIL  family at n={n}: {rejected[0]}")
-            return 1
     if not args.all_rules and not sweep.results[0]["checked"]:
         check_transport(rules[0], max_n)  # raises: nothing is claimed up to max_n
     failed = False

@@ -278,14 +278,11 @@ def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:
     return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
 
-def cross_check_routes(pattern: str, N: int, brute_series: TruncatedSeries, fixed=True):
-    """{route: series} for closed, brute and (where on record, and if fixed)
-    fixed, in that order, and {route: equals brute_series} for the others; a
-    brute_series of None leaves brute out and agrees with nothing."""
-    routes = {"closed": distribution_gf_closed(pattern, N)}
-    if brute_series is not None:
-        routes["brute"] = brute_series
-    if fixed and pattern in FIXED_POINT_PATTERNS:
+def cross_check_routes(pattern: str, N: int, brute_series: TruncatedSeries):
+    """{route: series} for closed, brute and (where on record) fixed, in
+    that order, and {route: equals brute_series} for the others."""
+    routes = {"closed": distribution_gf_closed(pattern, N), "brute": brute_series}
+    if pattern in FIXED_POINT_PATTERNS:
         routes["fixed"] = distribution_gf_fixed_point(pattern, N)
     agree = {name: s == brute_series for name, s in routes.items() if name != "brute"}
     return routes, agree

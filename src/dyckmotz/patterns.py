@@ -19,16 +19,28 @@ surrounded by whitespace, which keeps repetition '+' (never spaced)
 unambiguous: "UF+D + 2*UF+U + 2*UU". The symbol n means semilength on
 the Dyck side and length on the Motzkin side; each statistic records
 which side it lives on.
+
+The checks of the family read one pass per semilength, family_reductions:
+the walk is mapped through _phi, _phi_inverse and the readers a chunk at
+a time, reduced to data that merges, and shared across the CPUs, and
+TransportSweep judges the rules on each distinct vector of reads.
 """
 from __future__ import annotations
 
+import marshal
+import os
 import re
+import threading
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import eq
 from typing import Iterator, Optional, Union
 
+from . import bijection
 from .bijection import NotConstrainedError, _member_image, _phi
-from .enumeration import enumerate_constrained
+from .enumeration import enumerate_constrained, motzkin_number
 from .paths import LatticePath
 
 
@@ -398,28 +410,141 @@ def transport_rule(name: str) -> TransportRule:
                        f"known: {', '.join(sorted(_RULES_BY_NAME))}") from None
 
 
-def family_pairs(n: int, rejected: Optional[list] = None) -> Iterator:
+def family_pairs(n: int) -> Iterator:
     """Yield (member, image) as plain texts for every family member of
-    semilength n, in enumeration order: the one pass over the family per
-    semilength, each pair built when reached and handed to every check
-    that reads it, so no semilength is held in memory. The image comes
-    from the unvalidated _phi: the bijectivity tally's round trip is what
-    proves it a Motzkin word of length n. A walker output that _phi
-    refuses (a non-member, or a dip below the axis) raises the error
-    that phi would, or, given a list rejected, has its message appended
-    to it and is skipped."""
+    semilength n, in enumeration order, each pair built when reached. A
+    walker output that phi refuses raises phi's error. The checks read
+    family_reductions instead."""
     for p in enumerate_constrained(n):
-        try:
-            m = _phi(p)
-        except (NotConstrainedError, IndexError):
+        yield str(p), _member_image(p)
+
+
+# walker outputs per chunk of the family pass: a few hundred keep each
+# chunk's lists small beside the reduction and each map long
+_CHUNK = 512
+
+
+def _image(p: str) -> Optional[str]:
+    """_phi(p), or None for a walker output that it refuses."""
+    try:
+        return _phi(p)
+    except (NotConstrainedError, IndexError):
+        return None
+
+
+def _reduction() -> dict:
+    """An empty reduction (see family_reductions); raws interns its raw Dyck tuples."""
+    return {"counts": Counter(), "firsts": {}, "order": [], "roundtrip": [], "refused": [],
+            "raws": {}}
+
+
+def _tally(reduction: dict, indices, members, images, read_dyck, read_motzkin) -> None:
+    """Fold one chunk of pairs (member, image), at walk indices, into reduction."""
+    raws = list(map(read_dyck, members))
+    reduction["counts"].update(raws)
+    # nested: CPython 3.11 never reuses the freed 20-tuples a flat one made
+    vectors = list(zip(map(len, members), map(len, images), raws, map(read_motzkin, images)))
+    firsts, canon = reduction["firsts"], reduction["raws"]
+    at = dict(zip(reversed(vectors), range(len(vectors) - 1, -1, -1)))  # first place in chunk
+    for vector in at.keys() - firsts.keys():
+        # the vectors share one object per raw Dyck tuple, which marshal sends once
+        (dyck_size, motz_size, raw, motz_raw), j = vector, at[vector]
+        firsts[dyck_size, motz_size, canon.setdefault(raw, raw), motz_raw] = (
+            indices[j], str(members[j]), images[j])
+
+
+def _judge_share(n: int, part: int, parts: int, read_dyck, read_motzkin) -> dict:
+    """The reduction of chunks part, part + parts, ... of semilength n's
+    walk, which is read whole, so each chunk's order check starts from
+    the last pair before it."""
+    # 'V' sorts above every U/D word
+    reduction, walk, start, last = _reduction(), iter(enumerate_constrained(n)), 0, "V"
+    for c, chunk in enumerate(iter(lambda: list(islice(walk, _CHUNK)), [])):
+        indices = range(start, start + len(chunk))
+        start += len(chunk)
+        if c % parts != part:
+            last = next((p for p in reversed(chunk) if _image(p) is not None), last)
+            continue
+        images = list(map(_image, chunk))
+        if None in images:  # walker outputs that _phi refuses make no pair
+            reduction["refused"] += [(i, str(p)) for i, p, m in zip(indices, chunk, images)
+                                     if m is None]
+            indices, chunk, images = ([t[k] for t in zip(indices, chunk, images)
+                                       if t[2] is not None] for k in range(3))
+        before, last = [last, *chunk], chunk[-1] if chunk else last
+        for key, oks in (("order", map(str.__lt__, chunk, before)),
+                         ("roundtrip", map(eq, chunk, map(bijection._phi_inverse, images)))):
+            if not all(oks := list(oks)):
+                reduction[key] += [(i, str(p)) for i, p, ok in zip(indices, chunk, oks) if not ok]
+        _tally(reduction, indices, chunk, images, read_dyck, read_motzkin)
+    return reduction
+
+
+def _merge(reduction: dict, theirs: dict) -> None:
+    reduction["counts"].update(theirs["counts"])
+    firsts = reduction["firsts"]
+    for vector, first in theirs["firsts"].items():
+        firsts[vector] = min(firsts.get(vector, first), first)
+    for key in ("order", "roundtrip", "refused"):
+        reduction[key] = sorted(reduction[key] + theirs[key])
+
+
+def family_reductions(ns, read_dyck=len, read_motzkin=len) -> Iterator[tuple]:
+    """Yield (n, reduction) for each semilength n of ns: the reduction of
+    the family's pairs (member, _phi(member)) there, the one pass over the
+    family that its checks share. A pair's vector is its two lengths and
+    the raw tuples read_dyck(member) and read_motzkin(image). counts maps
+    each raw Dyck tuple to its pairs, firsts each vector to the (index,
+    member, image) of its first pair, and order, roundtrip and refused
+    list the (index, member), an index being a place in the walk, of each
+    member not below the one before it, that _phi_inverse does not give
+    back from its image, or that _phi refused (no pair). The walk is
+    mapped through a chunk at a time. Reductions merge by sum and by
+    least index, so with P usable CPUs and no other thread, P - 1 forked
+    children judge every P-th chunk of each semilength with at least P
+    chunks and send their shares back through a pipe with marshal; a
+    share that does not come is judged here."""
+    ns, children = list(ns), {}
+    parts = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             and hasattr(os, "fork") and threading.active_count() == 1 else 1)
+    shared = [n for n in ns if motzkin_number(n) > (parts - 1) * _CHUNK]  # P chunks or more
+    try:
+        for part in range(1, parts if shared else 1):
+            read, write = os.pipe()
             try:
-                _member_image(p)  # raises the refusal, worded
-            except ValueError as exc:
-                if rejected is None:
-                    raise
-                rejected.append(str(exc))
+                pid = os.fork()
+            except OSError:  # no child: its share is judged here
+                os.close(read), os.close(write)
                 continue
-        yield str(p), m
+            if not pid:  # the child, which ends here whatever happens
+                try:
+                    with open(write, "wb") as pipe:
+                        for n in shared:
+                            reduction = _judge_share(n, part, parts, read_dyck, read_motzkin)
+                            data = marshal.dumps({**reduction, "counts": dict(reduction["counts"])})
+                            pipe.write(len(data).to_bytes(8, "little") + data)
+                            pipe.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[part] = pid, open(read, "rb")
+        for n in ns:
+            reduction = _judge_share(n, 0, parts if n in shared else 1, read_dyck, read_motzkin)
+            for part in range(1, parts if n in shared else 1):
+                try:  # one read: marshal.load from a file reads item by item
+                    pipe = children[part][1]
+                    theirs = marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
+                except (KeyError, EOFError, ValueError, TypeError):  # the share did not come
+                    theirs = _judge_share(n, part, parts, read_dyck, read_motzkin)
+                _merge(reduction, theirs)
+            yield n, reduction
+            del reduction  # the caller's alone while the next is built
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def _unchecked(rule: TransportRule, max_n: int) -> str:
@@ -429,9 +554,9 @@ def _unchecked(rule: TransportRule, max_n: int) -> str:
 
 
 def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
-    """Exhaustively verify one rule at semilength n, reading family_pairs(n)
-    up to and including the first counterexample; checked counts the
-    pairs read. TransportSweep takes any other stream of pairs."""
+    """Exhaustively verify one rule at semilength n on its family
+    reduction; checked counts the pairs up to and including the first
+    counterexample. TransportSweep takes any other stream of pairs."""
     if isinstance(rule, str):
         rule = transport_rule(rule)
     if n < 0:
@@ -439,7 +564,10 @@ def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
     if n < rule.min_n:
         raise ValueError(f"rule {rule.name} is claimed only for n >= {rule.min_n}")
     sweep = TransportSweep([rule])
-    sweep.add(n, family_pairs(n))
+    ((_, reduction),) = family_reductions([n], sweep.read_dyck, sweep.read_motzkin)
+    if reduction["refused"]:
+        _member_image(reduction["refused"][0][1])  # raises the refusal, worded
+    sweep.judge(n, reduction)
     (result,) = sweep.results
     counterexample = result["counterexample"]
     if counterexample is not None:
@@ -450,23 +578,22 @@ def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
 
 class TransportSweep:
     """check_transport for several rules from n = rule.min_n up, fed in
-    increasing n one pair of texts at a time by check, or an iterable of
-    them by add, which stops reading once every rule has failed. A rule's
-    dyck_side reads a pair's first text (a member, or an identity's path)
-    and its motzkin_side the second (the image, or the same path). results
-    holds per rule its first counterexample (with its n), at which the rule
-    stops, or None, and checked: the pairs read from the first pair of the
-    rule's first claimed semilength up to that counterexample, or up to now.
+    increasing n the reduction of each semilength (family_reductions, with
+    read_dyck and read_motzkin) by judge, or its pairs of texts by add. A
+    rule's dyck_side reads a pair's first text (a member, or an identity's
+    path) and its motzkin_side the second (the image, or the same path).
+    results holds per rule its first counterexample (with its n), at which
+    the rule stops, or None, and checked: the pairs from the first pair of
+    the rule's first claimed semilength up to that counterexample, or now.
 
     Each rule side compiles once into an integer linear form over its
     reader's raw tuple (_reader): read_dyck reads every Dyck side plus
     dyck_patterns from the first text, read_motzkin every Motzkin side
     from the second, and dyck_sides(raw, size) and motzkin_sides(raw,
-    size) value every rule at once. check returns the read_dyck tuple,
-    whose counts dyck_values gives in dyck_keys order. A pair's vector is
-    its two lengths and two raw tuples. Equal vectors give every rule the
-    same values, so within a semilength only the first pair of each
-    vector is judged and a later one passes every rule still open.
+    size) value every rule at once; dyck_values gives the counts of a
+    read_dyck tuple in dyck_keys order. Equal vectors give every rule the
+    same values, so only the first pair of each vector is judged, in walk
+    order, and the others pass every rule still open.
     """
 
     def __init__(self, rules, dyck_patterns=()):
@@ -474,7 +601,7 @@ class TransportSweep:
                          for rule in rules]
         # per rule, the pairs read when its first claimed semilength began (None before)
         self._starts = [None] * len(self._results)
-        self._open, self._read, self._n, self._seen = len(self._results), 0, None, set()
+        self._open, self._read = len(self._results), 0
         self.dyck_keys, self.read_dyck, self.dyck_values, self.dyck_sides = _reader(
             dyck_patterns, (r["rule"].dyck_side for r in self._results))
         _, self.read_motzkin, _, self.motzkin_sides = _reader(
@@ -493,32 +620,32 @@ class TransportSweep:
         return self._results
 
     def add(self, n: int, pairs) -> None:
-        for dyck, motz in pairs:
-            self.check(n, dyck, motz)
+        """judge the reduction of an iterable of pairs of texts, read a chunk at a time."""
+        reduction, pairs, start = _reduction(), iter(pairs), 0
+        for chunk in iter(lambda: list(islice(pairs, _CHUNK)), []):
+            _tally(reduction, range(start, start + len(chunk)), *zip(*chunk),
+                   self.read_dyck, self.read_motzkin)
+            start += len(chunk)
+        self.judge(n, reduction)
+
+    def judge(self, n: int, reduction: dict) -> None:
+        self._starts = [self._read if start is None and n >= r["rule"].min_n else start
+                        for r, start in zip(self._results, self._starts)]
+        refused = [i for i, _ in reduction["refused"]]
+        for (dyck_size, motz_size, dyck_raw, motz_raw), (i, dyck, motz) in sorted(
+                reduction["firsts"].items(), key=lambda item: item[1][0]):  # in walk order
             if self.done:
                 break
-
-    def check(self, n: int, dyck: str, motz: str) -> tuple:
-        if n != self._n:
-            self._n, self._seen = n, set()
-            self._starts = [self._read if start is None and n >= r["rule"].min_n else start
-                            for r, start in zip(self._results, self._starts)]
-        self._read += 1
-        raw = self.read_dyck(dyck)
-        # nested: CPython 3.11 never reuses the freed 20-tuples a flat one made
-        vector = (len(dyck), len(motz), raw, self.read_motzkin(motz))
-        if vector in self._seen:
-            return raw
-        self._seen.add(vector)
-        lhs = self.dyck_sides(raw, vector[0])
-        rhs = self.motzkin_sides(vector[3], vector[1])
-        for k, start in enumerate(self._starts):
-            # a rule not yet claimed has no start; a failed one stays frozen
-            if lhs[k] == rhs[k] or start is None or self._results[k]["counterexample"]:
-                continue
-            r = self._results[k]
-            r["checked"] = self._read - start
-            r["counterexample"] = {"n": n, "path": dyck, "image": motz,
-                                   "lhs": lhs[k], "rhs": rhs[k]}
-            self._open -= 1
-        return raw
+            lhs = self.dyck_sides(dyck_raw, dyck_size)
+            rhs = self.motzkin_sides(motz_raw, motz_size)
+            for k, start in enumerate(self._starts):
+                # a rule not yet claimed has no start; a failed one stays frozen
+                if lhs[k] == rhs[k] or start is None or self._results[k]["counterexample"]:
+                    continue
+                r = self._results[k]
+                # the pairs up to this one: the walk to index i, less its refusals
+                r["checked"] = self._read + i + 1 - bisect_right(refused, i) - start
+                r["counterexample"] = {"n": n, "path": dyck, "image": motz,
+                                       "lhs": lhs[k], "rhs": rhs[k]}
+                self._open -= 1
+        self._read += sum(reduction["counts"].values())

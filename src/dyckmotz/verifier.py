@@ -5,20 +5,21 @@ bijectivity, every transport rule, the step-pattern identity systems on
 unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
-one streamed pass per semilength over plain texts and hold only their
-tallies, so memory does not grow with the family. Each image comes from
-the unvalidated _phi, and the bijectivity tally's round trip is its one
-validation. TransportSweep judges every linear claim as integer linear
-forms over raw read tuples, its reads and forms generated once as
-straight-line functions (patterns._reader): the transport rules on that
-pass, where it reads each member once and hands back the raw tuple whose
-counts (dyck_values) the brute-force rows and the structural check
-share, and the identities, each path fed as both texts of a pair. A
-failed comparison lands in the report, one record per check (info when
-nothing was compared), so a single run gives the complete picture; a
-closed form that fails its own shape check raises RouteCheckError (the
-CLI exits 1). The report's stages time each part of the campaign, and
-render_text names the two slowest.
+one pass per semilength (patterns.family_reductions), judged a chunk at
+a time and shared across the CPUs, and read only its reduction, so
+memory does not grow with the family. Each image comes from the
+unvalidated _phi, and the bijectivity round trip is its one validation.
+TransportSweep judges every linear claim as integer linear forms over
+raw read tuples, its reads and forms generated once as straight-line
+functions (patterns._reader): the transport rules on the first pair of
+each vector of that pass, whose raw Dyck tuples the brute-force rows
+and the structural check also read, and the identities, each path fed
+as both texts of a pair. A failed comparison lands in the report, one
+record per check (info when nothing was compared), so a single run
+gives the complete picture: a route whose series fails its own check
+fails its pattern's three-way record, and each record that would read a
+closed series that failed fails and names why. The report's stages time
+each part of the campaign, and render_text names the two slowest.
 
 Golden data is loaded from the packaged reference file (overridable) and
 is never regenerated: cells marked with a misprint tag are expected to
@@ -38,13 +39,14 @@ from importlib import resources
 from itertools import pairwise
 from typing import Optional
 
-from .bijection import _BijectivityTally
+from .bijection import _bijectivity_report
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
-from .genfun import (PATTERNS, NoConvergenceError, RouteCheckError, _brute_force,
-                     _distribution_row, _pop_closed_length2, _popularity,
-                     cross_check_routes, du_from_ud, popularity_gf)
+from .genfun import (FIXED_POINT_PATTERNS, PATTERNS, NoConvergenceError, RouteCheckError,
+                     _brute_force, _distribution_row, _pop_closed_length2, _popularity,
+                     distribution_gf_closed, distribution_gf_fixed_point, du_from_ud,
+                     popularity_gf)
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
-from .patterns import (TransportRule, TransportSweep, _unchecked, family_pairs,
+from .patterns import (TransportRule, TransportSweep, _unchecked, family_reductions,
                        parse_pattern, parse_statistic, transport_rules)
 
 DEFAULT_MAX_N = 12
@@ -239,35 +241,31 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     checks: list = []
     laps = [(None, time.monotonic())]  # (stage, its end), after a start mark
 
-    # one streamed pass over the family per semilength: cardinality,
-    # bijectivity, transport, the brute-force rows and the structural
-    # check each read every pair of texts as it goes by, and the last
-    # three share one read of the member
+    # one pass over the family per semilength, reduced a chunk at a time
+    # (patterns.family_reductions) and read by cardinality, bijectivity,
+    # transport, the brute-force rows and the structural check
     counts, rows = [], []
     bad = structural_worst = None
     transport = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
     uud, duu = map(transport.dyck_keys.index, ("UUD", "DUU"))
-    for n in range(max_n + 1):
-        tally, rejected = _BijectivityTally(n), []
-        tallies = Counter()  # read_dyck raw tuple -> paths
-        for d, m in family_pairs(n, rejected):
-            tally.add(d, m)
-            raw = transport.check(n, d, m)
-            # the first path of each raw tuple, in enumeration order
-            if structural_worst is None and raw not in tallies:
-                vector = transport.dyck_values(raw)
-                k = vector[uud]
-                if k > 1 and vector[duu] == 0:
-                    structural_worst = {"n": n, "path": d, "UUD": k}
-            tallies[raw] += 1
-        if rejected:  # the walker yielded paths phi rejects; the pass skipped them
-            bad = bad or {"n": n, "error": rejected[0]}
-        counts.append(tally.domain + len(rejected))
-        rows.append(_distribution_row(tallies, transport.dyck_keys,
-                                      transport.dyck_values))
-        report = tally.report()
-        if bad is None and not report["ok"]:
+    for n, reduction in family_reductions(range(max_n + 1), transport.read_dyck,
+                                          transport.read_motzkin):
+        transport.judge(n, reduction)
+        report = _bijectivity_report(n, reduction)
+        counts.append(report["domain"] + len(reduction["refused"]))
+        if reduction["refused"]:  # the walker yielded paths phi rejects; the pass skipped them
+            bad = bad or {"n": n, "error": report.pop("rejected_examples")[0]}
+        elif bad is None and not report["ok"]:
             bad = report
+        rows.append(_distribution_row(reduction["counts"], transport.dyck_keys,
+                                      transport.dyck_values))
+        # a pair's raw tuple decides the check, so the first pair of each vector will do
+        for (_, _, raw, _), (_, path, _) in sorted(reduction["firsts"].items(),
+                                                   key=lambda item: item[1][0]):
+            vector = transport.dyck_values(raw)
+            if structural_worst is None and vector[uud] > 1 and vector[duu] == 0:
+                structural_worst = {"n": n, "path": path, "UUD": vector[uud]}
+        del reduction  # before the next semilength's is built
 
     # (1) cardinality
     wanted = motzkin_numbers(max_n)
@@ -312,23 +310,29 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     laps.append(("identities", time.monotonic()))
 
     # (5) three-way generating function agreement, one route table per pattern
-    routes = {}
+    # a route that fails its own check (a walker that dropped a member, a
+    # fixed point that misses its equations, a wrong M_n) is left out, and
+    # unread names why a pattern has no closed series for the records after
+    routes, unread = {}, {}
+    builds = {"closed": distribution_gf_closed, "brute": lambda p, _: _brute_force(p, rows),
+              "fixed": distribution_gf_fixed_point}
     for pattern in PATTERNS:
-        start = time.perf_counter()
-        try:
-            brute, short = _brute_force(pattern, rows), None
-        except RouteCheckError as exc:  # a walker that dropped a member
-            brute, short = None, str(exc)
-        try:
-            routes[pattern], agree = cross_check_routes(pattern, max_n, brute)
-        except (NoConvergenceError, RouteCheckError) as exc:  # the fixed-point route's checks
-            routes[pattern], agree = cross_check_routes(pattern, max_n, brute, fixed=False)
-            short = short or str(exc)
+        start, errors = time.perf_counter(), {}
+        built = routes[pattern] = {}
+        for name, build in builds.items():
+            if name != "fixed" or pattern in FIXED_POINT_PATTERNS:
+                try:
+                    built[name] = build(pattern, max_n)
+                except (NoConvergenceError, RouteCheckError) as exc:
+                    errors[name] = str(exc)
+        if "closed" in errors:
+            unread[pattern] = f"no closed series for {pattern}: {errors['closed']}"
         elapsed = time.perf_counter() - start
-        if short:
-            _add(checks, f"three-way:{pattern}", "fail", short)
+        if errors:
+            _add(checks, f"three-way:{pattern}", "fail", next(iter(errors.values())))
         else:
-            verdicts = {f"{name}=brute": ok for name, ok in agree.items()}
+            verdicts = {f"{name}=brute": series == built["brute"]
+                        for name, series in built.items() if name != "brute"}
             _judge(checks, f"three-way:{pattern}",
                    f"routes over n<=..{max_n}: " + ", ".join(
                        f"{k} {'ok' if v else 'DISAGREE'}" for k, v in verdicts.items()),
@@ -349,6 +353,9 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     # (6) golden distribution cells
     # each record counts its in-range cells and shows its first mismatch
     for label, table in sorted(golden.tables.items()):
+        if not routes[table.pattern]:
+            _add(checks, f"golden:{label}", "fail", unread[table.pattern])
+            continue
         cells = [cell for cell in table.cells if cell[0] <= max_n]
         worst = next(({"n": n, "k": k, "printed": value,
                        "computed": series.coefficient(n, k), "route": route_name}
@@ -359,23 +366,26 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                f"{len(cells)} transcribed cells (of {len(table.cells)}) against "
                f"{len(routes[table.pattern])} routes", worst, len(cells))
     sums = [cell for cell in golden.sums if cell[1] <= max_n]
-    ud = routes["UD"].get("brute", routes["UD"]["closed"])  # brute, unless it fell short
-    row_total = lambda n: sum(ud.y_poly(n))
-    worst = next(({"label": label, "n": n, "printed": value, "computed": row_total(n)}
-                  for label, n, value in sums
-                  if row_total(n) != value or wanted[n] != value), None)
-    _judge(checks, "golden:sum-row",
-           f"{len(sums)} column sums against row totals and M_n", worst, len(sums))
+    ud = routes["UD"].get("brute", routes["UD"].get("closed"))  # brute, unless it fell short
+    if ud is None:
+        _add(checks, "golden:sum-row", "fail", unread["UD"])
+    else:
+        row_total = lambda n: sum(ud.y_poly(n))
+        worst = next(({"label": label, "n": n, "printed": value, "computed": row_total(n)}
+                      for label, n, value in sums
+                      if row_total(n) != value or wanted[n] != value), None)
+        _judge(checks, "golden:sum-row",
+               f"{len(sums)} column sums against row totals and M_n", worst, len(sums))
 
     laps.append(("golden", time.monotonic()))
 
     # (7) popularity rows, with the misprint protocol
-    pop_series = {p: _popularity(routes[p]["closed"]) for p in PATTERNS}
+    pop_series = {p: _popularity(routes[p]["closed"]) for p in PATTERNS if p not in unread}
     pop_failures, pop_counts, notices = {}, Counter(), []
     for cell in golden.popularity:
         if cell.n > max_n:
             continue
-        for pattern in cell.patterns:
+        for pattern in filter(pop_series.__contains__, cell.patterns):
             computed = pop_series[pattern].coefficient(cell.n)
             key = f"{cell.source}:{pattern}"
             pop_counts[key] += 1
@@ -393,8 +403,12 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                                f"computed {computed} (annotated misprint)")
                 continue
             pop_failures.setdefault(key, []).append(failure)
-    for key in dict.fromkeys(f"{cell.source}:{pattern}"
-                             for cell in golden.popularity for pattern in cell.patterns):
+    for source, pattern in dict.fromkeys((cell.source, pattern) for cell in golden.popularity
+                                         for pattern in cell.patterns):
+        key = f"{source}:{pattern}"
+        if pattern in unread:
+            _add(checks, f"golden:pop:{key}", "fail", unread[pattern])
+            continue
         compared = pop_counts[key]
         _judge(checks, f"golden:pop:{key}",
                f"{compared} transcribed terms against the derivative route",
@@ -422,16 +436,19 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
            None if got_two == expected_two[:len(got_two)]
            else {"computed": got_two, "expected": expected_two}, len(got_two))
 
-    avoiders = [routes["DUU"]["closed"].coefficient(n, 0)
-                for n in range(1, min(max_n, 9) + 1)]
-    powers = [2 ** (n - 1) for n in range(1, len(avoiders) + 1)]
-    squares = all(math.isqrt(a) ** 2 == a for a in avoiders)
-    _add(checks, "info:DUU-avoider-shape", "info",
-         f"zero-occurrence counts for DUU at n=1..{len(avoiders)} are "
-         f"{', '.join(map(str, avoiders))}: "
-         + ("powers of two" if avoiders == powers else "NOT powers of two")
-         + ("; also all perfect squares" if squares
-            else "; not all perfect squares"))
+    if "DUU" in unread:
+        _add(checks, "info:DUU-avoider-shape", "fail", unread["DUU"])
+    else:
+        avoiders = [routes["DUU"]["closed"].coefficient(n, 0)
+                    for n in range(1, min(max_n, 9) + 1)]
+        powers = [2 ** (n - 1) for n in range(1, len(avoiders) + 1)]
+        squares = all(math.isqrt(a) ** 2 == a for a in avoiders)
+        _add(checks, "info:DUU-avoider-shape", "info",
+             f"zero-occurrence counts for DUU at n=1..{len(avoiders)} are "
+             f"{', '.join(map(str, avoiders))}: "
+             + ("powers of two" if avoiders == powers else "NOT powers of two")
+             + ("; also all perfect squares" if squares
+                else "; not all perfect squares"))
 
     laps.append(("popularity", time.monotonic()))
 
@@ -449,6 +466,12 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                 refreshed.append(ref)
         refs = tuple(refreshed)
     for ref in refs:
+        target = _TARGET_RE.fullmatch(ref.target)
+        pattern = target.group(1) or target.group(2)
+        if pattern in unread:  # nothing compared, so a conjecture is not broken
+            _add(checks, f"oeis:{ref.oeis_id}:{ref.target}",
+                 "fail" if ref.status == "stated" else "info", unread[pattern])
+            continue
         computed = _resolve_target(ref, routes, pop_series, max_n)
         if not computed:
             _add(checks, f"oeis:{ref.oeis_id}:{ref.target}", "info",

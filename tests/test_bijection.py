@@ -16,14 +16,13 @@ from dyckmotz import (
     enumerate_constrained,
     enumerate_dyck,
     enumerate_motzkin,
-    family_pairs,
     is_constrained,
     motzkin_number,
     phi,
     phi_inverse,
 )
 from dyckmotz import patterns
-from dyckmotz.bijection import _BijectivityTally, _phi_inverse
+from dyckmotz.bijection import _phi_inverse
 
 GOLDEN = {
     "UDUDUD": "FFF",
@@ -278,61 +277,58 @@ def test_check_bijectivity_keeps_at_most_three_refusals(monkeypatch):
         "not a Dyck path: first violation at position 0 in 'DUDU'"] * 3
 
 
-def test_bijectivity_tally_reports_collisions_and_broken_round_trips():
-    collided = _BijectivityTally(2)
-    collided.add("UUDD", "UD")
-    collided.add("UDUD", "UD")  # a second member on UUDD's image
-    assert collided.report() == {
+def _tally(monkeypatch, n, pairs):
+    """check_bijectivity(n)'s report with the walker yielding the members
+    of pairs and _phi mapping each to its image there."""
+    monkeypatch.setattr(patterns, "enumerate_constrained", lambda k: iter([p for p, _ in pairs]))
+    monkeypatch.setattr(patterns, "_phi", dict(pairs).__getitem__)
+    return check_bijectivity(n)
+
+
+def test_bijectivity_tally_reports_collisions_and_broken_round_trips(monkeypatch):
+    # a second member on UUDD's image
+    assert _tally(monkeypatch, 2, [("UUDD", "UD"), ("UDUD", "UD")]) == {
         "n": 2, "domain": 2, "expected": 2, "out_of_order": 0,
         "roundtrip_failures": 1, "ok": False,
         "roundtrip_examples": ["UDUD"]}
-    swapped = _BijectivityTally(2)  # injective and onto, but the images swapped
-    swapped.add("UUDD", "FF")
-    swapped.add("UDUD", "UD")
-    assert swapped.report() == {
+    # injective and onto, but the images swapped
+    assert _tally(monkeypatch, 2, [("UUDD", "FF"), ("UDUD", "UD")]) == {
         "n": 2, "domain": 2, "expected": 2, "out_of_order": 0,
         "roundtrip_failures": 2, "ok": False,
         "roundtrip_examples": ["UUDD", "UDUD"]}
 
 
-def test_bijectivity_tally_rejects_an_image_that_is_no_motzkin_word():
+def test_bijectivity_tally_rejects_an_image_that_is_no_motzkin_word(monkeypatch):
     # "FUFF" leaves an arch open and has length 4, yet its letters decode
     # to the member: only a strict inverse keeps it from round-tripping
     for image in ("FUFF", "FU", "FFX"):
-        tally = _BijectivityTally(2)
-        tally.add("UUDD", "UD")
-        tally.add("UDUD", image)
-        report = tally.report()
+        report = _tally(monkeypatch, 2, [("UUDD", "UD"), ("UDUD", image)])
         assert not report["ok"] and report["roundtrip_examples"] == ["UDUD"], image
 
 
-def test_bijectivity_tally_reports_members_out_of_order():
-    repeated = _BijectivityTally(2)  # both round trips hold
-    repeated.add("UUDD", "UD")
-    repeated.add("UUDD", "UD")
-    assert repeated.report() == {
+def test_bijectivity_tally_reports_members_out_of_order(monkeypatch):
+    # both round trips hold
+    assert _tally(monkeypatch, 2, [("UUDD", "UD"), ("UUDD", "UD")]) == {
         "n": 2, "domain": 2, "expected": 2, "out_of_order": 1,
         "roundtrip_failures": 0, "ok": False,
         "out_of_order_examples": ["UUDD"]}
 
 
-def test_bijectivity_tally_keeps_at_most_three_examples():
-    tally = _BijectivityTally(3)
-    for _ in range(5):
-        tally.add("UUUDDD", "FF")
-    report = tally.report()
+def test_bijectivity_tally_keeps_at_most_three_examples(monkeypatch):
+    report = _tally(monkeypatch, 3, [("UUUDDD", "FF")] * 5)
     assert (report["out_of_order"], report["roundtrip_failures"]) == (4, 5)
     assert report["out_of_order_examples"] == report["roundtrip_examples"] == ["UUUDDD"] * 3
 
 
-def test_bijectivity_tally_holds_no_image_set():
+def test_bijectivity_tally_holds_no_image_set(monkeypatch):
+    # the pass holds one chunk of pairs at a time, so a small chunk shows
+    # that nothing grows with the semilength
+    monkeypatch.setattr(patterns, "_CHUNK", 16)
     tracemalloc.start()
     try:
-        tally = _BijectivityTally(10)
-        for p, m in family_pairs(10):
-            tally.add(p, m)
+        report = check_bijectivity(10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tally.report()["ok"]
+    assert report["ok"]
     assert peak < 32 << 10  # bytes; the 2,188 images of n = 10 as a set take more

@@ -1,13 +1,15 @@
 """The series-route, rule and identity slice of the campaign's mutation
 matrix: each mutant is a monkeypatch of one printed form, one fixed-point
-system, the fixed-point solver, one transport rule or one identity, with the
-exact set of records of run_full_verification(8) whose status it turns.
+system, the fixed-point solver, the Motzkin numbers the routes check their
+rows against, one transport rule or one identity, with the exact set of
+records of run_full_verification(8) whose status it turns.
 Every mutant of a form, a system or the solver runs on a cold memo of
 printed forms and again right after an unmutated campaign has filled it; a
 memo that served a replaced form's old series would turn fewer records on
 the warm run. The rule and identity mutants read no printed form and run
 once."""
 import json
+import os
 
 import pytest
 
@@ -53,6 +55,27 @@ def _narrow_decode(monkeypatch):
         N, None if w is None else w + 8, system, count))
 
 
+def _m7_plus_one(monkeypatch):
+    # every route's row check at x^7 wants one member too many
+    numbers = genfun.motzkin_numbers
+    monkeypatch.setattr(genfun, "motzkin_numbers",
+                        lambda n: [m + (k == 7) for k, m in enumerate(numbers(n))])
+
+
+# the records that read a closed series, or a route's row at x^7
+_ROUTE_RECORDS = {
+    *(f"three-way:{p}" for p in (*genfun.PATTERNS, "DU-from-UD")),
+    *(f"golden:dist:{p}" for p in ("UD", "UUU", "UUD", "DUU", "DUD", "UDU", "UDD", "DDU", "DDD")),
+    *(f"golden:pop:pop2:{p}" for p in ("UD", "DU", "UU", "DD")),
+    *(f"golden:pop:pop3a:{p}" for p in ("UUU", "UUD", "DUU", "DUD")),
+    *(f"golden:pop:pop3b:{p}" for p in ("DDD", "DDU", "UDD", "UDU")),
+    "golden:sum-row", "popularity-closed-forms", "info:DUU-avoider-shape",
+    "oeis:A025566:pop:UD", "oeis:A025567:pop:DU", "oeis:A097861:pop:UUD",
+    "oeis:A304011:pop:DUU", "oeis:A025566:pop:UDU", "oeis:A004148:avoid:UDU",
+    "oeis:A026418:avoid:DDD", "oeis:A007562:avoid:DUD", "oeis:A001793:row:UUD:2",
+    "oeis:A034851:row:UD:2", "oeis:A005994:row:UD:3", "oeis:A005900:diag:UD:3",
+}
+
 MUTANTS = [
     ("closed UUD and DUU swapped", _closed(UUD=genfun._cf_duu, DUU=genfun._cf_uud),
      {"three-way:UUD", "three-way:DUU", "golden:dist:UUD", "golden:dist:DUU",
@@ -72,6 +95,9 @@ MUTANTS = [
     # a solution that misses its equations fails its record; the report goes on
     ("_fixed_point decodes one byte narrow", _narrow_decode,
      {f"three-way:{p}" for p in genfun.FIXED_POINT_PATTERNS}),
+    # every route fails its own check: the closed series too, so each record
+    # that reads one fails and names the cause (a conjecture turns to info)
+    ("M_7 one too many in genfun", _m7_plus_one, _ROUTE_RECORDS),
 ]
 
 
@@ -153,3 +179,36 @@ def test_a_failed_fixed_point_still_gives_the_report(monkeypatch, capsys):
     # the CLI's own fixed-point route exits 1 with the message, as a failed check
     assert cli.main(["gf", "--pattern", "UU", "--method", "fixed", "--max-n", "8"]) == 1
     assert capsys.readouterr().err == "dyckmotz: the solution misses its equations at x^8\n"
+
+
+def test_a_failed_closed_form_still_gives_the_report(monkeypatch, capsys):
+    _m7_plus_one(monkeypatch)
+    assert cli.main(["verify", "--max-n", "8", "--format", "json"]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    cause = "UD/closed: row sum at x^7 is 127, want M_7 = 128"
+    # a three-way record names its first failed route: closed, brute, fixed
+    assert checks["three-way:UD"]["details"] == checks["three-way:DU-from-UD"]["details"] == cause
+    for name in ("golden:sum-row", "golden:pop:pop2:UD", "oeis:A034851:row:UD:2"):
+        assert checks[name] == {"check": name, "status": "fail",
+                                "details": f"no closed series for UD: {cause}"}
+    assert checks["oeis:A304011:pop:DUU"]["status"] == "info"
+    assert checks["bijectivity"]["status"] == "pass"
+
+
+def _forks() -> bool:
+    return hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1
+
+
+@pytest.mark.skipif(not _forks(), reason="the family pass forks only with a second CPU")
+@pytest.mark.parametrize("mutate, turned", [row[1:] for row in MEMO_FREE_MUTANTS[:2]],
+                         ids=[row[0] for row in MEMO_FREE_MUTANTS[:2]])
+def test_rule_mutant_turns_the_same_records_when_the_pass_forks(monkeypatch, unmutated,
+                                                                mutate, turned):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(patterns, "_CHUNK", 16)  # semilengths 5 to 8 are shared
+    mutate(monkeypatch)
+    statuses = _statuses()
+    assert forks
+    assert {name: statuses.get(name) for name in statuses.keys() | unmutated.keys()
+            if statuses.get(name) != unmutated.get(name)} == turned

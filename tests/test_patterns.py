@@ -502,21 +502,13 @@ def _wrong_rule(name, motzkin_text):
                          parse_statistic(motzkin_text, "motzkin"))
 
 
-def test_transport_sweep_stops_reading_once_every_rule_failed():
-    pairs_read = 0
-
-    def counting(pairs):
-        nonlocal pairs_read
-        for pair in pairs:
-            pairs_read += 1
-            yield pair
-
+def test_transport_sweep_is_done_once_every_rule_failed():
     wrong = _wrong_rule("UDU", "FF")
     sweep = TransportSweep([wrong])
-    sweep.add(11, counting(family_pairs(11)))
+    sweep.add(11, family_pairs(11))
     (result,) = sweep.results
     assert result["counterexample"] is not None and result["checked"] == 2
-    assert pairs_read == 2
+    assert sweep.done
     sweep = TransportSweep([wrong])
     assert not sweep.done
     sweep.add(3, family_pairs(3))
@@ -575,7 +567,7 @@ def test_memoised_sweep_matches_a_naive_per_pair_loop():
         reads = set(range(1, 18)) | {t + d for t in fails for d in (-1, 0, 1)}
         sweep = TransportSweep(rules)
         for t, (n, dyck, motz, _) in enumerate(pairs, 1):
-            sweep.check(n, dyck, motz)
+            sweep.add(n, [(dyck, motz)])  # results read within a semilength
             if t in reads:
                 assert read(sweep) == naive(pairs[:t]), t
         assert read(sweep) == naive(pairs)

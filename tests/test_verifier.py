@@ -1,3 +1,7 @@
+import json
+import os
+import pathlib
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -6,6 +10,7 @@ from importlib import resources
 import pytest
 
 import dyckmotz
+from dyckmotz import patterns
 from dyckmotz import (
     RouteCheckError,
     SequenceRef,
@@ -448,3 +453,91 @@ def test_report_times_each_stage_and_the_text_names_the_two_slowest():
             "checks": [{"check": "demo", "status": "pass", "details": "d"}]}
     assert render_text(fake).splitlines()[-2:] == [
         "RESULT: OK", "slowest stages: identities 0.5s, family 0.2s"]
+
+
+def _forks() -> bool:
+    return hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1
+
+
+needs_two_cpus = pytest.mark.skipif(not _forks(),
+                                    reason="the family pass forks only with a second CPU")
+
+# runs the CLI on the CPUs named in argv[1] and writes how often it forked to stderr
+_PINNED = """import json, os, sys
+os.sched_setaffinity(0, json.loads(sys.argv[1]))
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+from dyckmotz import cli
+code = cli.main(sys.argv[2:])
+print(len(forks), file=sys.stderr)
+raise SystemExit(code)"""
+
+
+def _untimed(report: dict) -> dict:
+    del report["elapsed_seconds"], report["stages"]
+    for check in report["checks"]:
+        check.pop("elapsed_seconds", None)
+    return report
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("argv", [["verify", "--max-n", "10", "--format", "json"],
+                                  ["check-transport", "--all", "--max-n", "10"]],
+                         ids=["verify", "check-transport"])
+def test_one_cpu_and_two_give_the_same_output(argv):
+    src = pathlib.Path(dyckmotz.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("DYCKMOTZ_OEIS_CACHE", None)
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    runs = [subprocess.run([sys.executable, "-c", _PINNED, json.dumps(pinned), *argv],
+                           env=env, capture_output=True, text=True, check=True)
+            for pinned in (cpus[:1], cpus)]
+    assert [run.stderr for run in runs] == ["0\n", "1\n"]  # one child on two CPUs
+    one, two = (run.stdout for run in runs)
+    if argv[0] == "verify":
+        one, two = (_untimed(json.loads(out)) for out in (one, two))
+    assert one == two
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_two_cpus
+def test_a_campaign_leaves_no_process_behind():
+    assert run_full_verification(max_n=10)["ok"]
+    _no_child_left()
+
+
+@needs_two_cpus
+def test_an_error_in_the_campaigns_own_share_propagates(monkeypatch):
+    real, calls = dyckmotz.bijection._phi_inverse, []
+
+    def failing(m):
+        calls.append(m)
+        if len(calls) == 40:
+            raise RuntimeError("the 40th round trip")
+        return real(m)
+
+    monkeypatch.setattr(patterns, "_CHUNK", 16)  # semilengths 5 to 8 are shared
+    monkeypatch.setattr(dyckmotz.bijection, "_phi_inverse", failing)
+    with pytest.raises(RuntimeError, match="the 40th round trip"):
+        run_full_verification(max_n=8)
+    _no_child_left()
+
+
+@needs_two_cpus
+def test_a_child_that_sends_nothing_leaves_the_report_as_it_was(monkeypatch):
+    monkeypatch.setattr(patterns, "_CHUNK", 16)
+    whole = _untimed(run_full_verification(max_n=8))
+    parent, judge = os.getpid(), patterns._judge_share
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return judge(*args)
+
+    monkeypatch.setattr(patterns, "_judge_share", dying)
+    assert _untimed(run_full_verification(max_n=8)) == whole
+    _no_child_left()
