@@ -14,7 +14,7 @@ from .bijection import (NotConstrainedError, check_bijectivity, is_constrained, 
 from .patterns import (DIRAC, EmptyPatternError, PathProfile, PatternExpr,
                        PatternSyntaxError, StatisticExpr, TransportRule,
                        check_transport, count_occurrences, evaluate_statistic,
-                       family_pairs, parse_pattern, parse_statistic, transport_rule,
+                       parse_pattern, parse_statistic, transport_rule,
                        transport_rules)
 from .series import (InexactDivisionError, NoConvergenceError,
                      NonSquareConstantTermError, NonUnitDivisorError, TruncatedSeries)

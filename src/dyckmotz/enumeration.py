@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import mul, sub
 from typing import Iterator
 
 from .paths import DyckPath, MotzkinPath
@@ -66,7 +67,8 @@ def enumerate_constrained(n: int) -> Iterator[DyckPath]:
     return _walk(2 * n, flat=False, capped=True)
 
 
-def _walk(total: int, flat: bool, capped: bool) -> Iterator[MotzkinPath]:
+def _walk(total: int, flat: bool, capped: bool,
+          depth: int = -1, claim=None) -> Iterator[MotzkinPath]:
     """Every path of total steps, depth first in U < D < F order, with F
     steps only when flat and under the family's ceiling rule when capped.
 
@@ -78,16 +80,28 @@ def _walk(total: int, flat: bool, capped: bool) -> Iterator[MotzkinPath]:
     ceiling in force before it opened, enclosing block), ending in a
     sentinel for the top level. The level equals the number of open
     blocks, so every D closes the innermost one, of height top - level + 1.
+    Once i + level == total the path's only completion is level D steps.
+    A split (depth <= total // 2) numbers the nodes at that depth in walk
+    order and descends only below those whose number k claim() hands out
+    (in increasing order, once the last is passed), yielding k first.
     """
     make = MotzkinPath if flat else DyckPath
     steps = [""] * (total + 1)  # steps[0] stays empty: the root's slot
     todo = [(0, "", 0, _NO_CAP, (0, _NO_CAP, _NO_CAP, None))]
+    k = held = -1
     while todo:
         i, step, level, ceiling, blocks = todo.pop()
         steps[i] = step
-        if i == total:
+        if i == depth:
+            k += 1
+            if k > held:
+                held = claim()
+            if k != held:
+                continue
+            yield k
+        if i + level == total:
             # valid by construction, so the validating constructor is skipped
-            yield str.__new__(make, "".join(steps))
+            yield str.__new__(make, "".join(steps[:i + 1]) + "D" * level)
             continue
         room = total - i - 1  # steps left after the next one
         # pushed in reverse order, so U is taken first
@@ -108,37 +122,33 @@ def _walk(total: int, flat: bool, capped: bool) -> Iterator[MotzkinPath]:
 def count_constrained_by_height(n: int, h: int) -> int:
     """Number of family members of semilength n with height exactly h.
 
-    Kernel of the grammar: the first block U alpha D has height exactly h
-    (so alpha has height h - 1) and the tail beta has height at most h.
-    Summing over h recovers the Motzkin number M_n. Filled bottom-up over
-    heights 0..h; the tables of the last few semilengths asked for are
-    kept and grown, so a sweep over h costs one fill.
+    phi halves the height: it maps the members of height at most h onto
+    the Motzkin paths of height at most h // 2 with F steps on the top
+    level only when h is odd, counted by the convergent Y_h of the Motzkin
+    continued fraction (Flajolet 1980): Y_0 = 1, Y_1 = 1/(1 - x) and
+    Y_h = 1/(1 - x - x^2 Y_(h-2)). The count is [x^n](Y_h - Y_(h-1)).
     """
     if n < 0 or h < 0:
         raise ValueError("arguments must be nonnegative")
     if h > n:
         return 0
-    table = _at_most_table(n)
-    while len(table) <= h:
-        _add_height(table)
-    return table[h][n] - (table[h - 1][n] if h else 0)
+    return -(_at_most(n, h - 1) if h else 0) + _at_most(n, h)
 
 
-@lru_cache(maxsize=4)
-def _at_most_table(n: int) -> list:
-    # table[h][k] = members of semilength k <= n with height at most h,
-    # one column per height, grown on demand by _add_height
-    return [[1] + [0] * n]
-
-
-def _add_height(table: list) -> None:
-    # column h from columns h - 1 and h - 2, bottom-up over semilength k:
-    # first block of height exactly h, then a tail of height at most h
-    h = len(table)
-    below = table[-1]
-    exact = [a - b for a, b in zip(below, table[-2])] if h > 1 else below
-    col = below[:]
-    for k in range(h, len(col)):
-        # exact[k - 1 - b] is 0 unless k - 1 - b >= h - 1
-        col[k] += sum(exact[k - 1 - b] * col[b] for b in range(k - h + 1))
-    table.append(col)
+@lru_cache(maxsize=2)  # a sweep over h reads each value twice, h - 1 first
+def _at_most(n: int, h: int) -> int:
+    """[x^n] Y_h, the members of semilength n and height at most h <= n.
+    Y_h is p/q over integer coefficient lists and agrees with the Motzkin
+    series through x^h; past that, q(0) = 1 and deg p <= h give the
+    recurrence y_k = -sum q_i y_(k-i)."""
+    p, q = [1], [1, -1] if h % 2 else [1]
+    for _ in range(h // 2):
+        # 1/(1 - x - x^2 p/q) = q / ((1 - x) q - x^2 p), and len(p) <= len(q)
+        p, q = q, list(map(sub, map(sub, [*q, 0, 0], [0, *q, 0]),
+                           [0, 0, *p, *[0] * (len(q) - len(p))]))
+        while not q[-1]:
+            q.pop()
+    y, tail = motzkin_numbers(h), q[:0:-1]  # q_deg, ..., q_1
+    for _ in range(h, n):
+        y.append(-sum(map(mul, tail, y[-len(tail):])))
+    return y[n]

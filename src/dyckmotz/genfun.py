@@ -25,7 +25,7 @@ Each printed form is evaluated once per truncation order per process,
 in the memo _printed keyed by the form itself, which the fixed-point and
 brute-force routes never read. The module caches are all bounded:
 _printed (32 forms), _family_row (25 semilengths) and
-enumeration._at_most_table (4 tables).
+enumeration._at_most (2 counts).
 
 DD shares the UU distribution; the brute-force route still counts DD
 literally so the alias is itself testable.

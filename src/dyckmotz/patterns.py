@@ -21,9 +21,10 @@ the Dyck side and length on the Motzkin side; each statistic records
 which side it lives on.
 
 The checks of the family read one pass per semilength, family_reductions:
-the walk is mapped through _phi, _phi_inverse and the readers a chunk at
-a time, reduced to data that merges, and shared across the CPUs, and
-TransportSweep judges the rules on each distinct vector of reads.
+the walk is split across the CPUs by subtree, each share is mapped
+through _phi, _phi_inverse and the readers a chunk at a time and
+reduced to data that merges, and TransportSweep judges the rules on
+each distinct vector of reads.
 """
 from __future__ import annotations
 
@@ -34,13 +35,13 @@ import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from operator import eq
 from typing import Iterator, Optional, Union
 
 from . import bijection
 from .bijection import NotConstrainedError, _member_image, _phi
-from .enumeration import enumerate_constrained, motzkin_number
+from .enumeration import _walk, motzkin_number
 from .paths import LatticePath
 
 
@@ -410,18 +411,24 @@ def transport_rule(name: str) -> TransportRule:
                        f"known: {', '.join(sorted(_RULES_BY_NAME))}") from None
 
 
-def family_pairs(n: int) -> Iterator:
-    """Yield (member, image) as plain texts for every family member of
-    semilength n, in enumeration order, each pair built when reached. A
-    walker output that phi refuses raises phi's error. The checks read
-    family_reductions instead."""
-    for p in enumerate_constrained(n):
-        yield str(p), _member_image(p)
-
-
 # walker outputs per chunk of the family pass: a few hundred keep each
 # chunk's lists small beside the reduction and each map long
 _CHUNK = 512
+
+
+# the depth of a shared walk's subtrees: 42 from n = 9, below the 255 tokens
+_SPLIT = 9
+
+
+def _members(n: int, claim=None) -> Iterator:
+    """The family pass's one way to the walker: semilength n's members, or
+    the subtrees at depth min(n, _SPLIT) that claim hands out (_walk)."""
+    return _walk(2 * n, False, True, *((min(n, _SPLIT), claim) if claim else ()))
+
+
+def _claims(tokens: int):
+    """A share's claim: the next number on the shared pipe tokens, or 255 (none)."""
+    return lambda: (os.read(tokens, 1) or b"\xff")[0]
 
 
 def _image(p: str) -> Optional[str]:
@@ -433,9 +440,9 @@ def _image(p: str) -> Optional[str]:
 
 
 def _reduction() -> dict:
-    """An empty reduction (see family_reductions); raws interns its raw Dyck tuples."""
+    """An empty reduction (see family_reductions and _judge_share)."""
     return {"counts": Counter(), "firsts": {}, "order": [], "roundtrip": [], "refused": [],
-            "raws": {}}
+            "raws": {}, "subtrees": {}}
 
 
 def _tally(reduction: dict, indices, members, images, read_dyck, read_motzkin) -> None:
@@ -453,30 +460,42 @@ def _tally(reduction: dict, indices, members, images, read_dyck, read_motzkin) -
             indices[j], str(members[j]), images[j])
 
 
-def _judge_share(n: int, part: int, parts: int, read_dyck, read_motzkin) -> dict:
-    """The reduction of chunks part, part + parts, ... of semilength n's
-    walk, which is read whole, so each chunk's order check starts from
-    the last pair before it."""
-    # 'V' sorts above every U/D word
-    reduction, walk, start, last = _reduction(), iter(enumerate_constrained(n)), 0, "V"
-    for c, chunk in enumerate(iter(lambda: list(islice(walk, _CHUNK)), [])):
-        indices = range(start, start + len(chunk))
-        start += len(chunk)
-        if c % parts != part:
-            last = next((p for p in reversed(chunk) if _image(p) is not None), last)
+# a share places output j of subtree k at (k << _PLACE) + j, in walk order
+_PLACE = 64
+
+
+def _judge_share(n: int, claim, read_dyck, read_motzkin) -> dict:
+    """The reduction of the subtrees of semilength n that claim hands out
+    (all of it when claim is None). Its subtrees map each subtree k to
+    [outputs, place and member of its first pair, member of its last
+    pair]: _close order-checks each first pair against the pair before it."""
+    reduction, k = _reduction(), 0
+    for kind, run in groupby(_members(n, claim), type):
+        if kind is int:  # a subtree's number, then its walker outputs
+            *_, k = run
             continue
-        images = list(map(_image, chunk))
-        if None in images:  # walker outputs that _phi refuses make no pair
-            reduction["refused"] += [(i, str(p)) for i, p, m in zip(indices, chunk, images)
-                                     if m is None]
-            indices, chunk, images = ([t[k] for t in zip(indices, chunk, images)
-                                       if t[2] is not None] for k in range(3))
-        before, last = [last, *chunk], chunk[-1] if chunk else last
-        for key, oks in (("order", map(str.__lt__, chunk, before)),
-                         ("roundtrip", map(eq, chunk, map(bijection._phi_inverse, images)))):
-            if not all(oks := list(oks)):
-                reduction[key] += [(i, str(p)) for i, p, ok in zip(indices, chunk, oks) if not ok]
-        _tally(reduction, indices, chunk, images, read_dyck, read_motzkin)
+        for chunk in iter(lambda: list(islice(run, _CHUNK)), []):
+            record = reduction["subtrees"].setdefault(k, [0, None, None, "V"])  # 'V' > U/D words
+            start = (k << _PLACE) + record[0]
+            indices = range(start, start + len(chunk))
+            record[0] += len(chunk)
+            images = list(map(_image, chunk))
+            if None in images:  # walker outputs that _phi refuses make no pair
+                reduction["refused"] += [(i, str(p)) for i, p, m in zip(indices, chunk, images)
+                                         if m is None]
+                indices, chunk, images = ([t[c] for t in zip(indices, chunk, images)
+                                           if t[2] is not None] for c in range(3))
+                if not chunk:
+                    continue
+            if record[2] is None:
+                record[1:3] = indices[0], str(chunk[0])
+            before, record[3] = [record[3], *chunk], str(chunk[-1])
+            for key, oks in (("order", map(str.__lt__, chunk, before)),
+                             ("roundtrip", map(eq, chunk, map(bijection._phi_inverse, images)))):
+                if not all(oks := list(oks)):
+                    reduction[key] += [(i, str(p)) for i, p, ok in zip(indices, chunk, oks)
+                                       if not ok]
+            _tally(reduction, indices, chunk, images, read_dyck, read_motzkin)
     return reduction
 
 
@@ -486,7 +505,26 @@ def _merge(reduction: dict, theirs: dict) -> None:
     for vector, first in theirs["firsts"].items():
         firsts[vector] = min(firsts.get(vector, first), first)
     for key in ("order", "roundtrip", "refused"):
-        reduction[key] = sorted(reduction[key] + theirs[key])
+        reduction[key] += theirs[key]
+    reduction["subtrees"].update(theirs["subtrees"])
+
+
+def _close(reduction: dict) -> None:
+    """Turn the places of a reduction merged from every share into walk
+    indices, the subtrees laid end to end, and order-check each subtree's
+    first pair against the last pair before it."""
+    offsets, at, last = {}, 0, "V"
+    for k, (outputs, place, first, final) in sorted(reduction.pop("subtrees").items()):
+        offsets[k], at = at - (k << _PLACE), at + outputs
+        if first is not None:
+            if not first < last:
+                reduction["order"].append((place, first))
+            last = final
+    for key in ("order", "roundtrip", "refused"):
+        reduction[key] = sorted((i + offsets[i >> _PLACE], p) for i, p in reduction[key])
+    for vector, (i, member, image) in reduction["firsts"].items():
+        reduction["firsts"][vector] = i + offsets[i >> _PLACE], member, image
+    del reduction["raws"]
 
 
 def family_reductions(ns, read_dyck=len, read_motzkin=len) -> Iterator[tuple]:
@@ -499,28 +537,33 @@ def family_reductions(ns, read_dyck=len, read_motzkin=len) -> Iterator[tuple]:
     list the (index, member), an index being a place in the walk, of each
     member not below the one before it, that _phi_inverse does not give
     back from its image, or that _phi refused (no pair). The walk is
-    mapped through a chunk at a time. Reductions merge by sum and by
-    least index, so with P usable CPUs and no other thread, P - 1 forked
-    children judge every P-th chunk of each semilength with at least P
-    chunks and send their shares back through a pipe with marshal; a
-    share that does not come is judged here."""
-    ns, children = list(ns), {}
+    mapped through a chunk at a time. With P usable CPUs and no other
+    thread, P - 1 forked children and this process, which also consumes
+    the reductions, each take the next subtree (_members) of a semilength
+    of at least P chunks from its pipe of tokens whenever they are free.
+    The children send their shares back through a pipe with marshal;
+    if one does not come, the whole semilength is judged here."""
+    ns, children, tokens = list(ns), {}, {}
     parts = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              and hasattr(os, "fork") and threading.active_count() == 1 else 1)
-    shared = [n for n in ns if motzkin_number(n) > (parts - 1) * _CHUNK]  # P chunks or more
     try:
-        for part in range(1, parts if shared else 1):
+        for i, n in enumerate(ns):  # by place in ns, each semilength of P chunks or more
+            if parts > 1 and motzkin_number(n) > (parts - 1) * _CHUNK:
+                tokens[i], write = os.pipe()  # a token per subtree number below 255
+                os.write(write, bytes(range(255)))
+                os.close(write)
+        for part in range(parts - 1 if tokens else 0):
             read, write = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no child: its share is judged here
+            except OSError:  # no child: this process takes its subtrees
                 os.close(read), os.close(write)
                 continue
             if not pid:  # the child, which ends here whatever happens
                 try:
                     with open(write, "wb") as pipe:
-                        for n in shared:
-                            reduction = _judge_share(n, part, parts, read_dyck, read_motzkin)
+                        for i, fd in tokens.items():
+                            reduction = _judge_share(ns[i], _claims(fd), read_dyck, read_motzkin)
                             data = marshal.dumps({**reduction, "counts": dict(reduction["counts"])})
                             pipe.write(len(data).to_bytes(8, "little") + data)
                             pipe.flush()
@@ -529,15 +572,20 @@ def family_reductions(ns, read_dyck=len, read_motzkin=len) -> Iterator[tuple]:
                     os._exit(1)
             os.close(write)
             children[part] = pid, open(read, "rb")
-        for n in ns:
-            reduction = _judge_share(n, 0, parts if n in shared else 1, read_dyck, read_motzkin)
-            for part in range(1, parts if n in shared else 1):
+        for i, n in enumerate(ns):
+            claim = _claims(tokens[i]) if i in tokens else None
+            reduction = _judge_share(n, claim, read_dyck, read_motzkin)
+            whole = False
+            for pid, pipe in children.values() if i in tokens else ():
                 try:  # one read: marshal.load from a file reads item by item
-                    pipe = children[part][1]
                     theirs = marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
-                except (KeyError, EOFError, ValueError, TypeError):  # the share did not come
-                    theirs = _judge_share(n, part, parts, read_dyck, read_motzkin)
-                _merge(reduction, theirs)
+                except (EOFError, ValueError, TypeError):  # the share did not come
+                    whole = True
+                else:
+                    _merge(reduction, theirs)
+            if whole:  # so the whole semilength is judged here
+                reduction = _judge_share(n, None, read_dyck, read_motzkin)
+            _close(reduction)
             yield n, reduction
             del reduction  # the caller's alone while the next is built
     finally:
@@ -545,6 +593,8 @@ def family_reductions(ns, read_dyck=len, read_motzkin=len) -> Iterator[tuple]:
             pipe.close()
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
+        for read in tokens.values():
+            os.close(read)
 
 
 def _unchecked(rule: TransportRule, max_n: int) -> str:

@@ -6,7 +6,7 @@ unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
 one pass per semilength (patterns.family_reductions), judged a chunk at
-a time and shared across the CPUs, and read only its reduction, so
+a time and split across the CPUs by subtree, and read only its reduction, so
 memory does not grow with the family. Each image comes from the
 unvalidated _phi, and the bijectivity round trip is its one validation.
 TransportSweep judges every linear claim as integer linear forms over

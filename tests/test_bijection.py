@@ -236,16 +236,16 @@ def test_check_bijectivity_report():
 
 def _walker_adding(monkeypatch, n, extra):
     # the walker yields extra second at semilength n, a defect in the program
-    real = patterns.enumerate_constrained
+    real = patterns._members
 
-    def walk_with_extra(k):
-        members = real(k)
+    def walk_with_extra(k, *share):
+        members = real(k, *share)
         if k == n:
             yield next(members)
             yield extra
         yield from members
 
-    monkeypatch.setattr(patterns, "enumerate_constrained", walk_with_extra)
+    monkeypatch.setattr(patterns, "_members", walk_with_extra)
 
 
 @pytest.mark.parametrize("n, extra, message", [
@@ -268,9 +268,9 @@ def test_check_bijectivity_reports_a_walker_output_phi_refuses(monkeypatch, n, e
 
 
 def test_check_bijectivity_keeps_at_most_three_refusals(monkeypatch):
-    real = patterns.enumerate_constrained
-    monkeypatch.setattr(patterns, "enumerate_constrained",
-                        lambda k: [*real(k), *(["DU" * k] * 5)])
+    real = patterns._members
+    monkeypatch.setattr(patterns, "_members",
+                        lambda k, *share: [*real(k, *share), *(["DU" * k] * 5)])
     report = check_bijectivity(2)
     assert not report["ok"]
     assert report["rejected_examples"] == [
@@ -280,7 +280,7 @@ def test_check_bijectivity_keeps_at_most_three_refusals(monkeypatch):
 def _tally(monkeypatch, n, pairs):
     """check_bijectivity(n)'s report with the walker yielding the members
     of pairs and _phi mapping each to its image there."""
-    monkeypatch.setattr(patterns, "enumerate_constrained", lambda k: iter([p for p, _ in pairs]))
+    monkeypatch.setattr(patterns, "_members", lambda k, *share: iter([p for p, _ in pairs]))
     monkeypatch.setattr(patterns, "_phi", dict(pairs).__getitem__)
     return check_bijectivity(n)
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dyckmotz import PATTERNS, cli, genfun, patterns, phi
+from dyckmotz import PATTERNS, cli, genfun, patterns
 from dyckmotz.cli import main
 
 
@@ -217,14 +217,14 @@ def test_verify_failure_exit_code(tmp_path, capsys):
 @pytest.fixture
 def faulty_walker(monkeypatch):
     # a non-member from the walker is a defect in the program, not bad input
-    real = patterns.enumerate_constrained
+    real = patterns._members
 
-    def walk_with_extra(n):
-        yield from real(n)
+    def walk_with_extra(n, *share):
+        yield from real(n, *share)
         if n == 3:
             yield "UDUUDD"
 
-    monkeypatch.setattr(patterns, "enumerate_constrained", walk_with_extra)
+    monkeypatch.setattr(patterns, "_members", walk_with_extra)
 
 
 def test_verify_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker):
@@ -238,16 +238,16 @@ def test_verify_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker)
 @pytest.fixture
 def walker_defect_mid_semilength(monkeypatch):
     # the non-member comes second at n = 3, before three real members
-    real = patterns.enumerate_constrained
+    real = patterns._members
 
-    def walk_with_extra(n):
-        members = real(n)
+    def walk_with_extra(n, *share):
+        members = real(n, *share)
         if n == 3:
             yield next(members)
             yield "UDUUDD"
         yield from members
 
-    monkeypatch.setattr(patterns, "enumerate_constrained", walk_with_extra)
+    monkeypatch.setattr(patterns, "_members", walk_with_extra)
 
 
 def test_verify_reports_a_walker_defect_mid_semilength(capsys, walker_defect_mid_semilength):
@@ -266,16 +266,16 @@ def test_verify_reports_a_walker_defect_mid_semilength(capsys, walker_defect_mid
 @pytest.fixture
 def walker_with_a_dip(monkeypatch):
     # DUUD, a word with a dip below the axis, comes second at n = 2
-    real = patterns.enumerate_constrained
+    real = patterns._members
 
-    def walk_with_dip(n):
-        members = real(n)
+    def walk_with_dip(n, *share):
+        members = real(n, *share)
         if n == 2:
             yield next(members)
             yield "DUUD"
         yield from members
 
-    monkeypatch.setattr(patterns, "enumerate_constrained", walk_with_dip)
+    monkeypatch.setattr(patterns, "_members", walk_with_dip)
 
 
 def test_verify_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip):
@@ -288,15 +288,6 @@ def test_verify_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip
         "computed": [1, 1, 3, 4, 9], "expected": [1, 1, 2, 4, 9]}
     assert {name for name, c in checks.items() if c["status"] == "fail"} == {
         "cardinality", "bijectivity"}
-
-
-def test_family_pairs_raises_phis_error_on_a_dip(walker_with_a_dip):
-    with pytest.raises(ValueError) as refusal:
-        list(patterns.family_pairs(2))
-    with pytest.raises(ValueError) as expected:
-        phi("DUUD")
-    assert type(refusal.value) is type(expected.value)
-    assert str(refusal.value) == str(expected.value)
 
 
 def test_check_transport_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip):
@@ -320,16 +311,16 @@ def test_verify_times_each_patterns_routes(capsys):
 @pytest.fixture
 def walker_dropping_a_member(monkeypatch):
     # the second member of n = 3 is never yielded
-    real = patterns.enumerate_constrained
+    real = patterns._members
 
-    def walk_without(n):
-        members = real(n)
+    def walk_without(n, *share):
+        members = real(n, *share)
         if n == 3:
             yield next(members)
             next(members)
         yield from members
 
-    monkeypatch.setattr(patterns, "enumerate_constrained", walk_without)
+    monkeypatch.setattr(patterns, "_members", walk_without)
 
 
 def test_verify_reports_a_walker_that_drops_a_member(capsys, walker_dropping_a_member):

@@ -1,8 +1,11 @@
+import inspect
 import os
 import subprocess
 import sys
 from itertools import product
 from math import comb
+
+import pytest
 
 from dyckmotz import (
     DyckPath,
@@ -15,6 +18,7 @@ from dyckmotz import (
     is_constrained,
     motzkin_number,
 )
+from dyckmotz import enumeration
 from dyckmotz.enumeration import motzkin_numbers
 
 MOTZKIN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835, 113634]
@@ -127,6 +131,47 @@ def test_height_refined_row_sums_reach_motzkin():
     for n in range(15):
         assert sum(count_constrained_by_height(n, h)
                    for h in range(n + 1)) == motzkin_number(n)
+
+
+def test_height_counts_follow_the_block_grammar_through_x40():
+    # Y_h counts the members of height at most h by the block grammar: a
+    # block of height h >= 2 is U (U beta D) gamma D, beta of height h - 2
+    # and gamma of height at most h - 1, and the blocks' heights never rise,
+    # so Y_h = Y_(h-1) / (1 - x^2 X_(h-2) Y_(h-1)) with X_j = Y_j - Y_(j-1)
+    top = 40
+
+    def times(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(top + 1)]
+
+    def over(a, b):  # b[0] == 1
+        q = []
+        for k in range(top + 1):
+            q.append(a[k] - sum(b[i] * q[k - i] for i in range(1, k + 1)))
+        return q
+
+    ys = [[1] + [0] * top, [1] * (top + 1)]
+    xs = [ys[0], [0] + [1] * top]
+    for h in range(2, top + 1):
+        block = times(xs[h - 2], ys[h - 1])
+        ys.append(over(ys[h - 1], [1, 0, *(-c for c in block[:top - 1])]))
+        xs.append([a - b for a, b in zip(ys[h], ys[h - 1])])
+    for n in range(top + 1):
+        assert [count_constrained_by_height(n, h) for h in range(top + 1)] == [
+            x[n] for x in xs], n
+
+
+def test_a_convergent_recursion_with_x_cubed_fails_the_height_tests(monkeypatch):
+    # the mutant divides by (1 - x) q - x^3 p instead of (1 - x) q - x^2 p
+    source = inspect.getsource(enumeration._at_most)
+    assert source.count("[0, 0, *p,") == 1
+    namespace = dict(vars(enumeration))
+    exec(source.replace("[0, 0, *p,", "[0, 0, 0, *p,"), namespace)
+    monkeypatch.setattr(enumeration, "_at_most", namespace["_at_most"])
+    # (the row sums telescope to the count at height n, which is M_n either way)
+    for test in (test_height_refined_counts,
+                 test_height_counts_follow_the_block_grammar_through_x40):
+        with pytest.raises(AssertionError):
+            test()
 
 
 def test_height_refined_counts_cold_and_deep():

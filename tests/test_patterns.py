@@ -1,6 +1,5 @@
 import time
 from collections import Counter
-from collections.abc import Iterator
 from itertools import product
 
 import pytest
@@ -18,10 +17,10 @@ from dyckmotz import (
     TransportRule,
     check_transport,
     count_occurrences,
+    enumerate_constrained,
     enumerate_dyck,
     enumerate_motzkin,
     evaluate_statistic,
-    family_pairs,
     motzkin_number,
     parse_pattern,
     parse_statistic,
@@ -464,19 +463,13 @@ def test_check_transport_rejects_a_negative_semilength():
             check_transport(rule, -1)
 
 
-def test_family_pairs_streams():
-    assert isinstance(family_pairs(3), Iterator)
-    # the first of M_200 members comes without building the others
-    start = time.perf_counter()
-    dyck, motz = next(family_pairs(200))
-    assert type(dyck) is str and type(motz) is str
-    assert dyck == "U" * 200 + "D" * 200
-    assert motz == str(phi(dyck))
-    assert time.perf_counter() - start < 5
+def _pairs(n):
+    """(member, image) texts of semilength n, in walk order, each built when reached."""
+    return ((str(p), str(phi(p))) for p in enumerate_constrained(n))
 
 
 def test_transport_sweep_reads_a_one_shot_iterator_once():
-    pairs = list(family_pairs(5))
+    pairs = list(_pairs(5))
     sweep = TransportSweep(transport_rules())
     sweep.add(5, iter(pairs))
     assert [r["checked"] for r in sweep.results] == [len(pairs)] * 15
@@ -488,7 +481,7 @@ def test_transport_sweep_stops_at_first_counterexample():
                           parse_statistic("FF", "motzkin"))
     sweep = TransportSweep([transport_rule("DUU"), wrong])
     for n in range(7):
-        sweep.add(n, family_pairs(n))
+        sweep.add(n, _pairs(n))
     right, broken = sweep.results
     assert right["counterexample"] is None
     assert right["checked"] == sum(motzkin_number(n) for n in range(1, 7))
@@ -505,13 +498,13 @@ def _wrong_rule(name, motzkin_text):
 def test_transport_sweep_is_done_once_every_rule_failed():
     wrong = _wrong_rule("UDU", "FF")
     sweep = TransportSweep([wrong])
-    sweep.add(11, family_pairs(11))
+    sweep.add(11, _pairs(11))
     (result,) = sweep.results
     assert result["counterexample"] is not None and result["checked"] == 2
     assert sweep.done
     sweep = TransportSweep([wrong])
     assert not sweep.done
-    sweep.add(3, family_pairs(3))
+    sweep.add(3, _pairs(3))
     assert sweep.done
 
 
@@ -526,7 +519,7 @@ def test_memoised_sweep_matches_a_naive_per_pair_loop():
     # every pair of n <= 9 with each rule's two values on it
     stream = []
     for n in range(10):
-        for dyck, motz in family_pairs(n):
+        for dyck, motz in _pairs(n):
             d, m = PathProfile(dyck), PathProfile(motz)
             stream.append((n, dyck, motz, [(evaluate_statistic(dyck, r.dyck_side, d),
                                             evaluate_statistic(motz, r.motzkin_side, m))
@@ -590,7 +583,7 @@ def test_sweep_evaluates_each_count_vector_once_per_semilength(monkeypatch):
     rules = transport_rules()
     terms = [[t for r in rules for _, t in getattr(r, side).terms
               if isinstance(t, PatternExpr)] for side in ("dyck_side", "motzkin_side")]
-    families = [list(family_pairs(n)) for n in range(10)]
+    families = [list(_pairs(n)) for n in range(10)]
     vectors = sum(len({(tuple(map(PathProfile(dyck).count, terms[0])),
                         tuple(map(PathProfile(motz).count, terms[1])))
                        for dyck, motz in pairs})

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from importlib import resources
+from itertools import count
 
 import pytest
 
@@ -15,16 +16,20 @@ from dyckmotz import (
     RouteCheckError,
     SequenceRef,
     TransportRule,
+    check_bijectivity,
     check_transport,
     compare_sequence,
     embedded_prefixes,
+    enumerate_constrained,
     load_golden_tables,
     motzkin_number,
     parse_statistic,
     render_text,
     run_full_verification,
     transport_rule,
+    transport_rules,
 )
+from dyckmotz.patterns import TransportSweep
 
 
 def test_load_golden_tables_shape():
@@ -100,17 +105,21 @@ def test_full_campaign_small():
 
 
 def test_campaign_walks_each_semilength_once(monkeypatch):
-    real = dyckmotz.enumerate_constrained
+    # the family pass's walker seam, and the public walker wherever it is bound
+    real, seam = dyckmotz.enumerate_constrained, dyckmotz.patterns._members
     walked = Counter()
 
-    def counting(n):
-        walked[n] += 1
-        return real(n)
+    def counting(walk):
+        def counted(n, *share):
+            walked[n] += 1
+            return walk(n, *share)
+        return counted
 
+    monkeypatch.setattr(dyckmotz.patterns, "_members", counting(seam))
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "dyckmotz"
                 and getattr(module, "enumerate_constrained", None) is real):
-            monkeypatch.setattr(module, "enumerate_constrained", counting)
+            monkeypatch.setattr(module, "enumerate_constrained", counting(real))
     assert run_full_verification(max_n=6)["ok"]
     assert walked == {n: 1 for n in range(7)}
 
@@ -277,15 +286,15 @@ def test_campaign_records_a_broken_round_trip(monkeypatch):
 
 def test_campaign_catches_a_walker_that_repeats_a_member(monkeypatch):
     # member 2 of n = 3 stands in for member 3: the size stays M_3
-    real = dyckmotz.patterns.enumerate_constrained
+    real = dyckmotz.patterns._members
 
-    def repeating(n):
-        members = list(real(n))
+    def repeating(n, *share):
+        members = list(real(n, *share))
         if n == 3:
             members[2] = members[1]
         return iter(members)
 
-    monkeypatch.setattr(dyckmotz.patterns, "enumerate_constrained", repeating)
+    monkeypatch.setattr(dyckmotz.patterns, "_members", repeating)
     report = run_full_verification(max_n=4)
     checks = {c["check"]: c for c in report["checks"]}
     assert checks["cardinality"]["status"] == "pass"
@@ -540,4 +549,82 @@ def test_a_child_that_sends_nothing_leaves_the_report_as_it_was(monkeypatch):
 
     monkeypatch.setattr(patterns, "_judge_share", dying)
     assert _untimed(run_full_verification(max_n=8)) == whole
+    _no_child_left()
+
+
+@needs_two_cpus
+def test_a_healthy_forked_pass_judges_only_its_own_share(monkeypatch):
+    # every child's share comes, so this process never judges a semilength again
+    monkeypatch.setattr(patterns, "_CHUNK", 16)
+    parent, judge, judged = os.getpid(), patterns._judge_share, []
+
+    def recording(n, claim, *readers):
+        if os.getpid() == parent:
+            judged.append((n, claim is not None))
+        return judge(n, claim, *readers)
+
+    monkeypatch.setattr(patterns, "_judge_share", recording)
+    assert run_full_verification(max_n=10)["ok"]
+    parts = len(os.sched_getaffinity(0))
+    # one call per semilength: its claims when shared, never the whole walk again
+    assert judged == [(n, motzkin_number(n) > (parts - 1) * 16) for n in range(11)]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_the_shares_cover_the_walk_once_in_subtree_order(parts):
+    # share part claims subtrees part, part + parts, ...
+    for n in range(13):
+        subtrees = {}
+        for part in range(parts):
+            for p in patterns._members(n, count(part, parts).__next__):
+                if type(p) is int:  # a subtree's number, then its members
+                    assert p not in subtrees and p % parts == part, (n, p)
+                    members = subtrees[p] = []
+                else:
+                    members.append(p)
+        assert sorted(subtrees) == list(range(len(subtrees)))
+        assert [p for k in sorted(subtrees) for p in subtrees[k]] == list(
+            enumerate_constrained(n)), n
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_the_merged_shares_are_the_one_process_reduction(parts):
+    sweep = TransportSweep(transport_rules())
+    readers = sweep.read_dyck, sweep.read_motzkin
+    for n in range(12):
+        whole = patterns._judge_share(n, None, *readers)
+        patterns._close(whole)
+        merged = patterns._judge_share(n, count(parts - 1, parts).__next__, *readers)
+        for part in range(parts - 1):
+            patterns._merge(merged, patterns._judge_share(n, count(part, parts).__next__,
+                                                          *readers))
+        patterns._close(merged)
+        assert merged == whole, n
+
+
+def test_a_member_repeated_across_a_subtree_boundary_is_caught_in_any_share(monkeypatch):
+    # the last member of subtree 4 comes again first in subtree 5, which
+    # the other process may claim when the walk is shared
+    n, real = 10, patterns._members
+    # the walk split in one share: every subtree's number before its members
+    walk = list(real(n, count().__next__))
+    last, first = walk[walk.index(5) - 1], walk[walk.index(5) + 1]
+
+    def repeating(m, *share):
+        for p in real(m, *share):
+            if m == n and p == first:
+                yield last
+            yield p
+
+    monkeypatch.setattr(patterns, "_members", repeating)
+    reports, reductions = [], []
+    for parts in (1, 2, 3):  # one process, or forked children where os.fork exists
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, parts=parts: set(range(parts)),
+                            raising=False)
+        reports.append(check_bijectivity(n))
+        reductions.append(dict(patterns.family_reductions([n])))
+    assert reports[0]["out_of_order_examples"] == [last] and reports[0]["out_of_order"] == 1
+    assert reports[1] == reports[0] == reports[2]
+    assert reductions[1] == reductions[0] == reductions[2]
     _no_child_left()
