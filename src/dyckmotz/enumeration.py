@@ -135,19 +135,27 @@ def count_constrained_by_height(n: int, h: int) -> int:
     return -(_at_most(n, h - 1) if h else 0) + _at_most(n, h)
 
 
+# parity of h -> (h, p, q) of the last convergent Y_h = p/q built; rebound, never changed
+_convergents = {0: (0, [1], [1]), 1: (1, [1], [1, -1])}
+
+
 @lru_cache(maxsize=2)  # a sweep over h reads each value twice, h - 1 first
 def _at_most(n: int, h: int) -> int:
     """[x^n] Y_h, the members of semilength n and height at most h <= n.
-    Y_h is p/q over integer coefficient lists and agrees with the Motzkin
-    series through x^h; past that, q(0) = 1 and deg p <= h give the
-    recurrence y_k = -sum q_i y_(k-i)."""
-    p, q = [1], [1, -1] if h % 2 else [1]
-    for _ in range(h // 2):
+    Y_h = p/q over integer coefficient lists, extended from the last Y of
+    h's parity, agrees with the Motzkin series through x^h; past that,
+    q(0) = 1 and deg p <= h give the recurrence y_k = -sum q_i y_(k-i)."""
+    global _convergents
+    k, p, q = _convergents[h % 2]
+    if k > h:
+        k, p, q = h % 2, [1], [1, -1][:1 + h % 2]
+    for _ in range(k, h, 2):
         # 1/(1 - x - x^2 p/q) = q / ((1 - x) q - x^2 p), and len(p) <= len(q)
         p, q = q, list(map(sub, map(sub, [*q, 0, 0], [0, *q, 0]),
                            [0, 0, *p, *[0] * (len(q) - len(p))]))
         while not q[-1]:
             q.pop()
+    _convergents = {**_convergents, h % 2: (h, p, q)}
     y, tail = motzkin_numbers(h), q[:0:-1]  # q_deg, ..., q_1
     for _ in range(h, n):
         y.append(-sum(map(mul, tail, y[-len(tail):])))

@@ -33,11 +33,10 @@ import os
 import re
 import threading
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import groupby, islice
 from operator import eq
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from . import bijection
 from .bijection import NotConstrainedError, _member_image, _phi
@@ -57,17 +56,25 @@ class EmptyPatternError(ValueError):
     """A pattern needs at least one atom (or must be 'delta')."""
 
 
-@dataclass(frozen=True)
-class PatternExpr:
-    atoms: tuple
-    start_anchor: bool = False
-    end_anchor: bool = False
-    dirac: bool = False
-    text: str = ""
-    # the exact counter parse_pattern compiles for the shapes _PROFILED_RE
-    # admits: ((read, coefficient), ...), where a read (f, arg) is
-    # f(text, arg) and the count is the sum of coefficient * read
-    counter: Optional[tuple] = field(default=None, compare=False, repr=False)
+class _Frozen(tuple):
+    """Base of a named tuple with computed fields: every field is read-only."""
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace computes them again
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+    __delattr__ = __setattr__
+
+
+class PatternExpr(_Frozen, namedtuple("PatternExpr", "atoms start_anchor end_anchor dirac text")):
+    # counter (in the instance dict, out of ==, hash and repr): the exact
+    # counter parse_pattern compiles for _PROFILED_RE's shapes, ((read, c), ...),
+    # a read (f, arg) being f(text, arg) and the count the sum of c * read
+    def __new__(cls, atoms: tuple, start_anchor: bool = False, end_anchor: bool = False,
+                dirac: bool = False, text: str = "", counter: Optional[tuple] = None):
+        self = super().__new__(cls, atoms, start_anchor, end_anchor, dirac, text)
+        vars(self)["counter"] = counter
+        return self
 
     def __str__(self) -> str:
         return self.text
@@ -241,7 +248,7 @@ def _form(terms, index, const=0, n_coeff=0, shift=0) -> str:
 def _reader(patterns, statistics=()) -> tuple:
     """The patterns of statistics, then patterns, each once, compiled into
     (keys, read, values, sides), three straight-line lambdas generated
-    once, as dataclasses generates __init__. read(text) is the raw tuple
+    once, as namedtuple generates __new__. read(text) is the raw tuple
     (r0(text, a0), r1(text, a1), ...) of every distinct read (f, arg)
     their counters make (a pattern without a counter is one read of the
     generic counter). values(raw) is the tuple of the patterns' counts, in
@@ -274,29 +281,24 @@ def _reader(patterns, statistics=()) -> tuple:
 ONE, N = "1", "n"  # the constant and size terms of a statistic
 
 
-@dataclass(frozen=True)
-class StatisticExpr:
-    terms: tuple  # of (int coefficient, PatternExpr | ONE | N)
-    side: str  # "dyck" or "motzkin": fixes what n means
-    text: str = ""
-    # compiled from terms once: the value is const + n_coeff * n plus form,
-    # the pattern terms' reads merged ((read, coefficient), ...), no zero term
-    const: int = field(init=False, repr=False, compare=False)
-    n_coeff: int = field(init=False, repr=False, compare=False)
-    form: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+class StatisticExpr(_Frozen, namedtuple("StatisticExpr", "terms side text")):
+    # terms: of (int coefficient, PatternExpr | ONE | N); side: "dyck" or
+    # "motzkin", which fixes what n means. Compiled once into the instance
+    # dict, out of ==, hash and repr: the value is const + n_coeff * n plus
+    # form, the terms' pattern reads merged ((read, c), ...), no zero c
+    def __new__(cls, terms: tuple, side: str, text: str = ""):
+        self = super().__new__(cls, terms, side, text)
         const, n_coeff, form = 0, 0, Counter()
-        for coeff, term in self.terms:
+        for coeff, term in terms:
             if term == ONE:
                 const += coeff
             elif term == N:
                 n_coeff += coeff
             else:
                 form.update({read: coeff * c for read, c in _reads(term)})
-        for name, value in (("const", const), ("n_coeff", n_coeff),
-                            ("form", tuple((r, c) for r, c in form.items() if c))):
-            object.__setattr__(self, name, value)
+        vars(self).update(const=const, n_coeff=n_coeff,
+                          form=tuple((r, c) for r, c in form.items() if c))
+        return self
 
     def __str__(self) -> str:
         return self.text
@@ -354,8 +356,7 @@ def evaluate_statistic(p: Union[str, LatticePath], e: StatisticExpr,
             + profile.value(e.form))
 
 
-@dataclass(frozen=True)
-class TransportRule:
+class TransportRule(NamedTuple):
     """dyck_side(P) = motzkin_side(phi(P)) for every family member of
     semilength >= min_n."""
     name: str
@@ -365,12 +366,8 @@ class TransportRule:
 
 
 def _rule(name: str, motzkin_text: str, min_n: int = 0) -> TransportRule:
-    return TransportRule(
-        name=name,
-        dyck_side=parse_statistic(name, "dyck"),
-        motzkin_side=parse_statistic(motzkin_text, "motzkin"),
-        min_n=min_n,
-    )
+    return TransportRule(name, parse_statistic(name, "dyck"),
+                         parse_statistic(motzkin_text, "motzkin"), min_n)
 
 
 _RULES = (

@@ -34,10 +34,9 @@ import math
 import re
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from importlib import resources
 from itertools import pairwise
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bijection import _bijectivity_report
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
@@ -75,15 +74,13 @@ MOTZKIN_IDENTITIES = (
 )
 
 
-@dataclass(frozen=True)
-class GoldenTable:
+class GoldenTable(NamedTuple):
     pattern: str
     source: str
     cells: tuple  # of (n, k, count)
 
 
-@dataclass(frozen=True)
-class PopularityCell:
+class PopularityCell(NamedTuple):
     source: str
     patterns: tuple  # usually one name; ("UU", "DD") share a row
     n: int
@@ -91,8 +88,7 @@ class PopularityCell:
     misprint_computed: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class SequenceRef:
+class SequenceRef(NamedTuple):
     oeis_id: str
     status: str  # stated | conjectured
     target: str  # pop:<P> | avoid:<P> | row:<P>:<k> | diag:<P>:<j>
@@ -101,8 +97,7 @@ class SequenceRef:
     provenance: str = "table"
 
 
-@dataclass(frozen=True)
-class GoldenData:
+class GoldenData(NamedTuple):
     tables: dict  # source label -> GoldenTable
     sums: tuple  # of (source, n, value)
     popularity: tuple  # of PopularityCell

@@ -1,5 +1,6 @@
 import inspect
 import os
+import random
 import subprocess
 import sys
 from itertools import product
@@ -184,3 +185,15 @@ def test_height_refined_counts_cold_and_deep():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr
+
+
+def test_height_counts_do_not_depend_on_the_order_of_calls():
+    # each count extends the last convergent of its parity, so sweep down,
+    # up and at random over n and h and compare
+    keys = [(n, h) for n in range(40) for h in range(n + 2)]
+    upward = {key: count_constrained_by_height(*key) for key in keys}
+    shuffled = random.Random(7).sample(keys, len(keys))
+    for order in (keys[::-1], sorted(keys, key=lambda key: (-key[1], key[0])), shuffled):
+        assert {key: count_constrained_by_height(*key) for key in order} == upward
+    assert all(sum(upward[n, h] for h in range(n + 1)) == motzkin_numbers(n)[-1]
+               for n in range(40))
