@@ -34,7 +34,6 @@ from .patterns import (
     _unchecked,
     check_transport,
     count_occurrences,
-    family_reductions,
     parse_pattern,
     transport_rule,
     transport_rules,
@@ -186,12 +185,10 @@ def _cmd_check_transport(args) -> int:
     max_n = args.max_n if args.max_n is not None else 10
     rules = transport_rules() if args.all_rules else [transport_rule(args.rule)]
     sweep = TransportSweep(rules)
-    for n, reduction in family_reductions(range(max_n + 1), sweep.read_dyck,
-                                          sweep.read_motzkin):
+    for n, reduction in sweep.over(range(max_n + 1)):
         if reduction["refused"]:  # a walker defect, not bad input
             print(f"FAIL  family at n={n}: {_refusal(reduction['refused'][0][1])}")
             return 1
-        sweep.judge(n, reduction)
         if sweep.done:
             break
     if not args.all_rules and not sweep.results[0]["checked"]:
@@ -226,8 +223,10 @@ def _cmd_gf(args) -> int:
             print(f"dyckmotz: the brute-force route walks {members} family members "
                   f"(n = 0..{max_n})", file=sys.stderr)
     if args.method == "all":
-        routes, agree = cross_check_routes(
-            args.pattern, max_n, _ROUTES["brute"](args.pattern, max_n))
+        routes, agree, errors = cross_check_routes(
+            args.pattern, max_n, lambda: _ROUTES["brute"](args.pattern, max_n))
+        if errors:
+            raise next(iter(errors.values()))
         if not all(agree.values()):
             print(f"routes disagree for {args.pattern}", file=sys.stderr)
             return 1

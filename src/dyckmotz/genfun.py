@@ -278,14 +278,23 @@ def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:
     return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
 
-def cross_check_routes(pattern: str, N: int, brute_series: TruncatedSeries):
-    """{route: series} for closed, brute and (where on record) fixed, in
-    that order, and {route: equals brute_series} for the others."""
-    routes = {"closed": distribution_gf_closed(pattern, N), "brute": brute_series}
+def cross_check_routes(pattern: str, N: int, brute):
+    """The three-way check, (routes, agree, errors): closed, brute() and,
+    where a system is on record, fixed, built in that order. routes maps each
+    route built to its series, errors each route that failed its own check
+    to its exception, and agree each other route built to whether it equals
+    brute's series (False when brute failed)."""
+    builds = {"closed": lambda: distribution_gf_closed(pattern, N), "brute": brute}
     if pattern in FIXED_POINT_PATTERNS:
-        routes["fixed"] = distribution_gf_fixed_point(pattern, N)
-    agree = {name: s == brute_series for name, s in routes.items() if name != "brute"}
-    return routes, agree
+        builds["fixed"] = lambda: distribution_gf_fixed_point(pattern, N)
+    routes, errors = {}, {}
+    for name, build in builds.items():
+        try:
+            routes[name] = build()
+        except (RouteCheckError, NoConvergenceError) as exc:
+            errors[name] = exc
+    agree = {name: s == routes.get("brute") for name, s in routes.items() if name != "brute"}
+    return routes, agree, errors
 
 
 # popularity ---------------------------------------------------------------

@@ -611,10 +611,9 @@ def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
     if n < rule.min_n:
         raise ValueError(f"rule {rule.name} is claimed only for n >= {rule.min_n}")
     sweep = TransportSweep([rule])
-    ((_, reduction),) = family_reductions([n], sweep.read_dyck, sweep.read_motzkin)
+    ((_, reduction),) = sweep.over([n])
     if reduction["refused"]:
         _member_image(reduction["refused"][0][1])  # raises the refusal, worded
-    sweep.judge(n, reduction)
     (result,) = sweep.results
     counterexample = result["counterexample"]
     if counterexample is not None:
@@ -665,6 +664,13 @@ class TransportSweep:
             if start is not None and r["counterexample"] is None:
                 r["checked"] = self._read - start
         return self._results
+
+    def over(self, ns) -> Iterator[tuple]:
+        """judge, then yield, each (n, reduction) of family_reductions over ns."""
+        for n, reduction in family_reductions(ns, self.read_dyck, self.read_motzkin):
+            self.judge(n, reduction)
+            yield n, reduction
+            del reduction  # the caller's alone while the next is built
 
     def add(self, n: int, pairs) -> None:
         """judge the reduction of an iterable of pairs of texts, read a chunk at a time."""

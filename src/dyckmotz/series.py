@@ -23,7 +23,7 @@ private _OnlineSeries, one x-order at a time, each row one int at y = 2^w
 decoded only for the unknowns, and confirms it in the eager ring; a node
 read for the order it is computing raises NoConvergenceError. Both rings
 derive from _Ring, which writes reflected +, both -'s and ** once from
-_lift, __add__, __neg__, __mul__.
+_lift, __add__, __neg__, __mul__; _lifted lifts every binary operand.
 
 The work follows the nonzero coefficients. An eager product with a monomial
 factor c*x^e*y^m (one nonzero row, holding one entry) skips the kernel: row k
@@ -181,6 +181,15 @@ def _require_exact(value, what: str) -> None:
         raise TypeError(f"{what} must be an int or a Fraction, not {value!r}")
 
 
+def _lifted(op):
+    """The binary operator op(self, other) on other lifted into self's ring
+    (_lift), or NotImplemented for an operand the ring does not take."""
+    def method(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+    return method
+
+
 class _Ring:
     """The operators both rings share, written once over the four methods
     a ring supplies: _lift (an int, Fraction or series operand as one of
@@ -191,10 +200,8 @@ class _Ring:
     def __radd__(self, other):
         return self.__add__(other)
 
+    @_lifted
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -262,20 +269,16 @@ class _OnlineSeries(_Ring):
         nonzero = [k for k, v in enumerate(rows) if v]
         return _OnlineSeries(min(nonzero, default=len(rows)), w, lambda k: 0, rows, nonzero)
 
+    @_lifted
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return _OnlineSeries(min(self.val, other.val), self.w,
                              lambda k: self.row(k) + other.row(k))
 
     def __neg__(self):  # the identity on a majorant
         return self if self.w is None else _OnlineSeries(self.val, self.w, lambda k: -self.row(k))
 
+    @_lifted
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         va, vb, a, b = self.val, other.val, self.rows, other.rows
         const, dense = (other, self) if other.nonzero is not None else (self, other)
         if const.nonzero is not None:
@@ -380,10 +383,8 @@ class TruncatedSeries(_Ring):
                 f"cannot extend truncation {self.trunc_x} to {trunc_x}")
         return TruncatedSeries._of(trunc_x, [list(p) for p in self.coeffs[:trunc_x + 1]])
 
+    @_lifted
     def __eq__(self, other) -> bool:
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.trunc_x == other.trunc_x and self.coeffs == other.coeffs
 
     def dump(self) -> str:
@@ -395,20 +396,16 @@ class TruncatedSeries(_Ring):
         return f"TruncatedSeries(trunc_x={self.trunc_x})"
 
     # ring operations ----------------------------------------------------
+    @_lifted
     def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return TruncatedSeries._of(min(self.trunc_x, other.trunc_x), [
             _padd(p, q) for p, q in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
         return TruncatedSeries._of(self.trunc_x, [[-c for c in p] for p in self.coeffs])
 
+    @_lifted
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         n = min(self.trunc_x, other.trunc_x)
         ia, ib = ([i for i in range(n + 1) if f.coeffs[i]] for f in (self, other))
         mono, dense, nonzero = _monomial(self.coeffs, ia), other, ib
@@ -439,17 +436,13 @@ class TruncatedSeries(_Ring):
 
     __rmul__ = __mul__
 
+    @_lifted
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
         return _div(self, other)
 
+    @_lifted
     def __rtruediv__(self, other):
-        lifted = self._lift(other)
-        if lifted is NotImplemented:
-            return NotImplemented
-        return _div(lifted, self)
+        return _div(other, self)
 
     # calculus and substitution ----------------------------------------
     def d_dy(self) -> "TruncatedSeries":

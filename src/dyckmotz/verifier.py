@@ -31,22 +31,20 @@ report consistency notices instead.
 from __future__ import annotations
 
 import math
+import os
 import re
 import time
 from collections import Counter
-from importlib import resources
 from itertools import pairwise
 from typing import NamedTuple, Optional
 
 from .bijection import _bijectivity_report
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
-from .genfun import (FIXED_POINT_PATTERNS, PATTERNS, NoConvergenceError, RouteCheckError,
-                     _brute_force, _distribution_row, _pop_closed_length2, _popularity,
-                     distribution_gf_closed, distribution_gf_fixed_point, du_from_ud,
-                     popularity_gf)
+from .genfun import (PATTERNS, _brute_force, _distribution_row, _pop_closed_length2,
+                     _popularity, cross_check_routes, du_from_ud, popularity_gf)
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
-from .patterns import (TransportRule, TransportSweep, _unchecked, family_reductions,
-                       parse_pattern, parse_statistic, transport_rules)
+from .patterns import (TransportRule, TransportSweep, _unchecked, parse_pattern,
+                       parse_statistic, transport_rules)
 
 DEFAULT_MAX_N = 12
 
@@ -111,11 +109,10 @@ _TARGET_RE = re.compile(r"(?:pop|avoid):([^:]+)|(?:row|diag):([^:]+):\d+")
 
 
 def load_golden_tables(path: Optional[str] = None) -> GoldenData:
-    if path is None:
-        text = (resources.files("dyckmotz") / "data/golden_tables.txt").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
+    if path is None:  # the packaged file beside this module
+        path = os.path.join(os.path.dirname(__file__), "data", "golden_tables.txt")
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
     cells, sums, pops, seqs = {}, [], [], []
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -243,9 +240,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     bad = structural_worst = None
     transport = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
     uud, duu = map(transport.dyck_keys.index, ("UUD", "DUU"))
-    for n, reduction in family_reductions(range(max_n + 1), transport.read_dyck,
-                                          transport.read_motzkin):
-        transport.judge(n, reduction)
+    for n, reduction in transport.over(range(max_n + 1)):
         report = _bijectivity_report(n, reduction)
         counts.append(report["domain"] + len(reduction["refused"]))
         if reduction["refused"]:  # the walker yielded paths phi rejects; the pass skipped them
@@ -309,25 +304,17 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     # fixed point that misses its equations, a wrong M_n) is left out, and
     # unread names why a pattern has no closed series for the records after
     routes, unread = {}, {}
-    builds = {"closed": distribution_gf_closed, "brute": lambda p, _: _brute_force(p, rows),
-              "fixed": distribution_gf_fixed_point}
     for pattern in PATTERNS:
-        start, errors = time.perf_counter(), {}
-        built = routes[pattern] = {}
-        for name, build in builds.items():
-            if name != "fixed" or pattern in FIXED_POINT_PATTERNS:
-                try:
-                    built[name] = build(pattern, max_n)
-                except (NoConvergenceError, RouteCheckError) as exc:
-                    errors[name] = str(exc)
+        start = time.perf_counter()
+        routes[pattern], agree, errors = cross_check_routes(
+            pattern, max_n, lambda: _brute_force(pattern, rows))
         if "closed" in errors:
             unread[pattern] = f"no closed series for {pattern}: {errors['closed']}"
         elapsed = time.perf_counter() - start
         if errors:
-            _add(checks, f"three-way:{pattern}", "fail", next(iter(errors.values())))
+            _add(checks, f"three-way:{pattern}", "fail", str(next(iter(errors.values()))))
         else:
-            verdicts = {f"{name}=brute": series == built["brute"]
-                        for name, series in built.items() if name != "brute"}
+            verdicts = {f"{name}=brute": same for name, same in agree.items()}
             _judge(checks, f"three-way:{pattern}",
                    f"routes over n<=..{max_n}: " + ", ".join(
                        f"{k} {'ok' if v else 'DISAGREE'}" for k, v in verdicts.items()),

@@ -234,6 +234,11 @@ def test_check_bijectivity_report():
     assert report["roundtrip_failures"] == 0
 
 
+def test_check_bijectivity_refuses_a_negative_semilength():
+    with pytest.raises(ValueError, match="^semilength must be nonnegative$"):
+        check_bijectivity(-1)
+
+
 def _walker_adding(monkeypatch, n, extra):
     # the walker yields extra second at semilength n, a defect in the program
     real = patterns._members

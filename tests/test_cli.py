@@ -8,6 +8,7 @@ import pytest
 
 from dyckmotz import PATTERNS, cli, genfun, patterns
 from dyckmotz.cli import main
+from test_verifier import _no_child_left
 
 
 def test_enumerate_text(capsys):
@@ -290,10 +291,19 @@ def test_verify_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip
         "cardinality", "bijectivity"}
 
 
-def test_check_transport_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip):
-    assert main(["check-transport", "--all", "--max-n", "4"]) == 1
+@pytest.fixture
+def shared_pass(monkeypatch):
+    # semilengths 5 to 8 are shared, so with a second CPU a pass to n = 8
+    # forks before it begins; a command that leaves it early must reap them
+    monkeypatch.setattr(patterns, "_CHUNK", 16)
+
+
+def test_check_transport_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip,
+                                                                 shared_pass):
+    assert main(["check-transport", "--all", "--max-n", "8"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "FAIL  family at n=2: not a Dyck path: first violation at position 0 in 'DUUD'"]
+    _no_child_left()
 
 
 def test_verify_times_each_patterns_routes(capsys):
@@ -341,20 +351,24 @@ def test_verify_reports_a_walker_that_drops_a_member(capsys, walker_dropping_a_m
     assert checks["golden:sum-row"]["status"] == "pass"
 
 
-def test_check_transport_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker):
-    assert main(["check-transport", "--all", "--max-n", "4"]) == 1
+def test_check_transport_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker,
+                                                                   shared_pass):
+    assert main(["check-transport", "--all", "--max-n", "8"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
         "FAIL  family at n=3: not in the constrained family: 'UDUUDD'"]
     assert captured.err == ""
+    _no_child_left()
 
 
-def test_check_transport_reports_a_wrong_rule(capsys, monkeypatch):
+def test_check_transport_reports_a_wrong_rule(capsys, monkeypatch, shared_pass):
+    # every rule has failed at n = 3, so the pass is left there
     monkeypatch.setattr("dyckmotz.cli.transport_rules",
                         lambda: [patterns._rule("UDU", "FF")])
-    assert main(["check-transport", "--all", "--max-n", "4"]) == 1
+    assert main(["check-transport", "--all", "--max-n", "8"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "FAIL  UDU  at UUDUDD -> FUD: 1 != 0"]
+    _no_child_left()
 
 
 def test_popularity_json(capsys):

@@ -163,6 +163,8 @@ def test_height_counts_follow_the_block_grammar_through_x40():
 
 def test_a_convergent_recursion_with_x_cubed_fails_the_height_tests(monkeypatch):
     # the mutant divides by (1 - x) q - x^3 p instead of (1 - x) q - x^2 p
+    keys = [(n, h) for n in range(40) for h in range(n + 2)]
+    before = {key: count_constrained_by_height(*key) for key in keys}
     source = inspect.getsource(enumeration._at_most)
     assert source.count("[0, 0, *p,") == 1
     namespace = dict(vars(enumeration))
@@ -173,6 +175,12 @@ def test_a_convergent_recursion_with_x_cubed_fails_the_height_tests(monkeypatch)
                  test_height_counts_follow_the_block_grammar_through_x40):
         with pytest.raises(AssertionError):
             test()
+    # the mutant ran in a copy of the module's globals, which shares its
+    # objects: the real counts must not have changed through any of them
+    # (read from the top, so that a memo the mutant left is read before a
+    # small h would rebuild it)
+    monkeypatch.undo()
+    assert {key: count_constrained_by_height(*key) for key in keys[::-1]} == before
 
 
 def test_height_refined_counts_cold_and_deep():

@@ -18,7 +18,7 @@ from dyckmotz import (
     parse_pattern,
     popularity_gf,
 )
-from dyckmotz import genfun
+from dyckmotz import cli, genfun
 from dyckmotz.enumeration import motzkin_numbers
 from dyckmotz.genfun import RouteCheckError, cross_check_routes
 from dyckmotz.series import TruncatedSeries, solve_fixed_point
@@ -56,15 +56,36 @@ def test_fixed_points_agree_with_brute_force():
         assert fixed == distribution_brute_force(pattern, N), pattern
 
 
-def test_cross_check_routes():
+def test_cross_check_routes(monkeypatch, capsys):
     brute = distribution_brute_force("UDU", 6)
-    routes, agree = cross_check_routes("UDU", 6, brute)
+    routes, agree, errors = cross_check_routes("UDU", 6, lambda: brute)
     assert list(routes) == ["closed", "brute", "fixed"]
     assert routes["brute"] is brute
     assert agree == {"closed": True, "fixed": True}
-    routes, agree = cross_check_routes("UD", 6, brute)  # the wrong pattern's series
+    assert errors == {}
+    routes, agree, errors = cross_check_routes("UD", 6, lambda: brute)  # the wrong pattern's
     assert list(routes) == ["closed", "brute"]
     assert agree == {"closed": False}
+    # a wrong closed form is left out, with its error, and the other routes are still built
+    monkeypatch.setitem(genfun._CLOSED_FORMS, "UDU", lambda x, y: 1 + x)
+    built = []
+    routes, agree, errors = cross_check_routes("UDU", 6, lambda: built.append(1) or brute)
+    assert list(routes) == ["brute", "fixed"] and built == [1]
+    assert agree == {"fixed": True}
+    assert list(errors) == ["closed"] and type(errors["closed"]) is RouteCheckError
+    message = "UDU/closed: row sum at x^2 is 0, want M_2 = 2"
+    assert str(errors["closed"]) == message
+    # gf --method all raises the first error: a failed check, exit 1
+    assert cli.main(["gf", "--pattern", "UDU", "--method", "all", "--max-n", "6"]) == 1
+    assert capsys.readouterr().err == f"dyckmotz: {message}\n"
+
+    def short_brute():
+        raise RouteCheckError("UUU/brute: short")
+
+    # a brute route that fails its check leaves nothing to agree with
+    routes, agree, errors = cross_check_routes("UUU", 6, short_brute)
+    assert list(routes) == ["closed", "fixed"] and list(errors) == ["brute"]
+    assert agree == {"closed": False, "fixed": False}
 
 
 def test_closed_forms_equal_fixed_points_deep():

@@ -10,6 +10,7 @@ the warm run. The rule and identity mutants read no printed form and run
 once."""
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -193,6 +194,14 @@ def test_a_failed_closed_form_still_gives_the_report(monkeypatch, capsys):
                                 "details": f"no closed series for UD: {cause}"}
     assert checks["oeis:A304011:pop:DUU"]["status"] == "info"
     assert checks["bijectivity"]["status"] == "pass"
+
+
+def test_every_mutant_has_its_row_in_the_readme():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| mutant | records turned |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    # a row's first cell is the mutant's name, with code in backticks
+    names = [row.split("|")[1].strip().replace("`", "") for row in table.splitlines()]
+    assert names == [row[0] for row in MUTANTS + MEMO_FREE_MUTANTS]
 
 
 def _forks() -> bool:

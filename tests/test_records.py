@@ -73,7 +73,8 @@ def test_importing_the_package_loads_no_dataclasses():
     # a fresh interpreter without site, so only what dyckmotz imports is loaded
     code = ("import sys, dyckmotz\n"
             "dyckmotz.load_golden_tables()\n"
-            "assert 'dataclasses' not in sys.modules\n")
+            "assert 'dataclasses' not in sys.modules\n"
+            "assert 'importlib.resources' not in sys.modules\n")  # the tables are a plain open
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src})
