@@ -35,12 +35,24 @@ Motzkin word of half the path's length, and _phi_inverse writes UD per
 F and UU...D...D per arch, a Dyck word of twice the word's length. The
 family pass calls the cores on plain texts and leaves each image's
 validation to the round trip (see _bijectivity_report).
+
+The checks of the family read one pass per semilength, family_reductions:
+the walk is split across the CPUs by subtree, and each share is mapped
+through _phi, _phi_inverse and a sweep's readers (patterns.TransportSweep)
+a chunk at a time, judged pair by pair and reduced to data that merges.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
+import marshal
+import os
+import threading
+from collections import Counter
+from functools import lru_cache
+from itertools import groupby, islice
+from operator import eq
+from typing import Iterator, Optional, Union
 
-from .enumeration import motzkin_number
+from .enumeration import _walk, motzkin_number
 from .paths import DyckPath, MotzkinPath
 
 
@@ -174,7 +186,6 @@ def check_bijectivity(n: int) -> dict:
     report, with phi's first three refusals under rejected_examples."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    from .patterns import family_reductions  # patterns imports this module
     ((_, reduction),) = family_reductions([n])
     return _bijectivity_report(n, reduction)
 
@@ -209,3 +220,203 @@ def _bijectivity_report(n: int, reduction: dict) -> dict:
     if refused:
         report["rejected_examples"] = [_refusal(p) for _, p in refused[:3]]
     return report
+
+
+# walker outputs per chunk of the family pass: a few hundred keep each
+# chunk's lists small beside the reduction and each map long
+_CHUNK = 256
+
+
+# the depth of a shared walk's subtrees: 42 from n = 9, below the 255 tokens
+_SPLIT = 9
+
+
+def _members(n: int, claim=None) -> Iterator:
+    """The family pass's one way to the walker: semilength n's members, or
+    the subtrees at depth min(n, _SPLIT) that claim hands out (_walk)."""
+    return _walk(2 * n, False, True, *((min(n, _SPLIT), claim) if claim else ()))
+
+
+def _claims(tokens: int):
+    """A share's claim: the next number on the shared pipe tokens, or 255 (none)."""
+    return lambda: (os.read(tokens, 1) or b"\xff")[0]
+
+
+def _image(p: str) -> Optional[str]:
+    """_phi(p), or None for a walker output that it refuses."""
+    try:
+        return _phi(p)
+    except (NotConstrainedError, IndexError):
+        return None
+
+
+def _reduction() -> dict:
+    """An empty reduction (see family_reductions and _judge_share)."""
+    return {"counts": Counter(), "firsts": {}, "fails": {}, "order": [], "roundtrip": [],
+            "refused": [], "subtrees": {}}
+
+
+def _tally(reduction: dict, indices, members, images, sweep) -> None:
+    """Fold one chunk of pairs (member, image), at walk indices, into
+    reduction, judging every rule of sweep (see family_reductions) on each."""
+    read_dyck, dyck_sides, read_motzkin, motzkin_sides = sweep
+    raws, counts, firsts = list(map(read_dyck, members)), reduction["counts"], reduction["firsts"]
+    counts.update(raws)
+    if len(counts) > len(firsts):  # raw tuples new to counts: firsts keys each by its first pair
+        for j, raw in enumerate(raws):
+            if raw not in firsts:
+                firsts[raw] = indices[j], str(members[j])
+    if dyck_sides is None:
+        return
+    lhs = list(map(dyck_sides, raws, map(len, members)))
+    rhs = list(map(motzkin_sides, map(read_motzkin, images), map(len, images)))
+    if lhs == rhs:
+        return
+    fails = reduction["fails"]
+    for i, member, image, left, right in zip(indices, members, images, lhs, rhs):
+        if left != right:
+            for k in range(len(left)):
+                if left[k] != right[k] and k not in fails:
+                    fails[k] = i, str(member), image, left[k], right[k]
+
+
+# a share places output j of subtree k at (k << _PLACE) + j, in walk order
+_PLACE = 64
+
+
+def _judge_share(n: int, claim, sweep) -> dict:
+    """The reduction of the subtrees of semilength n that claim hands out
+    (all of it when claim is None), each pair judged by sweep as it is
+    read, with the Dyck sides of each raw tuple and size valued once in
+    the share. Its subtrees map each subtree k to [outputs, place and
+    member of its first pair, member of its last pair]: _close
+    order-checks each first pair against the pair before it."""
+    reduction, k, (read_dyck, dyck_sides, *motzkin) = _reduction(), 0, sweep
+    sweep = read_dyck, dyck_sides and lru_cache(None)(dyck_sides), *motzkin  # the share's own
+    for kind, run in groupby(_members(n, claim), type):
+        if kind is int:  # a subtree's number, then its walker outputs
+            *_, k = run
+            continue
+        for chunk in iter(lambda: list(islice(run, _CHUNK)), []):
+            record = reduction["subtrees"].setdefault(k, [0, None, None, "V"])  # 'V' > U/D words
+            start = (k << _PLACE) + record[0]
+            indices = range(start, start + len(chunk))
+            record[0] += len(chunk)
+            images = list(map(_image, chunk))
+            if None in images:  # walker outputs that _phi refuses make no pair
+                reduction["refused"] += [(i, str(p)) for i, p, m in zip(indices, chunk, images)
+                                         if m is None]
+                indices, chunk, images = ([t[c] for t in zip(indices, chunk, images)
+                                           if t[2] is not None] for c in range(3))
+                if not chunk:
+                    continue
+            if record[2] is None:
+                record[1:3] = indices[0], str(chunk[0])
+            before, record[3] = [record[3], *chunk], str(chunk[-1])
+            for key, oks in (("order", map(str.__lt__, chunk, before)),
+                             ("roundtrip", map(eq, chunk, map(_phi_inverse, images)))):
+                if not all(oks := list(oks)):
+                    reduction[key] += [(i, str(p)) for i, p, ok in zip(indices, chunk, oks)
+                                       if not ok]
+            _tally(reduction, indices, chunk, images, sweep)
+    return reduction
+
+
+def _merge(reduction: dict, theirs: dict) -> None:
+    reduction["counts"].update(theirs["counts"])
+    for key in ("firsts", "fails"):  # the lowest place per raw tuple and per rule
+        for k, first in theirs[key].items():
+            reduction[key][k] = min(reduction[key].get(k, first), first)
+    for key in ("order", "roundtrip", "refused"):
+        reduction[key] += theirs[key]
+    reduction["subtrees"].update(theirs["subtrees"])
+
+
+def _close(reduction: dict) -> None:
+    """Turn the places of a reduction merged from every share into walk
+    indices, the subtrees laid end to end, and order-check each subtree's
+    first pair against the last pair before it."""
+    offsets, at, last = {}, 0, "V"
+    for k, (outputs, place, first, final) in sorted(reduction.pop("subtrees").items()):
+        offsets[k], at = at - (k << _PLACE), at + outputs
+        if first is not None:
+            if not first < last:
+                reduction["order"].append((place, first))
+            last = final
+    for key in ("order", "roundtrip", "refused"):
+        reduction[key] = sorted((i + offsets[i >> _PLACE], p) for i, p in reduction[key])
+    for key in ("firsts", "fails"):
+        for k, (i, *first) in reduction[key].items():
+            reduction[key][k] = i + offsets[i >> _PLACE], *first
+
+
+def family_reductions(ns, sweep=(len, None, len, None)) -> Iterator[tuple]:
+    """Yield (n, reduction) for each semilength n of ns: the reduction of
+    the family's pairs (member, _phi(member)) there, the one pass over the
+    family that its checks share. sweep is (read_dyck, dyck_sides,
+    read_motzkin, motzkin_sides) of a TransportSweep, or lengths and no
+    sides. counts maps each raw tuple read_dyck(member) to its pairs and
+    firsts to the (index, member) of its first pair; fails maps each rule
+    k to the (index, member, image, lhs, rhs) of its first pair on which
+    dyck_sides and motzkin_sides differ at k. order, roundtrip and refused
+    list the (index, member), an index being a place in the walk, of each
+    member not below the one before it, that _phi_inverse does not give
+    back from its image, or that _phi refused (no pair). The walk is
+    mapped through a chunk at a time. With P usable CPUs and no other
+    thread, P - 1 forked children and this process, which also consumes
+    the reductions, each take the next subtree (_members) of a semilength
+    of at least P chunks from its pipe of tokens whenever they are free.
+    The children send their shares back through a pipe with marshal;
+    if one does not come, the whole semilength is judged here."""
+    ns, children, tokens = list(ns), {}, {}
+    parts = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             and hasattr(os, "fork") and threading.active_count() == 1 else 1)
+    try:
+        for i, n in enumerate(ns):  # by place in ns, each semilength of P chunks or more
+            if parts > 1 and motzkin_number(n) > (parts - 1) * _CHUNK:
+                tokens[i], write = os.pipe()  # a token per subtree number below 255
+                os.write(write, bytes(range(255)))
+                os.close(write)
+        for part in range(parts - 1 if tokens else 0):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no child: this process takes its subtrees
+                os.close(read), os.close(write)
+                continue
+            if not pid:  # the child, which ends here whatever happens
+                try:
+                    with open(write, "wb") as pipe:
+                        for i, fd in tokens.items():
+                            reduction = _judge_share(ns[i], _claims(fd), sweep)
+                            data = marshal.dumps({**reduction, "counts": dict(reduction["counts"])})
+                            pipe.write(len(data).to_bytes(8, "little") + data)
+                            pipe.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children[part] = pid, open(read, "rb")
+        for i, n in enumerate(ns):
+            claim = _claims(tokens[i]) if i in tokens else None
+            reduction = _judge_share(n, claim, sweep)
+            whole = False
+            for pid, pipe in children.values() if i in tokens else ():
+                try:  # one read: marshal.load from a file reads item by item
+                    theirs = marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
+                except (EOFError, ValueError, TypeError):  # the share did not come
+                    whole = True
+                else:
+                    _merge(reduction, theirs)
+            if whole:  # so the whole semilength is judged here
+                reduction = _judge_share(n, None, sweep)
+            _close(reduction)
+            yield n, reduction
+            del reduction  # the caller's alone while the next is built
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        for read in tokens.values():
+            os.close(read)

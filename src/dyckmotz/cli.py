@@ -17,27 +17,12 @@ import sys
 from .bijection import _refusal, phi, phi_inverse
 from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzkin,
                           motzkin_numbers)
-from .genfun import (
-    DEFAULT_TRUNCATION,
-    PATTERNS,
-    NoConvergenceError,
-    RouteCheckError,
-    cross_check_routes,
-    distribution_brute_force,
-    distribution_gf_closed,
-    distribution_gf_fixed_point,
-    popularity_gf,
-)
+from .genfun import (DEFAULT_TRUNCATION, PATTERNS, NoConvergenceError, RouteCheckError,
+                     cross_check_routes, distribution_brute_force, distribution_gf_closed,
+                     distribution_gf_fixed_point, popularity_gf)
 from .oeis import CacheMissError, MalformedBFileError, NetworkUnavailableError, oeis_fetch
-from .patterns import (
-    TransportSweep,
-    _unchecked,
-    check_transport,
-    count_occurrences,
-    parse_pattern,
-    transport_rule,
-    transport_rules,
-)
+from .patterns import (TransportSweep, _unchecked, check_transport, count_occurrences,
+                       parse_pattern, transport_rule, transport_rules)
 from .verifier import (DEFAULT_MAX_N, embedded_prefixes, render_text,
                        run_full_verification)
 

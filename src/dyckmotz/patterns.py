@@ -20,27 +20,18 @@ unambiguous: "UF+D + 2*UF+U + 2*UU". The symbol n means semilength on
 the Dyck side and length on the Motzkin side; each statistic records
 which side it lives on.
 
-The checks of the family read one pass per semilength, family_reductions:
-the walk is split across the CPUs by subtree, each share is mapped
-through _phi, _phi_inverse and the readers a chunk at a time and
-reduced to data that merges, and TransportSweep judges the rules on
-each distinct vector of reads.
+The checks of the family read one pass per semilength
+(bijection.family_reductions), each pair judged against a
+TransportSweep's rules, compiled here, as it is read.
 """
 from __future__ import annotations
 
-import marshal
-import os
 import re
-import threading
-from bisect import bisect_right
 from collections import Counter, namedtuple
-from itertools import groupby, islice
-from operator import eq
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Union
 
-from . import bijection
-from .bijection import NotConstrainedError, _member_image, _phi
-from .enumeration import _walk, motzkin_number
+from .bijection import _CHUNK, _member_image, _reduction, _tally, family_reductions
 from .paths import LatticePath
 
 
@@ -237,12 +228,12 @@ class PathProfile:
 
 
 def _form(terms, index, const=0, n_coeff=0, shift=0) -> str:
-    """Source of const + n_coeff * (size >> shift) + the sum of c * raw[index[read]]
-    over terms ((read, c), ...): integers and the names raw and size only."""
-    parts = [f"{c:d}*raw[{index[read]:d}]" for read, c in terms if c]
-    parts += [f"{n_coeff:d}*(size >> {shift:d})"] if n_coeff else []
-    parts += [f"{const:d}"] if const else []
-    return " + ".join(parts) or "0"
+    """Source of const + n_coeff * (size >> shift) + the sum of c * raw[index[read]] over
+    terms ((read, c), ...), no product by 1: integers and the names raw and size only."""
+    parts = [f"{c:+d}*raw[{index[read]:d}]" for read, c in terms if c]
+    parts += [f"{n_coeff:+d}*(size >> {shift:d})"] if n_coeff else []
+    parts += [f"{const:+d}"] if const else []
+    return re.sub(r"\b1\*", "", "".join(parts)).lstrip("+") or "0"
 
 
 def _reader(patterns, statistics=()) -> tuple:
@@ -408,192 +399,6 @@ def transport_rule(name: str) -> TransportRule:
                        f"known: {', '.join(sorted(_RULES_BY_NAME))}") from None
 
 
-# walker outputs per chunk of the family pass: a few hundred keep each
-# chunk's lists small beside the reduction and each map long
-_CHUNK = 512
-
-
-# the depth of a shared walk's subtrees: 42 from n = 9, below the 255 tokens
-_SPLIT = 9
-
-
-def _members(n: int, claim=None) -> Iterator:
-    """The family pass's one way to the walker: semilength n's members, or
-    the subtrees at depth min(n, _SPLIT) that claim hands out (_walk)."""
-    return _walk(2 * n, False, True, *((min(n, _SPLIT), claim) if claim else ()))
-
-
-def _claims(tokens: int):
-    """A share's claim: the next number on the shared pipe tokens, or 255 (none)."""
-    return lambda: (os.read(tokens, 1) or b"\xff")[0]
-
-
-def _image(p: str) -> Optional[str]:
-    """_phi(p), or None for a walker output that it refuses."""
-    try:
-        return _phi(p)
-    except (NotConstrainedError, IndexError):
-        return None
-
-
-def _reduction() -> dict:
-    """An empty reduction (see family_reductions and _judge_share)."""
-    return {"counts": Counter(), "firsts": {}, "order": [], "roundtrip": [], "refused": [],
-            "raws": {}, "subtrees": {}}
-
-
-def _tally(reduction: dict, indices, members, images, read_dyck, read_motzkin) -> None:
-    """Fold one chunk of pairs (member, image), at walk indices, into reduction."""
-    raws = list(map(read_dyck, members))
-    reduction["counts"].update(raws)
-    # nested: CPython 3.11 never reuses the freed 20-tuples a flat one made
-    vectors = list(zip(map(len, members), map(len, images), raws, map(read_motzkin, images)))
-    firsts, canon = reduction["firsts"], reduction["raws"]
-    at = dict(zip(reversed(vectors), range(len(vectors) - 1, -1, -1)))  # first place in chunk
-    for vector in at.keys() - firsts.keys():
-        # the vectors share one object per raw Dyck tuple, which marshal sends once
-        (dyck_size, motz_size, raw, motz_raw), j = vector, at[vector]
-        firsts[dyck_size, motz_size, canon.setdefault(raw, raw), motz_raw] = (
-            indices[j], str(members[j]), images[j])
-
-
-# a share places output j of subtree k at (k << _PLACE) + j, in walk order
-_PLACE = 64
-
-
-def _judge_share(n: int, claim, read_dyck, read_motzkin) -> dict:
-    """The reduction of the subtrees of semilength n that claim hands out
-    (all of it when claim is None). Its subtrees map each subtree k to
-    [outputs, place and member of its first pair, member of its last
-    pair]: _close order-checks each first pair against the pair before it."""
-    reduction, k = _reduction(), 0
-    for kind, run in groupby(_members(n, claim), type):
-        if kind is int:  # a subtree's number, then its walker outputs
-            *_, k = run
-            continue
-        for chunk in iter(lambda: list(islice(run, _CHUNK)), []):
-            record = reduction["subtrees"].setdefault(k, [0, None, None, "V"])  # 'V' > U/D words
-            start = (k << _PLACE) + record[0]
-            indices = range(start, start + len(chunk))
-            record[0] += len(chunk)
-            images = list(map(_image, chunk))
-            if None in images:  # walker outputs that _phi refuses make no pair
-                reduction["refused"] += [(i, str(p)) for i, p, m in zip(indices, chunk, images)
-                                         if m is None]
-                indices, chunk, images = ([t[c] for t in zip(indices, chunk, images)
-                                           if t[2] is not None] for c in range(3))
-                if not chunk:
-                    continue
-            if record[2] is None:
-                record[1:3] = indices[0], str(chunk[0])
-            before, record[3] = [record[3], *chunk], str(chunk[-1])
-            for key, oks in (("order", map(str.__lt__, chunk, before)),
-                             ("roundtrip", map(eq, chunk, map(bijection._phi_inverse, images)))):
-                if not all(oks := list(oks)):
-                    reduction[key] += [(i, str(p)) for i, p, ok in zip(indices, chunk, oks)
-                                       if not ok]
-            _tally(reduction, indices, chunk, images, read_dyck, read_motzkin)
-    return reduction
-
-
-def _merge(reduction: dict, theirs: dict) -> None:
-    reduction["counts"].update(theirs["counts"])
-    firsts = reduction["firsts"]
-    for vector, first in theirs["firsts"].items():
-        firsts[vector] = min(firsts.get(vector, first), first)
-    for key in ("order", "roundtrip", "refused"):
-        reduction[key] += theirs[key]
-    reduction["subtrees"].update(theirs["subtrees"])
-
-
-def _close(reduction: dict) -> None:
-    """Turn the places of a reduction merged from every share into walk
-    indices, the subtrees laid end to end, and order-check each subtree's
-    first pair against the last pair before it."""
-    offsets, at, last = {}, 0, "V"
-    for k, (outputs, place, first, final) in sorted(reduction.pop("subtrees").items()):
-        offsets[k], at = at - (k << _PLACE), at + outputs
-        if first is not None:
-            if not first < last:
-                reduction["order"].append((place, first))
-            last = final
-    for key in ("order", "roundtrip", "refused"):
-        reduction[key] = sorted((i + offsets[i >> _PLACE], p) for i, p in reduction[key])
-    for vector, (i, member, image) in reduction["firsts"].items():
-        reduction["firsts"][vector] = i + offsets[i >> _PLACE], member, image
-    del reduction["raws"]
-
-
-def family_reductions(ns, read_dyck=len, read_motzkin=len) -> Iterator[tuple]:
-    """Yield (n, reduction) for each semilength n of ns: the reduction of
-    the family's pairs (member, _phi(member)) there, the one pass over the
-    family that its checks share. A pair's vector is its two lengths and
-    the raw tuples read_dyck(member) and read_motzkin(image). counts maps
-    each raw Dyck tuple to its pairs, firsts each vector to the (index,
-    member, image) of its first pair, and order, roundtrip and refused
-    list the (index, member), an index being a place in the walk, of each
-    member not below the one before it, that _phi_inverse does not give
-    back from its image, or that _phi refused (no pair). The walk is
-    mapped through a chunk at a time. With P usable CPUs and no other
-    thread, P - 1 forked children and this process, which also consumes
-    the reductions, each take the next subtree (_members) of a semilength
-    of at least P chunks from its pipe of tokens whenever they are free.
-    The children send their shares back through a pipe with marshal;
-    if one does not come, the whole semilength is judged here."""
-    ns, children, tokens = list(ns), {}, {}
-    parts = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             and hasattr(os, "fork") and threading.active_count() == 1 else 1)
-    try:
-        for i, n in enumerate(ns):  # by place in ns, each semilength of P chunks or more
-            if parts > 1 and motzkin_number(n) > (parts - 1) * _CHUNK:
-                tokens[i], write = os.pipe()  # a token per subtree number below 255
-                os.write(write, bytes(range(255)))
-                os.close(write)
-        for part in range(parts - 1 if tokens else 0):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no child: this process takes its subtrees
-                os.close(read), os.close(write)
-                continue
-            if not pid:  # the child, which ends here whatever happens
-                try:
-                    with open(write, "wb") as pipe:
-                        for i, fd in tokens.items():
-                            reduction = _judge_share(ns[i], _claims(fd), read_dyck, read_motzkin)
-                            data = marshal.dumps({**reduction, "counts": dict(reduction["counts"])})
-                            pipe.write(len(data).to_bytes(8, "little") + data)
-                            pipe.flush()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write)
-            children[part] = pid, open(read, "rb")
-        for i, n in enumerate(ns):
-            claim = _claims(tokens[i]) if i in tokens else None
-            reduction = _judge_share(n, claim, read_dyck, read_motzkin)
-            whole = False
-            for pid, pipe in children.values() if i in tokens else ():
-                try:  # one read: marshal.load from a file reads item by item
-                    theirs = marshal.loads(pipe.read(int.from_bytes(pipe.read(8), "little")))
-                except (EOFError, ValueError, TypeError):  # the share did not come
-                    whole = True
-                else:
-                    _merge(reduction, theirs)
-            if whole:  # so the whole semilength is judged here
-                reduction = _judge_share(n, None, read_dyck, read_motzkin)
-            _close(reduction)
-            yield n, reduction
-            del reduction  # the caller's alone while the next is built
-    finally:
-        for pid, pipe in children.values():
-            pipe.close()
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-        for read in tokens.values():
-            os.close(read)
-
-
 def _unchecked(rule: TransportRule, max_n: int) -> str:
     """Why a rule that a TransportSweep up to max_n never checked has no
     verdict: every semilength in its claimed range has a member."""
@@ -624,22 +429,21 @@ def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
 
 class TransportSweep:
     """check_transport for several rules from n = rule.min_n up, fed in
-    increasing n the reduction of each semilength (family_reductions, with
-    read_dyck and read_motzkin) by judge, or its pairs of texts by add. A
-    rule's dyck_side reads a pair's first text (a member, or an identity's
-    path) and its motzkin_side the second (the image, or the same path).
-    results holds per rule its first counterexample (with its n), at which
-    the rule stops, or None, and checked: the pairs from the first pair of
-    the rule's first claimed semilength up to that counterexample, or now.
+    increasing n the reduction of each semilength (family_reductions) by
+    judge, or its pairs of texts by add. A rule's dyck_side reads a pair's
+    first text (a member, or an identity's path) and its motzkin_side the
+    second (the image, or the same path). results holds per rule its first
+    counterexample (with its n), at which the rule stops, or None, and
+    checked: the pairs from the first pair of the rule's first claimed
+    semilength up to that counterexample, or now.
 
     Each rule side compiles once into an integer linear form over its
     reader's raw tuple (_reader): read_dyck reads every Dyck side plus
     dyck_patterns from the first text, read_motzkin every Motzkin side
     from the second, and dyck_sides(raw, size) and motzkin_sides(raw,
     size) value every rule at once; dyck_values gives the counts of a
-    read_dyck tuple in dyck_keys order. Equal vectors give every rule the
-    same values, so only the first pair of each vector is judged, in walk
-    order, and the others pass every rule still open.
+    read_dyck tuple in dyck_keys order. Each pair is judged as it is read
+    (_tally), and judge reads the first failing pair of each rule.
     """
 
     def __init__(self, rules, dyck_patterns=()):
@@ -647,7 +451,7 @@ class TransportSweep:
                          for rule in rules]
         # per rule, the pairs read when its first claimed semilength began (None before)
         self._starts = [None] * len(self._results)
-        self._open, self._read = len(self._results), 0
+        self._read = 0
         self.dyck_keys, self.read_dyck, self.dyck_values, self.dyck_sides = _reader(
             dyck_patterns, (r["rule"].dyck_side for r in self._results))
         _, self.read_motzkin, _, self.motzkin_sides = _reader(
@@ -656,7 +460,12 @@ class TransportSweep:
     @property
     def done(self) -> bool:
         """Every rule has its counterexample: nothing is left to check."""
-        return not self._open
+        return all(r["counterexample"] for r in self._results)
+
+    @property
+    def _sweep(self) -> tuple:
+        """The four compiled functions that family_reductions takes."""
+        return self.read_dyck, self.dyck_sides, self.read_motzkin, self.motzkin_sides
 
     @property
     def results(self) -> list:
@@ -667,7 +476,7 @@ class TransportSweep:
 
     def over(self, ns) -> Iterator[tuple]:
         """judge, then yield, each (n, reduction) of family_reductions over ns."""
-        for n, reduction in family_reductions(ns, self.read_dyck, self.read_motzkin):
+        for n, reduction in family_reductions(ns, self._sweep):
             self.judge(n, reduction)
             yield n, reduction
             del reduction  # the caller's alone while the next is built
@@ -676,29 +485,19 @@ class TransportSweep:
         """judge the reduction of an iterable of pairs of texts, read a chunk at a time."""
         reduction, pairs, start = _reduction(), iter(pairs), 0
         for chunk in iter(lambda: list(islice(pairs, _CHUNK)), []):
-            _tally(reduction, range(start, start + len(chunk)), *zip(*chunk),
-                   self.read_dyck, self.read_motzkin)
+            _tally(reduction, range(start, start + len(chunk)), *zip(*chunk), self._sweep)
             start += len(chunk)
         self.judge(n, reduction)
 
     def judge(self, n: int, reduction: dict) -> None:
         self._starts = [self._read if start is None and n >= r["rule"].min_n else start
                         for r, start in zip(self._results, self._starts)]
-        refused = [i for i, _ in reduction["refused"]]
-        for (dyck_size, motz_size, dyck_raw, motz_raw), (i, dyck, motz) in sorted(
-                reduction["firsts"].items(), key=lambda item: item[1][0]):  # in walk order
-            if self.done:
-                break
-            lhs = self.dyck_sides(dyck_raw, dyck_size)
-            rhs = self.motzkin_sides(motz_raw, motz_size)
-            for k, start in enumerate(self._starts):
-                # a rule not yet claimed has no start; a failed one stays frozen
-                if lhs[k] == rhs[k] or start is None or self._results[k]["counterexample"]:
-                    continue
-                r = self._results[k]
-                # the pairs up to this one: the walk to index i, less its refusals
-                r["checked"] = self._read + i + 1 - bisect_right(refused, i) - start
-                r["counterexample"] = {"n": n, "path": dyck, "image": motz,
-                                       "lhs": lhs[k], "rhs": rhs[k]}
-                self._open -= 1
+        for k, (i, dyck, motz, lhs, rhs) in reduction["fails"].items():
+            r, start = self._results[k], self._starts[k]
+            # a rule not yet claimed has no start; a failed one stays frozen
+            if start is None or r["counterexample"]:
+                continue
+            # the pairs up to this one: the walk to index i, less its refusals
+            r["checked"] = self._read + i + 1 - sum(j < i for j, _ in reduction["refused"]) - start
+            r["counterexample"] = {"n": n, "path": dyck, "image": motz, "lhs": lhs, "rhs": rhs}
         self._read += sum(reduction["counts"].values())

@@ -5,16 +5,16 @@ bijectivity, every transport rule, the step-pattern identity systems on
 unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
-one pass per semilength (patterns.family_reductions), judged a chunk at
+one pass per semilength (bijection.family_reductions), judged a chunk at
 a time and split across the CPUs by subtree, and read only its reduction, so
 memory does not grow with the family. Each image comes from the
 unvalidated _phi, and the bijectivity round trip is its one validation.
 TransportSweep judges every linear claim as integer linear forms over
 raw read tuples, its reads and forms generated once as straight-line
-functions (patterns._reader): the transport rules on the first pair of
-each vector of that pass, whose raw Dyck tuples the brute-force rows
-and the structural check also read, and the identities, each path fed
-as both texts of a pair. A failed comparison lands in the report, one
+functions (patterns._reader): the transport rules on every pair of that
+pass as it is read, whose raw Dyck tuples the brute-force rows and the
+structural check also read, and the identities, each path fed as both
+texts of a pair. A failed comparison lands in the report, one
 record per check (info when nothing was compared), so a single run
 gives the complete picture: a route whose series fails its own check
 fails its pattern's three-way record, and each record that would read a
@@ -234,7 +234,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     laps = [(None, time.monotonic())]  # (stage, its end), after a start mark
 
     # one pass over the family per semilength, reduced a chunk at a time
-    # (patterns.family_reductions) and read by cardinality, bijectivity,
+    # (bijection.family_reductions) and read by cardinality, bijectivity,
     # transport, the brute-force rows and the structural check
     counts, rows = [], []
     bad = structural_worst = None
@@ -249,9 +249,8 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
             bad = report
         rows.append(_distribution_row(reduction["counts"], transport.dyck_keys,
                                       transport.dyck_values))
-        # a pair's raw tuple decides the check, so the first pair of each vector will do
-        for (_, _, raw, _), (_, path, _) in sorted(reduction["firsts"].items(),
-                                                   key=lambda item: item[1][0]):
+        # a pair's raw tuple decides the check, so the first pair of each raw tuple will do
+        for raw, (_, path) in sorted(reduction["firsts"].items(), key=lambda item: item[1]):
             vector = transport.dyck_values(raw)
             if structural_worst is None and vector[uud] > 1 and vector[duu] == 0:
                 structural_worst = {"n": n, "path": path, "UUD": vector[uud]}

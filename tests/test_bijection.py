@@ -21,7 +21,7 @@ from dyckmotz import (
     phi,
     phi_inverse,
 )
-from dyckmotz import patterns
+from dyckmotz import bijection
 from dyckmotz.bijection import _phi_inverse
 
 GOLDEN = {
@@ -241,7 +241,7 @@ def test_check_bijectivity_refuses_a_negative_semilength():
 
 def _walker_adding(monkeypatch, n, extra):
     # the walker yields extra second at semilength n, a defect in the program
-    real = patterns._members
+    real = bijection._members
 
     def walk_with_extra(k, *share):
         members = real(k, *share)
@@ -250,7 +250,7 @@ def _walker_adding(monkeypatch, n, extra):
             yield extra
         yield from members
 
-    monkeypatch.setattr(patterns, "_members", walk_with_extra)
+    monkeypatch.setattr(bijection, "_members", walk_with_extra)
 
 
 @pytest.mark.parametrize("n, extra, message", [
@@ -273,8 +273,8 @@ def test_check_bijectivity_reports_a_walker_output_phi_refuses(monkeypatch, n, e
 
 
 def test_check_bijectivity_keeps_at_most_three_refusals(monkeypatch):
-    real = patterns._members
-    monkeypatch.setattr(patterns, "_members",
+    real = bijection._members
+    monkeypatch.setattr(bijection, "_members",
                         lambda k, *share: [*real(k, *share), *(["DU" * k] * 5)])
     report = check_bijectivity(2)
     assert not report["ok"]
@@ -285,8 +285,8 @@ def test_check_bijectivity_keeps_at_most_three_refusals(monkeypatch):
 def _tally(monkeypatch, n, pairs):
     """check_bijectivity(n)'s report with the walker yielding the members
     of pairs and _phi mapping each to its image there."""
-    monkeypatch.setattr(patterns, "_members", lambda k, *share: iter([p for p, _ in pairs]))
-    monkeypatch.setattr(patterns, "_phi", dict(pairs).__getitem__)
+    monkeypatch.setattr(bijection, "_members", lambda k, *share: iter([p for p, _ in pairs]))
+    monkeypatch.setattr(bijection, "_phi", dict(pairs).__getitem__)
     return check_bijectivity(n)
 
 
@@ -328,7 +328,7 @@ def test_bijectivity_tally_keeps_at_most_three_examples(monkeypatch):
 def test_bijectivity_tally_holds_no_image_set(monkeypatch):
     # the pass holds one chunk of pairs at a time, so a small chunk shows
     # that nothing grows with the semilength
-    monkeypatch.setattr(patterns, "_CHUNK", 16)
+    monkeypatch.setattr(bijection, "_CHUNK", 16)
     tracemalloc.start()
     try:
         report = check_bijectivity(10)

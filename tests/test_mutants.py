@@ -1,20 +1,20 @@
 """The series-route, rule and identity slice of the campaign's mutation
 matrix: each mutant is a monkeypatch of one printed form, one fixed-point
 system, the fixed-point solver, the Motzkin numbers the routes check their
-rows against, one transport rule or one identity, with the exact set of
-records of run_full_verification(8) whose status it turns.
+rows against, one transport rule, _phi's images or one identity, with the
+exact set of records of run_full_verification(8) whose status it turns.
 Every mutant of a form, a system or the solver runs on a cold memo of
 printed forms and again right after an unmutated campaign has filled it; a
 memo that served a replaced form's old series would turn fewer records on
-the warm run. The rule and identity mutants read no printed form and run
-once."""
+the warm run. The rule, image and identity mutants read no printed form
+and run once."""
 import json
 import os
 import pathlib
 
 import pytest
 
-from dyckmotz import cli, genfun, patterns, run_full_verification, series, verifier
+from dyckmotz import bijection, cli, genfun, patterns, run_full_verification, series, verifier
 
 MAX_N = 8
 
@@ -110,6 +110,13 @@ def _rule(name, motzkin_text):
     return mutate
 
 
+def _mirrored_images(monkeypatch):
+    # each image read right to left with U and D swapped, still a Motzkin
+    # word of the same length
+    phi, mirror = bijection._phi, str.maketrans("UD", "DU")
+    monkeypatch.setattr(bijection, "_phi", lambda p: phi(p)[::-1].translate(mirror))
+
+
 def _dyck_identity(old, new):
     def mutate(monkeypatch):
         monkeypatch.setattr(verifier, "DYCK_IDENTITIES", tuple(
@@ -124,6 +131,9 @@ MEMO_FREE_MUTANTS = [
     ("rule UDU to FF", _rule("UDU", "FF"), {"transport:UDU": "fail"}),
     ("rule DDD plus 1", _rule("DDD", "2*UU + 2*UF - FD - FUU - FUF + 1"),
      {"transport:DDD": "fail"}),
+    ("_phi's image reversed and mirrored", _mirrored_images,
+     dict.fromkeys(("bijectivity", *(f"transport:{r}" for r in ("UDU", "UDD", "DDU", "DDD"))),
+                   "fail")),
     ("identity DU = DDU + UDU to DDU + UDD",
      _dyck_identity(("DU", "DDU + UDU", 0), ("DU", "DDU + UDD", 0)),
      {"identity:dyck:DU = DDU + UDU": None, "identity:dyck:DU = DDU + UDD": "fail"}),
@@ -209,13 +219,13 @@ def _forks() -> bool:
 
 
 @pytest.mark.skipif(not _forks(), reason="the family pass forks only with a second CPU")
-@pytest.mark.parametrize("mutate, turned", [row[1:] for row in MEMO_FREE_MUTANTS[:2]],
-                         ids=[row[0] for row in MEMO_FREE_MUTANTS[:2]])
+@pytest.mark.parametrize("mutate, turned", [row[1:] for row in MEMO_FREE_MUTANTS[:3]],
+                         ids=[row[0] for row in MEMO_FREE_MUTANTS[:3]])
 def test_rule_mutant_turns_the_same_records_when_the_pass_forks(monkeypatch, unmutated,
                                                                 mutate, turned):
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(patterns, "_CHUNK", 16)  # semilengths 5 to 8 are shared
+    monkeypatch.setattr(bijection, "_CHUNK", 16)  # semilengths 5 to 8 are shared
     mutate(monkeypatch)
     statuses = _statuses()
     assert forks

@@ -1,3 +1,4 @@
+import os
 import time
 from collections import Counter
 from itertools import product
@@ -579,34 +580,31 @@ def test_sweep_memo_keys_on_each_pairs_own_size():
                                         "lhs": 2, "rhs": 1}
 
 
-def test_sweep_evaluates_each_count_vector_once_per_semilength(monkeypatch):
+def test_sweep_values_dyck_sides_per_raw_tuple_and_motzkin_sides_per_pair(monkeypatch):
     rules = transport_rules()
-    terms = [[t for r in rules for _, t in getattr(r, side).terms
-              if isinstance(t, PatternExpr)] for side in ("dyck_side", "motzkin_side")]
     families = [list(_pairs(n)) for n in range(10)]
-    vectors = sum(len({(tuple(map(PathProfile(dyck).count, terms[0])),
-                        tuple(map(PathProfile(motz).count, terms[1])))
-                       for dyck, motz in pairs})
-                  for pairs in families)
-    assert (vectors, sum(map(len, families))) == (536, 1374)
+    sweep = TransportSweep(rules)
+    raws = sum(len({sweep.read_dyck(dyck) for dyck, _ in pairs}) for pairs in families)
+    assert (raws, sum(map(len, families))) == (210, 1374)
 
     def refuse(*args):
         raise AssertionError("the sweep judges with its compiled forms alone")
 
     monkeypatch.setattr(patterns, "PathProfile", refuse)
     monkeypatch.setattr(patterns, "evaluate_statistic", refuse)
-    sweep = TransportSweep(rules)
+    # one process, so that every call is counted here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = Counter()
     for side in ("dyck_sides", "motzkin_sides"):
         def counting(raw, size, side=side, real=getattr(sweep, side)):
             calls[side] += 1
             return real(raw, size)
         setattr(sweep, side, counting)
-    for n, pairs in enumerate(families):
-        sweep.add(n, pairs)
+    assert [n for n, _ in sweep.over(range(10))] == list(range(10))
     assert all(r["counterexample"] is None for r in sweep.results)
-    # one call per side per distinct vector, each judging every rule
-    assert calls == {"dyck_sides": vectors, "motzkin_sides": vectors}
+    # the Dyck sides once per raw tuple of a semilength, the Motzkin sides
+    # once per pair, each call valuing every rule
+    assert calls == {"dyck_sides": raws, "motzkin_sides": 1374}
 
 
 def test_sweep_sizes_n_by_each_statistics_own_side():

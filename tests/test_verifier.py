@@ -1,4 +1,5 @@
 import json
+import marshal
 import os
 import pathlib
 import subprocess
@@ -11,7 +12,7 @@ from itertools import count
 import pytest
 
 import dyckmotz
-from dyckmotz import patterns
+from dyckmotz import bijection
 from dyckmotz import (
     RouteCheckError,
     SequenceRef,
@@ -106,7 +107,7 @@ def test_full_campaign_small():
 
 def test_campaign_walks_each_semilength_once(monkeypatch):
     # the family pass's walker seam, and the public walker wherever it is bound
-    real, seam = dyckmotz.enumerate_constrained, dyckmotz.patterns._members
+    real, seam = dyckmotz.enumerate_constrained, dyckmotz.bijection._members
     walked = Counter()
 
     def counting(walk):
@@ -115,7 +116,7 @@ def test_campaign_walks_each_semilength_once(monkeypatch):
             return walk(n, *share)
         return counted
 
-    monkeypatch.setattr(dyckmotz.patterns, "_members", counting(seam))
+    monkeypatch.setattr(dyckmotz.bijection, "_members", counting(seam))
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "dyckmotz"
                 and getattr(module, "enumerate_constrained", None) is real):
@@ -132,6 +133,31 @@ def test_campaign_holds_no_semilength_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # bytes; the 835 pairs of n = 9 as a list take more
+
+
+def _tuples(data):
+    """Every tuple inside data, through dicts, lists and tuples."""
+    if isinstance(data, dict):
+        data = [*data.keys(), *data.values()]
+    elif not isinstance(data, (list, tuple)):
+        return set()
+    found = {data} if isinstance(data, tuple) else set()
+    for item in data:
+        found |= _tuples(item)
+    return found
+
+
+def test_a_reduction_keeps_and_ships_one_entry_per_raw_tuple():
+    # the counts of the reduction's structures, not the allocator's peak
+    sweep = TransportSweep(transport_rules(), map(dyckmotz.parse_pattern, dyckmotz.PATTERNS))
+    ((n, reduction),) = sweep.over([11])
+    assert reduction["firsts"].keys() == reduction["counts"].keys()
+    assert len(reduction["firsts"]) == 126
+    images = (str(dyckmotz.phi(p)) for p in enumerate_constrained(n))
+    assert not {sweep.read_motzkin(m) for m in images} & _tuples(reduction)
+    # one share of a two-way split, marshaled as family_reductions sends it
+    share = bijection._judge_share(12, count(0, 2).__next__, sweep._sweep)
+    assert len(marshal.dumps({**share, "counts": dict(share["counts"])})) < 64 << 10
 
 
 def test_campaign_finds_a_wrong_rule_where_check_transport_does(monkeypatch):
@@ -286,7 +312,7 @@ def test_campaign_records_a_broken_round_trip(monkeypatch):
 
 def test_campaign_catches_a_walker_that_repeats_a_member(monkeypatch):
     # member 2 of n = 3 stands in for member 3: the size stays M_3
-    real = dyckmotz.patterns._members
+    real = dyckmotz.bijection._members
 
     def repeating(n, *share):
         members = list(real(n, *share))
@@ -294,7 +320,7 @@ def test_campaign_catches_a_walker_that_repeats_a_member(monkeypatch):
             members[2] = members[1]
         return iter(members)
 
-    monkeypatch.setattr(dyckmotz.patterns, "_members", repeating)
+    monkeypatch.setattr(dyckmotz.bijection, "_members", repeating)
     report = run_full_verification(max_n=4)
     checks = {c["check"]: c for c in report["checks"]}
     assert checks["cardinality"]["status"] == "pass"
@@ -304,8 +330,8 @@ def test_campaign_catches_a_walker_that_repeats_a_member(monkeypatch):
 
 
 def test_campaign_catches_two_members_on_one_image(monkeypatch):
-    real = dyckmotz.patterns._phi
-    monkeypatch.setattr(dyckmotz.patterns, "_phi",
+    real = dyckmotz.bijection._phi
+    monkeypatch.setattr(dyckmotz.bijection, "_phi",
                         lambda p: "UD" if p == "UDUD" else real(p))
     report = run_full_verification(max_n=4)
     (bijectivity,) = [c for c in report["checks"] if c["check"] == "bijectivity"]
@@ -317,8 +343,8 @@ def test_campaign_catches_two_members_on_one_image(monkeypatch):
 def test_campaign_fails_a_malformed_image_instead_of_raising(monkeypatch, image):
     # the family pass leaves the image's validation to the round trip;
     # "FUFF" leaves an arch open, yet its letters decode to UDUD
-    real = dyckmotz.patterns._phi
-    monkeypatch.setattr(dyckmotz.patterns, "_phi",
+    real = dyckmotz.bijection._phi
+    monkeypatch.setattr(dyckmotz.bijection, "_phi",
                         lambda p: image if p == "UDUD" else real(p))
     report = run_full_verification(max_n=4)
     (bijectivity,) = [c for c in report["checks"] if c["check"] == "bijectivity"]
@@ -529,7 +555,7 @@ def test_an_error_in_the_campaigns_own_share_propagates(monkeypatch):
             raise RuntimeError("the 40th round trip")
         return real(m)
 
-    monkeypatch.setattr(patterns, "_CHUNK", 16)  # semilengths 5 to 8 are shared
+    monkeypatch.setattr(bijection, "_CHUNK", 16)  # semilengths 5 to 8 are shared
     monkeypatch.setattr(dyckmotz.bijection, "_phi_inverse", failing)
     with pytest.raises(RuntimeError, match="the 40th round trip"):
         run_full_verification(max_n=8)
@@ -538,16 +564,16 @@ def test_an_error_in_the_campaigns_own_share_propagates(monkeypatch):
 
 @needs_two_cpus
 def test_a_child_that_sends_nothing_leaves_the_report_as_it_was(monkeypatch):
-    monkeypatch.setattr(patterns, "_CHUNK", 16)
+    monkeypatch.setattr(bijection, "_CHUNK", 16)
     whole = _untimed(run_full_verification(max_n=8))
-    parent, judge = os.getpid(), patterns._judge_share
+    parent, judge = os.getpid(), bijection._judge_share
 
     def dying(*args):
         if os.getpid() != parent:
             os._exit(1)
         return judge(*args)
 
-    monkeypatch.setattr(patterns, "_judge_share", dying)
+    monkeypatch.setattr(bijection, "_judge_share", dying)
     assert _untimed(run_full_verification(max_n=8)) == whole
     _no_child_left()
 
@@ -555,15 +581,15 @@ def test_a_child_that_sends_nothing_leaves_the_report_as_it_was(monkeypatch):
 @needs_two_cpus
 def test_a_healthy_forked_pass_judges_only_its_own_share(monkeypatch):
     # every child's share comes, so this process never judges a semilength again
-    monkeypatch.setattr(patterns, "_CHUNK", 16)
-    parent, judge, judged = os.getpid(), patterns._judge_share, []
+    monkeypatch.setattr(bijection, "_CHUNK", 16)
+    parent, judge, judged = os.getpid(), bijection._judge_share, []
 
     def recording(n, claim, *readers):
         if os.getpid() == parent:
             judged.append((n, claim is not None))
         return judge(n, claim, *readers)
 
-    monkeypatch.setattr(patterns, "_judge_share", recording)
+    monkeypatch.setattr(bijection, "_judge_share", recording)
     assert run_full_verification(max_n=10)["ok"]
     parts = len(os.sched_getaffinity(0))
     # one call per semilength: its claims when shared, never the whole walk again
@@ -577,7 +603,7 @@ def test_the_shares_cover_the_walk_once_in_subtree_order(parts):
     for n in range(13):
         subtrees = {}
         for part in range(parts):
-            for p in patterns._members(n, count(part, parts).__next__):
+            for p in bijection._members(n, count(part, parts).__next__):
                 if type(p) is int:  # a subtree's number, then its members
                     assert p not in subtrees and p % parts == part, (n, p)
                     members = subtrees[p] = []
@@ -590,23 +616,29 @@ def test_the_shares_cover_the_walk_once_in_subtree_order(parts):
 
 @pytest.mark.parametrize("parts", [2, 3])
 def test_the_merged_shares_are_the_one_process_reduction(parts):
-    sweep = TransportSweep(transport_rules())
-    readers = sweep.read_dyck, sweep.read_motzkin
+    # one wrong rule fails on every pair, the other on the last pair of the
+    # walk alone (UD...UD, whose image is the all-flat word)
+    wrong = [TransportRule(name, parse_statistic(name, "dyck"), parse_statistic(rhs, "motzkin"))
+             for name, rhs in (("U", "U + D + F + 1"), ("UD", "F + UD + delta"))]
+    sweep = TransportSweep(transport_rules() + wrong)._sweep
     for n in range(12):
-        whole = patterns._judge_share(n, None, *readers)
-        patterns._close(whole)
-        merged = patterns._judge_share(n, count(parts - 1, parts).__next__, *readers)
+        whole = bijection._judge_share(n, None, sweep)
+        bijection._close(whole)
+        last = sum(whole["counts"].values()) - 1
+        firsts = {k: fail[0] for k, fail in whole["fails"].items()}
+        # at n = 0 the empty pair also fails the rules claimed from n = 1 (DUD, ^UD)
+        assert firsts == {**({8: 0, 13: 0} if n == 0 else {}), 15: 0, 16: last}, n
+        merged = bijection._judge_share(n, count(parts - 1, parts).__next__, sweep)
         for part in range(parts - 1):
-            patterns._merge(merged, patterns._judge_share(n, count(part, parts).__next__,
-                                                          *readers))
-        patterns._close(merged)
+            bijection._merge(merged, bijection._judge_share(n, count(part, parts).__next__, sweep))
+        bijection._close(merged)
         assert merged == whole, n
 
 
 def test_a_member_repeated_across_a_subtree_boundary_is_caught_in_any_share(monkeypatch):
     # the last member of subtree 4 comes again first in subtree 5, which
     # the other process may claim when the walk is shared
-    n, real = 10, patterns._members
+    n, real = 10, bijection._members
     # the walk split in one share: every subtree's number before its members
     walk = list(real(n, count().__next__))
     last, first = walk[walk.index(5) - 1], walk[walk.index(5) + 1]
@@ -617,13 +649,13 @@ def test_a_member_repeated_across_a_subtree_boundary_is_caught_in_any_share(monk
                 yield last
             yield p
 
-    monkeypatch.setattr(patterns, "_members", repeating)
+    monkeypatch.setattr(bijection, "_members", repeating)
     reports, reductions = [], []
     for parts in (1, 2, 3):  # one process, or forked children where os.fork exists
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, parts=parts: set(range(parts)),
                             raising=False)
         reports.append(check_bijectivity(n))
-        reductions.append(dict(patterns.family_reductions([n])))
+        reductions.append(dict(bijection.family_reductions([n])))
     assert reports[0]["out_of_order_examples"] == [last] and reports[0]["out_of_order"] == 1
     assert reports[1] == reports[0] == reports[2]
     assert reductions[1] == reductions[0] == reductions[2]
