@@ -9,7 +9,6 @@ usage or bad input data, 141 output closed early (as by `| head`).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -20,11 +19,13 @@ from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzk
 from .genfun import (DEFAULT_TRUNCATION, PATTERNS, NoConvergenceError, RouteCheckError,
                      cross_check_routes, distribution_brute_force, distribution_gf_closed,
                      distribution_gf_fixed_point, popularity_gf)
+from .golden import embedded_prefixes
 from .oeis import CacheMissError, MalformedBFileError, NetworkUnavailableError, oeis_fetch
 from .patterns import (TransportSweep, _unchecked, check_transport, count_occurrences,
                        parse_pattern, transport_rule, transport_rules)
-from .verifier import (DEFAULT_MAX_N, embedded_prefixes, render_text,
-                       run_full_verification)
+from .verifier import DEFAULT_MAX_N, render_text, run_full_verification
+
+import argparse  # after the package: compiled on top of argparse's objects, it peaks higher
 
 _FAMILIES = {
     "motzkin": enumerate_motzkin,

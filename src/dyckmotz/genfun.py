@@ -1,6 +1,6 @@
 """Bivariate distribution series and univariate popularity series for the
-twelve length <= 3 step patterns over the constrained family, computed
-three independent ways.
+twelve length <= 3 step patterns over the constrained family (PATTERNS,
+defined in patterns and bound here too), computed three independent ways.
 
 For a pattern p, the distribution series F_p(x, y) has [x^n y^k] equal
 to the number of family members of semilength n containing p exactly k
@@ -36,13 +36,10 @@ from collections import Counter
 from functools import lru_cache
 
 from .enumeration import enumerate_constrained, motzkin_numbers
-from .patterns import _reader, parse_pattern
+from .patterns import PATTERNS, _reader, parse_pattern
 from .series import NoConvergenceError, TruncatedSeries, solve_fixed_point
 
 DEFAULT_TRUNCATION = 24
-
-PATTERNS = ("UD", "UU", "DD", "DU",
-            "UUU", "UUD", "DUU", "DUD", "UDU", "UDD", "DDU", "DDD")
 
 # denominators all have x-valuation 2, so closed forms are built with
 # two guard orders and land exactly on the requested truncation

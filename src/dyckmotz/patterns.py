@@ -361,6 +361,9 @@ def _rule(name: str, motzkin_text: str, min_n: int = 0) -> TransportRule:
                          parse_statistic(motzkin_text, "motzkin"), min_n)
 
 
+# the twelve length <= 3 step patterns of genfun's series and the golden tables
+PATTERNS = ("UD", "UU", "DD", "DU", "UUU", "UUD", "DUU", "DUD", "UDU", "UDD", "DDU", "DDD")
+
 _RULES = (
     _rule("U", "U + D + F"),
     _rule("D", "U + D + F"),

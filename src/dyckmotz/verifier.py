@@ -21,27 +21,27 @@ fails its pattern's three-way record, and each record that would read a
 closed series that failed fails and names why. The report's stages time
 each part of the campaign, and render_text names the two slowest.
 
-Golden data is loaded from the packaged reference file (overridable) and
-is never regenerated: cells marked with a misprint tag are expected to
-disagree with the computation in exactly the recorded way, producing a
-notice instead of a failure, and a stale tag is itself a failure.
+Golden data is read from the packaged reference file (overridable) by
+golden.load_golden_tables, which this module binds too, and is never
+regenerated: cells marked with a misprint tag are expected to disagree
+with the computation in exactly the recorded way, producing a notice
+instead of a failure, and a stale tag is itself a failure.
 Sequence references marked as conjectured can never fail the suite; they
 report consistency notices instead.
 """
 from __future__ import annotations
 
 import math
-import os
-import re
 import time
 from collections import Counter
 from itertools import pairwise
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .bijection import _bijectivity_report
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
 from .genfun import (PATTERNS, _brute_force, _distribution_row, _pop_closed_length2,
                      _popularity, cross_check_routes, du_from_ud, popularity_gf)
+from .golden import SequenceRef, _TARGET_RE, load_golden_tables
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
 from .patterns import (TransportRule, TransportSweep, _unchecked, parse_pattern,
                        parse_statistic, transport_rules)
@@ -70,103 +70,6 @@ MOTZKIN_IDENTITIES = (
     ("UF", "UF+D + UF+U", 0),
     ("F", "F$ + FF + FD + FUU + FUD + FUF", 0),
 )
-
-
-class GoldenTable(NamedTuple):
-    pattern: str
-    source: str
-    cells: tuple  # of (n, k, count)
-
-
-class PopularityCell(NamedTuple):
-    source: str
-    patterns: tuple  # usually one name; ("UU", "DD") share a row
-    n: int
-    printed: int
-    misprint_computed: Optional[int] = None
-
-
-class SequenceRef(NamedTuple):
-    oeis_id: str
-    status: str  # stated | conjectured
-    target: str  # pop:<P> | avoid:<P> | row:<P>:<k> | diag:<P>:<j>
-    offset: int  # n of the first known term
-    known_terms: tuple
-    provenance: str = "table"
-
-
-class GoldenData(NamedTuple):
-    tables: dict  # source label -> GoldenTable
-    sums: tuple  # of (source, n, value)
-    popularity: tuple  # of PopularityCell
-    seq_refs: tuple  # of SequenceRef
-
-
-# fields per golden record; a pop record may carry tags after its five
-_FIELDS = {"dist": 6, "sum": 4, "pop": 5, "seq": 6}
-# the sequence targets _resolve_target reads, each naming one pattern
-_TARGET_RE = re.compile(r"(?:pop|avoid):([^:]+)|(?:row|diag):([^:]+):\d+")
-
-
-def load_golden_tables(path: Optional[str] = None) -> GoldenData:
-    if path is None:  # the packaged file beside this module
-        path = os.path.join(os.path.dirname(__file__), "data", "golden_tables.txt")
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    cells, sums, pops, seqs = {}, [], [], []
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:  # int() and the checks below name the line through the except
-            if kind not in _FIELDS:
-                raise ValueError(f"unknown record kind {kind!r}")
-            if not (len(parts) == _FIELDS[kind] or (kind == "pop" and len(parts) > 5)):
-                raise ValueError(f"a {kind} record has {_FIELDS[kind]} fields, "
-                                 f"not {len(parts)}")
-            names = {"dist": [parts[2]], "pop": parts[2].split(",")}.get(kind, [])
-            if kind == "seq":
-                target = _TARGET_RE.fullmatch(parts[3])
-                if target is None:
-                    raise ValueError(f"sequence target {parts[3]!r} is not pop:P, "
-                                     f"avoid:P, row:P:k or diag:P:j")
-                names = [target.group(1) or target.group(2)]
-            for name in names:
-                if name not in PATTERNS:
-                    raise ValueError(f"unknown pattern {name!r}")
-            if kind == "dist":
-                _, label, pattern, n, k, value = parts
-                cells.setdefault((label, pattern), []).append((int(n), int(k), int(value)))
-            elif kind == "sum":
-                _, label, n, value = parts
-                sums.append((label, int(n), int(value)))
-            elif kind == "pop":
-                _, label, _, n, value = parts[:5]
-                mis = None
-                for tag in parts[5:]:
-                    if tag.startswith("misprint:"):
-                        mis = int(tag.split(":", 1)[1])
-                pops.append(PopularityCell(label, tuple(names), int(n), int(value), mis))
-            else:
-                _, sid, status, target, first_n, terms = parts
-                if status not in ("stated", "conjectured"):
-                    raise ValueError(f"status {status!r} is not stated or conjectured")
-                seqs.append(SequenceRef(sid, status, target, int(first_n),
-                                        tuple(map(int, terms.split(",")))))
-        except ValueError as exc:
-            raise ValueError(f"golden record on line {number}: {exc}: {line}") from None
-    tables = {label: GoldenTable(pattern, label, tuple(tableCells))
-              for (label, pattern), tableCells in cells.items()}
-    return GoldenData(tables, tuple(sums), tuple(pops), tuple(seqs))
-
-
-def embedded_prefixes() -> dict:
-    """id -> (offset, terms) from the packaged reference rows, for
-    offline sequence lookups. An id listed twice keeps its first row."""
-    return {ref.oeis_id: (ref.offset, list(ref.known_terms))
-            for ref in reversed(load_golden_tables().seq_refs)}
 
 
 def compare_sequence(computed, ref: SequenceRef) -> dict:

@@ -1,13 +1,15 @@
 """The series-route, rule and identity slice of the campaign's mutation
 matrix: each mutant is a monkeypatch of one printed form, one fixed-point
 system, the fixed-point solver, the Motzkin numbers the routes check their
-rows against, one transport rule, _phi's images or one identity, with the
-exact set of records of run_full_verification(8) whose status it turns.
+rows against, one transport rule, _phi's images, the family walker or one
+identity, with the exact set of records of run_full_verification(8) whose
+status it turns.
 Every mutant of a form, a system or the solver runs on a cold memo of
 printed forms and again right after an unmutated campaign has filled it; a
 memo that served a replaced form's old series would turn fewer records on
-the warm run. The rule, image and identity mutants read no printed form
-and run once."""
+the warm run. The rule, image, walker and identity mutants read no
+printed form and run once."""
+import itertools
 import json
 import os
 import pathlib
@@ -110,6 +112,19 @@ def _rule(name, motzkin_text):
     return mutate
 
 
+def _uduudd_after_the_second_member_of_3(monkeypatch):
+    # the walker yields UDUUDD, outside the family, after the second member
+    # of n = 3: _phi refuses it, so it makes no pair, and the pass lists it
+    members = bijection._members
+
+    def walk(n, claim=None):
+        outputs = members(n, claim)  # n = 3 is never shared, so claim is None there
+        if n == 3:
+            return itertools.chain(itertools.islice(outputs, 2), ["UDUUDD"], outputs)
+        return outputs
+    monkeypatch.setattr(bijection, "_members", walk)
+
+
 def _mirrored_images(monkeypatch):
     # each image read right to left with U and D swapped, still a Motzkin
     # word of the same length
@@ -131,9 +146,14 @@ MEMO_FREE_MUTANTS = [
     ("rule UDU to FF", _rule("UDU", "FF"), {"transport:UDU": "fail"}),
     ("rule DDD plus 1", _rule("DDD", "2*UU + 2*UF - FD - FUU - FUF + 1"),
      {"transport:DDD": "fail"}),
+    # first wrong on (UD)^5, whose image FFFFF holds the one FFFFF of n <= 5:
+    # found inside a share when the pass forks
+    ("rule UD plus FFFFF", _rule("UD", "F + UD + FFFFF"), {"transport:UD": "fail"}),
     ("_phi's image reversed and mirrored", _mirrored_images,
      dict.fromkeys(("bijectivity", *(f"transport:{r}" for r in ("UDU", "UDD", "DDU", "DDD"))),
                    "fail")),
+    ("the walker yields UDUUDD after the second member of n = 3",
+     _uduudd_after_the_second_member_of_3, {"cardinality": "fail", "bijectivity": "fail"}),
     ("identity DU = DDU + UDU to DDU + UDD",
      _dyck_identity(("DU", "DDU + UDU", 0), ("DU", "DDU + UDD", 0)),
      {"identity:dyck:DU = DDU + UDU": None, "identity:dyck:DU = DDU + UDD": "fail"}),
@@ -219,8 +239,8 @@ def _forks() -> bool:
 
 
 @pytest.mark.skipif(not _forks(), reason="the family pass forks only with a second CPU")
-@pytest.mark.parametrize("mutate, turned", [row[1:] for row in MEMO_FREE_MUTANTS[:3]],
-                         ids=[row[0] for row in MEMO_FREE_MUTANTS[:3]])
+@pytest.mark.parametrize("mutate, turned", [row[1:] for row in MEMO_FREE_MUTANTS[:4]],
+                         ids=[row[0] for row in MEMO_FREE_MUTANTS[:4]])
 def test_rule_mutant_turns_the_same_records_when_the_pass_forks(monkeypatch, unmutated,
                                                                 mutate, turned):
     forks, fork = [], os.fork

@@ -1,5 +1,6 @@
 """The seven record classes: their constructors, defaults, equality,
-hash, repr and immutability, and the import that builds them."""
+hash, repr and immutability, and the import that builds them, which
+loads each submodule on first use."""
 import os
 import subprocess
 import sys
@@ -75,6 +76,66 @@ def test_importing_the_package_loads_no_dataclasses():
             "dyckmotz.load_golden_tables()\n"
             "assert 'dataclasses' not in sys.modules\n"
             "assert 'importlib.resources' not in sys.modules\n")  # the tables are a plain open
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+
+
+# the 61 public names, pinned: each reads through dyckmotz.__getattr__
+PUBLIC_NAMES = sorted("""
+    CacheMissError DEFAULT_TRUNCATION DIRAC DyckPath EmptyPatternError FIXED_POINT_PATTERNS
+    GoldenData GoldenTable InexactDivisionError LatticePath MalformedBFileError MotzkinPath
+    NetworkUnavailableError NoConvergenceError NonSquareConstantTermError NonUnitDivisorError
+    NotADyckPathError NotAMotzkinPathError NotConstrainedError PATTERNS PathProfile
+    PathSyntaxError PatternExpr PatternSyntaxError PopularityCell RouteCheckError SequenceRef
+    StatisticExpr TransportRule TruncatedSeries bfile_url catalan_number check_bijectivity
+    check_transport compare_sequence count_constrained_by_height count_occurrences
+    distribution_brute_force distribution_gf_closed distribution_gf_fixed_point du_from_ud
+    embedded_prefixes enumerate_constrained enumerate_dyck enumerate_motzkin evaluate_statistic
+    height is_constrained load_golden_tables motzkin_number oeis_fetch parse_bfile parse_pattern
+    parse_statistic phi phi_inverse popularity_gf render_text run_full_verification
+    transport_rule transport_rules
+""".split())
+
+
+def test_each_submodule_loads_on_first_use():
+    # a fresh interpreter without site, so only what dyckmotz imports is loaded
+    code = f"""if True:
+        import sys, dyckmotz
+        def loaded():
+            return {{m for m in sys.modules if m.startswith("dyckmotz.")}}
+        second_half = {{"dyckmotz." + m for m in ("series", "genfun", "oeis", "verifier", "cli")}}
+        assert not loaded()
+        assert dyckmotz.bijection is sys.modules["dyckmotz.bijection"]  # a submodule by name
+        dyckmotz.load_golden_tables()
+        assert not loaded() & second_half, loaded()
+        m = dyckmotz.phi("UUDUDD")
+        assert dyckmotz.phi_inverse(m) == "UUDUDD"
+        rule = dyckmotz.transport_rules()[0]
+        assert dyckmotz.evaluate_statistic(m, rule.motzkin_side, dyckmotz.PathProfile(m)) == 3
+        assert loaded() == {{"dyckmotz." + m for m in
+                            ("paths", "enumeration", "bijection", "patterns", "golden")}}, loaded()
+        dyckmotz.distribution_gf_closed
+        assert loaded() & second_half == {{"dyckmotz.genfun", "dyckmotz.series"}}, loaded()
+        assert sorted(dyckmotz.__all__) == {PUBLIC_NAMES!r}
+        try:
+            dyckmotz.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc), exc
+        else:
+            raise AssertionError("dyckmotz.no_such_name was found")
+        assert set(dyckmotz.__all__) <= set(dir(dyckmotz))
+        scope = {{}}
+        exec("from dyckmotz import *", scope)
+        assert set(dyckmotz.__all__) <= set(scope)
+        constants = {{"DIRAC": "patterns", "PATTERNS": "patterns", "DEFAULT_TRUNCATION": "genfun",
+                     "FIXED_POINT_PATTERNS": "genfun"}}
+        for name in dyckmotz.__all__:  # each name is the object its defining module holds
+            value = getattr(dyckmotz, name)
+            home = "dyckmotz." + constants[name] if name in constants else value.__module__
+            assert scope[name] is value is vars(sys.modules[home])[name], name
+    """
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src})
