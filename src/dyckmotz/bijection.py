@@ -252,20 +252,16 @@ def _image(p: str) -> Optional[str]:
 
 def _reduction() -> dict:
     """An empty reduction (see family_reductions and _judge_share)."""
-    return {"counts": Counter(), "firsts": {}, "fails": {}, "order": [], "roundtrip": [],
-            "refused": [], "subtrees": {}}
+    return {"counts": Counter(), "fails": {}, "order": [], "roundtrip": [], "refused": [],
+            "subtrees": {}}
 
 
 def _tally(reduction: dict, indices, members, images, sweep) -> None:
-    """Fold one chunk of pairs (member, image), at walk indices, into
-    reduction, judging every rule of sweep (see family_reductions) on each."""
+    """Fold one chunk of pairs (member, image), at walk indices, into reduction's
+    counts and fails (see family_reductions), judging every rule of sweep on each."""
     read_dyck, dyck_sides, read_motzkin, motzkin_sides = sweep
-    raws, counts, firsts = list(map(read_dyck, members)), reduction["counts"], reduction["firsts"]
-    counts.update(raws)
-    if len(counts) > len(firsts):  # raw tuples new to counts: firsts keys each by its first pair
-        for j, raw in enumerate(raws):
-            if raw not in firsts:
-                firsts[raw] = indices[j], str(members[j])
+    raws = list(map(read_dyck, members))
+    reduction["counts"].update(raws)
     if dyck_sides is None:
         return
     lhs = list(map(dyck_sides, raws, map(len, members)))
@@ -324,9 +320,8 @@ def _judge_share(n: int, claim, sweep) -> dict:
 
 def _merge(reduction: dict, theirs: dict) -> None:
     reduction["counts"].update(theirs["counts"])
-    for key in ("firsts", "fails"):  # the lowest place per raw tuple and per rule
-        for k, first in theirs[key].items():
-            reduction[key][k] = min(reduction[key].get(k, first), first)
+    for k, first in theirs["fails"].items():  # the lowest place per rule
+        reduction["fails"][k] = min(reduction["fails"].get(k, first), first)
     for key in ("order", "roundtrip", "refused"):
         reduction[key] += theirs[key]
     reduction["subtrees"].update(theirs["subtrees"])
@@ -345,9 +340,8 @@ def _close(reduction: dict) -> None:
             last = final
     for key in ("order", "roundtrip", "refused"):
         reduction[key] = sorted((i + offsets[i >> _PLACE], p) for i, p in reduction[key])
-    for key in ("firsts", "fails"):
-        for k, (i, *first) in reduction[key].items():
-            reduction[key][k] = i + offsets[i >> _PLACE], *first
+    for k, (i, *first) in reduction["fails"].items():
+        reduction["fails"][k] = i + offsets[i >> _PLACE], *first
 
 
 def family_reductions(ns, sweep=(len, None, len, None)) -> Iterator[tuple]:
@@ -355,10 +349,10 @@ def family_reductions(ns, sweep=(len, None, len, None)) -> Iterator[tuple]:
     the family's pairs (member, _phi(member)) there, the one pass over the
     family that its checks share. sweep is (read_dyck, dyck_sides,
     read_motzkin, motzkin_sides) of a TransportSweep, or lengths and no
-    sides. counts maps each raw tuple read_dyck(member) to its pairs and
-    firsts to the (index, member) of its first pair; fails maps each rule
-    k to the (index, member, image, lhs, rhs) of its first pair on which
-    dyck_sides and motzkin_sides differ at k. order, roundtrip and refused
+    sides. counts maps each raw tuple read_dyck(member) to its pairs, and
+    fails each rule k to the (index, member, image, lhs, rhs) of its first
+    pair on which dyck_sides and motzkin_sides differ at k; no other entry
+    is kept per raw tuple or per pair. order, roundtrip and refused
     list the (index, member), an index being a place in the walk, of each
     member not below the one before it, that _phi_inverse does not give
     back from its image, or that _phi refused (no pair). The walk is

@@ -41,7 +41,7 @@ class GoldenData(NamedTuple):
     seq_refs: tuple  # of SequenceRef
 
 
-# fields per golden record; a pop record may carry tags after its five
+# fields per golden record; a pop record may carry one misprint tag after its five
 _FIELDS = {"dist": 6, "sum": 4, "pop": 5, "seq": 6}
 # the sequence targets _resolve_target reads, each naming one pattern
 _TARGET_RE = re.compile(r"(?:pop|avoid):([^:]+)|(?:row|diag):([^:]+):\d+")
@@ -62,9 +62,9 @@ def load_golden_tables(path: Optional[str] = None) -> GoldenData:
         try:  # int() and the checks below name the line through the except
             if kind not in _FIELDS:
                 raise ValueError(f"unknown record kind {kind!r}")
-            if not (len(parts) == _FIELDS[kind] or (kind == "pop" and len(parts) > 5)):
-                raise ValueError(f"a {kind} record has {_FIELDS[kind]} fields, "
-                                 f"not {len(parts)}")
+            if not _FIELDS[kind] <= len(parts) <= _FIELDS[kind] + (kind == "pop"):
+                raise ValueError(f"a {kind} record has {_FIELDS[kind]} fields"
+                                 f"{' and at most one tag' * (kind == 'pop')}, not {len(parts)}")
             names = {"dist": [parts[2]], "pop": parts[2].split(",")}.get(kind, [])
             if kind == "seq":
                 target = _TARGET_RE.fullmatch(parts[3])
@@ -82,12 +82,11 @@ def load_golden_tables(path: Optional[str] = None) -> GoldenData:
                 _, label, n, value = parts
                 sums.append((label, int(n), int(value)))
             elif kind == "pop":
-                _, label, _, n, value = parts[:5]
-                mis = None
-                for tag in parts[5:]:
-                    if tag.startswith("misprint:"):
-                        mis = int(tag.split(":", 1)[1])
-                pops.append(PopularityCell(label, tuple(names), int(n), int(value), mis))
+                _, label, _, n, value, *tag = parts
+                if tag and not tag[0].startswith("misprint:"):
+                    raise ValueError(f"tag {tag[0]!r} is not misprint:<computed>")
+                pops.append(PopularityCell(label, tuple(names), int(n), int(value),
+                                           int(tag[0].removeprefix("misprint:")) if tag else None))
             else:
                 _, sid, status, target, first_n, terms = parts
                 if status not in ("stated", "conjectured"):

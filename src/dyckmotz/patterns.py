@@ -437,8 +437,9 @@ class TransportSweep:
     first text (a member, or an identity's path) and its motzkin_side the
     second (the image, or the same path). results holds per rule its first
     counterexample (with its n), at which the rule stops, or None, and
-    checked: the pairs from the first pair of the rule's first claimed
-    semilength up to that counterexample, or now.
+    checked: the sum over its claimed semilengths judged so far of their
+    pairs, or, in the semilength of its counterexample, of the pairs up to
+    and including that one.
 
     Each rule side compiles once into an integer linear form over its
     reader's raw tuple (_reader): read_dyck reads every Dyck side plus
@@ -450,32 +451,22 @@ class TransportSweep:
     """
 
     def __init__(self, rules, dyck_patterns=()):
-        self._results = [{"rule": rule, "checked": 0, "counterexample": None}
-                         for rule in rules]
-        # per rule, the pairs read when its first claimed semilength began (None before)
-        self._starts = [None] * len(self._results)
-        self._read = 0
+        self.results = [{"rule": rule, "checked": 0, "counterexample": None}
+                        for rule in rules]
         self.dyck_keys, self.read_dyck, self.dyck_values, self.dyck_sides = _reader(
-            dyck_patterns, (r["rule"].dyck_side for r in self._results))
+            dyck_patterns, (r["rule"].dyck_side for r in self.results))
         _, self.read_motzkin, _, self.motzkin_sides = _reader(
-            (), (r["rule"].motzkin_side for r in self._results))
+            (), (r["rule"].motzkin_side for r in self.results))
 
     @property
     def done(self) -> bool:
         """Every rule has its counterexample: nothing is left to check."""
-        return all(r["counterexample"] for r in self._results)
+        return all(r["counterexample"] for r in self.results)
 
     @property
     def _sweep(self) -> tuple:
         """The four compiled functions that family_reductions takes."""
         return self.read_dyck, self.dyck_sides, self.read_motzkin, self.motzkin_sides
-
-    @property
-    def results(self) -> list:
-        for r, start in zip(self._results, self._starts):
-            if start is not None and r["counterexample"] is None:
-                r["checked"] = self._read - start
-        return self._results
 
     def over(self, ns) -> Iterator[tuple]:
         """judge, then yield, each (n, reduction) of family_reductions over ns."""
@@ -493,14 +484,14 @@ class TransportSweep:
         self.judge(n, reduction)
 
     def judge(self, n: int, reduction: dict) -> None:
-        self._starts = [self._read if start is None and n >= r["rule"].min_n else start
-                        for r, start in zip(self._results, self._starts)]
-        for k, (i, dyck, motz, lhs, rhs) in reduction["fails"].items():
-            r, start = self._results[k], self._starts[k]
-            # a rule not yet claimed has no start; a failed one stays frozen
-            if start is None or r["counterexample"]:
+        pairs, fails = sum(reduction["counts"].values()), reduction["fails"]
+        for k, r in enumerate(self.results):
+            if n < r["rule"].min_n or r["counterexample"]:  # not yet claimed, or frozen
                 continue
+            if k not in fails:
+                r["checked"] += pairs
+                continue
+            i, dyck, motz, lhs, rhs = fails[k]
             # the pairs up to this one: the walk to index i, less its refusals
-            r["checked"] = self._read + i + 1 - sum(j < i for j, _ in reduction["refused"]) - start
+            r["checked"] += i + 1 - sum(j < i for j, _ in reduction["refused"])
             r["counterexample"] = {"n": n, "path": dyck, "image": motz, "lhs": lhs, "rhs": rhs}
-        self._read += sum(reduction["counts"].values())

@@ -13,13 +13,14 @@ TransportSweep judges every linear claim as integer linear forms over
 raw read tuples, its reads and forms generated once as straight-line
 functions (patterns._reader): the transport rules on every pair of that
 pass as it is read, whose raw Dyck tuples the brute-force rows and the
-structural check also read, and the identities, each path fed as both
-texts of a pair. A failed comparison lands in the report, one
-record per check (info when nothing was compared), so a single run
-gives the complete picture: a route whose series fails its own check
-fails its pattern's three-way record, and each record that would read a
-closed series that failed fails and names why. The report's stages time
-each part of the campaign, and render_text names the two slowest.
+structural check also read (a second walk names the first pair that
+breaks it), and the identities, each path fed as both texts of a pair.
+A failed comparison lands in the report, one record per check (info
+when nothing was compared), so a single run gives the complete picture:
+a route whose series fails its own check fails its pattern's three-way
+record, and each record that would read a closed series that failed
+fails and names why. The report's stages time each part of the
+campaign, and render_text names the two slowest.
 
 Golden data is read from the packaged reference file (overridable) by
 golden.load_golden_tables, which this module binds too, and is never
@@ -37,7 +38,7 @@ from collections import Counter
 from itertools import pairwise
 from typing import Optional
 
-from .bijection import _bijectivity_report
+from . import bijection
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
 from .genfun import (PATTERNS, _brute_force, _distribution_row, _pop_closed_length2,
                      _popularity, cross_check_routes, du_from_ud, popularity_gf)
@@ -144,7 +145,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     transport = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
     uud, duu = map(transport.dyck_keys.index, ("UUD", "DUU"))
     for n, reduction in transport.over(range(max_n + 1)):
-        report = _bijectivity_report(n, reduction)
+        report = bijection._bijectivity_report(n, reduction)
         counts.append(report["domain"] + len(reduction["refused"]))
         if reduction["refused"]:  # the walker yielded paths phi rejects; the pass skipped them
             bad = bad or {"n": n, "error": report.pop("rejected_examples")[0]}
@@ -152,11 +153,13 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
             bad = report
         rows.append(_distribution_row(reduction["counts"], transport.dyck_keys,
                                       transport.dyck_values))
-        # a pair's raw tuple decides the check, so the first pair of each raw tuple will do
-        for raw, (_, path) in sorted(reduction["firsts"].items(), key=lambda item: item[1]):
-            vector = transport.dyck_values(raw)
-            if structural_worst is None and vector[uud] > 1 and vector[duu] == 0:
-                structural_worst = {"n": n, "path": path, "UUD": vector[uud]}
+        # raw tuples decide the check; a second walk names the first pair that breaks it
+        broken = {raw: v[uud] for raw in reduction["counts"]
+                  if (v := transport.dyck_values(raw))[uud] > 1 and v[duu] == 0}
+        if structural_worst is None and broken:
+            path = next(p for p in map(str, bijection._members(n))
+                        if transport.read_dyck(p) in broken and bijection._image(p) is not None)
+            structural_worst = {"n": n, "path": path, "UUD": broken[transport.read_dyck(path)]}
         del reduction  # before the next semilength's is built
 
     # (1) cardinality
@@ -217,10 +220,12 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
             _add(checks, f"three-way:{pattern}", "fail", str(next(iter(errors.values()))))
         else:
             verdicts = {f"{name}=brute": same for name, same in agree.items()}
+            # it compared only if every route built besides brute was compared with brute
             _judge(checks, f"three-way:{pattern}",
                    f"routes over n<=..{max_n}: " + ", ".join(
                        f"{k} {'ok' if v else 'DISAGREE'}" for k, v in verdicts.items()),
-                   None if all(verdicts.values()) else verdicts)
+                   None if all(verdicts.values()) else verdicts,
+                   agree.keys() == routes[pattern].keys() - {"brute"})
         checks[-1].update(elapsed_seconds=round(elapsed, 4), truncation=max_n)
     start = time.perf_counter()
     try:

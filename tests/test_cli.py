@@ -404,6 +404,9 @@ def test_unwritable_format_exits_2(argv, message, capsys):
     ("pop pop2 UD x 3", "invalid literal"),
     ("pop pop2 UD,QQ 3 8", "unknown pattern 'QQ'"),
     ("pop pop2 UD 3 8 misprint:x", "invalid literal"),
+    ("pop pop2 UD 3 5 mispint:6", "tag 'mispint:6' is not misprint:<computed>"),
+    ("pop pop2 UD 3 5 misprint:6 misprint:7",
+     "a pop record has 5 fields and at most one tag, not 7"),
     ("sum dist:UD 2 2 9", "a sum record has 4 fields, not 5"),
     ("seq A000001 stated pop:XX 1 1,3", "unknown pattern 'XX'"),
     ("seq A000001 stated avoid:UD,DU 1 1,3", "unknown pattern 'UD,DU'"),

@@ -1,14 +1,16 @@
 """The series-route, rule and identity slice of the campaign's mutation
 matrix: each mutant is a monkeypatch of one printed form, one fixed-point
 system, the fixed-point solver, the Motzkin numbers the routes check their
-rows against, one transport rule, _phi's images, the family walker or one
-identity, with the exact set of records of run_full_verification(8) whose
-status it turns.
+rows against, one transport rule, _phi's images, the family walker, one
+identity, the campaign sweep's pattern counts or the three-way comparison,
+with the exact set of records of run_full_verification(8) whose status it
+turns.
 Every mutant of a form, a system or the solver runs on a cold memo of
 printed forms and again right after an unmutated campaign has filled it; a
 memo that served a replaced form's old series would turn fewer records on
 the warm run. The rule, image, walker and identity mutants read no
-printed form and run once."""
+printed form, and the count and comparison mutants replace none, so these
+run once."""
 import itertools
 import json
 import os
@@ -16,7 +18,8 @@ import pathlib
 
 import pytest
 
-from dyckmotz import bijection, cli, genfun, patterns, run_full_verification, series, verifier
+from dyckmotz import (bijection, cli, count_occurrences, enumerate_constrained, genfun,
+                      parse_pattern, patterns, run_full_verification, series, verifier)
 
 MAX_N = 8
 
@@ -139,6 +142,36 @@ def _dyck_identity(old, new):
     return mutate
 
 
+def _duu_read_as_0(monkeypatch, peaks=0):
+    # for each member with at least peaks UD: one with two or more UUD then
+    # looks like a DUU-avoider
+
+    class Sweep(patterns.TransportSweep):
+        def __init__(self, rules, dyck_patterns=()):
+            super().__init__(rules, dyck_patterns)
+            if dyck_patterns:  # the campaign's sweep, not an identity system's
+                values, duu, ud = self.dyck_values, *map(self.dyck_keys.index, ("DUU", "UD"))
+
+                def zeroed(raw):
+                    counts = values(raw)
+                    return tuple(0 if i == duu and counts[ud] >= peaks else c
+                                 for i, c in enumerate(counts))
+                self.dyck_values = zeroed
+    monkeypatch.setattr(verifier, "TransportSweep", Sweep)
+
+
+def _brute_against_itself(monkeypatch):
+    # cross_check_routes with 'if name != "brute"' turned to '==': each
+    # record compares the brute series with itself and with nothing else
+    cross_check = genfun.cross_check_routes
+
+    def mutated(pattern, N, brute):
+        routes, _, errors = cross_check(pattern, N, brute)
+        return routes, {name: s == routes.get("brute") for name, s in routes.items()
+                        if name == "brute"}, errors
+    monkeypatch.setattr(verifier, "cross_check_routes", mutated)
+
+
 # each turned record with its new status; a record is named by its
 # identity's text, so a changed identity's record leaves (None) under its old
 # name and comes back under its new one
@@ -157,6 +190,14 @@ MEMO_FREE_MUTANTS = [
     ("identity DU = DDU + UDU to DDU + UDD",
      _dyck_identity(("DU", "DDU + UDU", 0), ("DU", "DDU + UDD", 0)),
      {"identity:dyck:DU = DDU + UDU": None, "identity:dyck:DU = DDU + UDD": "fail"}),
+    # the brute DUU row is all zeros; the structural record names its first
+    # member with two UUD (test_the_structural_witness_is_the_first_pair_that_breaks_it)
+    ("the campaign's sweep reads the DUU column as 0", _duu_read_as_0,
+     dict.fromkeys(("three-way:DUU", "golden:dist:DUU",
+                    "structural:DUU-avoiders-have-at-most-one-UUD"), "fail")),
+    # no record may pass having compared nothing
+    ("cross_check_routes compares brute with itself", _brute_against_itself,
+     {f"three-way:{p}": "info" for p in genfun.PATTERNS}),
 ]
 
 
@@ -251,3 +292,25 @@ def test_rule_mutant_turns_the_same_records_when_the_pass_forks(monkeypatch, unm
     assert forks
     assert {name: statuses.get(name) for name in statuses.keys() | unmutated.keys()
             if statuses.get(name) != unmutated.get(name)} == turned
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["one process", "forked"])
+@pytest.mark.parametrize("peaks", [0, 3])
+def test_the_structural_witness_is_the_first_pair_that_breaks_it(monkeypatch, peaks, forked):
+    # with the DUU column read as 0, the first member in walk order with two
+    # UUD (and, from three peaks, the first of three at n = 5, which is shared)
+    uud, ud = parse_pattern("UUD"), parse_pattern("UD")
+    first = next({"n": n, "path": str(p), "UUD": c} for n in range(MAX_N + 1)
+                 for p in enumerate_constrained(n)
+                 if (c := count_occurrences(p, uud)) > 1 and count_occurrences(p, ud) >= peaks)
+    forks = []
+    if forked:
+        if not _forks():
+            pytest.skip("the family pass forks only with a second CPU")
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(bijection, "_CHUNK", 16)  # semilengths 5 to 8 are shared
+    _duu_read_as_0(monkeypatch, peaks)
+    checks = {c["check"]: c for c in run_full_verification(MAX_N)["checks"]}
+    assert checks["structural:DUU-avoiders-have-at-most-one-UUD"]["counterexample"] == first
+    assert bool(forks) == forked

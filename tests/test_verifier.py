@@ -12,7 +12,7 @@ from itertools import count
 import pytest
 
 import dyckmotz
-from dyckmotz import bijection
+from dyckmotz import bijection, golden
 from dyckmotz import (
     RouteCheckError,
     SequenceRef,
@@ -151,13 +151,16 @@ def test_a_reduction_keeps_and_ships_one_entry_per_raw_tuple():
     # the counts of the reduction's structures, not the allocator's peak
     sweep = TransportSweep(transport_rules(), map(dyckmotz.parse_pattern, dyckmotz.PATTERNS))
     ((n, reduction),) = sweep.over([11])
-    assert reduction["firsts"].keys() == reduction["counts"].keys()
-    assert len(reduction["firsts"]) == 126
+    assert reduction.keys() == {"counts", "fails", "order", "roundtrip", "refused"}
+    assert len(reduction["counts"]) == 126 and not reduction["fails"]
     images = (str(dyckmotz.phi(p)) for p in enumerate_constrained(n))
     assert not {sweep.read_motzkin(m) for m in images} & _tuples(reduction)
-    # one share of a two-way split, marshaled as family_reductions sends it
-    share = bijection._judge_share(12, count(0, 2).__next__, sweep._sweep)
-    assert len(marshal.dumps({**share, "counts": dict(share["counts"])})) < 64 << 10
+    # one share of a two-way split, and the whole semilength as one share,
+    # marshaled as family_reductions sends them
+    for claim in (count(0, 2).__next__, None):
+        share = bijection._judge_share(12, claim, sweep._sweep)
+        size = len(marshal.dumps({**share, "counts": dict(share["counts"])}))
+        assert size < (64 << 10 if claim else 16 << 10)
 
 
 def test_campaign_finds_a_wrong_rule_where_check_transport_does(monkeypatch):
@@ -460,6 +463,36 @@ def test_unknown_golden_record_kind_rejected(tmp_path):
     seed.write_text("blob x y z\n")
     with pytest.raises(ValueError):
         load_golden_tables(str(seed))
+
+
+def test_the_golden_header_states_what_the_reader_takes(tmp_path):
+    # the header's grammar lines: '#   <kind> <field> ...', a bracketed tag last
+    lines = (resources.files("dyckmotz") / "data/golden_tables.txt").read_text().splitlines()
+    grammar = {words[0]: words for words in (line[1:].split() for line in lines[:8])
+               if words and words[0] in golden._FIELDS}
+    assert grammar.keys() == golden._FIELDS.keys()
+    good = {"dist": "dist dist:UD UD 1 1 1", "sum": "sum dist:UD 1 1",
+            "pop": "pop pop2 UD 1 1", "seq": "seq A000001 stated pop:UD 1 1,3"}
+    seed = tmp_path / "seed.txt"
+
+    def loads(record):
+        seed.write_text(record + "\n")
+        try:
+            load_golden_tables(str(seed))
+        except ValueError:
+            return False
+        return True
+
+    for kind, words in grammar.items():
+        tagged = words[-1].startswith("[")
+        assert len(words) - tagged == golden._FIELDS[kind], kind
+        assert loads(good[kind])
+        assert loads(good[kind] + " misprint:2") == tagged, kind
+        assert not loads(good[kind] + " misprint:2 misprint:2"), kind
+        if "<pattern>" in " ".join(words):  # the records that name a pattern
+            joined = good[kind].replace(" UD ", " UU,DD ", 1)
+            assert loads(joined) == ("<pattern>[,<pattern>]" in words), kind
+    assert [kind for kind, words in grammar.items() if words[-1].startswith("[")] == ["pop"]
 
 
 def test_render_text():
