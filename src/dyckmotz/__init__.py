@@ -12,9 +12,10 @@ _NAMES = {
              "PathSyntaxError height",
     "enumeration": "catalan_number count_constrained_by_height enumerate_constrained "
                    "enumerate_dyck enumerate_motzkin motzkin_number",
-    "bijection": "NotConstrainedError check_bijectivity is_constrained phi phi_inverse",
+    "bijection": "NotConstrainedError check_bijectivity check_transport is_constrained phi "
+                 "phi_inverse",
     "patterns": "DIRAC EmptyPatternError PATTERNS PathProfile PatternExpr PatternSyntaxError "
-                "StatisticExpr TransportRule check_transport count_occurrences evaluate_statistic "
+                "StatisticExpr TransportRule count_occurrences evaluate_statistic "
                 "parse_pattern parse_statistic transport_rule transport_rules",
     "series": "InexactDivisionError NoConvergenceError NonSquareConstantTermError "
               "NonUnitDivisorError TruncatedSeries",

@@ -38,8 +38,8 @@ validation to the round trip (see _bijectivity_report).
 
 The checks of the family read one pass per semilength, family_reductions:
 the walk is split across the CPUs by subtree, and each share is mapped
-through _phi, _phi_inverse and a sweep's readers (patterns.TransportSweep)
-a chunk at a time, judged pair by pair and reduced to data that merges.
+through _phi, _phi_inverse and a TransportSweep's readers a chunk at a
+time, judged pair by pair and reduced to data that merges.
 """
 from __future__ import annotations
 
@@ -54,6 +54,7 @@ from typing import Iterator, Optional, Union
 
 from .enumeration import _walk, motzkin_number
 from .paths import DyckPath, MotzkinPath
+from .patterns import TransportRule, _reader, transport_rule
 
 
 class NotConstrainedError(ValueError):
@@ -186,7 +187,7 @@ def check_bijectivity(n: int) -> dict:
     report, with phi's first three refusals under rejected_examples."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    ((_, reduction),) = family_reductions([n])
+    ((_, reduction),) = TransportSweep([]).over([n])
     return _bijectivity_report(n, reduction)
 
 
@@ -256,16 +257,13 @@ def _reduction() -> dict:
             "subtrees": {}}
 
 
-def _tally(reduction: dict, indices, members, images, sweep) -> None:
+def _tally(reduction: dict, indices, members, images, sweep, dyck_sides) -> None:
     """Fold one chunk of pairs (member, image), at walk indices, into reduction's
-    counts and fails (see family_reductions), judging every rule of sweep on each."""
-    read_dyck, dyck_sides, read_motzkin, motzkin_sides = sweep
-    raws = list(map(read_dyck, members))
+    counts and fails (see family_reductions), each judged by sweep with dyck_sides."""
+    raws = list(map(sweep.read_dyck, members))
     reduction["counts"].update(raws)
-    if dyck_sides is None:
-        return
     lhs = list(map(dyck_sides, raws, map(len, members)))
-    rhs = list(map(motzkin_sides, map(read_motzkin, images), map(len, images)))
+    rhs = list(map(sweep.motzkin_sides, map(sweep.read_motzkin, images), map(len, images)))
     if lhs == rhs:
         return
     fails = reduction["fails"]
@@ -287,8 +285,7 @@ def _judge_share(n: int, claim, sweep) -> dict:
     the share. Its subtrees map each subtree k to [outputs, place and
     member of its first pair, member of its last pair]: _close
     order-checks each first pair against the pair before it."""
-    reduction, k, (read_dyck, dyck_sides, *motzkin) = _reduction(), 0, sweep
-    sweep = read_dyck, dyck_sides and lru_cache(None)(dyck_sides), *motzkin  # the share's own
+    reduction, k, dyck_sides = _reduction(), 0, lru_cache(None)(sweep.dyck_sides)  # the share's own
     for kind, run in groupby(_members(n, claim), type):
         if kind is int:  # a subtree's number, then its walker outputs
             *_, k = run
@@ -314,7 +311,7 @@ def _judge_share(n: int, claim, sweep) -> dict:
                 if not all(oks := list(oks)):
                     reduction[key] += [(i, str(p)) for i, p, ok in zip(indices, chunk, oks)
                                        if not ok]
-            _tally(reduction, indices, chunk, images, sweep)
+            _tally(reduction, indices, chunk, images, sweep, dyck_sides)
     return reduction
 
 
@@ -344,14 +341,13 @@ def _close(reduction: dict) -> None:
         reduction["fails"][k] = i + offsets[i >> _PLACE], *first
 
 
-def family_reductions(ns, sweep=(len, None, len, None)) -> Iterator[tuple]:
+def family_reductions(ns, sweep) -> Iterator[tuple]:
     """Yield (n, reduction) for each semilength n of ns: the reduction of
     the family's pairs (member, _phi(member)) there, the one pass over the
-    family that its checks share. sweep is (read_dyck, dyck_sides,
-    read_motzkin, motzkin_sides) of a TransportSweep, or lengths and no
-    sides. counts maps each raw tuple read_dyck(member) to its pairs, and
+    family that its checks share, judged by the TransportSweep sweep.
+    counts maps each raw tuple sweep.read_dyck(member) to its pairs, and
     fails each rule k to the (index, member, image, lhs, rhs) of its first
-    pair on which dyck_sides and motzkin_sides differ at k; no other entry
+    pair on which the sweep's sides differ at k; no other entry
     is kept per raw tuple or per pair. order, roundtrip and refused
     list the (index, member), an index being a place in the walk, of each
     member not below the one before it, that _phi_inverse does not give
@@ -414,3 +410,92 @@ def family_reductions(ns, sweep=(len, None, len, None)) -> Iterator[tuple]:
             os.waitpid(pid, 0)
         for read in tokens.values():
             os.close(read)
+
+
+def _unchecked(rule: TransportRule, max_n: int) -> str:
+    """Why a rule that a TransportSweep up to max_n never checked has no
+    verdict: every semilength in its claimed range has a member."""
+    return f"claimed only for n >= {rule.min_n}; nothing to check up to n = {max_n}"
+
+
+def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
+    """Exhaustively verify one rule at semilength n on its family
+    reduction; checked counts the pairs up to and including the first
+    counterexample. TransportSweep takes any other stream of pairs."""
+    if isinstance(rule, str):
+        rule = transport_rule(rule)
+    if n < 0:
+        raise ValueError("semilength must be nonnegative")
+    if n < rule.min_n:
+        raise ValueError(f"rule {rule.name} is claimed only for n >= {rule.min_n}")
+    sweep = TransportSweep([rule])
+    ((_, reduction),) = sweep.over([n])
+    if reduction["refused"]:
+        _member_image(reduction["refused"][0][1])  # raises the refusal, worded
+    (result,) = sweep.results
+    counterexample = result["counterexample"]
+    if counterexample is not None:
+        del counterexample["n"]
+    return {"rule": rule.name, "n": n, "checked": result["checked"],
+            "ok": counterexample is None, "counterexample": counterexample}
+
+
+class TransportSweep:
+    """check_transport for several rules from n = rule.min_n up, fed in
+    increasing n the reduction of each semilength (family_reductions) by
+    judge, or its pairs of texts by add. A rule's dyck_side reads a pair's
+    first text (a member, or an identity's path) and its motzkin_side the
+    second (the image, or the same path). results holds per rule its first
+    counterexample (with its n), at which the rule stops, or None, and
+    checked: the sum over its claimed semilengths judged so far of their
+    pairs, or, in the semilength of its counterexample, of the pairs up to
+    and including that one.
+
+    Each rule side compiles once into an integer linear form over its
+    reader's raw tuple (patterns._reader): read_dyck reads every Dyck side
+    plus dyck_patterns from the first text, read_motzkin every Motzkin
+    side from the second, and dyck_sides(raw, size) and motzkin_sides(raw,
+    size) value every rule at once; dyck_values gives the counts of a
+    read_dyck tuple in dyck_keys order. Each pair is judged as it is read
+    (_tally), and judge reads the first failing pair of each rule.
+    """
+
+    def __init__(self, rules, dyck_patterns=()):
+        self.results = [{"rule": rule, "checked": 0, "counterexample": None} for rule in rules]
+        self.dyck_keys, self.read_dyck, self.dyck_values, self.dyck_sides = _reader(
+            dyck_patterns, (r["rule"].dyck_side for r in self.results))
+        _, self.read_motzkin, _, self.motzkin_sides = _reader(
+            (), (r["rule"].motzkin_side for r in self.results))
+
+    @property
+    def done(self) -> bool:
+        """Every rule has its counterexample: nothing is left to check."""
+        return all(r["counterexample"] for r in self.results)
+
+    def over(self, ns) -> Iterator[tuple]:
+        """judge, then yield, each (n, reduction) of family_reductions over ns."""
+        for n, reduction in family_reductions(ns, self):
+            self.judge(n, reduction)
+            yield n, reduction
+            del reduction  # the caller's alone while the next is built
+
+    def add(self, n: int, pairs) -> None:
+        """judge the reduction of an iterable of pairs of texts, read a chunk at a time."""
+        reduction, pairs, start = _reduction(), iter(pairs), 0
+        for chunk in iter(lambda: list(islice(pairs, _CHUNK)), []):
+            _tally(reduction, range(start, start + len(chunk)), *zip(*chunk), self, self.dyck_sides)
+            start += len(chunk)
+        self.judge(n, reduction)
+
+    def judge(self, n: int, reduction: dict) -> None:
+        pairs, fails = sum(reduction["counts"].values()), reduction["fails"]
+        for k, r in enumerate(self.results):
+            if n < r["rule"].min_n or r["counterexample"]:  # not yet claimed, or frozen
+                continue
+            if k not in fails:
+                r["checked"] += pairs
+                continue
+            i, dyck, motz, lhs, rhs = fails[k]
+            # the pairs up to this one: the walk to index i, less its refusals
+            r["checked"] += i + 1 - sum(j < i for j, _ in reduction["refused"])
+            r["counterexample"] = {"n": n, "path": dyck, "image": motz, "lhs": lhs, "rhs": rhs}

@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-from .bijection import _refusal, phi, phi_inverse
+from .bijection import (TransportSweep, _refusal, _unchecked, check_transport, phi,
+                        phi_inverse)
 from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzkin,
                           motzkin_numbers)
 from .genfun import (DEFAULT_TRUNCATION, PATTERNS, NoConvergenceError, RouteCheckError,
@@ -21,8 +22,7 @@ from .genfun import (DEFAULT_TRUNCATION, PATTERNS, NoConvergenceError, RouteChec
                      distribution_gf_fixed_point, popularity_gf)
 from .golden import embedded_prefixes
 from .oeis import CacheMissError, MalformedBFileError, NetworkUnavailableError, oeis_fetch
-from .patterns import (TransportSweep, _unchecked, check_transport, count_occurrences,
-                       parse_pattern, transport_rule, transport_rules)
+from .patterns import count_occurrences, parse_pattern, transport_rule, transport_rules
 from .verifier import DEFAULT_MAX_N, render_text, run_full_verification
 
 import argparse  # after the package: compiled on top of argparse's objects, it peaks higher

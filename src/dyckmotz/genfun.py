@@ -323,14 +323,18 @@ def popularity_gf(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
     semilength: the y-derivative of the distribution at y = 1. For the
     length-2 patterns the printed closed form is evaluated as well and
     must agree."""
-    pattern = _canon(pattern)
+    return _popularity_route(_canon(pattern), N)[0]
+
+
+def _popularity_route(pattern: str, N: int) -> tuple:
+    """popularity_gf's series, and how many printed forms (0 or 1) it was
+    compared with; RouteCheckError when the printed form disagrees."""
     derived = _popularity(distribution_gf_closed(pattern, N))
-    if pattern in _pop_closed_length2:
-        if _printed(_pop_closed_length2[pattern], N, True).truncate(N) != derived:
-            raise RouteCheckError(
-                f"popularity closed form for {pattern} disagrees with the "
-                f"derivative route")
-    return derived
+    printed = pattern in _pop_closed_length2
+    if printed and _printed(_pop_closed_length2[pattern], N, True).truncate(N) != derived:
+        raise RouteCheckError(
+            f"popularity closed form for {pattern} disagrees with the derivative route")
+    return derived, int(printed)
 
 
 def du_from_ud(N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:

@@ -19,19 +19,13 @@ surrounded by whitespace, which keeps repetition '+' (never spaced)
 unambiguous: "UF+D + 2*UF+U + 2*UU". The symbol n means semilength on
 the Dyck side and length on the Motzkin side; each statistic records
 which side it lives on.
-
-The checks of the family read one pass per semilength
-(bijection.family_reductions), each pair judged against a
-TransportSweep's rules, compiled here, as it is read.
 """
 from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
-from itertools import islice
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .bijection import _CHUNK, _member_image, _reduction, _tally, family_reductions
 from .paths import LatticePath
 
 
@@ -400,98 +394,3 @@ def transport_rule(name: str) -> TransportRule:
     except KeyError:
         raise KeyError(f"no transport rule named {name!r}; "
                        f"known: {', '.join(sorted(_RULES_BY_NAME))}") from None
-
-
-def _unchecked(rule: TransportRule, max_n: int) -> str:
-    """Why a rule that a TransportSweep up to max_n never checked has no
-    verdict: every semilength in its claimed range has a member."""
-    return f"claimed only for n >= {rule.min_n}; nothing to check up to n = {max_n}"
-
-
-def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
-    """Exhaustively verify one rule at semilength n on its family
-    reduction; checked counts the pairs up to and including the first
-    counterexample. TransportSweep takes any other stream of pairs."""
-    if isinstance(rule, str):
-        rule = transport_rule(rule)
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    if n < rule.min_n:
-        raise ValueError(f"rule {rule.name} is claimed only for n >= {rule.min_n}")
-    sweep = TransportSweep([rule])
-    ((_, reduction),) = sweep.over([n])
-    if reduction["refused"]:
-        _member_image(reduction["refused"][0][1])  # raises the refusal, worded
-    (result,) = sweep.results
-    counterexample = result["counterexample"]
-    if counterexample is not None:
-        del counterexample["n"]
-    return {"rule": rule.name, "n": n, "checked": result["checked"],
-            "ok": counterexample is None, "counterexample": counterexample}
-
-
-class TransportSweep:
-    """check_transport for several rules from n = rule.min_n up, fed in
-    increasing n the reduction of each semilength (family_reductions) by
-    judge, or its pairs of texts by add. A rule's dyck_side reads a pair's
-    first text (a member, or an identity's path) and its motzkin_side the
-    second (the image, or the same path). results holds per rule its first
-    counterexample (with its n), at which the rule stops, or None, and
-    checked: the sum over its claimed semilengths judged so far of their
-    pairs, or, in the semilength of its counterexample, of the pairs up to
-    and including that one.
-
-    Each rule side compiles once into an integer linear form over its
-    reader's raw tuple (_reader): read_dyck reads every Dyck side plus
-    dyck_patterns from the first text, read_motzkin every Motzkin side
-    from the second, and dyck_sides(raw, size) and motzkin_sides(raw,
-    size) value every rule at once; dyck_values gives the counts of a
-    read_dyck tuple in dyck_keys order. Each pair is judged as it is read
-    (_tally), and judge reads the first failing pair of each rule.
-    """
-
-    def __init__(self, rules, dyck_patterns=()):
-        self.results = [{"rule": rule, "checked": 0, "counterexample": None}
-                        for rule in rules]
-        self.dyck_keys, self.read_dyck, self.dyck_values, self.dyck_sides = _reader(
-            dyck_patterns, (r["rule"].dyck_side for r in self.results))
-        _, self.read_motzkin, _, self.motzkin_sides = _reader(
-            (), (r["rule"].motzkin_side for r in self.results))
-
-    @property
-    def done(self) -> bool:
-        """Every rule has its counterexample: nothing is left to check."""
-        return all(r["counterexample"] for r in self.results)
-
-    @property
-    def _sweep(self) -> tuple:
-        """The four compiled functions that family_reductions takes."""
-        return self.read_dyck, self.dyck_sides, self.read_motzkin, self.motzkin_sides
-
-    def over(self, ns) -> Iterator[tuple]:
-        """judge, then yield, each (n, reduction) of family_reductions over ns."""
-        for n, reduction in family_reductions(ns, self._sweep):
-            self.judge(n, reduction)
-            yield n, reduction
-            del reduction  # the caller's alone while the next is built
-
-    def add(self, n: int, pairs) -> None:
-        """judge the reduction of an iterable of pairs of texts, read a chunk at a time."""
-        reduction, pairs, start = _reduction(), iter(pairs), 0
-        for chunk in iter(lambda: list(islice(pairs, _CHUNK)), []):
-            _tally(reduction, range(start, start + len(chunk)), *zip(*chunk), self._sweep)
-            start += len(chunk)
-        self.judge(n, reduction)
-
-    def judge(self, n: int, reduction: dict) -> None:
-        pairs, fails = sum(reduction["counts"].values()), reduction["fails"]
-        for k, r in enumerate(self.results):
-            if n < r["rule"].min_n or r["counterexample"]:  # not yet claimed, or frozen
-                continue
-            if k not in fails:
-                r["checked"] += pairs
-                continue
-            i, dyck, motz, lhs, rhs = fails[k]
-            # the pairs up to this one: the walk to index i, less its refusals
-            r["checked"] += i + 1 - sum(j < i for j, _ in reduction["refused"])
-            r["counterexample"] = {"n": n, "path": dyck, "image": motz, "lhs": lhs, "rhs": rhs}

@@ -9,18 +9,18 @@ one pass per semilength (bijection.family_reductions), judged a chunk at
 a time and split across the CPUs by subtree, and read only its reduction, so
 memory does not grow with the family. Each image comes from the
 unvalidated _phi, and the bijectivity round trip is its one validation.
-TransportSweep judges every linear claim as integer linear forms over
-raw read tuples, its reads and forms generated once as straight-line
-functions (patterns._reader): the transport rules on every pair of that
-pass as it is read, whose raw Dyck tuples the brute-force rows and the
-structural check also read (a second walk names the first pair that
-breaks it), and the identities, each path fed as both texts of a pair.
-A failed comparison lands in the report, one record per check (info
-when nothing was compared), so a single run gives the complete picture:
-a route whose series fails its own check fails its pattern's three-way
-record, and each record that would read a closed series that failed
-fails and names why. The report's stages time each part of the
-campaign, and render_text names the two slowest.
+The TransportSweep beside that pass in bijection judges every linear
+claim as integer linear forms over raw read tuples, its reads and forms
+generated once as straight-line functions (patterns._reader): the
+transport rules on every pair of that pass as it is read, whose raw Dyck
+tuples the brute-force rows and the structural check also read (a second
+walk names the first pair that breaks it), and the identities, each path
+fed as both texts of a pair. A failed comparison lands in the report,
+one record per check (info when nothing was compared), so a single run
+gives the complete picture: a route whose series fails its own check
+fails its pattern's three-way record, and each record that would read a
+closed series that failed fails and names why. The report's stages time
+each part of the campaign, and render_text names the two slowest.
 
 Golden data is read from the packaged reference file (overridable) by
 golden.load_golden_tables, which this module binds too, and is never
@@ -39,13 +39,13 @@ from itertools import pairwise
 from typing import Optional
 
 from . import bijection
+from .bijection import TransportSweep, _unchecked
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
 from .genfun import (PATTERNS, _brute_force, _distribution_row, _pop_closed_length2,
-                     _popularity, cross_check_routes, du_from_ud, popularity_gf)
+                     _popularity, _popularity_route, cross_check_routes, du_from_ud)
 from .golden import SequenceRef, _TARGET_RE, load_golden_tables
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
-from .patterns import (TransportRule, TransportSweep, _unchecked, parse_pattern,
-                       parse_statistic, transport_rules)
+from .patterns import TransportRule, parse_pattern, parse_statistic, transport_rules
 
 DEFAULT_MAX_N = 12
 
@@ -306,11 +306,10 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         _add(checks, "misprint-notice", "notice", note)
     printed_n, start = max(24, max_n), time.perf_counter()
     try:
-        for pattern in _pop_closed_length2:
-            popularity_gf(pattern, printed_n)
-        _add(checks, "popularity-closed-forms", "pass",
-             "printed length-2 popularity formulas equal the derivative "
-             f"route through x^{printed_n}")
+        compared = sum(_popularity_route(p, printed_n)[1] for p in _pop_closed_length2)
+        _judge(checks, "popularity-closed-forms",
+               "printed length-2 popularity formulas equal the derivative "
+               f"route through x^{printed_n}", None, compared)
     except ValueError as exc:
         _add(checks, "popularity-closed-forms", "fail", str(exc))
     checks[-1].update(elapsed_seconds=round(time.perf_counter() - start, 4), truncation=printed_n)

@@ -1,16 +1,17 @@
 """The series-route, rule and identity slice of the campaign's mutation
 matrix: each mutant is a monkeypatch of one printed form, one fixed-point
-system, the fixed-point solver, the Motzkin numbers the routes check their
-rows against, one transport rule, _phi's images, the family walker, one
-identity, the campaign sweep's pattern counts or the three-way comparison,
+system, the fixed-point solver, the Motzkin numbers the routes, the
+bijectivity report or the cardinality check read, one transport rule,
+_phi's images, the family walker, one identity, the campaign sweep's
+pattern counts, the three-way comparison or the printed popularity guard,
 with the exact set of records of run_full_verification(8) whose status it
 turns.
 Every mutant of a form, a system or the solver runs on a cold memo of
 printed forms and again right after an unmutated campaign has filled it; a
 memo that served a replaced form's old series would turn fewer records on
-the warm run. The rule, image, walker and identity mutants read no
-printed form, and the count and comparison mutants replace none, so these
-run once."""
+the warm run. The rule, image, walker, family M_n and identity mutants
+read no printed form, and the count and comparison mutants replace none,
+so these run once."""
 import itertools
 import json
 import os
@@ -61,11 +62,35 @@ def _narrow_decode(monkeypatch):
         N, None if w is None else w + 8, system, count))
 
 
-def _m7_plus_one(monkeypatch):
-    # every route's row check at x^7 wants one member too many
-    numbers = genfun.motzkin_numbers
-    monkeypatch.setattr(genfun, "motzkin_numbers",
+def _m7_plus_one(monkeypatch, module=genfun):
+    # in genfun, every route's row check at x^7 wants one member too many
+    numbers = module.motzkin_numbers
+    monkeypatch.setattr(module, "motzkin_numbers",
                         lambda n: [m + (k == 7) for k, m in enumerate(numbers(n))])
+
+
+def _m7_plus_one_in_verifier(monkeypatch):
+    # cardinality and the golden sum row read verifier's own M_n
+    _m7_plus_one(monkeypatch, verifier)
+
+
+def _m7_plus_one_in_bijection(monkeypatch):
+    # the bijectivity report wants M_7 + 1 images at n = 7
+    number = bijection.motzkin_number
+    monkeypatch.setattr(bijection, "motzkin_number", lambda n: number(n) + (n == 7))
+
+
+class _NotIn(dict):
+    """A dict whose `in` reads as `not in`."""
+
+    def __contains__(self, key):
+        return not super().__contains__(key)
+
+
+def _printed_popularity_guard_negated(monkeypatch):
+    # the `in` of the printed popularity guard read as `not in`: for the
+    # four patterns with a printed form, the popularity route compares none
+    monkeypatch.setattr(genfun, "_pop_closed_length2", _NotIn(genfun._pop_closed_length2))
 
 
 # the records that read a closed series, or a route's row at x^7
@@ -146,7 +171,7 @@ def _duu_read_as_0(monkeypatch, peaks=0):
     # for each member with at least peaks UD: one with two or more UUD then
     # looks like a DUU-avoider
 
-    class Sweep(patterns.TransportSweep):
+    class Sweep(bijection.TransportSweep):
         def __init__(self, rules, dyck_patterns=()):
             super().__init__(rules, dyck_patterns)
             if dyck_patterns:  # the campaign's sweep, not an identity system's
@@ -187,6 +212,10 @@ MEMO_FREE_MUTANTS = [
                    "fail")),
     ("the walker yields UDUUDD after the second member of n = 3",
      _uduudd_after_the_second_member_of_3, {"cardinality": "fail", "bijectivity": "fail"}),
+    ("M_7 one too many in the motzkin_number that bijection reads", _m7_plus_one_in_bijection,
+     {"bijectivity": "fail"}),
+    ("M_7 one too many in verifier's motzkin_numbers", _m7_plus_one_in_verifier,
+     {"cardinality": "fail", "golden:sum-row": "fail"}),
     ("identity DU = DDU + UDU to DDU + UDD",
      _dyck_identity(("DU", "DDU + UDU", 0), ("DU", "DDU + UDD", 0)),
      {"identity:dyck:DU = DDU + UDU": None, "identity:dyck:DU = DDU + UDD": "fail"}),
@@ -198,6 +227,8 @@ MEMO_FREE_MUTANTS = [
     # no record may pass having compared nothing
     ("cross_check_routes compares brute with itself", _brute_against_itself,
      {f"three-way:{p}": "info" for p in genfun.PATTERNS}),
+    ("the printed popularity guard negated", _printed_popularity_guard_negated,
+     {"popularity-closed-forms": "info"}),
 ]
 
 

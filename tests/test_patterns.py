@@ -31,7 +31,8 @@ from dyckmotz import (
     transport_rules,
 )
 from dyckmotz import patterns
-from dyckmotz.patterns import PatternExpr, TransportSweep
+from dyckmotz.bijection import TransportSweep
+from dyckmotz.patterns import PatternExpr
 
 
 def test_parse_pattern_basic_forms():

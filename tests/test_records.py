@@ -107,9 +107,9 @@ def test_each_submodule_loads_on_first_use():
             return {{m for m in sys.modules if m.startswith("dyckmotz.")}}
         second_half = {{"dyckmotz." + m for m in ("series", "genfun", "oeis", "verifier", "cli")}}
         assert not loaded()
-        assert dyckmotz.bijection is sys.modules["dyckmotz.bijection"]  # a submodule by name
         dyckmotz.load_golden_tables()
-        assert not loaded() & second_half, loaded()
+        assert loaded() == {{"dyckmotz." + m for m in ("paths", "patterns", "golden")}}, loaded()
+        assert dyckmotz.bijection is sys.modules["dyckmotz.bijection"]  # a submodule by name
         m = dyckmotz.phi("UUDUDD")
         assert dyckmotz.phi_inverse(m) == "UUDUDD"
         rule = dyckmotz.transport_rules()[0]
@@ -136,7 +136,12 @@ def test_each_submodule_loads_on_first_use():
             home = "dyckmotz." + constants[name] if name in constants else value.__module__
             assert scope[name] is value is vars(sys.modules[home])[name], name
     """
+    # the series routes read no family member, so they load no bijection
+    series_only = ("import sys, dyckmotz\n"
+                   "dyckmotz.distribution_gf_closed('UD', 4)\n"
+                   "assert 'dyckmotz.bijection' not in sys.modules, sorted(sys.modules)\n")
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                            text=True, env={**os.environ, "PYTHONPATH": src})
-    assert result.returncode == 0, result.stderr
+    for script in (code, series_only):
+        result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr

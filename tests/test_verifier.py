@@ -30,7 +30,7 @@ from dyckmotz import (
     transport_rule,
     transport_rules,
 )
-from dyckmotz.patterns import TransportSweep
+from dyckmotz.bijection import TransportSweep
 
 
 def test_load_golden_tables_shape():
@@ -158,7 +158,7 @@ def test_a_reduction_keeps_and_ships_one_entry_per_raw_tuple():
     # one share of a two-way split, and the whole semilength as one share,
     # marshaled as family_reductions sends them
     for claim in (count(0, 2).__next__, None):
-        share = bijection._judge_share(12, claim, sweep._sweep)
+        share = bijection._judge_share(12, claim, sweep)
         size = len(marshal.dumps({**share, "counts": dict(share["counts"])}))
         assert size < (64 << 10 if claim else 16 << 10)
 
@@ -653,7 +653,7 @@ def test_the_merged_shares_are_the_one_process_reduction(parts):
     # walk alone (UD...UD, whose image is the all-flat word)
     wrong = [TransportRule(name, parse_statistic(name, "dyck"), parse_statistic(rhs, "motzkin"))
              for name, rhs in (("U", "U + D + F + 1"), ("UD", "F + UD + delta"))]
-    sweep = TransportSweep(transport_rules() + wrong)._sweep
+    sweep = TransportSweep(transport_rules() + wrong)
     for n in range(12):
         whole = bijection._judge_share(n, None, sweep)
         bijection._close(whole)
@@ -688,7 +688,7 @@ def test_a_member_repeated_across_a_subtree_boundary_is_caught_in_any_share(monk
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, parts=parts: set(range(parts)),
                             raising=False)
         reports.append(check_bijectivity(n))
-        reductions.append(dict(bijection.family_reductions([n])))
+        reductions.append(dict(bijection.family_reductions([n], TransportSweep([]))))
     assert reports[0]["out_of_order_examples"] == [last] and reports[0]["out_of_order"] == 1
     assert reports[1] == reports[0] == reports[2]
     assert reductions[1] == reductions[0] == reductions[2]
