@@ -2,8 +2,8 @@
 height-constrained Dyck family, with a structure bijection between the
 constrained family and Motzkin paths, pattern statistics, and truncated
 generating function machinery. Each submodule loads when one of its names
-is first read here (PEP 562): paths, enumeration, bijection, patterns and
-golden (the golden tables) load without series, genfun, oeis, verifier or cli."""
+is first read here (PEP 562): paths, enumeration, bijection, patterns,
+family and golden load without series, genfun, oeis, verifier or cli."""
 from importlib import import_module as _import_module
 
 # every public name, by the submodule that defines it
@@ -12,11 +12,11 @@ _NAMES = {
              "PathSyntaxError height",
     "enumeration": "catalan_number count_constrained_by_height enumerate_constrained "
                    "enumerate_dyck enumerate_motzkin motzkin_number",
-    "bijection": "NotConstrainedError check_bijectivity check_transport is_constrained phi "
-                 "phi_inverse",
+    "bijection": "NotConstrainedError is_constrained phi phi_inverse",
     "patterns": "DIRAC EmptyPatternError PATTERNS PathProfile PatternExpr PatternSyntaxError "
                 "StatisticExpr TransportRule count_occurrences evaluate_statistic "
                 "parse_pattern parse_statistic transport_rule transport_rules",
+    "family": "check_bijectivity check_transport",
     "series": "InexactDivisionError NoConvergenceError NonSquareConstantTermError "
               "NonUnitDivisorError TruncatedSeries",
     "genfun": "DEFAULT_TRUNCATION FIXED_POINT_PATTERNS RouteCheckError distribution_brute_force "

@@ -13,10 +13,10 @@ import json
 import os
 import sys
 
-from .bijection import (TransportSweep, _refusal, _unchecked, check_transport, phi,
-                        phi_inverse)
+from .bijection import _refusal, phi, phi_inverse
 from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzkin,
                           motzkin_numbers)
+from .family import TransportSweep, _unchecked, check_transport
 from .genfun import (DEFAULT_TRUNCATION, PATTERNS, NoConvergenceError, RouteCheckError,
                      cross_check_routes, distribution_brute_force, distribution_gf_closed,
                      distribution_gf_fixed_point, popularity_gf)

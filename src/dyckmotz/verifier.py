@@ -5,11 +5,11 @@ bijectivity, every transport rule, the step-pattern identity systems on
 unrestricted Dyck and Motzkin paths, three-way generating function
 agreement, every transcribed distribution cell, every transcribed
 popularity row, and sequence cross-references. The family checks share
-one pass per semilength (bijection.family_reductions), judged a chunk at
+one pass per semilength (family.family_reductions), judged a chunk at
 a time and split across the CPUs by subtree, and read only its reduction, so
 memory does not grow with the family. Each image comes from the
 unvalidated _phi, and the bijectivity round trip is its one validation.
-The TransportSweep beside that pass in bijection judges every linear
+The TransportSweep beside that pass in family judges every linear
 claim as integer linear forms over raw read tuples, its reads and forms
 generated once as straight-line functions (patterns._reader): the
 transport rules on every pair of that pass as it is read, whose raw Dyck
@@ -38,9 +38,9 @@ from collections import Counter
 from itertools import pairwise
 from typing import Optional
 
-from . import bijection
-from .bijection import TransportSweep, _unchecked
+from . import family
 from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
+from .family import TransportSweep, _unchecked
 from .genfun import (PATTERNS, _brute_force, _distribution_row, _pop_closed_length2,
                      _popularity, _popularity_route, cross_check_routes, du_from_ud)
 from .golden import SequenceRef, _TARGET_RE, load_golden_tables
@@ -138,14 +138,14 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     laps = [(None, time.monotonic())]  # (stage, its end), after a start mark
 
     # one pass over the family per semilength, reduced a chunk at a time
-    # (bijection.family_reductions) and read by cardinality, bijectivity,
+    # (family.family_reductions) and read by cardinality, bijectivity,
     # transport, the brute-force rows and the structural check
     counts, rows = [], []
     bad = structural_worst = None
     transport = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
     uud, duu = map(transport.dyck_keys.index, ("UUD", "DUU"))
     for n, reduction in transport.over(range(max_n + 1)):
-        report = bijection._bijectivity_report(n, reduction)
+        report = family._bijectivity_report(n, reduction)
         counts.append(report["domain"] + len(reduction["refused"]))
         if reduction["refused"]:  # the walker yielded paths phi rejects; the pass skipped them
             bad = bad or {"n": n, "error": report.pop("rejected_examples")[0]}
@@ -157,8 +157,8 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         broken = {raw: v[uud] for raw in reduction["counts"]
                   if (v := transport.dyck_values(raw))[uud] > 1 and v[duu] == 0}
         if structural_worst is None and broken:
-            path = next(p for p in map(str, bijection._members(n))
-                        if transport.read_dyck(p) in broken and bijection._image(p) is not None)
+            path = next(p for p in map(str, family._members(n))
+                        if transport.read_dyck(p) in broken and family._image(p) is not None)
             structural_worst = {"n": n, "path": path, "UUD": broken[transport.read_dyck(path)]}
         del reduction  # before the next semilength's is built
 

@@ -21,7 +21,7 @@ from dyckmotz import (
     phi,
     phi_inverse,
 )
-from dyckmotz import bijection
+from dyckmotz import family
 from dyckmotz.bijection import _phi_inverse
 
 GOLDEN = {
@@ -57,31 +57,76 @@ def test_phi_rejects_paths_outside_the_family():
 
 def _phi_by_definition(p):
     """phi read off its definition on the arch closed by the last step:
-    phi(alpha UD) = phi(alpha) F and
-    phi(alpha U UbetaD gamma D) = phi(alpha) phi(gamma) U phi(beta) D."""
-    if not p:
-        return ""
-    level = 0
-    for a in range(len(p) - 1, -1, -1):  # back to the last arch's U
-        level += 1 if p[a] == "D" else -1
-        if not level:
-            break
-    alpha, inner = p[:a], p[a + 1:-1]
-    if not inner:
-        return _phi_by_definition(alpha) + "F"
-    for j in range(len(inner)):  # inner = U beta D gamma, split at its first return
-        level += 1 if inner[j] == "U" else -1
-        if not level:
-            break
-    beta, gamma = inner[1:j], inner[j + 1:]
-    return (_phi_by_definition(alpha) + _phi_by_definition(gamma)
-            + "U" + _phi_by_definition(beta) + "D")
+    phi(empty) = empty, phi(alpha UD) = phi(alpha) F and
+    phi(alpha U UbetaD gamma D) = phi(alpha) phi(gamma) U phi(beta) D,
+    with the words still to map on a stack, so depth is no limit."""
+    out, todo = [], [p]  # words to map, and letters to write as 1-tuples, leftmost last
+    while todo:
+        w = todo.pop()
+        if type(w) is tuple:
+            out.append(w[0])
+            continue
+        if not w:
+            continue
+        level = 0
+        for a in range(len(w) - 1, -1, -1):  # back to the last arch's U
+            level += 1 if w[a] == "D" else -1
+            if not level:
+                break
+        alpha, inner = w[:a], w[a + 1:-1]
+        if not inner:
+            todo += [("F",), alpha]
+            continue
+        for j in range(len(inner)):  # inner = U beta D gamma, split at its first return
+            level += 1 if inner[j] == "U" else -1
+            if not level:
+                break
+        beta, gamma = inner[1:j], inner[j + 1:]
+        todo += [("D",), beta, ("U",), gamma, alpha]
+    return "".join(out)
 
 
 def test_phi_matches_its_recursive_definition():
-    for n in range(10):
+    # _phi reads each peak UD as one step F: every member to n = 10, the
+    # staircase and the pyramid to k = 1200 and long seeded members
+    for n in range(11):
         for p in enumerate_constrained(n):
             assert str(phi(p)) == _phi_by_definition(str(p))
+    for k in (*range(1, 8), 255, 256, 1199, 1200):
+        for p in ("UD" * k, "U" * k + "D" * k):
+            assert str(phi(p)) == _phi_by_definition(p), (k, p[:4])
+    for seed in range(8):
+        p = str(phi_inverse(_random_motzkin(400 + 100 * seed, random.Random(seed))))
+        assert str(phi(p)) == _phi_by_definition(p), seed
+
+
+def _dip(text, at):
+    return NotAMotzkinPathError, f"not a Dyck path: first violation at position {at} in {text!r}"
+
+
+# each with phi's refusal: a dip, a non-member, both, a stray letter, an odd length
+BAD_TEXTS = (
+    *((t, *_dip(t, at)) for t, at in (("DU", 0), ("UDDU", 2), ("UUDDDUUD", 4), ("UDUDDUUD", 4))),
+    *((t, NotConstrainedError, f"not in the constrained family: {t!r}")
+      for t in ("UDUUDD", "UUDDUUUDDD", "UDUUUDDD", "UUDUUDDD")),
+    *((t, *_dip(t, at)) for t, at in (("UDUUUDDDDU", 8), ("DUUDUUDD", 0), ("UDUUDDDDUU", 6))),
+    *((t, NotADyckPathError, f"flat step at position {at} in {t!r}")
+      for t, at in (("UFD", 1), ("UDF", 2), ("F", 0))),
+    *((t, PathSyntaxError, f"invalid step 'X' at position {at} in {t!r}")
+      for t, at in (("UXD", 1), ("UUDDX", 4), ("UDUUXD", 4))),
+    *((t, *_dip(t, at)) for t, at in (("U", 0), ("D", 0), ("UUD", 2), ("UDU", 2),
+                                      ("UUUDD", 4), ("UDUUDDU", 6))))
+
+
+@pytest.mark.parametrize("text, error, message", BAD_TEXTS, ids=[t[0] for t in BAD_TEXTS])
+def test_phi_refusals_keep_their_class_and_wording(text, error, message):
+    for apply in (phi, is_constrained):
+        if apply is is_constrained and error is NotConstrainedError:
+            assert is_constrained(text) is False
+            continue
+        with pytest.raises(error) as caught:
+            apply(text)
+        assert type(caught.value) is error and str(caught.value) == message, apply
 
 
 def test_phi_rejects_exactly_the_non_members():
@@ -241,7 +286,7 @@ def test_check_bijectivity_refuses_a_negative_semilength():
 
 def _walker_adding(monkeypatch, n, extra):
     # the walker yields extra second at semilength n, a defect in the program
-    real = bijection._members
+    real = family._members
 
     def walk_with_extra(k, *share):
         members = real(k, *share)
@@ -250,7 +295,7 @@ def _walker_adding(monkeypatch, n, extra):
             yield extra
         yield from members
 
-    monkeypatch.setattr(bijection, "_members", walk_with_extra)
+    monkeypatch.setattr(family, "_members", walk_with_extra)
 
 
 @pytest.mark.parametrize("n, extra, message", [
@@ -273,8 +318,8 @@ def test_check_bijectivity_reports_a_walker_output_phi_refuses(monkeypatch, n, e
 
 
 def test_check_bijectivity_keeps_at_most_three_refusals(monkeypatch):
-    real = bijection._members
-    monkeypatch.setattr(bijection, "_members",
+    real = family._members
+    monkeypatch.setattr(family, "_members",
                         lambda k, *share: [*real(k, *share), *(["DU" * k] * 5)])
     report = check_bijectivity(2)
     assert not report["ok"]
@@ -285,8 +330,8 @@ def test_check_bijectivity_keeps_at_most_three_refusals(monkeypatch):
 def _tally(monkeypatch, n, pairs):
     """check_bijectivity(n)'s report with the walker yielding the members
     of pairs and _phi mapping each to its image there."""
-    monkeypatch.setattr(bijection, "_members", lambda k, *share: iter([p for p, _ in pairs]))
-    monkeypatch.setattr(bijection, "_phi", dict(pairs).__getitem__)
+    monkeypatch.setattr(family, "_members", lambda k, *share: iter([p for p, _ in pairs]))
+    monkeypatch.setattr(family, "_phi", dict(pairs).__getitem__)
     return check_bijectivity(n)
 
 
@@ -328,7 +373,7 @@ def test_bijectivity_tally_keeps_at_most_three_examples(monkeypatch):
 def test_bijectivity_tally_holds_no_image_set(monkeypatch):
     # the pass holds one chunk of pairs at a time, so a small chunk shows
     # that nothing grows with the semilength
-    monkeypatch.setattr(bijection, "_CHUNK", 16)
+    monkeypatch.setattr(family, "_CHUNK", 16)
     tracemalloc.start()
     try:
         report = check_bijectivity(10)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dyckmotz import PATTERNS, bijection, cli, genfun, patterns
+from dyckmotz import PATTERNS, cli, family, genfun, patterns
 from dyckmotz.cli import main
 from test_verifier import _no_child_left
 
@@ -218,14 +218,14 @@ def test_verify_failure_exit_code(tmp_path, capsys):
 @pytest.fixture
 def faulty_walker(monkeypatch):
     # a non-member from the walker is a defect in the program, not bad input
-    real = bijection._members
+    real = family._members
 
     def walk_with_extra(n, *share):
         yield from real(n, *share)
         if n == 3:
             yield "UDUUDD"
 
-    monkeypatch.setattr(bijection, "_members", walk_with_extra)
+    monkeypatch.setattr(family, "_members", walk_with_extra)
 
 
 def test_verify_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker):
@@ -239,7 +239,7 @@ def test_verify_reports_a_walker_defect_as_a_failed_check(capsys, faulty_walker)
 @pytest.fixture
 def walker_defect_mid_semilength(monkeypatch):
     # the non-member comes second at n = 3, before three real members
-    real = bijection._members
+    real = family._members
 
     def walk_with_extra(n, *share):
         members = real(n, *share)
@@ -248,7 +248,7 @@ def walker_defect_mid_semilength(monkeypatch):
             yield "UDUUDD"
         yield from members
 
-    monkeypatch.setattr(bijection, "_members", walk_with_extra)
+    monkeypatch.setattr(family, "_members", walk_with_extra)
 
 
 def test_verify_reports_a_walker_defect_mid_semilength(capsys, walker_defect_mid_semilength):
@@ -267,7 +267,7 @@ def test_verify_reports_a_walker_defect_mid_semilength(capsys, walker_defect_mid
 @pytest.fixture
 def walker_with_a_dip(monkeypatch):
     # DUUD, a word with a dip below the axis, comes second at n = 2
-    real = bijection._members
+    real = family._members
 
     def walk_with_dip(n, *share):
         members = real(n, *share)
@@ -276,7 +276,7 @@ def walker_with_a_dip(monkeypatch):
             yield "DUUD"
         yield from members
 
-    monkeypatch.setattr(bijection, "_members", walk_with_dip)
+    monkeypatch.setattr(family, "_members", walk_with_dip)
 
 
 def test_verify_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip):
@@ -295,7 +295,7 @@ def test_verify_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip
 def shared_pass(monkeypatch):
     # semilengths 5 to 8 are shared, so with a second CPU a pass to n = 8
     # forks before it begins; a command that leaves it early must reap them
-    monkeypatch.setattr(bijection, "_CHUNK", 16)
+    monkeypatch.setattr(family, "_CHUNK", 16)
 
 
 def test_check_transport_reports_a_walker_dip_as_a_failed_check(capsys, walker_with_a_dip,
@@ -321,7 +321,7 @@ def test_verify_times_each_patterns_routes(capsys):
 @pytest.fixture
 def walker_dropping_a_member(monkeypatch):
     # the second member of n = 3 is never yielded
-    real = bijection._members
+    real = family._members
 
     def walk_without(n, *share):
         members = real(n, *share)
@@ -330,7 +330,7 @@ def walker_dropping_a_member(monkeypatch):
             next(members)
         yield from members
 
-    monkeypatch.setattr(bijection, "_members", walk_without)
+    monkeypatch.setattr(family, "_members", walk_without)
 
 
 def test_verify_reports_a_walker_that_drops_a_member(capsys, walker_dropping_a_member):

@@ -19,7 +19,7 @@ import pathlib
 
 import pytest
 
-from dyckmotz import (bijection, cli, count_occurrences, enumerate_constrained, genfun,
+from dyckmotz import (cli, count_occurrences, enumerate_constrained, family, genfun,
                       parse_pattern, patterns, run_full_verification, series, verifier)
 
 MAX_N = 8
@@ -74,10 +74,10 @@ def _m7_plus_one_in_verifier(monkeypatch):
     _m7_plus_one(monkeypatch, verifier)
 
 
-def _m7_plus_one_in_bijection(monkeypatch):
+def _m7_plus_one_in_family(monkeypatch):
     # the bijectivity report wants M_7 + 1 images at n = 7
-    number = bijection.motzkin_number
-    monkeypatch.setattr(bijection, "motzkin_number", lambda n: number(n) + (n == 7))
+    number = family.motzkin_number
+    monkeypatch.setattr(family, "motzkin_number", lambda n: number(n) + (n == 7))
 
 
 class _NotIn(dict):
@@ -143,21 +143,21 @@ def _rule(name, motzkin_text):
 def _uduudd_after_the_second_member_of_3(monkeypatch):
     # the walker yields UDUUDD, outside the family, after the second member
     # of n = 3: _phi refuses it, so it makes no pair, and the pass lists it
-    members = bijection._members
+    members = family._members
 
     def walk(n, claim=None):
         outputs = members(n, claim)  # n = 3 is never shared, so claim is None there
         if n == 3:
             return itertools.chain(itertools.islice(outputs, 2), ["UDUUDD"], outputs)
         return outputs
-    monkeypatch.setattr(bijection, "_members", walk)
+    monkeypatch.setattr(family, "_members", walk)
 
 
 def _mirrored_images(monkeypatch):
     # each image read right to left with U and D swapped, still a Motzkin
     # word of the same length
-    phi, mirror = bijection._phi, str.maketrans("UD", "DU")
-    monkeypatch.setattr(bijection, "_phi", lambda p: phi(p)[::-1].translate(mirror))
+    phi, mirror = family._phi, str.maketrans("UD", "DU")
+    monkeypatch.setattr(family, "_phi", lambda p: phi(p)[::-1].translate(mirror))
 
 
 def _dyck_identity(old, new):
@@ -171,7 +171,7 @@ def _duu_read_as_0(monkeypatch, peaks=0):
     # for each member with at least peaks UD: one with two or more UUD then
     # looks like a DUU-avoider
 
-    class Sweep(bijection.TransportSweep):
+    class Sweep(family.TransportSweep):
         def __init__(self, rules, dyck_patterns=()):
             super().__init__(rules, dyck_patterns)
             if dyck_patterns:  # the campaign's sweep, not an identity system's
@@ -212,7 +212,7 @@ MEMO_FREE_MUTANTS = [
                    "fail")),
     ("the walker yields UDUUDD after the second member of n = 3",
      _uduudd_after_the_second_member_of_3, {"cardinality": "fail", "bijectivity": "fail"}),
-    ("M_7 one too many in the motzkin_number that bijection reads", _m7_plus_one_in_bijection,
+    ("M_7 one too many in the motzkin_number that family reads", _m7_plus_one_in_family,
      {"bijectivity": "fail"}),
     ("M_7 one too many in verifier's motzkin_numbers", _m7_plus_one_in_verifier,
      {"cardinality": "fail", "golden:sum-row": "fail"}),
@@ -317,7 +317,7 @@ def test_rule_mutant_turns_the_same_records_when_the_pass_forks(monkeypatch, unm
                                                                 mutate, turned):
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    monkeypatch.setattr(bijection, "_CHUNK", 16)  # semilengths 5 to 8 are shared
+    monkeypatch.setattr(family, "_CHUNK", 16)  # semilengths 5 to 8 are shared
     mutate(monkeypatch)
     statuses = _statuses()
     assert forks
@@ -340,7 +340,7 @@ def test_the_structural_witness_is_the_first_pair_that_breaks_it(monkeypatch, pe
             pytest.skip("the family pass forks only with a second CPU")
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        monkeypatch.setattr(bijection, "_CHUNK", 16)  # semilengths 5 to 8 are shared
+        monkeypatch.setattr(family, "_CHUNK", 16)  # semilengths 5 to 8 are shared
     _duu_read_as_0(monkeypatch, peaks)
     checks = {c["check"]: c for c in run_full_verification(MAX_N)["checks"]}
     assert checks["structural:DUU-avoiders-have-at-most-one-UUD"]["counterexample"] == first

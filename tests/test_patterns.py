@@ -31,7 +31,7 @@ from dyckmotz import (
     transport_rules,
 )
 from dyckmotz import patterns
-from dyckmotz.bijection import TransportSweep
+from dyckmotz.family import TransportSweep
 from dyckmotz.patterns import PatternExpr
 
 

@@ -115,7 +115,7 @@ def test_each_submodule_loads_on_first_use():
         rule = dyckmotz.transport_rules()[0]
         assert dyckmotz.evaluate_statistic(m, rule.motzkin_side, dyckmotz.PathProfile(m)) == 3
         assert loaded() == {{"dyckmotz." + m for m in
-                            ("paths", "enumeration", "bijection", "patterns", "golden")}}, loaded()
+                            ("paths", "bijection", "patterns", "golden")}}, loaded()
         dyckmotz.distribution_gf_closed
         assert loaded() & second_half == {{"dyckmotz.genfun", "dyckmotz.series"}}, loaded()
         assert sorted(dyckmotz.__all__) == {PUBLIC_NAMES!r}
@@ -140,8 +140,19 @@ def test_each_submodule_loads_on_first_use():
     series_only = ("import sys, dyckmotz\n"
                    "dyckmotz.distribution_gf_closed('UD', 4)\n"
                    "assert 'dyckmotz.bijection' not in sys.modules, sorted(sys.modules)\n")
+    # the map reads no walker, pattern or family pass; the pass and its checks live in family
+    map_only = """if True:
+        import sys, dyckmotz
+        assert dyckmotz.phi_inverse(dyckmotz.phi("UUDUDD")) == "UUDUDD"
+        assert dyckmotz.is_constrained("UDUD")
+        loaded = sorted(m for m in sys.modules if m.startswith("dyckmotz."))
+        assert loaded == ["dyckmotz.bijection", "dyckmotz.paths"], loaded
+        assert dyckmotz.check_bijectivity(4)["ok"] and dyckmotz.check_transport("UD", 4)["ok"]
+        assert dyckmotz.family.TransportSweep.__module__ == "dyckmotz.family"
+        assert not hasattr(dyckmotz.bijection, "TransportSweep")  # no alias
+    """
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    for script in (code, series_only):
+    for script in (code, series_only, map_only):
         result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                                 text=True, env={**os.environ, "PYTHONPATH": src})
         assert result.returncode == 0, result.stderr

@@ -12,7 +12,7 @@ from itertools import count
 import pytest
 
 import dyckmotz
-from dyckmotz import bijection, golden
+from dyckmotz import family, golden
 from dyckmotz import (
     RouteCheckError,
     SequenceRef,
@@ -30,7 +30,7 @@ from dyckmotz import (
     transport_rule,
     transport_rules,
 )
-from dyckmotz.bijection import TransportSweep
+from dyckmotz.family import TransportSweep
 
 
 def test_load_golden_tables_shape():
@@ -107,7 +107,7 @@ def test_full_campaign_small():
 
 def test_campaign_walks_each_semilength_once(monkeypatch):
     # the family pass's walker seam, and the public walker wherever it is bound
-    real, seam = dyckmotz.enumerate_constrained, dyckmotz.bijection._members
+    real, seam = dyckmotz.enumerate_constrained, dyckmotz.family._members
     walked = Counter()
 
     def counting(walk):
@@ -116,7 +116,7 @@ def test_campaign_walks_each_semilength_once(monkeypatch):
             return walk(n, *share)
         return counted
 
-    monkeypatch.setattr(dyckmotz.bijection, "_members", counting(seam))
+    monkeypatch.setattr(dyckmotz.family, "_members", counting(seam))
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "dyckmotz"
                 and getattr(module, "enumerate_constrained", None) is real):
@@ -158,7 +158,7 @@ def test_a_reduction_keeps_and_ships_one_entry_per_raw_tuple():
     # one share of a two-way split, and the whole semilength as one share,
     # marshaled as family_reductions sends them
     for claim in (count(0, 2).__next__, None):
-        share = bijection._judge_share(12, claim, sweep)
+        share = family._judge_share(12, claim, sweep)
         size = len(marshal.dumps({**share, "counts": dict(share["counts"])}))
         assert size < (64 << 10 if claim else 16 << 10)
 
@@ -302,8 +302,8 @@ def test_campaign_times_the_du_route_and_the_printed_popularity_forms():
 
 
 def test_campaign_records_a_broken_round_trip(monkeypatch):
-    real = dyckmotz.bijection._phi_inverse
-    monkeypatch.setattr(dyckmotz.bijection, "_phi_inverse",
+    real = dyckmotz.family._phi_inverse
+    monkeypatch.setattr(dyckmotz.family, "_phi_inverse",
                         lambda m: "" if m == "FF" else real(m))
     report = run_full_verification(max_n=4)
     failed = [c for c in report["checks"] if c["status"] == "fail"]
@@ -315,7 +315,7 @@ def test_campaign_records_a_broken_round_trip(monkeypatch):
 
 def test_campaign_catches_a_walker_that_repeats_a_member(monkeypatch):
     # member 2 of n = 3 stands in for member 3: the size stays M_3
-    real = dyckmotz.bijection._members
+    real = dyckmotz.family._members
 
     def repeating(n, *share):
         members = list(real(n, *share))
@@ -323,7 +323,7 @@ def test_campaign_catches_a_walker_that_repeats_a_member(monkeypatch):
             members[2] = members[1]
         return iter(members)
 
-    monkeypatch.setattr(dyckmotz.bijection, "_members", repeating)
+    monkeypatch.setattr(dyckmotz.family, "_members", repeating)
     report = run_full_verification(max_n=4)
     checks = {c["check"]: c for c in report["checks"]}
     assert checks["cardinality"]["status"] == "pass"
@@ -333,8 +333,8 @@ def test_campaign_catches_a_walker_that_repeats_a_member(monkeypatch):
 
 
 def test_campaign_catches_two_members_on_one_image(monkeypatch):
-    real = dyckmotz.bijection._phi
-    monkeypatch.setattr(dyckmotz.bijection, "_phi",
+    real = dyckmotz.family._phi
+    monkeypatch.setattr(dyckmotz.family, "_phi",
                         lambda p: "UD" if p == "UDUD" else real(p))
     report = run_full_verification(max_n=4)
     (bijectivity,) = [c for c in report["checks"] if c["check"] == "bijectivity"]
@@ -346,8 +346,8 @@ def test_campaign_catches_two_members_on_one_image(monkeypatch):
 def test_campaign_fails_a_malformed_image_instead_of_raising(monkeypatch, image):
     # the family pass leaves the image's validation to the round trip;
     # "FUFF" leaves an arch open, yet its letters decode to UDUD
-    real = dyckmotz.bijection._phi
-    monkeypatch.setattr(dyckmotz.bijection, "_phi",
+    real = dyckmotz.family._phi
+    monkeypatch.setattr(dyckmotz.family, "_phi",
                         lambda p: image if p == "UDUD" else real(p))
     report = run_full_verification(max_n=4)
     (bijectivity,) = [c for c in report["checks"] if c["check"] == "bijectivity"]
@@ -580,7 +580,7 @@ def test_a_campaign_leaves_no_process_behind():
 
 @needs_two_cpus
 def test_an_error_in_the_campaigns_own_share_propagates(monkeypatch):
-    real, calls = dyckmotz.bijection._phi_inverse, []
+    real, calls = dyckmotz.family._phi_inverse, []
 
     def failing(m):
         calls.append(m)
@@ -588,8 +588,8 @@ def test_an_error_in_the_campaigns_own_share_propagates(monkeypatch):
             raise RuntimeError("the 40th round trip")
         return real(m)
 
-    monkeypatch.setattr(bijection, "_CHUNK", 16)  # semilengths 5 to 8 are shared
-    monkeypatch.setattr(dyckmotz.bijection, "_phi_inverse", failing)
+    monkeypatch.setattr(family, "_CHUNK", 16)  # semilengths 5 to 8 are shared
+    monkeypatch.setattr(dyckmotz.family, "_phi_inverse", failing)
     with pytest.raises(RuntimeError, match="the 40th round trip"):
         run_full_verification(max_n=8)
     _no_child_left()
@@ -597,16 +597,16 @@ def test_an_error_in_the_campaigns_own_share_propagates(monkeypatch):
 
 @needs_two_cpus
 def test_a_child_that_sends_nothing_leaves_the_report_as_it_was(monkeypatch):
-    monkeypatch.setattr(bijection, "_CHUNK", 16)
+    monkeypatch.setattr(family, "_CHUNK", 16)
     whole = _untimed(run_full_verification(max_n=8))
-    parent, judge = os.getpid(), bijection._judge_share
+    parent, judge = os.getpid(), family._judge_share
 
     def dying(*args):
         if os.getpid() != parent:
             os._exit(1)
         return judge(*args)
 
-    monkeypatch.setattr(bijection, "_judge_share", dying)
+    monkeypatch.setattr(family, "_judge_share", dying)
     assert _untimed(run_full_verification(max_n=8)) == whole
     _no_child_left()
 
@@ -614,15 +614,15 @@ def test_a_child_that_sends_nothing_leaves_the_report_as_it_was(monkeypatch):
 @needs_two_cpus
 def test_a_healthy_forked_pass_judges_only_its_own_share(monkeypatch):
     # every child's share comes, so this process never judges a semilength again
-    monkeypatch.setattr(bijection, "_CHUNK", 16)
-    parent, judge, judged = os.getpid(), bijection._judge_share, []
+    monkeypatch.setattr(family, "_CHUNK", 16)
+    parent, judge, judged = os.getpid(), family._judge_share, []
 
     def recording(n, claim, *readers):
         if os.getpid() == parent:
             judged.append((n, claim is not None))
         return judge(n, claim, *readers)
 
-    monkeypatch.setattr(bijection, "_judge_share", recording)
+    monkeypatch.setattr(family, "_judge_share", recording)
     assert run_full_verification(max_n=10)["ok"]
     parts = len(os.sched_getaffinity(0))
     # one call per semilength: its claims when shared, never the whole walk again
@@ -636,7 +636,7 @@ def test_the_shares_cover_the_walk_once_in_subtree_order(parts):
     for n in range(13):
         subtrees = {}
         for part in range(parts):
-            for p in bijection._members(n, count(part, parts).__next__):
+            for p in family._members(n, count(part, parts).__next__):
                 if type(p) is int:  # a subtree's number, then its members
                     assert p not in subtrees and p % parts == part, (n, p)
                     members = subtrees[p] = []
@@ -655,23 +655,23 @@ def test_the_merged_shares_are_the_one_process_reduction(parts):
              for name, rhs in (("U", "U + D + F + 1"), ("UD", "F + UD + delta"))]
     sweep = TransportSweep(transport_rules() + wrong)
     for n in range(12):
-        whole = bijection._judge_share(n, None, sweep)
-        bijection._close(whole)
+        whole = family._judge_share(n, None, sweep)
+        family._close(whole)
         last = sum(whole["counts"].values()) - 1
         firsts = {k: fail[0] for k, fail in whole["fails"].items()}
         # at n = 0 the empty pair also fails the rules claimed from n = 1 (DUD, ^UD)
         assert firsts == {**({8: 0, 13: 0} if n == 0 else {}), 15: 0, 16: last}, n
-        merged = bijection._judge_share(n, count(parts - 1, parts).__next__, sweep)
+        merged = family._judge_share(n, count(parts - 1, parts).__next__, sweep)
         for part in range(parts - 1):
-            bijection._merge(merged, bijection._judge_share(n, count(part, parts).__next__, sweep))
-        bijection._close(merged)
+            family._merge(merged, family._judge_share(n, count(part, parts).__next__, sweep))
+        family._close(merged)
         assert merged == whole, n
 
 
 def test_a_member_repeated_across_a_subtree_boundary_is_caught_in_any_share(monkeypatch):
     # the last member of subtree 4 comes again first in subtree 5, which
     # the other process may claim when the walk is shared
-    n, real = 10, bijection._members
+    n, real = 10, family._members
     # the walk split in one share: every subtree's number before its members
     walk = list(real(n, count().__next__))
     last, first = walk[walk.index(5) - 1], walk[walk.index(5) + 1]
@@ -682,13 +682,13 @@ def test_a_member_repeated_across_a_subtree_boundary_is_caught_in_any_share(monk
                 yield last
             yield p
 
-    monkeypatch.setattr(bijection, "_members", repeating)
+    monkeypatch.setattr(family, "_members", repeating)
     reports, reductions = [], []
     for parts in (1, 2, 3):  # one process, or forked children where os.fork exists
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, parts=parts: set(range(parts)),
                             raising=False)
         reports.append(check_bijectivity(n))
-        reductions.append(dict(bijection.family_reductions([n], TransportSweep([]))))
+        reductions.append(dict(family.family_reductions([n], TransportSweep([]))))
     assert reports[0]["out_of_order_examples"] == [last] and reports[0]["out_of_order"] == 1
     assert reports[1] == reports[0] == reports[2]
     assert reductions[1] == reductions[0] == reductions[2]
