@@ -16,7 +16,7 @@ import sys
 from .bijection import _refusal, phi, phi_inverse
 from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzkin,
                           motzkin_numbers)
-from .family import TransportSweep, _unchecked, check_transport
+from .family import TransportSweep, _unchecked, check_transport, family_reductions
 from .genfun import (DEFAULT_TRUNCATION, PATTERNS, NoConvergenceError, RouteCheckError,
                      cross_check_routes, distribution_brute_force, distribution_gf_closed,
                      distribution_gf_fixed_point, popularity_gf)
@@ -171,7 +171,7 @@ def _cmd_check_transport(args) -> int:
     max_n = args.max_n if args.max_n is not None else 10
     rules = transport_rules() if args.all_rules else [transport_rule(args.rule)]
     sweep = TransportSweep(rules)
-    for n, reduction in sweep.over(range(max_n + 1)):
+    for n, reduction in family_reductions(range(max_n + 1), sweep):
         if reduction["refused"]:  # a walker defect, not bad input
             print(f"FAIL  family at n={n}: {_refusal(reduction['refused'][0][1])}")
             return 1

@@ -1,9 +1,10 @@
 """Exhaustive generation of Motzkin paths, Dyck paths, and the constrained
 family, plus count-only fast paths.
 
-All streams are restartable generators emitting paths in strictly
-increasing lexicographic step order, with U < D < F. Counts are exact
-arbitrary-precision integers.
+The enumerators return iterators of typed paths in strictly increasing
+lexicographic step order, with U < D < F; the walker under them, _walk,
+yields the plain text that the family pass and the checks read. Counts
+are exact arbitrary-precision integers.
 
 The constrained family is generated without filtering the full Catalan
 set. The defining grammar, unfolded along first-return blocks, says that
@@ -19,7 +20,7 @@ the family size.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from operator import mul, sub
 from typing import Iterator
@@ -50,27 +51,28 @@ def enumerate_motzkin(n: int) -> Iterator[MotzkinPath]:
     """All Motzkin paths of length n, lexicographically (U < D < F)."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return _walk(n, flat=True, capped=False)
+    return map(partial(str.__new__, MotzkinPath), _walk(n, flat=True, capped=False))
 
 
 def enumerate_dyck(n: int) -> Iterator[DyckPath]:
     """All Dyck paths of semilength n, lexicographically (U < D)."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    return _walk(2 * n, flat=False, capped=False)
+    return map(partial(str.__new__, DyckPath), _walk(2 * n, flat=False, capped=False))
 
 
 def enumerate_constrained(n: int) -> Iterator[DyckPath]:
     """All members of the constrained family of semilength n, lexicographically."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    return _walk(2 * n, flat=False, capped=True)
+    return map(partial(str.__new__, DyckPath), _walk(2 * n, flat=False, capped=True))
 
 
 def _walk(total: int, flat: bool, capped: bool,
-          depth: int = -1, claim=None) -> Iterator[MotzkinPath]:
-    """Every path of total steps, depth first in U < D < F order, with F
-    steps only when flat and under the family's ceiling rule when capped.
+          depth: int = -1, claim=None) -> Iterator[str]:
+    """Every path of total steps as plain text, depth first in U < D < F
+    order, with F steps only when flat and under the family's ceiling rule
+    when capped; valid by construction, the enumerators type it unscanned.
 
     A pending node (i, step, level, ceiling, blocks) places step as step
     i and carries the state after it. The ceiling is the lowest level no
@@ -85,7 +87,6 @@ def _walk(total: int, flat: bool, capped: bool,
     order and descends only below those whose number k claim() hands out
     (in increasing order, once the last is passed), yielding k first.
     """
-    make = MotzkinPath if flat else DyckPath
     steps = [""] * (total + 1)  # steps[0] stays empty: the root's slot
     todo = [(0, "", 0, _NO_CAP, (0, _NO_CAP, _NO_CAP, None))]
     k = held = -1
@@ -100,8 +101,7 @@ def _walk(total: int, flat: bool, capped: bool,
                 continue
             yield k
         if i + level == total:
-            # valid by construction, so the validating constructor is skipped
-            yield str.__new__(make, "".join(steps[:i + 1]) + "D" * level)
+            yield "".join(steps[:i + 1]) + "D" * level
             continue
         room = total - i - 1  # steps left after the next one
         # pushed in reverse order, so U is taken first

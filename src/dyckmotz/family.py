@@ -3,9 +3,9 @@ whose members bijection's cores map, and the checks that read it.
 
 family_reductions splits the walk across the CPUs by subtree; each share
 maps a chunk at a time through _phi, _phi_inverse and a TransportSweep's
-readers, judges pair by pair and reduces to data that merges. The pass and
-its sweep have one owner, so bijection, the map, loads neither the walker
-nor the pattern language.
+readers, judges pair by pair and reduces to data that merges, plain text
+that marshals as it is. The pass and its sweep have one owner, so
+bijection, the map, loads neither the walker nor the pattern language.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ def check_bijectivity(n: int) -> dict:
     report, with phi's first three refusals under rejected_examples."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    ((_, reduction),) = TransportSweep([]).over([n])
+    ((_, reduction),) = family_reductions([n], TransportSweep([]))
     return _bijectivity_report(n, reduction)
 
 
@@ -114,7 +114,7 @@ def _tally(reduction: dict, indices, members, images, sweep, dyck_sides) -> None
         if left != right:
             for k in range(len(left)):
                 if left[k] != right[k] and k not in fails:
-                    fails[k] = i, str(member), image, left[k], right[k]
+                    fails[k] = i, member, image, left[k], right[k]
 
 
 # a share places output j of subtree k at (k << _PLACE) + j, in walk order
@@ -140,19 +140,19 @@ def _judge_share(n: int, claim, sweep) -> dict:
             record[0] += len(chunk)
             images = list(map(_image, chunk))
             if None in images:  # walker outputs that _phi refuses make no pair
-                reduction["refused"] += [(i, str(p)) for i, p, m in zip(indices, chunk, images)
+                reduction["refused"] += [(i, p) for i, p, m in zip(indices, chunk, images)
                                          if m is None]
                 indices, chunk, images = ([t[c] for t in zip(indices, chunk, images)
                                            if t[2] is not None] for c in range(3))
                 if not chunk:
                     continue
             if record[2] is None:
-                record[1:3] = indices[0], str(chunk[0])
-            before, record[3] = [record[3], *chunk], str(chunk[-1])
+                record[1:3] = indices[0], chunk[0]
+            before, record[3] = [record[3], *chunk], chunk[-1]
             for key, oks in (("order", map(str.__lt__, chunk, before)),
                              ("roundtrip", map(eq, chunk, map(_phi_inverse, images)))):
                 if not all(oks := list(oks)):
-                    reduction[key] += [(i, str(p)) for i, p, ok in zip(indices, chunk, oks)
+                    reduction[key] += [(i, p) for i, p, ok in zip(indices, chunk, oks)
                                        if not ok]
             _tally(reduction, indices, chunk, images, sweep, dyck_sides)
     return reduction
@@ -187,7 +187,8 @@ def _close(reduction: dict) -> None:
 def family_reductions(ns, sweep) -> Iterator[tuple]:
     """Yield (n, reduction) for each semilength n of ns: the reduction of
     the family's pairs (member, _phi(member)) there, the one pass over the
-    family that its checks share, judged by the TransportSweep sweep.
+    family that its checks share, judged by the TransportSweep sweep, and
+    by sweep.judge before it is yielded.
     counts maps each raw tuple sweep.read_dyck(member) to its pairs, and
     fails each rule k to the (index, member, image, lhs, rhs) of its first
     pair on which the sweep's sides differ at k; no other entry
@@ -244,6 +245,7 @@ def family_reductions(ns, sweep) -> Iterator[tuple]:
             if whole:  # so the whole semilength is judged here
                 reduction = _judge_share(n, None, sweep)
             _close(reduction)
+            sweep.judge(n, reduction)
             yield n, reduction
             del reduction  # the caller's alone while the next is built
     finally:
@@ -272,7 +274,7 @@ def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
     if n < rule.min_n:
         raise ValueError(f"rule {rule.name} is claimed only for n >= {rule.min_n}")
     sweep = TransportSweep([rule])
-    ((_, reduction),) = sweep.over([n])
+    ((_, reduction),) = family_reductions([n], sweep)
     if reduction["refused"]:
         _member_image(reduction["refused"][0][1])  # raises the refusal, worded
     (result,) = sweep.results
@@ -285,14 +287,14 @@ def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
 
 class TransportSweep:
     """check_transport for several rules from n = rule.min_n up, fed in
-    increasing n the reduction of each semilength (family_reductions) by
-    judge, or its pairs of texts by add. A rule's dyck_side reads a pair's
-    first text (a member, or an identity's path) and its motzkin_side the
-    second (the image, or the same path). results holds per rule its first
-    counterexample (with its n), at which the rule stops, or None, and
-    checked: the sum over its claimed semilengths judged so far of their
-    pairs, or, in the semilength of its counterexample, of the pairs up to
-    and including that one.
+    increasing n the reduction of each semilength by judge, which
+    family_reductions(ns, sweep) calls as it yields, or its pairs of texts
+    by add. A rule's dyck_side reads a pair's first text (a member, or an
+    identity's path) and its motzkin_side the second (the image, or the
+    same path). results holds per rule its first counterexample (with its
+    n), at which the rule stops, or None, and checked: the sum over its
+    claimed semilengths judged so far of their pairs, or, in the semilength
+    of its counterexample, of the pairs up to and including that one.
 
     Each rule side compiles once into an integer linear form over its
     reader's raw tuple (patterns._reader): read_dyck reads every Dyck side
@@ -314,13 +316,6 @@ class TransportSweep:
     def done(self) -> bool:
         """Every rule has its counterexample: nothing is left to check."""
         return all(r["counterexample"] for r in self.results)
-
-    def over(self, ns) -> Iterator[tuple]:
-        """judge, then yield, each (n, reduction) of family_reductions over ns."""
-        for n, reduction in family_reductions(ns, self):
-            self.judge(n, reduction)
-            yield n, reduction
-            del reduction  # the caller's alone while the next is built
 
     def add(self, n: int, pairs) -> None:
         """judge the reduction of an iterable of pairs of texts, read a chunk at a time."""

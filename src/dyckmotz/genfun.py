@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .enumeration import enumerate_constrained, motzkin_numbers
+from .enumeration import _walk, motzkin_numbers
 from .patterns import PATTERNS, _reader, parse_pattern
 from .series import NoConvergenceError, TruncatedSeries, solve_fixed_point
 
@@ -256,7 +256,7 @@ def _distribution_row(tallies: Counter, keys: tuple = _COUNTED,
 # repeated for another pattern does not walk the family again
 @lru_cache(maxsize=DEFAULT_TRUNCATION + 1)
 def _family_row(n: int) -> dict:
-    return _distribution_row(Counter(map(_read_patterns, enumerate_constrained(n))))
+    return _distribution_row(Counter(map(_read_patterns, _walk(2 * n, False, True))))
 
 
 def _brute_force(pattern: str, rows) -> TruncatedSeries:

@@ -7,10 +7,11 @@ all canonical path orderings is U < D < F, which is not ASCII order.
 Membership in the constrained family is checked by phi's own pass
 (bijection.is_constrained).
 
-The constructors validate; code that builds a path valid by construction
-(the enumeration walker, phi and phi_inverse) types it with
-str.__new__(cls, text) and skips the scan. The maps call a constructor
-only on a refusal, to word the error.
+The constructors validate; code that hands out a path valid by
+construction (the public enumerators, phi and phi_inverse) types it with
+str.__new__(cls, text) and skips the scan, and the walker under the
+enumerators yields plain text. The maps call a constructor only on a
+refusal, to word the error.
 """
 from __future__ import annotations
 

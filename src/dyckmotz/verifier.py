@@ -39,7 +39,7 @@ from itertools import pairwise
 from typing import Optional
 
 from . import family
-from .enumeration import enumerate_dyck, enumerate_motzkin, motzkin_numbers
+from .enumeration import _walk, motzkin_numbers
 from .family import TransportSweep, _unchecked
 from .genfun import (PATTERNS, _brute_force, _distribution_row, _pop_closed_length2,
                      _popularity, _popularity_route, cross_check_routes, du_from_ud)
@@ -144,7 +144,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     bad = structural_worst = None
     transport = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
     uud, duu = map(transport.dyck_keys.index, ("UUD", "DUU"))
-    for n, reduction in transport.over(range(max_n + 1)):
+    for n, reduction in family.family_reductions(range(max_n + 1), transport):
         report = family._bijectivity_report(n, reduction)
         counts.append(report["domain"] + len(reduction["refused"]))
         if reduction["refused"]:  # the walker yielded paths phi rejects; the pass skipped them
@@ -157,7 +157,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
         broken = {raw: v[uud] for raw in reduction["counts"]
                   if (v := transport.dyck_values(raw))[uud] > 1 and v[duu] == 0}
         if structural_worst is None and broken:
-            path = next(p for p in map(str, family._members(n))
+            path = next(p for p in family._members(n)
                         if transport.read_dyck(p) in broken and family._image(p) is not None)
             structural_worst = {"n": n, "path": path, "UUD": broken[transport.read_dyck(path)]}
         del reduction  # before the next semilength's is built
@@ -187,14 +187,14 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     # path as both texts of a pair (sizes are tiny; the Catalan explosion
     # makes larger exhaustive sweeps pointless here)
     id_bound = min(max_n, 8)
-    for side, walk, identities in (("dyck", enumerate_dyck, DYCK_IDENTITIES),
-                                   ("motzkin", enumerate_motzkin, MOTZKIN_IDENTITIES)):
+    for side, flat, identities in (("dyck", False, DYCK_IDENTITIES),
+                                   ("motzkin", True, MOTZKIN_IDENTITIES)):
         sweep = TransportSweep([
             TransportRule(f"{lhs} = {rhs}", parse_statistic(lhs, side),
                           parse_statistic(rhs, side), min_n)
             for lhs, rhs, min_n in identities])
         for n in range(id_bound + 1):
-            sweep.add(n, ((t, t) for t in map(str, walk(n))))
+            sweep.add(n, ((t, t) for t in _walk(n if flat else 2 * n, flat, False)))
         for result in sweep.results:
             rule, bad_path = result["rule"], result["counterexample"]
             _judge(checks, f"identity:{side}:{rule.name}",

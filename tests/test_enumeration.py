@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import count, product
 from math import comb
 
 import pytest
@@ -105,6 +105,20 @@ def test_walked_paths_survive_the_validating_constructor():
                 rebuilt = kind(str(p))
                 assert type(p) is type(rebuilt) is kind
                 assert str(p) == str(rebuilt)
+
+
+def test_the_walker_yields_plain_text_in_every_mode():
+    # the family pass and the checks read the walk as it is; only the
+    # public enumerators type it
+    for n in range(8):
+        for total, flat, capped in ((n, True, False), (2 * n, False, False),
+                                    (2 * n, False, True)):
+            walked = list(enumeration._walk(total, flat, capped))
+            assert walked and {type(p) for p in walked} == {str}
+    # split: each claimed subtree's number, then its outputs, as text
+    split = list(enumeration._walk(18, False, True, 9, count().__next__))
+    assert {type(p) for p in split} == {int, str}
+    assert [p for p in split if type(p) is str] == list(enumeration._walk(18, False, True))
 
 
 def test_enumerators_have_no_depth_limit():

@@ -31,7 +31,7 @@ from dyckmotz import (
     transport_rules,
 )
 from dyckmotz import patterns
-from dyckmotz.family import TransportSweep
+from dyckmotz.family import TransportSweep, family_reductions
 from dyckmotz.patterns import PatternExpr
 
 
@@ -581,6 +581,15 @@ def test_sweep_memo_keys_on_each_pairs_own_size():
                                         "lhs": 2, "rhs": 1}
 
 
+def test_family_reductions_judges_each_semilength_as_it_yields():
+    rules = transport_rules()
+    sweep = TransportSweep(rules)
+    for n, _ in family_reductions(range(6), sweep):
+        assert [r["checked"] for r in sweep.results] == [
+            sum(map(motzkin_number, range(rule.min_n, n + 1))) for rule in rules]
+    assert all(r["counterexample"] is None for r in sweep.results)
+
+
 def test_sweep_values_dyck_sides_per_raw_tuple_and_motzkin_sides_per_pair(monkeypatch):
     rules = transport_rules()
     families = [list(_pairs(n)) for n in range(10)]
@@ -601,7 +610,7 @@ def test_sweep_values_dyck_sides_per_raw_tuple_and_motzkin_sides_per_pair(monkey
             calls[side] += 1
             return real(raw, size)
         setattr(sweep, side, counting)
-    assert [n for n, _ in sweep.over(range(10))] == list(range(10))
+    assert [n for n, _ in family_reductions(range(10), sweep)] == list(range(10))
     assert all(r["counterexample"] is None for r in sweep.results)
     # the Dyck sides once per raw tuple of a semilength, the Motzkin sides
     # once per pair, each call valuing every rule

@@ -147,10 +147,17 @@ def _tuples(data):
     return found
 
 
+def test_the_family_walk_marshals_as_it_is():
+    # a forked share ships walker outputs with marshal, which refuses str subclasses
+    members = list(family._members(9))
+    assert len(members) == motzkin_number(9)
+    assert marshal.loads(marshal.dumps(members)) == members
+
+
 def test_a_reduction_keeps_and_ships_one_entry_per_raw_tuple():
     # the counts of the reduction's structures, not the allocator's peak
     sweep = TransportSweep(transport_rules(), map(dyckmotz.parse_pattern, dyckmotz.PATTERNS))
-    ((n, reduction),) = sweep.over([11])
+    ((n, reduction),) = family.family_reductions([11], sweep)
     assert reduction.keys() == {"counts", "fails", "order", "roundtrip", "refused"}
     assert len(reduction["counts"]) == 126 and not reduction["fails"]
     images = (str(dyckmotz.phi(p)) for p in enumerate_constrained(n))
