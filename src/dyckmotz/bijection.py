@@ -26,15 +26,16 @@ the longest run of lower atoms just before it.
 
 Each public map validates its path once, in the pass that maps it. phi
 and is_constrained count the letters first (only U and D, as many of
-each), and then _phi's pass finds a dip as a D with no open block. The
-inverse's strict core _phi_inverse gives no member for a word that is
-not a Motzkin word. The validating constructors run only on a refusal,
-to word it. The outputs are valid by construction and typed without a
-second scan: _phi writes F or phi(gamma) U phi(beta) D per block, a
-Motzkin word of half the path's length, and _phi_inverse writes UD per
-F and UU...D...D per arch, a Dyck word of twice the word's length. The
-family pass (family.family_reductions) calls the cores on plain texts
-and leaves each image's validation to the round trip.
+each), and then _phi's pass finds a dip as a D with no open block. Both
+cores refuse by returning None: _phi a dip or a block taller than its
+closed left sibling, _phi_inverse a word that is not a Motzkin word.
+The validating constructors run only on a refusal, to word it. The
+outputs are valid by construction and typed without a second scan: _phi
+writes F or phi(gamma) U phi(beta) D per block, a Motzkin word of half
+the path's length, and _phi_inverse writes UD per F and UU...D...D per
+arch, a Dyck word of twice the word's length. The family pass
+(family.family_reductions) calls the cores on plain texts and leaves
+each image's validation to the round trip.
 """
 from __future__ import annotations
 
@@ -56,24 +57,20 @@ def phi(p: Union[str, DyckPath]) -> MotzkinPath:
 
 def _member_image(p: Union[str, DyckPath]) -> str:
     """_phi on p's text, which this call validates as a Dyck path: only
-    U and D, as many of each, and no D that closes no block (a pop from
-    _phi's empty stack). A refusal is worded by DyckPath, whose fault
-    wins over a NotConstrainedError found before it."""
-    t, refusal = str(p), None
-    if len(t) == 2 * t.count("U") == 2 * t.count("D"):
-        try:
-            return _phi(t)
-        except IndexError:  # a dip below the axis
-            pass
-        except NotConstrainedError as exc:
-            refusal = exc
-    DyckPath(t)  # raises the error that names a fault of the Dyck path
-    raise refusal or RuntimeError(f"_phi refused the Dyck path {t!r}")
+    U and D, as many of each, and no D that closes no block. On _phi's
+    None, DyckPath names a fault of the Dyck path, which wins over a
+    taller block found before it; else the path is a non-member."""
+    t = str(p)
+    image = _phi(t) if len(t) == 2 * t.count("U") == 2 * t.count("D") else None
+    if image is None:
+        DyckPath(t)  # raises the error that names a fault of the Dyck path
+        raise NotConstrainedError(f"not in the constrained family: {t!r}")
+    return image
 
 
-def _phi(p: str) -> str:
-    """phi on the text of a Dyck path, with no path validation; a
-    non-member still raises NotConstrainedError. It writes F or
+def _phi(p: str) -> Optional[str]:
+    """phi on a text, unvalidated but refusing: None where a D closes no
+    block or a block is taller than its closed left sibling. It writes F or
     phi(gamma) U phi(beta) D per block, one letter per U/D pair, so the
     image of a Dyck path is a Motzkin word of half its length."""
     # the open block's frame: the heights of its first and latest inner
@@ -82,31 +79,34 @@ def _phi(p: str) -> str:
     first_h = last_h = 0
     first = content = later = ""
     stack = []
-    for c in p.replace("UD", "F"):  # each peak is a block UD, of height 1 and image F
-        if c == "F":  # no frame of its own; a first block's content image stays empty
-            if first_h:
-                later += "F"
+    try:
+        for c in p.replace("UD", "F"):  # each peak is a block UD, of height 1 and image F
+            if c == "F":  # no frame of its own; a first block's content image stays empty
+                if first_h:
+                    later += "F"
+                else:
+                    first_h, first = 1, "F"
+                last_h = 1
+                continue
+            if c == "U":
+                stack.append((first_h, last_h, first, content, later))
+                first_h = last_h = 0
+                first = content = later = ""
+                continue
+            # the block is U UbetaD gamma D, with phi(beta) = content
+            image, content = later + "U" + content + "D", first + later
+            h = first_h + 1
+            first_h, last_h, first, parent_content, later = stack.pop()
+            if not first_h:  # the parent's first inner block: keep its content image
+                first_h, first = h, image
+            elif h > last_h:
+                return None
             else:
-                first_h, first = 1, "F"
-            last_h = 1
-            continue
-        if c == "U":
-            stack.append((first_h, last_h, first, content, later))
-            first_h = last_h = 0
-            first = content = later = ""
-            continue
-        # the block is U UbetaD gamma D, with phi(beta) = content
-        image, content = later + "U" + content + "D", first + later
-        h = first_h + 1
-        first_h, last_h, first, parent_content, later = stack.pop()
-        if not first_h:  # the parent's first inner block: keep its content image
-            first_h, first = h, image
-        elif h > last_h:
-            raise NotConstrainedError(f"not in the constrained family: {str(p)!r}")
-        else:
-            later += image
-            content = parent_content
-        last_h = h
+                later += image
+                content = parent_content
+            last_h = h
+    except IndexError:  # a D that closes no block: a dip below the axis
+        return None
     return first + later
 
 

@@ -16,9 +16,9 @@ from collections import Counter
 from functools import lru_cache
 from itertools import groupby, islice
 from operator import eq
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
-from .bijection import NotConstrainedError, _member_image, _phi, _phi_inverse, _refusal
+from .bijection import _member_image, _phi, _phi_inverse, _refusal
 from .enumeration import _walk, motzkin_number
 from .patterns import TransportRule, _reader, transport_rule
 
@@ -86,14 +86,6 @@ def _claims(tokens: int):
     return lambda: (os.read(tokens, 1) or b"\xff")[0]
 
 
-def _image(p: str) -> Optional[str]:
-    """_phi(p), or None for a walker output that it refuses."""
-    try:
-        return _phi(p)
-    except (NotConstrainedError, IndexError):
-        return None
-
-
 def _reduction() -> dict:
     """An empty reduction (see family_reductions and _judge_share)."""
     return {"counts": Counter(), "fails": {}, "order": [], "roundtrip": [], "refused": [],
@@ -138,7 +130,7 @@ def _judge_share(n: int, claim, sweep) -> dict:
             start = (k << _PLACE) + record[0]
             indices = range(start, start + len(chunk))
             record[0] += len(chunk)
-            images = list(map(_image, chunk))
+            images = list(map(_phi, chunk))
             if None in images:  # walker outputs that _phi refuses make no pair
                 reduction["refused"] += [(i, p) for i, p, m in zip(indices, chunk, images)
                                          if m is None]
@@ -195,7 +187,7 @@ def family_reductions(ns, sweep) -> Iterator[tuple]:
     is kept per raw tuple or per pair. order, roundtrip and refused
     list the (index, member), an index being a place in the walk, of each
     member not below the one before it, that _phi_inverse does not give
-    back from its image, or that _phi refused (no pair). The walk is
+    back from its image, or that _phi refused (None: no pair). The walk is
     mapped through a chunk at a time. With P usable CPUs and no other
     thread, P - 1 forked children and this process, which also consumes
     the reductions, each take the next subtree (_members) of a semilength

@@ -158,7 +158,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
                   if (v := transport.dyck_values(raw))[uud] > 1 and v[duu] == 0}
         if structural_worst is None and broken:
             path = next(p for p in family._members(n)
-                        if transport.read_dyck(p) in broken and family._image(p) is not None)
+                        if transport.read_dyck(p) in broken and family._phi(p) is not None)
             structural_worst = {"n": n, "path": path, "UUD": broken[transport.read_dyck(path)]}
         del reduction  # before the next semilength's is built
 
@@ -397,11 +397,9 @@ def _resolve_target(ref: SequenceRef, routes, pop_series, max_n):
         pattern, k = rest.rsplit(":", 1)
         return [routes[pattern]["closed"].coefficient(n, int(k))
                 for n in range(ref.offset, max_n + 1)]
-    if kind == "diag":
-        pattern, j = rest.rsplit(":", 1)
-        return [routes[pattern]["closed"].coefficient(n, n - int(j))
-                for n in range(ref.offset, max_n + 1)]
-    raise ValueError(f"unknown sequence target {ref.target!r}")
+    pattern, j = rest.rsplit(":", 1)  # diag, the last kind _TARGET_RE admits
+    return [routes[pattern]["closed"].coefficient(n, n - int(j))
+            for n in range(ref.offset, max_n + 1)]
 
 
 def render_text(report: dict) -> str:

@@ -13,6 +13,7 @@ from dyckmotz import (
     NotConstrainedError,
     PathSyntaxError,
     check_bijectivity,
+    check_transport,
     enumerate_constrained,
     enumerate_dyck,
     enumerate_motzkin,
@@ -22,7 +23,7 @@ from dyckmotz import (
     phi_inverse,
 )
 from dyckmotz import family
-from dyckmotz.bijection import _phi_inverse
+from dyckmotz.bijection import _phi, _phi_inverse
 
 GOLDEN = {
     "UDUDUD": "FFF",
@@ -98,6 +99,16 @@ def test_phi_matches_its_recursive_definition():
     for seed in range(8):
         p = str(phi_inverse(_random_motzkin(400 + 100 * seed, random.Random(seed))))
         assert str(phi(p)) == _phi_by_definition(p), seed
+
+
+def test_phi_core_returns_none_where_it_refuses():
+    # like _phi_inverse, the core refuses without raising: a dip, or a
+    # block taller than its closed left sibling
+    for text in ("DU", "UDDU", "UDUUDD"):
+        assert _phi(text) is None, text
+    for n in range(11):
+        for p in enumerate_constrained(n):
+            assert _phi(p) == _phi_by_definition(p) == phi(p)
 
 
 def _dip(text, at):
@@ -306,6 +317,10 @@ def test_check_bijectivity_reports_a_walker_output_phi_refuses(monkeypatch, n, e
     with pytest.raises(ValueError) as refusal:
         phi(extra)
     assert str(refusal.value) == message
+    # check_transport raises that refusal, as phi gives it
+    with pytest.raises(ValueError) as raised:
+        check_transport("UD", n)
+    assert type(raised.value) is type(refusal.value) and str(raised.value) == message
     # the refused path is skipped: the members alone pass every other step
     assert check_bijectivity(n) == {
         "n": n, "domain": motzkin_number(n), "expected": motzkin_number(n),

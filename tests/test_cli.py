@@ -148,6 +148,15 @@ def test_gf_all_methods_writes_bare_csv_and_json(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "n,k,count"
 
 
+def test_gf_all_methods_exit_1_when_routes_disagree(capsys, monkeypatch):
+    # the brute route gives another pattern's series, valid on its own
+    monkeypatch.setitem(cli._ROUTES, "brute",
+                        lambda pattern, max_n: genfun.distribution_brute_force("UU", max_n))
+    assert main(["gf", "--pattern", "UD", "--method", "all", "--max-n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "routes disagree for UD\n" and captured.out == ""
+
+
 def test_gf_fixed_unavailable(capsys):
     assert main(["gf", "--pattern", "UUD", "--method", "fixed"]) == 2
     assert "no fixed-point system" in capsys.readouterr().err

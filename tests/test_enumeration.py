@@ -45,6 +45,18 @@ def test_number_helpers():
     assert [catalan_number(n) for n in range(10)] == CATALAN
 
 
+def test_negative_sizes_raise_at_the_call():
+    # the enumerators refuse before the first next, not lazily
+    for enumerate_family, message in ((enumerate_motzkin, "length must be nonnegative"),
+                                      (enumerate_dyck, "semilength must be nonnegative"),
+                                      (enumerate_constrained, "semilength must be nonnegative")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_family(-1)
+    for n, h in ((-1, 0), (0, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="^arguments must be nonnegative$"):
+            count_constrained_by_height(n, h)
+
+
 def _motzkin_by_binomial_sum(n):
     # the independent oracle: a sum over the number of paired steps
     return sum(comb(n, 2 * k) * catalan_number(k) for k in range(n // 2 + 1))

@@ -260,6 +260,16 @@ def test_du_series_rebuilt_from_ud():
     assert du_from_ud(N) == distribution_gf_closed("DU", N)
 
 
+def test_du_from_ud_raises_when_the_rebuilt_series_differs(monkeypatch):
+    # a DU closed form that is another pattern's valid series
+    closed = genfun.distribution_gf_closed
+    monkeypatch.setattr(genfun, "distribution_gf_closed",
+                        lambda pattern, n: closed("UU" if pattern == "DU" else pattern, n))
+    with pytest.raises(RouteCheckError,
+                       match="^DU-from-UD identity disagrees with the DU closed form$"):
+        du_from_ud(N)
+
+
 @pytest.mark.parametrize("N", [-1, -2])
 def test_negative_truncation_is_a_value_error(N):
     # the guard orders must not turn a negative size into a valid one

@@ -97,6 +97,9 @@ def test_division_by_monomial():
         (X + Y * X) / Y
     with pytest.raises(InexactDivisionError):
         X / X ** 2
+    # an exact numerator, but the divisor's valuation exceeds the numerator's truncation
+    with pytest.raises(InexactDivisionError, match="^divisor valuation exceeds truncation$"):
+        TruncatedSeries.zero(2) / TruncatedSeries.x_var(5) ** 3
 
 
 def test_division_by_unit():
