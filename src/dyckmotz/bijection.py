@@ -127,7 +127,6 @@ def phi_inverse(m: Union[str, MotzkinPath]) -> DyckPath:
     back = _phi_inverse(str(m))
     if back is None:
         MotzkinPath(m)  # raises the error that names the fault
-        raise RuntimeError(f"_phi_inverse refused the Motzkin path {str(m)!r}")
     return str.__new__(DyckPath, back)
 
 

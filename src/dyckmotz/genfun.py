@@ -157,37 +157,37 @@ _CLOSED_FORMS = {
 # Each entry maps the ring generators and its unknowns to the tuple of their
 # right-hand sides, for series.solve_fixed_point. One unknown is F itself;
 # a pair (A, B) is solved jointly, with F = 1 + A + B built once per call.
+# Each right-hand side multiplies two unknown series once, a square where the
+# algebra allows (_sym sums its pairs once); each entry names its identity.
 
 def _fp_uu(x, y, M):
-    x2 = x * x
-    return (1 + x*M + x2*y*M + x2*y**2*(M - 1)*M,)
+    x2 = x * x  # (M - 1)*M = M**2 - M
+    return (1 + x*M + x2*y*M + x2*y**2*(M**2 - M),)
 
 
 def _fp_uuu(x, y, F):
     x2, geo = x * x, 1 / (1 - x)  # geo: paths of the shape (UD)^j, j >= 0
-    return (1 + x*F + x2*F + x2*y*(x*geo)*F + x2*y**2*(F - geo)*F,)
+    return (1 + x*F + x2*F + x2*y*F*(x*geo + y*(F - geo)),)  # the F-products share x2*y*F
 
 
 def _fp_udu(x, y, A, B):
-    x2, F = x * x, 1 + A + B
-    return x + x*y*A + x*B, x2 + x2*y*A + x2*B + x2*F*(F - 1)
+    x2, F = x * x, 1 + A + B  # F*(F - 1) = F**2 - F
+    return x + x*y*A + x*B, x2*(1 + y*A + B + F**2 - F)
 
 
 def _fp_udd(x, y, A, B):
-    x2, F = x * x, 1 + A + B
-    return x*F, (x2*y*F + x2*y*A + x2*B + x2*B**2
-                 + x2*y*A*B + x2*y**2*A**2 + x2*y*A*B)
+    x2, F = x * x, 1 + A + B  # B**2 + 2*y*A*B + y**2*A**2 = (B + y*A)**2
+    return x*F, x2*(y*F + y*A + B + (B + y*A)**2)
 
 
 def _fp_ddu(x, y, A, B):
-    x2, F = x * x, 1 + A + B
-    return x + x*A + x*y*B, x2*F + x2*y*A*(F - 1) + x2*A + x2*y*B*F
+    x2, F = x * x, 1 + A + B  # A*(F - 1) + B*F = F**2 - F - A, as A + B = F - 1
+    return x + x*A + x*y*B, x2*(F + A + y*(F**2 - F - A))
 
 
 def _fp_ddd(x, y, A, B):
-    x2, y2, F = x * x, y**2, 1 + A + B
-    return x*F, (x2*F + x2*y2*B + x2*y*A + x2*A**2
-                 + 2*x2*y*A*B + x2*y2*B**2)
+    x2, F = x * x, 1 + A + B  # A**2 + 2*y*A*B + y**2*B**2 = (A + y*B)**2
+    return x*F, x2*(F + y**2*B + y*A + (A + y*B)**2)
 
 
 _SYSTEMS = {"UU": _fp_uu, "UUU": _fp_uuu, "UDU": _fp_udu,

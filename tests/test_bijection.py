@@ -220,10 +220,23 @@ def test_inverse_raises_the_motzkin_path_error(word):
     assert caught.value.position == expected.value.position
 
 
-def test_inverse_reports_a_core_that_refuses_a_motzkin_path(monkeypatch):
-    monkeypatch.setattr("dyckmotz.bijection._phi_inverse", lambda m: None)
-    with pytest.raises(RuntimeError, match="refused the Motzkin path 'FUD'"):
-        phi_inverse("FUD")
+# words over U, D, F, X of length <= 12: letters at random, and chunks
+# joined, so that about one word in eight is a Motzkin word
+WORDS = st.one_of(st.text(alphabet="UDFX", max_size=12),
+                  st.lists(st.sampled_from(("F", "UD", "UFD", "U", "D", "X")), max_size=4)
+                  .map("".join))
+
+
+@settings(max_examples=500, deadline=None)
+@given(WORDS)
+def test_inverse_core_refuses_exactly_the_words_motzkin_path_refuses(word):
+    # so phi_inverse's refusal branch always raises MotzkinPath's error
+    try:
+        MotzkinPath(word)
+    except ValueError:
+        assert _phi_inverse(word) is None
+    else:
+        assert _phi_inverse(word) is not None
 
 
 def test_inverse_round_trips_every_image_to_12_and_a_long_pyramid():

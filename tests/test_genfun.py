@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +22,7 @@ from dyckmotz import (
 from dyckmotz import cli, genfun
 from dyckmotz.enumeration import motzkin_numbers
 from dyckmotz.genfun import RouteCheckError, cross_check_routes
-from dyckmotz.series import TruncatedSeries, solve_fixed_point
+from dyckmotz.series import TruncatedSeries, _monomial, solve_fixed_point
 
 N = 10
 
@@ -119,6 +120,90 @@ def test_fixed_point_calls_each_equation_three_times(monkeypatch):
             distribution_gf_fixed_point(pattern, n)
             unknowns = 1 if pattern in ("UU", "UUU") else 2
             assert calls == [unknowns] * 3, (pattern, n)
+
+
+# the six systems as first derived, fully expanded: the reference for the
+# factored right-hand sides of genfun._SYSTEMS
+def _expanded_uu(x, y, M):
+    x2 = x * x
+    return (1 + x*M + x2*y*M + x2*y**2*(M - 1)*M,)
+
+
+def _expanded_uuu(x, y, F):
+    x2, geo = x * x, 1 / (1 - x)
+    return (1 + x*F + x2*F + x2*y*(x*geo)*F + x2*y**2*(F - geo)*F,)
+
+
+def _expanded_udu(x, y, A, B):
+    x2, F = x * x, 1 + A + B
+    return x + x*y*A + x*B, x2 + x2*y*A + x2*B + x2*F*(F - 1)
+
+
+def _expanded_udd(x, y, A, B):
+    x2, F = x * x, 1 + A + B
+    return x*F, (x2*y*F + x2*y*A + x2*B + x2*B**2
+                 + x2*y*A*B + x2*y**2*A**2 + x2*y*A*B)
+
+
+def _expanded_ddu(x, y, A, B):
+    x2, F = x * x, 1 + A + B
+    return x + x*A + x*y*B, x2*F + x2*y*A*(F - 1) + x2*A + x2*y*B*F
+
+
+def _expanded_ddd(x, y, A, B):
+    x2, y2, F = x * x, y**2, 1 + A + B
+    return x*F, (x2*F + x2*y2*B + x2*y*A + x2*A**2
+                 + 2*x2*y*A*B + x2*y2*B**2)
+
+
+EXPANDED = {"UU": _expanded_uu, "UUU": _expanded_uuu, "UDU": _expanded_udu,
+            "UDD": _expanded_udd, "DDU": _expanded_ddu, "DDD": _expanded_ddd}
+
+
+def _unknowns(system, seed, n=10):
+    """Seeded dense series with integer entries of both signs, one per
+    unknown of system."""
+    rng = random.Random(seed)
+    return [TruncatedSeries(n, [[rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+                                for _ in range(n + 1)])
+            for _ in range(system.__code__.co_argcount - 2)]
+
+
+def _run(system, unknowns):
+    n = unknowns[0].trunc_x
+    return tuple(system(TruncatedSeries.x_var(n), TruncatedSeries.y_var(n), *unknowns))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("pattern", EXPANDED)
+def test_factored_systems_equal_their_expanded_forms(pattern, seed):
+    unknowns = _unknowns(EXPANDED[pattern], seed)
+    assert _run(genfun._SYSTEMS[pattern], unknowns) == _run(EXPANDED[pattern], unknowns)
+
+
+def _unknown_products(monkeypatch, system, unknowns) -> int:
+    """The products one call of system on unknowns makes of two series
+    neither of which is a monomial."""
+    counted, mul = [], TruncatedSeries.__mul__
+
+    def counting(a, b):
+        if isinstance(b, TruncatedSeries) and not any(
+                _monomial(f.coeffs, [k for k, row in enumerate(f.coeffs) if row])
+                for f in (a, b)):
+            counted.append(1)
+        return mul(a, b)
+    with monkeypatch.context() as m:
+        m.setattr(TruncatedSeries, "__mul__", counting)
+        m.setattr(TruncatedSeries, "__rmul__", counting)
+        _run(system, unknowns)
+    return len(counted)
+
+
+def test_each_system_multiplies_two_unknown_series_once(monkeypatch):
+    for pattern, system in genfun._SYSTEMS.items():
+        assert _unknown_products(monkeypatch, system, _unknowns(system, 0)) == 1, pattern
+    assert sum(_unknown_products(monkeypatch, system, _unknowns(system, 0))
+               for system in EXPANDED.values()) == 13
 
 
 def test_fixed_point_confirms_at_full_truncation():

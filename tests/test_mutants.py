@@ -54,6 +54,11 @@ def _ddd_one_ab(x, y, A, B):
     return x*F, x2*F + x2*y2*B + x2*y*A + x2*A**2 + x2*y*A*B + x2*y2*B**2
 
 
+def _udd_a_for_y_a(x, y, A, B):
+    x2, F = x * x, 1 + A + B
+    return x*F, x2*(y*F + y*A + B + (B + A)**2)
+
+
 def _narrow_decode(monkeypatch):
     # each solution row built one byte wider than the width its majorant
     # proves, and so decoded one byte narrow
@@ -123,6 +128,9 @@ MUTANTS = [
     ("UU's system with y for y**2", _systems(UU=_uu_y_for_y2), {"three-way:UU"}),
     ("DDD's system with x2*y*A*B for 2*x2*y*A*B", _systems(DDD=_ddd_one_ab),
      {"three-way:DDD"}),
+    # a factored form's square: the transcribed cell x^4 y^0 reads 2, not 1
+    ("UDD's system with (B + A)**2 for (B + y*A)**2", _systems(UDD=_udd_a_for_y_a),
+     {"three-way:UDD", "golden:dist:UDD"}),
     # a solution that misses its equations fails its record; the report goes on
     ("_fixed_point decodes one byte narrow", _narrow_decode,
      {f"three-way:{p}" for p in genfun.FIXED_POINT_PATTERNS}),
