@@ -17,8 +17,8 @@ from .bijection import _refusal, phi, phi_inverse
 from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzkin,
                           motzkin_numbers)
 from .family import TransportSweep, _unchecked, check_transport, family_reductions
-from .genfun import (DEFAULT_TRUNCATION, PATTERNS, NoConvergenceError, RouteCheckError,
-                     cross_check_routes, distribution_brute_force, distribution_gf_closed,
+from .genfun import (DEFAULT_TRUNCATION, PATTERNS, _ROUTE_FAILURES, cross_check_routes,
+                     distribution_brute_force, distribution_gf_closed,
                      distribution_gf_fixed_point, popularity_gf)
 from .golden import embedded_prefixes
 from .oeis import CacheMissError, MalformedBFileError, NetworkUnavailableError, oeis_fetch
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 141
     except (NetworkUnavailableError, MalformedBFileError, CacheMissError,
-            RouteCheckError, NoConvergenceError) as exc:
+            *_ROUTE_FAILURES) as exc:
         print(f"dyckmotz: {exc}", file=sys.stderr)
         return 1
     except _INPUT_ERRORS as exc:

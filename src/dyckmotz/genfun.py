@@ -37,7 +37,8 @@ from functools import lru_cache
 
 from .enumeration import _walk, motzkin_numbers
 from .patterns import PATTERNS, _reader, parse_pattern
-from .series import NoConvergenceError, TruncatedSeries, solve_fixed_point
+from .series import (InexactDivisionError, NoConvergenceError, NonSquareConstantTermError,
+                     NonUnitDivisorError, TruncatedSeries, solve_fixed_point)
 
 DEFAULT_TRUNCATION = 24
 
@@ -48,6 +49,9 @@ _GUARD = 2
 
 class RouteCheckError(ValueError):
     """A route's series failed a shape check or a cross-route identity."""
+
+
+_ROUTE_FAILURES = (RouteCheckError, NoConvergenceError)  # a failed check, not bad input
 
 
 def _canon(pattern: str) -> str:
@@ -199,11 +203,19 @@ FIXED_POINT_PATTERNS = tuple(_SYSTEMS)
 @lru_cache(maxsize=32)
 def _printed(form, N: int, popularity: bool) -> TruncatedSeries:
     """form on x and y, or on x and the popularity radical, at x-order
-    N + _GUARD; callers read it through truncate, which copies the rows."""
+    N + _GUARD, read through _printed_route's truncate, which copies the rows."""
     x = TruncatedSeries.x_var(N + _GUARD)
     if popularity:
         return form(x, (-3*x**2 - 2*x + 1).sqrt_unit())
     return form(x, TruncatedSeries.y_var(N + _GUARD))
+
+
+def _printed_route(form, pattern: str, N: int, popularity: bool = False) -> TruncatedSeries:
+    """_printed through x^N; a form the series ring refuses fails the closed route."""
+    try:
+        return _printed(form, N, popularity).truncate(N)
+    except (NonSquareConstantTermError, NonUnitDivisorError, InexactDivisionError) as exc:
+        raise RouteCheckError(f"{pattern}/closed: {exc}") from exc
 
 
 def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
@@ -213,7 +225,7 @@ def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> Truncat
     if N < 0:  # before the guard orders would make it a valid size
         raise ValueError("truncation order must be nonnegative")
     return _validate_distribution(
-        _printed(_CLOSED_FORMS[pattern], N, False).truncate(N), pattern, "closed")
+        _printed_route(_CLOSED_FORMS[pattern], pattern, N), pattern, "closed")
 
 
 def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
@@ -288,7 +300,7 @@ def cross_check_routes(pattern: str, N: int, brute):
     for name, build in builds.items():
         try:
             routes[name] = build()
-        except (RouteCheckError, NoConvergenceError) as exc:
+        except _ROUTE_FAILURES as exc:
             errors[name] = exc
     agree = {name: s == routes.get("brute") for name, s in routes.items() if name != "brute"}
     return routes, agree, errors
@@ -331,7 +343,7 @@ def _popularity_route(pattern: str, N: int) -> tuple:
     compared with; RouteCheckError when the printed form disagrees."""
     derived = _popularity(distribution_gf_closed(pattern, N))
     printed = pattern in _pop_closed_length2
-    if printed and _printed(_pop_closed_length2[pattern], N, True).truncate(N) != derived:
+    if printed and _printed_route(_pop_closed_length2[pattern], pattern, N, True) != derived:
         raise RouteCheckError(
             f"popularity closed form for {pattern} disagrees with the derivative route")
     return derived, int(printed)

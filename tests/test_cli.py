@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from dyckmotz import PATTERNS, cli, family, genfun, patterns
+from dyckmotz import PATTERNS, cli, family, genfun, patterns, run_full_verification
 from dyckmotz.cli import main
+from test_mutants import _ud_radical_of_3
 from test_verifier import _no_child_left
 
 
@@ -167,6 +168,21 @@ def test_gf_failed_route_check_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(genfun._CLOSED_FORMS, "UD", lambda x, y: 1 + x)
     assert main(["gf", "--pattern", "UD", "--method", "closed"]) == 1
     assert "row sum at x^2" in capsys.readouterr().err
+
+
+def test_a_form_the_ring_refuses_fails_its_route_check(capsys, monkeypatch):
+    # the ring refuses the square root of a radical whose constant term is 3:
+    # UD's closed route fails its own check, and verify still reports in full
+    names = [c["check"] for c in run_full_verification(max_n=6)["checks"]]
+    monkeypatch.setitem(genfun._CLOSED_FORMS, "UD", _ud_radical_of_3)
+    assert main(["verify", "--max-n", "6", "--format", "json"]) == 1
+    checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert list(checks) == names
+    cause = "UD/closed: square root requires constant term exactly 1"
+    assert [checks["three-way:UD"][key] for key in ("status", "details")] == ["fail", cause]
+    assert checks["golden:pop:pop2:UD"]["details"] == f"no closed series for UD: {cause}"
+    assert main(["gf", "--pattern", "UD", "--max-n", "6"]) == 1
+    assert capsys.readouterr().err == f"dyckmotz: {cause}\n"
 
 
 def test_gf_announces_a_long_brute_force_walk(capsys, monkeypatch):

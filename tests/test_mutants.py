@@ -3,15 +3,16 @@ matrix: each mutant is a monkeypatch of one printed form, one fixed-point
 system, the fixed-point solver, the Motzkin numbers the routes, the
 bijectivity report or the cardinality check read, one transport rule,
 _phi's images, the family walker, one identity, the campaign sweep's
-pattern counts, the three-way comparison or the printed popularity guard,
-with the exact set of records of run_full_verification(8) whose status it
-turns.
+pattern counts, the brute-force columns, the derivative popularity route,
+the three-way comparison or the printed popularity guard, with the exact
+set of records of run_full_verification(8) whose status it turns; and a
+test that some row turns a record of each kind.
 Every mutant of a form, a system or the solver runs on a cold memo of
 printed forms and again right after an unmutated campaign has filled it; a
 memo that served a replaced form's old series would turn fewer records on
 the warm run. The rule, image, walker, family M_n and identity mutants
-read no printed form, and the count and comparison mutants replace none,
-so these run once."""
+read no printed form, and the count, column, popularity and comparison
+mutants replace none, so these run once."""
 import itertools
 import json
 import os
@@ -30,6 +31,13 @@ def _closed(**forms):
         for pattern, form in forms.items():
             monkeypatch.setitem(genfun._CLOSED_FORMS, pattern, form)
     return mutate
+
+
+def _ud_radical_of_3(x, y):
+    # UD's printed form with 2 added under its root: the ring refuses a square
+    # root whose constant term is 3, so UD's closed route fails its own check
+    rad = 2 - 4*x**2 + (x**2*(y - 1) + x*y - 1)**2
+    return (x**2 - x**2*y - x*y + 1 - rad.sqrt_unit()) / (2*x**2)
 
 
 def _printed_du_plus_one(monkeypatch):
@@ -123,6 +131,12 @@ MUTANTS = [
       "golden:pop:pop3b:UDD", "golden:pop:pop3b:DDU"}),
     ("closed DD replaced by DU's", _closed(DD=genfun._cf_du),
      {"three-way:DD", "golden:pop:pop2:DD", "popularity-closed-forms"}),
+    # a form the series ring refuses fails UD's closed route: each record that
+    # reads it fails; golden:dist:UD and the sum row still read the brute series
+    ("closed UD with a radical of constant term 3", _closed(UD=_ud_radical_of_3),
+     {"three-way:UD", "three-way:DU-from-UD", "golden:pop:pop2:UD", "popularity-closed-forms",
+      "oeis:A025566:pop:UD", "oeis:A034851:row:UD:2", "oeis:A005994:row:UD:3",
+      "oeis:A005900:diag:UD:3"}),
     ("printed DU popularity plus 1", _printed_du_plus_one,
      {"popularity-closed-forms"}),
     ("UU's system with y for y**2", _systems(UU=_uu_y_for_y2), {"three-way:UU"}),
@@ -193,6 +207,24 @@ def _duu_read_as_0(monkeypatch, peaks=0):
     monkeypatch.setattr(verifier, "TransportSweep", Sweep)
 
 
+def _uuu_and_uud_columns_swapped(monkeypatch):
+    # the brute-force rows the campaign reads, with UUU's column and UUD's swapped
+    row_of = verifier._distribution_row
+
+    def swapped(*args):
+        row = row_of(*args)
+        row["UUU"], row["UUD"] = row["UUD"], row["UUU"]
+        return row
+    monkeypatch.setattr(verifier, "_distribution_row", swapped)
+
+
+def _popularity_doubled(monkeypatch):
+    # the derivative route in both modules that take it
+    popularity = genfun._popularity
+    for module in (genfun, verifier):
+        monkeypatch.setattr(module, "_popularity", lambda series: 2 * popularity(series))
+
+
 def _brute_against_itself(monkeypatch):
     # cross_check_routes with 'if name != "brute"' turned to '==': each
     # record compares the brute series with itself and with nothing else
@@ -232,6 +264,17 @@ MEMO_FREE_MUTANTS = [
     ("the campaign's sweep reads the DUU column as 0", _duu_read_as_0,
      dict.fromkeys(("three-way:DUU", "golden:dist:DUU",
                     "structural:DUU-avoiders-have-at-most-one-UUD"), "fail")),
+    # the one row that reaches a column: record
+    ("brute-force columns of UUU and UUD swapped", _uuu_and_uud_columns_swapped,
+     dict.fromkeys(("three-way:UUU", "three-way:UUD", "golden:dist:UUU", "golden:dist:UUD",
+                    "column:UUD-exactly-twice"), "fail")),
+    ("popularity doubled in genfun and verifier", _popularity_doubled,
+     {**dict.fromkeys((*(f"golden:pop:{key}" for key in (
+         "pop2:UD", "pop2:DU", "pop2:UU", "pop2:DD", "pop3a:UUU", "pop3a:UUD", "pop3a:DUU",
+         "pop3a:DUD", "pop3b:DDD", "pop3b:DDU", "pop3b:UDD", "pop3b:UDU")),
+         "popularity-closed-forms", "oeis:A025566:pop:UD", "oeis:A025567:pop:DU",
+         "oeis:A097861:pop:UUD", "oeis:A025566:pop:UDU"), "fail"),
+      "oeis:A304011:pop:DUU": "conjecture-broken"}),
     # no record may pass having compared nothing
     ("cross_check_routes compares brute with itself", _brute_against_itself,
      {f"three-way:{p}": "info" for p in genfun.PATTERNS}),
@@ -304,6 +347,23 @@ def test_a_failed_closed_form_still_gives_the_report(monkeypatch, capsys):
                                 "details": f"no closed series for UD: {cause}"}
     assert checks["oeis:A304011:pop:DUU"]["status"] == "info"
     assert checks["bijectivity"]["status"] == "pass"
+
+
+# every kind of record, by the prefix of its name
+KINDS = ("cardinality", "bijectivity", "transport:", "identity:", "three-way:", "golden:dist:",
+         "golden:sum-row", "golden:pop:", "popularity-closed-forms", "structural:", "column:",
+         "oeis:", "info:")
+# the kinds that no row reaches, each with the reason
+UNREACHED = {"misprint-notice": "its only case, the popularity misprint, is at n = 11, "
+                                f"so the campaign at max_n {MAX_N} makes no such record"}
+
+
+def test_every_record_kind_has_a_mutant(unmutated):
+    def kind(name):
+        return next(k for k in (*KINDS, *UNREACHED) if name.startswith(k))
+    assert {kind(name) for name in unmutated} == set(KINDS)
+    turned = (name for row in MUTANTS + MEMO_FREE_MUTANTS for name in row[2])
+    assert {kind(name) for name in turned} == set(KINDS)
 
 
 def test_every_mutant_has_its_row_in_the_readme():
