@@ -22,10 +22,11 @@ family) is the y-derivative at y = 1, with independently printed closed
 forms for the length-2 patterns checked against the derivative route.
 
 Each printed form is evaluated once per truncation order per process,
-in the memo _printed keyed by the form itself, which the fixed-point and
-brute-force routes never read. The module caches are all bounded:
-_printed (32 forms), _family_row (25 semilengths) and
-enumeration._at_most (2 counts).
+in the memo _printed keyed by the form itself, and each radical that
+several forms print is rooted once, in _root keyed by the radical; the
+fixed-point and brute-force routes read neither. The module caches are
+all bounded: _printed (32 forms), _root (8 roots), _family_row (25
+semilengths) and enumeration._at_most (2 counts).
 
 DD shares the UU distribution; the brute-force route still counts DD
 literally so the alias is itself testable.
@@ -38,7 +39,7 @@ from functools import lru_cache
 from .enumeration import _walk, motzkin_numbers
 from .patterns import PATTERNS, _reader, parse_pattern
 from .series import (InexactDivisionError, NoConvergenceError, NonSquareConstantTermError,
-                     NonUnitDivisorError, TruncatedSeries, solve_fixed_point)
+                     NonUnitDivisorError, TruncatedSeries, _require_order, solve_fixed_point)
 
 DEFAULT_TRUNCATION = 24
 
@@ -81,11 +82,17 @@ def _validate_distribution(series: TruncatedSeries, pattern: str,
 # Each entry maps the ring generators to the printed algebraic
 # expression, verbatim. Square-root signs differ between the two groups
 # of formulas and are kept exactly as printed; the constant-term-1
-# validation would catch a wrong branch immediately.
+# validation would catch a wrong branch immediately. A radical that more
+# than one form prints is named once, and each form reads its root, _root.
+_rad_ud = lambda x, y: -4*x**2 + (x**2*(y - 1) + x*y - 1)**2  # UD and DU
+_rad_uud = lambda x, y: (x**2*y - 1) * (x**2*y - 4*x**2 + 4*x - 1)  # UUD and DUU
+_rad_udd = lambda x, y: ((x + 1) * (x**2*y - x**2 + 1)  # UDD and DDU
+                         * (x**3*y - x**3 - 3*x**2*y + 3*x**2 - 3*x + 1))
+_rad_pop = lambda x, y: -3*x**2 - 2*x + 1  # R = 1 - 2x - 3x^2, for popularity
+
 
 def _cf_ud(x, y):
-    rad = -4*x**2 + (x**2*(y - 1) + x*y - 1)**2
-    return (x**2 - x**2*y - x*y + 1 - rad.sqrt_unit()) / (2*x**2)
+    return (x**2 - x**2*y - x*y + 1 - _root(_rad_ud, x.trunc_x)) / (2*x**2)
 
 
 def _cf_uu(x, y):
@@ -94,8 +101,7 @@ def _cf_uu(x, y):
 
 
 def _cf_du(x, y):
-    rad = -4*x**2 + (x**2*(y - 1) + x*y - 1)**2
-    return (x**2*y - x**2 - x*y + 1 - rad.sqrt_unit()) / (2*x**2*y)
+    return (x**2*y - x**2 - x*y + 1 - _root(_rad_ud, x.trunc_x)) / (2*x**2*y)
 
 
 def _cf_uuu(x, y):
@@ -106,13 +112,11 @@ def _cf_uuu(x, y):
 
 
 def _cf_uud(x, y):
-    rad = (x**2*y - 1) * (x**2*y - 4*x**2 + 4*x - 1)
-    return (x**2*y - 2*x**2 + 2*x - 1 + rad.sqrt_unit()) / (2*x**2*(x - 1))
+    return (x**2*y - 2*x**2 + 2*x - 1 + _root(_rad_uud, x.trunc_x)) / (2*x**2*(x - 1))
 
 
 def _cf_duu(x, y):
-    rad = (x**2*y - 1) * (x**2*y - 4*x**2 + 4*x - 1)
-    return (2*x - x**2*y - 1 + rad.sqrt_unit()) / (2*x**2*y*(x - 1))
+    return (2*x - x**2*y - 1 + _root(_rad_uud, x.trunc_x)) / (2*x**2*y*(x - 1))
 
 
 def _cf_dud(x, y):
@@ -130,16 +134,12 @@ def _cf_udu(x, y):
 
 
 def _cf_udd(x, y):
-    rad = ((x + 1) * (x**2*y - x**2 + 1)
-           * (x**3*y - x**3 - 3*x**2*y + 3*x**2 - 3*x + 1))
-    return ((1 + x*(x**2*y - x**2 - x*y + x - 1) - rad.sqrt_unit())
+    return ((1 + x*(x**2*y - x**2 - x*y + x - 1) - _root(_rad_udd, x.trunc_x))
             / (2*x**2*(x*y - x + 1)**2))
 
 
 def _cf_ddu(x, y):
-    rad = ((x + 1) * (x**2*y - x**2 + 1)
-           * (x**3*y - x**3 - 3*x**2*y + 3*x**2 - 3*x + 1))
-    return ((1 + x*(2*x**2*y**2 - 3*x**2*y + x**2 + x*y - x - 1) - rad.sqrt_unit())
+    return ((1 + x*(2*x**2*y**2 - 3*x**2*y + x**2 + x*y - x - 1) - _root(_rad_udd, x.trunc_x))
             / (2*x**2*y*(x*y - x + 1)))
 
 
@@ -185,6 +185,8 @@ def _fp_udd(x, y, A, B):
 
 
 def _fp_ddu(x, y, A, B):
+    # the square's majorant sets w 8-16 bits wider than (A + B)*F - A's; it still solved
+    # faster, at N = 32, 48 and 96 alike
     x2, F = x * x, 1 + A + B  # A*(F - 1) + B*F = F**2 - F - A, as A + B = F - 1
     return x + x*A + x*y*B, x2*(F + A + y*(F**2 - F - A))
 
@@ -199,15 +201,20 @@ _SYSTEMS = {"UU": _fp_uu, "UUU": _fp_uuu, "UDU": _fp_udu,
 FIXED_POINT_PATTERNS = tuple(_SYSTEMS)
 
 
+# holds the four shared radicals' roots at two x-orders
+@lru_cache(maxsize=8)
+def _root(rad, order: int) -> TruncatedSeries:
+    """rad's root at x-order order, shared: the ring's operations build new rows."""
+    return rad(TruncatedSeries.x_var(order), TruncatedSeries.y_var(order)).sqrt_unit()
+
+
 # holds one truncation order's 11 closed and 3 popularity forms twice over
 @lru_cache(maxsize=32)
 def _printed(form, N: int, popularity: bool) -> TruncatedSeries:
-    """form on x and y, or on x and the popularity radical, at x-order
+    """form on x and y, or on x and the popularity radical's root, at x-order
     N + _GUARD, read through _printed_route's truncate, which copies the rows."""
     x = TruncatedSeries.x_var(N + _GUARD)
-    if popularity:
-        return form(x, (-3*x**2 - 2*x + 1).sqrt_unit())
-    return form(x, TruncatedSeries.y_var(N + _GUARD))
+    return form(x, _root(_rad_pop, x.trunc_x) if popularity else TruncatedSeries.y_var(x.trunc_x))
 
 
 def _printed_route(form, pattern: str, N: int, popularity: bool = False) -> TruncatedSeries:
@@ -222,8 +229,7 @@ def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> Truncat
     """The printed closed form through x^N: evaluated once per N per
     process (_printed), copied and validated on every call."""
     pattern = _canon(pattern)
-    if N < 0:  # before the guard orders would make it a valid size
-        raise ValueError("truncation order must be nonnegative")
+    _require_order(N)  # before the guard orders would make a negative N a valid size
     return _validate_distribution(
         _printed_route(_CLOSED_FORMS[pattern], pattern, N), pattern, "closed")
 
@@ -282,8 +288,7 @@ def _brute_force(pattern: str, rows) -> TruncatedSeries:
 
 def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:
     pattern = _canon(pattern)
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _require_order(N)
     return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
 

@@ -181,6 +181,13 @@ def _require_exact(value, what: str) -> None:
         raise TypeError(f"{what} must be an int or a Fraction, not {value!r}")
 
 
+def _require_order(N) -> None:
+    if type(N) is bool or not isinstance(N, int):  # True as an order prints as True too
+        raise TypeError(f"truncation order must be an int, not {N!r}")
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
+
+
 def _lifted(op):
     """The binary operator op(self, other) on other lifted into self's ring
     (_lift), or NotImplemented for an operand the ring does not take."""
@@ -305,8 +312,7 @@ class TruncatedSeries(_Ring):
         """The series with rows coeffs[0..trunc_x] (zero when None); each
         entry must be an int or a Fraction, and each row is trimmed and
         normalised here, the one entry point that takes rows from outside."""
-        if trunc_x < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _require_order(trunc_x)
         self.trunc_x = trunc_x
         if coeffs is None:
             self.coeffs = [[] for _ in range(trunc_x + 1)]
@@ -376,8 +382,7 @@ class TruncatedSeries(_Ring):
 
     def truncate(self, trunc_x: int) -> "TruncatedSeries":
         """Copy restricted to a lower (or equal) truncation order."""
-        if trunc_x < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _require_order(trunc_x)
         if trunc_x > self.trunc_x:
             raise ValueError(
                 f"cannot extend truncation {self.trunc_x} to {trunc_x}")

@@ -366,6 +366,18 @@ def test_negative_truncation_is_a_value_error(N):
             route()
 
 
+def test_a_truncation_order_must_be_an_int():
+    # True is an int too, and a series would print it as its order; 2.0
+    # would fail deep inside a route, on a slice or a range
+    for route in (lambda N: distribution_gf_closed("UD", N),
+                  lambda N: distribution_gf_fixed_point("UU", N),
+                  lambda N: distribution_brute_force("UD", N),
+                  lambda N: popularity_gf("UU", N), du_from_ud, TruncatedSeries.x_var):
+        for N in (True, 2.0):  # negative orders: the test above, and test_series for x_var
+            with pytest.raises(TypeError, match="^truncation order must be an int, not "):
+                route(N)
+
+
 def test_distribution_starts_at_one():
     for pattern in PATTERNS:
         series = distribution_gf_closed(pattern, 5)
@@ -412,7 +424,32 @@ def test_memo_is_keyed_by_the_form_not_the_pattern(monkeypatch):
 
 def test_memo_is_bounded():
     maxsize = genfun._printed.cache_info().maxsize
-    assert maxsize is not None
-    for N in range(maxsize + 3):
+    assert maxsize is not None and genfun._root.cache_info().maxsize is not None
+    for N in range(maxsize + 3):  # UD takes one shared root per N
         distribution_gf_closed("UD", N)
-    assert genfun._printed.cache_info().currsize <= maxsize
+    for memo in (genfun._printed, genfun._root):
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+
+
+def test_the_forms_that_print_one_radical_share_its_root(monkeypatch):
+    # 8 distinct radicals under the 11 closed forms and one under the 3 printed
+    # popularity forms: 9 roots per truncation order, not one per form (14)
+    roots, sqrt_unit = [], TruncatedSeries.sqrt_unit
+    monkeypatch.setattr(TruncatedSeries, "sqrt_unit", lambda s: roots.append(1) or sqrt_unit(s))
+    genfun._printed.cache_clear()
+    genfun._root.cache_clear()
+    for memo in ("cold", "warm"):
+        for pattern in PATTERNS:
+            distribution_gf_closed(pattern, 12)
+            popularity_gf(pattern, 12)
+        assert len(roots) == 9, memo
+
+
+@pytest.mark.parametrize("first, second, other", [("UD", "DU", "brute"), ("UUD", "DUU", "brute"),
+                                                  ("UDD", "DDU", "fixed")])
+def test_each_form_of_a_shared_root_matches_its_other_route(first, second, other):
+    genfun._printed.cache_clear()
+    genfun._root.cache_clear()
+    route = {"brute": distribution_brute_force, "fixed": distribution_gf_fixed_point}[other]
+    for pattern in (first, second):  # the second reads the root the first left
+        assert distribution_gf_closed(pattern, N) == route(pattern, N), pattern

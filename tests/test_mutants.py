@@ -1,18 +1,19 @@
 """The series-route, rule and identity slice of the campaign's mutation
-matrix: each mutant is a monkeypatch of one printed form, one fixed-point
-system, the fixed-point solver, the Motzkin numbers the routes, the
-bijectivity report or the cardinality check read, one transport rule,
-_phi's images, the family walker, one identity, the campaign sweep's
-pattern counts, the brute-force columns, the derivative popularity route,
-the three-way comparison or the printed popularity guard, with the exact
-set of records of run_full_verification(8) whose status it turns; and a
-test that some row turns a record of each kind.
-Every mutant of a form, a system or the solver runs on a cold memo of
-printed forms and again right after an unmutated campaign has filled it; a
-memo that served a replaced form's old series would turn fewer records on
-the warm run. The rule, image, walker, family M_n and identity mutants
-read no printed form, and the count, column, popularity and comparison
-mutants replace none, so these run once."""
+matrix: each mutant is a monkeypatch of one printed form, one shared
+radical, one fixed-point system, the fixed-point solver, the Motzkin
+numbers the routes, the bijectivity report or the cardinality check read,
+one transport rule, _phi's images, the family walker, one identity, the
+campaign sweep's pattern counts, the brute-force columns, the derivative
+popularity route, the three-way comparison or the printed popularity
+guard, with the exact set of records of run_full_verification(8) whose
+status it turns; and a test that some row turns a record of each kind.
+Every mutant of a form, a radical, a system or the solver runs on a cold
+memo of printed forms and roots and again right after an unmutated
+campaign has filled it; a memo that served a replaced form's old series,
+or a replaced radical's old root, would turn fewer records on the warm
+run. The rule, image, walker, family M_n and identity mutants read no
+printed form, and the count, column, popularity and comparison mutants
+replace none, so these run once."""
 import itertools
 import json
 import os
@@ -38,6 +39,18 @@ def _ud_radical_of_3(x, y):
     # root whose constant term is 3, so UD's closed route fails its own check
     rad = 2 - 4*x**2 + (x**2*(y - 1) + x*y - 1)**2
     return (x**2 - x**2*y - x*y + 1 - rad.sqrt_unit()) / (2*x**2)
+
+
+def _uud_radical_2x_for_4x(monkeypatch):
+    # the radical UUD and DUU share, with 2*x for 4*x: its constant term stays 1,
+    # so the ring takes its root. Both forms go into _CLOSED_FORMS anew, as an
+    # edited form would, so that the printed memo evaluates them afresh and the
+    # root memo is asked for the new radical's root
+    monkeypatch.setattr(genfun, "_rad_uud",
+                        lambda x, y: (x**2*y - 1) * (x**2*y - 4*x**2 + 2*x - 1))
+    for pattern in ("UUD", "DUU"):
+        monkeypatch.setitem(genfun._CLOSED_FORMS, pattern,
+                            lambda x, y, form=genfun._CLOSED_FORMS[pattern]: form(x, y))
 
 
 def _printed_du_plus_one(monkeypatch):
@@ -137,6 +150,11 @@ MUTANTS = [
      {"three-way:UD", "three-way:DU-from-UD", "golden:pop:pop2:UD", "popularity-closed-forms",
       "oeis:A025566:pop:UD", "oeis:A034851:row:UD:2", "oeis:A005994:row:UD:3",
       "oeis:A005900:diag:UD:3"}),
+    # the two closed routes fail their own checks; golden:dist: reads brute force
+    ("UUD and DUU's shared radical with 2*x for 4*x", _uud_radical_2x_for_4x,
+     {"three-way:UUD", "three-way:DUU", "golden:pop:pop3a:UUD", "golden:pop:pop3a:DUU",
+      "info:DUU-avoider-shape", "oeis:A097861:pop:UUD", "oeis:A001793:row:UUD:2",
+      "oeis:A304011:pop:DUU"}),  # conjecture-consistent to info
     ("printed DU popularity plus 1", _printed_du_plus_one,
      {"popularity-closed-forms"}),
     ("UU's system with y for y**2", _systems(UU=_uu_y_for_y2), {"three-way:UU"}),
@@ -285,6 +303,7 @@ MEMO_FREE_MUTANTS = [
 
 def _clear_caches():
     genfun._printed.cache_clear()
+    genfun._root.cache_clear()
     genfun._family_row.cache_clear()
 
 

@@ -230,6 +230,17 @@ def test_truncate_rejects_a_negative_order():
     assert s.truncate(0) == TruncatedSeries.one(0)
 
 
+def test_a_truncation_order_must_be_an_int():
+    s = TruncatedSeries.x_var(3)
+    for make in (TruncatedSeries, TruncatedSeries.zero, TruncatedSeries.x_var,
+                 TruncatedSeries.y_var, s.truncate):
+        for order in (True, 2.0, "2", None):  # True is an int too
+            with pytest.raises(TypeError, match="^truncation order must be an int, not "):
+                make(order)
+        with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+            make(-1)
+
+
 def test_constructor_trims_and_normalises_rows():
     padded = TruncatedSeries(2, [[1, 0], [0, 0], [2, Fraction(4, 2), Fraction(0, 3)]])
     assert padded == TruncatedSeries(2, [[1], [], [2, 2]])
