@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, namedtuple
+from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 from .paths import LatticePath
@@ -198,15 +199,18 @@ class PathProfile:
     A read (f, arg) is f(path, arg), made once and kept; value sums a
     linear form ((read, coefficient), ...) over them, so each distinct
     read runs once per path whichever pattern or statistic asks for it.
-    count values a pattern's counter (see _reads).
+    count values a pattern's counter (see _reads). The first transport
+    rule side that evaluate_statistic asks of a profile reads the text
+    once through its side's compiled reader (_side_reader) and keeps, in
+    sides, that side's 15 values; the others are read from that tuple.
     """
 
-    __slots__ = ("path", "text", "reads")
+    __slots__ = ("path", "text", "reads", "sides")
 
     def __init__(self, path: Union[str, LatticePath]):
         self.path = path if isinstance(path, LatticePath) else LatticePath(path)
         self.text = str(self.path)
-        self.reads = {}
+        self.reads, self.sides = {}, {}
 
     def value(self, form: tuple) -> int:
         reads, total = self.reads, 0
@@ -223,11 +227,12 @@ class PathProfile:
 
 def _form(terms, index, const=0, n_coeff=0, shift=0) -> str:
     """Source of const + n_coeff * (size >> shift) + the sum of c * raw[index[read]] over
-    terms ((read, c), ...), no product by 1: integers and the names raw and size only."""
+    terms ((read, c), ...), no product by 1: integers and the names raw and size only.
+    Its leading sign stays, so a lone bool read (an anchor, delta) values as an int."""
     parts = [f"{c:+d}*raw[{index[read]:d}]" for read, c in terms if c]
     parts += [f"{n_coeff:+d}*(size >> {shift:d})"] if n_coeff else []
     parts += [f"{const:+d}"] if const else []
-    return re.sub(r"\b1\*", "", "".join(parts)).lstrip("+") or "0"
+    return re.sub(r"\b1\*", "", "".join(parts)) or "0"
 
 
 def _reader(patterns, statistics=()) -> tuple:
@@ -270,7 +275,8 @@ class StatisticExpr(_Frozen, namedtuple("StatisticExpr", "terms side text")):
     # terms: of (int coefficient, PatternExpr | ONE | N); side: "dyck" or
     # "motzkin", which fixes what n means. Compiled once into the instance
     # dict, out of ==, hash and repr: the value is const + n_coeff * n plus
-    # form, the terms' pattern reads merged ((read, c), ...), no zero c
+    # form, the terms' pattern reads merged ((read, c), ...), no zero c;
+    # slot is None but on a transport rule's own side (its index in _RULES)
     def __new__(cls, terms: tuple, side: str, text: str = ""):
         self = super().__new__(cls, terms, side, text)
         const, n_coeff, form = 0, 0, Counter()
@@ -282,7 +288,7 @@ class StatisticExpr(_Frozen, namedtuple("StatisticExpr", "terms side text")):
             else:
                 form.update({read: coeff * c for read, c in _reads(term)})
         vars(self).update(const=const, n_coeff=n_coeff,
-                          form=tuple((r, c) for r, c in form.items() if c))
+                          form=tuple((r, c) for r, c in form.items() if c), slot=None)
         return self
 
     def __str__(self) -> str:
@@ -330,13 +336,22 @@ def _parse_term(token: str, sign: int, whole: str, position: int):
 
 def evaluate_statistic(p: Union[str, LatticePath], e: StatisticExpr,
                        profile: Optional[PathProfile] = None) -> int:
-    """Value of the statistic on one path: its form valued by the profile
-    of p, a prebuilt one keeping its reads for the next statistic."""
+    """Value of the statistic on one path, from the profile of p, a prebuilt
+    one keeping what it read for the next statistic. A transport rule's own
+    side (the object in transport_rules(), not one equal to it) is its slot
+    in the profile's values of every rule side on its side, read once per
+    profile; any other statistic is its form valued by the profile."""
     if profile is None:
         profile = PathProfile(p)
     elif p is not profile.path and profile.text != p:
         raise ValueError(f"the profile is of another path than {str(p)!r}")
     size = len(profile.text)
+    if e.slot is not None:
+        values = profile.sides.get(e.side)
+        if values is None:
+            read, sides = _side_reader(e.side)
+            values = profile.sides[e.side] = sides(read(profile.text), size)
+        return values[e.slot]
     return (e.const + e.n_coeff * (size // 2 if e.side == "dyck" else size)
             + profile.value(e.form))
 
@@ -375,6 +390,19 @@ _RULES = (
     _rule("^UD", "delta", min_n=1),
     _rule("^UU", "1 - delta", min_n=1),
 )
+
+# a rule side is registered by identity, its index in _RULES set on the object:
+# a statistic rebuilt with other reads is == to it and takes the dict path
+for _k, _r in enumerate(_RULES):
+    vars(_r.dyck_side)["slot"] = vars(_r.motzkin_side)["slot"] = _k
+
+
+@lru_cache(maxsize=2)
+def _side_reader(side: str) -> tuple:
+    """(read, sides) over every rule's side on side, in _RULES order, compiled on first use."""
+    _, read, _, sides = _reader((), (getattr(r, f"{side}_side") for r in _RULES))
+    return read, sides
+
 
 _RULES_BY_NAME = {r.name: r for r in _RULES}
 # the UU and DD statistics agree on every Dyck path and share one image

@@ -545,6 +545,7 @@ def solve_fixed_point(N: int, system, count: int) -> List[TruncatedSeries]:
     the unknowns, else NoConvergenceError. Solved as a majorant, whose largest
     row bounds every coefficient, then at y = 2^w for a w that bound allows,
     each order of each node once, and confirmed by one eager pass."""
+    _require_order(N)
     # whole bytes, with room for the sign: every coefficient is below 2^(w - 1)
     w = (max(map(max, _solve(N, None, system, count))).bit_length() + 8) & -8
     ms = [TruncatedSeries._of(N, [_unpack(v, w, 1) for v in rows])

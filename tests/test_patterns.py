@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import product
@@ -422,6 +424,74 @@ def test_a_shared_profile_makes_each_read_once():
         assert set(calls) == reads and set(calls.values()) == {1}, text
     assert [evaluate_statistic(member, s, PathProfile(member)) for s, _ in sides[:-1]] == [
         evaluate_statistic(image, s, PathProfile(image)) for _, s in sides[:-1]]
+
+
+def _sides(side):
+    return [getattr(r, f"{side}_side") for r in transport_rules()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="UDF", max_size=40))
+def test_a_rule_side_values_as_its_unregistered_twin(word):
+    for side in ("dyck", "motzkin"):
+        for e in _sides(side):
+            twin = parse_statistic(e.text, e.side)
+            assert twin == e and e.slot is not None and twin.slot is None
+            got = evaluate_statistic(word, e, PathProfile(word))
+            assert got == evaluate_statistic(word, twin, PathProfile(word)), (e.text, word)
+            assert type(got) is int and type(evaluate_statistic(word, twin)) is int
+
+
+def test_a_profile_reads_a_side_once_for_all_its_rules(monkeypatch):
+    reads = Counter()
+
+    def spied(side, real=patterns._side_reader):
+        read, sides = real(side)
+
+        def spy(text):
+            reads[side, text] += 1
+            return read(text)
+        return spy, sides
+
+    monkeypatch.setattr(patterns, "_side_reader", spied)
+    member = "UUUDUDDUDD" * 3
+    for text, side in ((member, "dyck"), (str(phi(member)), "motzkin")):
+        profile = PathProfile(text)
+        values = [evaluate_statistic(text, e, profile) for e in _sides(side)]
+        values += [evaluate_statistic(text, e, profile) for e in _sides(side)]
+        assert reads == {(side, text): 1} and profile.reads == {}, side
+        assert len(profile.sides[side]) == 15 and values[:15] == values[15:]
+        reads.clear()
+
+
+def test_side_readers_compile_on_first_use_and_stay_two():
+    # a fresh interpreter, so no other test has compiled them yet
+    code = ("from dyckmotz import patterns as p\n"
+            "assert p._side_reader.cache_info().currsize == 0\n"
+            "for r in p.transport_rules():\n"
+            "    p.evaluate_statistic('UD', r.dyck_side)\n"
+            "    p.evaluate_statistic('F', r.motzkin_side)\n"
+            "info = p._side_reader.cache_info()\n"
+            "assert (info.currsize, info.maxsize, info.misses) == (2, 2, 2), info\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+
+
+def test_compiled_forms_give_ints():
+    # a lone anchored or delta read is a bool; its form values it as an int
+    sweep = TransportSweep(transport_rules())
+    _, read, values, _ = patterns._reader(map(parse_pattern, ("^UD", "UD$", "UD")))
+    for got, tail in ((sweep.dyck_sides(sweep.read_dyck("UDUUDD"), 6), (1, 0)),
+                      (values(read("UDUD")), (1, 1, 2))):
+        assert got[-len(tail):] == tail and {type(v) for v in got} == {int}, got
+    wrong = TransportRule("^UD", parse_statistic("^UD", "dyck"),
+                          parse_statistic("1 - delta", "motzkin"), 1)
+    counterexample = check_transport(wrong, 3)["counterexample"]
+    assert (counterexample["lhs"], counterexample["rhs"]) == (0, 1)
+    assert type(counterexample["lhs"]) is int
 
 
 def test_transport_rule_lookup():

@@ -12,7 +12,7 @@ from dyckmotz import (
     NonUnitDivisorError,
     TruncatedSeries,
 )
-from dyckmotz.series import _OnlineSeries, _unpack
+from dyckmotz.series import _OnlineSeries, _unpack, solve_fixed_point
 
 T = 12
 X = TruncatedSeries.x_var(T)
@@ -239,6 +239,15 @@ def test_a_truncation_order_must_be_an_int():
                 make(order)
         with pytest.raises(ValueError, match="truncation order must be nonnegative"):
             make(-1)
+
+
+def test_solve_fixed_point_checks_its_order():
+    x = TruncatedSeries.x_var(2)
+    for order, error, message in ((-1, ValueError, "must be nonnegative$"),
+                                  (2.0, TypeError, "must be an int, not 2.0$")):
+        with pytest.raises(error, match="^truncation order " + message):
+            solve_fixed_point(order, lambda M: (1 + x*M,), 1)
+    assert solve_fixed_point(2, lambda M: (1 + x*M,), 1)[0].coeffs == [[1]] * 3
 
 
 def test_constructor_trims_and_normalises_rows():
