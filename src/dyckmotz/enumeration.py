@@ -25,7 +25,7 @@ from math import comb
 from operator import mul, sub
 from typing import Iterator
 
-from .paths import DyckPath, MotzkinPath
+from .paths import DyckPath, MotzkinPath, _require_size
 
 _NO_CAP = float("inf")
 
@@ -48,23 +48,20 @@ def motzkin_number(n: int) -> int:
 
 
 def enumerate_motzkin(n: int) -> Iterator[MotzkinPath]:
-    """All Motzkin paths of length n, lexicographically (U < D < F)."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
+    """All Motzkin paths of length n, a size (see paths), lexicographically (U < D < F)."""
+    _require_size(n, "length")
     return map(partial(str.__new__, MotzkinPath), _walk(n, flat=True, capped=False))
 
 
 def enumerate_dyck(n: int) -> Iterator[DyckPath]:
-    """All Dyck paths of semilength n, lexicographically (U < D)."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    """All Dyck paths of semilength n, a size (see paths), lexicographically (U < D)."""
+    _require_size(n, "semilength")
     return map(partial(str.__new__, DyckPath), _walk(2 * n, flat=False, capped=False))
 
 
 def enumerate_constrained(n: int) -> Iterator[DyckPath]:
-    """All members of the constrained family of semilength n, lexicographically."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    """The constrained family's members of semilength n, a size (see paths), lexicographically."""
+    _require_size(n, "semilength")
     return map(partial(str.__new__, DyckPath), _walk(2 * n, flat=False, capped=True))
 
 
@@ -120,7 +117,7 @@ def _walk(total: int, flat: bool, capped: bool,
 
 
 def count_constrained_by_height(n: int, h: int) -> int:
-    """Number of family members of semilength n with height exactly h.
+    """Number of family members of semilength n with height exactly h, both sizes (see paths).
 
     phi halves the height: it maps the members of height at most h onto
     the Motzkin paths of height at most h // 2 with F steps on the top
@@ -128,8 +125,8 @@ def count_constrained_by_height(n: int, h: int) -> int:
     continued fraction (Flajolet 1980): Y_0 = 1, Y_1 = 1/(1 - x) and
     Y_h = 1/(1 - x - x^2 Y_(h-2)). The count is [x^n](Y_h - Y_(h-1)).
     """
-    if n < 0 or h < 0:
-        raise ValueError("arguments must be nonnegative")
+    for size in (n, h):
+        _require_size(size, "arguments")
     if h > n:
         return 0
     return -(_at_most(n, h - 1) if h else 0) + _at_most(n, h)

@@ -19,17 +19,16 @@ from operator import eq
 from typing import Iterator, Union
 
 from .bijection import _member_image, _phi, _phi_inverse, _refusal
-from .enumeration import _walk, motzkin_number
+from .enumeration import _require_size, _walk, motzkin_number
 from .patterns import TransportRule, _reader, transport_rule
 
 
 def check_bijectivity(n: int) -> dict:
-    """Exhaustively verify that phi is a bijection at semilength n on its
-    family reduction (see _bijectivity_report). Failures are report
-    contents, not raises: a walker output that phi refuses fails the
-    report, with phi's first three refusals under rejected_examples."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
+    """Exhaustively verify that phi is a bijection at semilength n, a size
+    (see paths), on its family reduction (see _bijectivity_report). Failures
+    are report contents, not raises: a walker output that phi refuses fails
+    the report, with phi's first three refusals under rejected_examples."""
+    _require_size(n, "semilength")
     ((_, reduction),) = family_reductions([n], TransportSweep([]))
     return _bijectivity_report(n, reduction)
 
@@ -256,13 +255,12 @@ def _unchecked(rule: TransportRule, max_n: int) -> str:
 
 
 def check_transport(rule: Union[TransportRule, str], n: int) -> dict:
-    """Exhaustively verify one rule at semilength n on its family
-    reduction; checked counts the pairs up to and including the first
-    counterexample. TransportSweep takes any other stream of pairs."""
+    """Exhaustively verify one rule at semilength n, a size (see paths), on
+    its family reduction; checked counts the pairs up to and including the
+    first counterexample. TransportSweep takes any other stream of pairs."""
+    _require_size(n, "semilength")
     if isinstance(rule, str):
         rule = transport_rule(rule)
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
     if n < rule.min_n:
         raise ValueError(f"rule {rule.name} is claimed only for n >= {rule.min_n}")
     sweep = TransportSweep([rule])

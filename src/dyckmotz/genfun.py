@@ -24,9 +24,9 @@ forms for the length-2 patterns checked against the derivative route.
 Each printed form is evaluated once per truncation order per process,
 in the memo _printed keyed by the form itself, and each radical that
 several forms print is rooted once, in _root keyed by the radical; the
-fixed-point and brute-force routes read neither. The module caches are
-all bounded: _printed (32 forms), _root (8 roots), _family_row (25
-semilengths) and enumeration._at_most (2 counts).
+fixed-point and brute-force routes read neither. Every module cache is
+bounded: _printed (32 forms), _root (8 roots), _family_row (25 rows),
+patterns._side_reader (2), enumeration._at_most (2) and _convergents (2).
 
 DD shares the UU distribution; the brute-force route still counts DD
 literally so the alias is itself testable.
@@ -39,7 +39,7 @@ from functools import lru_cache
 from .enumeration import _walk, motzkin_numbers
 from .patterns import PATTERNS, _reader, parse_pattern
 from .series import (InexactDivisionError, NoConvergenceError, NonSquareConstantTermError,
-                     NonUnitDivisorError, TruncatedSeries, _require_order, solve_fixed_point)
+                     NonUnitDivisorError, TruncatedSeries, _require_size, solve_fixed_point)
 
 DEFAULT_TRUNCATION = 24
 
@@ -226,10 +226,10 @@ def _printed_route(form, pattern: str, N: int, popularity: bool = False) -> Trun
 
 
 def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
-    """The printed closed form through x^N: evaluated once per N per
-    process (_printed), copied and validated on every call."""
+    """The printed closed form through x^N, N a size (see paths): evaluated
+    once per N per process (_printed), copied and validated on every call."""
     pattern = _canon(pattern)
-    _require_order(N)  # before the guard orders would make a negative N a valid size
+    _require_size(N, "truncation order")  # before the guard orders make N = -1 valid
     return _validate_distribution(
         _printed_route(_CLOSED_FORMS[pattern], pattern, N), pattern, "closed")
 
@@ -288,7 +288,7 @@ def _brute_force(pattern: str, rows) -> TruncatedSeries:
 
 def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:
     pattern = _canon(pattern)
-    _require_order(N)
+    _require_size(N, "truncation order")
     return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
 

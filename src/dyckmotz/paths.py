@@ -11,7 +11,8 @@ The constructors validate; code that hands out a path valid by
 construction (the public enumerators, phi and phi_inverse) types it with
 str.__new__(cls, text) and skips the scan, and the walker under the
 enumerators yields plain text. The maps call a constructor only on a
-refusal, to word the error.
+refusal, to word the error. Every public entry point checks a size it
+takes with _require_size: TypeError unless a non-bool int, ValueError if < 0.
 """
 from __future__ import annotations
 
@@ -21,6 +22,13 @@ from typing import Union
 U, D, F = "U", "D", "F"
 STEP_HEIGHT = {U: 1, D: -1, F: 0}
 _DROP_STEPS = str.maketrans("", "", "UDF")
+
+
+def _require_size(n, what: str) -> None:
+    if type(n) is bool or not isinstance(n, int):  # True is an int, but prints as True
+        raise TypeError(f"{what} must be an int, not {n!r}")
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative")
 
 
 class PathSyntaxError(ValueError):

@@ -41,6 +41,8 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Union
 
+from .paths import _require_size
+
 Scalar = Union[int, Fraction]
 
 
@@ -181,13 +183,6 @@ def _require_exact(value, what: str) -> None:
         raise TypeError(f"{what} must be an int or a Fraction, not {value!r}")
 
 
-def _require_order(N) -> None:
-    if type(N) is bool or not isinstance(N, int):  # True as an order prints as True too
-        raise TypeError(f"truncation order must be an int, not {N!r}")
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
-
-
 def _lifted(op):
     """The binary operator op(self, other) on other lifted into self's ring
     (_lift), or NotImplemented for an operand the ring does not take."""
@@ -309,10 +304,10 @@ class TruncatedSeries(_Ring):
     __slots__ = ("trunc_x", "coeffs")
 
     def __init__(self, trunc_x: int, coeffs=None):
-        """The series with rows coeffs[0..trunc_x] (zero when None); each
-        entry must be an int or a Fraction, and each row is trimmed and
-        normalised here, the one entry point that takes rows from outside."""
-        _require_order(trunc_x)
+        """The series with rows coeffs[0..trunc_x] (zero when None), trunc_x a
+        size (see paths); each entry must be an int or a Fraction, each row is
+        trimmed and normalised here, the one entry that takes rows from outside."""
+        _require_size(trunc_x, "truncation order")
         self.trunc_x = trunc_x
         if coeffs is None:
             self.coeffs = [[] for _ in range(trunc_x + 1)]
@@ -381,8 +376,8 @@ class TruncatedSeries(_Ring):
         return list(self.coeffs[n])
 
     def truncate(self, trunc_x: int) -> "TruncatedSeries":
-        """Copy restricted to a lower (or equal) truncation order."""
-        _require_order(trunc_x)
+        """Copy restricted to a lower (or equal) truncation order, a size (see paths)."""
+        _require_size(trunc_x, "truncation order")
         if trunc_x > self.trunc_x:
             raise ValueError(
                 f"cannot extend truncation {self.trunc_x} to {trunc_x}")
@@ -539,13 +534,13 @@ def _solve(N: int, w, system, count: int) -> List[List[int]]:
 
 
 def solve_fixed_point(N: int, system, count: int) -> List[TruncatedSeries]:
-    """The count unknowns U = system(*U) through x^N. system maps unknowns to
-    the tuple of their right-hand sides, built with +, -, * and ** from
-    constants of int coefficients; x^k of each may read only lower orders of
-    the unknowns, else NoConvergenceError. Solved as a majorant, whose largest
-    row bounds every coefficient, then at y = 2^w for a w that bound allows,
-    each order of each node once, and confirmed by one eager pass."""
-    _require_order(N)
+    """The count unknowns U = system(*U) through x^N, N a size (see paths). system
+    maps unknowns to the tuple of their right-hand sides, built with +, -, * and
+    ** from constants of int coefficients; x^k of each may read only lower orders
+    of the unknowns, else NoConvergenceError. Solved as a majorant, whose largest
+    row bounds every coefficient, then at y = 2^w for a w that bound allows, each
+    order of each node once, and confirmed by one eager pass."""
+    _require_size(N, "truncation order")
     # whole bytes, with room for the sign: every coefficient is below 2^(w - 1)
     w = (max(map(max, _solve(N, None, system, count))).bit_length() + 8) & -8
     ms = [TruncatedSeries._of(N, [_unpack(v, w, 1) for v in rows])

@@ -35,7 +35,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from . import family
-from .enumeration import _walk, motzkin_numbers
+from .enumeration import _require_size, _walk, motzkin_numbers
 from .family import TransportSweep, _unchecked
 from .genfun import (PATTERNS, _ROUTE_FAILURES, _brute_force, _distribution_row,
                      _pop_closed_length2, _popularity, _popularity_route, cross_check_routes,
@@ -346,7 +346,7 @@ _SECTIONS = (("family", _family_checks), ("identities", _identity_checks),
 def run_full_verification(max_n: int = DEFAULT_MAX_N,
                           seed_tables: Optional[str] = None,
                           oeis_cache_dir: Optional[str] = None) -> dict:
-    """Execute the whole campaign up to semilength max_n.
+    """Execute the whole campaign up to semilength max_n, a size (see paths).
 
     Returns {"max_n", "ok", "elapsed_seconds", "stages", "checks"}; ok
     means no check failed (notices and conjecture verdicts never count).
@@ -360,8 +360,7 @@ def run_full_verification(max_n: int = DEFAULT_MAX_N,
     its routes, and truncation (max_n; max(24, max_n) for the printed
     popularity forms).
     """
-    if max_n < 0:
-        raise ValueError(f"max_n must be nonnegative, not {max_n}")
+    _require_size(max_n, "max_n")
     t_start = time.monotonic()
     ns = SimpleNamespace(max_n=max_n, golden=load_golden_tables(seed_tables),
                          oeis_cache_dir=oeis_cache_dir)

@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 
@@ -343,6 +344,18 @@ def test_check_bijectivity_reports_a_walker_output_phi_refuses(monkeypatch, n, e
     assert check_bijectivity(n + 1) == {
         "n": n + 1, "domain": motzkin_number(n + 1), "expected": motzkin_number(n + 1),
         "out_of_order": 0, "roundtrip_failures": 0, "ok": True}
+
+
+def test_a_chunk_that_phi_refuses_whole_is_skipped(monkeypatch):
+    # a chunk per walker output, in one process (the walker adds to every share's
+    # walk): the added non-member is a chunk of refusals alone
+    monkeypatch.setattr(family, "_CHUNK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _walker_adding(monkeypatch, 3, "UDUUDD")
+    assert check_bijectivity(3) == {
+        "n": 3, "domain": motzkin_number(3), "expected": motzkin_number(3),
+        "out_of_order": 0, "roundtrip_failures": 0, "ok": False,
+        "rejected_examples": ["not in the constrained family: 'UDUUDD'"]}
 
 
 def test_check_bijectivity_keeps_at_most_three_refusals(monkeypatch):

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import random
 import time
 from collections import Counter
@@ -19,6 +21,7 @@ from dyckmotz import (
     parse_pattern,
     popularity_gf,
 )
+import dyckmotz
 from dyckmotz import cli, genfun
 from dyckmotz.enumeration import motzkin_numbers
 from dyckmotz.genfun import RouteCheckError, cross_check_routes
@@ -429,6 +432,18 @@ def test_memo_is_bounded():
         distribution_gf_closed("UD", N)
     for memo in (genfun._printed, genfun._root):
         assert memo.cache_info().currsize <= memo.cache_info().maxsize
+
+
+def test_every_module_cache_is_bounded():
+    # the module-level lru_caches of every submodule, each with its maxsize
+    caches = {}
+    for info in pkgutil.iter_modules(dyckmotz.__path__):
+        module = importlib.import_module(f"dyckmotz.{info.name}")
+        caches.update((f"{info.name}.{name}", value.cache_parameters()["maxsize"])
+                      for name, value in vars(module).items()
+                      if hasattr(value, "cache_parameters") and value.__module__ == module.__name__)
+    assert caches == {"patterns._side_reader": 2, "genfun._root": 8, "genfun._printed": 32,
+                      "genfun._family_row": 25, "enumeration._at_most": 2}
 
 
 def test_the_forms_that_print_one_radical_share_its_root(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,30 @@ from dyckmotz import (
     NotADyckPathError,
     NotAMotzkinPathError,
     PathSyntaxError,
+    check_bijectivity,
+    check_transport,
+    count_constrained_by_height,
+    enumerate_constrained,
+    enumerate_dyck,
+    enumerate_motzkin,
     height,
     is_constrained,
+    run_full_verification,
+    verifier,
 )
+
+# every public entry point that takes a size, by the name its errors give the size
+SIZED = {
+    "enumerate_motzkin": ("length", enumerate_motzkin),
+    "enumerate_dyck": ("semilength", enumerate_dyck),
+    "enumerate_constrained": ("semilength", enumerate_constrained),
+    "count_constrained_by_height-n": ("arguments", lambda n: count_constrained_by_height(n, 1)),
+    "count_constrained_by_height-h": ("arguments", lambda h: count_constrained_by_height(1, h)),
+    "check_bijectivity": ("semilength", check_bijectivity),
+    "check_transport-UD": ("semilength", lambda n: check_transport("UD", n)),
+    "check_transport-DUU": ("semilength", lambda n: check_transport("DUU", n)),
+    "run_full_verification": ("max_n", run_full_verification),
+}
 
 
 def test_lattice_path_accepts_step_letters_only():
@@ -152,3 +175,19 @@ def test_path_checks_match_a_per_character_scan(word):
     expected = _reference(word)
     for name, check in checks.items():
         assert _outcome(check, word) == expected[name], name
+
+
+@pytest.mark.parametrize("size", [True, 2.0, -1], ids=repr)
+@pytest.mark.parametrize("entry", SIZED)
+def test_every_entry_point_checks_its_size_at_the_call(monkeypatch, entry, size):
+    def read(*args):
+        raise AssertionError("the golden tables were read before the size was checked")
+
+    monkeypatch.setattr(verifier, "load_golden_tables", read)
+    what, call = SIZED[entry]
+    if type(size) is int:
+        error, message = ValueError, f"^{what} must be nonnegative$"
+    else:  # True is an int too, but no size
+        error, message = TypeError, f"^{what} must be an int, not {re.escape(repr(size))}$"
+    with pytest.raises(error, match=message):
+        call(size)  # the enumerators too raise here, before any next

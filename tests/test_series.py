@@ -241,6 +241,18 @@ def test_a_truncation_order_must_be_an_int():
             make(-1)
 
 
+def test_truncate_cannot_extend_a_series():
+    with pytest.raises(ValueError, match="^cannot extend truncation 3 to 4$"):
+        TruncatedSeries.x_var(3).truncate(4)
+
+
+def test_an_online_node_refuses_an_operand_outside_its_ring():
+    # an unknown takes ints, Fractions and series; anything else is no operand
+    for bad in ("x", 1.5, None):
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \+"):
+            solve_fixed_point(2, lambda M: (M + bad,), 1)
+
+
 def test_solve_fixed_point_checks_its_order():
     x = TruncatedSeries.x_var(2)
     for order, error, message in ((-1, ValueError, "must be nonnegative$"),

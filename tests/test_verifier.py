@@ -637,6 +637,32 @@ def test_a_healthy_forked_pass_judges_only_its_own_share(monkeypatch):
     _no_child_left()
 
 
+def test_a_fork_that_fails_leaves_every_share_to_this_process(monkeypatch):
+    # os.fork raising OSError (no memory or no process left): no child, so
+    # this process claims every subtree, and closes every pipe it made
+    def reductions():
+        sweep = TransportSweep(transport_rules())
+        return dict(family.family_reductions(range(10), sweep)), sweep.results
+
+    monkeypatch.setattr(family, "_CHUNK", 16)  # semilengths 5 to 9 are shared
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    whole = reductions()
+    pipes, forks, pipe = [], [], os.pipe
+
+    def failing():
+        forks.append(1)
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "fork", failing, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert reductions() == whole
+    assert forks == [1] and len(pipes) == 6  # a pipe of tokens per shared semilength, and one
+    for fd in (fd for fds in pipes for fd in fds):
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 @pytest.mark.parametrize("parts", [2, 3])
 def test_the_shares_cover_the_walk_once_in_subtree_order(parts):
     # share part claims subtrees part, part + parts, ...
