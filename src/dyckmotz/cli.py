@@ -17,9 +17,8 @@ from .bijection import _refusal, phi, phi_inverse
 from .enumeration import (enumerate_constrained, enumerate_dyck, enumerate_motzkin,
                           motzkin_numbers)
 from .family import TransportSweep, _unchecked, check_transport, family_reductions
-from .genfun import (DEFAULT_TRUNCATION, PATTERNS, _ROUTE_FAILURES, cross_check_routes,
-                     distribution_brute_force, distribution_gf_closed,
-                     distribution_gf_fixed_point, popularity_gf)
+from .genfun import (DEFAULT_TRUNCATION, PATTERNS, _ROUTE_FAILURES, _ROUTES, cross_check,
+                     popularity_gf)
 from .golden import embedded_prefixes
 from .oeis import CacheMissError, MalformedBFileError, NetworkUnavailableError, oeis_fetch
 from .patterns import count_occurrences, parse_pattern, transport_rule, transport_rules
@@ -32,10 +31,6 @@ _FAMILIES = {
     "dyck": enumerate_dyck,
     "constrained": enumerate_constrained,
 }
-
-# gf --method: the series routes, each called as route(pattern, max_n)
-_ROUTES = {"closed": distribution_gf_closed, "fixed": distribution_gf_fixed_point,
-           "brute": distribution_brute_force}
 
 
 def _global_flags() -> argparse.ArgumentParser:
@@ -96,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gf", parents=[_global_flags()],
                        help="distribution series rows n,k,count (default n<=12)")
     p.add_argument("--pattern", required=True, choices=PATTERNS)
-    p.add_argument("--method", choices=(*_ROUTES, "all"),
+    p.add_argument("--method", choices=(*_ROUTES["distribution"][1], "all"),
                    default="closed")
 
     p = sub.add_parser("popularity", parents=[_global_flags()],
@@ -209,8 +204,7 @@ def _cmd_gf(args) -> int:
             print(f"dyckmotz: the brute-force route walks {members} family members "
                   f"(n = 0..{max_n})", file=sys.stderr)
     if args.method == "all":
-        routes, agree, errors = cross_check_routes(
-            args.pattern, max_n, lambda: _ROUTES["brute"](args.pattern, max_n))
+        routes, agree, errors = cross_check("distribution", args.pattern, max_n)
         if errors:
             raise next(iter(errors.values()))
         if not all(agree.values()):
@@ -220,7 +214,7 @@ def _cmd_gf(args) -> int:
         if args.format == "text":  # csv and json carry the rows alone
             print(f"# routes agree: {', '.join(routes)}")
     else:
-        result = _ROUTES[args.method](args.pattern, max_n)
+        result = _ROUTES["distribution"][1][args.method][0](args.pattern, max_n)
     if args.format == "text":
         print(result.dump())
     else:

@@ -18,8 +18,8 @@ times. The three routes are:
 Each route returns its TruncatedSeries after validating the same shape
 invariants: constant term 1, nonnegative integer coefficients, row sums
 equal to Motzkin numbers. Popularity (total occurrence count over the
-family) is the y-derivative at y = 1, with independently printed closed
-forms for the length-2 patterns checked against the derivative route.
+family) is the y-derivative at y = 1, checked against the printed forms
+of the length-2 patterns. cross_check compares the routes in _ROUTES.
 
 Each printed form is evaluated once per truncation order per process,
 in the memo _printed keyed by the form itself, and each radical that
@@ -292,25 +292,6 @@ def distribution_brute_force(pattern: str, N: int) -> TruncatedSeries:
     return _brute_force(pattern, [_family_row(n) for n in range(N + 1)])
 
 
-def cross_check_routes(pattern: str, N: int, brute):
-    """The three-way check, (routes, agree, errors): closed, brute() and,
-    where a system is on record, fixed, built in that order. routes maps each
-    route built to its series, errors each route that failed its own check
-    to its exception, and agree each other route built to whether it equals
-    brute's series (False when brute failed)."""
-    builds = {"closed": lambda: distribution_gf_closed(pattern, N), "brute": brute}
-    if pattern in FIXED_POINT_PATTERNS:
-        builds["fixed"] = lambda: distribution_gf_fixed_point(pattern, N)
-    routes, errors = {}, {}
-    for name, build in builds.items():
-        try:
-            routes[name] = build()
-        except _ROUTE_FAILURES as exc:
-            errors[name] = exc
-    agree = {name: s == routes.get("brute") for name, s in routes.items() if name != "brute"}
-    return routes, agree, errors
-
-
 # popularity ---------------------------------------------------------------
 # Printed closed forms exist for the length-2 patterns only; they share
 # the radical R = sqrt(-3x^2 - 2x + 1). DD shares the UU form.
@@ -335,23 +316,45 @@ def _popularity(distribution: TruncatedSeries) -> TruncatedSeries:
     return distribution.d_dy().eval_y(1)
 
 
+# quantity -> (reference, {route: (build(pattern, N), patterns covered)}), routes in the order
+# a failed record names them; a build reads its builder's global when called, so hooks rebind it
+_ROUTES = {
+    "distribution": ("brute", {
+        "closed": (lambda p, N: distribution_gf_closed(p, N), PATTERNS),
+        "brute": (lambda p, N: distribution_brute_force(p, N), PATTERNS),
+        "fixed": (lambda p, N: distribution_gf_fixed_point(p, N), _SYSTEMS)}),
+    "popularity": ("derivative", {
+        "derivative": (lambda p, N: _popularity(distribution_gf_closed(p, N)), PATTERNS),
+        "printed": (lambda p, N: _printed_route(_pop_closed_length2[p], p, N, True),
+                    _pop_closed_length2)})}
+
+
+def cross_check(quantity: str, pattern: str, N: int, **builds):
+    """(routes, agree, errors) of the routes of quantity that cover pattern, built in
+    order (by builds[route]() where given): each built to its series, each that failed its
+    own check to its error, each other built to whether it equals the reference's series."""
+    reference, table = _ROUTES[quantity]
+    routes, errors = {}, {}
+    for name, (build, covers) in table.items():
+        if pattern in covers:
+            try:
+                routes[name] = builds[name]() if name in builds else build(pattern, N)
+            except _ROUTE_FAILURES as exc:
+                errors[name] = exc
+    agree = {name: s == routes.get(reference) for name, s in routes.items() if name != reference}
+    return routes, agree, errors
+
+
 def popularity_gf(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
-    """Total occurrences of the pattern over the whole family, by
-    semilength: the y-derivative of the distribution at y = 1. For the
-    length-2 patterns the printed closed form is evaluated as well and
-    must agree."""
-    return _popularity_route(_canon(pattern), N)[0]
-
-
-def _popularity_route(pattern: str, N: int) -> tuple:
-    """popularity_gf's series, and how many printed forms (0 or 1) it was
-    compared with; RouteCheckError when the printed form disagrees."""
-    derived = _popularity(distribution_gf_closed(pattern, N))
-    printed = pattern in _pop_closed_length2
-    if printed and _printed_route(_pop_closed_length2[pattern], pattern, N, True) != derived:
+    """Total occurrences of the pattern over the family, by semilength: the derivative
+    route, once each other route that covers the pattern agrees with it."""
+    routes, agree, errors = cross_check("popularity", _canon(pattern), N)
+    if errors:
+        raise next(iter(errors.values()))
+    if not all(agree.values()):
         raise RouteCheckError(
             f"popularity closed form for {pattern} disagrees with the derivative route")
-    return derived, int(printed)
+    return routes["derivative"]
 
 
 def du_from_ud(N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:

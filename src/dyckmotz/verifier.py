@@ -37,9 +37,8 @@ from typing import Optional
 from . import family
 from .enumeration import _require_size, _walk, motzkin_numbers
 from .family import TransportSweep, _unchecked
-from .genfun import (PATTERNS, _ROUTE_FAILURES, _brute_force, _distribution_row,
-                     _pop_closed_length2, _popularity, _popularity_route, cross_check_routes,
-                     du_from_ud)
+from .genfun import (PATTERNS, _ROUTE_FAILURES, _ROUTES, _brute_force, _distribution_row,
+                     _popularity, cross_check, du_from_ud, popularity_gf)
 from .golden import SequenceRef, _TARGET_RE, load_golden_tables
 from .oeis import CacheMissError, MalformedBFileError, oeis_fetch
 from .patterns import TransportRule, parse_pattern, parse_statistic, transport_rules
@@ -191,15 +190,15 @@ def _route_checks(ns):
 
 
 def _three_way(ns, pattern):
-    ns.routes[pattern], agree, errors = cross_check_routes(
-        pattern, ns.max_n, lambda: _brute_force(pattern, ns.rows))
+    ns.routes[pattern], agree, errors = cross_check(
+        "distribution", pattern, ns.max_n, brute=lambda: _brute_force(pattern, ns.rows))
     if "closed" in errors:
         ns.unread[pattern] = f"no closed series for {pattern}: {errors['closed']}"
     if errors:
         raise next(iter(errors.values()))
     verdicts = {f"{name}=brute": same for name, same in agree.items()}
     # it compared only if every route built besides brute was compared with brute
-    return _record(f"three-way:{pattern}", f"routes over n<=..{ns.max_n}: " + ", ".join(
+    return _record(f"three-way:{pattern}", f"routes over n<={ns.max_n}: " + ", ".join(
         f"{k} {'ok' if v else 'DISAGREE'}" for k, v in verdicts.items()),
         None if all(verdicts.values()) else verdicts,
         agree.keys() == ns.routes[pattern].keys() - {"brute"})
@@ -270,11 +269,13 @@ def _popularity_checks(ns):
                       pop_failures.get(key), pop_counts[key])
     for note in notices:
         yield _record("misprint-notice", note, status="notice")
-    printed_n = max(24, ns.max_n)
+    printed_n, (reference, table) = max(24, ns.max_n), _ROUTES["popularity"]
+    # each pattern that other routes cover, by how many: popularity_gf raises unless all agree
+    covered = Counter(p for name, (_, covers) in table.items() if name != reference for p in covers)
     yield _timed("popularity-closed-forms", printed_n, lambda: _record(
         "popularity-closed-forms", "printed length-2 popularity formulas equal the derivative "
         f"route through x^{printed_n}",
-        compared=sum(_popularity_route(p, printed_n)[1] for p in _pop_closed_length2)))
+        compared=sum(n for p, n in covered.items() if popularity_gf(p, printed_n) is not None)))
 
     yield _record("structural:DUU-avoiders-have-at-most-one-UUD",
                   f"exhaustive over n=0..{ns.max_n}", ns.structural)

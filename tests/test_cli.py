@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dyckmotz import PATTERNS, cli, family, genfun, patterns, run_full_verification
+from dyckmotz import PATTERNS, family, genfun, patterns, run_full_verification
 from dyckmotz.cli import main
 from test_mutants import _ud_radical_of_3
 from test_verifier import _no_child_left
@@ -151,8 +151,9 @@ def test_gf_all_methods_writes_bare_csv_and_json(capsys):
 
 def test_gf_all_methods_exit_1_when_routes_disagree(capsys, monkeypatch):
     # the brute route gives another pattern's series, valid on its own
-    monkeypatch.setitem(cli._ROUTES, "brute",
-                        lambda pattern, max_n: genfun.distribution_brute_force("UU", max_n))
+    brute = genfun.distribution_brute_force
+    monkeypatch.setattr(genfun, "distribution_brute_force",
+                        lambda pattern, max_n: brute("UU", max_n))
     assert main(["gf", "--pattern", "UD", "--method", "all", "--max-n", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "routes disagree for UD\n" and captured.out == ""
@@ -188,7 +189,7 @@ def test_a_form_the_ring_refuses_fails_its_route_check(capsys, monkeypatch):
 def test_gf_announces_a_long_brute_force_walk(capsys, monkeypatch):
     # sum M_n over n <= 18 is 10,237,540, the first sum past 10^7; the walk
     # is replaced by the closed form, so only the announcement is timed
-    monkeypatch.setitem(cli._ROUTES, "brute", genfun.distribution_gf_closed)
+    monkeypatch.setattr(genfun, "distribution_brute_force", genfun.distribution_gf_closed)
     for method, max_n, err in (
             ("brute", 18, "dyckmotz: the brute-force route walks 10237540 family members "
                           "(n = 0..18)\n"),

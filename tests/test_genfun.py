@@ -24,7 +24,7 @@ from dyckmotz import (
 import dyckmotz
 from dyckmotz import cli, genfun
 from dyckmotz.enumeration import motzkin_numbers
-from dyckmotz.genfun import RouteCheckError, cross_check_routes
+from dyckmotz.genfun import RouteCheckError, cross_check
 from dyckmotz.series import TruncatedSeries, _monomial, solve_fixed_point
 
 N = 10
@@ -62,18 +62,20 @@ def test_fixed_points_agree_with_brute_force():
 
 def test_cross_check_routes(monkeypatch, capsys):
     brute = distribution_brute_force("UDU", 6)
-    routes, agree, errors = cross_check_routes("UDU", 6, lambda: brute)
+    routes, agree, errors = cross_check("distribution", "UDU", 6, brute=lambda: brute)
     assert list(routes) == ["closed", "brute", "fixed"]
     assert routes["brute"] is brute
     assert agree == {"closed": True, "fixed": True}
     assert errors == {}
-    routes, agree, errors = cross_check_routes("UD", 6, lambda: brute)  # the wrong pattern's
+    # the wrong pattern's brute series
+    routes, agree, errors = cross_check("distribution", "UD", 6, brute=lambda: brute)
     assert list(routes) == ["closed", "brute"]
     assert agree == {"closed": False}
     # a wrong closed form is left out, with its error, and the other routes are still built
     monkeypatch.setitem(genfun._CLOSED_FORMS, "UDU", lambda x, y: 1 + x)
     built = []
-    routes, agree, errors = cross_check_routes("UDU", 6, lambda: built.append(1) or brute)
+    routes, agree, errors = cross_check("distribution", "UDU", 6,
+                                        brute=lambda: built.append(1) or brute)
     assert list(routes) == ["brute", "fixed"] and built == [1]
     assert agree == {"fixed": True}
     assert list(errors) == ["closed"] and type(errors["closed"]) is RouteCheckError
@@ -87,9 +89,36 @@ def test_cross_check_routes(monkeypatch, capsys):
         raise RouteCheckError("UUU/brute: short")
 
     # a brute route that fails its check leaves nothing to agree with
-    routes, agree, errors = cross_check_routes("UUU", 6, short_brute)
+    routes, agree, errors = cross_check("distribution", "UUU", 6, brute=short_brute)
     assert list(routes) == ["closed", "fixed"] and list(errors) == ["brute"]
     assert agree == {"closed": False, "fixed": False}
+
+
+def test_a_distribution_route_is_one_table_entry(monkeypatch, capsys):
+    # the closed route under a new name, covering UD alone
+    monkeypatch.setitem(genfun._ROUTES["distribution"][1], "closed2",
+                        (lambda p, N: distribution_gf_closed(p, N), ("UD",)))
+    assert cli.main(["gf", "--pattern", "UD", "--method", "closed2", "--max-n", "6"]) == 0
+    assert capsys.readouterr().out == distribution_gf_closed("UD", 6).dump() + "\n"
+    routes, agree, errors = cross_check("distribution", "UD", 6)
+    assert list(routes) == ["closed", "brute", "closed2"] and errors == {}
+    assert agree == {"closed": True, "closed2": True}
+    assert "closed2" not in cross_check("distribution", "UU", 6)[0]
+    checks = {c["check"]: c for c in dyckmotz.run_full_verification(6)["checks"]}
+    assert checks["three-way:UD"]["details"] == "routes over n<=6: closed=brute ok, closed2=brute ok"
+
+
+def test_a_popularity_route_is_one_table_entry(monkeypatch):
+    # a wrong route, the derivative plus 1, covering UD alone
+    monkeypatch.setitem(genfun._ROUTES["popularity"][1], "plus1", (
+        lambda p, N: genfun._popularity(distribution_gf_closed(p, N)) + 1, ("UD",)))
+    with pytest.raises(RouteCheckError,
+                       match="^popularity closed form for UD disagrees with the derivative route$"):
+        popularity_gf("UD", 12)
+    assert popularity_gf("UU", 12) == genfun._popularity(distribution_gf_closed("UU", 12))
+    checks = {c["check"]: c for c in dyckmotz.run_full_verification(6)["checks"]}
+    assert [c["check"] for c in checks.values() if c["status"] == "fail"] == [
+        "popularity-closed-forms"]
 
 
 def test_closed_forms_equal_fixed_points_deep():

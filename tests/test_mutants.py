@@ -5,8 +5,8 @@ numbers the routes, the bijectivity report or the cardinality check read,
 one transport rule, _phi's images, the family walker, one identity, the
 campaign sweep's pattern counts, the brute-force columns, the derivative
 popularity route, the three-way comparison or the printed popularity
-guard, with the exact set of records of run_full_verification(8) whose
-status it turns; and a test that some row turns a record of each kind.
+route's coverage, with the exact set of records of run_full_verification(8)
+whose status it turns; and a test that some row turns a record of each kind.
 Every mutant of a form, a radical, a system or the solver runs on a cold
 memo of printed forms and roots and again right after an unmutated
 campaign has filled it; a memo that served a replaced form's old series,
@@ -106,17 +106,11 @@ def _m7_plus_one_in_family(monkeypatch):
     monkeypatch.setattr(family, "motzkin_number", lambda n: number(n) + (n == 7))
 
 
-class _NotIn(dict):
-    """A dict whose `in` reads as `not in`."""
-
-    def __contains__(self, key):
-        return not super().__contains__(key)
-
-
-def _printed_popularity_guard_negated(monkeypatch):
-    # the `in` of the printed popularity guard read as `not in`: for the
-    # four patterns with a printed form, the popularity route compares none
-    monkeypatch.setattr(genfun, "_pop_closed_length2", _NotIn(genfun._pop_closed_length2))
+def _printed_popularity_covers_nothing(monkeypatch):
+    # the printed route's entry in the route table with no pattern: no
+    # popularity route is compared with the derivative route
+    routes = genfun._ROUTES["popularity"][1]
+    monkeypatch.setitem(routes, "printed", (routes["printed"][0], ()))
 
 
 # the records that read a closed series, or a route's row at x^7
@@ -244,15 +238,15 @@ def _popularity_doubled(monkeypatch):
 
 
 def _brute_against_itself(monkeypatch):
-    # cross_check_routes with 'if name != "brute"' turned to '==': each
-    # record compares the brute series with itself and with nothing else
-    cross_check = genfun.cross_check_routes
+    # cross_check with 'if name != reference' turned to '==': each record
+    # compares the brute series with itself and with nothing else
+    cross_check = genfun.cross_check
 
-    def mutated(pattern, N, brute):
-        routes, _, errors = cross_check(pattern, N, brute)
+    def mutated(quantity, pattern, N, **builds):
+        routes, _, errors = cross_check(quantity, pattern, N, **builds)
         return routes, {name: s == routes.get("brute") for name, s in routes.items()
                         if name == "brute"}, errors
-    monkeypatch.setattr(verifier, "cross_check_routes", mutated)
+    monkeypatch.setattr(verifier, "cross_check", mutated)
 
 
 # each turned record with its new status; a record is named by its
@@ -294,9 +288,9 @@ MEMO_FREE_MUTANTS = [
          "oeis:A097861:pop:UUD", "oeis:A025566:pop:UDU"), "fail"),
       "oeis:A304011:pop:DUU": "conjecture-broken"}),
     # no record may pass having compared nothing
-    ("cross_check_routes compares brute with itself", _brute_against_itself,
+    ("cross_check compares the brute route with itself", _brute_against_itself,
      {f"three-way:{p}": "info" for p in genfun.PATTERNS}),
-    ("the printed popularity guard negated", _printed_popularity_guard_negated,
+    ("the printed popularity route covers no pattern", _printed_popularity_covers_nothing,
      {"popularity-closed-forms": "info"}),
 ]
 
