@@ -149,16 +149,17 @@ def _phi_inverse(m: str) -> Optional[str]:
             return None
         else:
             h = 2 + (heights[0] if heights else 0)
-            arch = "".join(["UU", *texts, "D"])  # U U beta D, then gamma D
+            beta = "".join(texts)
             heights, texts = stack.pop()
             k = len(heights)
             while k and heights[k - 1] < h:
                 k -= 1
             if k < len(heights):  # the lower atoms just before the arch are its gamma
-                arch += "".join(texts[k:])
-                del texts[k:], heights[k:]
-            texts.append(arch + "D")
-            heights.append(h)
+                texts[k:] = [f"UU{beta}D{''.join(texts[k:])}D"]
+                heights[k:] = [h]
+            else:
+                texts.append(f"UU{beta}DD")
+                heights.append(h)
     return None if stack else "".join(texts)
 
 

@@ -19,6 +19,9 @@ surrounded by whitespace, which keeps repetition '+' (never spaced)
 unambiguous: "UF+D + 2*UF+U + 2*UU". The symbol n means semilength on
 the Dyck side and length on the Motzkin side; each statistic records
 which side it lives on.
+
+A pattern _PROFILED_RE admits is one read: an anchor, delta, or a word or
+run XY+Z over the bit-planes (_windows, _flanked); others count_occurrences.
 """
 from __future__ import annotations
 
@@ -54,8 +57,8 @@ class _Frozen(tuple):
 
 class PatternExpr(_Frozen, namedtuple("PatternExpr", "atoms start_anchor end_anchor dirac text")):
     # counter (in the instance dict, out of ==, hash and repr): the exact
-    # counter parse_pattern compiles for _PROFILED_RE's shapes, ((read, c), ...),
-    # a read (f, arg) being f(text, arg) and the count the sum of c * read
+    # counter ((read, c), ...), a read (f, arg) being f(text, arg) and the
+    # count the sum of c * read; _counter's one read on _PROFILED_RE's shapes
     def __new__(cls, atoms: tuple, start_anchor: bool = False, end_anchor: bool = False,
                 dirac: bool = False, text: str = "", counter: Optional[tuple] = None):
         self = super().__new__(cls, atoms, start_anchor, end_anchor, dirac, text)
@@ -71,14 +74,29 @@ def _only(text: str, letters: str) -> bool:
     return not text.strip(letters)
 
 
-def _ends_run(text: str, xy: str) -> bool:
-    """text ends with a run X Y+."""
-    return text.endswith(xy[1]) and text.rstrip(xy[1]).endswith(xy[0])
+# the planes' bytes.translate tables: the letter to 1, U/D/F to 0, else x, which int refuses
+_TABLES = {c: bytes(b"10x"[(b != ord(c)) + (b not in b"UDF")] for b in range(256)) for c in "UDF"}
+_PLANE_NAMES = dict(zip("UDF", "udf"))  # in a compiled reader's source (see _reader)
 
 
-def _runs(text: str, regex: re.Pattern) -> int:
-    """Matches of a flanked run XY+Z with X != Z, which cannot overlap."""
-    return len(regex.findall(text))
+def _plane(text: str, letter: str) -> int:
+    """The bits of text that are letter, its first step the top bit (0 on the empty text)."""
+    return int(text.encode().translate(_TABLES[letter]), 2) if text else 0
+
+
+def _windows(text: str, word: str) -> int:
+    """Occurrences of word, overlaps included: the AND of its letters' shifted planes."""
+    hits = -1
+    for shift, letter in enumerate(word):
+        hits &= _plane(text, letter) << shift
+    return hits.bit_count()
+
+
+def _flanked(text: str, xyz: str) -> int:
+    """Occurrences of XY+Z, X and Z not Y: adding to the Y plane the last Y of each
+    run before a Z carries across the run onto the letter before it, an X or not."""
+    x, y, z = (_plane(text, c) for c in xyz)
+    return ((y + (y & z << 1)) & x).bit_count()
 
 
 DIRAC = PatternExpr(atoms=(), dirac=True, text="delta", counter=(((_only, "F"), 1),))
@@ -91,34 +109,16 @@ _PROFILED_RE = re.compile(
     r"\^?[UDF]{1,3}|[UDF]{1,3}\$|([UDF])(?!\1)([UDF])\+(?!\2)[UDF]")
 
 
-def _counter(text: str) -> Counter:
-    """read -> coefficient for a pattern _PROFILED_RE admits, by the border
-    argument of Knuth, Morris & Pratt (1977); each identity holds on
-    every U/D/F text."""
+def _counter(text: str) -> tuple:
+    """The counter of a pattern _PROFILED_RE admits: its one read, an anchor,
+    a window (_windows) or a flanked run (_flanked, "XYZ")."""
     if text[0] == "^":
-        return Counter({(str.startswith, text[1:]): 1})
-    if text[-1] == "$":
-        return Counter({(str.endswith, text[:-1]): 1})
-    if "+" in text:
-        x, y, z = text[0], text[1], text[-1]
-        if x != z:
-            return Counter({(_runs, re.compile(text)): 1})
-        # a run after XY is followed by X, by the third letter Z or by nothing
-        z = "UDF".replace(x, "").replace(y, "")
-        return Counter({(str.count, x + y): 1, (_ends_run, x + y): -1,
-                        (_runs, re.compile(f"{x}{y}+{z}")): -1})
-    # a word with no proper prefix that is also a suffix cannot overlap
-    # itself, so str.count, which counts without overlaps, is exact for it
-    if all(text[:i] != text[-i:] for i in range(1, len(text))):
-        return Counter({(str.count, text): 1})
-    # each occurrence of head = w minus its last letter is followed by
-    # that letter, by another letter or by nothing
-    head, last = text[:-1], text[-1]
-    counter = _counter(head)
-    counter[(str.endswith, head)] -= 1
-    for c in "UDF".replace(last, ""):
-        counter.subtract(_counter(head + c))
-    return counter
+        read = str.startswith, text[1:]
+    elif text[-1] == "$":
+        read = str.endswith, text[:-1]
+    else:
+        read = (_flanked if "+" in text else _windows), text.replace("+", "")
+    return ((read, 1),)
 
 
 def parse_pattern(text: str) -> PatternExpr:
@@ -145,7 +145,7 @@ def parse_pattern(text: str) -> PatternExpr:
     if not atoms:
         raise EmptyPatternError(f"no atoms in pattern {text!r}")
     return PatternExpr(tuple(atoms), start_anchor, end_anchor, False, text,
-                       tuple(_counter(text).items()) if _PROFILED_RE.fullmatch(text) else None)
+                       _counter(text) if _PROFILED_RE.fullmatch(text) else None)
 
 
 def count_occurrences(p: Union[str, LatticePath], pat: PatternExpr) -> int:
@@ -237,16 +237,16 @@ def _form(terms, index, const=0, n_coeff=0, shift=0) -> str:
 
 def _reader(patterns, statistics=()) -> tuple:
     """The patterns of statistics, then patterns, each once, compiled into
-    (keys, read, values, sides), three straight-line lambdas generated
-    once, as namedtuple generates __new__. read(text) is the raw tuple
-    (r0(text, a0), r1(text, a1), ...) of every distinct read (f, arg)
-    their counters make (a pattern without a counter is one read of the
-    generic counter). values(raw) is the tuple of the patterns' counts, in
-    keys order; sides(raw, size) that of the statistics on a text of
-    length size, each const + n_coeff * n plus its form over raw by read
-    index, with n size // 2 on a Dyck statistic and size on a Motzkin
-    one. Every function and argument reaches the source through
-    the namespace, so no pattern text is ever spliced into it."""
+    (keys, read, values, sides), three straight-line functions generated
+    once, as namedtuple generates __new__. read(text) is the raw tuple of
+    every distinct read (f, arg) their counters make (a pattern without a
+    counter is one read of the generic counter): a window or run inlined
+    over the planes of text it uses, built once, any other the call f(text,
+    arg). values(raw) is the tuple of the patterns' counts, in keys order;
+    sides(raw, size) that of the statistics on a text of length size, each
+    const + n_coeff * n plus its form over raw by read index, with n size
+    // 2 on a Dyck statistic and size on a Motzkin one. No pattern text is
+    spliced into the source: a read's letter enters it as its plane's name."""
     statistics = list(statistics)
     pats = dict.fromkeys([*(t for s in statistics for _, t in s.terms if t not in (ONE, N)),
                           *patterns])
@@ -255,17 +255,30 @@ def _reader(patterns, statistics=()) -> tuple:
     index = {read: i for i, read in enumerate(reads)}
     # n is size >> shift, by the statistic's side, not its slot
     forms = [_form(s.form, index, s.const, s.n_coeff, int(s.side == "dyck")) for s in statistics]
-    namespace = {"__builtins__": {}}
+    namespace, used, exprs = {"__builtins__": {}, "int": int, **_TABLES}, {}, []
     for i, (f, arg) in enumerate(reads):
-        namespace[f"r{i}"], namespace[f"a{i}"] = f, arg
+        if f is _windows or f is _flanked:
+            x, *rest = [used.setdefault(c, _PLANE_NAMES[c]) for c in arg]
+            if f is _windows:  # x & y << 1 & z << 2
+                hits = " & ".join([x, *(f"{q} << {k}" for k, q in enumerate(rest, 1))])
+            else:  # (y + (y & z << 1)) & x
+                hits = f"({rest[0]} + ({rest[0]} & {rest[1]} << 1)) & {x}"
+            exprs.append(f"({hits}).bit_count()")
+        else:
+            namespace[f"r{i}"], namespace[f"a{i}"] = f, arg
+            exprs.append(f"r{i}(t, a{i})")
+    planes = "".join(f" {p} = int(b.translate({c}), 2) if b else 0\n"
+                     for c, p in _PLANE_NAMES.items() if c in used)
 
-    def tuple_lambda(args, exprs):
-        return eval(f"lambda {args}: ({''.join(e + ', ' for e in exprs)})", namespace)
+    def tuple_function(args, exprs, body=""):
+        exec(f"def f({args}):\n{body} return ({''.join(e + ', ' for e in exprs)})",
+             namespace, scope := {})
+        return scope["f"]
 
     return (tuple(p.text for p in pats),
-            tuple_lambda("t", (f"r{i}(t, a{i})" for i in range(len(reads)))),
-            tuple_lambda("raw", (_form(counter, index) for counter in counters)),
-            tuple_lambda("raw, size", forms))
+            tuple_function("t", exprs, planes and " b = t.encode()\n" + planes),
+            tuple_function("raw", (_form(counter, index) for counter in counters)),
+            tuple_function("raw, size", forms))
 
 
 ONE, N = "1", "n"  # the constant and size terms of a statistic

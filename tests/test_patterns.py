@@ -263,6 +263,35 @@ def test_compiled_counters_are_exact_on_a_long_member_and_its_image():
     _assert_compiled_counters_exact([member, image])
 
 
+def test_compiled_counters_are_exact_across_int_digit_boundaries():
+    # a plane is one int, one bit per step: runs of every length up to 200
+    # cross CPython's 30-bit digits, so a window or a carry spans two digits
+    words = {w for k in range(201) for w in ("U" + "F" * k + "D", "U" * k, "UD" * k, "F" * k)
+             if 1 <= len(w) <= 200}
+    assert len(words) == 698  # UD is both U F^0 D and (UD)^1
+    _assert_compiled_counters_exact(sorted(words, key=len))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="UDF", max_size=300))
+def test_compiled_counters_are_exact_on_long_words(word):
+    _assert_compiled_counters_exact([word])
+
+
+@pytest.mark.parametrize("text", ["UXD", "U1D", "U0D", "U_D", " UD", "UD\n", "U١D", "UéD"])
+def test_a_plane_reader_refuses_a_letter_that_is_no_step(text):
+    # int(, 2) would take a digit, an underscore or a space; each must raise,
+    # never be counted
+    readers = [patterns._side_reader(side)[0] for side in ("dyck", "motzkin")]
+    readers.append(patterns._reader([parse_pattern(t) for t in _COMPILED])[1])
+    for read in readers:
+        with pytest.raises(ValueError):
+            read(text)
+    for f, arg in ((patterns._windows, "U"), (patterns._flanked, "UFD")):
+        with pytest.raises(ValueError):
+            f(text, arg)
+
+
 def test_reader_source_holds_no_read_argument():
     # built by hand, bypassing parse_pattern: the words carry quotes, a
     # backslash and text that would run if it were spliced into source
