@@ -3,8 +3,9 @@ whose members bijection's cores map, and the checks that read it.
 
 family_reductions splits the walk across the CPUs by subtree; each share
 maps a chunk at a time through _phi, _phi_inverse and a TransportSweep's
-readers, judges pair by pair and reduces to data that merges, plain text
-that marshals as it is. The pass and its sweep have one owner, so
+readers, which read and judge a chunk at once (pair by pair only where
+its sides differ), and reduces to data that merges, plain text that
+marshals as it is. The pass and its sweep have one owner, so
 bijection, the map, loads neither the walker nor the pattern language.
 """
 from __future__ import annotations
@@ -13,14 +14,13 @@ import marshal
 import os
 import threading
 from collections import Counter
-from functools import lru_cache
 from itertools import groupby, islice
 from operator import eq
 from typing import Iterator, Union
 
 from .bijection import _member_image, _phi, _phi_inverse, _refusal
 from .enumeration import _require_size, _walk, motzkin_number
-from .patterns import TransportRule, _reader, transport_rule
+from .patterns import TransportRule, _read_pairs, _reader, transport_rule
 
 
 def check_bijectivity(n: int) -> dict:
@@ -91,12 +91,15 @@ def _reduction() -> dict:
             "subtrees": {}}
 
 
-def _tally(reduction: dict, indices, members, images, sweep, dyck_sides) -> None:
+def _tally(reduction: dict, indices, members, images, sweep) -> None:
     """Fold one chunk of pairs (member, image), at walk indices, into reduction's
-    counts and fails (see family_reductions), each judged by sweep with dyck_sides."""
-    raws = list(map(sweep.read_dyck, members))
+    counts and fails (see family_reductions), judged by sweep: a chunk whose
+    lanes agree (TransportSweep.read_chunk) at once, any other pair by pair."""
+    raws, agree = sweep.read_chunk(members, images)
     reduction["counts"].update(raws)
-    lhs = list(map(dyck_sides, raws, map(len, members)))
+    if agree:
+        return
+    lhs = list(map(sweep.dyck_sides, raws, map(len, members)))
     rhs = list(map(sweep.motzkin_sides, map(sweep.read_motzkin, images), map(len, images)))
     if lhs == rhs:
         return
@@ -114,12 +117,11 @@ _PLACE = 64
 
 def _judge_share(n: int, claim, sweep) -> dict:
     """The reduction of the subtrees of semilength n that claim hands out
-    (all of it when claim is None), each pair judged by sweep as it is
-    read, with the Dyck sides of each raw tuple and size valued once in
-    the share. Its subtrees map each subtree k to [outputs, place and
-    member of its first pair, member of its last pair]: _close
+    (all of it when claim is None), each chunk of pairs judged by sweep as
+    it is read (_tally). Its subtrees map each subtree k to [outputs, place
+    and member of its first pair, member of its last pair]: _close
     order-checks each first pair against the pair before it."""
-    reduction, k, dyck_sides = _reduction(), 0, lru_cache(None)(sweep.dyck_sides)  # the share's own
+    reduction, k = _reduction(), 0
     for kind, run in groupby(_members(n, claim), type):
         if kind is int:  # a subtree's number, then its walker outputs
             *_, k = run
@@ -145,7 +147,7 @@ def _judge_share(n: int, claim, sweep) -> dict:
                 if not all(oks := list(oks)):
                     reduction[key] += [(i, p) for i, p, ok in zip(indices, chunk, oks)
                                        if not ok]
-            _tally(reduction, indices, chunk, images, sweep, dyck_sides)
+            _tally(reduction, indices, chunk, images, sweep)
     return reduction
 
 
@@ -291,8 +293,9 @@ class TransportSweep:
     plus dyck_patterns from the first text, read_motzkin every Motzkin
     side from the second, and dyck_sides(raw, size) and motzkin_sides(raw,
     size) value every rule at once; dyck_values gives the counts of a
-    read_dyck tuple in dyck_keys order. Each pair is judged as it is read
-    (_tally), and judge reads the first failing pair of each rule.
+    read_dyck tuple in dyck_keys order. Each chunk of pairs is judged as it
+    is read (read_chunk, _tally), and judge reads the first failing pair of
+    each rule.
     """
 
     def __init__(self, rules, dyck_patterns=()):
@@ -301,17 +304,27 @@ class TransportSweep:
             dyck_patterns, (r["rule"].dyck_side for r in self.results))
         _, self.read_motzkin, _, self.motzkin_sides = _reader(
             (), (r["rule"].motzkin_side for r in self.results))
+        # |dyck_side - motzkin_side| <= weight * max(size, 1) on texts of length <= size
+        # where 1, n and each read a lane reads (_reader) are at most max(size, 1)
+        self.weight = max((sum(abs(c) for side in (r["rule"].dyck_side, r["rule"].motzkin_side)
+                               for c in (side.const, side.n_coeff, *(c for _, c in side.form)))
+                           for r in self.results), default=1)
 
     @property
     def done(self) -> bool:
         """Every rule has its counterexample: nothing is left to check."""
         return all(r["counterexample"] for r in self.results)
 
+    def read_chunk(self, members, images) -> tuple:
+        """(raws, agree) of a chunk of pairs (patterns._read_pairs), read and judged."""
+        return _read_pairs((self.read_dyck, self.dyck_sides),
+                           (self.read_motzkin, self.motzkin_sides), members, images, self.weight)
+
     def add(self, n: int, pairs) -> None:
         """judge the reduction of an iterable of pairs of texts, read a chunk at a time."""
         reduction, pairs, start = _reduction(), iter(pairs), 0
         for chunk in iter(lambda: list(islice(pairs, _CHUNK)), []):
-            _tally(reduction, range(start, start + len(chunk)), *zip(*chunk), self, self.dyck_sides)
+            _tally(reduction, range(start, start + len(chunk)), *zip(*chunk), self)
             start += len(chunk)
         self.judge(n, reduction)
 

@@ -26,7 +26,8 @@ in the memo _printed keyed by the form itself, and each radical that
 several forms print is rooted once, in _root keyed by the radical; the
 fixed-point and brute-force routes read neither. Every module cache is
 bounded: _printed (32 forms), _root (8 roots), _family_row (25 rows),
-patterns._side_reader (2), enumeration._at_most (2) and _convergents (2).
+patterns._side_reader (2), _plane (3 planes) and _lanes (8 lane masks),
+enumeration._at_most (2) and _convergents (2).
 
 DD shares the UU distribution; the brute-force route still counts DD
 literally so the alias is itself testable.
@@ -35,9 +36,10 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 
 from .enumeration import _walk, motzkin_numbers
-from .patterns import PATTERNS, _reader, parse_pattern
+from .patterns import PATTERNS, _read_chunk, _reader, parse_pattern
 from .series import (InexactDivisionError, NoConvergenceError, NonSquareConstantTermError,
                      NonUnitDivisorError, TruncatedSeries, _require_size, solve_fixed_point)
 
@@ -274,7 +276,10 @@ def _distribution_row(tallies: Counter, keys: tuple = _COUNTED,
 # repeated for another pattern does not walk the family again
 @lru_cache(maxsize=DEFAULT_TRUNCATION + 1)
 def _family_row(n: int) -> dict:
-    return _distribution_row(Counter(map(_read_patterns, _walk(2 * n, False, True))))
+    tallies, walk = Counter(), _walk(2 * n, False, True)
+    for chunk in iter(lambda: list(islice(walk, 256)), []):  # read a chunk at a time
+        tallies.update(_read_chunk(_read_patterns, chunk))
+    return _distribution_row(tallies)
 
 
 def _brute_force(pattern: str, rows) -> TruncatedSeries:

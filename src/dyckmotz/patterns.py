@@ -22,6 +22,8 @@ which side it lives on.
 
 A pattern _PROFILED_RE admits is one read: an anchor, delta, or a word or
 run XY+Z over the bit-planes (_windows, _flanked); others count_occurrences.
+A compiled reader (_reader) reads one text, or a chunk of texts of one
+length at once, each in its own lane of one big int (_read_chunk).
 """
 from __future__ import annotations
 
@@ -74,11 +76,18 @@ def _only(text: str, letters: str) -> bool:
     return not text.strip(letters)
 
 
-# the planes' bytes.translate tables: the letter to 1, U/D/F to 0, else x, which int refuses
-_TABLES = {c: bytes(b"10x"[(b != ord(c)) + (b not in b"UDF")] for b in range(256)) for c in "UDF"}
+# the planes' bytes.translate tables: the letter to 1, U/D/F and the filler to 0, else x,
+# which int refuses. The filler, byte 0xff, pads each text of a chunk to its lane (see
+# _reader); UTF-8 never uses it, so no str.encode() output passes a stray letter off as it
+_FILL = b"\xff"
+_TABLES = {c: bytes(b"10x"[(b != ord(c)) + (b not in b"UDF\xff")] for b in range(256))
+           for c in "UDF"}
 _PLANE_NAMES = dict(zip("UDF", "udf"))  # in a compiled reader's source (see _reader)
+_POPCOUNT = bytes(b.bit_count() for b in range(256))  # bytes.translate: each byte's popcount
 
 
+# the last text's planes, so a PathProfile's window and run reads build each once
+@lru_cache(maxsize=3)
 def _plane(text: str, letter: str) -> int:
     """The bits of text that are letter, its first step the top bit (0 on the empty text)."""
     return int(text.encode().translate(_TABLES[letter]), 2) if text else 0
@@ -97,6 +106,64 @@ def _flanked(text: str, xyz: str) -> int:
     run before a Z carries across the run onto the letter before it, an X or not."""
     x, y, z = (_plane(text, c) for c in xyz)
     return ((y + (y & z << 1)) & x).bit_count()
+
+
+@lru_cache(maxsize=8)
+def _lanes(k: int, w: int) -> tuple:
+    """(ones, count) for k lanes of w bits, the first on top: ones is 1 in each lane,
+    count(hits) each lane's popcount of hits, in its low byte. One product sums each
+    lane's byte popcounts into its top byte; no byte carries, as any w bits in a row
+    hold a filler bit, never a hit."""
+    b = w >> 3
+    ones = int.from_bytes((1).to_bytes(b, "big") * k, "big")
+    spread, low = int.from_bytes(b"\1" * b, "big"), ones * 255
+
+    def count(hits: int) -> int:
+        return (int.from_bytes(hits.to_bytes(k * b, "big").translate(_POPCOUNT), "big")
+                * spread >> w - 8 & low)
+    return ones, count
+
+
+def _lane_width(texts, size: int = 0, weight: int = 1) -> int:
+    """The lane width w for a chunk of texts of one length L (see _reader): the least
+    power of two of at least 8 above L and size with 2^w > weight * max(L, size, 1),
+    a bound on a linear form of absolute coefficient sum weight over reads of texts
+    that long. 0, for one text at a time, on fewer than two texts, mixed lengths or
+    L > 255, which a byte cannot count."""
+    sizes = set(map(len, texts))
+    if len(texts) < 2 or len(sizes) > 1 or max(sizes) > 255:
+        return 0
+    top = max(*sizes, size)
+    return 1 << (max(8, top + 1, (weight * max(top, 1)).bit_length()) - 1).bit_length()
+
+
+def _columns(packed: tuple, k: int, w: int) -> list:
+    """The raw tuples of k lanes of w bits from a chunk's packed reads, one byte each."""
+    b = w >> 3
+    return list(zip(*(p.to_bytes(k * b, "big")[b - 1::b] for p in packed)))
+
+
+def _read_chunk(read, texts) -> list:
+    """list(map(read, texts)), on lanes (read.lanes) where _lane_width gives them."""
+    w = read.lanes and _lane_width(texts)
+    return _columns(read.lanes(texts, w), len(texts), w) if w else list(map(read, texts))
+
+
+def _read_pairs(dyck, motzkin, members, images, weight: int) -> tuple:
+    """(raws, agree) over the pairs (members[i], images[i]), dyck and motzkin each a
+    (read, sides) of _reader: dyck's raw tuple of each member, and whether the two
+    sides agree on every pair. Each is valued once on lanes so wide (_lane_width)
+    that each lane's difference is below 2^w: packed, the sides are equal exactly
+    when every lane's are. agree is None where the texts are read one at a time."""
+    (left, left_sides), (right, right_sides) = dyck, motzkin
+    w = (left.lanes and right.lanes and _lane_width(images)
+         and _lane_width(members, len(images[0]), weight))
+    if not w:
+        return list(map(left, members)), None
+    k = len(members)
+    packed, ones = left.lanes(members, w), _lanes(k, w)[0]
+    return _columns(packed, k, w), (left_sides(packed, len(members[0]), ones)
+                                    == right_sides(right.lanes(images, w), len(images[0]), ones))
 
 
 DIRAC = PatternExpr(atoms=(), dirac=True, text="delta", counter=(((_only, "F"), 1),))
@@ -226,27 +293,49 @@ class PathProfile:
 
 
 def _form(terms, index, const=0, n_coeff=0, shift=0) -> str:
-    """Source of const + n_coeff * (size >> shift) + the sum of c * raw[index[read]] over
-    terms ((read, c), ...), no product by 1: integers and the names raw and size only.
-    Its leading sign stays, so a lone bool read (an anchor, delta) values as an int."""
+    """Source of (const + n_coeff * (size >> shift)) * one + the sum of c * raw[index[read]]
+    over terms ((read, c), ...), no product by 1: integers and the names raw, size and one
+    only. Its leading sign stays, so a lone bool read (an anchor, delta) values as an int."""
     parts = [f"{c:+d}*raw[{index[read]:d}]" for read, c in terms if c]
-    parts += [f"{n_coeff:+d}*(size >> {shift:d})"] if n_coeff else []
-    parts += [f"{const:+d}"] if const else []
+    parts += [f"{n_coeff:+d}*(size >> {shift:d})*one"] if n_coeff else []
+    parts += [f"{const:+d}*one"] if const else []
     return re.sub(r"\b1\*", "", "".join(parts)) or "0"
+
+
+def _hits(f, arg: str, used: dict) -> str:
+    """Source of the hits of the window (f _windows) or run (f _flanked) read arg over
+    the planes of its letters, whose names it sets in used."""
+    x, *rest = [used.setdefault(c, _PLANE_NAMES[c]) for c in arg]
+    if f is _windows:  # x & y << 1 & z << 2
+        return " & ".join([x, *(f"{q} << {k}" for k, q in enumerate(rest, 1))])
+    return f"({rest[0]} + ({rest[0]} & {rest[1]} << 1)) & {x}"  # (y + (y & z << 1)) & x
+
+
+_WORD = re.compile(r"[UDF]+")
 
 
 def _reader(patterns, statistics=()) -> tuple:
     """The patterns of statistics, then patterns, each once, compiled into
-    (keys, read, values, sides), three straight-line functions generated
-    once, as namedtuple generates __new__. read(text) is the raw tuple of
-    every distinct read (f, arg) their counters make (a pattern without a
-    counter is one read of the generic counter): a window or run inlined
-    over the planes of text it uses, built once, any other the call f(text,
-    arg). values(raw) is the tuple of the patterns' counts, in keys order;
+    (keys, read, values, sides), straight-line functions generated once, as
+    namedtuple generates __new__. read(text) is the raw tuple of every
+    distinct read (f, arg) their counters make (a pattern without a counter
+    is one read of the generic counter): a window or run inlined over the
+    planes of text it uses, built once, any other the call f(text, arg).
+    values(raw) is the tuple of the patterns' counts, in keys order;
     sides(raw, size) that of the statistics on a text of length size, each
     const + n_coeff * n plus its form over raw by read index, with n size
     // 2 on a Dyck statistic and size on a Motzkin one. No pattern text is
-    spliced into the source: a read's letter enters it as its plane's name."""
+    spliced into the source: a read's letter enters it as its plane's name.
+
+    read.lanes(texts, w), None unless every read is a window, a run, an
+    anchor or delta, reads texts of one length L at once: joined, each
+    padded with the filler to a lane of w bits (_lane_width), whose planes
+    are 0 there, so no window or run carry crosses a lane. Each read is one
+    int with each lane's value in its low byte: a window or run counted per
+    lane (_lanes), an anchor its word's window at the lane's first (or
+    L - len(word)-th) letter, delta 1 where the lane's F count is L.
+    _columns splits them into raw tuples; sides(packed, L, ones) values
+    every statistic on every lane at once."""
     statistics = list(statistics)
     pats = dict.fromkeys([*(t for s in statistics for _, t in s.terms if t not in (ONE, N)),
                           *patterns])
@@ -255,30 +344,46 @@ def _reader(patterns, statistics=()) -> tuple:
     index = {read: i for i, read in enumerate(reads)}
     # n is size >> shift, by the statistic's side, not its slot
     forms = [_form(s.form, index, s.const, s.n_coeff, int(s.side == "dyck")) for s in statistics]
-    namespace, used, exprs = {"__builtins__": {}, "int": int, **_TABLES}, {}, []
+    namespace = {"__builtins__": {}, "int": int, "len": len, "map": map, "encode": str.encode,
+                 "lanes": _lanes, "FILL": _FILL, **_TABLES}
+    used, lane_used, exprs, lane_exprs = {}, {}, [], []
     for i, (f, arg) in enumerate(reads):
         if f is _windows or f is _flanked:
-            x, *rest = [used.setdefault(c, _PLANE_NAMES[c]) for c in arg]
-            if f is _windows:  # x & y << 1 & z << 2
-                hits = " & ".join([x, *(f"{q} << {k}" for k, q in enumerate(rest, 1))])
-            else:  # (y + (y & z << 1)) & x
-                hits = f"({rest[0]} + ({rest[0]} & {rest[1]} << 1)) & {x}"
+            hits = _hits(f, arg, used)
             exprs.append(f"({hits}).bit_count()")
+            lane_exprs.append(f"count({hits})")
+            continue
+        namespace[f"r{i}"], namespace[f"a{i}"] = f, arg
+        exprs.append(f"r{i}(t, a{i})")
+        word = type(arg) is str and _WORD.fullmatch(arg)  # an anchor's U/D/F word
+        if f is str.startswith and word:
+            lane_exprs.append(f"({_hits(_windows, arg, lane_used)}) >> w - 1 & ones")
+        elif f is str.endswith and word:
+            lane_exprs.append(f"(({_hits(_windows, arg, lane_used)}) >> w - 1 - n + {len(arg):d}"
+                              f" & ones if n >= {len(arg):d} else 0)")
+        elif f is _only and arg == "F":  # c + 2^m - n, m the bits of n, reaches 2^m at c = n
+            lane_exprs.append(f"count({_hits(_windows, 'F', lane_used)})"
+                              " + ((1 << n.bit_length()) - n) * ones >> n.bit_length() & ones")
         else:
-            namespace[f"r{i}"], namespace[f"a{i}"] = f, arg
-            exprs.append(f"r{i}(t, a{i})")
-    planes = "".join(f" {p} = int(b.translate({c}), 2) if b else 0\n"
-                     for c, p in _PLANE_NAMES.items() if c in used)
+            lane_exprs.append(None)
 
     def tuple_function(args, exprs, body=""):
         exec(f"def f({args}):\n{body} return ({''.join(e + ', ' for e in exprs)})",
              namespace, scope := {})
         return scope["f"]
 
-    return (tuple(p.text for p in pats),
-            tuple_function("t", exprs, planes and " b = t.encode()\n" + planes),
+    def planes(letters):  # the lines building the planes of letters from the bytes b
+        return "".join(f" {p} = int(b.translate({c}), 2) if b else 0\n"
+                       for c, p in _PLANE_NAMES.items() if c in letters)
+
+    read = tuple_function("t", exprs, " b = t.encode()\n" + planes(used) if used else "")
+    read.lanes = None if not reads or None in lane_exprs else tuple_function(
+        "ts, w", lane_exprs, " n = len(ts[0])\n ones, count = lanes(len(ts), w)\n"
+        " pad = FILL * (w - n)\n b = pad.join(map(encode, ts)) + pad\n"
+        + planes({**used, **lane_used}))
+    return (tuple(p.text for p in pats), read,
             tuple_function("raw", (_form(counter, index) for counter in counters)),
-            tuple_function("raw, size", forms))
+            tuple_function("raw, size, one=1", forms))
 
 
 ONE, N = "1", "n"  # the constant and size terms of a statistic

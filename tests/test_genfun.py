@@ -471,8 +471,9 @@ def test_every_module_cache_is_bounded():
         caches.update((f"{info.name}.{name}", value.cache_parameters()["maxsize"])
                       for name, value in vars(module).items()
                       if hasattr(value, "cache_parameters") and value.__module__ == module.__name__)
-    assert caches == {"patterns._side_reader": 2, "genfun._root": 8, "genfun._printed": 32,
-                      "genfun._family_row": 25, "enumeration._at_most": 2}
+    assert caches == {"patterns._side_reader": 2, "patterns._plane": 3, "patterns._lanes": 8,
+                      "genfun._root": 8, "genfun._printed": 32, "genfun._family_row": 25,
+                      "enumeration._at_most": 2}
 
 
 def test_the_forms_that_print_one_radical_share_its_root(monkeypatch):

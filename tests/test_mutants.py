@@ -249,6 +249,59 @@ def _brute_against_itself(monkeypatch):
     monkeypatch.setattr(verifier, "cross_check", mutated)
 
 
+def _lanes_with_no_filler(monkeypatch):
+    # _lane_width with L for L + 1: no lane of a text of 8 or 16 letters holds filler
+    def width(texts, size=0, weight=1):
+        sizes = set(map(len, texts))
+        if len(texts) < 2 or len(sizes) > 1 or max(sizes) > 255:
+            return 0
+        top = max(*sizes, size)
+        return 1 << (max(8, top, (weight * max(top, 1)).bit_length()) - 1).bit_length()
+    monkeypatch.setattr(patterns, "_lane_width", width)
+
+
+def _lane_sum_drops_a_byte(monkeypatch):
+    # each lane's count sums every byte of the lane but its top one, the one its
+    # first letters fill: a one-byte lane counts nothing. genfun's reader, built
+    # at import, keeps the true _lanes, so the brute-force rows stay right
+    lanes = patterns._lanes
+
+    def mutated(k, w):
+        ones, count = lanes(k, w)
+        keep = ~(ones * 255 << w - 8)
+        return ones, lambda hits: count(hits & keep)
+    monkeypatch.setattr(patterns, "_lanes", mutated)
+
+
+def _u_equals_d_plus_delta_from_2(monkeypatch):
+    # fails on F^n alone, the last path of each walk, n = 2..8: each sits in the
+    # last lane of its chunk of two or more paths
+    monkeypatch.setattr(verifier, "MOTZKIN_IDENTITIES", tuple(
+        ("U", "D + delta", 2) if identity == ("U", "D", 0) else identity
+        for identity in verifier.MOTZKIN_IDENTITIES))
+
+
+def _judge_blind_to_the_last_lane(monkeypatch):
+    # a chunk whose sides differ only in its last lane is taken as agreeing
+    read_chunk = family.TransportSweep.read_chunk
+
+    def blind(sweep, members, images):
+        raws, agree = read_chunk(sweep, members, images)
+        if agree is False:
+            agree = all(sweep.dyck_sides(sweep.read_dyck(a), len(a))
+                        == sweep.motzkin_sides(sweep.read_motzkin(b), len(b))
+                        for a, b in zip(members[:-1], images[:-1]))
+        return raws, agree
+    monkeypatch.setattr(family.TransportSweep, "read_chunk", blind)
+
+
+def _both(*mutants):
+    def mutate(monkeypatch):
+        for mutant in mutants:
+            mutant(monkeypatch)
+    return mutate
+
+
 # each turned record with its new status; a record is named by its
 # identity's text, so a changed identity's record leaves (None) under its old
 # name and comes back under its new one
@@ -292,6 +345,34 @@ MEMO_FREE_MUTANTS = [
      {f"three-way:{p}": "info" for p in genfun.PATTERNS}),
     ("the printed popularity route covers no pattern", _printed_popularity_covers_nothing,
      {"popularity-closed-forms": "info"}),
+    # texts of 8 and 16 letters fill their lanes, so a window crosses into the next
+    # text's: the Dyck raw tuples at n = 4 and 8 count DU, DUU, DUD and DDU across
+    # two texts. A chunk whose sides then differ is judged again pair by pair, its
+    # Motzkin sides read a text at a time, so only what a raw tuple feeds fails
+    ("lanes with no filler letter", _lanes_with_no_filler,
+     dict.fromkeys((*(f"transport:{r}" for r in ("DU", "DUU", "DUD", "UDU", "DDU")),
+                    *(f"identity:dyck:{lhs} = {rhs}" for lhs, rhs in (
+                        ("DU", "DUU + DUD"), ("DU", "DDU + UDU"), ("DU", "UD - 1"))),
+                    *(f"three-way:{p}" for p in ("DU", "DUU", "DUD", "UDU", "DDU")),
+                    *(f"golden:dist:{p}" for p in ("DUU", "DUD", "UDU", "DDU"))), "fail")),
+    # every window and run count of the family pass and the identity walks is
+    # wrong; only the anchored rules read no count
+    ("a lane sum that drops one byte of its lane", _lane_sum_drops_a_byte,
+     dict.fromkeys((*(f"transport:{r.name}" for r in patterns.transport_rules()
+                      if not r.name.startswith("^")),
+                    *(f"identity:{side}:{lhs} = {rhs}" for side, identities in (
+                        ("dyck", verifier.DYCK_IDENTITIES),
+                        ("motzkin", verifier.MOTZKIN_IDENTITIES))
+                      for lhs, rhs, _ in identities),
+                    *(f"three-way:{p}" for p in genfun.PATTERNS),
+                    *(name for name in _ROUTE_RECORDS if name.startswith("golden:dist:")),
+                    "column:UUD-exactly-twice"), "fail")),
+    ("identity U = D to D + delta from n = 2", _u_equals_d_plus_delta_from_2,
+     {"identity:motzkin:U = D": None, "identity:motzkin:U = D + delta": "fail"}),
+    # the same false identity passes: its every failing pair is a chunk's last
+    ("identity U = D to D + delta from n = 2, judged blind to each chunk's last lane",
+     _both(_u_equals_d_plus_delta_from_2, _judge_blind_to_the_last_lane),
+     {"identity:motzkin:U = D": None, "identity:motzkin:U = D + delta": "pass"}),
 ]
 
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -290,6 +291,142 @@ def test_a_plane_reader_refuses_a_letter_that_is_no_step(text):
     for f, arg in ((patterns._windows, "U"), (patterns._flanked, "UFD")):
         with pytest.raises(ValueError):
             f(text, arg)
+
+
+def _chunk_readers():
+    """Every reader with lanes: each side's rule sides, the campaign's Dyck reader and
+    every compiled shape (_COMPILED: windows, both anchors, runs and delta)."""
+    readers = [patterns._side_reader(side)[0] for side in ("dyck", "motzkin")]
+    readers.append(_campaign_readers()[0][1])
+    readers.append(patterns._reader([parse_pattern(t) for t in _COMPILED])[1])
+    assert all(read.lanes is not None for read in readers)
+    return readers
+
+
+def _assert_chunk_reads_exact(texts, readers=None):
+    for read in readers or _chunk_readers():
+        assert patterns._read_chunk(read, texts) == list(map(read, texts)), texts
+
+
+def _chunked(texts, size=256):
+    """texts split by length, then into chunks of at most size."""
+    by_length = {}
+    for text in texts:
+        by_length.setdefault(len(text), []).append(text)
+    return [run[i:i + size] for run in by_length.values() for i in range(0, len(run), size)]
+
+
+def test_chunk_reads_are_the_per_text_reads_on_every_chunk_of_the_family_pass(monkeypatch):
+    seen = []
+    real = TransportSweep.read_chunk
+
+    def read_chunk(sweep, members, images):
+        raws, agree = real(sweep, members, images)
+        seen.append((members, images))
+        assert raws == list(map(sweep.read_dyck, members))
+        lhs = list(map(sweep.dyck_sides, raws, map(len, members)))
+        rhs = list(map(sweep.motzkin_sides, map(sweep.read_motzkin, images), map(len, images)))
+        assert agree in (None, lhs == rhs)
+        return raws, agree
+
+    monkeypatch.setattr(TransportSweep, "read_chunk", read_chunk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    sweep = TransportSweep(transport_rules(), map(parse_pattern, PATTERNS))
+    assert [n for n, _ in family_reductions(range(11), sweep)] == list(range(11))
+    assert sum(len(members) for members, _ in seen) == sum(map(motzkin_number, range(11)))
+    read_dyck, read_motzkin = (patterns._side_reader(side)[0] for side in ("dyck", "motzkin"))
+    for members, images in seen:
+        _assert_chunk_reads_exact(members, [read_dyck, sweep.read_dyck])
+        _assert_chunk_reads_exact(images, [read_motzkin, sweep.read_motzkin])
+
+
+def test_chunk_reads_are_the_per_text_reads_on_every_word_chunked_by_length():
+    dyck = [str(p) for n in range(8) for p in enumerate_dyck(n)]
+    motzkin = [str(p) for n in range(9) for p in enumerate_motzkin(n)]
+    words = ["".join(w) for k in range(7) for w in product("UDF", repeat=k)]
+    for texts in (dyck, motzkin, words):
+        for chunk in _chunked(texts):
+            _assert_chunk_reads_exact(chunk)
+
+
+@pytest.mark.parametrize("texts", [["UUDD"], [""], ["", ""], ["UD", "UUDD"], ["F", "", "F"],
+                                   ["UFD", "FF", "UFD"], ["UD", "UD"]],
+                         ids=repr)
+def test_chunk_reads_of_one_text_mixed_lengths_and_the_empty_text(texts):
+    _assert_chunk_reads_exact(texts)
+    lengths = set(map(len, texts))
+    assert bool(patterns._lane_width(texts)) == (len(texts) > 1 and len(lengths) == 1)
+
+
+@pytest.mark.parametrize("length, width", [(7, 8), (15, 16), (31, 32), (63, 64), (255, 256),
+                                           (256, 0)])
+def test_chunk_reads_fill_each_lane_but_its_filler_letter(length, width):
+    # words of the lane's length less one letter, as far as a byte can count: the
+    # all-F, all-U and alternating words reach counts of length - 1 and length
+    rng = random.Random(length)
+    texts = ["F" * length, "U" * length, ("UD" * length)[:length], ("FU" * length)[:length],
+             *("".join(rng.choice("UDF") for _ in range(length)) for _ in range(12))]
+    assert patterns._lane_width(texts) == width
+    _assert_chunk_reads_exact(texts)
+
+
+@pytest.mark.parametrize("stray", ["X", "1", "0", "_", " ", "\n", "\u0661", "\u00ff", "\u00e9"],
+                         ids=repr)
+def test_a_chunk_read_refuses_a_stray_letter_anywhere(stray):
+    chunk = ["UUFDDF", "FUUDDF", "UFDUFD", "FFFFFF"]
+    for read in _chunk_readers():
+        for i, text in enumerate(chunk):
+            for at in range(len(text)):
+                texts = [*chunk[:i], text[:at] + stray + text[at + 1:], *chunk[i + 1:]]
+                assert patterns._lane_width(texts) == 8
+                with pytest.raises(ValueError):
+                    patterns._read_chunk(read, texts)
+
+
+def test_a_lane_difference_of_2_to_the_w_cannot_read_as_0():
+    # the first pair's sides differ by -1, the second's by 256: at 8 bits a lane,
+    # the packed difference -1 * 2^8 + 256 reads 0
+    rule = TransportRule("256*U", parse_statistic("256*U", "dyck"),
+                         parse_statistic("F", "motzkin"))
+    sweep = TransportSweep([rule])
+    members, images = ["FF", "UF"], ["UF", "UU"]
+    ones = patterns._lanes(2, 8)[0]
+    assert (sweep.dyck_sides(sweep.read_dyck.lanes(members, 8), 2, ones)
+            == sweep.motzkin_sides(sweep.read_motzkin.lanes(images, 8), 2, ones))
+    # so _lane_width makes 2^w exceed the weight, 257, times the length, 2
+    assert sweep.weight == 257
+    assert patterns._lane_width(members, 2, sweep.weight) == 16
+    assert sweep.read_chunk(members, images) == ([(0,), (1,)], False)
+    sweep.add(1, zip(members, images))
+    assert sweep.results[0]["counterexample"] == {"n": 1, "path": "FF", "image": "UF",
+                                                  "lhs": 0, "rhs": 1}
+
+
+def test_the_packed_judge_sees_every_lane():
+    # the 21 pairs of n = 5 with one image swapped for FFFFF, or FFFFF's for the
+    # first image: only that lane differs
+    sweep = TransportSweep(transport_rules())
+    members, images = map(list, zip(*_pairs(5)))
+    assert sweep.read_chunk(members, images)[1] is True
+    for i, image in enumerate(images):
+        wrong = [*images[:i], images[0] if image == "FFFFF" else "FFFFF", *images[i + 1:]]
+        rhs = list(map(sweep.motzkin_sides, map(sweep.read_motzkin, wrong), [5] * 21))
+        lhs = list(map(sweep.dyck_sides, map(sweep.read_dyck, members), [10] * 21))
+        assert [j for j in range(21) if lhs[j] != rhs[j]] == [i]
+        assert sweep.read_chunk(members, wrong)[1] is False, i
+
+
+def test_every_rule_difference_is_below_its_lane_width():
+    # the weight bounds each rule's |dyck side - motzkin side| on texts of length
+    # size by weight * size: checked on every pair to n = 8
+    sweep = TransportSweep(transport_rules())
+    for n in range(9):
+        w = patterns._lane_width([""] * 2, 2 * n, sweep.weight)
+        for member, image in _pairs(n):
+            sides = zip(sweep.dyck_sides(sweep.read_dyck(member), 2 * n),
+                        sweep.motzkin_sides(sweep.read_motzkin(image), n))
+            assert all(abs(left) + abs(right) <= sweep.weight * max(2 * n, 1) < 2 ** w
+                       for left, right in sides)
 
 
 def test_reader_source_holds_no_read_argument():
@@ -689,12 +826,9 @@ def test_family_reductions_judges_each_semilength_as_it_yields():
     assert all(r["counterexample"] is None for r in sweep.results)
 
 
-def test_sweep_values_dyck_sides_per_raw_tuple_and_motzkin_sides_per_pair(monkeypatch):
+def test_sweep_values_every_rules_sides_once_per_chunk(monkeypatch):
     rules = transport_rules()
-    families = [list(_pairs(n)) for n in range(10)]
     sweep = TransportSweep(rules)
-    raws = sum(len({sweep.read_dyck(dyck) for dyck, _ in pairs}) for pairs in families)
-    assert (raws, sum(map(len, families))) == (210, 1374)
 
     def refuse(*args):
         raise AssertionError("the sweep judges with its compiled forms alone")
@@ -705,15 +839,17 @@ def test_sweep_values_dyck_sides_per_raw_tuple_and_motzkin_sides_per_pair(monkey
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     calls = Counter()
     for side in ("dyck_sides", "motzkin_sides"):
-        def counting(raw, size, side=side, real=getattr(sweep, side)):
-            calls[side] += 1
-            return real(raw, size)
+        def counting(raw, size, one=1, side=side, real=getattr(sweep, side)):
+            calls[side, "lanes" if one != 1 else "one text"] += 1
+            return real(raw, size, one)
         setattr(sweep, side, counting)
     assert [n for n, _ in family_reductions(range(10), sweep)] == list(range(10))
     assert all(r["counterexample"] is None for r in sweep.results)
-    # the Dyck sides once per raw tuple of a semilength, the Motzkin sides
-    # once per pair, each call valuing every rule
-    assert calls == {"dyck_sides": raws, "motzkin_sides": 1374}
+    # the chunks of 256 pairs: 1, 1, 1, 1, 1, 1, 1, 1, 2 and 4 for n = 0..9. The one
+    # pair of n = 0 and of n = 1 is read and judged alone; each other chunk agrees
+    # on its lanes, every rule valued once per side
+    assert calls == {("dyck_sides", "lanes"): 12, ("motzkin_sides", "lanes"): 12,
+                     ("dyck_sides", "one text"): 2, ("motzkin_sides", "one text"): 2}
 
 
 def test_sweep_sizes_n_by_each_statistics_own_side():
