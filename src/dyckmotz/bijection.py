@@ -75,38 +75,37 @@ def _phi(p: str) -> Optional[str]:
     image of a Dyck path is a Motzkin word of half its length."""
     # the open block's frame: the heights of its first and latest inner
     # blocks, the first one's image and content image, the later images
-    # joined; the frames of the enclosing blocks wait on the stack
+    # joined; outer links the frames of the enclosing blocks, None at the top
     first_h = last_h = 0
     first = content = later = ""
-    stack = []
-    try:
-        for c in p.replace("UD", "F"):  # each peak is a block UD, of height 1 and image F
-            if c == "F":  # no frame of its own; a first block's content image stays empty
-                if first_h:
-                    later += "F"
-                else:
-                    first_h, first = 1, "F"
-                last_h = 1
-                continue
-            if c == "U":
-                stack.append((first_h, last_h, first, content, later))
-                first_h = last_h = 0
-                first = content = later = ""
-                continue
-            # the block is U UbetaD gamma D, with phi(beta) = content
-            image, content = later + "U" + content + "D", first + later
-            h = first_h + 1
-            first_h, last_h, first, parent_content, later = stack.pop()
-            if not first_h:  # the parent's first inner block: keep its content image
-                first_h, first = h, image
-            elif h > last_h:
-                return None
+    outer = None
+    for c in p.replace("UD", "F"):  # each peak is a block UD, of height 1 and image F
+        if c == "F":  # no frame of its own; a first block's content image stays empty
+            if first_h:
+                later += "F"
             else:
-                later += image
-                content = parent_content
-            last_h = h
-    except IndexError:  # a D that closes no block: a dip below the axis
-        return None
+                first_h, first = 1, "F"
+            last_h = 1
+            continue
+        if c == "U":
+            outer = first_h, last_h, first, content, later, outer
+            first_h = last_h = 0
+            first = content = later = ""
+            continue
+        if outer is None:  # a D that closes no block: a dip below the axis
+            return None
+        # the block is U UbetaD gamma D, with phi(beta) = content
+        image, content = later + "U" + content + "D", first + later
+        h = first_h + 1
+        first_h, last_h, first, parent_content, later, outer = outer
+        if not first_h:  # the parent's first inner block: keep its content image
+            first_h, first = h, image
+        elif h > last_h:
+            return None
+        else:
+            later += image
+            content = parent_content
+        last_h = h
     return first + later
 
 
@@ -136,21 +135,22 @@ def _phi_inverse(m: str) -> Optional[str]:
     per letter read, so a member it gives is a Dyck word of twice m's
     length."""
     # the open arch's level as parallel lists of decoded block heights and
-    # texts; heights never increase along a level
-    heights, texts, stack = [], [], []
+    # texts, heights never increasing along a level; outer links the
+    # enclosing levels, None at the top
+    heights, texts, outer = [], [], None
     for c in m:
         if c == "U":
-            stack.append((heights, texts))
+            outer = heights, texts, outer
             heights, texts = [], []
         elif c == "F":
             heights.append(1)
             texts.append("UD")
-        elif c != "D" or not stack:
+        elif c != "D" or outer is None:
             return None
         else:
             h = 2 + (heights[0] if heights else 0)
             beta = "".join(texts)
-            heights, texts = stack.pop()
+            heights, texts, outer = outer
             k = len(heights)
             while k and heights[k - 1] < h:
                 k -= 1
@@ -160,7 +160,7 @@ def _phi_inverse(m: str) -> Optional[str]:
             else:
                 texts.append(f"UU{beta}DD")
                 heights.append(h)
-    return None if stack else "".join(texts)
+    return "".join(texts) if outer is None else None
 
 
 def _refusal(p: str) -> str:

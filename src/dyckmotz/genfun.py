@@ -22,12 +22,12 @@ family) is the y-derivative at y = 1, checked against the printed forms
 of the length-2 patterns. cross_check compares the routes in _ROUTES.
 
 Each printed form is evaluated once per truncation order per process,
-in the memo _printed keyed by the form itself, and each radical that
-several forms print is rooted once, in _root keyed by the radical; the
-fixed-point and brute-force routes read neither. Every module cache is
-bounded: _printed (32 forms), _root (8 roots), _family_row (25 rows),
-patterns._side_reader (2), _plane (3 planes) and _lanes (8 lane masks),
-enumeration._at_most (2) and _convergents (2).
+in the memo _printed keyed by the form and the radical it takes the root
+of, and each radical that several forms print is rooted once, in _root
+keyed by the radical; the fixed-point and brute-force routes read neither.
+Every module cache is bounded: _printed (32 forms), _root (8 roots),
+_family_row (25 rows), patterns._side_reader (2), _plane (3 planes) and
+_lanes (8 lane masks), enumeration._at_most (2) and _convergents (2).
 
 DD shares the UU distribution; the brute-force route still counts DD
 literally so the alias is itself testable.
@@ -85,7 +85,8 @@ def _validate_distribution(series: TruncatedSeries, pattern: str,
 # expression, verbatim. Square-root signs differ between the two groups
 # of formulas and are kept exactly as printed; the constant-term-1
 # validation would catch a wrong branch immediately. A radical that more
-# than one form prints is named once, and each form reads its root, _root.
+# than one form prints is named once; each such form takes its root last,
+# and _CLOSED_FORMS names the radical beside it (None beside the others).
 _rad_ud = lambda x, y: -4*x**2 + (x**2*(y - 1) + x*y - 1)**2  # UD and DU
 _rad_uud = lambda x, y: (x**2*y - 1) * (x**2*y - 4*x**2 + 4*x - 1)  # UUD and DUU
 _rad_udd = lambda x, y: ((x + 1) * (x**2*y - x**2 + 1)  # UDD and DDU
@@ -93,8 +94,8 @@ _rad_udd = lambda x, y: ((x + 1) * (x**2*y - x**2 + 1)  # UDD and DDU
 _rad_pop = lambda x, y: -3*x**2 - 2*x + 1  # R = 1 - 2x - 3x^2, for popularity
 
 
-def _cf_ud(x, y):
-    return (x**2 - x**2*y - x*y + 1 - _root(_rad_ud, x.trunc_x)) / (2*x**2)
+def _cf_ud(x, y, root):
+    return (x**2 - x**2*y - x*y + 1 - root) / (2*x**2)
 
 
 def _cf_uu(x, y):
@@ -102,8 +103,8 @@ def _cf_uu(x, y):
     return (x**2*y**2 - x**2*y - x + 1 - rad.sqrt_unit()) / (2*x**2*y**2)
 
 
-def _cf_du(x, y):
-    return (x**2*y - x**2 - x*y + 1 - _root(_rad_ud, x.trunc_x)) / (2*x**2*y)
+def _cf_du(x, y, root):
+    return (x**2*y - x**2 - x*y + 1 - root) / (2*x**2*y)
 
 
 def _cf_uuu(x, y):
@@ -113,12 +114,12 @@ def _cf_uuu(x, y):
             / (2*x**2*y**2*(x - 1)))
 
 
-def _cf_uud(x, y):
-    return (x**2*y - 2*x**2 + 2*x - 1 + _root(_rad_uud, x.trunc_x)) / (2*x**2*(x - 1))
+def _cf_uud(x, y, root):
+    return (x**2*y - 2*x**2 + 2*x - 1 + root) / (2*x**2*(x - 1))
 
 
-def _cf_duu(x, y):
-    return (2*x - x**2*y - 1 + _root(_rad_uud, x.trunc_x)) / (2*x**2*y*(x - 1))
+def _cf_duu(x, y, root):
+    return (2*x - x**2*y - 1 + root) / (2*x**2*y*(x - 1))
 
 
 def _cf_dud(x, y):
@@ -135,13 +136,13 @@ def _cf_udu(x, y):
             / (2*x**2*(x - x*y + 1)))
 
 
-def _cf_udd(x, y):
-    return ((1 + x*(x**2*y - x**2 - x*y + x - 1) - _root(_rad_udd, x.trunc_x))
+def _cf_udd(x, y, root):
+    return ((1 + x*(x**2*y - x**2 - x*y + x - 1) - root)
             / (2*x**2*(x*y - x + 1)**2))
 
 
-def _cf_ddu(x, y):
-    return ((1 + x*(2*x**2*y**2 - 3*x**2*y + x**2 + x*y - x - 1) - _root(_rad_udd, x.trunc_x))
+def _cf_ddu(x, y, root):
+    return ((1 + x*(2*x**2*y**2 - 3*x**2*y + x**2 + x*y - x - 1) - root)
             / (2*x**2*y*(x*y - x + 1)))
 
 
@@ -153,9 +154,10 @@ def _cf_ddd(x, y):
 
 
 _CLOSED_FORMS = {
-    "UD": _cf_ud, "UU": _cf_uu, "DD": _cf_uu, "DU": _cf_du,
-    "UUU": _cf_uuu, "UUD": _cf_uud, "DUU": _cf_duu, "DUD": _cf_dud,
-    "UDU": _cf_udu, "UDD": _cf_udd, "DDU": _cf_ddu, "DDD": _cf_ddd,
+    "UD": (_cf_ud, "_rad_ud"), "UU": (_cf_uu, None), "DD": (_cf_uu, None),
+    "DU": (_cf_du, "_rad_ud"), "UUU": (_cf_uuu, None), "UUD": (_cf_uud, "_rad_uud"),
+    "DUU": (_cf_duu, "_rad_uud"), "DUD": (_cf_dud, None), "UDU": (_cf_udu, None),
+    "UDD": (_cf_udd, "_rad_udd"), "DDU": (_cf_ddu, "_rad_udd"), "DDD": (_cf_ddd, None),
 }
 
 
@@ -212,17 +214,18 @@ def _root(rad, order: int) -> TruncatedSeries:
 
 # holds one truncation order's 11 closed and 3 popularity forms twice over
 @lru_cache(maxsize=32)
-def _printed(form, N: int, popularity: bool) -> TruncatedSeries:
-    """form on x and y, or on x and the popularity radical's root, at x-order
+def _printed(form, radical, N: int, popularity: bool) -> TruncatedSeries:
+    """form on x, on y unless popularity and on radical's root if any, at x-order
     N + _GUARD, read through _printed_route's truncate, which copies the rows."""
     x = TruncatedSeries.x_var(N + _GUARD)
-    return form(x, _root(_rad_pop, x.trunc_x) if popularity else TruncatedSeries.y_var(x.trunc_x))
+    args = [x] if popularity else [x, TruncatedSeries.y_var(x.trunc_x)]
+    return form(*args, *([_root(radical, x.trunc_x)] if radical else []))
 
 
-def _printed_route(form, pattern: str, N: int, popularity: bool = False) -> TruncatedSeries:
-    """_printed through x^N; a form the series ring refuses fails the closed route."""
+def _printed_route(form, radical, pattern: str, N: int, popularity=False) -> TruncatedSeries:
+    """_printed through x^N, the radical read by name; a refused form fails the closed route."""
     try:
-        return _printed(form, N, popularity).truncate(N)
+        return _printed(form, radical and globals()[radical], N, popularity).truncate(N)
     except (NonSquareConstantTermError, NonUnitDivisorError, InexactDivisionError) as exc:
         raise RouteCheckError(f"{pattern}/closed: {exc}") from exc
 
@@ -233,7 +236,7 @@ def distribution_gf_closed(pattern: str, N: int = DEFAULT_TRUNCATION) -> Truncat
     pattern = _canon(pattern)
     _require_size(N, "truncation order")  # before the guard orders make N = -1 valid
     return _validate_distribution(
-        _printed_route(_CLOSED_FORMS[pattern], pattern, N), pattern, "closed")
+        _printed_route(*_CLOSED_FORMS[pattern], pattern, N), pattern, "closed")
 
 
 def distribution_gf_fixed_point(pattern: str, N: int = DEFAULT_TRUNCATION) -> TruncatedSeries:
@@ -330,7 +333,7 @@ _ROUTES = {
         "fixed": (lambda p, N: distribution_gf_fixed_point(p, N), _SYSTEMS)}),
     "popularity": ("derivative", {
         "derivative": (lambda p, N: _popularity(distribution_gf_closed(p, N)), PATTERNS),
-        "printed": (lambda p, N: _printed_route(_pop_closed_length2[p], p, N, True),
+        "printed": (lambda p, N: _printed_route(_pop_closed_length2[p], "_rad_pop", p, N, True),
                     _pop_closed_length2)})}
 
 

@@ -24,6 +24,8 @@ A pattern _PROFILED_RE admits is one read: an anchor, delta, or a word or
 run XY+Z over the bit-planes (_windows, _flanked); others count_occurrences.
 A compiled reader (_reader) reads one text, or a chunk of texts of one
 length at once, each in its own lane of one big int (_read_chunk).
+A statistic with a rule side's side, constant, n coefficient and form
+(_SLOTS) is read with its side's 15, once per PathProfile (_side_reader).
 """
 from __future__ import annotations
 
@@ -86,7 +88,7 @@ _PLANE_NAMES = dict(zip("UDF", "udf"))  # in a compiled reader's source (see _re
 _POPCOUNT = bytes(b.bit_count() for b in range(256))  # bytes.translate: each byte's popcount
 
 
-# the last text's planes, so a PathProfile's window and run reads build each once
+# the last text's planes, so the window and run reads of one text build each once
 @lru_cache(maxsize=3)
 def _plane(text: str, letter: str) -> int:
     """The bits of text that are letter, its first step the top bit (0 on the empty text)."""
@@ -261,32 +263,22 @@ def _reads(pat: PatternExpr) -> tuple:
 
 
 class PathProfile:
-    """A path with the raw reads made of it so far.
+    """A path, and its transport rule sides' values, read once per side.
 
-    A read (f, arg) is f(path, arg), made once and kept; value sums a
-    linear form ((read, coefficient), ...) over them, so each distinct
-    read runs once per path whichever pattern or statistic asks for it.
-    count values a pattern's counter (see _reads). The first transport
-    rule side that evaluate_statistic asks of a profile reads the text
-    once through its side's compiled reader (_side_reader) and keeps, in
-    sides, that side's 15 values; the others are read from that tuple.
-    """
+    value sums a linear form ((read, coefficient), ...), a read (f, arg) being
+    f(path, arg); count values a pattern's counter (see _reads). The first
+    statistic with a slot that evaluate_statistic asks of a profile reads the
+    text through its side's compiled reader (_side_reader) and keeps that
+    side's 15 values in sides."""
 
-    __slots__ = ("path", "text", "reads", "sides")
+    __slots__ = ("path", "text", "sides")
 
     def __init__(self, path: Union[str, LatticePath]):
         self.path = path if isinstance(path, LatticePath) else LatticePath(path)
-        self.text = str(self.path)
-        self.reads, self.sides = {}, {}
+        self.text, self.sides = str(self.path), {}
 
     def value(self, form: tuple) -> int:
-        reads, total = self.reads, 0
-        for read, c in form:
-            got = reads.get(read)
-            if got is None:
-                got = reads[read] = read[0](self.path, read[1])
-            total += c * got
-        return total
+        return sum(c * f(self.path, arg) for (f, arg), c in form)
 
     def count(self, pat: PatternExpr) -> int:
         return self.value(_reads(pat))
@@ -394,7 +386,7 @@ class StatisticExpr(_Frozen, namedtuple("StatisticExpr", "terms side text")):
     # "motzkin", which fixes what n means. Compiled once into the instance
     # dict, out of ==, hash and repr: the value is const + n_coeff * n plus
     # form, the terms' pattern reads merged ((read, c), ...), no zero c;
-    # slot is None but on a transport rule's own side (its index in _RULES)
+    # slot is the index in _RULES of a rule side it values as (_SLOTS), else None
     def __new__(cls, terms: tuple, side: str, text: str = ""):
         self = super().__new__(cls, terms, side, text)
         const, n_coeff, form = 0, 0, Counter()
@@ -405,8 +397,9 @@ class StatisticExpr(_Frozen, namedtuple("StatisticExpr", "terms side text")):
                 n_coeff += coeff
             else:
                 form.update({read: coeff * c for read, c in _reads(term)})
-        vars(self).update(const=const, n_coeff=n_coeff,
-                          form=tuple((r, c) for r, c in form.items() if c), slot=None)
+        form = tuple((r, c) for r, c in form.items() if c)
+        vars(self).update(const=const, n_coeff=n_coeff, form=form,
+                          slot=_SLOTS.get((side, const, n_coeff, form)))
         return self
 
     def __str__(self) -> str:
@@ -455,10 +448,11 @@ def _parse_term(token: str, sign: int, whole: str, position: int):
 def evaluate_statistic(p: Union[str, LatticePath], e: StatisticExpr,
                        profile: Optional[PathProfile] = None) -> int:
     """Value of the statistic on one path, from the profile of p, a prebuilt
-    one keeping what it read for the next statistic. A transport rule's own
-    side (the object in transport_rules(), not one equal to it) is its slot
-    in the profile's values of every rule side on its side, read once per
-    profile; any other statistic is its form valued by the profile."""
+    one keeping the rule sides it read for the next statistic. A statistic
+    that values as a transport rule's side (its slot: the same side, const,
+    n_coeff and form, a re-parsed twin included) is that slot of the
+    profile's values of every rule side on its side, read once per profile;
+    any other statistic is its form valued on the path (PathProfile.value)."""
     if profile is None:
         profile = PathProfile(p)
     elif p is not profile.path and profile.text != p:
@@ -491,6 +485,7 @@ def _rule(name: str, motzkin_text: str, min_n: int = 0) -> TransportRule:
 # the twelve length <= 3 step patterns of genfun's series and the golden tables
 PATTERNS = ("UD", "UU", "DD", "DU", "UUU", "UUD", "DUU", "DUD", "UDU", "UDD", "DDU", "DDD")
 
+_SLOTS = {}  # rule sides by value: (side, const, n_coeff, form) -> first index in _RULES
 _RULES = (
     _rule("U", "U + D + F"),
     _rule("D", "U + D + F"),
@@ -509,10 +504,10 @@ _RULES = (
     _rule("^UU", "1 - delta", min_n=1),
 )
 
-# a rule side is registered by identity, its index in _RULES set on the object:
-# a statistic rebuilt with other reads is == to it and takes the dict path
+# the rule sides, built before _SLOTS was filled, take their slots from it now
 for _k, _r in enumerate(_RULES):
-    vars(_r.dyck_side)["slot"] = vars(_r.motzkin_side)["slot"] = _k
+    for _s in (_r.dyck_side, _r.motzkin_side):
+        vars(_s)["slot"] = _SLOTS.setdefault((_s.side, _s.const, _s.n_coeff, _s.form), _k)
 
 
 @lru_cache(maxsize=2)

@@ -166,7 +166,7 @@ def test_gf_fixed_unavailable(capsys):
 
 def test_gf_failed_route_check_exits_1(capsys, monkeypatch):
     # a wrong closed form is a failed check, not bad input
-    monkeypatch.setitem(genfun._CLOSED_FORMS, "UD", lambda x, y: 1 + x)
+    monkeypatch.setitem(genfun._CLOSED_FORMS, "UD", (lambda x, y: 1 + x, None))
     assert main(["gf", "--pattern", "UD", "--method", "closed"]) == 1
     assert "row sum at x^2" in capsys.readouterr().err
 
@@ -175,7 +175,7 @@ def test_a_form_the_ring_refuses_fails_its_route_check(capsys, monkeypatch):
     # the ring refuses the square root of a radical whose constant term is 3:
     # UD's closed route fails its own check, and verify still reports in full
     names = [c["check"] for c in run_full_verification(max_n=6)["checks"]]
-    monkeypatch.setitem(genfun._CLOSED_FORMS, "UD", _ud_radical_of_3)
+    monkeypatch.setitem(genfun._CLOSED_FORMS, "UD", (_ud_radical_of_3, None))
     assert main(["verify", "--max-n", "6", "--format", "json"]) == 1
     checks = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert list(checks) == names

@@ -72,7 +72,7 @@ def test_cross_check_routes(monkeypatch, capsys):
     assert list(routes) == ["closed", "brute"]
     assert agree == {"closed": False}
     # a wrong closed form is left out, with its error, and the other routes are still built
-    monkeypatch.setitem(genfun._CLOSED_FORMS, "UDU", lambda x, y: 1 + x)
+    monkeypatch.setitem(genfun._CLOSED_FORMS, "UDU", (lambda x, y: 1 + x, None))
     built = []
     routes, agree, errors = cross_check("distribution", "UDU", 6,
                                         brute=lambda: built.append(1) or brute)
@@ -418,11 +418,13 @@ def test_distribution_starts_at_one():
 
 # the memo of printed forms ---------------------------------------------------
 
-def _counting(form, calls):
-    def counted(x, y):
+def _counting(entry, calls):
+    form, radical = entry
+
+    def counted(x, y, *root):
         calls[form.__name__, x.trunc_x] += 1
-        return form(x, y)
-    return counted
+        return form(x, y, *root)
+    return counted, radical
 
 
 def test_each_printed_form_is_evaluated_once_per_truncation(monkeypatch):
@@ -449,9 +451,23 @@ def test_memoised_series_are_copies():
 
 def test_memo_is_keyed_by_the_form_not_the_pattern(monkeypatch):
     uud = distribution_gf_closed("UUD", 9)
-    monkeypatch.setitem(genfun._CLOSED_FORMS, "UUD", genfun._cf_duu)
+    monkeypatch.setitem(genfun._CLOSED_FORMS, "UUD", genfun._CLOSED_FORMS["DUU"])
     swapped = distribution_gf_closed("UUD", 9)
     assert swapped == distribution_gf_closed("DUU", 9) and swapped != uud
+
+
+def test_memo_is_keyed_by_the_radical_a_form_takes_the_root_of(monkeypatch):
+    # UUD and DUU take the root of _rad_uud: a radical replaced on a warm memo is read
+    # (with 2*x for 4*x, both closed routes fail their own checks), and once restored
+    # its series are served again
+    warm = {p: distribution_gf_closed(p, 9) for p in ("UUD", "DUU")}
+    with monkeypatch.context() as patch:
+        patch.setattr(genfun, "_rad_uud",
+                      lambda x, y: (x**2*y - 1) * (x**2*y - 4*x**2 + 2*x - 1))
+        for pattern in warm:
+            with pytest.raises(RouteCheckError, match=f"{pattern}/closed"):
+                distribution_gf_closed(pattern, 9)
+    assert {p: distribution_gf_closed(p, 9) for p in warm} == warm
 
 
 def test_memo_is_bounded():

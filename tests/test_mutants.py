@@ -27,10 +27,13 @@ from dyckmotz import (cli, count_occurrences, enumerate_constrained, family, gen
 MAX_N = 8
 
 
-def _closed(**forms):
+_FORMS = dict(genfun._CLOSED_FORMS)  # pattern -> (form, the name of its radical or None)
+
+
+def _closed(**entries):
     def mutate(monkeypatch):
-        for pattern, form in forms.items():
-            monkeypatch.setitem(genfun._CLOSED_FORMS, pattern, form)
+        for pattern, entry in entries.items():
+            monkeypatch.setitem(genfun._CLOSED_FORMS, pattern, entry)
     return mutate
 
 
@@ -43,14 +46,10 @@ def _ud_radical_of_3(x, y):
 
 def _uud_radical_2x_for_4x(monkeypatch):
     # the radical UUD and DUU share, with 2*x for 4*x: its constant term stays 1,
-    # so the ring takes its root. Both forms go into _CLOSED_FORMS anew, as an
-    # edited form would, so that the printed memo evaluates them afresh and the
-    # root memo is asked for the new radical's root
+    # so the ring takes its root. The forms stay; the printed memo is keyed on the
+    # radical they take the root of, so a warm memo evaluates them afresh
     monkeypatch.setattr(genfun, "_rad_uud",
                         lambda x, y: (x**2*y - 1) * (x**2*y - 4*x**2 + 2*x - 1))
-    for pattern in ("UUD", "DUU"):
-        monkeypatch.setitem(genfun._CLOSED_FORMS, pattern,
-                            lambda x, y, form=genfun._CLOSED_FORMS[pattern]: form(x, y))
 
 
 def _printed_du_plus_one(monkeypatch):
@@ -128,19 +127,19 @@ _ROUTE_RECORDS = {
 }
 
 MUTANTS = [
-    ("closed UUD and DUU swapped", _closed(UUD=genfun._cf_duu, DUU=genfun._cf_uud),
+    ("closed UUD and DUU swapped", _closed(UUD=_FORMS["DUU"], DUU=_FORMS["UUD"]),
      {"three-way:UUD", "three-way:DUU", "golden:dist:UUD", "golden:dist:DUU",
       "golden:pop:pop3a:UUD", "golden:pop:pop3a:DUU", "oeis:A097861:pop:UUD",
       "oeis:A001793:row:UUD:2",
       "oeis:A304011:pop:DUU"}),  # conjecture-consistent to conjecture-broken
-    ("closed UDD and DDU swapped", _closed(UDD=genfun._cf_ddu, DDU=genfun._cf_udd),
+    ("closed UDD and DDU swapped", _closed(UDD=_FORMS["DDU"], DDU=_FORMS["UDD"]),
      {"three-way:UDD", "three-way:DDU", "golden:dist:UDD", "golden:dist:DDU",
       "golden:pop:pop3b:UDD", "golden:pop:pop3b:DDU"}),
-    ("closed DD replaced by DU's", _closed(DD=genfun._cf_du),
+    ("closed DD replaced by DU's", _closed(DD=_FORMS["DU"]),
      {"three-way:DD", "golden:pop:pop2:DD", "popularity-closed-forms"}),
     # a form the series ring refuses fails UD's closed route: each record that
     # reads it fails; golden:dist:UD and the sum row still read the brute series
-    ("closed UD with a radical of constant term 3", _closed(UD=_ud_radical_of_3),
+    ("closed UD with a radical of constant term 3", _closed(UD=(_ud_radical_of_3, None)),
      {"three-way:UD", "three-way:DU-from-UD", "golden:pop:pop2:UD", "popularity-closed-forms",
       "oeis:A025566:pop:UD", "oeis:A034851:row:UD:2", "oeis:A005994:row:UD:3",
       "oeis:A005900:diag:UD:3"}),

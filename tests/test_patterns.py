@@ -556,38 +556,43 @@ def test_one_form_serves_every_caller(terms, side, word, rng):
     assert list(sides(read(word), len(word))) == expected
 
 
+def _rebuilt(s, wrap):
+    """s rebuilt over other reads: each read (f, arg) of its patterns' counters as
+    (wrap(f), arg). It is == to s, and has no slot unless wrap(f) is f."""
+    def pattern(pat):
+        counter = tuple(((wrap(f), arg), c) for (f, arg), c in patterns._reads(pat))
+        return PatternExpr(pat.atoms, pat.start_anchor, pat.end_anchor, pat.dirac, pat.text,
+                           counter)
+    terms = tuple((c, pattern(t) if isinstance(t, PatternExpr) else t) for c, t in s.terms)
+    return patterns.StatisticExpr(terms, s.side, s.text)
+
+
 def test_a_shared_profile_makes_each_read_once():
-    calls = Counter()
+    # a statistic with no slot is its form summed on the path: each time it is
+    # valued it makes each read of its form once, and the profile keeps none of them
+    calls, spies = Counter(), {}
 
     def spy(f):
         def read(text, arg):
             calls[read, arg] += 1
             return f(text, arg)
-        return read
-
-    spies = {}
-
-    def spied(pat):
-        counter = tuple(((spies.setdefault(f, spy(f)), arg), c) for (f, arg), c in patterns._reads(pat))
-        return PatternExpr(pat.atoms, pat.start_anchor, pat.end_anchor, pat.dirac, pat.text, counter)
-
-    def rebuilt(s):
-        terms = tuple((c, spied(t) if isinstance(t, PatternExpr) else t) for c, t in s.terms)
-        return patterns.StatisticExpr(terms, s.side, s.text)
+        return spies.setdefault(f, read)
 
     generic = parse_statistic("UUUU - 2*UU+D + n", "dyck")
-    sides = [(rebuilt(r.dyck_side), rebuilt(r.motzkin_side)) for r in transport_rules()]
-    sides.append((rebuilt(generic), rebuilt(generic)))
+    sides = [(_rebuilt(r.dyck_side, spy), _rebuilt(r.motzkin_side, spy)) for r in transport_rules()]
+    sides.append((_rebuilt(generic, spy), _rebuilt(generic, spy)))
+    assert {s.slot for pair in sides for s in pair} == {None}
     member = "UUUDUDDUDD" * 3
     image = str(phi(member))
     for text, k in ((member, 0), (image, 1)):
         profile = PathProfile(text)
-        calls.clear()
-        values = [evaluate_statistic(text, s[k], profile) for s in sides]
-        values += [evaluate_statistic(text, s[k], profile) for s in reversed(sides)]
-        assert values[:len(sides)] == values[len(sides):][::-1]
-        reads = {read for s in sides for read, _ in s[k].form}
-        assert set(calls) == reads and set(calls.values()) == {1}, text
+        for s in [pair[k] for pair in sides] * 2:
+            calls.clear()
+            value = evaluate_statistic(text, s, profile)
+            assert calls == dict.fromkeys((read for read, _ in s.form), 1), (s.text, text)
+            assert value == evaluate_statistic(text, s), (s.text, text)
+        assert profile.sides == {}, text
+    assert PathProfile.__slots__ == ("path", "text", "sides")
     assert [evaluate_statistic(member, s, PathProfile(member)) for s, _ in sides[:-1]] == [
         evaluate_statistic(image, s, PathProfile(image)) for _, s in sides[:-1]]
 
@@ -599,16 +604,21 @@ def _sides(side):
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="UDF", max_size=40))
 def test_a_rule_side_values_as_its_unregistered_twin(word):
+    # a twin over other reads that read the same (a mutant that changes nothing) has
+    # no slot and is valued by its form, as the slot is by the side's compiled reader
+    def wrap(f):
+        return lambda text, arg: f(text, arg)
     for side in ("dyck", "motzkin"):
         for e in _sides(side):
-            twin = parse_statistic(e.text, e.side)
+            twin = _rebuilt(e, wrap)
             assert twin == e and e.slot is not None and twin.slot is None
             got = evaluate_statistic(word, e, PathProfile(word))
             assert got == evaluate_statistic(word, twin, PathProfile(word)), (e.text, word)
             assert type(got) is int and type(evaluate_statistic(word, twin)) is int
 
 
-def test_a_profile_reads_a_side_once_for_all_its_rules(monkeypatch):
+def _spied_side_reads(monkeypatch) -> Counter:
+    """A Counter of the texts the side readers read, by (side, text), from now on."""
     reads = Counter()
 
     def spied(side, real=patterns._side_reader):
@@ -620,14 +630,38 @@ def test_a_profile_reads_a_side_once_for_all_its_rules(monkeypatch):
         return spy, sides
 
     monkeypatch.setattr(patterns, "_side_reader", spied)
+    return reads
+
+
+def test_a_profile_reads_a_side_once_for_all_its_rules(monkeypatch):
+    reads = _spied_side_reads(monkeypatch)
     member = "UUUDUDDUDD" * 3
     for text, side in ((member, "dyck"), (str(phi(member)), "motzkin")):
         profile = PathProfile(text)
         values = [evaluate_statistic(text, e, profile) for e in _sides(side)]
         values += [evaluate_statistic(text, e, profile) for e in _sides(side)]
-        assert reads == {(side, text): 1} and profile.reads == {}, side
+        assert reads == {(side, text): 1}, side
         assert len(profile.sides[side]) == 15 and values[:15] == values[15:]
         reads.clear()
+
+
+def test_a_re_parsed_rule_side_takes_its_slot(monkeypatch):
+    # a rule side is registered by value, so its re-parsed twin has its slot, and a
+    # profile asked all 30 twins reads each side's text once, as for the sides
+    twins = {side: [parse_statistic(s.text, side) for s in _sides(side)]
+             for side in ("dyck", "motzkin")}
+    for side, sides in twins.items():
+        assert [t.slot for t in sides] == [s.slot for s in _sides(side)], side
+    assert None not in {t.slot for sides in twins.values() for t in sides}
+    member = "UUUDUDDUDD" * 3
+    texts = {"dyck": member, "motzkin": str(phi(member))}
+    expected = {side: [evaluate_statistic(text, s) for s in _sides(side)]
+                for side, text in texts.items()}
+    reads = _spied_side_reads(monkeypatch)
+    for side, text in texts.items():
+        profile = PathProfile(text)
+        assert [evaluate_statistic(text, t, profile) for t in twins[side]] == expected[side]
+    assert reads == {(side, text): 1 for side, text in texts.items()}
 
 
 def test_side_readers_compile_on_first_use_and_stay_two():
